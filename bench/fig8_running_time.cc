@@ -441,12 +441,12 @@ LayoutBenchRow layout_int_bench(const std::string& name, bool aggregation,
   return row;
 }
 
-// --- Sharding section: zone-sharded parallel solve vs the global solve. ---
+// --- Sharding section: zone-sharded solve vs the global solve. ---
 // Per shard count, the slot is solved by partitioning the hotspots into K
-// geo zones (process-per-shard fork), plus one cross-shard exchange round
-// over boundary residuals. Reported per row: the flow-phase critical path
-// (slowest shard's graph+MCMF plus the exchange round) vs the global
-// solve's graph+MCMF, the fork-to-collect wall, the exchange overhead, and
+// geo zones (solved one after another in-process), plus one cross-shard
+// exchange round over boundary residuals. Reported per row: the flow-phase
+// time (every shard's graph+MCMF plus the exchange round) vs the global
+// solve's graph+MCMF, the shard-loop wall, the exchange overhead, and
 // the end-to-end objective gap (plan distance sum with the CDN penalty,
 // sharded vs global). K=1 must be bit-identical to the global solve and
 // carries the `identical` oracle; K>1 pays a bounded optimality gap and
@@ -458,9 +458,9 @@ struct ShardBenchRow {
   std::size_t hotspots = 0;
   double global_flow_s = 0.0;     // unsharded graph+MCMF
   double global_cluster_s = 0.0;  // unsharded Jd+cluster
-  double shard_flow_s = 0.0;      // critical path: max shard + exchange
-  double cluster_s = 0.0;         // max per-shard Jd+cluster
-  double shard_wall_s = 0.0;      // fork -> every shard result collected
+  double shard_flow_s = 0.0;      // sum over shards + exchange
+  double cluster_s = 0.0;         // sum of per-shard Jd+cluster
+  double shard_wall_s = 0.0;      // shard loop, every shard in turn
   double exchange_s = 0.0;
   std::int64_t moved = 0;
   std::int64_t exchange_moved = 0;
@@ -774,8 +774,8 @@ void run_flow_bench(const Flags& flags) {
   }  // !shard_only
 
   const double gap_tol = flags.get_double("shard_gap_tol", 0.02);
-  std::printf("\n=== zone-sharded parallel solve vs global solve ===\n");
-  std::printf("critical path = slowest shard's graph+MCMF + exchange round; "
+  std::printf("\n=== zone-sharded solve vs global solve ===\n");
+  std::printf("sharded = every shard's graph+MCMF + exchange round; "
               "gap tolerance %.1f%% (best of %zu)\n",
               gap_tol * 100.0, repeats);
   std::printf("%-4s %7s %12s %12s %9s %10s %10s %9s %10s\n", "", "shards",

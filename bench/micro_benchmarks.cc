@@ -11,8 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "legacy_solver.h"
-
 #include "cluster/content_distance.h"
 #include "cluster/hierarchical.h"
 #include "cluster/simd_kernels.h"
@@ -97,61 +95,6 @@ void BM_DinicMaxflow(benchmark::State& state) {
 }
 BENCHMARK(BM_DinicMaxflow)->Arg(50)->Arg(150)->Arg(400)->ComputeStatistics("min", min_stat);
 
-// --- Layout micro-benches: mechanical-sympathy pass, before vs after. ---
-// The frozen pre-refactor engine (bench/legacy_solver.h: vector-of-vectors
-// adjacency, 32-byte AoS edges, double-only costs, binary-heap Dijkstra)
-// races the live CSR/SoA engine inside this binary on identical inputs, so
-// the deltas isolate data layout and heap discipline, not algorithm changes.
-
-/// Same topology, capacities, and costs as make_bipartite (same Rng seed and
-/// draw order), built into the legacy representation.
-legacy::FlowNetwork make_bipartite_legacy(Rng& rng, std::size_t side,
-                                          double density) {
-  legacy::FlowNetwork net(2 + 2 * side);
-  for (std::size_t i = 0; i < side; ++i) {
-    (void)net.add_edge(0, static_cast<legacy::NodeId>(2 + i),
-                       rng.uniform_int(1, 100), 0.0);
-    (void)net.add_edge(static_cast<legacy::NodeId>(2 + side + i), 1,
-                       rng.uniform_int(1, 100), 0.0);
-  }
-  for (std::size_t i = 0; i < side; ++i) {
-    for (std::size_t j = 0; j < side; ++j) {
-      if (rng.chance(density)) {
-        (void)net.add_edge(static_cast<legacy::NodeId>(2 + i),
-                           static_cast<legacy::NodeId>(2 + side + j),
-                           rng.uniform_int(1, 50), rng.uniform(0.1, 5.0));
-      }
-    }
-  }
-  return net;
-}
-
-void BM_LegacyMcmfSpfa(benchmark::State& state) {
-  Rng rng(1);
-  const legacy::FlowNetwork base =
-      make_bipartite_legacy(rng, static_cast<std::size_t>(state.range(0)), 0.2);
-  for (auto _ : state) {
-    legacy::FlowNetwork net = base;
-    benchmark::DoNotOptimize(
-        legacy::solve_mcmf(net, 0, 1, legacy::McmfStrategy::kSpfa));
-  }
-}
-BENCHMARK(BM_LegacyMcmfSpfa)->Arg(50)->Arg(150)->Arg(400)
-    ->ComputeStatistics("min", min_stat);
-
-void BM_LegacyMcmfDijkstra(benchmark::State& state) {
-  Rng rng(1);
-  const legacy::FlowNetwork base =
-      make_bipartite_legacy(rng, static_cast<std::size_t>(state.range(0)), 0.2);
-  for (auto _ : state) {
-    legacy::FlowNetwork net = base;
-    benchmark::DoNotOptimize(legacy::solve_mcmf(
-        net, 0, 1, legacy::McmfStrategy::kDijkstraPotentials));
-  }
-}
-BENCHMARK(BM_LegacyMcmfDijkstra)->Arg(50)->Arg(150)->Arg(400)
-    ->ComputeStatistics("min", min_stat);
-
 /// Fixed-point engine on the same graphs: int32 quantized costs, exact
 /// comparisons, radix-heap Dijkstra (McmfConfig::integer_costs).
 void BM_McmfIntSpfa(benchmark::State& state) {
@@ -185,8 +128,7 @@ BENCHMARK(BM_McmfIntDijkstra)->Arg(50)->Arg(150)->Arg(400)
 
 /// Full residual-graph walk (every arc of every node, summing residuals):
 /// the access pattern of one SPFA relaxation sweep, isolated from solver
-/// logic. CSR keeps each slice contiguous in one pool; the legacy layout
-/// chases one heap vector per node and 32-byte AoS edge records.
+/// logic. CSR keeps each slice contiguous in one pool.
 void BM_ArcWalkCsr(benchmark::State& state) {
   Rng rng(21);
   const FlowNetwork net =
@@ -203,26 +145,6 @@ void BM_ArcWalkCsr(benchmark::State& state) {
       static_cast<std::int64_t>(2 * net.num_edges()));
 }
 BENCHMARK(BM_ArcWalkCsr)->Arg(400)->Arg(1200)
-    ->ComputeStatistics("min", min_stat);
-
-void BM_ArcWalkLegacy(benchmark::State& state) {
-  Rng rng(21);
-  const legacy::FlowNetwork net =
-      make_bipartite_legacy(rng, static_cast<std::size_t>(state.range(0)), 0.2);
-  for (auto _ : state) {
-    std::int64_t sum = 0;
-    for (legacy::NodeId n = 0; n < net.num_nodes(); ++n) {
-      for (const legacy::EdgeId e : net.out_edges(n)) {
-        sum += net.edge(e).capacity;
-      }
-    }
-    benchmark::DoNotOptimize(sum);
-  }
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(2 * net.num_edges()));
-}
-BENCHMARK(BM_ArcWalkLegacy)->Arg(400)->Arg(1200)
     ->ComputeStatistics("min", min_stat);
 
 /// Monotone-key Dijkstra on a shared random digraph: binary heap of

@@ -4,11 +4,10 @@
 // same slot through the sharded orchestrator and report the full cost
 // anatomy the fig8 summary row compresses away:
 //
-//   - per-shard child wall time (Jd+cluster, graph build, MCMF) and peak
-//     RSS, plus the min/max/mean spread — the load-imbalance factor that
-//     bounds the parallel speedup;
-//   - orchestration overhead: the fork→collect wall minus the slowest
-//     child's own solve time (fork, serialization, reap);
+//   - per-shard solve time (graph build + MCMF) and the max/mean spread —
+//     the load-imbalance factor across zones;
+//   - the shard-loop wall and the stage sums over shards (Jd+cluster,
+//     graph build, MCMF);
 //   - exchange-round overhead and its committed flow;
 //   - the optimality gap vs the unsharded global solve (objective = plan
 //     serving distance with the CDN penalty, same as fig8).
@@ -53,18 +52,15 @@ struct ShardRow {
   std::size_t shards = 0;
   std::size_t hotspots = 0;
   std::size_t boundary = 0;
-  double shard_wall_s = 0.0;      // fork -> every shard collected
+  double shard_wall_s = 0.0;      // shard loop, every shard in turn
   double exchange_s = 0.0;
-  double critical_s = 0.0;        // max child (cluster+graph+mcmf) + exchange
-  double overhead_s = 0.0;        // shard_wall - max child solve
-  double cluster_s = 0.0;         // stage maxima over shards
+  double cluster_s = 0.0;         // stage sums over shards
   double graph_s = 0.0;
   double mcmf_s = 0.0;            // includes the exchange round
   std::int64_t moved = 0;
   std::int64_t exchange_moved = 0;
   double gap = 0.0;               // objective delta vs unsharded
-  std::vector<double> flow_s;     // per shard: child graph+mcmf
-  std::vector<double> rss_mb;     // per shard child peak RSS
+  std::vector<double> flow_s;     // per shard: graph+mcmf
 
   [[nodiscard]] double imbalance() const {
     if (flow_s.empty()) return 1.0;
@@ -90,23 +86,16 @@ void write_json(const std::string& path, const std::vector<ShardRow>& rows) {
                  "    {\"name\": \"shard/%s/S=%zu/H=%zu\", "
                  "\"hotspots\": %zu, \"shards\": %zu, "
                  "\"boundary_hotspots\": %zu, \"shard_wall_s\": %.6f, "
-                 "\"critical_s\": %.6f, \"cluster_s\": %.6f, "
-                 "\"graph_s\": %.6f, \"mcmf_s\": %.6f, "
-                 "\"overhead_s\": %.6f, "
+                 "\"cluster_s\": %.6f, \"graph_s\": %.6f, \"mcmf_s\": %.6f, "
                  "\"exchange_s\": %.6f, \"imbalance\": %.3f, "
                  "\"moved\": %lld, \"exchange_moved\": %lld, "
                  "\"gap\": %.6f, \"shard_flow_s\": [",
                  r.name.c_str(), r.shards, r.hotspots, r.hotspots, r.shards,
-                 r.boundary, r.shard_wall_s, r.critical_s, r.cluster_s,
-                 r.graph_s, r.mcmf_s, r.overhead_s,
+                 r.boundary, r.shard_wall_s, r.cluster_s, r.graph_s, r.mcmf_s,
                  r.exchange_s, r.imbalance(), static_cast<long long>(r.moved),
                  static_cast<long long>(r.exchange_moved), r.gap);
     for (std::size_t s = 0; s < r.flow_s.size(); ++s) {
       std::fprintf(out, "%s%.6f", s == 0 ? "" : ", ", r.flow_s[s]);
-    }
-    std::fprintf(out, "], \"shard_rss_mb\": [");
-    for (std::size_t s = 0; s < r.rss_mb.size(); ++s) {
-      std::fprintf(out, "%s%.1f", s == 0 ? "" : ", ", r.rss_mb[s]);
     }
     std::fprintf(out, "]}%s\n", i + 1 < rows.size() ? "," : "");
   }
@@ -146,9 +135,9 @@ int main(int argc, char** argv) {
   std::printf("=== shard scalability: %zu hotspots, %zu requests "
               "(best of %zu) ===\n",
               hotspots, trace.size(), repeats);
-  std::printf("%-4s %7s %10s %10s %9s %9s %9s %10s %10s %7s %8s\n", "",
-              "shards", "wall", "critical", "cluster", "graph", "mcmf",
-              "overhead", "imbalance", "gap", "max rss");
+  std::printf("%-4s %7s %10s %9s %9s %9s %10s %10s %7s\n", "", "shards",
+              "wall", "cluster", "graph", "mcmf", "exchange", "imbalance",
+              "gap");
 
   std::vector<ShardRow> rows;
   for (const bool aggregation : {true, false}) {
@@ -182,35 +171,24 @@ int main(int argc, char** argv) {
           row.moved = d.moved;
           row.exchange_moved = d.exchange_moved;
           row.flow_s = d.shard_flow_s;
-          row.rss_mb = d.shard_rss_mb;
           const StageTimings* stages = scheme.last_stage_timings();
-          // Stage timings under sharding are already the per-stage maxima
-          // over shards (mcmf includes the exchange round).
+          // Stage timings under sharding are already sums over shards (mcmf
+          // includes the exchange round).
           row.cluster_s = stages->gc_build_s;
           row.graph_s = stages->graph_s;
           row.mcmf_s = stages->mcmf_s;
-          row.critical_s = stages->gc_build_s + stages->graph_s +
-                           stages->mcmf_s;
         }
       }
-      // The slowest child's own solve time, excluding the parent-side
-      // exchange round that critical_s folds into the MCMF stage.
-      row.overhead_s =
-          std::max(0.0, row.shard_wall_s - (row.critical_s - row.exchange_s));
       row.gap = global_objective > 0.0
                     ? (plan_objective_km(context, trace, plan) -
                        global_objective) /
                           global_objective
                     : 0.0;
-      const double max_rss =
-          row.rss_mb.empty()
-              ? 0.0
-              : *std::max_element(row.rss_mb.begin(), row.rss_mb.end());
-      std::printf("%-4s %7zu %9.3fs %9.3fs %8.3fs %8.3fs %8.3fs %9.3fs "
-                  "%9.2fx %6.2f%% %7.1fM\n",
+      std::printf("%-4s %7zu %9.3fs %8.3fs %8.3fs %8.3fs %9.3fs %9.2fx "
+                  "%6.2f%%\n",
                   row.name.c_str(), row.shards, row.shard_wall_s,
-                  row.critical_s, row.cluster_s, row.graph_s, row.mcmf_s,
-                  row.overhead_s, row.imbalance(), row.gap * 100.0, max_rss);
+                  row.cluster_s, row.graph_s, row.mcmf_s, row.exchange_s,
+                  row.imbalance(), row.gap * 100.0);
       rows.push_back(std::move(row));
     }
   }

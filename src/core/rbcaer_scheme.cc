@@ -149,8 +149,7 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
 /// One shard's local solve: rebuild the full RBCAer clustering + flow phase
 /// on the sub-instance induced by the shard's member hotspots, then remap
 /// the flows back to global ids. A pure function of (config, hotspots,
-/// demand, members), so it runs identically in a forked child or in-process
-/// (ShardExecutor's bit-identity contract).
+/// demand, members).
 ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
                                      std::span<const Hotspot> hotspots,
                                      const SlotDemand& demand,
@@ -176,20 +175,11 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   const std::int64_t max_movable = partition.max_movable();
   if (max_movable == 0) return out;
 
-  // Stage clocks below are wall time, which inflates when more forked
-  // children than cores run at once (the kernel time-slices them). Track
-  // the child's thread-CPU time alongside and rescale the reported stages
-  // by cpu/wall at the end: on an idle multicore box the ratio is ~1, and
-  // under contention the rescaled figures are the per-shard cost a
-  // dedicated core would pay — the quantity the critical-path model (max
-  // over shards) is meant to aggregate.
-  const Stopwatch solve_wall;
-  const ThreadCpuStopwatch solve_cpu;
   Stopwatch stage_clock;
   std::vector<std::uint32_t> cluster_of(n, 0);
   if (config.content_aggregation) {
-    // Serial Jd build: the shards themselves are the parallelism, and a
-    // forked child must not touch the parent's thread pool anyway.
+    // Serial Jd build: slots already run in parallel on the simulator's
+    // lanes, so a pool here would oversubscribe them.
     const auto top_sets = top_sets_per_hotspot(local, config.top_fraction);
     const DistanceMatrix jd = content_distance_matrix(
         top_sets, {.use_bitmap = config.bitmap_jaccard, .simd = config.simd});
@@ -223,14 +213,6 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   for (FlowEntry& f : out.flows) {
     f.from = members[f.from];
     f.to = members[f.to];
-  }
-  const double wall = solve_wall.elapsed_seconds();
-  if (wall > 0.0) {
-    const double scale =
-        std::min(1.0, solve_cpu.elapsed_seconds() / wall);
-    out.gc_build_s *= scale;
-    out.graph_s *= scale;
-    out.mcmf_s *= scale;
   }
   return out;
 }
@@ -406,26 +388,15 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     shard_plan_.last = context.hotspots.back().location;
   }
 
-  // The child solve must not touch this object's pool, cache, or sweeper:
+  // The shard solve must not touch this object's pool, cache, or sweeper:
   // a neutralized config makes solve_shard_instance a pure function of
-  // (config, hotspots, demand, members) — safe in a forked child and
-  // bit-identical in-process.
+  // (config, hotspots, demand, members).
   RbcaerConfig child_config = config_;
   child_config.online = false;
   child_config.num_shards = 0;
   child_config.jd_threads = 1;
 
   ShardedSolveOptions options;
-  options.executor = config_.shard_executor;
-  if (context.threaded_executor && options.executor == ShardExecutor::kFork) {
-    // fork() under the clone-ring lanes would duplicate a multithreaded
-    // process: the child can inherit a sibling worker's held allocator or
-    // logger lock with no thread left to release it. The executors are
-    // bit-identical by contract, so only the mechanism changes.
-    options.executor = ShardExecutor::kInProcess;
-    diagnostics_.fork_demotions += 1;
-  }
-  options.threaded_caller = context.threaded_executor;
   options.exchange_radius_km = config_.theta2_km;
   options.exchange_theta1_km = config_.theta1_km;
   options.exchange_theta_step_km = config_.delta_km;
@@ -453,13 +424,11 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     diagnostics_.theta_iterations =
         std::max(diagnostics_.theta_iterations, shard.theta_iterations);
     diagnostics_.shard_flow_s.push_back(shard.graph_s + shard.mcmf_s);
-    diagnostics_.shard_rss_mb.push_back(shard.peak_rss_mb);
-    // Stage timings report the parallel critical path: the slowest shard
-    // per stage, plus the exchange round on the MCMF stage.
-    stage_timings_.gc_build_s =
-        std::max(stage_timings_.gc_build_s, shard.gc_build_s);
-    stage_timings_.graph_s = std::max(stage_timings_.graph_s, shard.graph_s);
-    stage_timings_.mcmf_s = std::max(stage_timings_.mcmf_s, shard.mcmf_s);
+    // The shards run back to back, so each stage is the sum over shards;
+    // the exchange round is added to the MCMF stage below.
+    stage_timings_.gc_build_s += shard.gc_build_s;
+    stage_timings_.graph_s += shard.graph_s;
+    stage_timings_.mcmf_s += shard.mcmf_s;
   }
   stage_timings_.mcmf_s += outcome.exchange_s;
   return std::move(outcome.flows);

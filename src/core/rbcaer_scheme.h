@@ -121,10 +121,6 @@ struct RbcaerConfig {
   /// Values above the hotspot count are clamped. Incompatible with online
   /// mode (the cross-slot scaffold lives in one process).
   std::size_t num_shards = 0;
-  /// Fork children (production model) or solve shards sequentially
-  /// in-process (differential oracle; also what nested callers inside a
-  /// thread pool should use). Both are bit-identical.
-  ShardExecutor shard_executor = ShardExecutor::kFork;
 };
 
 class RbcaerScheme final : public RedirectionScheme {
@@ -169,13 +165,11 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t shards = 0;
     std::size_t boundary_hotspots = 0;
     std::int64_t exchange_moved = 0;  // units committed by the exchange round
-    double shard_wall_s = 0.0;        // executor phase (fork -> all collected)
+    double shard_wall_s = 0.0;        // shard loop (every shard in turn)
     double exchange_s = 0.0;          // exchange arc build + solve + commit
-    /// Slots where kFork was demoted to kInProcess because plan_slot ran
-    /// inside a multithreaded executor (SchemeContext::threaded_executor).
+    /// Always 0; kept only because perfbench/trace_mode.cc reads it.
     std::size_t fork_demotions = 0;
-    std::vector<double> shard_flow_s;  // per shard: child graph_s + mcmf_s
-    std::vector<double> shard_rss_mb;  // per shard child peak RSS (kFork)
+    std::vector<double> shard_flow_s;  // per shard: graph_s + mcmf_s
   };
   [[nodiscard]] const Diagnostics& last_diagnostics() const noexcept {
     return diagnostics_;

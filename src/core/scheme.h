@@ -61,14 +61,6 @@ struct SchemeContext {
   /// planning (DESIGN.md §3.12). 0 = unsharded. Schemes may override via
   /// their own config; schemes without a sharded path ignore it.
   std::size_t num_shards = 0;
-  /// True when plan_slot is being invoked from a multithreaded executor
-  /// (the simulator's clone-ring lanes). Sharded schemes must then demote
-  /// ShardExecutor::kFork to kInProcess: fork() from a process whose other
-  /// threads may hold allocator/logger locks can deadlock the child, which
-  /// inherits the locked state but not the threads that would release it.
-  /// The two executors are bit-identical, so only the execution mechanism
-  /// changes (DESIGN.md §3.13).
-  bool threaded_executor = false;
 };
 
 /// One slot's joint decision.

@@ -1,80 +1,14 @@
 #include "core/shard_solver.h"
 
 #include <algorithm>
-#include <cstring>
-#include <string>
 
 #include "flow/exchange.h"
 #include "geo/geo_point.h"
 #include "util/error.h"
-#include "util/fork_run.h"
 #include "util/stopwatch.h"
 #include "verify/shard_audit.h"
 
 namespace ccdn {
-
-namespace {
-
-template <typename T>
-void put(std::vector<std::uint8_t>& out, const T& value) {
-  const std::size_t at = out.size();
-  out.resize(at + sizeof(T));
-  std::memcpy(out.data() + at, &value, sizeof(T));
-}
-
-template <typename T>
-T get(std::span<const std::uint8_t> bytes, std::size_t& at) {
-  CCDN_REQUIRE(at + sizeof(T) <= bytes.size(),
-               "shard result payload truncated");
-  T value;
-  std::memcpy(&value, bytes.data() + at, sizeof(T));
-  at += sizeof(T);
-  return value;
-}
-
-}  // namespace
-
-std::vector<std::uint8_t> serialize_shard_result(
-    const ShardFlowResult& result) {
-  std::vector<std::uint8_t> out;
-  out.reserve(64 + result.flows.size() * 16);
-  put(out, static_cast<std::uint64_t>(result.flows.size()));
-  put(out, result.moved);
-  put(out, static_cast<std::uint64_t>(result.num_clusters));
-  put(out, static_cast<std::uint64_t>(result.guide_nodes));
-  put(out, static_cast<std::uint64_t>(result.theta_iterations));
-  put(out, result.gc_build_s);
-  put(out, result.graph_s);
-  put(out, result.mcmf_s);
-  for (const FlowEntry& f : result.flows) {
-    put(out, f.from);
-    put(out, f.to);
-    put(out, f.amount);
-  }
-  return out;
-}
-
-ShardFlowResult deserialize_shard_result(std::span<const std::uint8_t> bytes) {
-  ShardFlowResult result;
-  std::size_t at = 0;
-  const auto count = get<std::uint64_t>(bytes, at);
-  result.moved = get<std::int64_t>(bytes, at);
-  result.num_clusters = static_cast<std::size_t>(get<std::uint64_t>(bytes, at));
-  result.guide_nodes = static_cast<std::size_t>(get<std::uint64_t>(bytes, at));
-  result.theta_iterations =
-      static_cast<std::size_t>(get<std::uint64_t>(bytes, at));
-  result.gc_build_s = get<double>(bytes, at);
-  result.graph_s = get<double>(bytes, at);
-  result.mcmf_s = get<double>(bytes, at);
-  result.flows.resize(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    result.flows[i].from = get<std::uint32_t>(bytes, at);
-    result.flows[i].to = get<std::uint32_t>(bytes, at);
-    result.flows[i].amount = get<std::int64_t>(bytes, at);
-  }
-  CCDN_REQUIRE(at == bytes.size(), "shard result payload has trailing bytes");
-  return result;
-}
 
 ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
                                   const GridIndex& index,
@@ -88,37 +22,14 @@ ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
                "shard assignment does not cover the hotspot set");
   CCDN_REQUIRE(boundary.size() == hotspots.size(),
                "boundary mask does not cover the hotspot set");
-  CCDN_REQUIRE(
-      !(options.threaded_caller && options.executor == ShardExecutor::kFork),
-      "solve_sharded: kFork from a multithreaded executor (fork would "
-      "duplicate held locks); demote to kInProcess first");
   ShardedSolveOutcome outcome;
   outcome.shards.resize(num_shards);
   for (const std::uint8_t b : boundary) outcome.boundary_hotspots += b;
 
-  // --- Per-shard solves. ---
+  // --- Per-shard solves, one after another in shard order. ---
   Stopwatch wall;
-  if (options.executor == ShardExecutor::kFork) {
-    std::vector<ForkTask> tasks;
-    tasks.reserve(num_shards);
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      tasks.push_back(
-          [&solve_shard, s] { return serialize_shard_result(solve_shard(s)); });
-    }
-    const std::vector<ForkResult> forked =
-        fork_run_all(std::span<const ForkTask>(tasks));
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      CCDN_ENSURE(forked[s].complete,
-                  "shard " + std::to_string(s) +
-                      " child failed (exit code " +
-                      std::to_string(forked[s].exit_code) + ")");
-      outcome.shards[s] = deserialize_shard_result(forked[s].payload);
-      outcome.shards[s].peak_rss_mb = forked[s].peak_rss_mb;
-    }
-  } else {
-    for (std::uint32_t s = 0; s < num_shards; ++s) {
-      outcome.shards[s] = solve_shard(s);
-    }
+  for (std::uint32_t s = 0; s < num_shards; ++s) {
+    outcome.shards[s] = solve_shard(s);
   }
   outcome.shard_wall_s = wall.elapsed_seconds();
 

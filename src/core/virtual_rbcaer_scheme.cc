@@ -15,7 +15,6 @@
 #include "geo/zone_partition.h"
 #include "model/topsets.h"
 #include "util/error.h"
-#include "util/stopwatch.h"
 #include "verify/flow_audit.h"
 #include "verify/schedule_audit.h"
 
@@ -198,15 +197,6 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       const std::vector<std::uint8_t> boundary = boundary_hotspots(
           centroids, assignment, rc.theta2_km, region_index);
       ShardedSolveOptions options;
-      options.executor = rc.shard_executor;
-      if (context.threaded_executor &&
-          options.executor == ShardExecutor::kFork) {
-        // Same demotion as RbcaerScheme::plan_shard_flows: never fork from
-        // inside a multithreaded executor (bit-identical by contract).
-        options.executor = ShardExecutor::kInProcess;
-        diagnostics_.fork_demotions += 1;
-      }
-      options.threaded_caller = context.threaded_executor;
       options.exchange_radius_km = rc.theta2_km;
       options.exchange_theta1_km = rc.theta1_km;
       options.exchange_theta_step_km = rc.delta_km;
@@ -238,15 +228,9 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
             HotspotPartition sub_partition =
                 HotspotPartition::from_loads(sub, sub_loads);
             ShardFlowResult out;
-            // Thread-CPU time, not wall: on a box with fewer cores than
-            // shards the forked children time-slice and wall time inflates
-            // with the shard count, while CPU time stays the per-shard cost
-            // a dedicated core would pay.
-            const ThreadCpuStopwatch clock;
             RegionalSweepResult swept =
                 regional_flow_sweep(rc, sub, sub_partition,
                                     sub_partition.max_movable(), sub_clusters);
-            out.mcmf_s = clock.elapsed_seconds();
             out.moved = swept.moved;
             out.flows = std::move(swept.flows);
             for (FlowEntry& f : out.flows) {

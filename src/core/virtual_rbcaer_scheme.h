@@ -80,9 +80,6 @@ class VirtualRbcaerScheme final : public RedirectionScheme {
     std::size_t shards = 0;
     std::size_t boundary_regions = 0;
     std::int64_t exchange_moved = 0;
-    /// Slots where kFork was demoted to kInProcess because plan_slot ran
-    /// inside a multithreaded executor (SchemeContext::threaded_executor).
-    std::size_t fork_demotions = 0;
   };
   [[nodiscard]] const Diagnostics& last_diagnostics() const noexcept {
     return diagnostics_;

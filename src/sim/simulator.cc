@@ -272,10 +272,6 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
         SlotBatch batch CCDN_GUARDED_BY(mu);
         std::vector<std::uint8_t> mask CCDN_GUARDED_BY(mu);
       };
-      // Schemes running inside the lanes must not fork (see
-      // SchemeContext::threaded_executor).
-      SchemeContext lanes_context = context;
-      lanes_context.threaded_executor = true;
       std::vector<Lane> lanes(window);
       {
         const MutexLock lock(lanes[0].mu);
@@ -304,9 +300,9 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
             lane.batch = std::move(*batch);
             lane.mask = draw_mask();
           }
-          inflight.push_back(pool.submit([this, &lanes_context, &lane] {
+          inflight.push_back(pool.submit([this, &context, &lane] {
             const MutexLock lock(lane.mu);
-            return process_slot(config_, lanes_context, hotspots_, index_,
+            return process_slot(config_, context, hotspots_, index_,
                                 *lane.clone, lane.batch.requests, lane.mask);
           }));
           ++submitted;

@@ -1,19 +1,16 @@
-// Fork-isolated task execution with a pipe result channel.
+// Fork-isolated execution of one task with a pipe result channel.
 //
-// Shared by bench/stream_scalability (per-case peak-RSS isolation: getrusage
-// is a process-lifetime high watermark, so every measured case needs its own
-// process) and the zone-sharded scheduler's process-per-shard executor
-// (core/shard_solver.h). A task is a callable returning a byte payload; the
+// Used by bench/stream_scalability for per-case peak-RSS isolation:
+// getrusage is a process-lifetime high watermark, so every measured case
+// needs its own process. A task is a callable returning a byte payload; the
 // child writes [u64 length][bytes] on its end of the pipe and _exit()s, the
 // parent reads the payload back and collects the child's exit status and
 // rusage from wait4.
 //
-// Deadlock discipline for fan-out (fork_run_all): fork ALL children first,
-// then read each pipe to completion, and only then reap. Children never
-// block on each other — a child whose payload exceeds the pipe capacity
-// simply waits until the parent's read loop reaches its pipe — and the
-// parent never waits on a child whose pipe it has not yet drained, which is
-// the classic pipe-capacity deadlock.
+// The parent drains the pipe to completion before it reaps: a child whose
+// payload exceeds the pipe capacity blocks mid-write until the parent
+// reads, so waiting on it first would be the classic pipe-capacity
+// deadlock.
 //
 // Exit-status contract: exit_code() is the child's real _exit code
 // (WEXITSTATUS), or 128+signal when the child died on a signal — callers
@@ -30,7 +27,6 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "util/peak_rss.h"
@@ -48,7 +44,7 @@ struct ForkResult {
   /// Payload fully received AND child exited 0.
   bool complete = false;
   /// WEXITSTATUS on normal exit, 128+signal on a signal death, -1 when the
-  /// child could not be reaped.
+  /// child could not be forked or reaped.
   int exit_code = 0;
   /// Child peak RSS (wait4 rusage), MiB.
   double peak_rss_mb = 0.0;
@@ -100,88 +96,56 @@ inline bool read_all(int fd, void* data, std::size_t size) {
 
 }  // namespace detail
 
-/// Run every task in its own forked child, in task order; returns one
-/// ForkResult per task, same order. Fan-out is real: all children run
-/// concurrently, and the parent drains pipes before reaping (see the
-/// header comment for the deadlock argument).
-inline std::vector<ForkResult> fork_run_all(std::span<const ForkTask> tasks) {
-  struct Child {
-    pid_t pid = -1;
-    int read_fd = -1;
-  };
-  std::vector<Child> children(tasks.size());
-  std::vector<ForkResult> results(tasks.size());
-
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    int fds[2];
-    if (::pipe(fds) != 0) {
-      std::perror("fork_run: pipe");
-      results[t].exit_code = -1;
-      continue;
-    }
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      std::perror("fork_run: fork");
-      ::close(fds[0]);
-      ::close(fds[1]);
-      results[t].exit_code = -1;
-      continue;
-    }
-    if (pid == 0) {
-      ::close(fds[0]);
-      // Drop read ends inherited from earlier iterations so a sibling's
-      // pipe cannot be held open by this child.
-      for (std::size_t s = 0; s < t; ++s) {
-        if (children[s].read_fd >= 0) ::close(children[s].read_fd);
-      }
-      detail::child_main(fds[1], tasks[t]);
-    }
-    ::close(fds[1]);
-    children[t] = {pid, fds[0]};
-  }
-
-  // Phase 2: drain every pipe to completion.
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (children[t].pid < 0) continue;
-    std::uint64_t length = 0;
-    bool ok = detail::read_all(children[t].read_fd, &length, sizeof(length));
-    if (ok) {
-      results[t].payload.resize(length);
-      ok = length == 0 || detail::read_all(children[t].read_fd,
-                                           results[t].payload.data(), length);
-    }
-    if (!ok) results[t].payload.clear();
-    results[t].complete = ok;
-    ::close(children[t].read_fd);
-  }
-
-  // Phase 3: reap, collecting exit codes and child peak RSS.
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (children[t].pid < 0) continue;
-    int status = 0;
-    rusage usage{};
-    if (::wait4(children[t].pid, &status, 0, &usage) != children[t].pid) {
-      results[t].exit_code = -1;
-      results[t].complete = false;
-      continue;
-    }
-    results[t].peak_rss_mb = peak_rss_mb(usage);
-    if (WIFEXITED(status)) {
-      results[t].exit_code = WEXITSTATUS(status);
-    } else if (WIFSIGNALED(status)) {
-      results[t].exit_code = 128 + WTERMSIG(status);
-    } else {
-      results[t].exit_code = -1;
-    }
-    results[t].complete = results[t].complete && results[t].exit_code == 0;
-  }
-  return results;
-}
-
-/// Single-task convenience wrapper.
+/// Run `task` in a forked child and return its payload, exit code and peak
+/// RSS (drain first, then reap; see the header comment).
 inline ForkResult fork_run(const ForkTask& task) {
-  const ForkTask tasks[] = {task};
-  return std::move(fork_run_all(std::span<const ForkTask>(tasks)).front());
+  ForkResult result;
+  int fds[2];
+  if (::pipe(fds) != 0) {
+    std::perror("fork_run: pipe");
+    result.exit_code = -1;
+    return result;
+  }
+  const pid_t pid = ::fork();
+  if (pid < 0) {
+    std::perror("fork_run: fork");
+    ::close(fds[0]);
+    ::close(fds[1]);
+    result.exit_code = -1;
+    return result;
+  }
+  if (pid == 0) {
+    ::close(fds[0]);
+    detail::child_main(fds[1], task);
+  }
+  ::close(fds[1]);
+
+  std::uint64_t length = 0;
+  bool received = detail::read_all(fds[0], &length, sizeof(length));
+  if (received) {
+    result.payload.resize(length);
+    received = length == 0 ||
+               detail::read_all(fds[0], result.payload.data(), length);
+  }
+  if (!received) result.payload.clear();
+  ::close(fds[0]);
+
+  int status = 0;
+  rusage usage{};
+  if (::wait4(pid, &status, 0, &usage) != pid) {
+    result.exit_code = -1;
+    return result;
+  }
+  result.peak_rss_mb = peak_rss_mb(usage);
+  if (WIFEXITED(status)) {
+    result.exit_code = WEXITSTATUS(status);
+  } else if (WIFSIGNALED(status)) {
+    result.exit_code = 128 + WTERMSIG(status);
+  } else {
+    result.exit_code = -1;
+  }
+  result.complete = received && result.exit_code == 0;
+  return result;
 }
 
 }  // namespace ccdn

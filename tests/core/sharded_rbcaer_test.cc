@@ -6,7 +6,6 @@
 
 #include "core/rbcaer_scheme.h"
 #include "geo/zone_partition.h"
-#include "util/error.h"
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "verify/shard_audit.h"
@@ -44,11 +43,10 @@ struct Fixture {
 };
 
 SlotPlan plan_with(const Fixture& fixture, std::size_t shards,
-                   ShardExecutor executor, bool aggregation) {
+                   bool aggregation) {
   RbcaerConfig config;
   config.content_aggregation = aggregation;
   config.num_shards = shards;
-  config.shard_executor = executor;
   RbcaerScheme scheme(config);
   const SchemeContext context = fixture.context();
   const SlotDemand demand(fixture.trace, fixture.index);
@@ -61,26 +59,10 @@ SlotPlan plan_with(const Fixture& fixture, std::size_t shards,
 TEST(ShardedRbcaer, ShardOneBitIdenticalToUnsharded) {
   const Fixture fixture;
   for (const bool aggregation : {true, false}) {
-    const SlotPlan unsharded =
-        plan_with(fixture, 0, ShardExecutor::kFork, aggregation);
-    const SlotPlan sharded =
-        plan_with(fixture, 1, ShardExecutor::kFork, aggregation);
+    const SlotPlan unsharded = plan_with(fixture, 0, aggregation);
+    const SlotPlan sharded = plan_with(fixture, 1, aggregation);
     EXPECT_EQ(unsharded.assignment, sharded.assignment);
     EXPECT_EQ(unsharded.placements, sharded.placements);
-  }
-}
-
-// The per-shard solve is a pure function of the slot inputs, so the fork
-// executor and the in-process oracle must agree exactly.
-TEST(ShardedRbcaer, ForkAndInProcessExecutorsBitIdentical) {
-  const Fixture fixture;
-  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
-    const SlotPlan forked =
-        plan_with(fixture, shards, ShardExecutor::kFork, true);
-    const SlotPlan in_process =
-        plan_with(fixture, shards, ShardExecutor::kInProcess, true);
-    EXPECT_EQ(forked.assignment, in_process.assignment);
-    EXPECT_EQ(forked.placements, in_process.placements);
   }
 }
 
@@ -101,80 +83,24 @@ TEST(ShardedRbcaer, DiagnosticsReflectSharding) {
   EXPECT_GT(diagnostics.boundary_hotspots, 0u);
 }
 
-// Regression: fork() from a threaded caller. The simulator's window
-// executor runs scheme clones inside a ThreadPool; a clone that forked
-// would hand the child copies of whatever locks other pool threads held
-// (allocator, logger) with no thread left to release them. The scheme must
-// demote kFork to kInProcess when the context flags a threaded caller —
-// bit-identically, per the executor-equivalence contract pinned above.
-TEST(ShardedRbcaer, ThreadedCallerDemotesForkToInProcess) {
-  const Fixture fixture;
-  RbcaerConfig config;
-  config.num_shards = 2;
-  config.shard_executor = ShardExecutor::kFork;
-  RbcaerScheme scheme(config);
-  SchemeContext context = fixture.context();
-  const SlotDemand demand(fixture.trace, fixture.index);
-
-  const SlotPlan forked = scheme.plan_slot(context, fixture.trace, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 0u);
-
-  context.threaded_executor = true;
-  const SlotPlan demoted = scheme.plan_slot(context, fixture.trace, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 1u);
-  EXPECT_EQ(forked.assignment, demoted.assignment);
-  EXPECT_EQ(forked.placements, demoted.placements);
-}
-
-// Belt and braces under the demotion: the solver itself refuses the
-// combination rather than forking into a deadlock.
-TEST(ShardedRbcaer, SolveShardedRefusesForkFromThreadedCaller) {
-  const std::vector<Hotspot> hotspots(1);
-  const GridIndex index({hotspots[0].location}, 0.5);
+// The shards run one after another in the calling process, in shard order,
+// so a side effect of the shard callback is visible to the caller.
+TEST(ShardedSolve, RunsShardsInCallingProcessInShardOrder) {
+  const std::vector<Hotspot> hotspots(4);
+  const GridIndex index(std::vector<GeoPoint>(4, hotspots[0].location), 0.5);
   HotspotPartition partition;
-  partition.phi = {0};
+  partition.phi = {0, 0, 0, 0};
   ShardAssignment assignment;
-  assignment.num_shards = 1;
-  assignment.shard_of = {0};
-  const std::vector<std::uint8_t> boundary{0};
-  ShardedSolveOptions options;
-  options.executor = ShardExecutor::kFork;
-  options.threaded_caller = true;
-  EXPECT_THROW(
-      solve_sharded(hotspots, index, partition, assignment, boundary, options,
-                    [](std::uint32_t) { return ShardFlowResult{}; }),
-      PreconditionError);
-  options.threaded_caller = false;
-  EXPECT_NO_THROW(
-      solve_sharded(hotspots, index, partition, assignment, boundary, options,
-                    [](std::uint32_t) { return ShardFlowResult{}; }));
-}
-
-TEST(ShardedRbcaer, ShardResultSerializationRoundTrips) {
-  ShardFlowResult result;
-  result.flows = {{3, 9, 5}, {12, 1, 2}};
-  result.moved = 7;
-  result.num_clusters = 4;
-  result.guide_nodes = 11;
-  result.theta_iterations = 3;
-  result.gc_build_s = 0.25;
-  result.graph_s = 0.5;
-  result.mcmf_s = 0.125;
-  const ShardFlowResult back =
-      deserialize_shard_result(serialize_shard_result(result));
-  ASSERT_EQ(back.flows.size(), result.flows.size());
-  for (std::size_t i = 0; i < back.flows.size(); ++i) {
-    EXPECT_EQ(back.flows[i].from, result.flows[i].from);
-    EXPECT_EQ(back.flows[i].to, result.flows[i].to);
-    EXPECT_EQ(back.flows[i].amount, result.flows[i].amount);
-  }
-  EXPECT_EQ(back.moved, result.moved);
-  EXPECT_EQ(back.num_clusters, result.num_clusters);
-  EXPECT_EQ(back.guide_nodes, result.guide_nodes);
-  EXPECT_EQ(back.theta_iterations, result.theta_iterations);
-  EXPECT_EQ(back.gc_build_s, result.gc_build_s);
-  EXPECT_EQ(back.graph_s, result.graph_s);
-  EXPECT_EQ(back.mcmf_s, result.mcmf_s);
+  assignment.num_shards = 4;
+  assignment.shard_of = {0, 1, 2, 3};
+  const std::vector<std::uint8_t> boundary(4, 0);
+  std::vector<std::uint32_t> order;
+  (void)solve_sharded(hotspots, index, partition, assignment, boundary, {},
+                      [&order](std::uint32_t shard) {
+                        order.push_back(shard);
+                        return ShardFlowResult{};
+                      });
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3}));
 }
 
 // Negative coverage for the shard audits: out-of-shard locality and a

@@ -88,29 +88,6 @@ TEST(VirtualRbcaer, MovesLoadBetweenRegions) {
   EXPECT_TRUE(plan.respects_caches(fixture.hotspots));
 }
 
-// Regression: the sharded regional sweep must never fork from inside a
-// multithreaded executor (same demotion contract as the flat scheme —
-// see ShardedRbcaer.ThreadedCallerDemotesForkToInProcess).
-TEST(VirtualRbcaer, ThreadedCallerDemotesRegionalForkToInProcess) {
-  TwoClusterFixture fixture;
-  const auto requests = west_demand(30);
-  const SlotDemand demand(requests, fixture.index);
-  VirtualRbcaerConfig config;
-  config.regional.num_shards = 2;
-  config.regional.shard_executor = ShardExecutor::kFork;
-  VirtualRbcaerScheme scheme(config);
-
-  SchemeContext context = fixture.context();
-  const SlotPlan forked = scheme.plan_slot(context, requests, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 0u);
-
-  context.threaded_executor = true;
-  const SlotPlan demoted = scheme.plan_slot(context, requests, demand);
-  EXPECT_EQ(scheme.last_diagnostics().fork_demotions, 1u);
-  EXPECT_EQ(forked.assignment, demoted.assignment);
-  EXPECT_EQ(forked.placements, demoted.placements);
-}
-
 TEST(VirtualRbcaer, FlatRbcaerCannotReachOtherClusterButVirtualCan) {
   // The clusters are ~4.1 km apart: beyond flat RBCAer's theta2 = 1.5 km
   // but within the virtual scheme's regional theta2 = 6 km. Flat RBCAer

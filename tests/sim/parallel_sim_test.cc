@@ -128,18 +128,12 @@ TEST(ParallelSimulator, IdenticalUnderChurnAndDeltaCharging) {
   expect_identical(sequential, parallel);
 }
 
-TEST(ParallelSimulator, ShardedForkSchemeIdenticalAcrossThreadCounts) {
-  // Regression: a sharded scheme configured with the fork executor used to
-  // fork() from inside the window executor's thread pool — the child
-  // inherits any lock another pool thread holds (allocator, logger) and
-  // can deadlock before exec-free exit. The context's threaded_executor
-  // flag now demotes kFork to kInProcess inside clone lanes; the
-  // sequential run keeps forking (single-threaded caller, supported), and
-  // both must still produce the same report bit for bit.
+TEST(ParallelSimulator, ShardedSchemeIdenticalAcrossThreadCounts) {
+  // The sharded solve runs its shards in-process inside each clone lane;
+  // the report must match the sequential run bit for bit.
   const Workload workload;
   RbcaerConfig config;
   config.num_shards = 2;
-  config.shard_executor = ShardExecutor::kFork;
   RbcaerScheme sequential_scheme(config);
   RbcaerScheme parallel_scheme(config);
   expect_identical(workload.run(sequential_scheme, 1),

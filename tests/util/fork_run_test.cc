@@ -4,7 +4,6 @@
 
 #include <csignal>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -29,28 +28,19 @@ TEST(ForkRun, RoundTripsEmptyPayload) {
 }
 
 // A payload well past the 64 KiB pipe capacity: the child blocks mid-write
-// until the parent's drain loop reaches its pipe, which is exactly the
-// fan-out deadlock discipline the header argues for.
+// until the parent drains the pipe, which it must do before reaping.
 TEST(ForkRun, PayloadLargerThanPipeCapacity) {
   constexpr std::size_t kSize = 1 << 20;
-  std::vector<ForkTask> tasks;
-  for (int t = 0; t < 4; ++t) {
-    tasks.emplace_back([t] {
-      std::vector<std::uint8_t> payload(kSize);
-      for (std::size_t i = 0; i < payload.size(); ++i) {
-        payload[i] = static_cast<std::uint8_t>(i + static_cast<std::size_t>(t));
-      }
-      return payload;
-    });
-  }
-  const auto results = fork_run_all(tasks);
-  ASSERT_EQ(results.size(), tasks.size());
-  for (std::size_t t = 0; t < results.size(); ++t) {
-    EXPECT_TRUE(results[t].complete);
-    ASSERT_EQ(results[t].payload.size(), kSize);
-    EXPECT_EQ(results[t].payload[12345],
-              static_cast<std::uint8_t>(12345 + t));
-  }
+  const ForkResult result = fork_run([] {
+    std::vector<std::uint8_t> payload(kSize);
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      payload[i] = static_cast<std::uint8_t>(i);
+    }
+    return payload;
+  });
+  EXPECT_TRUE(result.complete);
+  ASSERT_EQ(result.payload.size(), kSize);
+  EXPECT_EQ(result.payload[12345], static_cast<std::uint8_t>(12345));
 }
 
 // Exit-status propagation: a child that _exit()s nonzero must surface that
@@ -78,22 +68,6 @@ TEST(ForkRun, SignalDeathReportsAs128PlusSignal) {
   });
   EXPECT_FALSE(result.complete);
   EXPECT_EQ(result.exit_code, 128 + SIGKILL);
-}
-
-// One failing child must not poison its siblings' results or ordering.
-TEST(ForkRun, MixedSuccessAndFailureKeepOrder) {
-  std::vector<ForkTask> tasks;
-  tasks.emplace_back([] { return std::vector<std::uint8_t>{10}; });
-  tasks.emplace_back([]() -> std::vector<std::uint8_t> { ::_exit(3); });
-  tasks.emplace_back([] { return std::vector<std::uint8_t>{30}; });
-  const auto results = fork_run_all(tasks);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_TRUE(results[0].complete);
-  EXPECT_EQ(results[0].payload, (std::vector<std::uint8_t>{10}));
-  EXPECT_FALSE(results[1].complete);
-  EXPECT_EQ(results[1].exit_code, 3);
-  EXPECT_TRUE(results[2].complete);
-  EXPECT_EQ(results[2].payload, (std::vector<std::uint8_t>{30}));
 }
 
 }  // namespace

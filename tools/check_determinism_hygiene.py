@@ -135,9 +135,6 @@ WHITELIST = {
     ("src/flow/decompose.cc", "double-cost-accumulation"):
         "unit_cost sums one parent-chain walk per decomposed path; the "
         "walk order is fixed by the predecessor array",
-    ("bench/legacy_solver.h", "double-cost-accumulation"):
-        "frozen pre-refactor engine kept verbatim for A/B benchmarking; "
-        "same parent-chain/augmentation ordering as the live solver",
 }
 
 

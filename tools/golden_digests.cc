@@ -85,7 +85,7 @@ const char* const kSchemes[] = {"nearest",        "random",
 //               DESIGN.md §3.11). Not pinned.
 //   "-shard1":  the zone-sharded orchestration with a single shard must be
 //               bit-identical to the unsharded path (DESIGN.md §3.12) —
-//               the fork + pipe + sub-instance rebuild hop may not change
+//               the sub-instance rebuild and the id remap may not change
 //               a single plan bit. Not pinned.
 struct VariantCheck {
   const char* variant;
