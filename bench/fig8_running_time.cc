@@ -137,204 +137,13 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
   return row;
 }
 
-// --- Cross-slot online scheduler vs per-slot rebuild. ---
-// Steady-state per-slot graph-build + MCMF seconds over a multi-slot
-// sequence with bounded demand churn. The rebuild scheme re-derives the
-// candidate set and scaffold every slot; the --online scheme patches the
-// previous slot's scaffold (membership permitting) and carries the MCMF
-// potentials across the boundary, so its steady-state cost tracks the
-// churn, not the instance size. The final slot is a demand spike that
-// flips a hotspot's membership, forcing (and timing) the fallback rebuild.
-
-struct OnlineBenchRow {
-  std::string name;
-  std::size_t hotspots = 0;
-  std::size_t steady_slots = 0;  // slots timed (excludes cold start + spike)
-  std::size_t churn = 0;         // re-aimed + re-videoed requests per slot
-  double rebuild_graph_s = 0.0;
-  double rebuild_mcmf_s = 0.0;
-  double online_graph_s = 0.0;
-  double online_mcmf_s = 0.0;
-  std::size_t online_patches = 0;   // slots served by a scaffold patch
-  std::size_t spike_rebuilds = 0;   // non-first slots that fell back
-  std::size_t reprices = 0;         // online potential reprices, steady slots
-  bool identical = false;           // per-slot digests: online == rebuild
-
-  [[nodiscard]] double rebuild_s() const {
-    return rebuild_graph_s + rebuild_mcmf_s;
-  }
-  [[nodiscard]] double online_s() const {
-    return online_graph_s + online_mcmf_s;
-  }
-  [[nodiscard]] double speedup() const {
-    return online_s() > 0.0 ? rebuild_s() / online_s() : 0.0;
-  }
-};
-
-/// Build a multi-slot request sequence with controlled demand churn. Per
-/// slot, `churn` location swaps between requests homed at the two most
-/// overloaded hotspots churn the demand vectors (λ_hv) while leaving every
-/// hotspot's total load — and hence the partition membership the online
-/// patch requires — provably unchanged; `churn` re-videoed requests churn
-/// the content mix that drives Gc clustering; and a few requests migrate
-/// between the two lanes outright so φ itself moves slot to slot. The last
-/// slot is a demand spike at the slackest hotspot, sized to flip it
-/// overloaded and force the online scheduler's fallback rebuild.
-std::vector<std::vector<Request>> make_online_slots(
-    const SchemeContext& context, std::span<const Request> base,
-    const SlotDemand& base_demand, std::size_t num_slots, std::size_t churn,
-    std::uint32_t num_videos) {
-  const std::size_t m = context.hotspots.size();
-  std::size_t lane_a = m, lane_b = m;  // two most-overloaded hotspots
-  std::size_t slack_h = m;             // slackest hotspot, spiked last
-  std::int64_t best_a = 0, best_b = 0, best_slack = 0;
-  for (std::size_t h = 0; h < m; ++h) {
-    const auto margin =
-        static_cast<std::int64_t>(base_demand.load(h)) -
-        static_cast<std::int64_t>(context.hotspots[h].service_capacity);
-    if (margin > best_a) {
-      lane_b = lane_a;
-      best_b = best_a;
-      lane_a = h;
-      best_a = margin;
-    } else if (margin > best_b) {
-      lane_b = h;
-      best_b = margin;
-    }
-    if (-margin > best_slack) {
-      slack_h = h;
-      best_slack = -margin;
-    }
-  }
-  std::vector<std::vector<Request>> slots;
-  slots.emplace_back(base.begin(), base.end());
-  if (lane_b >= m || slack_h >= m) {
-    std::fprintf(stderr, "online bench: degenerate partition, no churn "
-                         "lanes — running identical slots\n");
-  }
-  const auto homes = base_demand.request_home();
-  std::vector<std::size_t> homed_a, homed_b;
-  for (std::size_t r = 0; r < homes.size(); ++r) {
-    if (homes[r] == lane_a) homed_a.push_back(r);
-    if (homes[r] == lane_b) homed_b.push_back(r);
-  }
-  const std::size_t swaps =
-      std::min({churn, homed_a.size(), homed_b.size()});
-  for (std::size_t s = 1; s < num_slots; ++s) {
-    std::vector<Request> slot(base.begin(), base.end());
-    for (std::size_t i = 0; i < swaps; ++i) {
-      const std::size_t ra = homed_a[(s * swaps + i) % homed_a.size()];
-      const std::size_t rb = homed_b[(s * swaps + i) % homed_b.size()];
-      std::swap(slot[ra].location, slot[rb].location);
-    }
-    for (std::size_t i = 0; i < churn; ++i) {
-      Request& r = slot[(s * 131071 + i * 8191) % slot.size()];
-      r.video = static_cast<VideoId>((r.video + 1 + s) % num_videos);
-    }
-    // φ churn: net-migrate a few lane-A requests to lane B (lane A's
-    // margin over s_h covers the loss, so membership still holds).
-    if (swaps > 0 && best_a > 8) {
-      const std::size_t moves = 1 + (s & 3u);
-      for (std::size_t i = 0; i < moves; ++i) {
-        slot[homed_a[(s * 7 + i) % homed_a.size()]].location =
-            context.hotspots[lane_b].location;
-      }
-    }
-    slots.push_back(std::move(slot));
-  }
-  // Spike slot: enough fresh demand at the slackest hotspot to flip it.
-  std::vector<Request> spike(base.begin(), base.end());
-  if (slack_h < m) {
-    const std::size_t extra = static_cast<std::size_t>(best_slack) + 16;
-    for (std::size_t i = 0; i < extra; ++i) {
-      Request r = base[i % base.size()];
-      r.location = context.hotspots[slack_h].location;
-      r.video = static_cast<VideoId>(i % num_videos);
-      spike.push_back(r);
-    }
-  }
-  slots.push_back(std::move(spike));
-  return slots;
-}
-
-OnlineBenchRow online_bench_mode(const std::string& name, bool aggregation,
-                                 const SchemeContext& context,
-                                 const std::vector<std::vector<Request>>& slots,
-                                 std::size_t churn, std::size_t repeats) {
-  OnlineBenchRow row;
-  row.name = name;
-  row.hotspots = context.hotspots.size();
-  row.churn = churn;
-  row.identical = true;
-  // Slots can't be repeated in place (online state advances), so the noise
-  // reduction repeats the whole sequence with fresh schemes and keeps the
-  // best steady-state total per side.
-  double best_rebuild = 1e300;
-  double best_online = 1e300;
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    RbcaerConfig config;
-    config.content_aggregation = aggregation;
-    config.incremental_sweep = true;
-    RbcaerScheme rebuild(config);
-    config.online = true;
-    RbcaerScheme online(config);
-
-    double rebuild_graph = 0.0, rebuild_mcmf = 0.0;
-    double online_graph = 0.0, online_mcmf = 0.0;
-    std::size_t reprices = 0, patches = 0, spikes = 0, steady = 0;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      const SlotDemand demand(slots[s], context.hotspot_index);
-      const SlotPlan rebuild_plan =
-          rebuild.plan_slot(context, slots[s], demand);
-      const SlotPlan online_plan =
-          online.plan_slot(context, slots[s], demand);
-      row.identical = row.identical &&
-                      plan_digest(online_plan) == plan_digest(rebuild_plan);
-      const auto& od = online.last_diagnostics();
-      patches += od.online_patches;
-      if (s > 0 && od.online_patches == 0) ++spikes;
-      if (s > 0 && s + 1 < slots.size()) {  // steady state
-        const StageTimings* rt = rebuild.last_stage_timings();
-        const StageTimings* ot = online.last_stage_timings();
-        rebuild_graph += rt->graph_s;
-        rebuild_mcmf += rt->mcmf_s;
-        online_graph += ot->graph_s;
-        online_mcmf += ot->mcmf_s;
-        reprices += od.potential_reprices;
-        ++steady;
-      }
-    }
-    row.online_patches = patches;
-    row.spike_rebuilds = spikes;
-    row.steady_slots = steady;
-    if (rebuild_graph + rebuild_mcmf < best_rebuild) {
-      best_rebuild = rebuild_graph + rebuild_mcmf;
-      row.rebuild_graph_s = rebuild_graph;
-      row.rebuild_mcmf_s = rebuild_mcmf;
-    }
-    if (online_graph + online_mcmf < best_online) {
-      best_online = online_graph + online_mcmf;
-      row.online_graph_s = online_graph;
-      row.online_mcmf_s = online_mcmf;
-      row.reprices = reprices;
-    }
-  }
-  return row;
-}
-
-// --- Layout section: the mechanical-sympathy pass vs the PR 6 engine. ---
-// Steady-state online graph+MCMF seconds after the CSR/SoA refactor, for
-// the double engine (digest-identical to the rebuild path by construction)
-// and the fixed-point integer engine (plan-equal to the double engine under
-// the default SPFA strategy — see DESIGN.md §3.11). The PR 6 numbers are
-// the committed BENCH_flow.json online baselines from the pre-layout tree
-// (vector-of-vectors adjacency, 32-byte AoS edges), measured on this same
-// bench configuration, so speedup_vs_pr6 isolates the layout work.
-
-/// Committed PR 6 online baselines (BENCH_flow.json at the pre-layout
-/// commit), valid only for the default bench size (H=2000, 100K requests).
-constexpr double kPr6OnlineGcS = 1.959541;
-constexpr double kPr6OnlineGdS = 0.397500;
+// --- Layout section: the fixed-point integer engine vs the double engine. ---
+// Per-slot graph+MCMF seconds of the integer-cost engine (DESIGN.md §3.11)
+// against the double engine on the θ-sweep section's slot, with the
+// paper's θ grid. The oracle accepts equal plans or a bounded moved-total
+// drift: Gc's greedy θ sweep may legitimately diverge at city scale when
+// two distinct path costs collapse into one 2^-20 km quantum. These rows
+// are the only at-scale check of that Gc value-equality tier.
 
 /// Integer-mode moved totals may drift from the double engine's on Gc
 /// (quantized tie-flips reroute the greedy sweep); anything beyond this
@@ -343,100 +152,68 @@ constexpr double kIntMovedTolerance = 0.01;
 
 struct LayoutBenchRow {
   std::string name;
-  std::string engine;  // "double" or "int"
   std::size_t hotspots = 0;
-  double graph_s = 0.0;  // steady-state online totals, best of repeats
+  double graph_s = 0.0;  // integer engine, best of repeats
   double mcmf_s = 0.0;
-  double pr6_online_s = 0.0;  // 0 when the bench size differs from PR 6's
-  /// double rows: online digests == rebuild digests. int rows: the SAME
-  /// bit-identity promise, within the integer engine — int-online digests
-  /// == int-rebuild digests. Required true for every row.
-  bool identical = false;
+  double double_graph_s = 0.0;  // double engine, best of repeats
+  double double_mcmf_s = 0.0;
   /// Plans equal the double engine's (assignments, placements, moved).
-  /// Guaranteed for Gd (unique optima on real geometry); Gc's greedy θ
-  /// sweep may legitimately diverge at city scale when two distinct path
-  /// costs collapse into one 2^-20 km quantum (DESIGN.md §3.11), so there
-  /// the gate is the bounded moved-total drift below instead.
   bool plan_equal = false;
-  /// |moved_int - moved_double| / moved_double over the slot sequence.
+  /// |moved_int - moved_double| / moved_double.
   double moved_rel_delta = 0.0;
 
-  [[nodiscard]] double online_s() const { return graph_s + mcmf_s; }
-  [[nodiscard]] double speedup_vs_pr6() const {
-    return pr6_online_s > 0.0 && online_s() > 0.0
-               ? pr6_online_s / online_s()
-               : 0.0;
+  [[nodiscard]] double int_s() const { return graph_s + mcmf_s; }
+  [[nodiscard]] double double_s() const {
+    return double_graph_s + double_mcmf_s;
   }
-  /// The row's acceptance oracle, CI-gated via the JSON field: bit-identity
-  /// always, plus (int rows) exact plans or bounded moved drift vs double.
+  [[nodiscard]] double speedup() const {
+    return int_s() > 0.0 ? double_s() / int_s() : 0.0;
+  }
+  /// The row's acceptance oracle, CI-gated via the JSON field: exact plans
+  /// or bounded moved drift vs the double engine.
   [[nodiscard]] bool oracle_ok() const {
-    if (!identical) return false;
-    if (plan_equal) return true;
-    return engine == "int" && moved_rel_delta <= kIntMovedTolerance;
+    return plan_equal || moved_rel_delta <= kIntMovedTolerance;
   }
 };
 
-/// Integer-engine layout row: run the online scheduler in fixed-point mode
-/// (plus an int-rebuild twin and a double-online reference) over the same
-/// slot sequence, time the integer side's steady state, and check the two
-/// oracles — int-online/int-rebuild bit-identity, and plan equality (or
-/// bounded moved drift, for Gc) against the double engine.
 LayoutBenchRow layout_int_bench(const std::string& name, bool aggregation,
                                 const SchemeContext& context,
-                                const std::vector<std::vector<Request>>& slots,
-                                std::size_t repeats, double pr6_baseline) {
+                                std::span<const Request> trace,
+                                const SlotDemand& demand,
+                                std::size_t repeats) {
+  RbcaerConfig config;
+  config.content_aggregation = aggregation;
+  RbcaerScheme dbl(config);
+  config.integer_costs = true;
+  RbcaerScheme fixed(config);
+
   LayoutBenchRow row;
   row.name = name;
-  row.engine = "int";
   row.hotspots = context.hotspots.size();
-  row.pr6_online_s = pr6_baseline;
-  row.plan_equal = true;
-  row.identical = true;
-  double best = 1e300;
+  row.graph_s = row.mcmf_s = row.double_graph_s = row.double_mcmf_s = 1e300;
+  SlotPlan dplan;
+  SlotPlan iplan;
   for (std::size_t rep = 0; rep < repeats; ++rep) {
-    RbcaerConfig config;
-    config.content_aggregation = aggregation;
-    config.incremental_sweep = true;
-    config.online = true;
-    RbcaerScheme dbl(config);
-    config.integer_costs = true;
-    config.online = false;
-    RbcaerScheme irebuild(config);
-    config.online = true;
-    RbcaerScheme fixed(config);
-    double graph = 0.0, mcmf = 0.0;
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      const SlotDemand demand(slots[s], context.hotspot_index);
-      const SlotPlan dplan = dbl.plan_slot(context, slots[s], demand);
-      const SlotPlan rplan = irebuild.plan_slot(context, slots[s], demand);
-      const SlotPlan iplan = fixed.plan_slot(context, slots[s], demand);
-      row.identical =
-          row.identical && plan_digest(iplan) == plan_digest(rplan);
-      row.plan_equal = row.plan_equal &&
-                       iplan.assignment == dplan.assignment &&
-                       iplan.placements == dplan.placements &&
-                       fixed.last_diagnostics().moved ==
-                           dbl.last_diagnostics().moved;
-      const auto dmoved =
-          static_cast<double>(dbl.last_diagnostics().moved);
-      if (dmoved > 0.0) {
-        const double delta =
-            std::abs(static_cast<double>(fixed.last_diagnostics().moved) -
-                     dmoved) /
-            dmoved;
-        row.moved_rel_delta = std::max(row.moved_rel_delta, delta);
-      }
-      if (s > 0 && s + 1 < slots.size()) {  // steady state
-        const StageTimings* it = fixed.last_stage_timings();
-        graph += it->graph_s;
-        mcmf += it->mcmf_s;
-      }
+    dplan = dbl.plan_slot(context, trace, demand);
+    const StageTimings* dt = dbl.last_stage_timings();
+    if (dt->graph_s + dt->mcmf_s < row.double_s()) {
+      row.double_graph_s = dt->graph_s;
+      row.double_mcmf_s = dt->mcmf_s;
     }
-    if (graph + mcmf < best) {
-      best = graph + mcmf;
-      row.graph_s = graph;
-      row.mcmf_s = mcmf;
+    iplan = fixed.plan_slot(context, trace, demand);
+    const StageTimings* it = fixed.last_stage_timings();
+    if (it->graph_s + it->mcmf_s < row.int_s()) {
+      row.graph_s = it->graph_s;
+      row.mcmf_s = it->mcmf_s;
     }
+  }
+  const auto dmoved = dbl.last_diagnostics().moved;
+  const auto imoved = fixed.last_diagnostics().moved;
+  row.plan_equal = iplan.assignment == dplan.assignment &&
+                   iplan.placements == dplan.placements && imoved == dmoved;
+  if (dmoved > 0) {
+    row.moved_rel_delta = std::abs(static_cast<double>(imoved - dmoved)) /
+                          static_cast<double>(dmoved);
   }
   return row;
 }
@@ -553,7 +330,6 @@ ShardBenchRow shard_bench_mode(const std::string& name, bool aggregation,
 /// hierarchical_scalability's BENCH_gc.json.
 void write_flow_json(const std::string& path,
                      const std::vector<FlowBenchRow>& rows,
-                     const std::vector<OnlineBenchRow>& online_rows,
                      const std::vector<LayoutBenchRow>& layout_rows,
                      const std::vector<ShardBenchRow>& shard_rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -577,39 +353,22 @@ void write_flow_json(const std::string& path,
         static_cast<long long>(r.moved), r.cold_graph_s, r.cold_mcmf_s,
         r.warm_graph_s, r.warm_mcmf_s, r.cold_s(), r.warm_s(), r.speedup(),
         r.reprices, r.identical ? "true" : "false",
-        i + 1 < rows.size() || !online_rows.empty() ? "," : "");
-  }
-  for (std::size_t i = 0; i < online_rows.size(); ++i) {
-    const OnlineBenchRow& r = online_rows[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"online/%s/H=%zu\", \"hotspots\": %zu, "
-        "\"steady_slots\": %zu, \"churn\": %zu, "
-        "\"rebuild_graph_s\": %.6f, \"rebuild_mcmf_s\": %.6f, "
-        "\"online_graph_s\": %.6f, \"online_mcmf_s\": %.6f, "
-        "\"rebuild_s\": %.6f, \"online_s\": %.6f, \"speedup\": %.2f, "
-        "\"online_patches\": %zu, \"spike_rebuilds\": %zu, "
-        "\"potential_reprices\": %zu, \"identical\": %s}%s\n",
-        r.name.c_str(), r.hotspots, r.hotspots, r.steady_slots, r.churn,
-        r.rebuild_graph_s, r.rebuild_mcmf_s, r.online_graph_s,
-        r.online_mcmf_s, r.rebuild_s(), r.online_s(), r.speedup(),
-        r.online_patches, r.spike_rebuilds, r.reprices,
-        r.identical ? "true" : "false",
-        i + 1 < online_rows.size() || !layout_rows.empty() ? "," : "");
+        i + 1 < rows.size() || !layout_rows.empty() ? "," : "");
   }
   for (std::size_t i = 0; i < layout_rows.size(); ++i) {
     const LayoutBenchRow& r = layout_rows[i];
     std::fprintf(
         out,
-        "    {\"name\": \"layout/%s/H=%zu\", \"engine\": \"%s\", "
+        "    {\"name\": \"layout/%s/H=%zu\", \"engine\": \"int\", "
         "\"hotspots\": %zu, \"graph_s\": %.6f, \"mcmf_s\": %.6f, "
-        "\"online_s\": %.6f, \"pr6_online_s\": %.6f, "
-        "\"speedup_vs_pr6\": %.2f, \"identical\": %s, \"plan_equal\": %s, "
-        "\"moved_rel_delta\": %.6f, \"oracle_ok\": %s}%s\n",
-        r.name.c_str(), r.hotspots, r.engine.c_str(), r.hotspots, r.graph_s,
-        r.mcmf_s, r.online_s(), r.pr6_online_s, r.speedup_vs_pr6(),
-        r.identical ? "true" : "false", r.plan_equal ? "true" : "false",
-        r.moved_rel_delta, r.oracle_ok() ? "true" : "false",
+        "\"int_s\": %.6f, \"double_graph_s\": %.6f, "
+        "\"double_mcmf_s\": %.6f, \"double_s\": %.6f, \"speedup\": %.2f, "
+        "\"plan_equal\": %s, \"moved_rel_delta\": %.6f, "
+        "\"oracle_ok\": %s}%s\n",
+        r.name.c_str(), r.hotspots, r.hotspots, r.graph_s, r.mcmf_s,
+        r.int_s(), r.double_graph_s, r.double_mcmf_s, r.double_s(),
+        r.speedup(), r.plan_equal ? "true" : "false", r.moved_rel_delta,
+        r.oracle_ok() ? "true" : "false",
         i + 1 < layout_rows.size() || !shard_rows.empty() ? "," : "");
   }
   for (std::size_t i = 0; i < shard_rows.size(); ++i) {
@@ -677,11 +436,10 @@ void run_flow_bench(const Flags& flags) {
   const SlotDemand demand(trace, index);
 
   // --shard_only: CI's reduced-scale shard-matrix job runs just the
-  // sharding section (the θ-sweep/online/layout sections are covered by
-  // the flow-bench job at full scale).
+  // sharding section (the θ-sweep/layout sections are covered by the
+  // flow-bench job).
   const bool shard_only = flags.get_bool("shard_only", false);
   std::vector<FlowBenchRow> rows;
-  std::vector<OnlineBenchRow> online_rows;
   std::vector<LayoutBenchRow> layout_rows;
   if (!shard_only) {
   std::printf("\n=== warm-started θ sweep vs cold rebuild-per-θ ===\n");
@@ -707,69 +465,21 @@ void run_flow_bench(const Flags& flags) {
                 row.speedup(), row.identical ? "identical" : "MISMATCH!");
   }
 
-  const auto online_slots =
-      static_cast<std::size_t>(flags.get_int("online_slots", 6));
-  const auto online_churn =
-      static_cast<std::size_t>(flags.get_int("online_churn", 96));
-  const auto slot_traces =
-      make_online_slots(context, trace, demand, online_slots, online_churn,
-                        world_config.num_videos);
-  std::printf("\n=== cross-slot online scheduler vs per-slot rebuild ===\n");
-  std::printf("%zu slots (cold + %zu steady + spike), churn %zu req/slot, "
-              "steady-state graph+MCMF seconds\n",
-              slot_traces.size(), slot_traces.size() - 2, online_churn);
-  std::printf("%-10s %12s %12s %9s %8s %9s %9s %10s\n", "graph", "rebuild",
-              "online", "speedup", "patches", "fallback", "reprices",
-              "oracle");
-  online_rows.push_back(online_bench_mode("gc", true, context, slot_traces,
-                                          online_churn, repeats));
-  online_rows.push_back(online_bench_mode("gd", false, context, slot_traces,
-                                          online_churn, repeats));
-  for (const OnlineBenchRow& row : online_rows) {
-    std::printf("%-10s %11.3fs %11.3fs %8.1fx %8zu %9zu %9zu %10s\n",
-                row.name.c_str(), row.rebuild_s(), row.online_s(),
-                row.speedup(), row.online_patches, row.spike_rebuilds,
-                row.reprices, row.identical ? "identical" : "MISMATCH!");
-  }
-
-  // PR 6 baselines only apply at the size they were committed at.
-  const bool pr6_comparable = hotspots == 2000 && requests == 100000;
-  for (const OnlineBenchRow& src : online_rows) {
-    LayoutBenchRow dbl;
-    dbl.name = src.name;
-    dbl.engine = "double";
-    dbl.hotspots = src.hotspots;
-    dbl.graph_s = src.online_graph_s;
-    dbl.mcmf_s = src.online_mcmf_s;
-    dbl.identical = src.identical;
-    dbl.plan_equal = src.identical;  // digest equality implies plan equality
-    dbl.pr6_online_s = !pr6_comparable          ? 0.0
-                       : src.name == "gc"       ? kPr6OnlineGcS
-                                                : kPr6OnlineGdS;
-    layout_rows.push_back(std::move(dbl));
-  }
-  layout_rows.push_back(layout_int_bench(
-      "gc-int", true, context, slot_traces, repeats,
-      pr6_comparable ? kPr6OnlineGcS : 0.0));
-  layout_rows.push_back(layout_int_bench(
-      "gd-int", false, context, slot_traces, repeats,
-      pr6_comparable ? kPr6OnlineGdS : 0.0));
-  std::printf(
-      "\n=== layout pass (CSR/SoA, fixed-point) vs PR 6 online baseline "
-      "===\n");
-  std::printf("%-10s %8s %11s %11s %12s %11s %11s\n", "graph", "engine",
-              "graph", "mcmf", "pr6 online", "speedup", "oracle");
+  layout_rows.push_back(
+      layout_int_bench("gc-int", true, context, trace, demand, repeats));
+  layout_rows.push_back(
+      layout_int_bench("gd-int", false, context, trace, demand, repeats));
+  std::printf("\n=== fixed-point integer engine vs double engine ===\n");
+  std::printf("%-10s %11s %11s %11s %11s %9s %11s\n", "graph", "int graph",
+              "int mcmf", "dbl graph", "dbl mcmf", "speedup", "oracle");
   for (const LayoutBenchRow& row : layout_rows) {
-    // Int rows: bit-identity within the integer engine is mandatory; vs the
-    // double engine, exact plans for Gd, bounded moved drift for Gc.
-    const char* oracle = !row.oracle_ok() ? "MISMATCH!"
-                         : row.plan_equal
-                             ? (row.engine == "double" ? "identical"
-                                                       : "plan-equal")
-                             : "value-ok";
-    std::printf("%-10s %8s %10.3fs %10.3fs %11.3fs %10.2fx %11s\n",
-                row.name.c_str(), row.engine.c_str(), row.graph_s, row.mcmf_s,
-                row.pr6_online_s, row.speedup_vs_pr6(), oracle);
+    // Exact plans for Gd, bounded moved drift for Gc.
+    const char* oracle = !row.oracle_ok()  ? "MISMATCH!"
+                         : row.plan_equal ? "plan-equal"
+                                          : "value-ok";
+    std::printf("%-10s %10.3fs %10.3fs %10.3fs %10.3fs %8.2fx %11s\n",
+                row.name.c_str(), row.graph_s, row.mcmf_s, row.double_graph_s,
+                row.double_mcmf_s, row.speedup(), oracle);
   }
   }  // !shard_only
 
@@ -824,7 +534,7 @@ void run_flow_bench(const Flags& flags) {
   }
 
   write_flow_json(flags.get_string("flow_json_out", "BENCH_flow.json"), rows,
-                  online_rows, layout_rows, shard_rows);
+                  layout_rows, shard_rows);
 }
 
 }  // namespace

@@ -26,23 +26,20 @@ struct SweepOutcome {
   double graph_s = 0.0;
   double mcmf_s = 0.0;
   std::size_t potential_reprices = 0;
-  std::size_t online_patches = 0;
 };
 
 /// Algorithm 1's flow phase: θ sweep over Gc (or Gd when aggregation is
 /// off), then the residual Gd pass at θ2. Shared verbatim by the unsharded
 /// slot and by every shard's local solve — sharing the code is what keeps
-/// shard=1 plans bit-identical to the unsharded path. `cache` non-null
-/// selects online candidate generation (the caller already validated
-/// online mode); the cold rebuild-per-θ path ignores `sweeper`.
+/// shard=1 plans bit-identical to the unsharded path. The cold
+/// rebuild-per-θ path ignores `sweeper`.
 SweepOutcome run_theta_sweep(const RbcaerConfig& config,
                              std::span<const Hotspot> hotspots,
                              const GridIndex& index,
                              HotspotPartition& partition,
                              std::int64_t max_movable,
                              std::span<const std::uint32_t> cluster_of,
-                             ThetaSweeper& sweeper, CandidateCache* cache,
-                             std::vector<CandidateEdge>& candidate_buf) {
+                             ThetaSweeper& sweeper) {
   SweepOutcome out;
   Stopwatch stage_clock;
   const auto absorb = [&](const std::vector<FlowEntry>& extracted) {
@@ -67,30 +64,13 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
 
   constexpr double kThetaEps = 1e-9;
   // Radius query per overloaded hotspot via the shared spatial index,
-  // instead of scanning every (overloaded, under-utilized) pair. The
-  // cold path needs the candidates up front; the incremental path only
-  // when the online scaffold patch does not apply, so it generates them
-  // inside its own branch.
-  const auto generate_candidates = [&] {
-    return candidate_edges(hotspots, partition, config.theta2_km, index);
-  };
+  // instead of scanning every (overloaded, under-utilized) pair.
+  stage_clock.reset();
+  const std::vector<CandidateEdge> candidates =
+      candidate_edges(hotspots, partition, config.theta2_km, index);
   if (config.incremental_sweep) {
     const std::size_t reprices_before = sweeper.potential_reprices();
-    const std::size_t patches_before = sweeper.online_patches();
-    stage_clock.reset();
-    // Online slots first try the cross-slot patch; when membership
-    // changed (or on the first slot) fall back to a full begin_slot,
-    // with candidate generation served from the cross-slot cache.
-    if (!cache || !sweeper.begin_slot_online(partition)) {
-      if (cache) {
-        cache->collect(hotspots, partition, config.theta2_km, index,
-                       candidate_buf);
-      } else {
-        candidate_buf = generate_candidates();
-      }
-      sweeper.begin_slot(partition,
-                         std::span<const CandidateEdge>(candidate_buf));
-    }
+    sweeper.begin_slot(partition, candidates);
     out.graph_s += stage_clock.elapsed_seconds();
     double theta = config.theta1_km;
     while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
@@ -108,10 +88,7 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
     }
     sweeper.end_slot();
     out.potential_reprices = sweeper.potential_reprices() - reprices_before;
-    out.online_patches = sweeper.online_patches() - patches_before;
   } else {
-    stage_clock.reset();
-    const std::vector<CandidateEdge> candidates = generate_candidates();
     out.graph_s += stage_clock.elapsed_seconds();
     double theta = config.theta1_km;
     while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
@@ -200,10 +177,8 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   ThetaSweeper sweeper(config.mcmf_strategy, config.integer_costs,
                        config.cost_scale);
   sweeper.set_audit_level(config.audit_level);
-  std::vector<CandidateEdge> candidate_buf;
-  SweepOutcome sweep =
-      run_theta_sweep(config, sub_hotspots, index, partition, max_movable,
-                      cluster_of, sweeper, nullptr, candidate_buf);
+  SweepOutcome sweep = run_theta_sweep(config, sub_hotspots, index, partition,
+                                       max_movable, cluster_of, sweeper);
   out.moved = sweep.moved;
   out.guide_nodes = sweep.guide_nodes;
   out.theta_iterations = sweep.theta_iterations;
@@ -230,8 +205,6 @@ RbcaerScheme::RbcaerScheme(RbcaerConfig config)
   CCDN_REQUIRE(config_.top_fraction > 0.0 && config_.top_fraction <= 1.0,
                "top_fraction outside (0,1]");
   CCDN_REQUIRE(config_.bpeak_multiplier > 0.0, "non-positive B_peak");
-  CCDN_REQUIRE(!config_.online || config_.incremental_sweep,
-               "online mode requires the incremental sweep");
   CCDN_REQUIRE(!config_.integer_costs || config_.incremental_sweep,
                "integer costs require the incremental sweep (the cold "
                "oracle path is double-only)");
@@ -288,9 +261,6 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   const std::size_t num_shards = std::min(
       config_.num_shards != 0 ? config_.num_shards : context.num_shards, m);
   const bool sharded = num_shards >= 1;
-  CCDN_REQUIRE(!sharded || !config_.online,
-               "sharded planning is incompatible with online mode (the "
-               "cross-slot scaffold lives in one process)");
 
   // --- Content clustering (only needed when aggregation is on and there
   // is anything to move; sharded slots cluster per shard instead). ---
@@ -317,13 +287,11 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
     } else {
       SweepOutcome sweep = run_theta_sweep(
           config_, context.hotspots, context.hotspot_index, partition,
-          diagnostics_.max_movable, cluster_of, sweeper_,
-          config_.online ? &candidate_cache_ : nullptr, candidate_buf_);
+          diagnostics_.max_movable, cluster_of, sweeper_);
       diagnostics_.moved = sweep.moved;
       diagnostics_.guide_nodes = sweep.guide_nodes;
       diagnostics_.theta_iterations = sweep.theta_iterations;
       diagnostics_.potential_reprices = sweep.potential_reprices;
-      diagnostics_.online_patches = sweep.online_patches;
       stage_timings_.graph_s += sweep.graph_s;
       stage_timings_.mcmf_s += sweep.mcmf_s;
       flows = std::move(sweep.flows);
@@ -388,11 +356,10 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     shard_plan_.last = context.hotspots.back().location;
   }
 
-  // The shard solve must not touch this object's pool, cache, or sweeper:
-  // a neutralized config makes solve_shard_instance a pure function of
+  // The shard solve must not touch this object's pool or sweeper: a
+  // neutralized config makes solve_shard_instance a pure function of
   // (config, hotspots, demand, members).
   RbcaerConfig child_config = config_;
-  child_config.online = false;
   child_config.num_shards = 0;
   child_config.jd_threads = 1;
 

@@ -20,7 +20,6 @@
 
 #include "cluster/hierarchical.h"
 #include "core/balance_graph.h"
-#include "core/candidate_cache.h"
 #include "core/scheme.h"
 #include "core/shard_solver.h"
 #include "core/theta_sweep.h"
@@ -84,10 +83,8 @@ struct RbcaerConfig {
   /// divergence compounds — even the moved total can shift (measured
   /// ~0.07% at H=2000; the layout bench gates it at 1%). Under
   /// kDijkstraPotentials the Gc epochs' zero-cost ties additionally pop
-  /// in heap-specific order. What always holds within the integer engine
-  /// itself: online plans are bit-identical to int-rebuild plans, slot by
-  /// slot. Requires incremental_sweep (the cold oracle path stays
-  /// double-only).
+  /// in heap-specific order. Requires incremental_sweep (the cold oracle
+  /// path stays double-only).
   bool integer_costs = false;
   /// Fixed-point scale for integer_costs, in units per km.
   double cost_scale = kDefaultCostScale;
@@ -96,14 +93,7 @@ struct RbcaerConfig {
   /// frozen residual state. false falls back to the cold rebuild-per-θ
   /// path, kept as the differential oracle (see DESIGN.md §3.7).
   bool incremental_sweep = true;
-  /// Cross-slot online mode: when consecutive slots keep the same
-  /// overloaded/under-utilized membership, start the sweep by patching the
-  /// previous slot's scaffold (ThetaSweeper::begin_slot_online) instead of
-  /// regenerating candidates and rebuilding — steady-state per-slot cost
-  /// becomes O(demand churn). When membership does change, candidate
-  /// generation falls back to a cross-slot CandidateCache mask-filter
-  /// rather than fresh grid queries. Plans are bit-identical to the
-  /// rebuild path either way (DESIGN.md §3.10). Requires incremental_sweep.
+  /// Ignored; kept only because perfbench/trace_mode.cc assigns it.
   bool online = false;
   /// Invariant auditing of the planning pipeline (checked builds only;
   /// compiled out under NDEBUG). kPlan audits the slot's flows against the
@@ -118,8 +108,7 @@ struct RbcaerConfig {
   /// is bit-identical to the unsharded path; >= 2 partitions the hotspots
   /// into that many geo zones, solves each zone independently, and
   /// reconciles boundary residuals with one cross-shard exchange round.
-  /// Values above the hotspot count are clamped. Incompatible with online
-  /// mode (the cross-slot scaffold lives in one process).
+  /// Values above the hotspot count are clamped.
   std::size_t num_shards = 0;
 };
 
@@ -153,14 +142,9 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t theta_iterations = 0;
     std::size_t replicas = 0;
     std::size_t miss_rerouted = 0;  // local cache misses sent to neighbours
-    /// Re-prices the warm sweep needed when an appended edge (or, online, a
-    /// re-armed capacity) broke carried potentials — the Gd Dijkstra
-    /// engine's and, under SPFA, the Gc epochs' carried price vector
-    /// (0 on the cold path).
+    /// Re-prices the warm Gd steps needed when an appended edge broke the
+    /// carried potentials (0 on the cold path).
     std::size_t potential_reprices = 0;
-    /// 1 when this slot was started via the cross-slot scaffold patch
-    /// (config.online and membership unchanged), else 0.
-    std::size_t online_patches = 0;
     /// Sharded-path observability; all zero when the slot ran unsharded.
     std::size_t shards = 0;
     std::size_t boundary_hotspots = 0;
@@ -202,14 +186,6 @@ class RbcaerScheme final : public RedirectionScheme {
   /// Persistent across slots so the warm sweep's buffers stop churning the
   /// allocator; clones get their own (planning stays pure per clone).
   ThetaSweeper sweeper_;
-  /// Online mode's fallback candidate generator (membership changed, so
-  /// the scaffold patch did not apply): memoized per-sender neighbour
-  /// lists instead of fresh grid queries. Also per clone.
-  CandidateCache candidate_cache_;
-  /// Per-slot candidate staging buffer, reused across slots so the warm
-  /// path stops allocating a fresh vector per slot (the sweeper copies
-  /// into its own arena-backed storage in begin_slot).
-  std::vector<CandidateEdge> candidate_buf_;
   /// Geo shard plan, recomputed only when the shard count or the hotspot
   /// set changes (hotspot geometry is fixed across a run's slots).
   struct ShardPlanCache {

@@ -38,22 +38,6 @@ void ThetaSweeper::begin_slot(HotspotPartition& partition,
                    candidates_.size());
   build_scaffold(net_, partition, map_);
   scaffold_cp_ = net_.checkpoint();
-  // Cross-slot bookkeeping: the membership lists are the resumability key
-  // for begin_slot_online, and the inverse node map lets the patch path
-  // re-arm each scaffold arc with the new slot's φ by hotspot id.
-  prev_overloaded_.assign(partition.overloaded.begin(),
-                          partition.overloaded.end());
-  prev_underutilized_.assign(partition.underutilized.begin(),
-                             partition.underutilized.end());
-  hotspot_of_node_.assign(net_.num_nodes(), 0);
-  for (const std::uint32_t i : partition.overloaded) {
-    hotspot_of_node_[map_.at(i)] = i;
-  }
-  for (const std::uint32_t j : partition.underutilized) {
-    hotspot_of_node_[map_.at(j)] = j;
-  }
-  have_scaffold_ = true;
-  needs_full_reprice_ = false;
   // Remember each sender's source arc so the persistent steps can focus the
   // source's adjacency onto the step's arrival senders (everyone else is a
   // dead end by the exhaustion argument — see commit()).
@@ -80,57 +64,6 @@ void ThetaSweeper::begin_slot(HotspotPartition& partition,
   last_flow_ = 0;
   last_guide_nodes_ = 0;
   gd_solver_.reset_potentials(net_.num_nodes());
-  // The Gc price carrier also starts each slot from zero, so the per-slot
-  // reprice pattern is deterministic regardless of which clone-ring lane
-  // (and therefore which slot history) a sweeper instance saw.
-  solver_.reset_potentials(net_.num_nodes());
-}
-
-bool ThetaSweeper::begin_slot_online(HotspotPartition& partition) {
-  if (!have_scaffold_ || partition.overloaded != prev_overloaded_ ||
-      partition.underutilized != prev_underutilized_) {
-    return false;
-  }
-  partition_ = &partition;
-  // Same membership ⇒ candidate_edges() would regenerate candidates_ and
-  // build_scaffold() would lay out the same nodes and arcs in the same
-  // order, so both survive verbatim: skip candidate generation and the
-  // radix sort entirely and just re-arm the φ-shaped capacities. The
-  // truncate clears the previous slot's transient structure; restore_arcs
-  // undoes its adjacency compactions.
-  net_.truncate(scaffold_cp_);
-  net_.restore_arcs(scaffold_cp_);
-  for (EdgeId e = 0; e < scaffold_cp_.stored_edges;
-       e += 2) {  // forward arcs only
-    const auto& edge = net_.edge(e);
-    const std::uint32_t h = edge.from == map_.source
-                                ? hotspot_of_node_[edge.to]
-                                : hotspot_of_node_[edge.from];
-    net_.reset_edge(e, partition.phi[h]);
-  }
-  net_.drop_terminal_arcs(map_.source, map_.sink);
-  cursor_ = 0;
-  pair_edges_.clear();
-  committed_.clear();
-  transient_ = false;
-  // The re-armed capacities make the first non-empty step a from-zero
-  // batch solve just like a fresh slot's, and the batch is exactly where
-  // the carried-potentials Dijkstra is pathological (see step_gd), so it
-  // keeps the cold-path engine. The carried Gd potentials take over at the
-  // first warm step — they are a whole slot old by then and the re-armed
-  // capacities can resurrect violations on any arc, hence the full-range
-  // reprice flag.
-  gd_batch_done_ = false;
-  needs_full_reprice_ = true;
-  live_.clear();
-  arrivals_.clear();
-  last_kind_ = StepKind::kNone;
-  last_flow_ = 0;
-  last_guide_nodes_ = 0;
-  gd_solver_.ensure_potentials(net_.num_nodes());
-  solver_.reset_potentials(net_.num_nodes());
-  ++online_patches_;
-  return true;
 }
 
 void ThetaSweeper::end_slot() { partition_ = nullptr; }
@@ -302,9 +235,7 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
       // here (each search heap-churns the whole zero-cost sender plateau),
       // so run it with the configured cold-path engine instead; the
       // warm-start machinery takes over from the next step on.
-      if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-        solver_.reset_potentials(net_.num_nodes());
-      }
+      solver_.reset_potentials(net_.num_nodes());
       res = solver_.augment(net_, map_.source, map_.sink);
       gd_batch_done_ = true;
     } else {
@@ -312,12 +243,8 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
       // potentials, and a dormant sender's potential goes stale while the
       // source's drifts down; the seeded re-price clamps the awakening
       // senders and lowers just the violated neighborhood instead of
-      // re-pricing the whole graph. After an online slot patch the carried
-      // potentials predate the re-armed capacities, so the first warm step
-      // scans every arc once instead of just the appended suffix.
-      const EdgeId reprice_start = needs_full_reprice_ ? 0 : first_new;
-      gd_solver_.reprice_from(net_, reprice_start, step_source_arcs_);
-      needs_full_reprice_ = false;
+      // re-pricing the whole graph.
+      gd_solver_.reprice_from(net_, first_new, step_source_arcs_);
       res = gd_solver_.augment(net_, map_.source, map_.sink);
       if constexpr (kCheckedBuild) {
         if (audit_level_ >= AuditLevel::kFull) {
@@ -427,49 +354,18 @@ SweepStep ThetaSweeper::step_gc(double theta_km,
   last_guide_nodes_ = out.guide_nodes;
   out.graph_s = clock.elapsed_seconds();
   clock.reset();
-  if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-    // Carried prices would steer Dijkstra's zero-cost tie-breaking away
-    // from the cold oracle's, breaking the Gc bit-identity contract —
-    // reset per epoch exactly as the cold path does.
-    solver_.reset_potentials(net_.num_nodes());
-  } else {
-    // SPFA never reads the potentials, so carrying them across the
-    // teardown-and-rebuild cannot perturb the search — but it keeps the
-    // Johnson machinery live on Gc sweeps: last epoch's harvested labels
-    // are resized to this epoch's node count (guide-node counts vary) and
-    // re-certified against the rebuilt structure. Recycled guide-node ids
-    // and drifted φ caps make violations the norm, so reprices() finally
-    // moves on Gc benchmarks.
-    solver_.ensure_potentials(net_.num_nodes());
-    solver_.reprice_from(net_,
-                         static_cast<EdgeId>(scaffold_cp_.stored_edges));
-    if constexpr (kCheckedBuild) {
-      if (audit_level_ >= AuditLevel::kFull) {
-        AuditReport report;
-        if (integer_costs_) {
-          audit_reduced_costs_int(net_, solver_.ipotentials(), report,
-                                  ArcWalk::kTraversable);
-        } else {
-          audit_reduced_costs(net_, solver_.potentials(), report,
-                              ArcWalk::kTraversable);
-        }
-        report.require_clean("theta-sweep gc repriced potentials");
-      }
-    }
-  }
+  // Carried prices would steer Dijkstra's zero-cost tie-breaking away from
+  // the cold oracle's, breaking the Gc bit-identity contract, and SPFA
+  // never reads them: reset per epoch exactly as the cold path does.
+  solver_.reset_potentials(net_.num_nodes());
   const McmfResult res = solver_.augment(net_, map_.source, map_.sink);
-  if (strategy_ != McmfStrategy::kDijkstraPotentials) {
-    solver_.harvest_potentials(net_);
-  }
   out.moved = res.flow;
   out.cost = res.cost;
   out.mcmf_s = clock.elapsed_seconds();
   if constexpr (kCheckedBuild) {
     if (audit_level_ >= AuditLevel::kFull) {
       // Certify this transient Gc epoch min-cost before commit() freezes
-      // it and the next step's truncate() discards the evidence — the
-      // carried-potential reprice above checks price validity, this checks
-      // the flow itself.
+      // it and the next step's truncate() discards the evidence.
       AuditReport report;
       if (integer_costs_) {
         audit_epoch_residual_int(net_, report);

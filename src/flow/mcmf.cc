@@ -351,72 +351,6 @@ void McmfSolver::reset_potentials(std::size_t num_nodes) {
   }
 }
 
-void McmfSolver::ensure_potentials(std::size_t num_nodes) {
-  if (integer_) {
-    if (ipotential_.size() == num_nodes) return;
-    if (ipotential_.empty()) {
-      ipotential_.assign(num_nodes, 0);
-      return;
-    }
-    if (ipotential_.size() > num_nodes) {
-      ipotential_.resize(num_nodes);
-      return;
-    }
-    const std::int64_t fill =
-        *std::max_element(ipotential_.begin(), ipotential_.end());
-    ipotential_.resize(num_nodes, fill);
-    return;
-  }
-  if (potential_.size() == num_nodes) return;
-  if (potential_.empty()) {
-    potential_.assign(num_nodes, 0.0);
-    return;
-  }
-  if (potential_.size() > num_nodes) {
-    // Shrinking: the dropped tail held transient nodes (a previous epoch's
-    // guide nodes) that no longer exist — their prices constrain nothing.
-    potential_.resize(num_nodes);
-    return;
-  }
-  // Growing: price the fresh nodes at the largest carried potential, the
-  // same convention reprice() applies to unreached nodes. Arcs into them
-  // from any node priced at or below the maximum start non-negative.
-  const double fill =
-      *std::max_element(potential_.begin(), potential_.end());
-  potential_.resize(num_nodes, fill);
-}
-
-void McmfSolver::harvest_potentials(const FlowNetwork& net) {
-  const std::uint32_t stamp = state_.stamp;
-  if (integer_) {
-    std::int64_t max_reached = 0;
-    for (const NodeId v : state_.touched) {
-      if (state_.seen[v] == stamp) {
-        max_reached = std::max(max_reached, state_.idist[v]);
-      }
-    }
-    ipotential_.assign(net.num_nodes(), max_reached);
-    for (const NodeId v : state_.touched) {
-      if (state_.seen[v] == stamp && v < ipotential_.size()) {
-        ipotential_[v] = state_.idist[v];
-      }
-    }
-    return;
-  }
-  double max_reached = 0.0;
-  for (const NodeId v : state_.touched) {
-    if (state_.seen[v] == stamp) {
-      max_reached = std::max(max_reached, state_.dist[v]);
-    }
-  }
-  potential_.assign(net.num_nodes(), max_reached);
-  for (const NodeId v : state_.touched) {
-    if (state_.seen[v] == stamp && v < potential_.size()) {
-      potential_[v] = state_.dist[v];
-    }
-  }
-}
-
 bool McmfSolver::potentials_valid_for(const FlowNetwork& net,
                                       EdgeId first_edge) const {
   const auto storage_end = static_cast<EdgeId>(2 * net.num_edges());

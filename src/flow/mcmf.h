@@ -134,27 +134,6 @@ class McmfSolver {
   void reprice_from(const FlowNetwork& net, EdgeId first_edge,
                     std::span<const EdgeId> clamp_arcs = {});
 
-  /// Resize the carried potentials to `num_nodes` WITHOUT resetting the
-  /// values already held. Shrinking drops the tail (transient nodes that no
-  /// longer exist); growing fills new slots with the largest existing
-  /// potential — the same "unreached" convention reprice() uses, so arcs
-  /// from old nodes into fresh ones start with non-negative slack whenever
-  /// the old node prices at or below the maximum. A no-op at equal size;
-  /// with no potentials at all it behaves like reset_potentials().
-  void ensure_potentials(std::size_t num_nodes);
-
-  /// Adopt the distance labels of the last (exhausted) search as the
-  /// carried potentials: every node the search saw takes its exact SPFA
-  /// fixpoint distance, every unreached node the largest seen distance.
-  /// Called right after augment() returns — the final path search failed,
-  /// so its labels are true shortest distances over the current residual
-  /// graph and therefore a valid potential vector for it. This is how the
-  /// θ sweep's transient Gc epochs hand their prices forward even though
-  /// the SPFA engine never reads them: the next epoch starts from these
-  /// instead of from nothing, and reprice_from() re-certifies them against
-  /// the rebuilt structure.
-  void harvest_potentials(const FlowNetwork& net);
-
   /// Number of reprice() calls since construction (observability for the
   /// warm-start potentials fallback).
   [[nodiscard]] std::size_t reprices() const noexcept { return reprices_; }

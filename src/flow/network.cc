@@ -169,7 +169,7 @@ void FlowNetwork::truncate(const Checkpoint& cp) {
   // Reclaim the pool tail the dropped nodes' slices occupied (transient
   // guide nodes are appended last, so their slices sit at the tail); the θ
   // sweep's truncate-per-step loop then reuses the same bytes every epoch
-  // instead of growing the pool for the life of an online scaffold.
+  // instead of growing the pool for the life of a slot's scaffold.
   std::uint32_t tail = 0;
   for (const ArcRange& r : nodes_) tail = std::max(tail, r.begin + r.cap);
   arc_pool_.resize(tail);
@@ -187,15 +187,6 @@ void FlowNetwork::truncate(const Checkpoint& cp) {
   oracle_heads_.resize(cp.nodes);
   oracle_check();
 #endif
-}
-
-void FlowNetwork::reset_edge(EdgeId e, std::int64_t cap) {
-  CCDN_REQUIRE(e + 1 < to_.size() && (e & 1u) == 0, "not a forward edge id");
-  CCDN_REQUIRE(cap >= 0, "negative capacity");
-  residual_[e] = cap;
-  residual_[e ^ 1u] = 0;
-  original_caps_[e] = cap;
-  original_caps_[e ^ 1u] = 0;
 }
 
 void FlowNetwork::freeze_residuals() noexcept {

@@ -169,13 +169,6 @@ class FlowNetwork {
   /// pool bytes.
   void truncate(const Checkpoint& cp);
 
-  /// Re-arm a forward edge with a fresh capacity: residual capacity and the
-  /// flow() baseline both become `cap`, the paired backward arc drops to
-  /// zero, so the edge reads as unused. The cross-slot online patch uses
-  /// this to re-cap a retained scaffold's source/sink arcs with the new
-  /// slot's φ values instead of rebuilding the scaffold.
-  void reset_edge(EdgeId e, std::int64_t cap);
-
   /// Zero the residual (backward) arc of every edge, freezing the current
   /// flows in place: committed flow can no longer be rerouted by later
   /// augmentation, and every remaining positive-capacity arc is a forward

@@ -69,9 +69,9 @@ struct SimulationConfig {
   /// placements) in every build — see SimulationReport::slot_digests().
   AuditLevel audit_level = AuditLevel::kOff;
   /// Replay every slot on a fresh scheme clone and require the replayed
-  /// plan's digest to match — the oracle that cross-slot carried state
-  /// (the online scheduler's patched scaffolds, carried potentials, the
-  /// candidate cache) is a pure accelerator and never leaks into plans.
+  /// plan's digest to match — the oracle that state a scheme keeps across
+  /// slots (the reused θ-sweeper buffers, the shard-plan cache) is a pure
+  /// accelerator and never leaks into plans.
   /// Doubles the planning work; off by default, meant for tests and the
   /// differential suites. Schemes without clone() are skipped.
   bool verify_clone_purity = false;

@@ -1,5 +1,7 @@
 #include "trace/trace_io.h"
 
+#include <cmath>
+#include <limits>
 #include <utility>
 
 #include "util/error.h"
@@ -12,6 +14,27 @@ const char* const kHeader[] = {"user", "timestamp", "video", "lat", "lon"};
 
 [[noreturn]] void fail_row(std::size_t line, const std::string& what) {
   throw ParseError("trace CSV line " + std::to_string(line) + ": " + what);
+}
+
+/// A user or video id: rejected when it does not fit the id type, instead
+/// of wrapping (-1 would become 4294967295, 2^32 would become 0).
+template <typename Id>
+Id parse_id(const std::string& field, const char* what) {
+  const std::int64_t value = parse_int(field);
+  if (value < 0 || value > std::int64_t{std::numeric_limits<Id>::max()}) {
+    throw ParseError(std::string(what) + " id out of range: '" + field + "'");
+  }
+  return static_cast<Id>(value);
+}
+
+/// A latitude or longitude: from_chars accepts "nan" and "inf", and one
+/// such row would turn every distance average it touches into nan.
+double parse_coordinate(const std::string& field, const char* what) {
+  const double value = parse_double(field);
+  if (!std::isfinite(value)) {
+    throw ParseError(std::string(what) + " is not finite: '" + field + "'");
+  }
+  return value;
 }
 }  // namespace
 
@@ -78,11 +101,11 @@ std::optional<Request> TraceReader::next() {
   }
   Request r;
   try {
-    r.user = static_cast<UserId>(parse_int(fields_[0]));
+    r.user = parse_id<UserId>(fields_[0], "user");
     r.timestamp = parse_int(fields_[1]);
-    r.video = static_cast<VideoId>(parse_int(fields_[2]));
-    r.location.lat = parse_double(fields_[3]);
-    r.location.lon = parse_double(fields_[4]);
+    r.video = parse_id<VideoId>(fields_[2], "video");
+    r.location.lat = parse_coordinate(fields_[3], "latitude");
+    r.location.lon = parse_coordinate(fields_[4], "longitude");
   } catch (const ParseError& error) {
     fail_row(line_, error.what());
   }

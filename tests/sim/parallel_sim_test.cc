@@ -140,6 +140,42 @@ TEST(ParallelSimulator, ShardedSchemeIdenticalAcrossThreadCounts) {
                    workload.run(parallel_scheme, 4));
 }
 
+TEST(ParallelSimulator, RbcaerDigestsMatchAcrossWindowsAndClonePurity) {
+  // The windowed lanes hand each clone only every W-th slot, and the purity
+  // replay plans every slot again on a fresh clone: neither may change a
+  // plan, whatever θ-sweeper state a clone carries from its earlier slots.
+  WorldConfig world_config = WorldConfig::evaluation_region();
+  world_config.num_hotspots = 40;
+  world_config.num_videos = 800;
+  world_config.seed = 11;
+  World world = generate_world(world_config);
+  assign_uniform_capacities(world, 0.05, 0.03);
+  TraceConfig trace_config;
+  trace_config.num_requests = 5000;
+  trace_config.duration_hours = 8;
+  trace_config.seed = 11;
+  const auto trace = generate_trace(world, trace_config);
+
+  const auto run = [&](std::size_t threads, std::size_t window,
+                       bool purity) {
+    SimulationConfig config;
+    config.slot_seconds = 3600;
+    config.audit_level = AuditLevel::kPlan;  // records slot digests
+    config.num_threads = threads;
+    config.max_inflight_slots = window;
+    config.verify_clone_purity = purity;
+    RbcaerScheme scheme;
+    const Simulator simulator(world.hotspots(),
+                              VideoCatalog{world_config.num_videos}, config);
+    return simulator.run(scheme, trace).slot_digests();
+  };
+
+  const auto baseline = run(1, 0, false);
+  ASSERT_FALSE(baseline.empty());
+  EXPECT_EQ(run(2, 2, false), baseline);
+  EXPECT_EQ(run(4, 3, true), baseline);
+}
+
 TEST(ParallelSimulator, NearestIdenticalWithAllHardwareThreads) {
   const Workload workload;
   NearestScheme sequential_scheme;

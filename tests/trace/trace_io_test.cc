@@ -129,6 +129,50 @@ TEST(TraceReaderTest, WrongFieldCountNamesExactLine) {
   }
 }
 
+/// Parse a one-row trace whose row is `row`; returns the ParseError text,
+/// or "" when the row was accepted.
+std::string row_error(const std::string& row) {
+  std::istringstream in("user,timestamp,video,lat,lon\n"
+                        "1,100,10,40.0,116.5\n" +
+                        row + "\n");
+  TraceReader reader(in);
+  EXPECT_TRUE(reader.next().has_value());
+  try {
+    (void)reader.next();
+  } catch (const ParseError& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(TraceReaderTest, RejectsNonFiniteCoordinates) {
+  for (const char* row : {"2,200,11,nan,116.6", "2,200,11,40.1,inf",
+                          "2,200,11,-inf,116.6", "2,200,11,40.1,NAN"}) {
+    const std::string error = row_error(row);
+    EXPECT_NE(error.find("line 3"), std::string::npos) << row << ": " << error;
+    EXPECT_NE(error.find("not finite"), std::string::npos) << row;
+  }
+}
+
+TEST(TraceReaderTest, RejectsIdsThatWouldWrap) {
+  for (const char* row :
+       {"2,200,-1,40.1,116.6", "2,200,4294967296,40.1,116.6",
+        "-1,200,11,40.1,116.6", "4294967296,200,11,40.1,116.6"}) {
+    const std::string error = row_error(row);
+    EXPECT_NE(error.find("line 3"), std::string::npos) << row << ": " << error;
+    EXPECT_NE(error.find("out of range"), std::string::npos) << row;
+  }
+  // The extremes of the id type still load.
+  std::istringstream in("user,timestamp,video,lat,lon\n"
+                        "4294967295,100,4294967295,40.0,116.5\n"
+                        "0,101,0,40.0,116.5\n");
+  const auto loaded = read_trace_csv(in);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].user, 4294967295u);
+  EXPECT_EQ(loaded[0].video, 4294967295u);
+  EXPECT_EQ(loaded[1].video, 0u);
+}
+
 TEST(TraceWriterTest, BatchedAppendsRoundTrip) {
   std::vector<Request> requests(5);
   for (std::size_t i = 0; i < requests.size(); ++i) {

@@ -246,6 +246,45 @@ TEST(ScheduleAuditTest, AuditedRbcaerRunIsCleanAndDigested) {
   }
 }
 
+TEST(ScheduleAuditTest, AuditedWarmSweepRegimesAreClean) {
+  // Both regimes of the warm θ sweep under both Gc engines, on a fine θ
+  // grid so most steps are warm: the transient Gc epochs (certified
+  // min-cost before each teardown) and the persistent Gd steps, whose
+  // carried potentials the kFull audit re-checks after every augment.
+  // The audits run in checked builds only; release builds still plan.
+  WorldConfig world_config = WorldConfig::evaluation_region();
+  world_config.num_hotspots = 60;
+  world_config.num_videos = 800;
+  world_config.num_users = 3000;
+  World world = generate_world(world_config);
+  assign_uniform_capacities(world, 0.05, 0.03);
+  TraceConfig trace_config;
+  trace_config.num_requests = 6000;
+  trace_config.duration_hours = 4;
+  const auto trace = generate_trace(world, trace_config);
+
+  SimulationConfig sim_config;
+  sim_config.slot_seconds = 3600;
+  sim_config.audit_level = AuditLevel::kFull;
+  const Simulator simulator(world.hotspots(),
+                            VideoCatalog{world_config.num_videos}, sim_config);
+  for (const bool aggregation : {true, false}) {
+    for (const McmfStrategy strategy :
+         {McmfStrategy::kSpfa, McmfStrategy::kDijkstraPotentials}) {
+      RbcaerConfig scheme_config;
+      scheme_config.audit_level = AuditLevel::kFull;
+      scheme_config.content_aggregation = aggregation;
+      scheme_config.mcmf_strategy = strategy;
+      scheme_config.theta1_km = 0.3;
+      scheme_config.delta_km = 0.1;
+      RbcaerScheme scheme(scheme_config);
+      const SimulationReport report = simulator.run(scheme, trace);
+      EXPECT_EQ(report.slot_digests().size(), report.slots().size());
+      EXPECT_GT(report.served_by_hotspots(), 0u);
+    }
+  }
+}
+
 TEST(ScheduleAuditTest, SlotDigestsIdenticalAcrossThreadCounts) {
   // The digest turns thread-determinism into a one-line cross-check: the
   // parallel pipeline must produce bit-identical plans slot by slot.

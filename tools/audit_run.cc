@@ -4,8 +4,8 @@
 //   audit_run [--scheme=rbcaer|virtual|nearest|random] [--in=trace.csv]
 //             [--hotspots=310] [--videos=15190] [--requests=20000]
 //             [--hours=24] [--seed=42] [--slot-seconds=3600]
-//             [--capacity=0.05] [--cache=0.03] [--stream] [--online]
-//             [--shards=0] [--quiet]
+//             [--capacity=0.05] [--cache=0.03] [--stream] [--shards=0]
+//             [--simd=auto] [--quiet]
 //
 // Without --in a synthetic trace is generated from the world flags (the
 // same parameterization as `ccdn-trace generate`), so the tool is
@@ -57,13 +57,12 @@ struct SchemeChoice {
   bool audit_capacity = false;
 };
 
-SchemeChoice make_scheme(const std::string& name, bool online,
-                         std::size_t shards, SimdMode simd) {
+SchemeChoice make_scheme(const std::string& name, std::size_t shards,
+                         SimdMode simd) {
   SchemeChoice choice;
   if (name == "rbcaer") {
     RbcaerConfig config;
     config.audit_level = AuditLevel::kFull;
-    config.online = online;
     config.num_shards = shards;
     config.simd = simd;
     choice.scheme = std::make_unique<RbcaerScheme>(config);
@@ -71,7 +70,6 @@ SchemeChoice make_scheme(const std::string& name, bool online,
   } else if (name == "virtual") {
     VirtualRbcaerConfig config;
     config.regional.audit_level = AuditLevel::kFull;
-    config.regional.online = online;
     config.regional.num_shards = shards;
     config.regional.simd = simd;
     choice.scheme = std::make_unique<VirtualRbcaerScheme>(config);
@@ -89,11 +87,6 @@ SchemeChoice make_scheme(const std::string& name, bool online,
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   const std::string scheme_name = flags.get_string("scheme", "rbcaer");
-  // Cross-slot online scheduling (RBCAer family; the stateless baselines
-  // ignore it). The audited invariants are the same either way — that is
-  // the point: the patched path must produce plans the full audit stack
-  // cannot tell from the rebuild path's.
-  const bool online = flags.get_bool("online", false);
   // Zone-sharded planning: every shard's plan flows through the same full
   // audit stack as the unsharded path (plus the shard-locality and
   // exchange-boundary audits inside the orchestrator).
@@ -103,7 +96,7 @@ int main(int argc, char** argv) {
   // every mode, so the audits see the same numbers regardless.
   const SimdMode simd =
       parse_simd_mode(flags.get_string("simd", "auto"));
-  SchemeChoice choice = make_scheme(scheme_name, online, shards, simd);
+  SchemeChoice choice = make_scheme(scheme_name, shards, simd);
   if (!choice.scheme) {
     std::fprintf(stderr,
                  "unknown --scheme=%s (rbcaer|virtual|nearest|random)\n",

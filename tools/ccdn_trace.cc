@@ -13,16 +13,17 @@
 //
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
-//                       [--stream] [--threads=1] [--window=0] [--online]
+//                       [--stream] [--threads=1] [--window=0]
+//                       [--slot_seconds=86400] [--shards=0] [--simd=auto]
 //       Run one scheme over the trace and print the four paper metrics.
 //       --stream pulls slot batches straight off the CSV (bounded memory,
 //       bit-identical report); --threads/--window size the pipelined
-//       executor (window 0 = 2x threads); --online carries the RBCAer
-//       θ-sweep scaffold across slot boundaries (bit-identical plans,
-//       steady-state cost O(demand churn)).
+//       executor (window 0 = 2x threads).
 //
 // The world is regenerated from the same --seed/--hotspots/--videos flags,
-// so a trace file plus its generation flags fully reproduces a run.
+// so a trace file plus its generation flags fully reproduces a run. Every
+// subcommand rejects a flag it does not read (exit 2) before touching any
+// file.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -59,6 +60,17 @@ World world_from_flags(const Flags& flags) {
   return generate_world(config);
 }
 
+/// Call once every flag the subcommand uses has been read: a flag nobody
+/// read is a typo or a retired option, and running anyway would silently
+/// produce a different run than the caller asked for.
+bool reject_unused(const char* command, const Flags& flags) {
+  const auto unused = flags.unused();
+  for (const auto& name : unused) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", command, name.c_str());
+  }
+  return !unused.empty();
+}
+
 int cmd_generate(const Flags& flags) {
   const std::string out = flags.get_string("out", "");
   if (out.empty()) {
@@ -73,8 +85,10 @@ int cmd_generate(const Flags& flags) {
   trace_config.duration_hours =
       static_cast<std::size_t>(flags.get_int("hours", 24));
   trace_config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  const bool stream = flags.get_bool("stream", false);
+  if (reject_unused("generate", flags)) return 2;
   std::size_t written = 0;
-  if (flags.get_bool("stream", false)) {
+  if (stream) {
     TraceGenerator generator(world, trace_config);
     TraceWriter writer(out);
     while (auto batch = generator.next_slot_batch()) {
@@ -100,6 +114,8 @@ int cmd_stats(const Flags& flags) {
     std::fprintf(stderr, "stats: --in=<path> is required\n");
     return 2;
   }
+  const World world = world_from_flags(flags);
+  if (reject_unused("stats", flags)) return 2;
   const auto trace = read_trace_csv(in);
   if (trace.empty()) {
     std::fprintf(stderr, "stats: trace is empty\n");
@@ -113,7 +129,6 @@ int cmd_stats(const Flags& flags) {
               static_cast<double>(stats.span_seconds()) / 3600.0,
               stats.top20_share);
 
-  const World world = world_from_flags(flags);
   const GridIndex index(world.hotspot_locations(), 0.5);
   const RoutedDemand routed = route_nearest(index, trace);
 
@@ -144,10 +159,6 @@ int cmd_simulate(const Flags& flags) {
   assign_uniform_capacities(world, flags.get_double("capacity", 0.05),
                             flags.get_double("cache", 0.03));
   const std::string scheme_name = flags.get_string("scheme", "rbcaer");
-  // Cross-slot online scheduling for the RBCAer family: patch the previous
-  // slot's θ-sweep scaffold instead of rebuilding when the partition
-  // membership holds. Plans are bit-identical to the rebuild path.
-  const bool online = flags.get_bool("online", false);
   // Jd SIMD kernel selection (auto | scalar | avx2). Any mode yields the
   // identical plan; the flag exists for pinning and for forcing the vector
   // path in benchmarks.
@@ -156,7 +167,6 @@ int cmd_simulate(const Flags& flags) {
   SchemePtr scheme;
   if (scheme_name == "rbcaer") {
     RbcaerConfig config;
-    config.online = online;
     config.simd = simd;
     scheme = std::make_unique<RbcaerScheme>(config);
   } else if (scheme_name == "nearest") {
@@ -165,7 +175,6 @@ int cmd_simulate(const Flags& flags) {
     scheme = std::make_unique<RandomScheme>(1.5);
   } else if (scheme_name == "virtual") {
     VirtualRbcaerConfig config;
-    config.regional.online = online;
     config.regional.simd = simd;
     scheme = std::make_unique<VirtualRbcaerScheme>(config);
   } else {
@@ -185,11 +194,13 @@ int cmd_simulate(const Flags& flags) {
   // via SchemeContext, the stateless baselines ignore it.
   sim_config.num_shards =
       static_cast<std::size_t>(flags.get_int("shards", 0));
+  const bool stream = flags.get_bool("stream", false);
+  if (reject_unused("simulate", flags)) return 2;
   const Simulator simulator(world.hotspots(),
                             VideoCatalog{world.config().num_videos},
                             sim_config);
   SimulationReport report = [&] {
-    if (flags.get_bool("stream", false)) {
+    if (stream) {
       CsvSlotSource source(in, sim_config.slot_seconds);
       return simulator.run(*scheme, source);
     }
