@@ -18,7 +18,6 @@
 // (b) the thread-scaling curve of the parallel slot-scheduling pipeline on
 // an hourly multi-slot trace.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -137,87 +136,6 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
   return row;
 }
 
-// --- Layout section: the fixed-point integer engine vs the double engine. ---
-// Per-slot graph+MCMF seconds of the integer-cost engine (DESIGN.md §3.11)
-// against the double engine on the θ-sweep section's slot, with the
-// paper's θ grid. The oracle accepts equal plans or a bounded moved-total
-// drift: Gc's greedy θ sweep may legitimately diverge at city scale when
-// two distinct path costs collapse into one 2^-20 km quantum. These rows
-// are the only at-scale check of that Gc value-equality tier.
-
-/// Integer-mode moved totals may drift from the double engine's on Gc
-/// (quantized tie-flips reroute the greedy sweep); anything beyond this
-/// relative bound is a real defect, not tie noise.
-constexpr double kIntMovedTolerance = 0.01;
-
-struct LayoutBenchRow {
-  std::string name;
-  std::size_t hotspots = 0;
-  double graph_s = 0.0;  // integer engine, best of repeats
-  double mcmf_s = 0.0;
-  double double_graph_s = 0.0;  // double engine, best of repeats
-  double double_mcmf_s = 0.0;
-  /// Plans equal the double engine's (assignments, placements, moved).
-  bool plan_equal = false;
-  /// |moved_int - moved_double| / moved_double.
-  double moved_rel_delta = 0.0;
-
-  [[nodiscard]] double int_s() const { return graph_s + mcmf_s; }
-  [[nodiscard]] double double_s() const {
-    return double_graph_s + double_mcmf_s;
-  }
-  [[nodiscard]] double speedup() const {
-    return int_s() > 0.0 ? double_s() / int_s() : 0.0;
-  }
-  /// The row's acceptance oracle, CI-gated via the JSON field: exact plans
-  /// or bounded moved drift vs the double engine.
-  [[nodiscard]] bool oracle_ok() const {
-    return plan_equal || moved_rel_delta <= kIntMovedTolerance;
-  }
-};
-
-LayoutBenchRow layout_int_bench(const std::string& name, bool aggregation,
-                                const SchemeContext& context,
-                                std::span<const Request> trace,
-                                const SlotDemand& demand,
-                                std::size_t repeats) {
-  RbcaerConfig config;
-  config.content_aggregation = aggregation;
-  RbcaerScheme dbl(config);
-  config.integer_costs = true;
-  RbcaerScheme fixed(config);
-
-  LayoutBenchRow row;
-  row.name = name;
-  row.hotspots = context.hotspots.size();
-  row.graph_s = row.mcmf_s = row.double_graph_s = row.double_mcmf_s = 1e300;
-  SlotPlan dplan;
-  SlotPlan iplan;
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    dplan = dbl.plan_slot(context, trace, demand);
-    const StageTimings* dt = dbl.last_stage_timings();
-    if (dt->graph_s + dt->mcmf_s < row.double_s()) {
-      row.double_graph_s = dt->graph_s;
-      row.double_mcmf_s = dt->mcmf_s;
-    }
-    iplan = fixed.plan_slot(context, trace, demand);
-    const StageTimings* it = fixed.last_stage_timings();
-    if (it->graph_s + it->mcmf_s < row.int_s()) {
-      row.graph_s = it->graph_s;
-      row.mcmf_s = it->mcmf_s;
-    }
-  }
-  const auto dmoved = dbl.last_diagnostics().moved;
-  const auto imoved = fixed.last_diagnostics().moved;
-  row.plan_equal = iplan.assignment == dplan.assignment &&
-                   iplan.placements == dplan.placements && imoved == dmoved;
-  if (dmoved > 0) {
-    row.moved_rel_delta = std::abs(static_cast<double>(imoved - dmoved)) /
-                          static_cast<double>(dmoved);
-  }
-  return row;
-}
-
 // --- Sharding section: zone-sharded solve vs the global solve. ---
 // Per shard count, the slot is solved by partitioning the hotspots into K
 // geo zones (solved one after another in-process), plus one cross-shard
@@ -330,7 +248,6 @@ ShardBenchRow shard_bench_mode(const std::string& name, bool aggregation,
 /// hierarchical_scalability's BENCH_gc.json.
 void write_flow_json(const std::string& path,
                      const std::vector<FlowBenchRow>& rows,
-                     const std::vector<LayoutBenchRow>& layout_rows,
                      const std::vector<ShardBenchRow>& shard_rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
@@ -353,23 +270,7 @@ void write_flow_json(const std::string& path,
         static_cast<long long>(r.moved), r.cold_graph_s, r.cold_mcmf_s,
         r.warm_graph_s, r.warm_mcmf_s, r.cold_s(), r.warm_s(), r.speedup(),
         r.reprices, r.identical ? "true" : "false",
-        i + 1 < rows.size() || !layout_rows.empty() ? "," : "");
-  }
-  for (std::size_t i = 0; i < layout_rows.size(); ++i) {
-    const LayoutBenchRow& r = layout_rows[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"layout/%s/H=%zu\", \"engine\": \"int\", "
-        "\"hotspots\": %zu, \"graph_s\": %.6f, \"mcmf_s\": %.6f, "
-        "\"int_s\": %.6f, \"double_graph_s\": %.6f, "
-        "\"double_mcmf_s\": %.6f, \"double_s\": %.6f, \"speedup\": %.2f, "
-        "\"plan_equal\": %s, \"moved_rel_delta\": %.6f, "
-        "\"oracle_ok\": %s}%s\n",
-        r.name.c_str(), r.hotspots, r.hotspots, r.graph_s, r.mcmf_s,
-        r.int_s(), r.double_graph_s, r.double_mcmf_s, r.double_s(),
-        r.speedup(), r.plan_equal ? "true" : "false", r.moved_rel_delta,
-        r.oracle_ok() ? "true" : "false",
-        i + 1 < layout_rows.size() || !shard_rows.empty() ? "," : "");
+        i + 1 < rows.size() || !shard_rows.empty() ? "," : "");
   }
   for (std::size_t i = 0; i < shard_rows.size(); ++i) {
     const ShardBenchRow& r = shard_rows[i];
@@ -436,11 +337,10 @@ void run_flow_bench(const Flags& flags) {
   const SlotDemand demand(trace, index);
 
   // --shard_only: CI's reduced-scale shard-matrix job runs just the
-  // sharding section (the θ-sweep/layout sections are covered by the
-  // flow-bench job).
+  // sharding section (the θ-sweep section is covered by the flow-bench
+  // job).
   const bool shard_only = flags.get_bool("shard_only", false);
   std::vector<FlowBenchRow> rows;
-  std::vector<LayoutBenchRow> layout_rows;
   if (!shard_only) {
   std::printf("\n=== warm-started θ sweep vs cold rebuild-per-θ ===\n");
   std::printf("%zu hotspots, %zu requests, coarse θ = 0.3..1.5 step 0.1 / "
@@ -463,23 +363,6 @@ void run_flow_bench(const Flags& flags) {
                 row.name.c_str(), row.theta_steps, row.cold_graph_s,
                 row.cold_mcmf_s, row.warm_graph_s, row.warm_mcmf_s,
                 row.speedup(), row.identical ? "identical" : "MISMATCH!");
-  }
-
-  layout_rows.push_back(
-      layout_int_bench("gc-int", true, context, trace, demand, repeats));
-  layout_rows.push_back(
-      layout_int_bench("gd-int", false, context, trace, demand, repeats));
-  std::printf("\n=== fixed-point integer engine vs double engine ===\n");
-  std::printf("%-10s %11s %11s %11s %11s %9s %11s\n", "graph", "int graph",
-              "int mcmf", "dbl graph", "dbl mcmf", "speedup", "oracle");
-  for (const LayoutBenchRow& row : layout_rows) {
-    // Exact plans for Gd, bounded moved drift for Gc.
-    const char* oracle = !row.oracle_ok()  ? "MISMATCH!"
-                         : row.plan_equal ? "plan-equal"
-                                          : "value-ok";
-    std::printf("%-10s %10.3fs %10.3fs %10.3fs %10.3fs %8.2fx %11s\n",
-                row.name.c_str(), row.graph_s, row.mcmf_s, row.double_graph_s,
-                row.double_mcmf_s, row.speedup(), oracle);
   }
   }  // !shard_only
 
@@ -534,7 +417,7 @@ void run_flow_bench(const Flags& flags) {
   }
 
   write_flow_json(flags.get_string("flow_json_out", "BENCH_flow.json"), rows,
-                  layout_rows, shard_rows);
+                  shard_rows);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <queue>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,7 +26,6 @@
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/arena.h"
-#include "util/radix_heap.h"
 
 namespace {
 
@@ -95,37 +93,6 @@ void BM_DinicMaxflow(benchmark::State& state) {
 }
 BENCHMARK(BM_DinicMaxflow)->Arg(50)->Arg(150)->Arg(400)->ComputeStatistics("min", min_stat);
 
-/// Fixed-point engine on the same graphs: int32 quantized costs, exact
-/// comparisons, radix-heap Dijkstra (McmfConfig::integer_costs).
-void BM_McmfIntSpfa(benchmark::State& state) {
-  Rng rng(1);
-  FlowNetwork base =
-      make_bipartite(rng, static_cast<std::size_t>(state.range(0)), 0.2);
-  base.set_cost_quantization(kDefaultCostScale);
-  for (auto _ : state) {
-    FlowNetwork net = base;
-    McmfSolver solver(McmfConfig{McmfStrategy::kSpfa, true});
-    benchmark::DoNotOptimize(solver.augment(net, 0, 1));
-  }
-}
-BENCHMARK(BM_McmfIntSpfa)->Arg(50)->Arg(150)->Arg(400)
-    ->ComputeStatistics("min", min_stat);
-
-void BM_McmfIntDijkstra(benchmark::State& state) {
-  Rng rng(1);
-  FlowNetwork base =
-      make_bipartite(rng, static_cast<std::size_t>(state.range(0)), 0.2);
-  base.set_cost_quantization(kDefaultCostScale);
-  for (auto _ : state) {
-    FlowNetwork net = base;
-    McmfSolver solver(McmfConfig{McmfStrategy::kDijkstraPotentials, true});
-    solver.reset_potentials(net.num_nodes());
-    benchmark::DoNotOptimize(solver.augment(net, 0, 1));
-  }
-}
-BENCHMARK(BM_McmfIntDijkstra)->Arg(50)->Arg(150)->Arg(400)
-    ->ComputeStatistics("min", min_stat);
-
 /// Full residual-graph walk (every arc of every node, summing residuals):
 /// the access pattern of one SPFA relaxation sweep, isolated from solver
 /// logic. CSR keeps each slice contiguous in one pool.
@@ -145,94 +112,6 @@ void BM_ArcWalkCsr(benchmark::State& state) {
       static_cast<std::int64_t>(2 * net.num_edges()));
 }
 BENCHMARK(BM_ArcWalkCsr)->Arg(400)->Arg(1200)
-    ->ComputeStatistics("min", min_stat);
-
-/// Monotone-key Dijkstra on a shared random digraph: binary heap of
-/// (uint64, node) pairs vs the 64-bucket radix heap the integer engine uses.
-struct IntGraph {
-  std::vector<std::uint32_t> offsets;  // node -> first arc
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> arcs;  // (to, weight)
-};
-
-IntGraph make_int_graph(std::size_t nodes, std::size_t degree) {
-  Rng rng(9);
-  IntGraph g;
-  g.offsets.reserve(nodes + 1);
-  g.arcs.reserve(nodes * degree);
-  for (std::size_t n = 0; n < nodes; ++n) {
-    g.offsets.push_back(static_cast<std::uint32_t>(g.arcs.size()));
-    for (std::size_t d = 0; d < degree; ++d) {
-      g.arcs.emplace_back(static_cast<std::uint32_t>(rng.index(nodes)),
-                          static_cast<std::uint32_t>(rng.index(10000)));
-    }
-  }
-  g.offsets.push_back(static_cast<std::uint32_t>(g.arcs.size()));
-  return g;
-}
-
-constexpr std::uint64_t kUnreached = ~std::uint64_t{0};
-
-template <typename PushPop>
-void int_dijkstra(const IntGraph& g, std::vector<std::uint64_t>& dist,
-                  PushPop&& heap_loop) {
-  dist.assign(g.offsets.size() - 1, kUnreached);
-  dist[0] = 0;
-  heap_loop(dist);
-}
-
-void BM_DijkstraBinaryHeap(benchmark::State& state) {
-  const IntGraph g = make_int_graph(static_cast<std::size_t>(state.range(0)), 8);
-  std::vector<std::uint64_t> dist;
-  for (auto _ : state) {
-    int_dijkstra(g, dist, [&](std::vector<std::uint64_t>& d) {
-      std::priority_queue<std::pair<std::uint64_t, std::uint32_t>,
-                          std::vector<std::pair<std::uint64_t, std::uint32_t>>,
-                          std::greater<>>
-          heap;
-      heap.emplace(0, 0);
-      while (!heap.empty()) {
-        const auto [key, node] = heap.top();
-        heap.pop();
-        if (key != d[node]) continue;  // lazy deletion
-        for (std::uint32_t a = g.offsets[node]; a < g.offsets[node + 1]; ++a) {
-          const auto [to, w] = g.arcs[a];
-          if (key + w < d[to]) {
-            d[to] = key + w;
-            heap.emplace(d[to], to);
-          }
-        }
-      }
-    });
-    benchmark::DoNotOptimize(dist.data());
-  }
-}
-BENCHMARK(BM_DijkstraBinaryHeap)->Arg(4096)->Arg(32768)
-    ->ComputeStatistics("min", min_stat);
-
-void BM_DijkstraRadixHeap(benchmark::State& state) {
-  const IntGraph g = make_int_graph(static_cast<std::size_t>(state.range(0)), 8);
-  std::vector<std::uint64_t> dist;
-  RadixHeap64 heap;
-  for (auto _ : state) {
-    int_dijkstra(g, dist, [&](std::vector<std::uint64_t>& d) {
-      heap.clear();
-      heap.push(0, 0);
-      while (!heap.empty()) {
-        const auto [key, node] = heap.pop();
-        if (key != d[node]) continue;  // lazy deletion
-        for (std::uint32_t a = g.offsets[node]; a < g.offsets[node + 1]; ++a) {
-          const auto [to, w] = g.arcs[a];
-          if (key + w < d[to]) {
-            d[to] = key + w;
-            heap.push(d[to], to);
-          }
-        }
-      }
-    });
-    benchmark::DoNotOptimize(dist.data());
-  }
-}
-BENCHMARK(BM_DijkstraRadixHeap)->Arg(4096)->Arg(32768)
     ->ComputeStatistics("min", min_stat);
 
 /// Per-lane solver scratch: four worker vectors built, filled, and dropped

@@ -174,8 +174,7 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   // (candidate_edges applies the exact distance cut and sorts receivers by
   // index), so any grid works; mirror the simulator's cell.
   const GridIndex index(std::move(locations), 0.5);
-  ThetaSweeper sweeper(config.mcmf_strategy, config.integer_costs,
-                       config.cost_scale);
+  ThetaSweeper sweeper(config.mcmf_strategy);
   sweeper.set_audit_level(config.audit_level);
   SweepOutcome sweep = run_theta_sweep(config, sub_hotspots, index, partition,
                                        max_movable, cluster_of, sweeper);
@@ -196,8 +195,7 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
 
 RbcaerScheme::RbcaerScheme(RbcaerConfig config)
     : config_(config),
-      sweeper_(config.mcmf_strategy, config.integer_costs,
-               config.cost_scale) {
+      sweeper_(config.mcmf_strategy) {
   CCDN_REQUIRE(config_.theta1_km >= 0.0, "negative theta1");
   CCDN_REQUIRE(config_.theta2_km >= config_.theta1_km,
                "theta2 below theta1");
@@ -205,10 +203,6 @@ RbcaerScheme::RbcaerScheme(RbcaerConfig config)
   CCDN_REQUIRE(config_.top_fraction > 0.0 && config_.top_fraction <= 1.0,
                "top_fraction outside (0,1]");
   CCDN_REQUIRE(config_.bpeak_multiplier > 0.0, "non-positive B_peak");
-  CCDN_REQUIRE(!config_.integer_costs || config_.incremental_sweep,
-               "integer costs require the incremental sweep (the cold "
-               "oracle path is double-only)");
-  CCDN_REQUIRE(config_.cost_scale > 0.0, "non-positive cost scale");
   sweeper_.set_audit_level(config_.audit_level);
 }
 

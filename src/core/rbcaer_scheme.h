@@ -69,25 +69,10 @@ struct RbcaerConfig {
   /// Procedure-1-only behaviour.
   bool miss_redirection = true;
   McmfStrategy mcmf_strategy = McmfStrategy::kSpfa;
-  /// Fixed-point integer-cost MCMF engine (McmfConfig::integer_costs):
-  /// the warm sweep's networks carry an int32 quantized cost mirror at
-  /// `cost_scale` units per km, path searches compare exactly, and the Gd
-  /// engine's Dijkstra runs on a monotone radix heap. The equality
-  /// contract vs the double engine is tiered (DESIGN.md §3.11): Gd plans
-  /// are equal under kSpfa (optima generically unique on real geometry,
-  /// SPFA tie-breaking adjacency-order-driven in both domains; asserted
-  /// by the differential suite and the golden-digest tool's -int
-  /// variants). Gc plans are equal at golden scale but can drift at city
-  /// scale: two double costs within one quantum collapse to an exact
-  /// integer tie, the flipped tie-break feeds the greedy θ sweep, and the
-  /// divergence compounds — even the moved total can shift (measured
-  /// ~0.07% at H=2000; the layout bench gates it at 1%). Under
-  /// kDijkstraPotentials the Gc epochs' zero-cost ties additionally pop
-  /// in heap-specific order. Requires incremental_sweep (the cold oracle
-  /// path stays double-only).
+  /// Ignored; kept only because perfbench/trace_mode.cc reads it.
   bool integer_costs = false;
-  /// Fixed-point scale for integer_costs, in units per km.
-  double cost_scale = kDefaultCostScale;
+  /// Ignored; kept only because perfbench/trace_mode.cc reads it.
+  double cost_scale = 0.0;
   /// Warm-started θ sweep (ThetaSweeper): one persistent flow network per
   /// slot, per-step edge appends, min-cost augmentation continued from the
   /// frozen residual state. false falls back to the cold rebuild-per-θ

@@ -12,9 +12,6 @@ void ThetaSweeper::begin_slot(HotspotPartition& partition,
                               std::span<const CandidateEdge> candidates) {
   partition_ = &partition;
   candidates_.assign(candidates.begin(), candidates.end());
-  // Sticky on the persistent network, but cheap and idempotent — arming it
-  // every slot keeps the first slot and every later one on the same path.
-  if (integer_costs_) net_.set_cost_quantization(cost_scale_);
 
   // Sort flat (distance, index) keys rather than indices with an indirect
   // comparator: the sort is once-per-slot but over every candidate pair, and
@@ -254,16 +251,10 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
           // not stored: a dormant sender's source arc was parked by
           // focus_out_edges above, its price is stale by design, and the
           // seeded re-price clamps it again before it re-enters any
-          // adjacency slice. Each domain audits its own prices — see
-          // audit_reduced_costs_int.
+          // adjacency slice.
           AuditReport report;
-          if (integer_costs_) {
-            audit_reduced_costs_int(net_, gd_solver_.ipotentials(), report,
-                                    ArcWalk::kTraversable);
-          } else {
-            audit_reduced_costs(net_, gd_solver_.potentials(), report,
-                                ArcWalk::kTraversable);
-          }
+          audit_reduced_costs(net_, gd_solver_.potentials(), report,
+                              ArcWalk::kTraversable);
           report.require_clean("theta-sweep carried potentials");
         }
       }
@@ -308,14 +299,9 @@ SweepStep ThetaSweeper::step_gd(double theta_km) {
   if constexpr (kCheckedBuild) {
     if (audit_level_ >= AuditLevel::kFull) {
       // Certify this transient epoch min-cost before commit() freezes it
-      // and the next step's truncate() discards the evidence, in the
-      // domain the engine actually optimized.
+      // and the next step's truncate() discards the evidence.
       AuditReport report;
-      if (integer_costs_) {
-        audit_epoch_residual_int(net_, report);
-      } else {
-        audit_epoch_residual(net_, report);
-      }
+      audit_epoch_residual(net_, report);
       report.require_clean("theta-sweep gd transient epoch");
     }
   }
@@ -367,11 +353,7 @@ SweepStep ThetaSweeper::step_gc(double theta_km,
       // Certify this transient Gc epoch min-cost before commit() freezes
       // it and the next step's truncate() discards the evidence.
       AuditReport report;
-      if (integer_costs_) {
-        audit_epoch_residual_int(net_, report);
-      } else {
-        audit_epoch_residual(net_, report);
-      }
+      audit_epoch_residual(net_, report);
       report.require_clean("theta-sweep gc transient epoch");
     }
   }

@@ -67,25 +67,12 @@ class ThetaSweeper {
   /// bit-for-bit identical. Gd steps always use the carried-potentials
   /// Dijkstra engine (see gd_solver_); plain distance costs make ties
   /// measure-zero, so the flows still match the cold path's solutions.
-  ///
-  /// `integer_costs` switches both engines into the fixed-point domain
-  /// (McmfConfig::integer_costs): every slot's network carries the
-  /// quantized cost mirror at `cost_scale` units per km, searches compare
-  /// exactly, and the Gd engine's Dijkstra runs on the monotone radix
-  /// heap. Plan-equality variant, not a digest oracle — and under
-  /// strategy == kDijkstraPotentials the Gc epochs' zero-cost ties pop in
-  /// heap-specific order, so only the plan's VALUE (moved, min cost) is
-  /// guaranteed there; every other regime/strategy combination reproduces
-  /// the double plans exactly (DESIGN.md §3.11).
+  /// The second and third parameters are ignored; kept only because
+  /// perfbench/trace_mode.cc passes them.
   explicit ThetaSweeper(McmfStrategy strategy = McmfStrategy::kSpfa,
-                        bool integer_costs = false,
-                        double cost_scale = kDefaultCostScale)
-      : solver_(McmfConfig{strategy, integer_costs}, &arena_),
-        gd_solver_(McmfConfig{McmfStrategy::kDijkstraPotentials,
-                              integer_costs},
-                   &arena_),
-        integer_costs_(integer_costs),
-        cost_scale_(cost_scale) {}
+                        bool = false, double = 0.0)
+      : solver_(strategy, &arena_),
+        gd_solver_(McmfStrategy::kDijkstraPotentials, &arena_) {}
 
   // The lane arena hands out interior pointers to members; moving the
   // sweeper would leave the solvers' buffers pointing into the old object.
@@ -172,8 +159,6 @@ class ThetaSweeper {
   /// immediately and the sink-bound prune cuts nearly every other label —
   /// measured ~3x fewer arc scans than SPFA on the same warm graph.
   McmfSolver gd_solver_;
-  bool integer_costs_ = false;
-  double cost_scale_ = kDefaultCostScale;
 
   HotspotPartition* partition_ = nullptr;
   // original candidate_edges order

@@ -10,8 +10,7 @@ namespace ccdn {
 namespace {
 
 // Path costs are sums of km distances; treat differences below this as zero
-// to keep the search robust against floating-point noise. The integer-cost
-// engine has no analogue: quantized costs compare exactly.
+// to keep the search robust against floating-point noise.
 constexpr double kEps = 1e-9;
 
 std::int64_t bottleneck_along_path(const FlowNetwork& net, NodeId source,
@@ -48,7 +47,7 @@ double apply_path(FlowNetwork& net, NodeId source, NodeId sink,
 
 bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
   const std::size_t n = net.num_nodes();
-  state_.begin_search(n, /*integer=*/false);
+  state_.begin_search(n);
   const std::uint32_t stamp = state_.stamp;
   // The in_queue flags bound occupancy at n, so a ring buffer of n + 1 slots
   // gives deque semantics (SLF needs push_front) without deque allocations.
@@ -103,64 +102,9 @@ bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
   return state_.seen[sink] == stamp;
 }
 
-bool McmfSolver::spfa_int(const FlowNetwork& net, NodeId source, NodeId sink) {
-  const std::size_t n = net.num_nodes();
-  state_.begin_search(n, /*integer=*/true);
-  const std::uint32_t stamp = state_.stamp;
-  const std::size_t cap = n + 1;
-  state_.queue.resize(cap);
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  const auto queue_empty = [&] { return head == tail; };
-  const auto push_back = [&](NodeId v) {
-    state_.queue[tail] = v;
-    tail = (tail + 1) % cap;
-  };
-  const auto push_front = [&](NodeId v) {
-    head = (head + cap - 1) % cap;
-    state_.queue[head] = v;
-  };
-
-  state_.idist[source] = 0;
-  state_.seen[source] = stamp;
-  state_.touched.push_back(source);
-  push_back(source);
-  state_.in_queue[source] = 1;
-  while (!queue_empty()) {
-    const NodeId node = state_.queue[head];
-    head = (head + 1) % cap;
-    state_.in_queue[node] = 0;
-    for (const EdgeId e : net.out_edges(node)) {
-      if (net.residual(e) <= 0) continue;
-      const NodeId to = net.arc_to(e);
-      const std::int64_t candidate = state_.idist[node] + net.qcost(e);
-      // Exact comparison — no kEps. Quantization already absorbed the
-      // sub-resolution noise the double engine tolerates at relax time.
-      if (state_.seen[to] != stamp || candidate < state_.idist[to]) {
-        if (state_.seen[to] != stamp) {
-          state_.touched.push_back(to);
-        }
-        state_.idist[to] = candidate;
-        state_.parent_edge[to] = e;
-        state_.seen[to] = stamp;
-        if (!state_.in_queue[to]) {
-          if (!queue_empty() &&
-              candidate < state_.idist[state_.queue[head]]) {
-            push_front(to);
-          } else {
-            push_back(to);
-          }
-          state_.in_queue[to] = 1;
-        }
-      }
-    }
-  }
-  return state_.seen[sink] == stamp;
-}
-
 bool McmfSolver::dijkstra(const FlowNetwork& net, NodeId source, NodeId sink) {
   const std::size_t n = net.num_nodes();
-  state_.begin_search(n, /*integer=*/false);
+  state_.begin_search(n);
   const std::uint32_t stamp = state_.stamp;
   auto& heap = state_.heap;
   heap.clear();
@@ -229,61 +173,6 @@ bool McmfSolver::dijkstra(const FlowNetwork& net, NodeId source, NodeId sink) {
   return state_.settled[sink] == stamp;
 }
 
-bool McmfSolver::dijkstra_int(const FlowNetwork& net, NodeId source,
-                              NodeId sink) {
-  const std::size_t n = net.num_nodes();
-  state_.begin_search(n, /*integer=*/true);
-  const std::uint32_t stamp = state_.stamp;
-  auto& rheap = state_.rheap;
-  rheap.clear();
-  state_.idist[source] = 0;
-  state_.seen[source] = stamp;
-  state_.touched.push_back(source);
-  rheap.push(0, source);
-  while (!rheap.empty()) {
-    // The radix heap has no cheap peek, so the early-settle check runs
-    // pop-then-test: keys pop in non-decreasing order, so the first popped
-    // key >= idist[sink] proves the sink's label final exactly when the
-    // binary-heap peek would have.
-    const auto [key, node32] = rheap.pop();
-    const NodeId node = node32;
-    const auto d = static_cast<std::int64_t>(key);
-    if (state_.settled[node] == stamp) continue;  // stale lazy-deleted entry
-    if (state_.seen[sink] == stamp && d >= state_.idist[sink]) {
-      state_.settled[sink] = stamp;
-      return true;
-    }
-    state_.settled[node] = stamp;
-    if (node == sink) return true;
-    for (const EdgeId e : net.out_edges(node)) {
-      const NodeId to = net.arc_to(e);
-      if (net.residual(e) <= 0 || state_.settled[to] == stamp) continue;
-      const std::int64_t reduced =
-          net.qcost(e) + ipotential_[node] - ipotential_[to];
-      // Exact domain: a negative reduced cost is a real invariant breach,
-      // never float noise — no clamp, no tolerance.
-      CCDN_ENSURE(reduced >= 0, "negative reduced cost: stale potentials");
-      const std::int64_t candidate = d + reduced;
-      if (to != sink && state_.seen[sink] == stamp &&
-          candidate >= state_.idist[sink]) {
-        continue;
-      }
-      if (state_.seen[to] != stamp || candidate < state_.idist[to]) {
-        if (state_.seen[to] != stamp) {
-          state_.touched.push_back(to);
-        }
-        state_.idist[to] = candidate;
-        state_.parent_edge[to] = e;
-        state_.seen[to] = stamp;
-        if (to == sink || !net.out_edges(to).empty()) {
-          rheap.push(static_cast<std::uint64_t>(candidate), to);
-        }
-      }
-    }
-  }
-  return state_.settled[sink] == stamp;
-}
-
 void McmfSolver::update_potentials(NodeId sink) {
   const std::uint32_t stamp = state_.stamp;
   if (state_.settled[sink] == stamp) {
@@ -321,160 +210,19 @@ void McmfSolver::update_potentials(NodeId sink) {
   }
 }
 
-void McmfSolver::update_potentials_int(NodeId sink) {
-  const std::uint32_t stamp = state_.stamp;
-  if (state_.settled[sink] == stamp) {
-    const std::int64_t d_sink = state_.idist[sink];
-    for (const NodeId v : state_.touched) {
-      ipotential_[v] += std::min(state_.idist[v], d_sink) - d_sink;
-    }
-    return;
-  }
-  std::int64_t max_reached = 0;
-  for (const NodeId v : state_.touched) {
-    if (state_.settled[v] == stamp) {
-      max_reached = std::max(max_reached, state_.idist[v]);
-    }
-  }
-  for (const NodeId v : state_.touched) {
-    if (state_.settled[v] == stamp) {
-      ipotential_[v] += state_.idist[v] - max_reached;
-    }
-  }
-}
-
 void McmfSolver::reset_potentials(std::size_t num_nodes) {
-  if (integer_) {
-    ipotential_.assign(num_nodes, 0);
-  } else {
-    potential_.assign(num_nodes, 0.0);
-  }
-}
-
-bool McmfSolver::potentials_valid_for(const FlowNetwork& net,
-                                      EdgeId first_edge) const {
-  const auto storage_end = static_cast<EdgeId>(2 * net.num_edges());
-  if (integer_) {
-    for (EdgeId e = first_edge; e < storage_end; ++e) {
-      if (net.residual(e) <= 0) continue;
-      const NodeId from = net.arc_from(e);
-      const NodeId to = net.arc_to(e);
-      if (from >= ipotential_.size() || to >= ipotential_.size()) {
-        return false;
-      }
-      if (net.qcost(e) + ipotential_[from] - ipotential_[to] < 0) {
-        return false;
-      }
-    }
-    return true;
-  }
-  for (EdgeId e = first_edge; e < storage_end; ++e) {
-    if (net.residual(e) <= 0) continue;
-    const NodeId from = net.arc_from(e);
-    const NodeId to = net.arc_to(e);
-    if (from >= potential_.size() || to >= potential_.size()) {
-      return false;
-    }
-    const double reduced = net.cost(e) + potential_[from] - potential_[to];
-    if (reduced < -kEps) return false;
-  }
-  return true;
-}
-
-void McmfSolver::reprice(const FlowNetwork& net, NodeId source) {
-  ++reprices_;
-  if (integer_) {
-    spfa_int(net, source, source);  // sink unused: full shortest-path tree
-    const std::uint32_t stamp = state_.stamp;
-    std::int64_t max_reached = 0;
-    for (std::size_t v = 0; v < net.num_nodes(); ++v) {
-      if (state_.seen[v] == stamp) {
-        max_reached = std::max(max_reached, state_.idist[v]);
-      }
-    }
-    ipotential_.resize(net.num_nodes());
-    for (std::size_t v = 0; v < net.num_nodes(); ++v) {
-      ipotential_[v] =
-          state_.seen[v] == stamp ? state_.idist[v] : max_reached;
-    }
-    return;
-  }
-  spfa(net, source, source);  // sink unused: full shortest-path tree
-  const std::uint32_t stamp = state_.stamp;
-  double max_reached = 0.0;
-  for (std::size_t v = 0; v < net.num_nodes(); ++v) {
-    if (state_.seen[v] == stamp) {
-      max_reached = std::max(max_reached, state_.dist[v]);
-    }
-  }
-  potential_.resize(net.num_nodes());
-  for (std::size_t v = 0; v < net.num_nodes(); ++v) {
-    potential_[v] = state_.seen[v] == stamp ? state_.dist[v] : max_reached;
-  }
+  potential_.assign(num_nodes, 0.0);
 }
 
 void McmfSolver::reprice_from(const FlowNetwork& net, EdgeId first_edge,
                               std::span<const EdgeId> clamp_arcs) {
-  if (integer_) {
-    CCDN_REQUIRE(ipotential_.size() == net.num_nodes(),
-                 "potentials not sized for this network");
-    const std::size_t n = net.num_nodes();
-    state_.in_queue.assign(n, 0);
-    const std::size_t cap = n + 1;
-    state_.queue.resize(cap);
-    std::size_t head = 0;
-    std::size_t tail = 0;
-    const auto enqueue = [&](NodeId v) {
-      if (state_.in_queue[v]) return;
-      state_.queue[tail] = v;
-      tail = (tail + 1) % cap;
-      state_.in_queue[v] = 1;
-    };
-
-    for (const EdgeId e : clamp_arcs) {
-      if (net.residual(e) <= 0) continue;
-      const std::int64_t candidate =
-          ipotential_[net.arc_from(e)] + net.qcost(e);
-      if (candidate < ipotential_[net.arc_to(e)]) {
-        ipotential_[net.arc_to(e)] = candidate;
-        enqueue(net.arc_to(e));
-      }
-    }
-
-    bool violated = false;
-    for (EdgeId e = first_edge; e < 2 * net.num_edges(); ++e) {
-      if (net.residual(e) <= 0) continue;
-      const std::int64_t candidate =
-          ipotential_[net.arc_from(e)] + net.qcost(e);
-      if (candidate < ipotential_[net.arc_to(e)]) {
-        ipotential_[net.arc_to(e)] = candidate;
-        enqueue(net.arc_to(e));
-        violated = true;
-      }
-    }
-    if (head == tail) return;
-    if (violated) ++reprices_;
-    while (head != tail) {
-      const NodeId node = state_.queue[head];
-      head = (head + 1) % cap;
-      state_.in_queue[node] = 0;
-      for (const EdgeId e : net.out_edges(node)) {
-        if (net.residual(e) <= 0) continue;
-        const NodeId to = net.arc_to(e);
-        const std::int64_t candidate = ipotential_[node] + net.qcost(e);
-        if (candidate < ipotential_[to]) {
-          ipotential_[to] = candidate;
-          enqueue(to);
-        }
-      }
-    }
-    return;
-  }
-
   CCDN_REQUIRE(potential_.size() == net.num_nodes(),
                "potentials not sized for this network");
+  // The in_queue flags are all zero between runs (every enqueued node is
+  // dequeued before this returns), so only grow them: shrinking would leave
+  // a later search on a larger network indexing past their end.
   const std::size_t n = net.num_nodes();
-  state_.in_queue.assign(n, 0);
+  if (state_.in_queue.size() < n) state_.in_queue.resize(n, 0);
   const std::size_t cap = n + 1;
   state_.queue.resize(cap);
   std::size_t head = 0;
@@ -533,43 +281,24 @@ McmfResult McmfSolver::augment(FlowNetwork& net, NodeId source, NodeId sink,
                "source/sink out of range");
   CCDN_REQUIRE(source != sink, "source equals sink");
   CCDN_REQUIRE(flow_limit >= 0, "negative flow limit");
-  if (integer_) {
-    CCDN_REQUIRE(net.integer_costs(),
-                 "integer-cost solver needs a quantized network; call "
-                 "FlowNetwork::set_cost_quantization() before building");
-  }
   if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-    const std::size_t priced =
-        integer_ ? ipotential_.size() : potential_.size();
-    CCDN_REQUIRE(priced == net.num_nodes(),
+    CCDN_REQUIRE(potential_.size() == net.num_nodes(),
                  "potentials not sized for this network; call "
-                 "reset_potentials() or reprice() first");
+                 "reset_potentials() first");
   }
 
   McmfResult result;
   while (result.flow < flow_limit) {
-    bool found = false;
     if (strategy_ == McmfStrategy::kSpfa) {
-      found = integer_ ? spfa_int(net, source, sink) : spfa(net, source, sink);
+      if (!spfa(net, source, sink)) break;
     } else {
-      found = integer_ ? dijkstra_int(net, source, sink)
-                       : dijkstra(net, source, sink);
-    }
-    if (!found) break;
-    if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-      if (integer_) {
-        update_potentials_int(sink);
-      } else {
-        update_potentials(sink);
-      }
+      if (!dijkstra(net, source, sink)) break;
+      update_potentials(sink);
     }
     const std::int64_t room = flow_limit - result.flow;
     const std::int64_t amount = std::min(
         room, bottleneck_along_path(net, source, sink, state_.parent_edge));
     CCDN_ENSURE(amount > 0, "augmenting path with zero bottleneck");
-    // Path cost is reported in km in both domains (the double mirror is
-    // exact storage either way); the integer engine only *searches* in the
-    // quantized domain.
     const double path_cost =
         apply_path(net, source, sink, state_.parent_edge, amount);
     result.flow += amount;

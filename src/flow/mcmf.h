@@ -5,18 +5,7 @@
 // are provided: SPFA (Bellman-Ford queue variant; handles the negative
 // residual costs directly) and Dijkstra with Johnson potentials (faster on
 // large sparse graphs). Both produce a maximum flow of minimum total cost.
-//
-// Costs come in two domains (McmfConfig::integer_costs):
-//  - double (default): km of geo-distance, compared with a 1e-9 noise
-//    tolerance. This is the digest oracle — its search decisions define
-//    the plans every other path must reproduce bit for bit.
-//  - fixed-point int32 (opt-in): the network's quantized cost mirror
-//    (FlowNetwork::set_cost_quantization), exact integer comparisons, and
-//    a monotone radix heap instead of the binary heap for the Dijkstra
-//    strategy. Quantization rounds away sub-resolution cost differences,
-//    so tie-breaking — and therefore the chosen paths — can differ from
-//    the double engine's; the contract is plan equality (same flows on
-//    the RBCAer graphs), not digest identity. See DESIGN.md §3.11.
+// Costs are km of geo-distance, compared with a 1e-9 noise tolerance.
 #pragma once
 
 #include <algorithm>
@@ -27,23 +16,12 @@
 
 #include "flow/network.h"
 #include "util/arena.h"
-#include "util/radix_heap.h"
 
 namespace ccdn {
 
 enum class McmfStrategy {
   kSpfa,
   kDijkstraPotentials,
-};
-
-/// Engine selection for a McmfSolver.
-struct McmfConfig {
-  McmfStrategy strategy = McmfStrategy::kSpfa;
-  /// Search in the fixed-point integer-cost domain. Requires every network
-  /// passed to the solver to carry the quantized mirror
-  /// (FlowNetwork::set_cost_quantization). Plan-equality variant, not a
-  /// digest oracle — see the header comment.
-  bool integer_costs = false;
 };
 
 struct McmfResult {
@@ -67,30 +45,26 @@ struct McmfResult {
 /// additional flow has become feasible. For the Dijkstra strategy the
 /// carried potentials must price every positive-capacity residual arc
 /// non-negatively; augmentation preserves that invariant, but appending
-/// edges can break it — check potentials_valid_for() over the new edges and
-/// fall back to reprice() or reset_potentials() (see DESIGN.md §3.7).
+/// edges can break it — restore it with reprice_from() over the new edges,
+/// or with reset_potentials() when every residual arc is a non-negative
+/// forward arc again (see DESIGN.md §3.7).
 class McmfSolver {
  public:
   static constexpr std::int64_t kUnlimited =
       std::numeric_limits<std::int64_t>::max();
 
-  explicit McmfSolver(McmfStrategy strategy = McmfStrategy::kSpfa)
-      : McmfSolver(McmfConfig{strategy, false}) {}
-  explicit McmfSolver(const McmfConfig& config, BumpArena* arena = nullptr)
-      : strategy_(config.strategy),
-        integer_(config.integer_costs),
+  explicit McmfSolver(McmfStrategy strategy = McmfStrategy::kSpfa,
+                      BumpArena* arena = nullptr)
+      : strategy_(strategy),
         state_(arena),
-        potential_(ArenaAllocator<double>(arena)),
-        ipotential_(ArenaAllocator<std::int64_t>(arena)) {}
+        potential_(ArenaAllocator<double>(arena)) {}
 
   [[nodiscard]] McmfStrategy strategy() const noexcept { return strategy_; }
-  [[nodiscard]] bool integer_costs() const noexcept { return integer_; }
 
   /// Min-cost augmentation from the current residual state until no
   /// source→sink path remains or `flow_limit` additional units have been
-  /// routed. Returns the flow and cost of the *increment* routed by this
-  /// call only (cost is reported in km in both domains; the integer engine
-  /// converts through the network's cost_scale()).
+  /// routed. Returns the flow and cost (km) of the *increment* routed by
+  /// this call only.
   McmfResult augment(FlowNetwork& net, NodeId source, NodeId sink,
                      std::int64_t flow_limit = kUnlimited);
 
@@ -101,30 +75,14 @@ class McmfSolver {
   /// FlowNetwork::freeze_residuals().
   void reset_potentials(std::size_t num_nodes);
 
-  /// True when every forward edge with id >= `first_edge` (and positive
-  /// capacity) prices non-negatively under the carried potentials, and both
-  /// endpoints actually hold potentials. After an augment(), newly appended
-  /// edges are the only arcs that can violate validity, so callers only
-  /// need to check the suffix they added.
-  [[nodiscard]] bool potentials_valid_for(const FlowNetwork& net,
-                                          EdgeId first_edge) const;
-
-  /// Re-price: recompute exact shortest-path-by-cost potentials from
-  /// `source` with SPFA (which tolerates negative residual arcs). Nodes
-  /// unreachable from the source are priced at the largest reached
-  /// distance; that keeps every arc between reached nodes and every
-  /// non-negative-cost arc valid, which covers the post-freeze networks the
-  /// θ sweep re-prices (all residual arcs non-negative).
-  void reprice(const FlowNetwork& net, NodeId source);
-
   /// Incremental re-price after appending edges: restore validity by
   /// *lowering* the potentials that edges with id >= `first_edge` violate,
   /// cascading each decrease through the arcs it tightens (a seeded SPFA
   /// relaxation over the existing potentials). Touches only the violation's
   /// neighborhood instead of the whole graph; when the new edges already
   /// price non-negatively this is a pure O(new edges) check and does not
-  /// count as a reprice(). Requires a negative-cycle-free residual graph —
-  /// always true post-freeze where every arc cost is non-negative.
+  /// count toward reprices(). Requires a negative-cycle-free residual graph
+  /// — always true post-freeze where every arc cost is non-negative.
   ///
   /// `clamp_arcs` names *old* arcs whose heads may have gone stale while
   /// unreachable (the θ sweep's dormant senders, whose potentials stand
@@ -134,23 +92,15 @@ class McmfSolver {
   void reprice_from(const FlowNetwork& net, EdgeId first_edge,
                     std::span<const EdgeId> clamp_arcs = {});
 
-  /// Number of reprice() calls since construction (observability for the
-  /// warm-start potentials fallback).
+  /// Number of reprice_from() calls that found a new edge under-cutting
+  /// the carried potentials (observability for the warm-start potentials).
   [[nodiscard]] std::size_t reprices() const noexcept { return reprices_; }
 
-  /// The carried node potentials (sized by the last reset_potentials /
-  /// reprice call; empty before either, and empty in integer mode — see
-  /// ipotentials()). Exposed for the flow auditor's reduced-cost check —
+  /// The carried node potentials (sized by the last reset_potentials call;
+  /// empty before it). Exposed for the flow auditor's reduced-cost check —
   /// see verify/flow_audit.h.
   [[nodiscard]] std::span<const double> potentials() const noexcept {
     return potential_;
-  }
-  /// Integer-domain carried potentials (integer mode only; empty
-  /// otherwise). Audited by audit_reduced_costs_int — converting them to
-  /// doubles would re-introduce exactly the quantization error the 1e-9
-  /// tolerance cannot absorb.
-  [[nodiscard]] std::span<const std::int64_t> ipotentials() const noexcept {
-    return ipotential_;
   }
 
  private:
@@ -163,7 +113,6 @@ class McmfSolver {
   struct SearchState {
     explicit SearchState(BumpArena* arena)
         : dist(ArenaAllocator<double>(arena)),
-          idist(ArenaAllocator<std::int64_t>(arena)),
           parent_edge(ArenaAllocator<EdgeId>(arena)),
           seen(ArenaAllocator<std::uint32_t>(arena)),
           settled(ArenaAllocator<std::uint32_t>(arena)),
@@ -172,8 +121,7 @@ class McmfSolver {
           queue(ArenaAllocator<NodeId>(arena)),
           heap(ArenaAllocator<std::pair<double, NodeId>>(arena)) {}
 
-    ArenaVector<double> dist;         // double engine labels
-    ArenaVector<std::int64_t> idist;  // integer engine labels
+    ArenaVector<double> dist;
     ArenaVector<EdgeId> parent_edge;
     ArenaVector<std::uint32_t> seen;     // stamp: dist/parent valid
     ArenaVector<std::uint32_t> settled;  // stamp: Dijkstra label final
@@ -181,46 +129,34 @@ class McmfSolver {
     ArenaVector<char> in_queue;  // SPFA membership; all-zero between runs
     ArenaVector<NodeId> queue;   // SPFA deque storage
     ArenaVector<std::pair<double, NodeId>> heap;  // Dijkstra binary heap
-    RadixHeap64 rheap;  // integer Dijkstra bucket heap
     std::uint32_t stamp = 0;
 
     /// Open a new search over `n` nodes: bump the stamp (invalidating all
-    /// labels) and grow the buffers if the network grew. Only the active
-    /// domain's distance array is kept sized.
-    void begin_search(std::size_t n, bool integer) {
+    /// labels) and grow every per-node buffer the searches index to `n`.
+    /// Each buffer is checked on its own: reprice_from sizes in_queue
+    /// alone, so the label array's length says nothing about the others.
+    void begin_search(std::size_t n) {
       if (++stamp == 0) {  // wrapped: old stamps would alias as live
         std::fill(seen.begin(), seen.end(), 0);
         std::fill(settled.begin(), settled.end(), 0);
         stamp = 1;
       }
       touched.clear();
-      const std::size_t labels = integer ? idist.size() : dist.size();
-      if (labels < n) {
-        if (integer) {
-          idist.resize(n);
-        } else {
-          dist.resize(n);
-        }
-        parent_edge.resize(n);
-        seen.resize(n, 0);
-        settled.resize(n, 0);
-        in_queue.resize(n, 0);
-      }
+      if (dist.size() < n) dist.resize(n);
+      if (parent_edge.size() < n) parent_edge.resize(n);
+      if (seen.size() < n) seen.resize(n, 0);
+      if (settled.size() < n) settled.resize(n, 0);
+      if (in_queue.size() < n) in_queue.resize(n, 0);
     }
   };
 
   bool spfa(const FlowNetwork& net, NodeId source, NodeId sink);
   bool dijkstra(const FlowNetwork& net, NodeId source, NodeId sink);
   void update_potentials(NodeId sink);
-  bool spfa_int(const FlowNetwork& net, NodeId source, NodeId sink);
-  bool dijkstra_int(const FlowNetwork& net, NodeId source, NodeId sink);
-  void update_potentials_int(NodeId sink);
 
   McmfStrategy strategy_;
-  bool integer_ = false;
   SearchState state_;
   ArenaVector<double> potential_;
-  ArenaVector<std::int64_t> ipotential_;
   std::size_t reprices_ = 0;
 };
 

@@ -13,17 +13,10 @@ constexpr std::uint32_t kMinSliceCap = 4;
 
 }  // namespace
 
-FlowNetwork::FlowNetwork(std::size_t num_nodes) : nodes_(num_nodes) {
-#ifdef CCDN_ADJACENCY_ORACLE
-  oracle_heads_.resize(num_nodes);
-#endif
-}
+FlowNetwork::FlowNetwork(std::size_t num_nodes) : nodes_(num_nodes) {}
 
 NodeId FlowNetwork::add_node() {
   nodes_.emplace_back();
-#ifdef CCDN_ADJACENCY_ORACLE
-  oracle_heads_.emplace_back();
-#endif
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -50,17 +43,6 @@ void FlowNetwork::append_arc(NodeId node, EdgeId arc) {
   arc_pool_[nodes_[node].end++] = arc;
 }
 
-void FlowNetwork::quantize_edge_pair(EdgeId forward) {
-  const double scaled = cost_[forward] * cost_scale_;
-  CCDN_REQUIRE(
-      std::abs(scaled) <=
-          static_cast<double>(std::numeric_limits<std::int32_t>::max()),
-      "cost overflows the int32 fixed-point range at this scale");
-  const auto q = static_cast<std::int32_t>(std::llround(scaled));
-  qcost_[forward] = q;
-  qcost_[forward + 1] = -q;
-}
-
 EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, std::int64_t capacity,
                              double cost) {
   CCDN_REQUIRE(from < nodes_.size() && to < nodes_.size(),
@@ -77,25 +59,9 @@ EdgeId FlowNetwork::add_edge(NodeId from, NodeId to, std::int64_t capacity,
   cost_.push_back(-cost);
   original_caps_.push_back(capacity);
   original_caps_.push_back(0);
-  if (integer_costs()) {
-    qcost_.resize(qcost_.size() + 2);
-    quantize_edge_pair(id);
-  }
   append_arc(from, id);
   append_arc(to, id + 1);
-#ifdef CCDN_ADJACENCY_ORACLE
-  oracle_heads_[from].push_back(id);
-  oracle_heads_[to].push_back(id + 1);
-  oracle_check();
-#endif
   return id;
-}
-
-void FlowNetwork::set_cost_quantization(double scale) {
-  CCDN_REQUIRE(scale > 0.0, "non-positive quantization scale");
-  cost_scale_ = scale;
-  qcost_.resize(to_.size());
-  for (EdgeId e = 0; e + 1 < to_.size(); e += 2) quantize_edge_pair(e);
 }
 
 std::int64_t FlowNetwork::flow(EdgeId e) const {
@@ -121,7 +87,6 @@ void FlowNetwork::reserve(std::size_t nodes, std::size_t edges) {
   residual_.reserve(2 * edges);
   cost_.reserve(2 * edges);
   original_caps_.reserve(2 * edges);
-  if (integer_costs()) qcost_.reserve(2 * edges);
   arc_pool_.reserve(2 * edges);
 }
 
@@ -142,15 +107,7 @@ void FlowNetwork::clear(std::size_t num_nodes) {
   to_.clear();
   residual_.clear();
   cost_.clear();
-  qcost_.clear();
   original_caps_.clear();
-#ifdef CCDN_ADJACENCY_ORACLE
-  for (std::size_t n = 0; n < oracle_heads_.size() && n < num_nodes; ++n) {
-    oracle_heads_[n].clear();
-  }
-  oracle_heads_.resize(num_nodes);
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::truncate(const Checkpoint& cp) {
@@ -177,16 +134,7 @@ void FlowNetwork::truncate(const Checkpoint& cp) {
   to_.resize(cp.stored_edges);
   residual_.resize(cp.stored_edges);
   cost_.resize(cp.stored_edges);
-  if (integer_costs()) qcost_.resize(cp.stored_edges);
   original_caps_.resize(cp.stored_edges);
-#ifdef CCDN_ADJACENCY_ORACLE
-  for (std::size_t node = 0; node < cp.nodes; ++node) {
-    auto& head = oracle_heads_[node];
-    while (!head.empty() && head.back() >= cp.stored_edges) head.pop_back();
-  }
-  oracle_heads_.resize(cp.nodes);
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::freeze_residuals() noexcept {
@@ -213,16 +161,6 @@ void FlowNetwork::drop_dead_arcs() noexcept {
     }
     r.end = out;
   }
-#ifdef CCDN_ADJACENCY_ORACLE
-  for (auto& head : oracle_heads_) {
-    std::size_t out = 0;
-    for (const EdgeId e : head) {
-      if (residual_[e] > 0 || residual_[e ^ 1u] > 0) head[out++] = e;
-    }
-    head.resize(out);
-  }
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::drop_arcs_at_or_after(EdgeId first) noexcept {
@@ -234,16 +172,6 @@ void FlowNetwork::drop_arcs_at_or_after(EdgeId first) noexcept {
     }
     r.end = out;
   }
-#ifdef CCDN_ADJACENCY_ORACLE
-  for (auto& head : oracle_heads_) {
-    std::size_t out = 0;
-    for (const EdgeId e : head) {
-      if (e < first) head[out++] = e;
-    }
-    head.resize(out);
-  }
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::drop_terminal_arcs(NodeId source, NodeId sink) noexcept {
@@ -256,17 +184,6 @@ void FlowNetwork::drop_terminal_arcs(NodeId source, NodeId sink) noexcept {
     }
     r.end = out;
   }
-#ifdef CCDN_ADJACENCY_ORACLE
-  oracle_heads_[sink].clear();
-  for (auto& head : oracle_heads_) {
-    std::size_t out = 0;
-    for (const EdgeId e : head) {
-      if (to_[e] != source) head[out++] = e;
-    }
-    head.resize(out);
-  }
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::focus_out_edges(NodeId node, std::span<const EdgeId> arcs) {
@@ -277,10 +194,6 @@ void FlowNetwork::focus_out_edges(NodeId node, std::span<const EdgeId> arcs) {
   ArcRange& r = nodes_[node];
   std::copy(arcs.begin(), arcs.end(), arc_pool_.begin() + r.begin);
   r.end = r.begin + static_cast<std::uint32_t>(arcs.size());
-#ifdef CCDN_ADJACENCY_ORACLE
-  oracle_heads_[node].assign(arcs.begin(), arcs.end());
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::restore_arcs(const Checkpoint& cp) {
@@ -305,13 +218,6 @@ void FlowNetwork::restore_arcs(const Checkpoint& cp) {
   for (EdgeId e = 0; e < cp.stored_edges; ++e) {
     arc_pool_[nodes_[from_[e]].end++] = e;
   }
-#ifdef CCDN_ADJACENCY_ORACLE
-  for (std::size_t n = 0; n < cp.nodes; ++n) oracle_heads_[n].clear();
-  for (EdgeId e = 0; e < cp.stored_edges; ++e) {
-    oracle_heads_[from_[e]].push_back(e);
-  }
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::compact() {
@@ -326,9 +232,6 @@ void FlowNetwork::compact() {
     r.end = static_cast<std::uint32_t>(fresh.size());
   }
   arc_pool_ = std::move(fresh);
-#ifdef CCDN_ADJACENCY_ORACLE
-  oracle_check();
-#endif
 }
 
 void FlowNetwork::push(EdgeId e, std::int64_t amount) {
@@ -339,20 +242,5 @@ void FlowNetwork::push(EdgeId e, std::int64_t amount) {
   residual_[paired(e)] += amount;
 }
 
-#ifdef CCDN_ADJACENCY_ORACLE
-void FlowNetwork::oracle_check() const {
-  CCDN_ENSURE(oracle_heads_.size() == nodes_.size(),
-              "adjacency oracle: node count diverged");
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const auto slice = out_edges(static_cast<NodeId>(n));
-    CCDN_ENSURE(slice.size() == oracle_heads_[n].size(),
-                "adjacency oracle: slice length diverged");
-    for (std::size_t i = 0; i < slice.size(); ++i) {
-      CCDN_ENSURE(slice[i] == oracle_heads_[n][i],
-                  "adjacency oracle: arc id diverged");
-    }
-  }
-}
-#endif
 
 }  // namespace ccdn

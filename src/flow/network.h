@@ -11,32 +11,22 @@
 //    only the bytes it reads. The Edge struct survives as a by-value
 //    compatibility snapshot for audits, decomposition, and tests.
 //  - Adjacency is a CSR-style slice table: every node owns a contiguous
-//    [begin, end) slice of one shared arc_ids_ pool (arc_pool_), with a
+//    [begin, end) slice of one shared arc-id pool (arc_pool_), with a
 //    reserved capacity so per-node appends are a bump, not a per-node
 //    heap allocation. Slices relocate with amortized doubling when they
 //    outgrow their reservation, and clear() re-packs the pool tightly so
 //    a rebuild-per-slot loop reuses the same bytes every slot.
-//  - Costs can optionally be mirrored into a fixed-point int32 array
-//    (set_cost_quantization) for the integer-cost MCMF engine; the double
-//    costs remain the source of truth and the default solver path never
-//    reads the mirror, which is what keeps default-path digests identical.
 //
 // The network is append-only, with three lifecycle helpers for callers that
 // rebuild graphs in a hot loop (the θ sweep): reserve()/clear() to stop the
 // per-build allocator churn, checkpoint()/truncate() to roll transient
 // structure (per-θ guide nodes) back off a persistent scaffold, and
 // freeze_residuals() to commit the current flows so later augmentation
-// cannot reroute them.
-//
-// Building with -DCCDN_ADJACENCY_ORACLE=ON keeps the pre-CSR
-// vector-of-vectors adjacency alive as a shadow copy and cross-checks every
-// mutator against it (debug oracle; see tests/flow/network_test.cc for the
-// always-on reference-model property test).
+// cannot reroute them. tests/flow/network_test.cc cross-checks every
+// adjacency mutator against a vector-of-vectors reference model.
 #pragma once
 
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -46,11 +36,6 @@ namespace ccdn {
 
 using NodeId = std::uint32_t;
 using EdgeId = std::uint32_t;
-
-/// Default fixed-point scale for set_cost_quantization: 2^20 units per km
-/// (~1 mm resolution). int32 bounds |cost| < 2048 km, far above the θ radii
-/// and normalized guide costs the RBCAer graphs carry (DESIGN.md §3.11).
-inline constexpr double kDefaultCostScale = 1048576.0;
 
 class FlowNetwork {
  public:
@@ -105,23 +90,6 @@ class FlowNetwork {
     CCDN_ASSERT(e < cost_.size(), "edge id out of range");
     return cost_[e];
   }
-  /// Fixed-point cost mirror; valid only after set_cost_quantization().
-  [[nodiscard]] std::int32_t qcost(EdgeId e) const noexcept {
-    CCDN_ASSERT(integer_costs() && e < qcost_.size(),
-                "quantized cost read without set_cost_quantization");
-    return qcost_[e];
-  }
-
-  /// Mirror every cost into qcost() at `scale` fixed-point units per km
-  /// (qcost = llround(cost * scale), pair arcs exactly negated). Sticky:
-  /// survives clear()/truncate(), and later add_edge() calls quantize as
-  /// they append. Requires |cost * scale| to fit int32 (checked per edge).
-  void set_cost_quantization(double scale);
-  [[nodiscard]] bool integer_costs() const noexcept {
-    return cost_scale_ > 0.0;
-  }
-  [[nodiscard]] double cost_scale() const noexcept { return cost_scale_; }
-
   /// Flow currently pushed through a *forward* edge.
   [[nodiscard]] std::int64_t flow(EdgeId e) const;
   /// Original capacity of a forward edge.
@@ -236,8 +204,8 @@ class FlowNetwork {
   /// minimal before a long read-only phase.
   void compact();
 
-  /// Bytes of CSR pool currently reserved (live + slack + fragmentation);
-  /// observability for the layout benches and the reuse tests.
+  /// Slots of CSR pool currently reserved (live + slack + fragmentation);
+  /// observability for the reuse tests.
   [[nodiscard]] std::size_t arc_pool_slots() const noexcept {
     return arc_pool_.size();
   }
@@ -260,29 +228,18 @@ class FlowNetwork {
   void append_arc(NodeId node, EdgeId arc);
   /// Move `node`'s slice to the pool tail with room for `min_cap` arcs.
   void relocate(NodeId node, std::uint32_t min_cap);
-  void quantize_edge_pair(EdgeId forward);
 
   // SoA edge storage; index = arc id, forward arcs even, residual odd.
   std::vector<NodeId> from_;
   std::vector<NodeId> to_;
   std::vector<std::int64_t> residual_;
   std::vector<double> cost_;
-  std::vector<std::int32_t> qcost_;          // mirror; see integer_costs()
   std::vector<std::int64_t> original_caps_;  // per stored edge
 
   // CSR adjacency: per-node slices over one shared arc-id pool.
   std::vector<ArcRange> nodes_;
   std::vector<EdgeId> arc_pool_;
   std::vector<std::uint32_t> restore_counts_;  // restore_arcs scratch
-
-  double cost_scale_ = 0.0;  // 0 = quantization off
-
-#ifdef CCDN_ADJACENCY_ORACLE
-  /// Shadow vector-of-vectors adjacency maintained with the pre-CSR
-  /// algorithms; every mutator cross-checks the CSR slices against it.
-  std::vector<std::vector<EdgeId>> oracle_heads_;
-  void oracle_check() const;
-#endif
 };
 
 }  // namespace ccdn

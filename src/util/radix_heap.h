@@ -1,20 +1,19 @@
 // Monotone 64-bit radix heap for Dijkstra on integer costs.
 //
-// A binary heap pays O(log n) compare-and-swap shuffles per push and pop;
-// on the θ sweep's warm searches the heap traffic is the dominant cost
-// after the adjacency walk. For monotone workloads — every pushed key is
-// >= the last popped key, which Dijkstra with non-negative reduced costs
-// guarantees — a radix heap does both operations in O(1) amortized: an
-// entry is binned by the position of the highest bit in which its key
-// differs from the last popped minimum, and is re-binned at most 64 times
-// over its lifetime (each re-bin strictly lowers its bucket index).
+// A binary heap pays O(log n) compare-and-swap shuffles per push and pop.
+// For monotone workloads — every pushed key is >= the last popped key,
+// which Dijkstra with non-negative integer weights guarantees — a radix
+// heap does both operations in O(1) amortized: an entry is binned by the
+// position of the highest bit in which its key differs from the last
+// popped minimum, and is re-binned at most 64 times over its lifetime
+// (each re-bin strictly lowers its bucket index).
 //
-// Keys are raw uint64 values (the integer-cost engine uses non-negative
-// int64 distances, which order identically as uint64); values are the
-// 32-bit payload (a NodeId). Ties pop in unspecified order, exactly like
+// No solver uses it at present: the MCMF core runs on double costs and a
+// binary heap (DESIGN.md §3.11). Keys are raw uint64 values (non-negative
+// int64 distances order identically as uint64); values are the 32-bit
+// payload (a NodeId). Ties pop in unspecified order, exactly like
 // std::push_heap/pop_heap — callers needing a deterministic tie order must
-// not depend on either heap's (the MCMF integer mode is a plan-equality
-// variant for this reason; see DESIGN.md §3.11).
+// not depend on either heap's.
 #pragma once
 
 #include <array>

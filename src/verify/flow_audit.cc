@@ -105,34 +105,6 @@ void audit_reduced_costs(const FlowNetwork& net,
   });
 }
 
-void audit_reduced_costs_int(const FlowNetwork& net,
-                             std::span<const std::int64_t> potentials,
-                             AuditReport& report, ArcWalk walk) {
-  CCDN_REQUIRE(net.integer_costs(),
-               "integer reduced-cost audit on an unquantized network");
-  const bool zero_potentials = potentials.empty();
-  if (!zero_potentials && potentials.size() < net.num_nodes()) {
-    report.add("potentials-missing",
-               std::to_string(potentials.size()) + " potentials for " +
-                   std::to_string(net.num_nodes()) + " nodes");
-    return;
-  }
-  for_each_audited_arc(net, walk, [&](EdgeId e) {
-    if (net.residual(e) <= 0) return;
-    const NodeId from = net.arc_from(e);
-    const NodeId to = net.arc_to(e);
-    const std::int64_t reduced =
-        zero_potentials ? net.qcost(e)
-                        : net.qcost(e) + potentials[from] - potentials[to];
-    if (reduced < 0) {
-      report.add("negative-reduced-cost",
-                 "arc " + std::to_string(e) + " (" + node_str(from) + "->" +
-                     node_str(to) + ") prices at " + std::to_string(reduced) +
-                     " (quantized)");
-    }
-  });
-}
-
 void audit_epoch_residual(const FlowNetwork& net, AuditReport& report) {
   const std::size_t n = net.num_nodes();
   const auto stored = static_cast<EdgeId>(2 * net.num_edges());
@@ -161,37 +133,6 @@ void audit_epoch_residual(const FlowNetwork& net, AuditReport& report) {
     return;
   }
   audit_reduced_costs(net, pot, report);
-}
-
-void audit_epoch_residual_int(const FlowNetwork& net, AuditReport& report) {
-  CCDN_REQUIRE(net.integer_costs(),
-               "integer epoch-residual audit on an unquantized network");
-  const std::size_t n = net.num_nodes();
-  const auto stored = static_cast<EdgeId>(2 * net.num_edges());
-  // Everywhere-seeded Bellman-Ford over the quantized costs, with exact
-  // comparisons — the domain the integer engine optimized in.
-  std::vector<std::int64_t> pot(n, 0);
-  bool changed = true;
-  for (std::size_t round = 0; round < n && changed; ++round) {
-    changed = false;
-    for (EdgeId e = 0; e < stored; ++e) {
-      if (net.residual(e) <= 0) continue;
-      const std::int64_t candidate = pot[net.arc_from(e)] + net.qcost(e);
-      if (candidate < pot[net.arc_to(e)]) {
-        pot[net.arc_to(e)] = candidate;
-        changed = true;
-      }
-    }
-  }
-  if (changed) {
-    report.add("negative-residual-cycle",
-               "quantized residual relaxation did not converge in " +
-                   std::to_string(n) +
-                   " rounds: the committed flow is not min-cost in the "
-                   "fixed-point domain");
-    return;
-  }
-  audit_reduced_costs_int(net, pot, report);
 }
 
 void audit_flow_entries(std::span<const FlowEntry> flows,

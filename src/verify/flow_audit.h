@@ -4,7 +4,7 @@
 // By default these checks walk edge *storage*, not adjacency lists, so they
 // stay correct on networks the θ sweep has compacted (drop_dead_arcs,
 // focus_out_edges only shrink adjacency; flow() and edge() read storage).
-// The reduced-cost audits additionally take an ArcWalk selector: carried
+// The reduced-cost audit additionally takes an ArcWalk selector: carried
 // solver potentials are only required to price the arcs a search can
 // actually traverse, so those call sites audit adjacency instead.
 #pragma once
@@ -51,18 +51,6 @@ void audit_reduced_costs(const FlowNetwork& net,
                          std::span<const double> potentials,
                          AuditReport& report, ArcWalk walk = ArcWalk::kStore);
 
-/// Integer-domain twin of audit_reduced_costs for the fixed-point MCMF
-/// engine: every positive-residual arc must satisfy
-/// qcost + pi[from] - pi[to] >= 0 *exactly* — the quantized domain has no
-/// float noise to tolerate, and converting the integer potentials to
-/// doubles for the km-domain check would re-introduce exactly the
-/// quantization error the 1e-9 tolerance cannot absorb. Pass an empty span
-/// for zero potentials. Requires net.integer_costs().
-void audit_reduced_costs_int(const FlowNetwork& net,
-                             std::span<const std::int64_t> potentials,
-                             AuditReport& report,
-                             ArcWalk walk = ArcWalk::kStore);
-
 /// Optimality certificate for a transient epoch's residual graph *before*
 /// truncate() discards it. A min-cost flow's residual graph admits no
 /// negative-cost cycle; equivalently, a potential vector exists under which
@@ -76,14 +64,6 @@ void audit_reduced_costs_int(const FlowNetwork& net,
 /// against solver-carried potentials, this never false-positives on
 /// networks whose carried prices are merely stale.
 void audit_epoch_residual(const FlowNetwork& net, AuditReport& report);
-
-/// Integer-domain twin of audit_epoch_residual: the everywhere-seeded
-/// Bellman-Ford runs over qcost(), so it certifies min-cost with respect to
-/// the quantized objective the integer engine actually optimized. A flow
-/// that is min-cost in the quantized domain may sit a sub-quantum away from
-/// the double optimum — auditing it with the km-domain relaxation would
-/// false-positive on exactly those ties. Requires net.integer_costs().
-void audit_epoch_residual_int(const FlowNetwork& net, AuditReport& report);
 
 /// The per-pair flows extracted from a slot's sweep, checked against the
 /// partition's *initial* slack (phi as of HotspotPartition::from_loads):

@@ -231,8 +231,8 @@ TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
   // Potentials-validity property test: the warm Gd sweep carries Dijkstra
   // potentials across edge insertions. Stale potentials would trip the
   // "negative reduced cost" CCDN_ENSURE inside the Dijkstra search (the
-  // live assertion here); potentials_valid_for + reprice must keep the
-  // sweep both running and agreeing with the SPFA oracle.
+  // live assertion here); reprice_from must keep the sweep both running
+  // and agreeing with the SPFA oracle.
   Rng rng(GetParam() * 524287 + 1);
   const Instance inst = random_instance(rng, 30, 4);
   const HotspotPartition partition =
@@ -410,6 +410,51 @@ TEST(ThetaSweepScheme, IncrementalMatchesColdOnGeneratedWorld) {
 
   config.content_aggregation = false;
   expect_same_plan_and_diagnostics(config, context, trace, demand);
+}
+
+// ---------------------------------------------------------------------------
+// Steady-state arena property: once identical slots repeat, the sweeper's
+// lane arena must stop acquiring memory — every per-slot buffer (sweep
+// scratch, Gc scratch, both solvers' search state) has reached its
+// high-water size and is reused in place. This is the allocation half of
+// the solver-core memory layout (DESIGN.md §3.11); the counters come from
+// the instrumented BumpArena itself.
+// ---------------------------------------------------------------------------
+
+TEST(ThetaSweepArena, SteadyStateSlotsAcquireNoMemory) {
+  Rng rng(987654321);
+  const Instance inst = random_instance(rng, 24, 4);
+  const HotspotPartition partition =
+      HotspotPartition::from_loads(inst.hotspots, inst.loads);
+  const auto candidates =
+      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
+  const auto thetas = theta_grid(0.3, 1.5, 0.1);
+  const GuideOptions guide;
+
+  ThetaSweeper sweeper(McmfStrategy::kSpfa);
+  std::size_t warm_blocks = 0;
+  std::size_t warm_bytes = 0;
+  std::size_t warm_allocations = 0;
+  for (int slot = 0; slot < 6; ++slot) {
+    HotspotPartition p = partition;  // identical slot shape every time
+    sweeper.begin_slot(p, candidates);
+    for (const double theta : thetas) {
+      (void)sweeper.step_gc(theta, inst.cluster_of, guide);
+    }
+    (void)sweeper.step_gd(1.5);
+    sweeper.end_slot();
+    const BumpArena& arena = sweeper.scratch_arena();
+    if (slot == 1) {
+      warm_blocks = arena.upstream_blocks();
+      warm_bytes = arena.bytes_reserved();
+      warm_allocations = arena.allocations();
+      EXPECT_GT(warm_allocations, 0u);  // the buffers really live here
+    } else if (slot > 1) {
+      EXPECT_EQ(arena.upstream_blocks(), warm_blocks) << "slot " << slot;
+      EXPECT_EQ(arena.bytes_reserved(), warm_bytes) << "slot " << slot;
+      EXPECT_EQ(arena.allocations(), warm_allocations) << "slot " << slot;
+    }
+  }
 }
 
 }  // namespace

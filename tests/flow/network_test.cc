@@ -141,8 +141,7 @@ TEST(FlowNetwork, TruncatePreservesFlowOnSurvivingEdges) {
 // §3.11); this suite replays random mutator sequences against a
 // vector-of-vectors reference model that applies each documented rule
 // directly, and demands out_edges() match the model arc-for-arc after every
-// step. It is the always-on counterpart of the CCDN_ADJACENCY_ORACLE build
-// option (which shadows the pre-CSR code inside the class itself).
+// step.
 // ---------------------------------------------------------------------------
 
 /// Reference adjacency: the documented effect of every mutator, written the
@@ -389,34 +388,6 @@ TEST(FlowNetwork, ClearReusesPoolBytesAcrossIdenticalBuilds) {
     build();
     EXPECT_EQ(net.arc_pool_slots(), settled) << "round " << round;
   }
-}
-
-TEST(FlowNetwork, QuantizationMirrorsCostsAndSticksAcrossClear) {
-  FlowNetwork net(2);
-  const EdgeId e = net.add_edge(0, 1, 5, 1.25);
-  EXPECT_FALSE(net.integer_costs());
-  net.set_cost_quantization(8.0);
-  ASSERT_TRUE(net.integer_costs());
-  EXPECT_EQ(net.qcost(e), 10);               // 1.25 * 8
-  EXPECT_EQ(net.qcost(net.paired(e)), -10);  // exactly negated
-  // Later edges quantize as they append; clear() keeps the scale.
-  const EdgeId f = net.add_edge(1, 0, 1, 0.5);
-  EXPECT_EQ(net.qcost(f), 4);
-  net.clear(2);
-  EXPECT_TRUE(net.integer_costs());
-  const EdgeId g = net.add_edge(0, 1, 1, 2.0);
-  EXPECT_EQ(net.qcost(g), 16);
-}
-
-TEST(FlowNetwork, QuantizationRejectsBadScaleAndOverflow) {
-  FlowNetwork net(2);
-  (void)net.add_edge(0, 1, 1, 1.0);
-  EXPECT_THROW(net.set_cost_quantization(0.0), PreconditionError);
-  EXPECT_THROW(net.set_cost_quantization(-1.0), PreconditionError);
-  // 4000 km at the default 2^20/km scale overflows int32.
-  (void)net.add_edge(1, 0, 1, 4000.0);
-  EXPECT_THROW(net.set_cost_quantization(kDefaultCostScale),
-               PreconditionError);
 }
 
 TEST(FlowNetwork, FreezeResidualsZeroesBackwardArcs) {

@@ -95,8 +95,8 @@ TEST_P(RadixHeapMonotone, MatchesBinaryHeapKeySequence) {
 INSTANTIATE_TEST_SUITE_P(RandomWorkloads, RadixHeapMonotone,
                          testing::Range<std::uint64_t>(1, 17));
 
-/// The claim the integer MCMF engine rests on: Dijkstra run off a radix heap
-/// settles every node at the same distance as Dijkstra off a binary heap.
+/// Dijkstra run off a radix heap settles every node at the same distance as
+/// Dijkstra off a binary heap.
 /// Random sparse digraphs with non-negative integer weights; lazy-deletion
 /// Dijkstra in both cases, only the heap differs.
 class RadixHeapDijkstra : public testing::TestWithParam<std::uint64_t> {};

@@ -80,13 +80,11 @@ HAZARDS = {
         "unordered container iteration order is address-dependent; sort "
         "results with full tie-breaks or use an ordered container",
     ),
-    # qcost() deliberately does not match: `\bcost` has no word boundary
-    # inside "qcost", and int64 accumulation is associative anyway.
     "double-cost-accumulation": (
         re.compile(r"\b\w*cost\s*\+=|\+=\s*[^;]*(?:\bcost\s*\(|\.\s*cost\b)"),
         "double cost accumulation is order-sensitive (fp addition is not "
         "associative); fix the accumulation order and whitelist it with "
-        "the ordering argument, or accumulate the int64 qcost() instead",
+        "the ordering argument",
     ),
 }
 

@@ -31,7 +31,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/nearest_scheme.h"
@@ -68,11 +67,6 @@ const char* const kSchemes[] = {"nearest",       "random",
 // pinned lineage of its own, so the gates survive intentional base-scheme
 // changes without an extra regeneration step.
 //
-//   "-int":     the fixed-point integer-cost engine's plan equality with
-//               the double engine (exact at this workload's scale —
-//               DESIGN.md §3.11). Not pinned. Only rbcaer has the variant:
-//               the virtual scheme's regional solve is a cold double-cost
-//               loop that never reads integer_costs.
 //   "-shard1":  the zone-sharded orchestration with a single shard must be
 //               bit-identical to the unsharded path (DESIGN.md §3.12) —
 //               the sub-instance rebuild and the id remap may not change
@@ -83,7 +77,6 @@ struct VariantCheck {
   const char* contract;
 };
 const VariantCheck kVariantChecks[] = {
-    {"rbcaer-int", "rbcaer", "integer plan-equality"},
     {"rbcaer-shard1", "rbcaer", "shard=1 bit-identity"},
     {"virtual-shard1", "virtual", "shard=1 bit-identity"},
 };
@@ -95,9 +88,7 @@ const VariantCheck kVariantChecks[] = {
 SimdMode g_simd = SimdMode::kAuto;
 
 SchemePtr make_scheme(const std::string& name) {
-  constexpr std::string_view kIntSuffix = "-int";
   std::string base = name;
-  bool integer = false;
   // "-shard<N>" selects the zone-sharded solve with N shards.
   std::size_t shards = 0;
   const std::size_t shard_pos = base.rfind("-shard");
@@ -113,17 +104,10 @@ SchemePtr make_scheme(const std::string& name) {
       base.resize(shard_pos);
     }
   }
-  if (base.size() > kIntSuffix.size() &&
-      base.compare(base.size() - kIntSuffix.size(), kIntSuffix.size(),
-                   kIntSuffix) == 0) {
-    base.resize(base.size() - kIntSuffix.size());
-    integer = true;
-  }
   if (base == "nearest") return std::make_unique<NearestScheme>();
   if (base == "random") return std::make_unique<RandomScheme>();
   if (base == "rbcaer") {
     RbcaerConfig config;
-    config.integer_costs = integer;
     config.num_shards = shards;
     config.simd = g_simd;
     return std::make_unique<RbcaerScheme>(config);
