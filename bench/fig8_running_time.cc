@@ -18,16 +18,21 @@
 // (b) the thread-scaling curve of the parallel slot-scheduling pipeline on
 // an hourly multi-slot trace.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
+#include "cluster/content_distance.h"
 #include "core/lp_scheme.h"
 #include "core/nearest_scheme.h"
 #include "geo/geo_point.h"
 #include "core/random_scheme.h"
 #include "core/rbcaer_scheme.h"
+#include "core/replication.h"
+#include "core/theta_sweep.h"
 #include "model/demand.h"
+#include "model/topsets.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -49,11 +54,15 @@ double time_scheme(RedirectionScheme& scheme, const SchemeContext& context,
   return stopwatch.elapsed_seconds();
 }
 
-// --- Warm-started θ sweep vs the cold rebuild-per-θ oracle. ---
+// --- Warm-started θ sweep vs the cold rebuild-per-θ reference. ---
 // Per-slot graph-build + MCMF seconds at bench scale (default H=2000), for
 // both the content-aggregation graph Gc and the plain distance graph Gd,
-// with the oracle equality check the incremental sweep guarantees (same
-// moved totals and identical plans; DESIGN.md §3.7). Two θ grids per graph:
+// with the oracle equality check the incremental sweep guarantees
+// (identical plans; DESIGN.md §3.7). The warm side is RbcaerScheme; the
+// cold side replays its pipeline from public calls with the cold reference
+// step (core/theta_sweep.h) in place of the sweeper. Both run without miss
+// redirection, which the replay does not model and which lies outside the
+// timed graph and MCMF stages. Two θ grids per graph:
 // the coarse 0.3..1.5 km grid in 0.1 km steps (13 steps, most flow lands in
 // the first batch step) and a fine 0.05..1.5 km grid in 0.025 km steps
 // (59 steps, the flow arrives incrementally across the sweep). The fine
@@ -81,6 +90,74 @@ struct FlowBenchRow {
   }
 };
 
+/// Cold side of a θ-sweep row: RbcaerScheme::plan_slot's unsharded path
+/// (partition, clustering, candidate edges, θ steps plus the residual Gd
+/// step, Procedure 1, materialization) with the cold reference step, timing
+/// the graph and MCMF stages the scheme's StageTimings report.
+struct ColdRun {
+  SlotPlan plan;
+  double graph_s = 0.0;
+  double mcmf_s = 0.0;
+};
+
+ColdRun cold_replay(const RbcaerConfig& config, const SchemeContext& context,
+                    std::span<const Request> requests,
+                    const SlotDemand& demand) {
+  const std::size_t m = context.hotspots.size();
+  std::vector<std::uint32_t> loads(m);
+  for (std::size_t h = 0; h < m; ++h) {
+    loads[h] = demand.load(static_cast<HotspotIndex>(h));
+  }
+  HotspotPartition partition =
+      HotspotPartition::from_loads(context.hotspots, loads);
+  const std::int64_t max_movable = partition.max_movable();
+  ColdRun out;
+  std::vector<FlowEntry> flows;
+  std::int64_t moved = 0;
+  const auto absorb = [&](const SweepStep& step) {
+    moved += step.moved;
+    out.graph_s += step.graph_s;
+    out.mcmf_s += step.mcmf_s;
+    flows.insert(flows.end(), step.flows.begin(), step.flows.end());
+  };
+  if (max_movable > 0) {
+    std::vector<std::uint32_t> cluster_of(m, 0);
+    if (config.content_aggregation) {
+      cluster_of = hierarchical_cluster(
+                       content_distance_matrix(top_sets_per_hotspot(
+                           demand, config.top_fraction)),
+                       config.linkage, config.content_cluster_threshold)
+                       .labels;
+    }
+    Stopwatch clock;
+    const auto candidates = candidate_edges(
+        context.hotspots, partition, config.theta2_km, context.hotspot_index);
+    out.graph_s += clock.elapsed_seconds();
+    for (double theta = config.theta1_km;
+         theta <= config.theta2_km + 1e-9 && moved < max_movable;
+         theta += config.delta_km) {
+      absorb(config.content_aggregation
+                 ? cold_step_gc(partition, candidates, theta, cluster_of,
+                                config.guide, config.mcmf_strategy)
+                 : cold_step_gd(partition, candidates, theta,
+                                config.mcmf_strategy));
+    }
+    if (moved < max_movable) {
+      absorb(cold_step_gd(partition, candidates, config.theta2_km,
+                          config.mcmf_strategy));
+    }
+  }
+  merge_flow_entries(flows);
+  const auto budget = static_cast<std::size_t>(std::llround(
+      config.bpeak_multiplier * static_cast<double>(demand.num_requests())));
+  ReplicationResult replication = content_aggregation_replication(
+      demand, context.hotspots, flows, budget);
+  out.plan.placements = std::move(replication.placements);
+  out.plan.assignment = materialize_assignment(
+      requests, demand.request_home(), std::move(replication.redirects));
+  return out;
+}
+
 FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
                              double theta1_km, double delta_km,
                              const SchemeContext& context,
@@ -91,27 +168,22 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
   config.theta2_km = 1.5;
   config.delta_km = delta_km;
   config.content_aggregation = aggregation;
+  config.miss_redirection = false;
 
   FlowBenchRow row;
   row.name = name;
   row.hotspots = context.hotspots.size();
 
-  config.incremental_sweep = false;
-  RbcaerScheme cold(config);
-  config.incremental_sweep = true;
   RbcaerScheme warm(config);
-
-  SlotPlan cold_plan;
+  ColdRun cold;
   SlotPlan warm_plan;
   row.cold_graph_s = row.cold_mcmf_s = row.warm_graph_s = row.warm_mcmf_s =
       1e300;
   for (std::size_t rep = 0; rep < repeats; ++rep) {
-    cold_plan = cold.plan_slot(context, trace, demand);
-    const StageTimings* cold_stages = cold.last_stage_timings();
-    if (cold_stages->graph_s + cold_stages->mcmf_s <
-        row.cold_graph_s + row.cold_mcmf_s) {
-      row.cold_graph_s = cold_stages->graph_s;
-      row.cold_mcmf_s = cold_stages->mcmf_s;
+    cold = cold_replay(config, context, trace, demand);
+    if (cold.graph_s + cold.mcmf_s < row.cold_graph_s + row.cold_mcmf_s) {
+      row.cold_graph_s = cold.graph_s;
+      row.cold_mcmf_s = cold.mcmf_s;
     }
     warm_plan = warm.plan_slot(context, trace, demand);
     const StageTimings* warm_stages = warm.last_stage_timings();
@@ -123,16 +195,11 @@ FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
   }
 
   const auto& wd = warm.last_diagnostics();
-  const auto& cd = cold.last_diagnostics();
   row.theta_steps = wd.theta_iterations;
   row.moved = wd.moved;
   row.reprices = wd.potential_reprices;
-  row.identical = wd.moved == cd.moved && wd.redirected == cd.redirected &&
-                  wd.replicas == cd.replicas &&
-                  wd.guide_nodes == cd.guide_nodes &&
-                  wd.theta_iterations == cd.theta_iterations &&
-                  warm_plan.assignment == cold_plan.assignment &&
-                  warm_plan.placements == cold_plan.placements;
+  row.identical = warm_plan.assignment == cold.plan.assignment &&
+                  warm_plan.placements == cold.plan.placements;
   return row;
 }
 

@@ -17,8 +17,8 @@ class ThreadPool;
 struct ContentDistanceOptions {
   /// Compute Jaccard with the word-parallel TopsetBitmap kernel (default)
   /// or the scalar sorted-merge path. Both produce bit-identical matrices;
-  /// the scalar path is kept as the differential-test oracle and as an
-  /// ablation knob (RbcaerConfig::bitmap_jaccard).
+  /// the scalar path is kept as the differential-test oracle that the
+  /// cluster tests and bench/hierarchical_scalability compare against.
   bool use_bitmap = true;
   /// When non-null, the condensed matrix is filled row-striped on this
   /// pool: stripes are contiguous row ranges balanced by pair count, each

@@ -29,10 +29,10 @@ struct SweepOutcome {
 };
 
 /// Algorithm 1's flow phase: θ sweep over Gc (or Gd when aggregation is
-/// off), then the residual Gd pass at θ2. Shared verbatim by the unsharded
-/// slot and by every shard's local solve — sharing the code is what keeps
-/// shard=1 plans bit-identical to the unsharded path. The cold
-/// rebuild-per-θ path ignores `sweeper`.
+/// off), then the residual Gd pass at θ2, on the warm sweeper. Shared
+/// verbatim by the unsharded slot and by every shard's local solve —
+/// sharing the code is what keeps shard=1 plans bit-identical to the
+/// unsharded path.
 SweepOutcome run_theta_sweep(const RbcaerConfig& config,
                              std::span<const Hotspot> hotspots,
                              const GridIndex& index,
@@ -41,19 +41,8 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
                              std::span<const std::uint32_t> cluster_of,
                              ThetaSweeper& sweeper) {
   SweepOutcome out;
-  Stopwatch stage_clock;
-  const auto absorb = [&](const std::vector<FlowEntry>& extracted) {
-    for (const auto& f : extracted) {
-      partition.phi[f.from] -= f.amount;
-      partition.phi[f.to] -= f.amount;
-      CCDN_ENSURE(partition.phi[f.from] >= 0 && partition.phi[f.to] >= 0,
-                  "flow exceeded slack");
-      out.moved += f.amount;
-    }
-    out.flows.insert(out.flows.end(), extracted.begin(), extracted.end());
-  };
-  // Incremental steps already committed their flows (φ decremented, slack
-  // invariant checked inside the sweeper); just accumulate.
+  // Steps already committed their flows (φ decremented, slack invariant
+  // checked inside the sweeper); just accumulate.
   const auto absorb_step = [&](const SweepStep& step) {
     out.moved += step.moved;
     out.guide_nodes += step.guide_nodes;
@@ -65,61 +54,28 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
   constexpr double kThetaEps = 1e-9;
   // Radius query per overloaded hotspot via the shared spatial index,
   // instead of scanning every (overloaded, under-utilized) pair.
-  stage_clock.reset();
+  Stopwatch stage_clock;
   const std::vector<CandidateEdge> candidates =
       candidate_edges(hotspots, partition, config.theta2_km, index);
-  if (config.incremental_sweep) {
-    const std::size_t reprices_before = sweeper.potential_reprices();
-    sweeper.begin_slot(partition, candidates);
-    out.graph_s += stage_clock.elapsed_seconds();
-    double theta = config.theta1_km;
-    while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
-      ++out.theta_iterations;
-      absorb_step(config.content_aggregation
-                      ? sweeper.step_gc(theta, cluster_of, config.guide)
-                      : sweeper.step_gd(theta));
-      theta += config.delta_km;
-    }
-    if (out.moved < max_movable) {
-      // Residual pass on the plain distance graph at θ2 (Algorithm 1,
-      // line 12); anything beyond that stays with its home hotspot and
-      // overflows to the CDN at admission (line 14).
-      absorb_step(sweeper.step_gd(config.theta2_km));
-    }
-    sweeper.end_slot();
-    out.potential_reprices = sweeper.potential_reprices() - reprices_before;
-  } else {
-    out.graph_s += stage_clock.elapsed_seconds();
-    double theta = config.theta1_km;
-    while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
-      stage_clock.reset();
-      BalanceGraph graph =
-          config.content_aggregation
-              ? build_gc(partition, candidates, theta, cluster_of,
-                         config.guide)
-              : build_gd(partition, candidates, theta);
-      out.graph_s += stage_clock.elapsed_seconds();
-      out.guide_nodes += graph.num_guide_nodes;
-      ++out.theta_iterations;
-      stage_clock.reset();
-      (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink,
-                                  config.mcmf_strategy);
-      out.mcmf_s += stage_clock.elapsed_seconds();
-      absorb(extract_flows(graph));
-      theta += config.delta_km;
-    }
-    if (out.moved < max_movable) {
-      // Residual pass (Algorithm 1 line 12), as above.
-      stage_clock.reset();
-      BalanceGraph graph = build_gd(partition, candidates, config.theta2_km);
-      out.graph_s += stage_clock.elapsed_seconds();
-      stage_clock.reset();
-      (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink,
-                                  config.mcmf_strategy);
-      out.mcmf_s += stage_clock.elapsed_seconds();
-      absorb(extract_flows(graph));
-    }
+  const std::size_t reprices_before = sweeper.potential_reprices();
+  sweeper.begin_slot(partition, candidates);
+  out.graph_s += stage_clock.elapsed_seconds();
+  double theta = config.theta1_km;
+  while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
+    ++out.theta_iterations;
+    absorb_step(config.content_aggregation
+                    ? sweeper.step_gc(theta, cluster_of, config.guide)
+                    : sweeper.step_gd(theta));
+    theta += config.delta_km;
   }
+  if (out.moved < max_movable) {
+    // Residual pass on the plain distance graph at θ2 (Algorithm 1,
+    // line 12); anything beyond that stays with its home hotspot and
+    // overflows to the CDN at admission (line 14).
+    absorb_step(sweeper.step_gd(config.theta2_km));
+  }
+  sweeper.end_slot();
+  out.potential_reprices = sweeper.potential_reprices() - reprices_before;
   return out;
 }
 
@@ -158,8 +114,8 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
     // Serial Jd build: slots already run in parallel on the simulator's
     // lanes, so a pool here would oversubscribe them.
     const auto top_sets = top_sets_per_hotspot(local, config.top_fraction);
-    const DistanceMatrix jd = content_distance_matrix(
-        top_sets, {.use_bitmap = config.bitmap_jaccard, .simd = config.simd});
+    const DistanceMatrix jd =
+        content_distance_matrix(top_sets, {.simd = config.simd});
     const ClusteringResult clustering = hierarchical_cluster(
         jd, config.linkage, config.content_cluster_threshold, config.simd);
     cluster_of = clustering.labels;
@@ -210,16 +166,6 @@ std::string RbcaerScheme::name() const {
   return config_.content_aggregation ? "RBCAer" : "RBCAer(no-aggregation)";
 }
 
-ThreadPool* RbcaerScheme::jd_pool() {
-  if (config_.jd_threads == 1) return nullptr;
-  if (!jd_pool_) {
-    jd_pool_ = std::make_unique<ThreadPool>(config_.jd_threads == 0
-                                                ? ThreadPool::default_threads()
-                                                : config_.jd_threads);
-  }
-  return jd_pool_.get();
-}
-
 SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
                                  std::span<const Request> requests,
                                  const SlotDemand& demand) {
@@ -263,9 +209,8 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   if (!sharded && config_.content_aggregation && has_work) {
     stage_clock.reset();
     const auto top_sets = top_sets_per_hotspot(demand, config_.top_fraction);
-    const DistanceMatrix jd = content_distance_matrix(
-        top_sets, {.use_bitmap = config_.bitmap_jaccard, .pool = jd_pool(),
-                   .simd = config_.simd});
+    const DistanceMatrix jd =
+        content_distance_matrix(top_sets, {.simd = config_.simd});
     const ClusteringResult clustering = hierarchical_cluster(
         jd, config_.linkage, config_.content_cluster_threshold, config_.simd);
     cluster_of = clustering.labels;
@@ -350,13 +295,6 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     shard_plan_.last = context.hotspots.back().location;
   }
 
-  // The shard solve must not touch this object's pool or sweeper: a
-  // neutralized config makes solve_shard_instance a pure function of
-  // (config, hotspots, demand, members).
-  RbcaerConfig child_config = config_;
-  child_config.num_shards = 0;
-  child_config.jd_threads = 1;
-
   ShardedSolveOptions options;
   options.exchange_radius_km = config_.theta2_km;
   options.exchange_theta1_km = config_.theta1_km;
@@ -369,7 +307,7 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
       context.hotspots, context.hotspot_index, partition,
       shard_plan_.assignment, shard_plan_.boundary, options,
       [&](std::uint32_t s) {
-        return solve_shard_instance(child_config, context.hotspots, demand,
+        return solve_shard_instance(config_, context.hotspots, demand,
                                     members[s]);
       });
 

@@ -25,7 +25,6 @@
 #include "core/theta_sweep.h"
 #include "flow/mcmf.h"
 #include "geo/zone_partition.h"
-#include "util/thread_pool.h"
 
 namespace ccdn {
 
@@ -43,9 +42,7 @@ struct RbcaerConfig {
   double bpeak_multiplier = 1.0;
   /// Ablation switch: false solves plain Gd only (no guide nodes).
   bool content_aggregation = true;
-  /// Jd kernel: word-parallel bitset Jaccard (TopsetBitmap, default) or
-  /// the scalar sorted-merge oracle. Both are bit-identical; the scalar
-  /// path exists for differential testing and as a portability fallback.
+  /// Ignored; kept only because perfbench/trace_mode.cc reads it.
   bool bitmap_jaccard = true;
   /// SIMD dispatch for the Jd batch kernels (the bitmap matrix build's
   /// jaccard_row tiles and the clustering argmin scans): auto probes the
@@ -54,11 +51,7 @@ struct RbcaerConfig {
   /// bit-identical plans (DESIGN.md §3.14); surfaced as --simd on the
   /// CLIs.
   SimdMode simd = SimdMode::kAuto;
-  /// Worker threads for the row-striped Jd matrix build. 1 (default) keeps
-  /// the build serial — the simulator already fans whole slots out across
-  /// threads, so intra-slot parallelism would oversubscribe there. Set to
-  /// 0 (all hardware threads) or an explicit count for single-slot /
-  /// large-H planning, e.g. the scalability benches.
+  /// Ignored; kept only because perfbench/trace_mode.cc assigns it.
   std::size_t jd_threads = 1;
   /// Paper §III system model: "if the requested video is present in the
   /// suitable content hotspots, the request is scheduled to be served
@@ -73,11 +66,6 @@ struct RbcaerConfig {
   bool integer_costs = false;
   /// Ignored; kept only because perfbench/trace_mode.cc reads it.
   double cost_scale = 0.0;
-  /// Warm-started θ sweep (ThetaSweeper): one persistent flow network per
-  /// slot, per-step edge appends, min-cost augmentation continued from the
-  /// frozen residual state. false falls back to the cold rebuild-per-θ
-  /// path, kept as the differential oracle (see DESIGN.md §3.7).
-  bool incremental_sweep = true;
   /// Ignored; kept only because perfbench/trace_mode.cc assigns it.
   bool online = false;
   /// Invariant auditing of the planning pipeline (checked builds only;
@@ -128,7 +116,7 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t replicas = 0;
     std::size_t miss_rerouted = 0;  // local cache misses sent to neighbours
     /// Re-prices the warm Gd steps needed when an appended edge broke the
-    /// carried potentials (0 on the cold path).
+    /// carried potentials.
     std::size_t potential_reprices = 0;
     /// Sharded-path observability; all zero when the slot ran unsharded.
     std::size_t shards = 0;
@@ -158,16 +146,9 @@ class RbcaerScheme final : public RedirectionScheme {
       const SchemeContext& context, const SlotDemand& demand,
       HotspotPartition& partition, std::size_t num_shards);
 
-  /// Pool for the Jd matrix build, lazily created on first use when
-  /// config_.jd_threads != 1; nullptr means build serially. Clones start
-  /// without a pool and create their own, so parallel-slot planning stays
-  /// isolated per clone.
-  [[nodiscard]] ThreadPool* jd_pool();
-
   RbcaerConfig config_;
   mutable Diagnostics diagnostics_;
   StageTimings stage_timings_;
-  std::unique_ptr<ThreadPool> jd_pool_;
   /// Persistent across slots so the warm sweep's buffers stop churning the
   /// allocator; clones get their own (planning stays pure per clone).
   ThetaSweeper sweeper_;

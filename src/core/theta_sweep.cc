@@ -8,6 +8,61 @@
 
 namespace ccdn {
 
+namespace {
+
+/// Decrement φ by merged per-pair flows, checking that no slack goes
+/// negative. Shared by the warm commit and the cold reference step.
+void charge_slack(HotspotPartition& partition,
+                  std::span<const FlowEntry> flows) {
+  for (const auto& f : flows) {
+    CCDN_ASSERT(f.amount > 0, "non-positive merged flow entry");
+    partition.phi[f.from] -= f.amount;
+    partition.phi[f.to] -= f.amount;
+    CCDN_ENSURE(partition.phi[f.from] >= 0 && partition.phi[f.to] >= 0,
+                "flow exceeded slack");
+  }
+}
+
+/// Solve a freshly built graph from zero flow and commit its flows.
+SweepStep solve_cold(BalanceGraph graph, HotspotPartition& partition,
+                     McmfStrategy strategy, double graph_s) {
+  SweepStep out;
+  out.graph_s = graph_s;
+  out.guide_nodes = graph.num_guide_nodes;
+  Stopwatch clock;
+  const McmfResult res =
+      MinCostMaxFlow::solve(graph.net, graph.source, graph.sink, strategy);
+  out.mcmf_s = clock.elapsed_seconds();
+  out.moved = res.flow;
+  out.cost = res.cost;
+  out.flows = extract_flows(graph);
+  charge_slack(partition, out.flows);
+  return out;
+}
+
+}  // namespace
+
+SweepStep cold_step_gd(HotspotPartition& partition,
+                       std::span<const CandidateEdge> candidates,
+                       double theta_km, McmfStrategy strategy) {
+  Stopwatch clock;
+  BalanceGraph graph = build_gd(partition, candidates, theta_km);
+  const double graph_s = clock.elapsed_seconds();
+  return solve_cold(std::move(graph), partition, strategy, graph_s);
+}
+
+SweepStep cold_step_gc(HotspotPartition& partition,
+                       std::span<const CandidateEdge> candidates,
+                       double theta_km,
+                       std::span<const std::uint32_t> cluster_of,
+                       const GuideOptions& options, McmfStrategy strategy) {
+  Stopwatch clock;
+  BalanceGraph graph =
+      build_gc(partition, candidates, theta_km, cluster_of, options);
+  const double graph_s = clock.elapsed_seconds();
+  return solve_cold(std::move(graph), partition, strategy, graph_s);
+}
+
 void ThetaSweeper::begin_slot(HotspotPartition& partition,
                               std::span<const CandidateEdge> candidates) {
   partition_ = &partition;
@@ -143,13 +198,7 @@ void ThetaSweeper::commit(SweepStep& out) {
     }
   }
   merge_flow_entries(out.flows);
-  for (const auto& f : out.flows) {
-    CCDN_ASSERT(f.amount > 0, "non-positive merged flow entry");
-    partition_->phi[f.from] -= f.amount;
-    partition_->phi[f.to] -= f.amount;
-    CCDN_ENSURE(partition_->phi[f.from] >= 0 && partition_->phi[f.to] >= 0,
-                "flow exceeded slack");
-  }
+  charge_slack(*partition_, out.flows);
   net_.freeze_residuals();
   if constexpr (kCheckedBuild) {
     if (audit_level_ >= AuditLevel::kFull) audit_commit();

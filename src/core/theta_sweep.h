@@ -1,8 +1,10 @@
-// Incremental θ sweep for Algorithm 1 (the warm-started MCMF loop).
+// Incremental θ sweep for Algorithm 1 (the warm-started MCMF loop), and the
+// cold reference step it is held to.
 //
-// The cold path rebuilds a BalanceGraph and re-solves MCMF from zero flow at
-// every θ step, even though consecutive steps differ only by the candidate
-// edges with d ∈ [θ_prev, θ). ThetaSweeper keeps ONE FlowNetwork per slot:
+// The cold step (cold_step_gd / cold_step_gc) rebuilds a BalanceGraph and
+// re-solves MCMF from zero flow at every θ step, even though consecutive
+// steps differ only by the candidate edges with d ∈ [θ_prev, θ).
+// ThetaSweeper keeps ONE FlowNetwork per slot:
 // the source/sink scaffold is built once, the candidate list is sorted by
 // distance once, and each step appends only the newly visible edges and
 // continues min-cost augmentation from the existing residual state.
@@ -63,8 +65,8 @@ struct SweepStep {
 class ThetaSweeper {
  public:
   /// `strategy` is used for the Gc steps, whose zero-cost member edges tie
-  /// and therefore need the exact search the cold oracle runs to stay
-  /// bit-for-bit identical. Gd steps always use the carried-potentials
+  /// and therefore need the exact search the cold reference step runs to
+  /// stay bit-for-bit identical. Gd steps always use the carried-potentials
   /// Dijkstra engine (see gd_solver_); plain distance costs make ties
   /// measure-zero, so the flows still match the cold path's solutions.
   /// The second and third parameters are ignored; kept only because
@@ -82,7 +84,7 @@ class ThetaSweeper {
   /// Start a slot: build the scaffold for `partition` into the persistent
   /// network and index `candidates` by distance. The partition outlives the
   /// sweep and its φ values are decremented as steps commit flow (the same
-  /// contract as the cold path's absorb loop). Candidates are taken in the
+  /// contract as cold_step_gd / cold_step_gc). Candidates are taken in the
   /// order produced by candidate_edges() and copied into the sweeper's
   /// arena-backed buffer.
   void begin_slot(HotspotPartition& partition,
@@ -206,5 +208,26 @@ class ThetaSweeper {
   std::size_t last_guide_nodes_ = 0;
   AuditLevel audit_level_ = AuditLevel::kOff;
 };
+
+/// The cold reference step: one θ step of Algorithm 1 exactly as the paper
+/// states it. Builds Gd over the `candidates` with d < θ and φ > 0 on both
+/// endpoints (build_gd), solves MCMF from zero flow with `strategy`, and
+/// commits the merged flows into `partition`'s φ. Returns the same
+/// SweepStep the warm steps return; ThetaSweeper::step_gd must reproduce
+/// its flows. The differential tests and fig8's oracle column compare
+/// against it, and VirtualRbcaerScheme's region-level sweep runs it.
+SweepStep cold_step_gd(HotspotPartition& partition,
+                       std::span<const CandidateEdge> candidates,
+                       double theta_km,
+                       McmfStrategy strategy = McmfStrategy::kSpfa);
+
+/// Same on Gc (build_gc); ThetaSweeper::step_gc must reproduce it bit for
+/// bit, guide-node count and cost included.
+SweepStep cold_step_gc(HotspotPartition& partition,
+                       std::span<const CandidateEdge> candidates,
+                       double theta_km,
+                       std::span<const std::uint32_t> cluster_of,
+                       const GuideOptions& options,
+                       McmfStrategy strategy = McmfStrategy::kSpfa);
 
 }  // namespace ccdn

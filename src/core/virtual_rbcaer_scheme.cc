@@ -10,6 +10,7 @@
 #include "core/balance_graph.h"
 #include "core/replication.h"
 #include "core/shard_solver.h"
+#include "core/theta_sweep.h"
 #include "geo/geo_point.h"
 #include "geo/grid_index.h"
 #include "geo/zone_partition.h"
@@ -21,22 +22,6 @@
 namespace ccdn {
 
 namespace {
-
-/// Complete-linkage geo clustering cut at region_km: every pair inside a
-/// region is closer than the bound.
-std::pair<std::vector<std::uint32_t>, std::size_t> partition_by_clustering(
-    std::span<const Hotspot> hotspots, double region_km, SimdMode simd) {
-  DistanceMatrix distances(hotspots.size());
-  for (std::size_t i = 0; i < hotspots.size(); ++i) {
-    for (std::size_t j = i + 1; j < hotspots.size(); ++j) {
-      distances.set(i, j,
-                    distance_km(hotspots[i].location, hotspots[j].location));
-    }
-  }
-  ClusteringResult clustering =
-      hierarchical_cluster(distances, Linkage::kComplete, region_km, simd);
-  return {std::move(clustering.labels), clustering.num_clusters};
-}
 
 /// Uniform-grid region partition; returns region label per hotspot and the
 /// number of regions (labels are dense).
@@ -58,10 +43,10 @@ std::pair<std::vector<std::uint32_t>, std::size_t> partition_regions(
   return {std::move(label), cell_label.size()};
 }
 
-/// The region-level cold θ loop: candidate edges over a centroid index,
-/// Gc/Gd per θ, flows committed against the given partition. Shared by the
-/// unsharded path and every shard's local solve (shard=1 stays
-/// bit-identical).
+/// The region-level θ loop on the cold reference step: candidate edges
+/// over a centroid index, one Gc/Gd step per θ, flows committed against
+/// the given partition. Shared by the unsharded path and every shard's
+/// local solve (shard=1 stays bit-identical).
 struct RegionalSweepResult {
   std::vector<FlowEntry> flows;
   std::int64_t moved = 0;
@@ -83,18 +68,13 @@ RegionalSweepResult regional_flow_sweep(
       candidate_edges(hotspots, partition, rc.theta2_km, region_index);
   double theta = rc.theta1_km;
   while (theta <= rc.theta2_km + 1e-9 && out.moved < max_movable) {
-    BalanceGraph graph =
+    const SweepStep step =
         rc.content_aggregation
-            ? build_gc(partition, candidates, theta, cluster_of, rc.guide)
-            : build_gd(partition, candidates, theta);
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink,
-                                rc.mcmf_strategy);
-    for (const auto& f : extract_flows(graph)) {
-      out.flows.push_back(f);
-      partition.phi[f.from] -= f.amount;
-      partition.phi[f.to] -= f.amount;
-      out.moved += f.amount;
-    }
+            ? cold_step_gc(partition, candidates, theta, cluster_of, rc.guide,
+                           rc.mcmf_strategy)
+            : cold_step_gd(partition, candidates, theta, rc.mcmf_strategy);
+    out.moved += step.moved;
+    out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
     theta += rc.delta_km;
   }
   return out;
@@ -119,10 +99,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
 
   // --- 1. Regions and their members. ---
   const auto [region_of, num_regions] =
-      config_.partition == RegionPartition::kGeoCluster
-          ? partition_by_clustering(context.hotspots, config_.region_km,
-                                    config_.regional.simd)
-          : partition_regions(context.hotspots, config_.region_km);
+      partition_regions(context.hotspots, config_.region_km);
   diagnostics_.num_regions = num_regions;
   std::vector<std::vector<std::uint32_t>> members(num_regions);
   for (std::uint32_t h = 0; h < m; ++h) members[region_of[h]].push_back(h);
@@ -169,8 +146,8 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
   std::vector<std::uint32_t> cluster_of(num_regions, 0);
   if (rc.content_aggregation && diagnostics_.region_max_movable > 0) {
     const auto top_sets = top_sets_per_hotspot(regional, rc.top_fraction);
-    const DistanceMatrix jd = content_distance_matrix(
-        top_sets, {.use_bitmap = rc.bitmap_jaccard, .simd = rc.simd});
+    const DistanceMatrix jd =
+        content_distance_matrix(top_sets, {.simd = rc.simd});
     cluster_of = hierarchical_cluster(jd, rc.linkage,
                                       rc.content_cluster_threshold, rc.simd)
                      .labels;

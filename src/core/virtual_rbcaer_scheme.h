@@ -5,14 +5,17 @@
 // work [28]).
 //
 // Per slot:
-//   1. Partition hotspots into spatial regions (uniform grid of
-//      `region_km` cells; [28]'s latency/replication-aware partitioning is
+//   1. Partition hotspots into spatial regions, one uniform grid of
+//      `region_km` cells ([28]'s latency/replication-aware partitioning is
 //      approximated by geography, which is its dominant term).
 //   2. Aggregate each region into a *virtual hotspot* (summed capacities,
 //      summed demand, centroid location) and run the RBCAer core —
 //      clustering, Gc, θ-sweep MCMF, Procedure 1 — on the K virtual
 //      hotspots instead of the N physical ones. Clustering drops from
-//      O(N²) to O(K²) pairs, the flow graphs shrink accordingly.
+//      O(N²) to O(K²) pairs, the flow graphs shrink accordingly. The
+//      region-level sweep runs the shared cold reference step
+//      (cold_step_gc / cold_step_gd, core/theta_sweep.h) once per θ and
+//      has no residual Gd pass.
 //   3. Localize the region-level decisions: inbound redirected demand is
 //      spread over member hotspots with slack (placing the videos there);
 //      outbound quotas are drawn from the most-overloaded members; local
@@ -29,19 +32,9 @@
 
 namespace ccdn {
 
-enum class RegionPartition {
-  /// Uniform square cells of `region_km` — O(N), the default.
-  kGrid,
-  /// Complete-linkage clustering on geo distance with dendrogram cut at
-  /// `region_km` (every intra-region pair closer than that). Closer to
-  /// [28]'s latency-aware partitioning but O(N^2); use for <= ~1K hotspots.
-  kGeoCluster,
-};
-
 struct VirtualRbcaerConfig {
-  /// Edge length (grid) / diameter bound (cluster) of a region.
+  /// Edge length of a region's square grid cell.
   double region_km = 2.0;
-  RegionPartition partition = RegionPartition::kGrid;
   /// Parameters for the region-level RBCAer core. θ values are in km
   /// between region centroids, so they default wider than the flat
   /// scheme's.

@@ -171,17 +171,6 @@ SlotResult process_slot(const SimulationConfig& config,
     }
     result.digest = plan_digest(result.plan);
   }
-  if (config.verify_clone_purity) {
-    // A fresh clone holds no cross-slot state (no patched scaffold, no
-    // carried potentials, no candidate cache), so replaying the slot on it
-    // exercises the rebuild path; any digest difference means carried
-    // state leaked into the plan.
-    if (SchemePtr fresh = slot_scheme.clone()) {
-      const SlotPlan replay = fresh->plan_slot(context, slot_requests, demand);
-      CCDN_ENSURE(plan_digest(replay) == plan_digest(result.plan),
-                  "slot plan depends on cross-slot scheme state");
-    }
-  }
   if (const StageTimings* plan_timings = slot_scheme.last_stage_timings()) {
     result.timings.partition_s = plan_timings->partition_s;
     result.timings.gc_build_s = plan_timings->gc_build_s;

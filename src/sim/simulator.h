@@ -68,13 +68,6 @@ struct SimulationConfig {
   /// report additionally records a per-slot FNV digest of (assignment,
   /// placements) in every build — see SimulationReport::slot_digests().
   AuditLevel audit_level = AuditLevel::kOff;
-  /// Replay every slot on a fresh scheme clone and require the replayed
-  /// plan's digest to match — the oracle that state a scheme keeps across
-  /// slots (the reused θ-sweeper buffers, the shard-plan cache) is a pure
-  /// accelerator and never leaks into plans.
-  /// Doubles the planning work; off by default, meant for tests and the
-  /// differential suites. Schemes without clone() are skipped.
-  bool verify_clone_purity = false;
   /// Zone-sharded planning (DESIGN.md §3.12), forwarded to the schemes via
   /// SchemeContext::num_shards. 0 = unsharded; 1 = sharded orchestration
   /// with one shard (bit-identical to unsharded); >= 2 = real sharding.

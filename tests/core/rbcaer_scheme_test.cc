@@ -212,6 +212,61 @@ TEST(Rbcaer, UnreachableSlackGoesToCdnViaAdmission) {
   for (const auto target : plan.assignment) EXPECT_EQ(target, 0u);
 }
 
+TEST(Rbcaer, MissRedirectionSendsLocalMissToNearestCachingNeighbour) {
+  // No hotspot is overloaded, so no flows: every placement comes from
+  // Procedure 1's local fill. Hotspot 0's one-slot cache holds video 1, so
+  // its single video-2 request misses at home. Hotspots 2 and 3 cache
+  // video 2 for their own requests within θ2 (1.5 km); hotspot 1 is the
+  // nearest neighbour but caches nothing, and hotspot 4 caches video 2
+  // beyond θ2.
+  std::vector<Hotspot> hotspots(5);
+  hotspots[0].location = {40.050, 116.500};
+  hotspots[1].location = {40.050, 116.506};  // ~0.51 km, nothing cached
+  hotspots[2].location = {40.057, 116.500};  // ~0.78 km, caches video 2
+  hotspots[3].location = {40.050, 116.490};  // ~0.85 km, caches video 2
+  hotspots[4].location = {40.050, 116.530};  // ~2.6 km, beyond θ2
+  for (auto& h : hotspots) {
+    h.service_capacity = 10;
+    h.cache_capacity = 1;
+  }
+  std::vector<GeoPoint> pts;
+  for (const auto& h : hotspots) pts.push_back(h.location);
+  const GridIndex index(pts, 0.5);
+  const SchemeContext context{hotspots, index, VideoCatalog{100}, 20.0};
+
+  std::vector<Request> requests;
+  const auto request_at = [&](std::size_t h, VideoId video) {
+    Request r;
+    r.video = video;
+    r.location = hotspots[h].location;
+    requests.push_back(r);
+  };
+  for (int i = 0; i < 4; ++i) request_at(0, 1);
+  const std::size_t miss = requests.size();
+  request_at(0, 2);
+  for (const std::size_t h : {2, 3, 4}) request_at(h, 2);
+  const SlotDemand demand(requests, index);
+
+  RbcaerScheme scheme;
+  const SlotPlan plan = scheme.plan_slot(context, requests, demand);
+  EXPECT_EQ(scheme.last_diagnostics().moved, 0);
+  EXPECT_EQ(plan.assignment[miss], 2u);
+  EXPECT_EQ(scheme.last_diagnostics().miss_rerouted, 1u);
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    if (r == miss) continue;
+    EXPECT_EQ(plan.assignment[r], demand.request_home()[r]) << "request " << r;
+  }
+
+  RbcaerConfig strict;
+  strict.miss_redirection = false;
+  RbcaerScheme strict_scheme(strict);
+  const SlotPlan strict_plan =
+      strict_scheme.plan_slot(context, requests, demand);
+  EXPECT_EQ(strict_plan.assignment[miss], 0u);
+  EXPECT_EQ(strict_scheme.last_diagnostics().miss_rerouted, 0u);
+  EXPECT_EQ(strict_plan.placements, plan.placements);
+}
+
 TEST(Rbcaer, DeterministicAcrossRuns) {
   Fixture fixture;
   const auto requests = hot_demand(25, {1, 2, 3});

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "cluster/content_distance.h"
 #include "core/balance_graph.h"
 #include "core/rbcaer_scheme.h"
+#include "core/replication.h"
 #include "flow/mcmf.h"
+#include "model/topsets.h"
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/rng.h"
@@ -17,8 +21,8 @@ namespace ccdn {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Differential harness: the cold rebuild-per-θ loop (the oracle, exactly as
-// RbcaerScheme's incremental_sweep=false branch runs it) vs ThetaSweeper.
+// Differential harness: the cold reference step (cold_step_gd/cold_step_gc,
+// a fresh graph and a from-zero MCMF per θ) vs ThetaSweeper.
 // ---------------------------------------------------------------------------
 
 struct Instance {
@@ -61,49 +65,34 @@ struct SweepRecord {
   std::size_t reprices = 0;
 };
 
-SweepRecord cold_sweep(HotspotPartition partition,
-                       const std::vector<CandidateEdge>& candidates,
-                       const std::vector<double>& thetas, bool aggregation,
-                       std::span<const std::uint32_t> cluster_of,
-                       const GuideOptions& guide, McmfStrategy strategy) {
-  SweepRecord rec;
-  for (const double theta : thetas) {
-    BalanceGraph graph =
-        aggregation ? build_gc(partition, candidates, theta, cluster_of, guide)
-                    : build_gd(partition, candidates, theta);
-    const auto result =
-        MinCostMaxFlow::solve(graph.net, graph.source, graph.sink, strategy);
-    rec.cost += result.cost;
-    rec.guide_nodes += graph.num_guide_nodes;
-    for (const auto& f : extract_flows(graph)) {
-      partition.phi[f.from] -= f.amount;
-      partition.phi[f.to] -= f.amount;
-      rec.moved += f.amount;
-      rec.flows.push_back(f);
-    }
-  }
-  merge_flow_entries(rec.flows);
-  rec.phi = partition.phi;
-  return rec;
-}
-
-SweepRecord warm_sweep(HotspotPartition partition,
-                       std::vector<CandidateEdge> candidates,
-                       const std::vector<double>& thetas, bool aggregation,
-                       std::span<const std::uint32_t> cluster_of,
-                       const GuideOptions& guide, McmfStrategy strategy) {
+/// Sweep the θ grid over Gc (aggregation) or Gd, then optionally one
+/// residual Gd step, on the warm sweeper or on the cold reference step.
+SweepRecord sweep(bool warm, HotspotPartition partition,
+                  std::span<const CandidateEdge> candidates,
+                  const std::vector<double>& thetas, bool aggregation,
+                  std::span<const std::uint32_t> cluster_of,
+                  const GuideOptions& guide, McmfStrategy strategy,
+                  std::optional<double> residual_theta = std::nullopt) {
   ThetaSweeper sweeper(strategy);
-  sweeper.begin_slot(partition, std::move(candidates));
+  if (warm) sweeper.begin_slot(partition, candidates);
   SweepRecord rec;
-  for (const double theta : thetas) {
-    const SweepStep step = aggregation
-                               ? sweeper.step_gc(theta, cluster_of, guide)
-                               : sweeper.step_gd(theta);
+  const auto absorb = [&](const SweepStep& step) {
     rec.moved += step.moved;
     rec.cost += step.cost;
     rec.guide_nodes += step.guide_nodes;
     rec.flows.insert(rec.flows.end(), step.flows.begin(), step.flows.end());
-  }
+  };
+  const auto step = [&](double theta, bool gc) {
+    if (warm) {
+      return gc ? sweeper.step_gc(theta, cluster_of, guide)
+                : sweeper.step_gd(theta);
+    }
+    return gc ? cold_step_gc(partition, candidates, theta, cluster_of, guide,
+                             strategy)
+              : cold_step_gd(partition, candidates, theta, strategy);
+  };
+  for (const double theta : thetas) absorb(step(theta, aggregation));
+  if (residual_theta) absorb(step(*residual_theta, false));
   sweeper.end_slot();
   merge_flow_entries(rec.flows);
   rec.phi = partition.phi;
@@ -133,12 +122,10 @@ TEST_P(ThetaSweepDifferential, GdWarmMatchesCold) {
       candidate_edges_pairscan(inst.hotspots, partition, 1.5);
   const auto thetas = theta_grid(0.3, 1.5, 0.1);  // 13 steps
 
-  const SweepRecord cold = cold_sweep(partition, candidates, thetas, false,
-                                      inst.cluster_of, {},
-                                      McmfStrategy::kSpfa);
-  const SweepRecord warm = warm_sweep(partition, candidates, thetas, false,
-                                      inst.cluster_of, {},
-                                      McmfStrategy::kSpfa);
+  const SweepRecord cold = sweep(false, partition, candidates, thetas, false,
+                                 inst.cluster_of, {}, McmfStrategy::kSpfa);
+  const SweepRecord warm = sweep(true, partition, candidates, thetas, false,
+                                 inst.cluster_of, {}, McmfStrategy::kSpfa);
 
   EXPECT_EQ(warm.moved, cold.moved);
   EXPECT_NEAR(warm.cost, cold.cost, 1e-6);
@@ -159,12 +146,10 @@ TEST_P(ThetaSweepDifferential, GcWarmMatchesColdBitForBit) {
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
   const GuideOptions guide;
 
-  const SweepRecord cold = cold_sweep(partition, candidates, thetas, true,
-                                      inst.cluster_of, guide,
-                                      McmfStrategy::kSpfa);
-  const SweepRecord warm = warm_sweep(partition, candidates, thetas, true,
-                                      inst.cluster_of, guide,
-                                      McmfStrategy::kSpfa);
+  const SweepRecord cold = sweep(false, partition, candidates, thetas, true,
+                                 inst.cluster_of, guide, McmfStrategy::kSpfa);
+  const SweepRecord warm = sweep(true, partition, candidates, thetas, true,
+                                 inst.cluster_of, guide, McmfStrategy::kSpfa);
 
   EXPECT_EQ(warm.moved, cold.moved);
   EXPECT_EQ(warm.guide_nodes, cold.guide_nodes);
@@ -178,52 +163,22 @@ TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
   // Gd pass at θ2. Exercises the kGc → kGdTransient regime switch.
   Rng rng(GetParam() * 13007 + 29);
   const Instance inst = random_instance(rng, 20, 3);
-  HotspotPartition cold_partition =
+  const HotspotPartition partition =
       HotspotPartition::from_loads(inst.hotspots, inst.loads);
-  HotspotPartition warm_partition = cold_partition;
   const auto candidates =
-      candidate_edges_pairscan(inst.hotspots, cold_partition, 1.5);
+      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
   const GuideOptions guide;
 
-  SweepRecord cold;
-  const auto cold_step = [&](const BalanceGraph& graph) {
-    for (const auto& f : extract_flows(graph)) {
-      cold_partition.phi[f.from] -= f.amount;
-      cold_partition.phi[f.to] -= f.amount;
-      cold.moved += f.amount;
-      cold.flows.push_back(f);
-    }
-  };
-  for (const double theta : thetas) {
-    BalanceGraph graph = build_gc(cold_partition, candidates, theta,
-                                  inst.cluster_of, guide);
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink);
-    cold_step(graph);
-  }
-  {
-    BalanceGraph graph = build_gd(cold_partition, candidates, 1.5);
-    (void)MinCostMaxFlow::solve(graph.net, graph.source, graph.sink);
-    cold_step(graph);
-  }
-  merge_flow_entries(cold.flows);
-
-  SweepRecord warm;
-  ThetaSweeper sweeper;
-  sweeper.begin_slot(warm_partition, candidates);
-  const auto absorb = [&](const SweepStep& step) {
-    warm.moved += step.moved;
-    warm.flows.insert(warm.flows.end(), step.flows.begin(), step.flows.end());
-  };
-  for (const double theta : thetas) {
-    absorb(sweeper.step_gc(theta, inst.cluster_of, guide));
-  }
-  absorb(sweeper.step_gd(1.5));
-  sweeper.end_slot();
-  merge_flow_entries(warm.flows);
+  const SweepRecord cold = sweep(false, partition, candidates, thetas, true,
+                                 inst.cluster_of, guide, McmfStrategy::kSpfa,
+                                 1.5);
+  const SweepRecord warm = sweep(true, partition, candidates, thetas, true,
+                                 inst.cluster_of, guide, McmfStrategy::kSpfa,
+                                 1.5);
 
   EXPECT_EQ(warm.moved, cold.moved);
-  EXPECT_EQ(warm_partition.phi, cold_partition.phi);
+  EXPECT_EQ(warm.phi, cold.phi);
   expect_same_flows(warm.flows, cold.flows);
 }
 
@@ -241,12 +196,12 @@ TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
       candidate_edges_pairscan(inst.hotspots, partition, 1.5);
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
 
-  const SweepRecord oracle = cold_sweep(partition, candidates, thetas, false,
-                                        inst.cluster_of, {},
-                                        McmfStrategy::kSpfa);
-  const SweepRecord warm = warm_sweep(partition, candidates, thetas, false,
-                                      inst.cluster_of, {},
-                                      McmfStrategy::kDijkstraPotentials);
+  const SweepRecord oracle =
+      sweep(false, partition, candidates, thetas, false, inst.cluster_of, {},
+            McmfStrategy::kSpfa);
+  const SweepRecord warm =
+      sweep(true, partition, candidates, thetas, false, inst.cluster_of, {},
+            McmfStrategy::kDijkstraPotentials);
 
   EXPECT_EQ(warm.moved, oracle.moved);
   EXPECT_NEAR(warm.cost, oracle.cost, 1e-6);
@@ -260,8 +215,10 @@ INSTANTIATE_TEST_SUITE_P(RandomPartitions, ThetaSweepDifferential,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------------
-// Scheme-level differential: incremental_sweep on/off must produce the same
-// SlotPlan and diagnostics on the seed scenarios.
+// Scheme-level differential: RbcaerScheme (warm sweeper) against a replay of
+// its pipeline built from public calls with the cold reference step in place
+// of the sweeper. Both run without miss redirection, which the replay does
+// not model.
 // ---------------------------------------------------------------------------
 
 struct Fixture {
@@ -304,29 +261,93 @@ std::vector<Request> hot_demand(int count, std::vector<VideoId> videos) {
   return requests;
 }
 
+struct ColdReplay {
+  SlotPlan plan;
+  std::int64_t moved = 0;
+  std::int64_t redirected = 0;
+  std::size_t guide_nodes = 0;
+  std::size_t theta_iterations = 0;
+  std::size_t replicas = 0;
+};
+
+/// RbcaerScheme::plan_slot's unsharded path, step for step: partition,
+/// clustering, candidate edges, the θ sweep plus the residual Gd step on
+/// the cold reference step, Procedure 1 and materialization.
+ColdReplay cold_replay(const RbcaerConfig& config,
+                       const SchemeContext& context,
+                       std::span<const Request> requests,
+                       const SlotDemand& demand) {
+  const std::size_t m = context.hotspots.size();
+  std::vector<std::uint32_t> loads(m);
+  for (std::size_t h = 0; h < m; ++h) {
+    loads[h] = demand.load(static_cast<HotspotIndex>(h));
+  }
+  HotspotPartition partition =
+      HotspotPartition::from_loads(context.hotspots, loads);
+  const std::int64_t max_movable = partition.max_movable();
+  ColdReplay out;
+  std::vector<FlowEntry> flows;
+  const auto absorb = [&](const SweepStep& step) {
+    out.moved += step.moved;
+    out.guide_nodes += step.guide_nodes;
+    flows.insert(flows.end(), step.flows.begin(), step.flows.end());
+  };
+  if (max_movable > 0) {
+    std::vector<std::uint32_t> cluster_of(m, 0);
+    if (config.content_aggregation) {
+      cluster_of = hierarchical_cluster(
+                       content_distance_matrix(top_sets_per_hotspot(
+                           demand, config.top_fraction)),
+                       config.linkage, config.content_cluster_threshold)
+                       .labels;
+    }
+    const auto candidates = candidate_edges(
+        context.hotspots, partition, config.theta2_km, context.hotspot_index);
+    for (double theta = config.theta1_km;
+         theta <= config.theta2_km + 1e-9 && out.moved < max_movable;
+         theta += config.delta_km) {
+      ++out.theta_iterations;
+      absorb(config.content_aggregation
+                 ? cold_step_gc(partition, candidates, theta, cluster_of,
+                                config.guide, config.mcmf_strategy)
+                 : cold_step_gd(partition, candidates, theta,
+                                config.mcmf_strategy));
+    }
+    if (out.moved < max_movable) {
+      absorb(cold_step_gd(partition, candidates, config.theta2_km,
+                          config.mcmf_strategy));
+    }
+  }
+  merge_flow_entries(flows);
+  const auto budget = static_cast<std::size_t>(std::llround(
+      config.bpeak_multiplier * static_cast<double>(demand.num_requests())));
+  ReplicationResult replication = content_aggregation_replication(
+      demand, context.hotspots, flows, budget);
+  out.redirected = replication.total_redirected;
+  out.replicas = replication.replicas;
+  out.plan.placements = std::move(replication.placements);
+  out.plan.assignment = materialize_assignment(
+      requests, demand.request_home(), std::move(replication.redirects));
+  return out;
+}
+
 void expect_same_plan_and_diagnostics(RbcaerConfig config,
                                       const SchemeContext& context,
                                       std::span<const Request> requests,
                                       const SlotDemand& demand) {
-  config.incremental_sweep = true;
+  config.miss_redirection = false;
   RbcaerScheme warm(config);
   const SlotPlan warm_plan = warm.plan_slot(context, requests, demand);
-  config.incremental_sweep = false;
-  RbcaerScheme cold(config);
-  const SlotPlan cold_plan = cold.plan_slot(context, requests, demand);
+  const ColdReplay cold = cold_replay(config, context, requests, demand);
 
-  EXPECT_EQ(warm_plan.assignment, cold_plan.assignment);
-  EXPECT_EQ(warm_plan.placements, cold_plan.placements);
+  EXPECT_EQ(warm_plan.assignment, cold.plan.assignment);
+  EXPECT_EQ(warm_plan.placements, cold.plan.placements);
   const auto& w = warm.last_diagnostics();
-  const auto& c = cold.last_diagnostics();
-  EXPECT_EQ(w.max_movable, c.max_movable);
-  EXPECT_EQ(w.moved, c.moved);
-  EXPECT_EQ(w.redirected, c.redirected);
-  EXPECT_EQ(w.num_clusters, c.num_clusters);
-  EXPECT_EQ(w.guide_nodes, c.guide_nodes);
-  EXPECT_EQ(w.theta_iterations, c.theta_iterations);
-  EXPECT_EQ(w.replicas, c.replicas);
-  EXPECT_EQ(w.miss_rerouted, c.miss_rerouted);
+  EXPECT_EQ(w.moved, cold.moved);
+  EXPECT_EQ(w.guide_nodes, cold.guide_nodes);
+  EXPECT_EQ(w.theta_iterations, cold.theta_iterations);
+  EXPECT_EQ(w.redirected, cold.redirected);
+  EXPECT_EQ(w.replicas, cold.replicas);
 }
 
 TEST(ThetaSweepScheme, IncrementalMatchesColdOnSeedScenarios) {

@@ -160,40 +160,6 @@ TEST(VirtualRbcaer, BalancedLoadIsHandsOff) {
   }
 }
 
-TEST(VirtualRbcaer, GeoClusterPartitionAlsoWorks) {
-  TwoClusterFixture fixture;
-  const auto requests = west_demand(30);
-  const SlotDemand demand(requests, fixture.index);
-  VirtualRbcaerConfig config;
-  config.partition = RegionPartition::kGeoCluster;
-  config.region_km = 1.0;  // cluster diameter bound; the two blobs split
-  VirtualRbcaerScheme scheme(config);
-  const SlotPlan plan = scheme.plan_slot(fixture.context(), requests, demand);
-  EXPECT_EQ(scheme.last_diagnostics().num_regions, 2u);
-  EXPECT_GT(scheme.last_diagnostics().region_moved, 0);
-  EXPECT_TRUE(plan.respects_caches(fixture.hotspots));
-}
-
-TEST(VirtualRbcaer, GridAndClusterPartitionsAgreeOnSeparatedBlobs) {
-  TwoClusterFixture fixture;
-  const auto requests = west_demand(30);
-  const SlotDemand demand(requests, fixture.index);
-  VirtualRbcaerScheme grid;  // default grid
-  VirtualRbcaerConfig cluster_config;
-  cluster_config.partition = RegionPartition::kGeoCluster;
-  cluster_config.region_km = 1.0;
-  VirtualRbcaerScheme clustered(cluster_config);
-  const SlotPlan grid_plan =
-      grid.plan_slot(fixture.context(), requests, demand);
-  const SlotPlan cluster_plan =
-      clustered.plan_slot(fixture.context(), requests, demand);
-  // Same region structure on this well-separated instance -> same amount
-  // of load moved between regions.
-  EXPECT_EQ(grid.last_diagnostics().region_moved,
-            clustered.last_diagnostics().region_moved);
-  EXPECT_EQ(grid_plan.assignment.size(), cluster_plan.assignment.size());
-}
-
 TEST(VirtualRbcaer, EndToEndComparableToFlatOnEvaluationWorld) {
   WorldConfig config = WorldConfig::evaluation_region();
   config.num_hotspots = 100;

@@ -9,11 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "core/nearest_scheme.h"
 #include "core/random_scheme.h"
 #include "core/rbcaer_scheme.h"
 #include "trace/generator.h"
 #include "trace/world.h"
+#include "verify/schedule_audit.h"
 
 namespace ccdn {
 namespace {
@@ -94,24 +98,6 @@ TEST(ParallelSimulator, RbcaerIdenticalAcrossThreadCounts) {
   expect_identical(sequential, parallel);
 }
 
-TEST(ParallelSimulator, IncrementalSweepIdenticalAcrossThreadsAndColdPath) {
-  // The warm-started θ sweep keeps per-scheme solver state (ThetaSweeper);
-  // clones must stay isolated so parallel slot planning is still pure, and
-  // the whole simulation must match the cold rebuild-per-θ oracle.
-  const Workload workload;
-  RbcaerConfig warm_config;
-  warm_config.incremental_sweep = true;  // explicit, though it is the default
-  RbcaerConfig cold_config = warm_config;
-  cold_config.incremental_sweep = false;
-  RbcaerScheme warm_sequential(warm_config);
-  RbcaerScheme warm_parallel(warm_config);
-  RbcaerScheme cold_sequential(cold_config);
-  const auto sequential = workload.run(warm_sequential, 1);
-  const auto parallel = workload.run(warm_parallel, 4);
-  expect_identical(sequential, parallel);
-  expect_identical(sequential, workload.run(cold_sequential, 1));
-}
-
 TEST(ParallelSimulator, IdenticalUnderChurnAndDeltaCharging) {
   const Workload workload;
   RbcaerScheme sequential_scheme;
@@ -140,6 +126,43 @@ TEST(ParallelSimulator, ShardedSchemeIdenticalAcrossThreadCounts) {
                    workload.run(parallel_scheme, 4));
 }
 
+/// Replays every slot on a fresh clone of the wrapped scheme and counts
+/// plans whose digest differs: the check that state a scheme keeps across
+/// slots (the reused θ-sweeper buffers, the shard-plan cache) never leaks
+/// into a plan. clone() wraps the inner clone, so the simulator's lanes
+/// run the check exactly as they run the scheme.
+class ClonePurityScheme final : public RedirectionScheme {
+ public:
+  struct Counts {
+    std::atomic<std::size_t> replays{0};
+    std::atomic<std::size_t> mismatches{0};
+  };
+
+  ClonePurityScheme(SchemePtr inner, Counts& counts)
+      : inner_(std::move(inner)), counts_(counts) {}
+
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+  [[nodiscard]] SlotPlan plan_slot(const SchemeContext& context,
+                                   std::span<const Request> requests,
+                                   const SlotDemand& demand) override {
+    SlotPlan plan = inner_->plan_slot(context, requests, demand);
+    const SlotPlan replay =
+        inner_->clone()->plan_slot(context, requests, demand);
+    ++counts_.replays;
+    if (plan_digest(replay) != plan_digest(plan)) ++counts_.mismatches;
+    return plan;
+  }
+
+  [[nodiscard]] SchemePtr clone() const override {
+    return std::make_unique<ClonePurityScheme>(inner_->clone(), counts_);
+  }
+
+ private:
+  SchemePtr inner_;
+  Counts& counts_;
+};
+
 TEST(ParallelSimulator, RbcaerDigestsMatchAcrossWindowsAndClonePurity) {
   // The windowed lanes hand each clone only every W-th slot, and the purity
   // replay plans every slot again on a fresh clone: neither may change a
@@ -156,6 +179,7 @@ TEST(ParallelSimulator, RbcaerDigestsMatchAcrossWindowsAndClonePurity) {
   trace_config.seed = 11;
   const auto trace = generate_trace(world, trace_config);
 
+  ClonePurityScheme::Counts purity_counts;
   const auto run = [&](std::size_t threads, std::size_t window,
                        bool purity) {
     SimulationConfig config;
@@ -163,17 +187,22 @@ TEST(ParallelSimulator, RbcaerDigestsMatchAcrossWindowsAndClonePurity) {
     config.audit_level = AuditLevel::kPlan;  // records slot digests
     config.num_threads = threads;
     config.max_inflight_slots = window;
-    config.verify_clone_purity = purity;
-    RbcaerScheme scheme;
     const Simulator simulator(world.hotspots(),
                               VideoCatalog{world_config.num_videos}, config);
-    return simulator.run(scheme, trace).slot_digests();
+    SchemePtr scheme = std::make_unique<RbcaerScheme>();
+    if (purity) {
+      scheme = std::make_unique<ClonePurityScheme>(std::move(scheme),
+                                                   purity_counts);
+    }
+    return simulator.run(*scheme, trace).slot_digests();
   };
 
   const auto baseline = run(1, 0, false);
   ASSERT_FALSE(baseline.empty());
   EXPECT_EQ(run(2, 2, false), baseline);
   EXPECT_EQ(run(4, 3, true), baseline);
+  EXPECT_EQ(purity_counts.replays.load(), baseline.size());
+  EXPECT_EQ(purity_counts.mismatches.load(), 0u);
 }
 
 TEST(ParallelSimulator, NearestIdenticalWithAllHardwareThreads) {

@@ -19,14 +19,16 @@
 // (θ-sweep commits, Procedure 1, flow entries) run as well via
 // audit_level = kFull.
 //
-// With --stream the trace is never materialized: slots are pulled one at
-// a time from a CsvSlotSource (--in) or the windowed TraceGenerator
-// cursor (synthetic), so multi-day audits run in O(slot) memory. The
-// final line reports getrusage peak RSS either way — the CI bounded-
-// memory smoke job asserts on it.
+// A trace file (--in) is never materialized: slots are pulled one at a
+// time from a CsvSlotSource, which reports the first out-of-order row by
+// line number. A synthetic trace is generated whole, or with --stream
+// slot by slot from the windowed TraceGenerator cursor (as `ccdn-trace
+// generate --stream` writes it), so multi-day audits run in O(slot)
+// memory either way. The final line reports getrusage peak RSS — the CI
+// bounded-memory smoke job asserts on it.
 //
 // Exit status: 0 when every slot is clean, 1 when any invariant failed,
-// 2 on usage errors.
+// 2 on usage errors and unreadable trace files.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -40,9 +42,9 @@
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/slot_source.h"
-#include "trace/trace_io.h"
 #include "trace/world.h"
 #include "util/cpu_features.h"
+#include "util/error.h"
 #include "util/flags.h"
 #include "util/peak_rss.h"
 #include "verify/schedule_audit.h"
@@ -82,10 +84,7 @@ SchemeChoice make_scheme(const std::string& name, std::size_t shards,
   return choice;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+int run_audit(const Flags& flags) {
   const std::string scheme_name = flags.get_string("scheme", "rbcaer");
   // Zone-sharded planning: every shard's plan flows through the same full
   // audit stack as the unsharded path (plus the shard-locality and
@@ -132,20 +131,20 @@ int main(int argc, char** argv) {
   }
 
   // One pull-based loop serves all ingestion modes; only the source
-  // differs. Without --stream the trace is materialized first (the
-  // classic path); with it, at most one slot batch is ever resident.
+  // differs. Only the synthetic trace without --stream is materialized
+  // first; otherwise at most one slot batch is ever resident.
   std::vector<Request> trace;
   std::unique_ptr<TraceGenerator> generator;
   std::unique_ptr<SlotSource> source;
-  if (stream && !in.empty()) {
+  const bool streaming = stream || !in.empty();
+  if (!in.empty()) {
     source = std::make_unique<CsvSlotSource>(in, slot_seconds);
   } else if (stream) {
     generator =
         std::make_unique<TraceGenerator>(world, trace_config, slot_seconds);
     source = std::make_unique<GeneratorSlotSource>(*generator);
   } else {
-    trace = in.empty() ? generate_trace(world, trace_config)
-                       : read_trace_csv(in);
+    trace = generate_trace(world, trace_config);
     source = std::make_unique<VectorSlotSource>(trace, slot_seconds);
   }
 
@@ -157,7 +156,7 @@ int main(int argc, char** argv) {
   std::printf("audit_run: scheme=%s build=%s mode=%s hotspots=%zu\n",
               choice.scheme->name().c_str(),
               kCheckedBuild ? "checked" : "release",
-              stream ? "stream" : "in-memory", world.hotspots().size());
+              streaming ? "stream" : "in-memory", world.hotspots().size());
 
   std::size_t violations = 0;
   std::size_t served = 0;
@@ -199,4 +198,17 @@ int main(int argc, char** argv) {
               violations, num_slots, served, total_requests);
   std::printf("audit_run: peak_rss_mb=%.1f\n", peak_rss_mb());
   return violations == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_audit(Flags(argc, argv));
+  } catch (const ParseError& error) {
+    // An unreadable trace file, e.g. rows out of timestamp order: a usage
+    // error, reported with the offending line number.
+    std::fprintf(stderr, "audit_run: %s\n", error.what());
+    return 2;
+  }
 }

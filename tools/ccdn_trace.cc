@@ -13,11 +13,12 @@
 //
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
-//                       [--stream] [--threads=1] [--window=0]
+//                       [--threads=1] [--window=0]
 //                       [--slot_seconds=86400] [--shards=0] [--simd=auto]
 //       Run one scheme over the trace and print the four paper metrics.
-//       --stream pulls slot batches straight off the CSV (bounded memory,
-//       bit-identical report); --threads/--window size the pipelined
+//       Slot batches stream straight off the CSV (bounded memory); rows
+//       must be sorted by timestamp, and the first row out of order is
+//       reported by line number. --threads/--window size the pipelined
 //       executor (window 0 = 2x threads).
 //
 // The world is regenerated from the same --seed/--hotspots/--videos flags,
@@ -194,19 +195,12 @@ int cmd_simulate(const Flags& flags) {
   // via SchemeContext, the stateless baselines ignore it.
   sim_config.num_shards =
       static_cast<std::size_t>(flags.get_int("shards", 0));
-  const bool stream = flags.get_bool("stream", false);
   if (reject_unused("simulate", flags)) return 2;
   const Simulator simulator(world.hotspots(),
                             VideoCatalog{world.config().num_videos},
                             sim_config);
-  SimulationReport report = [&] {
-    if (stream) {
-      CsvSlotSource source(in, sim_config.slot_seconds);
-      return simulator.run(*scheme, source);
-    }
-    const auto trace = read_trace_csv(in);
-    return simulator.run(*scheme, trace);
-  }();
+  CsvSlotSource source(in, sim_config.slot_seconds);
+  const SimulationReport report = simulator.run(*scheme, source);
   std::printf("%s over %zu requests:\n", scheme->name().c_str(),
               report.total_requests());
   std::printf("  serving_ratio        %.3f\n", report.serving_ratio());

@@ -17,7 +17,7 @@
 //
 // The workload is fixed in code (not read from the file) so the golden
 // file cannot drift away from what the tool recomputes: a 40-hotspot /
-// 1500-video world at seed 7, uniform 5%/3% capacities, a 6000-request
+// 1500-video world at seed 7, uniform 5%/3% capacities, a 30000-request
 // 24 h trace at seed 7, hourly slots. Digests are the FNV-1a plan digests
 // the simulator records whenever audit_level != kOff, so this harness
 // pins the exact (assignment, placements) decisions of every pinned scheme
@@ -52,7 +52,7 @@ constexpr std::uint32_t kVideos = 1500;
 constexpr std::uint64_t kSeed = 7;
 constexpr double kCapacityShare = 0.05;
 constexpr double kCacheShare = 0.03;
-constexpr std::size_t kRequests = 6000;
+constexpr std::size_t kRequests = 30000;
 constexpr std::size_t kHours = 24;
 constexpr std::int64_t kSlotSeconds = 3600;
 
@@ -61,24 +61,31 @@ const char* const kSchemes[] = {"nearest",       "random",
                                 "rbcaer-shard2", "virtual-shard2",
                                 "rbcaer-shard4", "virtual-shard4"};
 
-// Runtime plan-equality contracts checked on every run, in addition to the
-// pinned golden comparison. Each row holds a variant's freshly computed
-// per-slot digests to its base scheme's freshly computed ones — never to a
-// pinned lineage of its own, so the gates survive intentional base-scheme
-// changes without an extra regeneration step.
+// Runtime plan contracts checked on every run, in addition to the pinned
+// golden comparison. Each row compares a scheme's freshly computed per-slot
+// digests with another's — never with a pinned lineage of its own, so the
+// gates survive intentional base-scheme changes without an extra
+// regeneration step.
 //
 //   "-shard1":  the zone-sharded orchestration with a single shard must be
 //               bit-identical to the unsharded path (DESIGN.md §3.12) —
 //               the sub-instance rebuild and the id remap may not change
 //               a single plan bit. Not pinned.
+//   vs nearest: workload guard. The digests only see a planner change in
+//               slots where the planner moves something, so each RBCAer
+//               scheme must plan differently from "nearest" in at least
+//               half the slots, or the workload has grown too slack.
 struct VariantCheck {
   const char* variant;
   const char* base;
   const char* contract;
+  bool must_differ;  // in >= half the slots; otherwise equal in every slot
 };
 const VariantCheck kVariantChecks[] = {
-    {"rbcaer-shard1", "rbcaer", "shard=1 bit-identity"},
-    {"virtual-shard1", "virtual", "shard=1 bit-identity"},
+    {"rbcaer-shard1", "rbcaer", "shard=1 bit-identity", false},
+    {"virtual-shard1", "virtual", "shard=1 bit-identity", false},
+    {"rbcaer", "nearest", "planner workload guard", true},
+    {"virtual", "nearest", "planner workload guard", true},
 };
 
 /// Jd SIMD mode for every scheme built by make_scheme, set once from
@@ -256,16 +263,20 @@ int main(int argc, char** argv) {
           continue;
         }
         ++variants_checked;
-        if (digests_of(variant) == digests_of(check.base)) {
-          std::printf("golden_digests: %s plans equal %s's (%s holds)\n",
-                      check.variant, check.base, check.contract);
-        } else {
-          std::fprintf(stderr,
-                       "golden_digests: %s plans diverge from %s's "
-                       "(%s broken)\n",
-                       check.variant, check.base, check.contract);
-          ++bad;
+        const std::vector<std::uint64_t> got = digests_of(variant);
+        const std::vector<std::uint64_t> base = digests_of(check.base);
+        std::size_t differing = 0;
+        for (std::size_t s = 0; s < got.size() && s < base.size(); ++s) {
+          if (got[s] != base[s]) ++differing;
         }
+        const bool holds =
+            check.must_differ ? 2 * differing >= got.size() : got == base;
+        std::fprintf(holds ? stdout : stderr,
+                     "golden_digests: %s plans differ from %s's in %zu/%zu "
+                     "slots (%s %s)\n",
+                     check.variant, check.base, differing, got.size(),
+                     check.contract, holds ? "holds" : "broken");
+        if (!holds) ++bad;
       }
       return bad;
     };
@@ -278,7 +289,7 @@ int main(int argc, char** argv) {
                     all.back().second.size());
       }
       // All variant contracts ride along (unfiltered); never write a golden
-      // file from a tree whose equality promises are already broken.
+      // file from a tree whose promises are already broken.
       if (check_variants("") != 0) {
         std::fprintf(stderr,
                      "golden_digests: refusing to write a golden file with "
