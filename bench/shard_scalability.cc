@@ -48,7 +48,7 @@ double plan_objective_km(const SchemeContext& context,
 }
 
 struct ShardRow {
-  std::string name;  // "gc" or "gd"
+  const char* name = "";  // "gc" or "gd"
   std::size_t shards = 0;
   std::size_t hotspots = 0;
   std::size_t boundary = 0;
@@ -90,7 +90,7 @@ void write_json(const std::string& path, const std::vector<ShardRow>& rows) {
                  "\"exchange_s\": %.6f, \"imbalance\": %.3f, "
                  "\"moved\": %lld, \"exchange_moved\": %lld, "
                  "\"gap\": %.6f, \"shard_flow_s\": [",
-                 r.name.c_str(), r.shards, r.hotspots, r.hotspots, r.shards,
+                 r.name, r.shards, r.hotspots, r.hotspots, r.shards,
                  r.boundary, r.shard_wall_s, r.cluster_s, r.graph_s, r.mcmf_s,
                  r.exchange_s, r.imbalance(), static_cast<long long>(r.moved),
                  static_cast<long long>(r.exchange_moved), r.gap);
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
                     : 0.0;
       std::printf("%-4s %7zu %9.3fs %8.3fs %8.3fs %8.3fs %9.3fs %9.2fx "
                   "%6.2f%%\n",
-                  row.name.c_str(), row.shards, row.shard_wall_s,
+                  row.name, row.shards, row.shard_wall_s,
                   row.cluster_s, row.graph_s, row.mcmf_s, row.exchange_s,
                   row.imbalance(), row.gap * 100.0);
       rows.push_back(std::move(row));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <future>
+#include <string>
 #include <utility>
 
 #include "geo/geo_point.h"
@@ -131,6 +132,17 @@ SlotMetrics admit_slot(const std::vector<Hotspot>& hotspots,
   return metrics;
 }
 
+void require_catalog_videos(std::span<const Request> requests,
+                            VideoCatalog catalog) {
+  for (const Request& request : requests) {
+    if (request.video >= catalog.num_videos) {
+      throw ParseError("video id " + std::to_string(request.video) +
+                       " is outside the catalog of " +
+                       std::to_string(catalog.num_videos) + " videos");
+    }
+  }
+}
+
 namespace {
 
 /// Everything one slot produces before the ordered reduction.
@@ -152,6 +164,7 @@ SlotResult process_slot(const SimulationConfig& config,
                         const GridIndex& index, RedirectionScheme& slot_scheme,
                         std::span<const Request> slot_requests,
                         std::span<const std::uint8_t> availability) {
+  require_catalog_videos(slot_requests, context.catalog);
   SlotResult result;
   Stopwatch clock;
   const SlotDemand demand(slot_requests, index);

@@ -163,6 +163,13 @@ class SimulationReport {
     std::vector<std::uint32_t>* served_loads = nullptr,
     std::span<const std::uint8_t> available = {});
 
+/// Throw ParseError naming the first request whose video id is outside
+/// `catalog` (id >= num_videos). Trace rows are external data; without this
+/// check a scheme would place, and admission would serve, a video that does
+/// not exist.
+void require_catalog_videos(std::span<const Request> requests,
+                            VideoCatalog catalog);
+
 class Simulator {
  public:
   /// `hotspots` must have capacities assigned; `requests` sorted by time.
@@ -182,7 +189,8 @@ class Simulator {
   /// digests are bit-identical to the in-memory run on the equivalent
   /// materialized trace, at any thread count and window size. Schemes
   /// without clone() are planned sequentially on the pulling thread
-  /// (still bounded: one batch resident).
+  /// (still bounded: one batch resident). A request whose video is outside
+  /// the catalog throws ParseError (see require_catalog_videos).
   [[nodiscard]] SimulationReport run(RedirectionScheme& scheme,
                                      SlotSource& source) const;
 

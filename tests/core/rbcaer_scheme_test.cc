@@ -265,6 +265,20 @@ TEST(Rbcaer, MissRedirectionSendsLocalMissToNearestCachingNeighbour) {
   EXPECT_EQ(strict_plan.assignment[miss], 0u);
   EXPECT_EQ(strict_scheme.last_diagnostics().miss_rerouted, 0u);
   EXPECT_EQ(strict_plan.placements, plan.placements);
+
+  // A neighbour whose service capacity its own request already uses up is
+  // skipped: with hotspot 2 full the miss goes on to hotspot 3, and with
+  // hotspot 3 full as well it stays home.
+  std::vector<Hotspot> full = hotspots;
+  const SchemeContext full_context{full, index, VideoCatalog{100}, 20.0};
+  full[2].service_capacity = 1;
+  EXPECT_EQ(scheme.plan_slot(full_context, requests, demand).assignment[miss],
+            3u);
+  EXPECT_EQ(scheme.last_diagnostics().miss_rerouted, 1u);
+  full[3].service_capacity = 1;
+  EXPECT_EQ(scheme.plan_slot(full_context, requests, demand).assignment[miss],
+            0u);
+  EXPECT_EQ(scheme.last_diagnostics().miss_rerouted, 0u);
 }
 
 TEST(Rbcaer, DeterministicAcrossRuns) {

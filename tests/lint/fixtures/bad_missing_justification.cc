@@ -7,6 +7,8 @@
 #include <vector>
 
 std::vector<std::uint32_t> keys(
+    // ccdn-lint: allow(unordered-container) -- fixture isolates the pragma
+    // grammar check
     const std::unordered_map<std::uint32_t, std::uint32_t>& m) {
   std::vector<std::uint32_t> out;
   // ccdn-lint: allow(unordered-iteration)

@@ -14,6 +14,8 @@ struct Request {
 };
 
 std::vector<std::uint32_t> sorted_videos(
+    // ccdn-lint: allow(unordered-container) -- the one iteration site
+    // below is justified in place
     const std::unordered_map<std::uint32_t, std::uint32_t>& counts) {
   std::vector<std::uint32_t> out;
   out.reserve(counts.size());
@@ -25,6 +27,8 @@ std::vector<std::uint32_t> sorted_videos(
 }
 
 std::uint64_t total_requests(
+    // ccdn-lint: allow(unordered-container) -- the one iteration site
+    // below is justified in place
     const std::unordered_map<std::uint32_t, std::uint32_t>& counts) {
   std::uint64_t total = 0;
   // ccdn-lint: allow(unordered-iteration) -- commutative integer sum; the

@@ -8,6 +8,8 @@ The intended check is derived from the file name:
 
     bad_unordered_iteration.cc      -> unordered-iteration
     bad_double_accumulation.cc      -> double-accumulation
+    bad_unordered_container.cc      -> unordered-container
+    bad_cost_accumulation.cc        -> cost-accumulation
     bad_rand.cc                     -> nondet-random
     bad_wall_clock.cc               -> nondet-clock
     bad_missing_justification.cc    -> pragma
@@ -32,6 +34,8 @@ LINT = HERE.parent.parent / "tools" / "ccdn_lint.py"
 EXPECTED = {
     "bad_unordered_iteration.cc": "unordered-iteration",
     "bad_double_accumulation.cc": "double-accumulation",
+    "bad_unordered_container.cc": "unordered-container",
+    "bad_cost_accumulation.cc": "cost-accumulation",
     "bad_rand.cc": "nondet-random",
     "bad_wall_clock.cc": "nondet-clock",
     "bad_missing_justification.cc": "pragma",

@@ -293,6 +293,34 @@ TEST(Simulator, RejectsEmptyHotspotsOrCatalog) {
                PreconditionError);
 }
 
+TEST(Simulator, RejectsVideoOutsideCatalog) {
+  // Video ids run 0..9 in a 10-video catalog. One id-10 row in a later
+  // slot must fail the run with its id, on the sequential path and on the
+  // pipelined one, where the slot is planned on a worker thread.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SimulationConfig config;
+    config.slot_seconds = 3600;
+    config.num_threads = threads;
+    const Simulator simulator(two_hotspots(10), VideoCatalog{10}, config);
+    std::vector<Request> requests;
+    for (std::int64_t slot = 0; slot < 6; ++slot) {
+      requests.push_back(request_at({40.05, 116.46}, 9, slot * 3600));
+    }
+    NearestScheme scheme;
+    EXPECT_EQ(simulator.run(scheme, requests).total_requests(), 6u)
+        << threads << " threads";
+    requests[3].video = 10;
+    try {
+      (void)simulator.run(scheme, requests);
+      ADD_FAILURE() << "video 10 accepted at " << threads << " threads";
+    } catch (const ParseError& error) {
+      EXPECT_NE(std::string(error.what()).find("video id 10 "),
+                std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 TEST(SimulationReport, EmptyTraceSafeMetrics) {
   const auto hotspots = two_hotspots(1);
   Simulator simulator(hotspots, VideoCatalog{10});

@@ -28,7 +28,8 @@
 // bounded-memory smoke job asserts on it.
 //
 // Exit status: 0 when every slot is clean, 1 when any invariant failed,
-// 2 on usage errors and unreadable trace files.
+// 2 on usage errors and unreadable trace files (rows out of timestamp
+// order, video ids outside the catalog).
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -164,6 +165,7 @@ int run_audit(const Flags& flags) {
   std::size_t num_slots = 0;
   while (auto batch = source->next()) {
     const std::span<const Request> slot_requests(batch->requests);
+    require_catalog_videos(slot_requests, context.catalog);
     const SlotDemand demand(slot_requests, index);
     const SlotPlan plan =
         choice.scheme->plan_slot(context, slot_requests, demand);
@@ -206,8 +208,9 @@ int main(int argc, char** argv) {
   try {
     return run_audit(Flags(argc, argv));
   } catch (const ParseError& error) {
-    // An unreadable trace file, e.g. rows out of timestamp order: a usage
-    // error, reported with the offending line number.
+    // An unreadable trace file, e.g. rows out of timestamp order or a video
+    // outside the catalog: a usage error, reported with the offending line
+    // number or video id.
     std::fprintf(stderr, "audit_run: %s\n", error.what());
     return 2;
   }

@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """ccdn-lint — AST-level determinism lint for the scheduler codebase.
 
-This is the promotion of tools/check_determinism_hygiene.py's regex
-heuristics to real program structure (the ROADMAP item "promote the
-unordered-iteration check to a clang-query AST match"). Where the regex
-tool flags token spellings file-by-file against a file-level whitelist,
-ccdn-lint matches the constructs themselves and is silenced per SITE by a
-justification pragma:
+The simulator's cross-thread digest check (ScheduleAuditTest.
+SlotDigestsIdenticalAcrossThreadCounts) only proves determinism for the
+paths it runs. This lint closes the gap statically: it matches the hazard
+constructs themselves and is silenced per SITE by a justification pragma:
 
     // ccdn-lint: allow(<check-id>[, <check-id>...]) -- <why it is safe>
 
 placed on the offending line or alone on the line directly above it. A
 pragma without a justification, with an unknown check id, or covering a
-line that no longer trips its check is itself an error — justifications
-cannot rot the way whitelist entries can.
+line that no longer trips its check is itself an error, so justifications
+cannot rot.
 
 Checks (ids are stable; fixtures under tests/lint/fixtures pin them):
 
@@ -25,6 +23,12 @@ Checks (ids are stable; fixtures under tests/lint/fixtures pin them):
                         loop over an unordered container: fp addition is
                         not associative, so even an order-insensitive
                         *algorithm* produces run-dependent bits.
+  unordered-container   any std::unordered_* spelling, declarations
+                        included, so that a new file using one gets audited
+                        at all (the iteration sites are pinned above).
+  cost-accumulation     `<x>cost +=` or `+= ... cost(e)`: a double cost
+                        sum is deterministic only in a fixed order, so that
+                        ordering argument gets written down.
   nondet-random         rand()/srand()/drand48()/lrand48()/random() or
                         std::random_device — randomness that bypasses the
                         seeded, splittable util/rng.h.
@@ -35,6 +39,13 @@ Checks (ids are stable; fixtures under tests/lint/fixtures pin them):
                         unknown check id, missing `-- <why>` justification,
                         or a stale pragma whose line no longer trips the
                         allowed check.
+
+The two token checks (unordered-container, cost-accumulation) match
+spellings on the comment- and literal-stripped code in both engines. A
+hazard no line pragma fits (a container declared in a header, a
+fixed-order accumulator) is excused per file in WHITELIST, with the audit's
+justification. When the whole tree is linted, an entry whose file is gone
+or no longer contains its hazard is itself a finding.
 
 Engines: with the libclang python bindings installed (`import clang.cindex`)
 the checks run on the real AST of every TU in compile_commands.json —
@@ -70,6 +81,8 @@ SOURCE_SUFFIXES = {".h", ".hpp", ".cc", ".cpp"}
 CHECK_IDS = (
     "unordered-iteration",
     "double-accumulation",
+    "unordered-container",
+    "cost-accumulation",
     "nondet-random",
     "nondet-clock",
     "pragma",
@@ -83,6 +96,13 @@ CHECK_HELP = {
         "double accumulation in unordered iteration order is doubly "
         "nondeterministic (visit order AND fp non-associativity); "
         "accumulate int64 or iterate a sorted view",
+    "unordered-container":
+        "unordered container iteration order is address-dependent; sort "
+        "results with full tie-breaks or use an ordered container",
+    "cost-accumulation":
+        "double cost accumulation is order-sensitive (fp addition is not "
+        "associative); fix the accumulation order and whitelist it with "
+        "the ordering argument",
     "nondet-random":
         "nondeterministic randomness; all draws must flow through the "
         "seeded util/rng.h",
@@ -290,6 +310,87 @@ def collect_pragmas(comments: list[tuple[int, str, bool]],
             pragma.target = target
         pragmas.append(pragma)
     return pragmas
+
+
+# --- token checks (both engines) + file whitelist ---------------------------
+
+TOKEN_CHECKS = {
+    "unordered-container":
+        re.compile(r"std::unordered_(?:map|set|multimap|multiset)\b"),
+    "cost-accumulation":
+        re.compile(r"\b\w*cost\s*\+="
+                   r"|\+=\s*[^;]*(?:\bcost\s*\(|\.\s*cost\b)"),
+}
+
+# (relative file, check id) -> justification from the audit that admitted
+# it. Only for token hazards a line pragma cannot carry: container
+# DECLARATIONS (the iteration sites, where the risk lives, are pinned
+# per-site by pragmas) and fixed-order double accumulators.
+WHITELIST = {
+    ("src/model/trace_stats.cc", "unordered-container"):
+        "dedup/count scratch; the iteration site is ccdn-lint-pragma'd "
+        "(extract-then-sort)",
+    ("src/cache/policies.h", "unordered-container"):
+        "O(1) lookup index into an ordered std::list; eviction order comes "
+        "from the list, never from map iteration",
+    ("src/sim/measurement.cc", "unordered-container"):
+        "per-hotspot first-seen dedup; the iteration site is "
+        "ccdn-lint-pragma'd (extracted ids sorted before use)",
+    ("src/predict/demand_predictor.h", "unordered-container"):
+        "per-video series state queried by key; iteration feeds an "
+        "order-insensitive aggregate",
+    ("src/core/virtual_rbcaer_scheme.cc", "unordered-container"):
+        "region scratch maps; every iteration site is ccdn-lint-pragma'd "
+        "(extract-then-sort with full tie-breaks, or commutative int sums)",
+    ("src/core/replication.cc", "unordered-container"):
+        "dead-pair membership set used for contains() pruning only; never "
+        "iterated",
+    ("src/core/random_scheme.cc", "unordered-container"):
+        "neighbourhood demand merge; the iteration site is "
+        "ccdn-lint-pragma'd (top_k_videos sorts with full tie-breaks)",
+    ("src/flow/mcmf.cc", "cost-accumulation"):
+        "path_cost sums a parent-chain walk (fixed order per augmentation) "
+        "and result.cost sums augmentations in the order the solver finds "
+        "them; both orders are functions of the input graph alone",
+}
+
+
+def repo_relative(path: Path) -> str:
+    try:
+        return path.relative_to(REPO_ROOT).as_posix()
+    except ValueError:
+        return path.as_posix()
+
+
+def token_scan(path: Path, code_lines: list[str]) -> list[Finding]:
+    rel = repo_relative(path)
+    findings = []
+    for check, pattern in TOKEN_CHECKS.items():
+        if (rel, check) in WHITELIST:
+            continue
+        for lineno, code in enumerate(code_lines, start=1):
+            if pattern.search(code):
+                findings.append(Finding(path, lineno, check,
+                                        CHECK_HELP[check]))
+    return findings
+
+
+def stale_whitelist_entries() -> list[Finding]:
+    """Entries whose file is gone OR whose hazard vanished from the file:
+    either way the entry would silently excuse a future reintroduction."""
+    stale = []
+    for rel, check in sorted(WHITELIST):
+        path = REPO_ROOT / rel
+        if not path.is_file():
+            why = "file no longer exists"
+        elif not any(TOKEN_CHECKS[check].search(code) for code in strip_code(
+                path.read_text(encoding="utf-8", errors="replace"))[0]):
+            why = "file no longer contains this hazard"
+        else:
+            continue
+        stale.append(Finding(path, 0, check,
+                             f"stale whitelist entry: {why} — delete it"))
+    return stale
 
 
 # --- syntax engine ----------------------------------------------------------
@@ -573,7 +674,7 @@ def syntax_scan(path: Path, text: str,
     pragmas = collect_pragmas(comments, code_lines)
     model = FileModel(code_lines)
     loops = find_loops(code_lines, model)
-    findings: list[Finding] = []
+    findings = token_scan(path, code_lines)
 
     for loop in loops:
         if loop.unordered:
@@ -844,7 +945,8 @@ def main() -> int:
             text = path.read_text(encoding="utf-8", errors="replace")
             code_lines, comments = strip_code(text)
             pragmas = collect_pragmas(comments, code_lines)
-            all_findings.extend(apply_pragmas(path, per_file[path], pragmas))
+            all_findings.extend(apply_pragmas(
+                path, per_file[path] + token_scan(path, code_lines), pragmas))
         # Files never reached by any TU (e.g. unreferenced headers) still
         # get the syntax engine so pragma grammar and token checks apply.
         reached = set(per_file)
@@ -861,19 +963,21 @@ def main() -> int:
             findings, pragmas = syntax_scan(path, text, double_idents)
             all_findings.extend(apply_pragmas(path, findings, pragmas))
 
+    if not args.files:
+        all_findings.extend(stale_whitelist_entries())
+
     for finding in sorted(all_findings,
                           key=lambda f: (str(f.path), f.line, f.check)):
-        try:
-            rel = finding.path.relative_to(REPO_ROOT)
-        except ValueError:
-            rel = finding.path
-        print(f"{rel}:{finding.line}: [{finding.check}] {finding.message}")
+        print(f"{repo_relative(finding.path)}:{finding.line}: "
+              f"[{finding.check}] {finding.message}")
 
     if all_findings:
         print(f"\nccdn-lint: {len(all_findings)} finding(s) "
               f"[engine={engine}]. Fix the site or, if an audit shows it "
               "is safe, annotate it with\n"
-              "  // ccdn-lint: allow(<check>) -- <why>", file=sys.stderr)
+              "  // ccdn-lint: allow(<check>) -- <why>\n"
+              "or, for a token hazard no line pragma fits, add a WHITELIST "
+              "entry in tools/ccdn_lint.py.", file=sys.stderr)
         return 1
     print(f"ccdn-lint: clean ({len(files)} files, engine={engine})")
     return 0
