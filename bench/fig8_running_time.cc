@@ -14,25 +14,21 @@
 //
 // Beyond the paper's figure, this binary also reports (a) the per-stage
 // wall-clock breakdown of the RBCAer pipeline (demand aggregation,
-// partition+clustering, graph build, MCMF, replication, admission) and
+// partition+clustering, graph build, MCMF, replication, admission),
 // (b) the thread-scaling curve of the parallel slot-scheduling pipeline on
-// an hourly multi-slot trace.
+// an hourly multi-slot trace, and (c) the zone-sharded solve vs the global
+// solve, written to BENCH_flow.json (--flow_only runs only this section).
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "cluster/content_distance.h"
 #include "core/lp_scheme.h"
 #include "core/nearest_scheme.h"
 #include "geo/geo_point.h"
 #include "core/random_scheme.h"
 #include "core/rbcaer_scheme.h"
-#include "core/replication.h"
-#include "core/theta_sweep.h"
 #include "model/demand.h"
-#include "model/topsets.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -52,155 +48,6 @@ double time_scheme(RedirectionScheme& scheme, const SchemeContext& context,
   Stopwatch stopwatch;
   (void)scheme.plan_slot(context, requests, demand);
   return stopwatch.elapsed_seconds();
-}
-
-// --- Warm-started θ sweep vs the cold rebuild-per-θ reference. ---
-// Per-slot graph-build + MCMF seconds at bench scale (default H=2000), for
-// both the content-aggregation graph Gc and the plain distance graph Gd,
-// with the oracle equality check the incremental sweep guarantees
-// (identical plans; DESIGN.md §3.7). The warm side is RbcaerScheme; the
-// cold side replays its pipeline from public calls with the cold reference
-// step (core/theta_sweep.h) in place of the sweeper. Both run without miss
-// redirection, which the replay does not model and which lies outside the
-// timed graph and MCMF stages. Two θ grids per graph:
-// the coarse 0.3..1.5 km grid in 0.1 km steps (13 steps, most flow lands in
-// the first batch step) and a fine 0.05..1.5 km grid in 0.025 km steps
-// (59 steps, the flow arrives incrementally across the sweep). The fine
-// grid is where warm-starting pays off structurally: the cold path rebuilds
-// its graph and re-runs a source-wide search at every θ step, so its cost
-// scales with grid resolution, while the warm sweep's total work stays
-// linear in the candidate count.
-
-struct FlowBenchRow {
-  std::string name;
-  std::size_t hotspots = 0;
-  std::size_t theta_steps = 0;
-  std::int64_t moved = 0;
-  double cold_graph_s = 0.0;
-  double cold_mcmf_s = 0.0;
-  double warm_graph_s = 0.0;
-  double warm_mcmf_s = 0.0;
-  std::size_t reprices = 0;
-  bool identical = false;
-
-  [[nodiscard]] double cold_s() const { return cold_graph_s + cold_mcmf_s; }
-  [[nodiscard]] double warm_s() const { return warm_graph_s + warm_mcmf_s; }
-  [[nodiscard]] double speedup() const {
-    return warm_s() > 0.0 ? cold_s() / warm_s() : 0.0;
-  }
-};
-
-/// Cold side of a θ-sweep row: RbcaerScheme::plan_slot's unsharded path
-/// (partition, clustering, candidate edges, θ steps plus the residual Gd
-/// step, Procedure 1, materialization) with the cold reference step, timing
-/// the graph and MCMF stages the scheme's StageTimings report.
-struct ColdRun {
-  SlotPlan plan;
-  double graph_s = 0.0;
-  double mcmf_s = 0.0;
-};
-
-ColdRun cold_replay(const RbcaerConfig& config, const SchemeContext& context,
-                    std::span<const Request> requests,
-                    const SlotDemand& demand) {
-  const std::size_t m = context.hotspots.size();
-  std::vector<std::uint32_t> loads(m);
-  for (std::size_t h = 0; h < m; ++h) {
-    loads[h] = demand.load(static_cast<HotspotIndex>(h));
-  }
-  HotspotPartition partition =
-      HotspotPartition::from_loads(context.hotspots, loads);
-  const std::int64_t max_movable = partition.max_movable();
-  ColdRun out;
-  std::vector<FlowEntry> flows;
-  std::int64_t moved = 0;
-  const auto absorb = [&](const SweepStep& step) {
-    moved += step.moved;
-    out.graph_s += step.graph_s;
-    out.mcmf_s += step.mcmf_s;
-    flows.insert(flows.end(), step.flows.begin(), step.flows.end());
-  };
-  if (max_movable > 0) {
-    std::vector<std::uint32_t> cluster_of(m, 0);
-    if (config.content_aggregation) {
-      cluster_of = hierarchical_cluster(
-                       content_distance_matrix(top_sets_per_hotspot(
-                           demand, config.top_fraction)),
-                       config.linkage, config.content_cluster_threshold)
-                       .labels;
-    }
-    Stopwatch clock;
-    const auto candidates = candidate_edges(
-        context.hotspots, partition, config.theta2_km, context.hotspot_index);
-    out.graph_s += clock.elapsed_seconds();
-    for (double theta = config.theta1_km;
-         theta <= config.theta2_km + 1e-9 && moved < max_movable;
-         theta += config.delta_km) {
-      absorb(config.content_aggregation
-                 ? cold_step_gc(partition, candidates, theta, cluster_of,
-                                config.guide, config.mcmf_strategy)
-                 : cold_step_gd(partition, candidates, theta,
-                                config.mcmf_strategy));
-    }
-    if (moved < max_movable) {
-      absorb(cold_step_gd(partition, candidates, config.theta2_km,
-                          config.mcmf_strategy));
-    }
-  }
-  merge_flow_entries(flows);
-  const auto budget = static_cast<std::size_t>(std::llround(
-      config.bpeak_multiplier * static_cast<double>(demand.num_requests())));
-  ReplicationResult replication = content_aggregation_replication(
-      demand, context.hotspots, flows, budget);
-  out.plan.placements = std::move(replication.placements);
-  out.plan.assignment = materialize_assignment(
-      requests, demand.request_home(), std::move(replication.redirects));
-  return out;
-}
-
-FlowBenchRow flow_bench_mode(const std::string& name, bool aggregation,
-                             double theta1_km, double delta_km,
-                             const SchemeContext& context,
-                             std::span<const Request> trace,
-                             const SlotDemand& demand, std::size_t repeats) {
-  RbcaerConfig config;
-  config.theta1_km = theta1_km;
-  config.theta2_km = 1.5;
-  config.delta_km = delta_km;
-  config.content_aggregation = aggregation;
-  config.miss_redirection = false;
-
-  FlowBenchRow row;
-  row.name = name;
-  row.hotspots = context.hotspots.size();
-
-  RbcaerScheme warm(config);
-  ColdRun cold;
-  SlotPlan warm_plan;
-  row.cold_graph_s = row.cold_mcmf_s = row.warm_graph_s = row.warm_mcmf_s =
-      1e300;
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    cold = cold_replay(config, context, trace, demand);
-    if (cold.graph_s + cold.mcmf_s < row.cold_graph_s + row.cold_mcmf_s) {
-      row.cold_graph_s = cold.graph_s;
-      row.cold_mcmf_s = cold.mcmf_s;
-    }
-    warm_plan = warm.plan_slot(context, trace, demand);
-    const StageTimings* warm_stages = warm.last_stage_timings();
-    if (warm_stages->graph_s + warm_stages->mcmf_s <
-        row.warm_graph_s + row.warm_mcmf_s) {
-      row.warm_graph_s = warm_stages->graph_s;
-      row.warm_mcmf_s = warm_stages->mcmf_s;
-    }
-  }
-
-  const auto& wd = warm.last_diagnostics();
-  row.theta_steps = wd.theta_iterations;
-  row.moved = wd.moved;
-  row.reprices = wd.potential_reprices;
-  row.identical = warm_plan.assignment == cold.plan.assignment &&
-                  warm_plan.placements == cold.plan.placements;
-  return row;
 }
 
 // --- Sharding section: zone-sharded solve vs the global solve. ---
@@ -314,31 +161,14 @@ ShardBenchRow shard_bench_mode(const std::string& name, bool aggregation,
 /// Machine-readable perf trajectory for cross-PR tracking; same shape as
 /// hierarchical_scalability's BENCH_gc.json.
 void write_flow_json(const std::string& path,
-                     const std::vector<FlowBenchRow>& rows,
                      const std::vector<ShardBenchRow>& shard_rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(out, "{\n  \"bench\": \"theta_sweep\",\n  \"unit\": \"s\",\n"
+  std::fprintf(out, "{\n  \"bench\": \"sharding\",\n  \"unit\": \"s\",\n"
                     "  \"benchmarks\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const FlowBenchRow& r = rows[i];
-    std::fprintf(
-        out,
-        "    {\"name\": \"theta_sweep/%s/H=%zu\", \"hotspots\": %zu, "
-        "\"theta_steps\": %zu, \"moved\": %lld, "
-        "\"cold_graph_s\": %.6f, \"cold_mcmf_s\": %.6f, "
-        "\"warm_graph_s\": %.6f, \"warm_mcmf_s\": %.6f, "
-        "\"cold_s\": %.6f, \"warm_s\": %.6f, \"speedup\": %.2f, "
-        "\"potential_reprices\": %zu, \"identical\": %s}%s\n",
-        r.name.c_str(), r.hotspots, r.hotspots, r.theta_steps,
-        static_cast<long long>(r.moved), r.cold_graph_s, r.cold_mcmf_s,
-        r.warm_graph_s, r.warm_mcmf_s, r.cold_s(), r.warm_s(), r.speedup(),
-        r.reprices, r.identical ? "true" : "false",
-        i + 1 < rows.size() || !shard_rows.empty() ? "," : "");
-  }
   for (std::size_t i = 0; i < shard_rows.size(); ++i) {
     const ShardBenchRow& r = shard_rows[i];
     // The oracle field differs by shard count on purpose: K=1 promises
@@ -403,36 +233,6 @@ void run_flow_bench(const Flags& flags) {
                               kCdnDistanceKm};
   const SlotDemand demand(trace, index);
 
-  // --shard_only: CI's reduced-scale shard-matrix job runs just the
-  // sharding section (the θ-sweep section is covered by the flow-bench
-  // job).
-  const bool shard_only = flags.get_bool("shard_only", false);
-  std::vector<FlowBenchRow> rows;
-  if (!shard_only) {
-  std::printf("\n=== warm-started θ sweep vs cold rebuild-per-θ ===\n");
-  std::printf("%zu hotspots, %zu requests, coarse θ = 0.3..1.5 step 0.1 / "
-              "fine θ = 0.05..1.5 step 0.025 (best of %zu)\n",
-              hotspots, trace.size(), repeats);
-  std::printf("%-10s %6s %12s %12s %12s %12s %9s %10s\n", "graph", "steps",
-              "cold graph", "cold mcmf", "warm graph", "warm mcmf", "speedup",
-              "oracle");
-
-  rows.push_back(flow_bench_mode("gc/coarse", true, 0.3, 0.1, context, trace,
-                                 demand, repeats));
-  rows.push_back(flow_bench_mode("gd/coarse", false, 0.3, 0.1, context, trace,
-                                 demand, repeats));
-  rows.push_back(flow_bench_mode("gc/fine", true, 0.05, 0.025, context, trace,
-                                 demand, repeats));
-  rows.push_back(flow_bench_mode("gd/fine", false, 0.05, 0.025, context,
-                                 trace, demand, repeats));
-  for (const FlowBenchRow& row : rows) {
-    std::printf("%-10s %6zu %11.3fs %11.3fs %11.3fs %11.3fs %8.1fx %10s\n",
-                row.name.c_str(), row.theta_steps, row.cold_graph_s,
-                row.cold_mcmf_s, row.warm_graph_s, row.warm_mcmf_s,
-                row.speedup(), row.identical ? "identical" : "MISMATCH!");
-  }
-  }  // !shard_only
-
   const double gap_tol = flags.get_double("shard_gap_tol", 0.02);
   std::printf("\n=== zone-sharded solve vs global solve ===\n");
   std::printf("sharded = every shard's graph+MCMF + exchange round; "
@@ -483,7 +283,7 @@ void run_flow_bench(const Flags& flags) {
     }
   }
 
-  write_flow_json(flags.get_string("flow_json_out", "BENCH_flow.json"), rows,
+  write_flow_json(flags.get_string("flow_json_out", "BENCH_flow.json"),
                   shard_rows);
 }
 

@@ -25,7 +25,6 @@
 #include "stats/zipf.h"
 #include "trace/generator.h"
 #include "trace/world.h"
-#include "util/arena.h"
 
 namespace {
 
@@ -112,58 +111,6 @@ void BM_ArcWalkCsr(benchmark::State& state) {
       static_cast<std::int64_t>(2 * net.num_edges()));
 }
 BENCHMARK(BM_ArcWalkCsr)->Arg(400)->Arg(1200)
-    ->ComputeStatistics("min", min_stat);
-
-/// Per-lane solver scratch: four worker vectors built, filled, and dropped
-/// per iteration — from the general-purpose heap vs a reset BumpArena (the
-/// ThetaSweeper's steady-state discipline, which performs zero upstream
-/// allocations once warm).
-void BM_SolverScratchHeap(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    std::vector<std::uint64_t> dist(n);
-    std::vector<std::uint32_t> parent(n);
-    std::vector<std::uint32_t> touched(n);
-    std::vector<char> in_queue(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      dist[i] = i;
-      parent[i] = static_cast<std::uint32_t>(i);
-      touched[i] = static_cast<std::uint32_t>(n - i);
-      in_queue[i] = static_cast<char>(i & 1u);
-    }
-    benchmark::DoNotOptimize(dist.data());
-    benchmark::DoNotOptimize(parent.data());
-    benchmark::DoNotOptimize(touched.data());
-    benchmark::DoNotOptimize(in_queue.data());
-  }
-}
-BENCHMARK(BM_SolverScratchHeap)->Arg(512)->Arg(8192)
-    ->ComputeStatistics("min", min_stat);
-
-void BM_SolverScratchArena(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  BumpArena arena(1 << 16);
-  for (auto _ : state) {
-    arena.reset();
-    ArenaVector<std::uint64_t> dist(n, ArenaAllocator<std::uint64_t>(&arena));
-    ArenaVector<std::uint32_t> parent(n,
-                                      ArenaAllocator<std::uint32_t>(&arena));
-    ArenaVector<std::uint32_t> touched(n,
-                                       ArenaAllocator<std::uint32_t>(&arena));
-    ArenaVector<char> in_queue(n, ArenaAllocator<char>(&arena));
-    for (std::size_t i = 0; i < n; ++i) {
-      dist[i] = i;
-      parent[i] = static_cast<std::uint32_t>(i);
-      touched[i] = static_cast<std::uint32_t>(n - i);
-      in_queue[i] = static_cast<char>(i & 1u);
-    }
-    benchmark::DoNotOptimize(dist.data());
-    benchmark::DoNotOptimize(parent.data());
-    benchmark::DoNotOptimize(touched.data());
-    benchmark::DoNotOptimize(in_queue.data());
-  }
-}
-BENCHMARK(BM_SolverScratchArena)->Arg(512)->Arg(8192)
     ->ComputeStatistics("min", min_stat);
 
 void BM_HierarchicalClustering(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "core/balance_graph.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "geo/geo_point.h"
 #include "util/error.h"
@@ -84,6 +85,26 @@ std::vector<CandidateEdge> candidate_edges(std::span<const Hotspot> hotspots,
   return edges;
 }
 
+namespace {
+
+/// Dense hotspot → flow-node map for a scaffold built by build_scaffold.
+struct ScaffoldMap {
+  static constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
+
+  NodeId source = 0;
+  NodeId sink = 0;
+  /// Indexed by hotspot id; kNoNode for hotspots with no remaining slack.
+  std::vector<NodeId> node_of;
+
+  [[nodiscard]] NodeId at(std::uint32_t hotspot) const {
+    const NodeId node = node_of[hotspot];
+    CCDN_ASSERT(node != kNoNode, "hotspot has no scaffold node");
+    return node;
+  }
+};
+
+/// The shared Gd/Gc scaffold for `partition`: source, sink, one node per
+/// hotspot with remaining slack, and the source/sink arcs (cap φ).
 void build_scaffold(FlowNetwork& net, const HotspotPartition& partition,
                     ScaffoldMap& map) {
   net.clear(2);
@@ -104,6 +125,9 @@ void build_scaffold(FlowNetwork& net, const HotspotPartition& partition,
   }
 }
 
+/// Append the direct pair edge (cap min(φ_i, φ_j), cost d_ij) for every
+/// candidate in `live`, already filtered to d < θ and φ > 0 on both
+/// endpoints. Records each edge in `pair_edges`.
 void append_gd_edges(FlowNetwork& net, const ScaffoldMap& map,
                      const HotspotPartition& partition,
                      std::span<const CandidateEdge> live,
@@ -117,77 +141,78 @@ void append_gd_edges(FlowNetwork& net, const ScaffoldMap& map,
   }
 }
 
+/// Append the Gc structure over `live` (filtered as for append_gd_edges):
+/// direct edges for un-guided groups, guide nodes n_kj plus member and
+/// aggregate edges for guided ones. Returns the number of guide nodes.
 std::size_t append_gc_edges(FlowNetwork& net, const ScaffoldMap& map,
                             const HotspotPartition& partition,
                             std::span<const CandidateEdge> live,
                             double theta_km,
                             std::span<const std::uint32_t> cluster_of,
                             const GuideOptions& options,
-                            std::vector<BalanceGraph::PairEdge>& pair_edges,
-                            GcScratch& scratch) {
+                            std::vector<BalanceGraph::PairEdge>& pair_edges) {
   CCDN_REQUIRE(options.fill_threshold >= 0.0, "negative fill threshold");
 
   // Group candidate senders of each under-utilized hotspot by cluster:
   // H_jk = { i ∈ SinktoSource(j) : i ∈ P_k }. Sorting (j, k, idx) yields
   // the same group order as an ordered map keyed (j, k) and the same
-  // within-group member order as the candidate list, so the edges come out
-  // identical to the cold builder's.
-  scratch.keys.clear();
-  scratch.keys.reserve(live.size());
+  // within-group member order as the candidate list.
+  struct Key {
+    std::uint32_t j = 0;    // under-utilized receiver
+    std::uint32_t k = 0;    // sender's content cluster
+    std::uint32_t idx = 0;  // position in `live` (keeps sorting unique)
+  };
+  std::vector<Key> keys;
+  keys.reserve(live.size());
   for (std::uint32_t idx = 0; idx < live.size(); ++idx) {
     const auto& c = live[idx];
     CCDN_REQUIRE(c.from < cluster_of.size() && c.to < cluster_of.size(),
                  "cluster labels do not cover all hotspots");
-    scratch.keys.push_back({c.to, cluster_of[c.from], idx});
+    keys.push_back({c.to, cluster_of[c.from], idx});
   }
-  std::sort(scratch.keys.begin(), scratch.keys.end(),
-            [](const GcScratch::Key& a, const GcScratch::Key& b) {
-              if (a.j != b.j) return a.j < b.j;
-              if (a.k != b.k) return a.k < b.k;
-              return a.idx < b.idx;
-            });
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.j != b.j) return a.j < b.j;
+    if (a.k != b.k) return a.k < b.k;
+    return a.idx < b.idx;
+  });
 
-  scratch.group_start.clear();
-  scratch.phi_sum.clear();
-  for (std::uint32_t pos = 0; pos < scratch.keys.size(); ++pos) {
-    const auto& key = scratch.keys[pos];
-    if (pos == 0 || key.j != scratch.keys[pos - 1].j ||
-        key.k != scratch.keys[pos - 1].k) {
-      scratch.group_start.push_back(pos);
-      scratch.phi_sum.push_back(0);
+  std::vector<std::uint32_t> group_start;  // boundaries into keys
+  std::vector<std::int64_t> phi_sum;       // Σ φ_ij per group
+  for (std::uint32_t pos = 0; pos < keys.size(); ++pos) {
+    const auto& key = keys[pos];
+    if (pos == 0 || key.j != keys[pos - 1].j || key.k != keys[pos - 1].k) {
+      group_start.push_back(pos);
+      phi_sum.push_back(0);
     }
     const auto& c = live[key.idx];
-    scratch.phi_sum.back() +=
-        std::min(partition.phi[c.from], partition.phi[c.to]);
+    phi_sum.back() += std::min(partition.phi[c.from], partition.phi[c.to]);
   }
-  const std::size_t num_groups = scratch.phi_sum.size();
-  scratch.group_start.push_back(static_cast<std::uint32_t>(scratch.keys.size()));
+  const std::size_t num_groups = phi_sum.size();
+  group_start.push_back(static_cast<std::uint32_t>(keys.size()));
 
   // Decide which groups get a guide node, and gather the raw guide costs
   // for the unit normalization.
-  scratch.direct_distances.clear();
-  scratch.raw_guide_costs.clear();
-  scratch.guided.clear();
-  scratch.guided.reserve(num_groups);
+  std::vector<double> direct_distances;
+  std::vector<double> raw_guide_costs;
+  std::vector<std::uint8_t> guided;
+  guided.reserve(num_groups);
   for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::uint32_t begin = scratch.group_start[g];
-    const std::uint32_t end = scratch.group_start[g + 1];
-    const std::uint32_t j = scratch.keys[begin].j;
-    const std::uint32_t k = scratch.keys[begin].k;
+    const std::uint32_t begin = group_start[g];
+    const std::uint32_t end = group_start[g + 1];
+    const std::uint32_t j = keys[begin].j;
+    const std::uint32_t k = keys[begin].k;
     const bool fills_enough =
-        static_cast<double>(scratch.phi_sum[g]) >=
+        static_cast<double>(phi_sum[g]) >=
         options.fill_threshold * static_cast<double>(partition.phi[j]);
     const bool own_cluster = cluster_of[j] == k;
     const bool guide = fills_enough || own_cluster;
-    scratch.guided.push_back(guide ? 1 : 0);
+    guided.push_back(guide ? 1 : 0);
     if (guide) {
-      scratch.raw_guide_costs.push_back(
-          static_cast<double>(scratch.phi_sum[g]) /
-          static_cast<double>(end - begin));
+      raw_guide_costs.push_back(static_cast<double>(phi_sum[g]) /
+                                static_cast<double>(end - begin));
     } else {
       for (std::uint32_t pos = begin; pos < end; ++pos) {
-        scratch.direct_distances.push_back(
-            live[scratch.keys[pos].idx].distance_km);
+        direct_distances.push_back(live[keys[pos].idx].distance_km);
       }
     }
   }
@@ -197,20 +222,19 @@ std::size_t append_gc_edges(FlowNetwork& net, const ScaffoldMap& map,
   // the distance range (median-to-median) so MCMF actually trades the two
   // off; cost_scale then biases toward (<1) or away from (>1) guides.
   double scale = options.cost_scale;
-  if (options.auto_scale && !scratch.raw_guide_costs.empty()) {
-    // In place: neither buffer is read again this call (the guide loop
-    // recomputes raw costs from phi_sum), and both refill from scratch on
-    // the next call — selecting in the buffer avoids a per-step copy.
-    auto median_of = [](auto& v) {
+  if (options.auto_scale && !raw_guide_costs.empty()) {
+    // In place: neither buffer is read again (the guide loop recomputes
+    // raw costs from phi_sum).
+    auto median_of = [](std::vector<double>& v) {
       std::nth_element(
           v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2),
           v.end());
       return v[v.size() / 2];
     };
-    const double median_raw = median_of(scratch.raw_guide_costs);
-    const double median_direct =
-        scratch.direct_distances.empty() ? theta_km / 2.0
-                                         : median_of(scratch.direct_distances);
+    const double median_raw = median_of(raw_guide_costs);
+    const double median_direct = direct_distances.empty()
+                                     ? theta_km / 2.0
+                                     : median_of(direct_distances);
     if (median_raw > 0.0) {
       scale *= 0.5 * median_direct / median_raw;
     }
@@ -218,11 +242,11 @@ std::size_t append_gc_edges(FlowNetwork& net, const ScaffoldMap& map,
 
   std::size_t guide_nodes = 0;
   for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::uint32_t begin = scratch.group_start[g];
-    const std::uint32_t end = scratch.group_start[g + 1];
-    if (!scratch.guided[g]) {
+    const std::uint32_t begin = group_start[g];
+    const std::uint32_t end = group_start[g + 1];
+    if (!guided[g]) {
       for (std::uint32_t pos = begin; pos < end; ++pos) {
-        const auto& c = live[scratch.keys[pos].idx];
+        const auto& c = live[keys[pos].idx];
         const std::int64_t cap =
             std::min(partition.phi[c.from], partition.phi[c.to]);
         const EdgeId e =
@@ -233,26 +257,24 @@ std::size_t append_gc_edges(FlowNetwork& net, const ScaffoldMap& map,
     }
     // Guide node n_kj: members connect at zero cost; the aggregate edge to
     // j carries the (scaled) paper cost and is clamped to j's slack.
-    const std::uint32_t j = scratch.keys[begin].j;
+    const std::uint32_t j = keys[begin].j;
     const NodeId guide_node = net.add_node();
     ++guide_nodes;
-    const double raw_cost = static_cast<double>(scratch.phi_sum[g]) /
-                            static_cast<double>(end - begin);
+    const double raw_cost =
+        static_cast<double>(phi_sum[g]) / static_cast<double>(end - begin);
     for (std::uint32_t pos = begin; pos < end; ++pos) {
-      const auto& c = live[scratch.keys[pos].idx];
+      const auto& c = live[keys[pos].idx];
       const std::int64_t cap =
           std::min(partition.phi[c.from], partition.phi[c.to]);
       const EdgeId e = net.add_edge(map.at(c.from), guide_node, cap, 0.0);
       pair_edges.push_back({c.from, c.to, e});
     }
     (void)net.add_edge(guide_node, map.at(j),
-                       std::min(scratch.phi_sum[g], partition.phi[j]),
+                       std::min(phi_sum[g], partition.phi[j]),
                        scale * raw_cost);
   }
   return guide_nodes;
 }
-
-namespace {
 
 /// Candidates filtered to d < θ with both endpoints still having slack.
 std::vector<CandidateEdge> live_candidates(
@@ -294,11 +316,10 @@ BalanceGraph build_gc(const HotspotPartition& partition,
   build_scaffold(graph.net, partition, map);
   graph.source = map.source;
   graph.sink = map.sink;
-  GcScratch scratch;
   graph.num_guide_nodes = append_gc_edges(
       graph.net, map, partition,
       live_candidates(partition, candidates, theta_km), theta_km, cluster_of,
-      options, graph.pair_edges, scratch);
+      options, graph.pair_edges);
   return graph;
 }
 

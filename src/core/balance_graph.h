@@ -12,15 +12,11 @@
 //     aggregates same-cluster flow so that Procedure 1 can serve many
 //     redirected requests with few extra replicas.
 //
-// Construction is split in two layers: build_gd/build_gc return a
-// self-contained BalanceGraph (the cold rebuild-per-θ path), while
-// build_scaffold/append_gd_edges/append_gc_edges build the same structure
-// piecewise into a caller-owned FlowNetwork — that is what the incremental
-// θ sweep (core/theta_sweep.h) uses to keep one persistent network per slot.
+// build_gd/build_gc return a self-contained BalanceGraph; the θ step
+// (core/theta_sweep.h) builds one per θ and solves it from zero flow.
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <vector>
 
@@ -28,7 +24,6 @@
 #include "flow/network.h"
 #include "geo/grid_index.h"
 #include "model/types.h"
-#include "util/arena.h"
 
 namespace ccdn {
 
@@ -85,37 +80,6 @@ struct BalanceGraph {
   std::size_t num_guide_nodes = 0;
 };
 
-/// Dense hotspot → flow-node map for a scaffold built by build_scaffold.
-struct ScaffoldMap {
-  static constexpr NodeId kNoNode = std::numeric_limits<NodeId>::max();
-
-  NodeId source = 0;
-  NodeId sink = 0;
-  /// Indexed by hotspot id; kNoNode for hotspots with no remaining slack.
-  std::vector<NodeId> node_of;
-
-  [[nodiscard]] NodeId at(std::uint32_t hotspot) const {
-    const NodeId node = node_of[hotspot];
-    CCDN_ASSERT(node != kNoNode, "hotspot has no scaffold node");
-    return node;
-  }
-};
-
-/// Reset `net` to the shared Gd/Gc scaffold for `partition`: source, sink,
-/// one node per hotspot with remaining slack, and the source/sink arcs
-/// (cap φ). Reuses the network's existing buffers (FlowNetwork::clear), so
-/// a per-slot loop allocates nothing after the first build.
-void build_scaffold(FlowNetwork& net, const HotspotPartition& partition,
-                    ScaffoldMap& map);
-
-/// Append the direct pair edge (cap min(φ_i, φ_j), cost d_ij) for every
-/// candidate in `live` — the caller has already filtered to d < θ and
-/// φ > 0 on both endpoints. Records each edge in `pair_edges`.
-void append_gd_edges(FlowNetwork& net, const ScaffoldMap& map,
-                     const HotspotPartition& partition,
-                     std::span<const CandidateEdge> live,
-                     std::vector<BalanceGraph::PairEdge>& pair_edges);
-
 /// Options for the guide-node construction.
 struct GuideOptions {
   /// Insert n_kj when Σ φ_ij >= fill_threshold · φ_j (paper: 1/2) or when
@@ -129,47 +93,6 @@ struct GuideOptions {
   double cost_scale = 1.0;
   bool auto_scale = true;
 };
-
-/// Reusable buffers for append_gc_edges; a caller that derives the guide
-/// structure once per θ step keeps one of these across steps. Construct
-/// with a BumpArena to fold the buffers into a lane's arena working set
-/// (default-constructed scratch stays heap-backed for one-shot callers).
-struct GcScratch {
-  struct Key {
-    std::uint32_t j = 0;    // under-utilized receiver
-    std::uint32_t k = 0;    // sender's content cluster
-    std::uint32_t idx = 0;  // position in `live` (keeps sorting unique)
-  };
-  GcScratch() = default;
-  explicit GcScratch(BumpArena* arena)
-      : keys(ArenaAllocator<Key>(arena)),
-        group_start(ArenaAllocator<std::uint32_t>(arena)),
-        phi_sum(ArenaAllocator<std::int64_t>(arena)),
-        guided(ArenaAllocator<std::uint8_t>(arena)),
-        direct_distances(ArenaAllocator<double>(arena)),
-        raw_guide_costs(ArenaAllocator<double>(arena)) {}
-
-  ArenaVector<Key> keys;
-  ArenaVector<std::uint32_t> group_start;  // boundaries into keys
-  ArenaVector<std::int64_t> phi_sum;       // Σ φ_ij per group
-  ArenaVector<std::uint8_t> guided;        // per-group guide decision
-  ArenaVector<double> direct_distances;
-  ArenaVector<double> raw_guide_costs;
-};
-
-/// Append the Gc structure over `live` (filtered as for append_gd_edges):
-/// direct edges for un-guided groups, guide nodes n_kj plus member and
-/// aggregate edges for guided ones. Grouping is by sort on (j, k) — same
-/// group order and same within-group member order as the candidate list.
-/// Returns the number of guide nodes added.
-std::size_t append_gc_edges(FlowNetwork& net, const ScaffoldMap& map,
-                            const HotspotPartition& partition,
-                            std::span<const CandidateEdge> live,
-                            double theta_km,
-                            std::span<const std::uint32_t> cluster_of,
-                            const GuideOptions& options,
-                            std::vector<BalanceGraph::PairEdge>& pair_edges,
-                            GcScratch& scratch);
 
 /// Build Gd over the candidate pairs with d_ij < theta_km, using the
 /// partition's *current* φ values (pairs whose endpoint has φ = 0 are

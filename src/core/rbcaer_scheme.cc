@@ -5,6 +5,7 @@
 
 #include "cluster/content_distance.h"
 #include "core/replication.h"
+#include "core/theta_sweep.h"
 #include "geo/geo_point.h"
 #include "geo/grid_index.h"
 #include "model/topsets.h"
@@ -25,24 +26,21 @@ struct SweepOutcome {
   std::size_t theta_iterations = 0;
   double graph_s = 0.0;
   double mcmf_s = 0.0;
-  std::size_t potential_reprices = 0;
 };
 
-/// Algorithm 1's flow phase: θ sweep over Gc (or Gd when aggregation is
-/// off), then the residual Gd pass at θ2, on the warm sweeper. Shared
-/// verbatim by the unsharded slot and by every shard's local solve —
-/// sharing the code is what keeps shard=1 plans bit-identical to the
-/// unsharded path.
+/// Algorithm 1's flow phase: one cold step per θ over Gc (or Gd when
+/// aggregation is off), then the residual Gd pass at θ2. Shared verbatim
+/// by the unsharded slot and by every shard's local solve — sharing the
+/// code is what keeps shard=1 plans bit-identical to the unsharded path.
 SweepOutcome run_theta_sweep(const RbcaerConfig& config,
                              std::span<const Hotspot> hotspots,
                              const GridIndex& index,
                              HotspotPartition& partition,
                              std::int64_t max_movable,
-                             std::span<const std::uint32_t> cluster_of,
-                             ThetaSweeper& sweeper) {
+                             std::span<const std::uint32_t> cluster_of) {
   SweepOutcome out;
   // Steps already committed their flows (φ decremented, slack invariant
-  // checked inside the sweeper); just accumulate.
+  // checked inside the step); just accumulate.
   const auto absorb_step = [&](const SweepStep& step) {
     out.moved += step.moved;
     out.guide_nodes += step.guide_nodes;
@@ -57,25 +55,25 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
   Stopwatch stage_clock;
   const std::vector<CandidateEdge> candidates =
       candidate_edges(hotspots, partition, config.theta2_km, index);
-  const std::size_t reprices_before = sweeper.potential_reprices();
-  sweeper.begin_slot(partition, candidates);
   out.graph_s += stage_clock.elapsed_seconds();
   double theta = config.theta1_km;
   while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
     ++out.theta_iterations;
     absorb_step(config.content_aggregation
-                    ? sweeper.step_gc(theta, cluster_of, config.guide)
-                    : sweeper.step_gd(theta));
+                    ? cold_step_gc(partition, candidates, theta, cluster_of,
+                                   config.guide, config.mcmf_strategy,
+                                   config.audit_level)
+                    : cold_step_gd(partition, candidates, theta,
+                                   config.mcmf_strategy, config.audit_level));
     theta += config.delta_km;
   }
   if (out.moved < max_movable) {
     // Residual pass on the plain distance graph at θ2 (Algorithm 1,
     // line 12); anything beyond that stays with its home hotspot and
     // overflows to the CDN at admission (line 14).
-    absorb_step(sweeper.step_gd(config.theta2_km));
+    absorb_step(cold_step_gd(partition, candidates, config.theta2_km,
+                             config.mcmf_strategy, config.audit_level));
   }
-  sweeper.end_slot();
-  out.potential_reprices = sweeper.potential_reprices() - reprices_before;
   return out;
 }
 
@@ -130,10 +128,8 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
   // (candidate_edges applies the exact distance cut and sorts receivers by
   // index), so any grid works; mirror the simulator's cell.
   const GridIndex index(std::move(locations), 0.5);
-  ThetaSweeper sweeper(config.mcmf_strategy);
-  sweeper.set_audit_level(config.audit_level);
   SweepOutcome sweep = run_theta_sweep(config, sub_hotspots, index, partition,
-                                       max_movable, cluster_of, sweeper);
+                                       max_movable, cluster_of);
   out.moved = sweep.moved;
   out.guide_nodes = sweep.guide_nodes;
   out.theta_iterations = sweep.theta_iterations;
@@ -149,9 +145,7 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
 
 }  // namespace
 
-RbcaerScheme::RbcaerScheme(RbcaerConfig config)
-    : config_(config),
-      sweeper_(config.mcmf_strategy) {
+RbcaerScheme::RbcaerScheme(RbcaerConfig config) : config_(config) {
   CCDN_REQUIRE(config_.theta1_km >= 0.0, "negative theta1");
   CCDN_REQUIRE(config_.theta2_km >= config_.theta1_km,
                "theta2 below theta1");
@@ -159,7 +153,6 @@ RbcaerScheme::RbcaerScheme(RbcaerConfig config)
   CCDN_REQUIRE(config_.top_fraction > 0.0 && config_.top_fraction <= 1.0,
                "top_fraction outside (0,1]");
   CCDN_REQUIRE(config_.bpeak_multiplier > 0.0, "non-positive B_peak");
-  sweeper_.set_audit_level(config_.audit_level);
 }
 
 std::string RbcaerScheme::name() const {
@@ -226,11 +219,10 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
     } else {
       SweepOutcome sweep = run_theta_sweep(
           config_, context.hotspots, context.hotspot_index, partition,
-          diagnostics_.max_movable, cluster_of, sweeper_);
+          diagnostics_.max_movable, cluster_of);
       diagnostics_.moved = sweep.moved;
       diagnostics_.guide_nodes = sweep.guide_nodes;
       diagnostics_.theta_iterations = sweep.theta_iterations;
-      diagnostics_.potential_reprices = sweep.potential_reprices;
       stage_timings_.graph_s += sweep.graph_s;
       stage_timings_.mcmf_s += sweep.mcmf_s;
       flows = std::move(sweep.flows);

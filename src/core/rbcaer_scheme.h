@@ -22,9 +22,9 @@
 #include "core/balance_graph.h"
 #include "core/scheme.h"
 #include "core/shard_solver.h"
-#include "core/theta_sweep.h"
 #include "flow/mcmf.h"
 #include "geo/zone_partition.h"
+#include "verify/audit.h"
 
 namespace ccdn {
 
@@ -71,8 +71,8 @@ struct RbcaerConfig {
   /// Invariant auditing of the planning pipeline (checked builds only;
   /// compiled out under NDEBUG). kPlan audits the slot's flows against the
   /// initial slack, Procedure 1's result against B_peak, and the finished
-  /// plan's totality/capacity; kFull additionally audits every θ-sweep
-  /// commit (flow conservation, frozen residual costs, carried potentials).
+  /// plan's totality/capacity; kFull additionally certifies every θ step's
+  /// solved graph (flow conservation, min cost: no negative residual cycle).
   /// Violations throw InvariantError naming the invariant (DESIGN.md §3.8).
   AuditLevel audit_level = AuditLevel::kOff;
   /// Zone-sharded parallel flow solve (DESIGN.md §3.12). 0 inherits
@@ -115,9 +115,6 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t theta_iterations = 0;
     std::size_t replicas = 0;
     std::size_t miss_rerouted = 0;  // local cache misses sent to neighbours
-    /// Re-prices the warm Gd steps needed when an appended edge broke the
-    /// carried potentials.
-    std::size_t potential_reprices = 0;
     /// Sharded-path observability; all zero when the slot ran unsharded.
     std::size_t shards = 0;
     std::size_t boundary_hotspots = 0;
@@ -149,9 +146,6 @@ class RbcaerScheme final : public RedirectionScheme {
   RbcaerConfig config_;
   mutable Diagnostics diagnostics_;
   StageTimings stage_timings_;
-  /// Persistent across slots so the warm sweep's buffers stop churning the
-  /// allocator; clones get their own (planning stays pure per clone).
-  ThetaSweeper sweeper_;
   /// Geo shard plan, recomputed only when the shard count or the hotspot
   /// set changes (hotspot geometry is fixed across a run's slots).
   struct ShardPlanCache {

@@ -43,7 +43,7 @@ std::pair<std::vector<std::uint32_t>, std::size_t> partition_regions(
   return {std::move(label), cell_label.size()};
 }
 
-/// The region-level θ loop on the cold reference step: candidate edges
+/// The region-level θ loop on the cold step: candidate edges
 /// over a centroid index, one Gc/Gd step per θ, flows committed against
 /// the given partition. Shared by the unsharded path and every shard's
 /// local solve (shard=1 stays bit-identical).
@@ -71,8 +71,9 @@ RegionalSweepResult regional_flow_sweep(
     const SweepStep step =
         rc.content_aggregation
             ? cold_step_gc(partition, candidates, theta, cluster_of, rc.guide,
-                           rc.mcmf_strategy)
-            : cold_step_gd(partition, candidates, theta, rc.mcmf_strategy);
+                           rc.mcmf_strategy, rc.audit_level)
+            : cold_step_gd(partition, candidates, theta, rc.mcmf_strategy,
+                           rc.audit_level);
     out.moved += step.moved;
     out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
     theta += rc.delta_km;

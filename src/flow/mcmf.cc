@@ -1,8 +1,9 @@
 #include "flow/mcmf.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
+#include <limits>
+#include <span>
 #include <vector>
 
 namespace ccdn {
@@ -43,18 +44,72 @@ double apply_path(FlowNetwork& net, NodeId source, NodeId sink,
   return path_cost;
 }
 
+/// Successive-shortest-path engine behind MinCostMaxFlow: owns the search
+/// buffers (distance/parent/visited arrays, the SPFA queue flags and the
+/// Dijkstra heap) and the node potentials for the augmentations of one
+/// solve. Starting from zero potentials is valid because every forward
+/// cost is non-negative.
+class McmfSolver {
+ public:
+  McmfSolver(McmfStrategy strategy, std::size_t num_nodes)
+      : strategy_(strategy), state_(num_nodes), potential_(num_nodes, 0.0) {}
+
+  /// Min-cost augmentation from the current residual state until no
+  /// source→sink path remains or `flow_limit` units have been routed.
+  McmfResult augment(FlowNetwork& net, NodeId source, NodeId sink,
+                     std::int64_t flow_limit);
+
+ private:
+  /// Scratch buffers shared by the SPFA and Dijkstra searches, reused
+  /// across augmentations.
+  /// Per-node labels are validity-stamped instead of cleared: a label is
+  /// live only when its stamp equals the current search's, so starting a
+  /// search is O(1) instead of five O(n) fills.
+  struct SearchState {
+    explicit SearchState(std::size_t n)
+        : dist(n), parent_edge(n), seen(n, 0), settled(n, 0),
+          in_queue(n, 0), queue(n + 1) {}
+
+    std::vector<double> dist;
+    std::vector<EdgeId> parent_edge;
+    std::vector<std::uint32_t> seen;     // stamp: dist/parent valid
+    std::vector<std::uint32_t> settled;  // stamp: Dijkstra label final
+    std::vector<NodeId> touched;  // nodes seen this search, in seen order
+    std::vector<char> in_queue;   // SPFA membership; all-zero between runs
+    std::vector<NodeId> queue;    // SPFA deque storage
+    std::vector<std::pair<double, NodeId>> heap;  // Dijkstra binary heap
+    std::uint32_t stamp = 0;
+
+    /// Open a new search: bump the stamp, invalidating all labels.
+    void begin_search() {
+      if (++stamp == 0) {  // wrapped: old stamps would alias as live
+        std::fill(seen.begin(), seen.end(), 0);
+        std::fill(settled.begin(), settled.end(), 0);
+        stamp = 1;
+      }
+      touched.clear();
+    }
+  };
+
+  bool spfa(const FlowNetwork& net, NodeId source, NodeId sink);
+  bool dijkstra(const FlowNetwork& net, NodeId source, NodeId sink);
+  void update_potentials(NodeId sink);
+
+  McmfStrategy strategy_;
+  SearchState state_;
+  std::vector<double> potential_;
+};
+
 }  // namespace
 
 bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
-  const std::size_t n = net.num_nodes();
-  state_.begin_search(n);
+  state_.begin_search();
   const std::uint32_t stamp = state_.stamp;
   // The in_queue flags bound occupancy at n, so a ring buffer of n + 1 slots
   // gives deque semantics (SLF needs push_front) without deque allocations.
   // Every enqueued node is eventually dequeued, so the flags are all zero
   // again when the search ends and never need resetting.
-  const std::size_t cap = n + 1;
-  state_.queue.resize(cap);
+  const std::size_t cap = state_.queue.size();
   std::size_t head = 0;
   std::size_t tail = 0;
   const auto queue_empty = [&] { return head == tail; };
@@ -103,8 +158,7 @@ bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
 }
 
 bool McmfSolver::dijkstra(const FlowNetwork& net, NodeId source, NodeId sink) {
-  const std::size_t n = net.num_nodes();
-  state_.begin_search(n);
+  state_.begin_search();
   const std::uint32_t stamp = state_.stamp;
   auto& heap = state_.heap;
   heap.clear();
@@ -161,8 +215,7 @@ bool McmfSolver::dijkstra(const FlowNetwork& net, NodeId source, NodeId sink) {
         state_.seen[to] = stamp;
         // Dead-end prune: a node with no outgoing arcs cannot extend any
         // path, so record its label (update_potentials needs it) but skip
-        // the heap. With drop_terminal_arcs this covers every sender whose
-        // candidate pairs are all committed or not yet visible.
+        // the heap.
         if (to == sink || !net.out_edges(to).empty()) {
           heap.emplace_back(candidate, to);
           std::push_heap(heap.begin(), heap.end(), min_first);
@@ -210,82 +263,12 @@ void McmfSolver::update_potentials(NodeId sink) {
   }
 }
 
-void McmfSolver::reset_potentials(std::size_t num_nodes) {
-  potential_.assign(num_nodes, 0.0);
-}
-
-void McmfSolver::reprice_from(const FlowNetwork& net, EdgeId first_edge,
-                              std::span<const EdgeId> clamp_arcs) {
-  CCDN_REQUIRE(potential_.size() == net.num_nodes(),
-               "potentials not sized for this network");
-  // The in_queue flags are all zero between runs (every enqueued node is
-  // dequeued before this returns), so only grow them: shrinking would leave
-  // a later search on a larger network indexing past their end.
-  const std::size_t n = net.num_nodes();
-  if (state_.in_queue.size() < n) state_.in_queue.resize(n, 0);
-  const std::size_t cap = n + 1;
-  state_.queue.resize(cap);
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  const auto enqueue = [&](NodeId v) {
-    if (state_.in_queue[v]) return;
-    state_.queue[tail] = v;
-    tail = (tail + 1) % cap;
-    state_.in_queue[v] = 1;
-  };
-
-  // Expected maintenance first: clamp the heads of the named old arcs down
-  // to tail potential + cost, so the suffix scan below already sees the
-  // corrected values. Not counted as a reprice — drift on arcs into
-  // dormant nodes is the normal price of the O(|seen|) potential update.
-  for (const EdgeId e : clamp_arcs) {
-    if (net.residual(e) <= 0) continue;
-    const double candidate = potential_[net.arc_from(e)] + net.cost(e);
-    if (candidate + kEps < potential_[net.arc_to(e)]) {
-      potential_[net.arc_to(e)] = candidate;
-      enqueue(net.arc_to(e));
-    }
-  }
-
-  bool violated = false;
-  for (EdgeId e = first_edge; e < 2 * net.num_edges(); ++e) {
-    if (net.residual(e) <= 0) continue;
-    const double candidate = potential_[net.arc_from(e)] + net.cost(e);
-    if (candidate + kEps < potential_[net.arc_to(e)]) {
-      potential_[net.arc_to(e)] = candidate;
-      enqueue(net.arc_to(e));
-      violated = true;
-    }
-  }
-  if (head == tail) return;  // everything already prices non-negatively
-  if (violated) ++reprices_;
-  while (head != tail) {
-    const NodeId node = state_.queue[head];
-    head = (head + 1) % cap;
-    state_.in_queue[node] = 0;
-    for (const EdgeId e : net.out_edges(node)) {
-      if (net.residual(e) <= 0) continue;
-      const NodeId to = net.arc_to(e);
-      const double candidate = potential_[node] + net.cost(e);
-      if (candidate + kEps < potential_[to]) {
-        potential_[to] = candidate;
-        enqueue(to);
-      }
-    }
-  }
-}
-
 McmfResult McmfSolver::augment(FlowNetwork& net, NodeId source, NodeId sink,
                                std::int64_t flow_limit) {
   CCDN_REQUIRE(source < net.num_nodes() && sink < net.num_nodes(),
                "source/sink out of range");
   CCDN_REQUIRE(source != sink, "source equals sink");
   CCDN_REQUIRE(flow_limit >= 0, "negative flow limit");
-  if (strategy_ == McmfStrategy::kDijkstraPotentials) {
-    CCDN_REQUIRE(potential_.size() == net.num_nodes(),
-                 "potentials not sized for this network; call "
-                 "reset_potentials() first");
-  }
 
   McmfResult result;
   while (result.flow < flow_limit) {
@@ -316,10 +299,7 @@ McmfResult MinCostMaxFlow::solve(FlowNetwork& net, NodeId source, NodeId sink,
 McmfResult MinCostMaxFlow::solve_up_to(FlowNetwork& net, NodeId source,
                                        NodeId sink, std::int64_t flow_limit,
                                        McmfStrategy strategy) {
-  McmfSolver solver(strategy);
-  // Forward costs are non-negative, so zero potentials are valid initially
-  // for the Dijkstra strategy.
-  solver.reset_potentials(net.num_nodes());
+  McmfSolver solver(strategy, net.num_nodes());
   return solver.augment(net, source, sink, flow_limit);
 }
 

@@ -80,16 +80,6 @@ void FlowNetwork::reset_flows() noexcept {
   }
 }
 
-void FlowNetwork::reserve(std::size_t nodes, std::size_t edges) {
-  nodes_.reserve(nodes);
-  from_.reserve(2 * edges);
-  to_.reserve(2 * edges);
-  residual_.reserve(2 * edges);
-  cost_.reserve(2 * edges);
-  original_caps_.reserve(2 * edges);
-  arc_pool_.reserve(2 * edges);
-}
-
 void FlowNetwork::clear(std::size_t num_nodes) {
   // Keep surviving nodes' slice reservations but re-pack them tightly in
   // node order: every slice is empty after a clear, so the re-pack is a
@@ -110,130 +100,6 @@ void FlowNetwork::clear(std::size_t num_nodes) {
   original_caps_.clear();
 }
 
-void FlowNetwork::truncate(const Checkpoint& cp) {
-  CCDN_REQUIRE(cp.nodes <= nodes_.size() && cp.stored_edges <= to_.size(),
-               "checkpoint ahead of network");
-  CCDN_REQUIRE(cp.stored_edges % 2 == 0, "checkpoint splits an edge pair");
-  // Per-node slices are appended in increasing id order, so removed edges
-  // form each slice's tail.
-  for (std::size_t node = 0; node < cp.nodes; ++node) {
-    ArcRange& r = nodes_[node];
-    while (r.end > r.begin && arc_pool_[r.end - 1] >= cp.stored_edges) {
-      --r.end;
-    }
-  }
-  nodes_.resize(cp.nodes);
-  // Reclaim the pool tail the dropped nodes' slices occupied (transient
-  // guide nodes are appended last, so their slices sit at the tail); the θ
-  // sweep's truncate-per-step loop then reuses the same bytes every epoch
-  // instead of growing the pool for the life of a slot's scaffold.
-  std::uint32_t tail = 0;
-  for (const ArcRange& r : nodes_) tail = std::max(tail, r.begin + r.cap);
-  arc_pool_.resize(tail);
-  from_.resize(cp.stored_edges);
-  to_.resize(cp.stored_edges);
-  residual_.resize(cp.stored_edges);
-  cost_.resize(cp.stored_edges);
-  original_caps_.resize(cp.stored_edges);
-}
-
-void FlowNetwork::freeze_residuals() noexcept {
-  // Backward arcs sit at odd ids (add_edge interleaves them).
-  for (std::size_t e = 1; e < residual_.size(); e += 2) {
-    residual_[e] = 0;
-  }
-}
-
-void FlowNetwork::rebase_flows() noexcept {
-  for (std::size_t e = 0; e < residual_.size(); ++e) {
-    original_caps_[e] = residual_[e];
-  }
-}
-
-void FlowNetwork::drop_dead_arcs() noexcept {
-  for (ArcRange& r : nodes_) {
-    std::uint32_t out = r.begin;
-    for (std::uint32_t i = r.begin; i < r.end; ++i) {
-      const EdgeId e = arc_pool_[i];
-      if (residual_[e] > 0 || residual_[e ^ 1u] > 0) {
-        arc_pool_[out++] = e;
-      }
-    }
-    r.end = out;
-  }
-}
-
-void FlowNetwork::drop_arcs_at_or_after(EdgeId first) noexcept {
-  for (ArcRange& r : nodes_) {
-    std::uint32_t out = r.begin;
-    for (std::uint32_t i = r.begin; i < r.end; ++i) {
-      const EdgeId e = arc_pool_[i];
-      if (e < first) arc_pool_[out++] = e;
-    }
-    r.end = out;
-  }
-}
-
-void FlowNetwork::drop_terminal_arcs(NodeId source, NodeId sink) noexcept {
-  nodes_[sink].end = nodes_[sink].begin;
-  for (ArcRange& r : nodes_) {
-    std::uint32_t out = r.begin;
-    for (std::uint32_t i = r.begin; i < r.end; ++i) {
-      const EdgeId e = arc_pool_[i];
-      if (to_[e] != source) arc_pool_[out++] = e;
-    }
-    r.end = out;
-  }
-}
-
-void FlowNetwork::focus_out_edges(NodeId node, std::span<const EdgeId> arcs) {
-  CCDN_REQUIRE(node < nodes_.size(), "node id out of range");
-  if (arcs.size() > nodes_[node].cap) {
-    relocate(node, static_cast<std::uint32_t>(arcs.size()));
-  }
-  ArcRange& r = nodes_[node];
-  std::copy(arcs.begin(), arcs.end(), arc_pool_.begin() + r.begin);
-  r.end = r.begin + static_cast<std::uint32_t>(arcs.size());
-}
-
-void FlowNetwork::restore_arcs(const Checkpoint& cp) {
-  CCDN_REQUIRE(cp.nodes <= nodes_.size() && cp.stored_edges <= to_.size(),
-               "checkpoint ahead of network");
-  // Counting pass: how many arcs each retained node will hold. Every arc
-  // with id < cp.stored_edges has both endpoints < cp.nodes (edges never
-  // reference nodes added after them), so only those slices change.
-  restore_counts_.assign(cp.nodes, 0);
-  for (EdgeId e = 0; e < cp.stored_edges; ++e) {
-    ++restore_counts_[from_[e]];
-  }
-  for (std::size_t n = 0; n < cp.nodes; ++n) {
-    ArcRange& r = nodes_[n];
-    if (restore_counts_[n] > r.cap) {
-      relocate(static_cast<NodeId>(n), restore_counts_[n]);
-    }
-    nodes_[n].end = nodes_[n].begin;  // relocate may have moved the slice
-  }
-  // Fill pass in id order: slices are disjoint, so each node's arcs land
-  // ascending — exactly the adjacency a fresh build would produce.
-  for (EdgeId e = 0; e < cp.stored_edges; ++e) {
-    arc_pool_[nodes_[from_[e]].end++] = e;
-  }
-}
-
-void FlowNetwork::compact() {
-  std::vector<EdgeId> fresh;
-  fresh.reserve(to_.size());
-  for (ArcRange& r : nodes_) {
-    const auto begin = static_cast<std::uint32_t>(fresh.size());
-    fresh.insert(fresh.end(), arc_pool_.begin() + r.begin,
-                 arc_pool_.begin() + r.end);
-    r.cap = r.end - r.begin;
-    r.begin = begin;
-    r.end = static_cast<std::uint32_t>(fresh.size());
-  }
-  arc_pool_ = std::move(fresh);
-}
-
 void FlowNetwork::push(EdgeId e, std::int64_t amount) {
   CCDN_REQUIRE(e < to_.size(), "edge id out of range");
   CCDN_REQUIRE(amount >= 0 && amount <= residual_[e],
@@ -241,6 +107,5 @@ void FlowNetwork::push(EdgeId e, std::int64_t amount) {
   residual_[e] -= amount;
   residual_[paired(e)] += amount;
 }
-
 
 }  // namespace ccdn

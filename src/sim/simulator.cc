@@ -260,9 +260,9 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
       // resident/in flight; slot k+W is not even pulled from the source
       // until slot k's ordered reduction retired (backpressure). Each of
       // the W lanes owns one scheme clone that is recycled across window
-      // generations (slots k, k+W, k+2W, ... reuse lane k%W), so per-slot
-      // scratch — candidate-edge buffers, ThetaSweeper scaffolds — is
-      // reallocated W times per run instead of once per slot. Lane reuse
+      // generations (slots k, k+W, k+2W, ... reuse lane k%W), so a clone's
+      // cached state (RbcaerScheme's geo zone plan) is built W times per
+      // run instead of once per slot. Lane reuse
       // is race-free because a lane's previous slot has always been
       // retired (its future consumed) before the lane is resubmitted; the
       // per-lane mutex makes that ownership handoff checkable (thread-

@@ -8,7 +8,7 @@
 //
 // The audit *functions* are ordinary code, available in every build (the
 // audit_run tool replays traces through them even in release binaries).
-// The in-pipeline *call sites* (scheme, sweeper, simulator) are gated on
+// The in-pipeline *call sites* (schemes, θ step, simulator) are gated on
 // AuditLevel and compiled out under NDEBUG through kCheckedBuild, so a
 // release build pays nothing — see DESIGN.md §3.8.
 #pragma once

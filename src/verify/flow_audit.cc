@@ -60,28 +60,9 @@ void audit_flow_conservation(const FlowNetwork& net, NodeId source,
   }
 }
 
-namespace {
-
-// Visit every audited arc id once: raw storage order for kStore, adjacency
-// order for kTraversable (each live arc sits in exactly one node's slice,
-// so the adjacency walk neither duplicates nor misses a traversable arc).
-template <typename Fn>
-void for_each_audited_arc(const FlowNetwork& net, ArcWalk walk, Fn&& fn) {
-  if (walk == ArcWalk::kStore) {
-    const auto stored = static_cast<EdgeId>(2 * net.num_edges());
-    for (EdgeId e = 0; e < stored; ++e) fn(e);
-    return;
-  }
-  for (std::size_t n = 0; n < net.num_nodes(); ++n) {
-    for (const EdgeId e : net.out_edges(static_cast<NodeId>(n))) fn(e);
-  }
-}
-
-}  // namespace
-
 void audit_reduced_costs(const FlowNetwork& net,
                          std::span<const double> potentials,
-                         AuditReport& report, ArcWalk walk) {
+                         AuditReport& report) {
   const bool zero_potentials = potentials.empty();
   if (!zero_potentials && potentials.size() < net.num_nodes()) {
     report.add("potentials-missing",
@@ -89,9 +70,10 @@ void audit_reduced_costs(const FlowNetwork& net,
                    std::to_string(net.num_nodes()) + " nodes");
     return;
   }
-  for_each_audited_arc(net, walk, [&](EdgeId e) {
+  const auto stored = static_cast<EdgeId>(2 * net.num_edges());
+  for (EdgeId e = 0; e < stored; ++e) {
     const auto& edge = net.edge(e);
-    if (edge.capacity <= 0) return;
+    if (edge.capacity <= 0) continue;
     const double reduced =
         zero_potentials
             ? edge.cost
@@ -102,7 +84,7 @@ void audit_reduced_costs(const FlowNetwork& net,
                      "->" + node_str(edge.to) + ") prices at " +
                      std::to_string(reduced));
     }
-  });
+  }
 }
 
 void audit_epoch_residual(const FlowNetwork& net, AuditReport& report) {

@@ -1,12 +1,6 @@
 // Flow-side invariant audits: conservation, capacity bounds, reduced-cost
-// validity, and the f_ij-vs-slack contracts of Algorithm 1.
-//
-// By default these checks walk edge *storage*, not adjacency lists, so they
-// stay correct on networks the θ sweep has compacted (drop_dead_arcs,
-// focus_out_edges only shrink adjacency; flow() and edge() read storage).
-// The reduced-cost audit additionally takes an ArcWalk selector: carried
-// solver potentials are only required to price the arcs a search can
-// actually traverse, so those call sites audit adjacency instead.
+// validity, and the f_ij-vs-slack contracts of Algorithm 1. The network
+// checks walk edge storage (flow() and edge()), not adjacency lists.
 #pragma once
 
 #include <cstdint>
@@ -27,42 +21,26 @@ namespace ccdn {
 void audit_flow_conservation(const FlowNetwork& net, NodeId source,
                              NodeId sink, AuditReport& report);
 
-/// Which arcs a reduced-cost audit prices.
-///
-/// kStore walks raw edge storage, so adjacency compactions (drop_dead_arcs,
-/// drop_terminal_arcs, focus_out_edges) cannot hide an arc — the right
-/// semantics for commit-time checks, where a surviving negative arc means a
-/// stale residual escaped the freeze. kTraversable walks the adjacency
-/// lists instead, pricing exactly the arcs a search can relax — the right
-/// semantics for validating *carried potentials*: an arc the sweep parked
-/// (a dormant sender's source arc after focus_out_edges) keeps a stale
-/// price by design, and cannot mislead Dijkstra precisely because it is in
-/// no adjacency slice; the seeded re-price clamps it again on re-awakening.
-enum class ArcWalk { kStore, kTraversable };
-
 /// Every arc with positive residual capacity must price non-negatively
 /// under `potentials`: cost + pi[from] - pi[to] >= -eps
 /// ("negative-reduced-cost"). Pass an empty span for zero potentials — the
-/// post-freeze_residuals() state, where every live arc is a forward arc
+/// state of an unsolved network, where every live arc is a forward arc
 /// whose raw cost must be non-negative. A potentials span shorter than the
-/// node count is reported as "potentials-missing". `walk` selects the arc
-/// set (see ArcWalk); storage is the default.
+/// node count is reported as "potentials-missing".
 void audit_reduced_costs(const FlowNetwork& net,
                          std::span<const double> potentials,
-                         AuditReport& report, ArcWalk walk = ArcWalk::kStore);
+                         AuditReport& report);
 
-/// Optimality certificate for a transient epoch's residual graph *before*
-/// truncate() discards it. A min-cost flow's residual graph admits no
-/// negative-cost cycle; equivalently, a potential vector exists under which
-/// every positive-capacity arc prices non-negatively. This audit derives
-/// such a vector itself — an everywhere-seeded Bellman-Ford over edge
-/// storage (every node starts at 0, so no reachability assumptions) — and
-/// reports "negative-residual-cycle" when the relaxation fails to converge
-/// within num_nodes rounds, which happens exactly when such a cycle exists.
-/// On convergence the derived potentials are fed through
-/// audit_reduced_costs() as a self-check. Unlike audit_reduced_costs()
-/// against solver-carried potentials, this never false-positives on
-/// networks whose carried prices are merely stale.
+/// Optimality certificate for a solved network's residual graph (the θ
+/// step runs it before discarding its graph). A min-cost flow's residual
+/// graph admits no negative-cost cycle; equivalently, a potential vector
+/// exists under which every positive-capacity arc prices non-negatively.
+/// This audit derives such a vector itself — an everywhere-seeded
+/// Bellman-Ford over edge storage (every node starts at 0, so no
+/// reachability assumptions) — and reports "negative-residual-cycle" when
+/// the relaxation fails to converge within num_nodes rounds, which happens
+/// exactly when such a cycle exists. On convergence the derived potentials
+/// are fed through audit_reduced_costs() as a self-check.
 void audit_epoch_residual(const FlowNetwork& net, AuditReport& report);
 
 /// The per-pair flows extracted from a slot's sweep, checked against the

@@ -2,10 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "util/error.h"
 #include "util/rng.h"
 
 namespace ccdn {
+
+// Prints a policy parameter by name in test listings (found by ADL).
+void PrintTo(CachePolicy policy, std::ostream* os) {
+  *os << cache_policy_name(policy);
+}
+
 namespace {
 
 TEST(Cache, RejectsZeroCapacity) {
@@ -142,10 +151,17 @@ TEST_P(CacheInvariants, ZipfWorkloadHitsBeatUniform) {
   EXPECT_GT(zipf_hits, uniform_hits);
 }
 
+std::string policy_test_name(
+    const ::testing::TestParamInfo<CachePolicy>& param_info) {
+  const char* const names[] = {"Lru", "Fifo", "Lfu"};  // enum order
+  return names[static_cast<int>(param_info.param)];
+}
+
 INSTANTIATE_TEST_SUITE_P(AllPolicies, CacheInvariants,
                          ::testing::Values(CachePolicy::kLru,
                                            CachePolicy::kFifo,
-                                           CachePolicy::kLfu));
+                                           CachePolicy::kLfu),
+                         policy_test_name);
 
 }  // namespace
 }  // namespace ccdn

@@ -5,6 +5,9 @@
 // by more than noise.
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "core/nearest_scheme.h"
 #include "core/rbcaer_scheme.h"
 #include "core/virtual_rbcaer_scheme.h"
@@ -23,6 +26,11 @@ struct StressCase {
   double capacity_fraction;
   double cache_fraction;
 };
+
+std::ostream& operator<<(std::ostream& out, const StressCase& c) {
+  return out << "h" << c.hotspots << "_v" << c.videos << "_r" << c.requests
+             << "_cap" << c.capacity_fraction << "_cache" << c.cache_fraction;
+}
 
 class RbcaerStress : public ::testing::TestWithParam<StressCase> {};
 
@@ -108,7 +116,10 @@ INSTANTIATE_TEST_SUITE_P(
         // Single-video degenerate catalog... almost.
         StressCase{19, 30, 2, 5000, 0.1, 0.5},
         // Very small trace.
-        StressCase{20, 60, 2000, 50, 0.05, 0.03}));
+        StressCase{20, 60, 2000, 50, 0.05, 0.03}),
+    [](const ::testing::TestParamInfo<StressCase>& param_info) {
+      return "seed" + std::to_string(param_info.param.seed);
+    });
 
 }  // namespace
 }  // namespace ccdn

@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "cluster/content_distance.h"
@@ -21,8 +20,9 @@ namespace ccdn {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Differential harness: the cold reference step (cold_step_gd/cold_step_gc,
-// a fresh graph and a from-zero MCMF per θ) vs ThetaSweeper.
+// Differential harness: the cold step (cold_step_gd/cold_step_gc, a fresh
+// graph and a from-zero MCMF per θ, audited at kFull) vs ThetaSweeper, the
+// adapter perfbench's traced mode drives.
 // ---------------------------------------------------------------------------
 
 struct Instance {
@@ -58,109 +58,58 @@ std::vector<double> theta_grid(double theta1, double theta2, double delta) {
 
 struct SweepRecord {
   std::int64_t moved = 0;
-  double cost = 0.0;
   std::size_t guide_nodes = 0;
   std::vector<FlowEntry> flows;      // merged across all steps
   std::vector<std::int64_t> phi;     // partition slack after the sweep
-  std::size_t reprices = 0;
 };
 
-/// Sweep the θ grid over Gc (aggregation) or Gd, then optionally one
-/// residual Gd step, on the warm sweeper or on the cold reference step.
-SweepRecord sweep(bool warm, HotspotPartition partition,
+/// Sweep the θ grid over Gc, then one residual Gd step at
+/// `residual_theta`, through the adapter or on the cold step directly.
+SweepRecord sweep(bool adapter, HotspotPartition partition,
                   std::span<const CandidateEdge> candidates,
-                  const std::vector<double>& thetas, bool aggregation,
+                  const std::vector<double>& thetas, double residual_theta,
                   std::span<const std::uint32_t> cluster_of,
-                  const GuideOptions& guide, McmfStrategy strategy,
-                  std::optional<double> residual_theta = std::nullopt) {
-  ThetaSweeper sweeper(strategy);
-  if (warm) sweeper.begin_slot(partition, candidates);
+                  const GuideOptions& guide) {
+  ThetaSweeper sweeper(McmfStrategy::kSpfa);
+  if (adapter) sweeper.begin_slot(partition, candidates);
   SweepRecord rec;
   const auto absorb = [&](const SweepStep& step) {
     rec.moved += step.moved;
-    rec.cost += step.cost;
     rec.guide_nodes += step.guide_nodes;
     rec.flows.insert(rec.flows.end(), step.flows.begin(), step.flows.end());
   };
-  const auto step = [&](double theta, bool gc) {
-    if (warm) {
-      return gc ? sweeper.step_gc(theta, cluster_of, guide)
-                : sweeper.step_gd(theta);
-    }
-    return gc ? cold_step_gc(partition, candidates, theta, cluster_of, guide,
-                             strategy)
-              : cold_step_gd(partition, candidates, theta, strategy);
-  };
-  for (const double theta : thetas) absorb(step(theta, aggregation));
-  if (residual_theta) absorb(step(*residual_theta, false));
+  for (const double theta : thetas) {
+    absorb(adapter ? sweeper.step_gc(theta, cluster_of, guide)
+                   : cold_step_gc(partition, candidates, theta, cluster_of,
+                                  guide, McmfStrategy::kSpfa,
+                                  AuditLevel::kFull));
+  }
+  absorb(adapter ? sweeper.step_gd(residual_theta)
+                 : cold_step_gd(partition, candidates, residual_theta,
+                                McmfStrategy::kSpfa, AuditLevel::kFull));
   sweeper.end_slot();
   merge_flow_entries(rec.flows);
   rec.phi = partition.phi;
-  rec.reprices = sweeper.potential_reprices();
+  EXPECT_EQ(sweeper.potential_reprices(), 0u);
   return rec;
 }
 
-void expect_same_flows(const std::vector<FlowEntry>& warm,
+void expect_same_flows(const std::vector<FlowEntry>& adapter,
                        const std::vector<FlowEntry>& cold) {
-  ASSERT_EQ(warm.size(), cold.size());
-  for (std::size_t i = 0; i < warm.size(); ++i) {
-    EXPECT_EQ(warm[i].from, cold[i].from) << "entry " << i;
-    EXPECT_EQ(warm[i].to, cold[i].to) << "entry " << i;
-    EXPECT_EQ(warm[i].amount, cold[i].amount) << "entry " << i;
+  ASSERT_EQ(adapter.size(), cold.size());
+  for (std::size_t i = 0; i < adapter.size(); ++i) {
+    EXPECT_EQ(adapter[i].from, cold[i].from) << "entry " << i;
+    EXPECT_EQ(adapter[i].to, cold[i].to) << "entry " << i;
+    EXPECT_EQ(adapter[i].amount, cold[i].amount) << "entry " << i;
   }
 }
 
 class ThetaSweepDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
 
-TEST_P(ThetaSweepDifferential, GdWarmMatchesCold) {
-  Rng rng(GetParam() * 7919 + 11);
-  const Instance inst = random_instance(rng, 24, 4);
-  const HotspotPartition partition =
-      HotspotPartition::from_loads(inst.hotspots, inst.loads);
-  const auto candidates =
-      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
-  const auto thetas = theta_grid(0.3, 1.5, 0.1);  // 13 steps
-
-  const SweepRecord cold = sweep(false, partition, candidates, thetas, false,
-                                 inst.cluster_of, {}, McmfStrategy::kSpfa);
-  const SweepRecord warm = sweep(true, partition, candidates, thetas, false,
-                                 inst.cluster_of, {}, McmfStrategy::kSpfa);
-
-  EXPECT_EQ(warm.moved, cold.moved);
-  EXPECT_NEAR(warm.cost, cold.cost, 1e-6);
-  EXPECT_EQ(warm.phi, cold.phi);
-  expect_same_flows(warm.flows, cold.flows);
-}
-
-TEST_P(ThetaSweepDifferential, GcWarmMatchesColdBitForBit) {
-  // The Gc regime rebuilds transiently on the persistent scaffold; the
-  // resulting graph is search-identical to a cold build, so flows, guide
-  // counts, and costs must all match exactly (DESIGN.md §3.7).
-  Rng rng(GetParam() * 104729 + 3);
-  const Instance inst = random_instance(rng, 24, 4);
-  const HotspotPartition partition =
-      HotspotPartition::from_loads(inst.hotspots, inst.loads);
-  const auto candidates =
-      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
-  const auto thetas = theta_grid(0.3, 1.5, 0.1);
-  const GuideOptions guide;
-
-  const SweepRecord cold = sweep(false, partition, candidates, thetas, true,
-                                 inst.cluster_of, guide, McmfStrategy::kSpfa);
-  const SweepRecord warm = sweep(true, partition, candidates, thetas, true,
-                                 inst.cluster_of, guide, McmfStrategy::kSpfa);
-
-  EXPECT_EQ(warm.moved, cold.moved);
-  EXPECT_EQ(warm.guide_nodes, cold.guide_nodes);
-  EXPECT_NEAR(warm.cost, cold.cost, 1e-9);
-  EXPECT_EQ(warm.phi, cold.phi);
-  expect_same_flows(warm.flows, cold.flows);
-}
-
 TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
-  // Algorithm 1's actual shape: Gc steps over the grid, then one residual
-  // Gd pass at θ2. Exercises the kGc → kGdTransient regime switch.
+  // Algorithm 1's actual shape, as perfbench's traced mode replays it: Gc
+  // steps over the grid, then one residual Gd pass at θ2.
   Rng rng(GetParam() * 13007 + 29);
   const Instance inst = random_instance(rng, 20, 3);
   const HotspotPartition partition =
@@ -170,55 +119,25 @@ TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
   const GuideOptions guide;
 
-  const SweepRecord cold = sweep(false, partition, candidates, thetas, true,
-                                 inst.cluster_of, guide, McmfStrategy::kSpfa,
-                                 1.5);
-  const SweepRecord warm = sweep(true, partition, candidates, thetas, true,
-                                 inst.cluster_of, guide, McmfStrategy::kSpfa,
-                                 1.5);
+  const SweepRecord cold =
+      sweep(false, partition, candidates, thetas, 1.5, inst.cluster_of, guide);
+  const SweepRecord adapter =
+      sweep(true, partition, candidates, thetas, 1.5, inst.cluster_of, guide);
 
-  EXPECT_EQ(warm.moved, cold.moved);
-  EXPECT_EQ(warm.phi, cold.phi);
-  expect_same_flows(warm.flows, cold.flows);
-}
-
-TEST_P(ThetaSweepDifferential, DijkstraPotentialsStayValidAcrossSteps) {
-  // Potentials-validity property test: the warm Gd sweep carries Dijkstra
-  // potentials across edge insertions. Stale potentials would trip the
-  // "negative reduced cost" CCDN_ENSURE inside the Dijkstra search (the
-  // live assertion here); reprice_from must keep the sweep both running
-  // and agreeing with the SPFA oracle.
-  Rng rng(GetParam() * 524287 + 1);
-  const Instance inst = random_instance(rng, 30, 4);
-  const HotspotPartition partition =
-      HotspotPartition::from_loads(inst.hotspots, inst.loads);
-  const auto candidates =
-      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
-  const auto thetas = theta_grid(0.3, 1.5, 0.1);
-
-  const SweepRecord oracle =
-      sweep(false, partition, candidates, thetas, false, inst.cluster_of, {},
-            McmfStrategy::kSpfa);
-  const SweepRecord warm =
-      sweep(true, partition, candidates, thetas, false, inst.cluster_of, {},
-            McmfStrategy::kDijkstraPotentials);
-
-  EXPECT_EQ(warm.moved, oracle.moved);
-  EXPECT_NEAR(warm.cost, oracle.cost, 1e-6);
-  EXPECT_EQ(warm.phi, oracle.phi);
-  // Re-prices are rare (freezing restores validity at each commit) but
-  // must be accounted for whenever they do happen.
-  EXPECT_GE(warm.reprices, 0u);
+  EXPECT_EQ(adapter.moved, cold.moved);
+  EXPECT_EQ(adapter.guide_nodes, cold.guide_nodes);
+  EXPECT_EQ(adapter.phi, cold.phi);
+  expect_same_flows(adapter.flows, cold.flows);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomPartitions, ThetaSweepDifferential,
                          ::testing::Range<std::uint64_t>(1, 13));
 
 // ---------------------------------------------------------------------------
-// Scheme-level differential: RbcaerScheme (warm sweeper) against a replay of
-// its pipeline built from public calls with the cold reference step in place
-// of the sweeper. Both run without miss redirection, which the replay does
-// not model.
+// Scheme-level differential: RbcaerScheme against a replay of its pipeline
+// built from public calls (partition, clustering, candidate edges, one cold
+// step per θ), the way perfbench's traced mode rebuilds it. Both run
+// without miss redirection, which the replay does not model.
 // ---------------------------------------------------------------------------
 
 struct Fixture {
@@ -271,8 +190,8 @@ struct ColdReplay {
 };
 
 /// RbcaerScheme::plan_slot's unsharded path, step for step: partition,
-/// clustering, candidate edges, the θ sweep plus the residual Gd step on
-/// the cold reference step, Procedure 1 and materialization.
+/// clustering, candidate edges, one cold step per θ plus the residual Gd
+/// step, Procedure 1 and materialization.
 ColdReplay cold_replay(const RbcaerConfig& config,
                        const SchemeContext& context,
                        std::span<const Request> requests,
@@ -336,13 +255,13 @@ void expect_same_plan_and_diagnostics(RbcaerConfig config,
                                       std::span<const Request> requests,
                                       const SlotDemand& demand) {
   config.miss_redirection = false;
-  RbcaerScheme warm(config);
-  const SlotPlan warm_plan = warm.plan_slot(context, requests, demand);
+  RbcaerScheme scheme(config);
+  const SlotPlan plan = scheme.plan_slot(context, requests, demand);
   const ColdReplay cold = cold_replay(config, context, requests, demand);
 
-  EXPECT_EQ(warm_plan.assignment, cold.plan.assignment);
-  EXPECT_EQ(warm_plan.placements, cold.plan.placements);
-  const auto& w = warm.last_diagnostics();
+  EXPECT_EQ(plan.assignment, cold.plan.assignment);
+  EXPECT_EQ(plan.placements, cold.plan.placements);
+  const auto& w = scheme.last_diagnostics();
   EXPECT_EQ(w.moved, cold.moved);
   EXPECT_EQ(w.guide_nodes, cold.guide_nodes);
   EXPECT_EQ(w.theta_iterations, cold.theta_iterations);
@@ -431,51 +350,6 @@ TEST(ThetaSweepScheme, IncrementalMatchesColdOnGeneratedWorld) {
 
   config.content_aggregation = false;
   expect_same_plan_and_diagnostics(config, context, trace, demand);
-}
-
-// ---------------------------------------------------------------------------
-// Steady-state arena property: once identical slots repeat, the sweeper's
-// lane arena must stop acquiring memory — every per-slot buffer (sweep
-// scratch, Gc scratch, both solvers' search state) has reached its
-// high-water size and is reused in place. This is the allocation half of
-// the solver-core memory layout (DESIGN.md §3.11); the counters come from
-// the instrumented BumpArena itself.
-// ---------------------------------------------------------------------------
-
-TEST(ThetaSweepArena, SteadyStateSlotsAcquireNoMemory) {
-  Rng rng(987654321);
-  const Instance inst = random_instance(rng, 24, 4);
-  const HotspotPartition partition =
-      HotspotPartition::from_loads(inst.hotspots, inst.loads);
-  const auto candidates =
-      candidate_edges_pairscan(inst.hotspots, partition, 1.5);
-  const auto thetas = theta_grid(0.3, 1.5, 0.1);
-  const GuideOptions guide;
-
-  ThetaSweeper sweeper(McmfStrategy::kSpfa);
-  std::size_t warm_blocks = 0;
-  std::size_t warm_bytes = 0;
-  std::size_t warm_allocations = 0;
-  for (int slot = 0; slot < 6; ++slot) {
-    HotspotPartition p = partition;  // identical slot shape every time
-    sweeper.begin_slot(p, candidates);
-    for (const double theta : thetas) {
-      (void)sweeper.step_gc(theta, inst.cluster_of, guide);
-    }
-    (void)sweeper.step_gd(1.5);
-    sweeper.end_slot();
-    const BumpArena& arena = sweeper.scratch_arena();
-    if (slot == 1) {
-      warm_blocks = arena.upstream_blocks();
-      warm_bytes = arena.bytes_reserved();
-      warm_allocations = arena.allocations();
-      EXPECT_GT(warm_allocations, 0u);  // the buffers really live here
-    } else if (slot > 1) {
-      EXPECT_EQ(arena.upstream_blocks(), warm_blocks) << "slot " << slot;
-      EXPECT_EQ(arena.bytes_reserved(), warm_bytes) << "slot " << slot;
-      EXPECT_EQ(arena.allocations(), warm_allocations) << "slot " << slot;
-    }
-  }
 }
 
 }  // namespace

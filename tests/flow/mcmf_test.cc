@@ -7,7 +7,6 @@
 #include "flow/dinic.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "verify/flow_audit.h"
 
 namespace ccdn {
 namespace {
@@ -87,94 +86,6 @@ TEST(Mcmf, RejectsBadArguments) {
   EXPECT_THROW((void)MinCostMaxFlow::solve(net, 0, 0), PreconditionError);
   EXPECT_THROW((void)MinCostMaxFlow::solve_up_to(net, 0, 1, -1),
                PreconditionError);
-}
-
-TEST(McmfSolver, WarmAugmentAfterFreezeMatchesColdSolve) {
-  // The θ-sweep pattern: augment, freeze the residuals, append edges,
-  // augment again. The per-phase totals must add up to what a cold solve
-  // over the final edge set finds.
-  FlowNetwork net(4);
-  (void)net.add_edge(0, 1, 10, 0.0);
-  (void)net.add_edge(2, 3, 10, 0.0);
-  (void)net.add_edge(1, 2, 4, 2.0);
-  McmfSolver solver;
-  const auto first = solver.augment(net, 0, 3);
-  EXPECT_EQ(first.flow, 4);
-  EXPECT_DOUBLE_EQ(first.cost, 8.0);
-  net.freeze_residuals();
-  (void)net.add_edge(1, 2, 6, 1.0);  // cheaper parallel capacity arrives
-  const auto second = solver.augment(net, 0, 3);
-  EXPECT_EQ(second.flow, 6);
-  EXPECT_DOUBLE_EQ(second.cost, 6.0);
-
-  FlowNetwork cold(4);
-  (void)cold.add_edge(0, 1, 10, 0.0);
-  (void)cold.add_edge(2, 3, 10, 0.0);
-  (void)cold.add_edge(1, 2, 4, 2.0);
-  (void)cold.add_edge(1, 2, 6, 1.0);
-  const auto reference = MinCostMaxFlow::solve(cold, 0, 3);
-  EXPECT_EQ(first.flow + second.flow, reference.flow);
-  EXPECT_DOUBLE_EQ(first.cost + second.cost, reference.cost);
-}
-
-TEST(McmfSolver, DetectsStalePotentialsAndReprices) {
-  // Carried Dijkstra potentials go stale when an appended edge shortcuts
-  // the priced shortest paths; reprice_from must count the violation and
-  // lower the potentials back to a state the next augment can run from.
-  FlowNetwork net(4);
-  (void)net.add_edge(0, 1, 5, 10.0);
-  (void)net.add_edge(1, 3, 5, 10.0);
-  McmfSolver solver(McmfStrategy::kDijkstraPotentials);
-  solver.reset_potentials(net.num_nodes());
-  const auto first = solver.augment(net, 0, 3);
-  EXPECT_EQ(first.flow, 5);
-  EXPECT_DOUBLE_EQ(first.cost, 100.0);
-  net.freeze_residuals();
-
-  const auto first_new = static_cast<EdgeId>(2 * net.num_edges());
-  (void)net.add_edge(0, 2, 5, 1.0);  // reduced cost 1 + π(0) − π(2) < 0
-  (void)net.add_edge(2, 3, 5, 1.0);
-  solver.reprice_from(net, first_new);
-  EXPECT_EQ(solver.reprices(), 1u);
-  AuditReport report;
-  audit_reduced_costs(net, solver.potentials(), report);
-  EXPECT_TRUE(report.ok()) << report.summary();
-  const auto second = solver.augment(net, 0, 3);
-  EXPECT_EQ(second.flow, 5);
-  EXPECT_DOUBLE_EQ(second.cost, 10.0);
-}
-
-/// A unit-capacity, unit-cost path 0 → 1 → … → nodes-1.
-FlowNetwork chain(std::size_t nodes) {
-  FlowNetwork net(nodes);
-  for (NodeId v = 0; v + 1 < nodes; ++v) (void)net.add_edge(v, v + 1, 1, 1.0);
-  return net;
-}
-
-TEST(McmfSolver, SearchAfterSmallerRepriceSizesEveryBuffer) {
-  // reprice_from on a smaller network must not leave the SPFA queue flags
-  // shorter than the label arrays: the next search on a larger network
-  // indexes every per-node buffer (a checked libstdc++ build aborts on the
-  // out-of-range flag otherwise).
-  McmfSolver solver(McmfStrategy::kSpfa);
-  FlowNetwork first = chain(10);
-  EXPECT_EQ(solver.augment(first, 0, 9).flow, 1);
-  const FlowNetwork small = chain(4);
-  solver.reset_potentials(small.num_nodes());
-  solver.reprice_from(small, 0);
-  FlowNetwork second = chain(10);
-  const auto result = solver.augment(second, 0, 9);
-  EXPECT_EQ(result.flow, 1);
-  EXPECT_DOUBLE_EQ(result.cost, 9.0);
-}
-
-TEST(McmfSolver, FlowLimitSpreadsAcrossWarmCalls) {
-  FlowNetwork net(2);
-  (void)net.add_edge(0, 1, 10, 2.0);
-  McmfSolver solver;
-  EXPECT_EQ(solver.augment(net, 0, 1, 4).flow, 4);
-  EXPECT_EQ(solver.augment(net, 0, 1, 4).flow, 4);
-  EXPECT_EQ(solver.augment(net, 0, 1).flow, 2);  // only 2 units remain
 }
 
 /// Random balanced bipartite instances, mirroring the Gd graphs RBCAer

@@ -128,7 +128,7 @@ TEST(ParallelSimulator, ShardedSchemeIdenticalAcrossThreadCounts) {
 
 /// Replays every slot on a fresh clone of the wrapped scheme and counts
 /// plans whose digest differs: the check that state a scheme keeps across
-/// slots (the reused θ-sweeper buffers, the shard-plan cache) never leaks
+/// slots (the cached shard plan) never leaks
 /// into a plan. clone() wraps the inner clone, so the simulator's lanes
 /// run the check exactly as they run the scheme.
 class ClonePurityScheme final : public RedirectionScheme {
@@ -166,7 +166,7 @@ class ClonePurityScheme final : public RedirectionScheme {
 TEST(ParallelSimulator, RbcaerDigestsMatchAcrossWindowsAndClonePurity) {
   // The windowed lanes hand each clone only every W-th slot, and the purity
   // replay plans every slot again on a fresh clone: neither may change a
-  // plan, whatever θ-sweeper state a clone carries from its earlier slots.
+  // plan, whatever state a clone carries from its earlier slots.
   WorldConfig world_config = WorldConfig::evaluation_region();
   world_config.num_hotspots = 40;
   world_config.num_videos = 800;

@@ -75,9 +75,9 @@ TEST(FlowAuditTest, InvalidTerminalsAreRejected) {
 }
 
 TEST(FlowAuditTest, FrozenNetworkPricesCleanWithZeroPotentials) {
+  // Before any flow is pushed, every live arc is a forward arc with a
+  // non-negative cost, so zero potentials price the network cleanly.
   Diamond d;
-  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
-  d.net.freeze_residuals();
 
   AuditReport report;
   audit_reduced_costs(d.net, {}, report);
@@ -86,10 +86,10 @@ TEST(FlowAuditTest, FrozenNetworkPricesCleanWithZeroPotentials) {
 
 TEST(FlowAuditTest, LiveNegativeArcIsNamed) {
   // A live backward arc carries cost -1 after augmentation; with zero
-  // potentials (the frozen-commit contract) it must be reported.
+  // potentials it must be reported.
   Diamond d;
   (void)MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
-  // No freeze: the residual of a→t (cost -1) is still live.
+  // The residual of a→t (cost -1) is live.
   AuditReport report;
   audit_reduced_costs(d.net, {}, report);
   EXPECT_TRUE(report.has("negative-reduced-cost")) << report.summary();
@@ -106,29 +106,6 @@ TEST(FlowAuditTest, ValidPotentialsAbsorbResidualCosts) {
   EXPECT_TRUE(report.ok()) << report.summary();
 }
 
-TEST(FlowAuditTest, ParkedArcsAreExemptFromTraversableWalk) {
-  // Regression for the warm θ-sweep false positive: the sweep parks a
-  // dormant sender's source arc with focus_out_edges and deliberately lets
-  // its carried price go stale — the arc sits in no adjacency slice, so no
-  // search can relax it, and the seeded re-price clamps it before it
-  // re-enters adjacency. The carried-potentials audit must therefore price
-  // only traversable arcs; the storage walk keeps flagging the parked arc,
-  // which is exactly what commit-time audits want.
-  Diamond d;
-  // s→b (cost 0) prices at -1 under these potentials; everything else >= 0.
-  const std::vector<double> potentials{0.0, 0.0, 1.0, 0.0};
-  const std::vector<EdgeId> focus{d.sa};
-  d.net.focus_out_edges(d.source, focus);
-
-  AuditReport stored;
-  audit_reduced_costs(d.net, potentials, stored, ArcWalk::kStore);
-  EXPECT_TRUE(stored.has("negative-reduced-cost")) << stored.summary();
-
-  AuditReport traversable;
-  audit_reduced_costs(d.net, potentials, traversable, ArcWalk::kTraversable);
-  EXPECT_TRUE(traversable.ok()) << traversable.summary();
-}
-
 TEST(FlowAuditTest, ShortPotentialSpanIsReported) {
   Diamond d;
   const std::vector<double> truncated{0.0, 1.0};
@@ -140,7 +117,7 @@ TEST(FlowAuditTest, ShortPotentialSpanIsReported) {
 TEST(FlowAuditTest, EpochResidualCleanOnOptimalFlow) {
   // The residual of a min-cost flow has no negative cycle, and the audit
   // must certify that without any caller-supplied potentials — this is the
-  // transient-epoch check that runs before truncate() discards the network.
+  // check the θ step runs on its solved graph at kFull.
   Diamond d;
   (void)MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
   AuditReport report;
@@ -152,7 +129,7 @@ TEST(FlowAuditTest, NegativeResidualCycleIsNamed) {
   // Seeded corruption: a two-arc cycle of total cost -1 with live capacity
   // in both directions. Such a cycle means the committed flow was not
   // cost-optimal (cancelling around it would lower the cost), which is
-  // exactly the state a broken warm-start would leave behind.
+  // exactly the state a broken solver would leave behind.
   FlowNetwork net{2};
   (void)net.add_edge(0, 1, 1, 1.0);
   (void)net.add_edge(1, 0, 1, -2.0);

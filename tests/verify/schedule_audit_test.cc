@@ -8,6 +8,7 @@
 
 #include "core/rbcaer_scheme.h"
 #include "core/replication.h"
+#include "core/virtual_rbcaer_scheme.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -246,11 +247,12 @@ TEST(ScheduleAuditTest, AuditedRbcaerRunIsCleanAndDigested) {
   }
 }
 
-TEST(ScheduleAuditTest, AuditedWarmSweepRegimesAreClean) {
-  // Both regimes of the warm θ sweep under both Gc engines, on a fine θ
-  // grid so most steps are warm: the transient Gc epochs (certified
-  // min-cost before each teardown) and the persistent Gd steps, whose
-  // carried potentials the kFull audit re-checks after every augment.
+TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
+  // Every θ step's kFull certificate (flow conservation and no negative
+  // residual cycle on the solved graph, before it is discarded) under both
+  // engines, with aggregation on (Gc steps plus the residual Gd pass) and
+  // off (Gd steps only), on a fine θ grid so each slot runs many steps —
+  // for the flat scheme and for VirtualRbcaerScheme's region-level steps.
   // The audits run in checked builds only; release builds still plan.
   WorldConfig world_config = WorldConfig::evaluation_region();
   world_config.num_hotspots = 60;
@@ -268,6 +270,11 @@ TEST(ScheduleAuditTest, AuditedWarmSweepRegimesAreClean) {
   sim_config.audit_level = AuditLevel::kFull;
   const Simulator simulator(world.hotspots(),
                             VideoCatalog{world_config.num_videos}, sim_config);
+  const auto expect_clean_run = [&](RedirectionScheme& scheme) {
+    const SimulationReport report = simulator.run(scheme, trace);
+    EXPECT_EQ(report.slot_digests().size(), report.slots().size());
+    EXPECT_GT(report.served_by_hotspots(), 0u) << scheme.name();
+  };
   for (const bool aggregation : {true, false}) {
     for (const McmfStrategy strategy :
          {McmfStrategy::kSpfa, McmfStrategy::kDijkstraPotentials}) {
@@ -278,9 +285,15 @@ TEST(ScheduleAuditTest, AuditedWarmSweepRegimesAreClean) {
       scheme_config.theta1_km = 0.3;
       scheme_config.delta_km = 0.1;
       RbcaerScheme scheme(scheme_config);
-      const SimulationReport report = simulator.run(scheme, trace);
-      EXPECT_EQ(report.slot_digests().size(), report.slots().size());
-      EXPECT_GT(report.served_by_hotspots(), 0u);
+      expect_clean_run(scheme);
+
+      VirtualRbcaerConfig virtual_config;
+      virtual_config.regional.audit_level = AuditLevel::kFull;
+      virtual_config.regional.content_aggregation = aggregation;
+      virtual_config.regional.mcmf_strategy = strategy;
+      virtual_config.regional.delta_km = 1.0;
+      VirtualRbcaerScheme virtual_scheme(virtual_config);
+      expect_clean_run(virtual_scheme);
     }
   }
 }

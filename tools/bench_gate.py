@@ -35,8 +35,8 @@ its coverage, so renames should regenerate the baseline in the same PR.
 cross-machine CI (peak RSS is stable across runner speeds, wall time is
 not), "wall" for same-machine trend checks. --prefix (repeatable)
 restricts gating to rows whose name starts with one of the given
-prefixes, e.g. --prefix sharding/ --prefix theta_sweep/ to gate only
-those BENCH_flow.json sections.
+prefixes, e.g. --prefix sharding/gc/ to gate only the Gc rows of
+BENCH_flow.json.
 
 Exit status: 0 green, 1 regression(s) past tolerance, 2 usage/IO error.
 
