@@ -20,6 +20,7 @@
 // solve, written to BENCH_flow.json (--flow_only runs only this section).
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -55,11 +56,13 @@ double time_scheme(RedirectionScheme& scheme, const SchemeContext& context,
 // geo zones (solved one after another in-process), plus one cross-shard
 // exchange round over boundary residuals. Reported per row: the flow-phase
 // time (every shard's graph+MCMF plus the exchange round) vs the global
-// solve's graph+MCMF, the shard-loop wall, the exchange overhead, and
-// the end-to-end objective gap (plan distance sum with the CDN penalty,
-// sharded vs global). K=1 must be bit-identical to the global solve and
-// carries the `identical` oracle; K>1 pays a bounded optimality gap and
-// carries `gap_ok` (gap <= --shard_gap_tol, default 2%) instead.
+// solve's graph+MCMF, the shard-loop wall, the exchange overhead, the
+// per-shard imbalance (max/mean of the shards' graph+MCMF times: how evenly
+// the bisection splits the work), and the end-to-end objective gap (plan
+// distance sum with the CDN penalty, sharded vs global). K=1 must be
+// bit-identical to the global solve and carries the `identical` oracle;
+// K>1 pays a bounded optimality gap and carries `gap_ok`
+// (gap <= --shard_gap_tol, default 2%) instead.
 
 struct ShardBenchRow {
   std::string name;  // "gc" or "gd"
@@ -71,6 +74,7 @@ struct ShardBenchRow {
   double cluster_s = 0.0;         // sum of per-shard Jd+cluster
   double shard_wall_s = 0.0;      // shard loop, every shard in turn
   double exchange_s = 0.0;
+  double imbalance = 1.0;         // max/mean of per-shard graph+MCMF
   std::int64_t moved = 0;
   std::int64_t exchange_moved = 0;
   std::size_t boundary = 0;
@@ -137,6 +141,14 @@ ShardBenchRow shard_bench_mode(const std::string& name, bool aggregation,
       const auto& d = scheme.last_diagnostics();
       row.shard_wall_s = d.shard_wall_s;
       row.exchange_s = d.exchange_s;
+      if (!d.shard_flow_s.empty()) {
+        const double max = *std::max_element(d.shard_flow_s.begin(),
+                                             d.shard_flow_s.end());
+        const double mean = std::accumulate(d.shard_flow_s.begin(),
+                                            d.shard_flow_s.end(), 0.0) /
+                            static_cast<double>(d.shard_flow_s.size());
+        row.imbalance = mean > 0.0 ? max / mean : 1.0;
+      }
       row.moved = d.moved;
       row.exchange_moved = d.exchange_moved;
       row.boundary = d.boundary_hotspots;
@@ -182,6 +194,7 @@ void write_flow_json(const std::string& path,
         "\"shards\": %zu, \"boundary_hotspots\": %zu, "
         "\"global_flow_s\": %.6f, \"shard_flow_s\": %.6f, "
         "\"shard_wall_s\": %.6f, \"exchange_s\": %.6f, "
+        "\"imbalance\": %.3f, "
         "\"global_cluster_s\": %.6f, \"cluster_s\": %.6f, "
         "\"speedup\": %.2f, \"moved\": %lld, \"exchange_moved\": %lld, "
         "\"cdn_assigned\": %zu, \"global_cdn_assigned\": %zu, "
@@ -189,7 +202,8 @@ void write_flow_json(const std::string& path,
         "\"gap\": %.6f, %s}%s\n",
         r.name.c_str(), r.shards, r.hotspots, r.hotspots, r.shards,
         r.boundary, r.global_flow_s, r.shard_flow_s, r.shard_wall_s,
-        r.exchange_s, r.global_cluster_s, r.cluster_s, r.speedup(),
+        r.exchange_s, r.imbalance, r.global_cluster_s, r.cluster_s,
+        r.speedup(),
         static_cast<long long>(r.moved),
         static_cast<long long>(r.exchange_moved), r.cdn_assigned,
         r.global_cdn_assigned, r.objective_km,
@@ -238,9 +252,9 @@ void run_flow_bench(const Flags& flags) {
   std::printf("sharded = every shard's graph+MCMF + exchange round; "
               "gap tolerance %.1f%% (best of %zu)\n",
               gap_tol * 100.0, repeats);
-  std::printf("%-4s %7s %12s %12s %9s %10s %10s %9s %10s\n", "", "shards",
-              "global", "sharded", "speedup", "exchange", "boundary", "gap",
-              "oracle");
+  std::printf("%-4s %7s %12s %12s %9s %10s %10s %10s %9s %10s\n", "",
+              "shards", "global", "sharded", "speedup", "exchange",
+              "imbalance", "boundary", "gap", "oracle");
   std::vector<ShardBenchRow> shard_rows;
   for (const bool aggregation : {true, false}) {
     const std::string graph = aggregation ? "gc" : "gd";
@@ -275,11 +289,11 @@ void run_flow_bench(const Flags& flags) {
       const char* oracle = row.shards == 1
                                ? (row.identical ? "identical" : "MISMATCH!")
                                : (row.gap_ok ? "gap-ok" : "GAP!");
-      std::printf("%-4s %7zu %11.3fs %11.3fs %8.1fx %9.3fs %10zu %8.2f%% "
-                  "%10s\n",
+      std::printf("%-4s %7zu %11.3fs %11.3fs %8.1fx %9.3fs %9.2fx %10zu "
+                  "%8.2f%% %10s\n",
                   row.name.c_str(), row.shards, row.global_flow_s,
                   row.shard_flow_s, row.speedup(), row.exchange_s,
-                  row.boundary, row.gap * 100.0, oracle);
+                  row.imbalance, row.boundary, row.gap * 100.0, oracle);
     }
   }
 

@@ -18,65 +18,6 @@ namespace ccdn {
 
 namespace {
 
-/// Flow-phase result of one θ sweep (Algorithm 1 lines 5–12).
-struct SweepOutcome {
-  std::vector<FlowEntry> flows;  // per-θ increments, unmerged
-  std::int64_t moved = 0;
-  std::size_t guide_nodes = 0;
-  std::size_t theta_iterations = 0;
-  double graph_s = 0.0;
-  double mcmf_s = 0.0;
-};
-
-/// Algorithm 1's flow phase: one cold step per θ over Gc (or Gd when
-/// aggregation is off), then the residual Gd pass at θ2. Shared verbatim
-/// by the unsharded slot and by every shard's local solve — sharing the
-/// code is what keeps shard=1 plans bit-identical to the unsharded path.
-SweepOutcome run_theta_sweep(const RbcaerConfig& config,
-                             std::span<const Hotspot> hotspots,
-                             const GridIndex& index,
-                             HotspotPartition& partition,
-                             std::int64_t max_movable,
-                             std::span<const std::uint32_t> cluster_of) {
-  SweepOutcome out;
-  // Steps already committed their flows (φ decremented, slack invariant
-  // checked inside the step); just accumulate.
-  const auto absorb_step = [&](const SweepStep& step) {
-    out.moved += step.moved;
-    out.guide_nodes += step.guide_nodes;
-    out.graph_s += step.graph_s;
-    out.mcmf_s += step.mcmf_s;
-    out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
-  };
-
-  constexpr double kThetaEps = 1e-9;
-  // Radius query per overloaded hotspot via the shared spatial index,
-  // instead of scanning every (overloaded, under-utilized) pair.
-  Stopwatch stage_clock;
-  const std::vector<CandidateEdge> candidates =
-      candidate_edges(hotspots, partition, config.theta2_km, index);
-  out.graph_s += stage_clock.elapsed_seconds();
-  double theta = config.theta1_km;
-  while (theta <= config.theta2_km + kThetaEps && out.moved < max_movable) {
-    ++out.theta_iterations;
-    absorb_step(config.content_aggregation
-                    ? cold_step_gc(partition, candidates, theta, cluster_of,
-                                   config.guide, config.mcmf_strategy,
-                                   config.audit_level)
-                    : cold_step_gd(partition, candidates, theta,
-                                   config.mcmf_strategy, config.audit_level));
-    theta += config.delta_km;
-  }
-  if (out.moved < max_movable) {
-    // Residual pass on the plain distance graph at θ2 (Algorithm 1,
-    // line 12); anything beyond that stays with its home hotspot and
-    // overflows to the CDN at admission (line 14).
-    absorb_step(cold_step_gd(partition, candidates, config.theta2_km,
-                             config.mcmf_strategy, config.audit_level));
-  }
-  return out;
-}
-
 /// One shard's local solve: rebuild the full RBCAer clustering + flow phase
 /// on the sub-instance induced by the shard's member hotspots, then remap
 /// the flows back to global ids. A pure function of (config, hotspots,
@@ -144,6 +85,28 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
 }
 
 }  // namespace
+
+SweepOutcome run_theta_sweep(const RbcaerConfig& config,
+                             std::span<const Hotspot> hotspots,
+                             const GridIndex& index,
+                             HotspotPartition& partition,
+                             std::int64_t max_movable,
+                             std::span<const std::uint32_t> cluster_of) {
+  // Radius query per overloaded hotspot via the shared spatial index,
+  // instead of scanning every (overloaded, under-utilized) pair.
+  Stopwatch clock;
+  const std::vector<CandidateEdge> candidates =
+      candidate_edges(hotspots, partition, config.theta2_km, index);
+  const double candidates_s = clock.elapsed_seconds();
+  SweepOutcome out = theta_sweep(
+      partition, candidates, config.theta1_km, config.theta2_km,
+      config.delta_km, max_movable,
+      config.content_aggregation ? cluster_of
+                                 : std::span<const std::uint32_t>{},
+      config.guide, config.mcmf_strategy, config.audit_level);
+  out.graph_s += candidates_s;
+  return out;
+}
 
 RbcaerScheme::RbcaerScheme(RbcaerConfig config) : config_(config) {
   CCDN_REQUIRE(config_.theta1_km >= 0.0, "negative theta1");
@@ -267,24 +230,21 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
 std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     const SchemeContext& context, const SlotDemand& demand,
     HotspotPartition& partition, std::size_t num_shards) {
-  const std::size_t m = context.hotspots.size();
   // Hotspot geometry is fixed across a run's slots, so the zone plan is
-  // computed once per (shard count, hotspot set) and reused.
+  // computed once per (shard count, hotspot locations) and reused.
   if (shard_plan_.num_shards != num_shards ||
-      shard_plan_.assignment.shard_of.size() != m ||
-      distance_km(shard_plan_.first, context.hotspots.front().location) !=
-          0.0 ||
-      distance_km(shard_plan_.last, context.hotspots.back().location) != 0.0) {
-    std::vector<GeoPoint> locations;
-    locations.reserve(m);
-    for (const Hotspot& h : context.hotspots) locations.push_back(h.location);
-    shard_plan_.assignment = partition_zones(locations, num_shards);
+      !std::ranges::equal(shard_plan_.locations, context.hotspots, {}, {},
+                          &Hotspot::location)) {
+    shard_plan_.locations.clear();
+    for (const Hotspot& h : context.hotspots) {
+      shard_plan_.locations.push_back(h.location);
+    }
+    shard_plan_.assignment =
+        partition_zones(shard_plan_.locations, num_shards);
     shard_plan_.boundary =
-        boundary_hotspots(locations, shard_plan_.assignment,
+        boundary_hotspots(shard_plan_.locations, shard_plan_.assignment,
                           config_.theta2_km, context.hotspot_index);
     shard_plan_.num_shards = num_shards;
-    shard_plan_.first = context.hotspots.front().location;
-    shard_plan_.last = context.hotspots.back().location;
   }
 
   ShardedSolveOptions options;

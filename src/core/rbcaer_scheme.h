@@ -22,6 +22,7 @@
 #include "core/balance_graph.h"
 #include "core/scheme.h"
 #include "core/shard_solver.h"
+#include "core/theta_sweep.h"
 #include "flow/mcmf.h"
 #include "geo/zone_partition.h"
 #include "verify/audit.h"
@@ -85,6 +86,18 @@ struct RbcaerConfig {
   std::size_t num_shards = 0;
 };
 
+/// Algorithm 1's flow phase under `config` on one hotspot set: the
+/// candidate edges within θ2 (radius queries against `index`, a GridIndex
+/// over `hotspots` in the same order), then theta_sweep on the config's θ
+/// grid, guide options, engine and audit level — over Gd only when
+/// content_aggregation is off. `graph_s` includes the candidate query.
+/// RbcaerScheme runs it on the slot and on every shard, VirtualRbcaerScheme
+/// on its regions, so shard=1 plans stay bit-identical to unsharded ones.
+[[nodiscard]] SweepOutcome run_theta_sweep(
+    const RbcaerConfig& config, std::span<const Hotspot> hotspots,
+    const GridIndex& index, HotspotPartition& partition,
+    std::int64_t max_movable, std::span<const std::uint32_t> cluster_of);
+
 class RbcaerScheme final : public RedirectionScheme {
  public:
   explicit RbcaerScheme(RbcaerConfig config = {});
@@ -147,10 +160,10 @@ class RbcaerScheme final : public RedirectionScheme {
   mutable Diagnostics diagnostics_;
   StageTimings stage_timings_;
   /// Geo shard plan, recomputed only when the shard count or the hotspot
-  /// set changes (hotspot geometry is fixed across a run's slots).
+  /// locations change (hotspot geometry is fixed across a run's slots).
   struct ShardPlanCache {
     std::size_t num_shards = 0;
-    GeoPoint first{}, last{};  // cheap fingerprint of the hotspot set
+    std::vector<GeoPoint> locations;  // the hotspot set the zones cover
     ShardAssignment assignment;
     std::vector<std::uint8_t> boundary;
   };

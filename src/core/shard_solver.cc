@@ -1,9 +1,6 @@
 #include "core/shard_solver.h"
 
-#include <algorithm>
-
-#include "flow/exchange.h"
-#include "geo/geo_point.h"
+#include "core/theta_sweep.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
 #include "verify/shard_audit.h"
@@ -57,78 +54,39 @@ ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
                          shard.flows.end());
   }
 
-  // --- Exchange rounds over boundary residuals, θ-swept. A single
-  // max-flow at the full radius would move strictly more than the global
-  // θ sweep does (progressive commitment strands capacity on purpose —
-  // closer arcs first), and every extra unit moved is extra serving
-  // distance; sweeping the same θ grid keeps the exchange's movement
-  // discipline — and hence the optimality gap — aligned with the global
-  // solve's. ---
+  // --- Exchange round: the θ sweep, Gd-only, over the boundary band —
+  // boundary senders with residual overload against all residual slack. ---
   wall.reset();
   if (num_shards > 1 && outcome.boundary_hotspots > 0) {
-    std::vector<std::uint8_t> is_under(hotspots.size(), 0);
-    for (const std::uint32_t j : partition.underutilized) is_under[j] = 1;
-    // Same widened-query + exact-cut pattern as candidate_edges, so the
-    // exchange sees exactly the arcs a global solve at θ2 would have
-    // offered these senders (restricted to surviving slack). Collected
-    // once at the full radius; each θ round filters by distance.
-    const double query_radius = options.exchange_radius_km * 1.001 + 1e-6;
-    std::vector<ExchangeArc> arcs;
-    std::vector<std::size_t> near;
+    HotspotPartition band;
     for (const std::uint32_t i : partition.overloaded) {
-      if (boundary[i] == 0 || partition.phi[i] <= 0) continue;
-      index.within_radius(hotspots[i].location, query_radius, near);
-      for (const std::size_t j : near) {
-        if (is_under[j] == 0 || partition.phi[j] <= 0) continue;
-        const double d =
-            distance_km(hotspots[i].location, hotspots[j].location);
-        if (d >= options.exchange_radius_km) continue;
-        arcs.push_back({i, static_cast<std::uint32_t>(j), d, 0});
+      if (boundary[i] != 0 && partition.phi[i] > 0) {
+        band.overloaded.push_back(i);
       }
     }
-    const double theta_step = options.exchange_theta_step_km > 0.0
-                                  ? options.exchange_theta_step_km
-                                  : options.exchange_radius_km;
-    double theta = options.exchange_theta1_km > 0.0
-                       ? std::min(options.exchange_theta1_km,
-                                  options.exchange_radius_km)
-                       : options.exchange_radius_km;
-    std::vector<ExchangeArc> live;
-    while (true) {
-      live.clear();
-      for (const ExchangeArc& arc : arcs) {
-        if (arc.cost_km >= theta) continue;
-        const std::int64_t cap =
-            std::min(partition.phi[arc.from], partition.phi[arc.to]);
-        if (cap <= 0) continue;
-        live.push_back({arc.from, arc.to, arc.cost_km, cap});
-      }
-      if (!live.empty()) {
-        const ExchangeResult exchange = solve_exchange(
-            partition.phi, partition.phi, live, options.exchange_strategy);
-        for (const ExchangeFlow& f : exchange.flows) {
-          outcome.exchange_flows.push_back({f.from, f.to, f.amount});
-          partition.phi[f.from] -= f.amount;
-          partition.phi[f.to] -= f.amount;
-          CCDN_ENSURE(partition.phi[f.from] >= 0 && partition.phi[f.to] >= 0,
-                      "exchange flow exceeded residual slack");
-          outcome.moved += f.amount;
-          outcome.exchange_moved += f.amount;
-        }
-      }
-      if (theta >= options.exchange_radius_km) break;
-      theta = std::min(theta + theta_step, options.exchange_radius_km);
+    for (const std::uint32_t j : partition.underutilized) {
+      if (partition.phi[j] > 0) band.underutilized.push_back(j);
     }
-    if (!outcome.exchange_flows.empty()) {
-      if (auditing) {
-        AuditReport report;
-        audit_exchange_flows(outcome.exchange_flows, assignment.shard_of,
-                             boundary, report);
-        report.require_clean("sharded slot: exchange flows");
-      }
-      outcome.flows.insert(outcome.flows.end(), outcome.exchange_flows.begin(),
-                           outcome.exchange_flows.end());
+    band.phi = partition.phi;
+    const std::vector<CandidateEdge> candidates = candidate_edges(
+        hotspots, band, options.exchange_radius_km, index);
+    SweepOutcome sweep = theta_sweep(
+        band, candidates, options.exchange_theta1_km,
+        options.exchange_radius_km, options.exchange_theta_step_km,
+        band.max_movable(), {}, {}, options.exchange_strategy,
+        options.audit_level);
+    partition.phi = std::move(band.phi);
+    outcome.moved += sweep.moved;
+    outcome.exchange_moved = sweep.moved;
+    outcome.exchange_flows = std::move(sweep.flows);
+    if (auditing) {
+      AuditReport report;
+      audit_exchange_flows(outcome.exchange_flows, assignment.shard_of,
+                           boundary, report);
+      report.require_clean("sharded slot: exchange flows");
     }
+    outcome.flows.insert(outcome.flows.end(), outcome.exchange_flows.begin(),
+                         outcome.exchange_flows.end());
   }
   outcome.exchange_s = wall.elapsed_seconds();
   return outcome;

@@ -4,28 +4,28 @@
 // (geo/zone_partition.h), solve_sharded():
 //
 //   1. runs a caller-supplied per-shard solve — flat RBCAer's θ sweep or
-//      the virtual scheme's regional loop, restricted to one shard's
+//      the virtual scheme's regional one, restricted to one shard's
 //      hotspots — for every shard, one after another in the calling
 //      process, in shard order (slots already run in parallel on the
 //      simulator's lanes, so there is no fan-out within a slot);
 //   2. commits every shard-local flow against the caller's global
 //      partition slack, exactly like the unsharded absorb loop;
-//   3. runs a θ-swept exchange over the residuals: boundary senders (the
-//      hotspots whose candidate radius crosses a shard cut, so their local
-//      solve was blind to receivers across it) offer their remaining
-//      overload to the residual slack of every hotspot within the exchange
-//      radius — in any shard, the sender's own included. The reduced
-//      network (flow/exchange.h) is re-solved at increasing distance
-//      radii (θ1, θ1+δ, … up to the exchange radius), mirroring the global
-//      sweep's closest-first commitment discipline; a single max-flow at
-//      the full radius would move strictly more traffic than the global
-//      solve and inflate the optimality gap.
+//   3. runs one exchange round: the same θ sweep (core/theta_sweep.h),
+//      Gd-only, over the boundary band. The band's senders are the
+//      boundary hotspots (those whose candidate radius crosses a shard cut,
+//      so their local solve was blind to receivers across it) with
+//      residual overload; its receivers are every hotspot with residual
+//      slack, in any shard, the sender's own included, within the exchange
+//      radius. Sweeping θ1, θ1+δ, … keeps the global sweep's closest-first
+//      commitment; a single max-flow at the full radius would move strictly
+//      more traffic than the global solve and inflate the optimality gap.
 //
 // The caller's partition.phi ends up accounting for every committed unit,
 // so the merged flow list satisfies the same audit_flow_entries contract as
 // an unsharded slot. Per-shard locality and exchange boundary-sender
 // structure are audited via verify/shard_audit.h (checked builds, audit
-// level >= kPlan).
+// level >= kPlan); at kFull every exchange step also carries the θ step's
+// min-cost certificate.
 #pragma once
 
 #include <cstdint>
@@ -60,17 +60,16 @@ struct ShardFlowResult {
 struct ShardedSolveOptions {
   /// Ignored; kept only because perfbench/trace_mode.cc sets it.
   ShardExecutor executor = ShardExecutor::kInProcess;
-  /// Arc radius of the exchange round; the schemes pass θ2 so the exchange
-  /// sees exactly the receiver neighbourhood the global solve would have
-  /// offered these senders.
+  /// θ2 of the exchange sweep, and the candidate radius of its band; the
+  /// schemes pass their θ2, so the exchange sees exactly the receiver
+  /// neighbourhood the global solve would have offered these senders.
   double exchange_radius_km = 1.5;
-  /// θ grid of the exchange rounds (the schemes pass θ1/δ): the exchange
-  /// sweeps radii θ1, θ1+δ, … up to exchange_radius_km, committing after
-  /// each round, mirroring the global sweep's closer-arcs-first movement
-  /// discipline. Non-positive values collapse to a single round at the
-  /// full radius.
-  double exchange_theta1_km = 0.0;
-  double exchange_theta_step_km = 0.0;
+  /// θ1 and δ of the exchange sweep (the schemes pass theirs; the defaults
+  /// are RbcaerConfig's). A non-positive step makes the exchange round
+  /// throw PreconditionError.
+  double exchange_theta1_km = 0.5;
+  double exchange_theta_step_km = 0.5;
+  /// MCMF engine and audit level of every exchange step.
   McmfStrategy exchange_strategy = McmfStrategy::kSpfa;
   AuditLevel audit_level = AuditLevel::kOff;
 };
@@ -88,7 +87,7 @@ struct ShardedSolveOutcome {
   std::size_t boundary_hotspots = 0;
   /// Wall time of the shard loop (every shard solved in turn).
   double shard_wall_s = 0.0;
-  /// Wall time of the exchange round (arc build + reduced solve + commit).
+  /// Wall time of the exchange round (band build + candidates + sweep).
   double exchange_s = 0.0;
 };
 

@@ -74,4 +74,43 @@ SweepStep cold_step_gc(HotspotPartition& partition,
                     graph_s);
 }
 
+SweepOutcome theta_sweep(HotspotPartition& partition,
+                         std::span<const CandidateEdge> candidates,
+                         double theta1_km, double theta2_km, double delta_km,
+                         std::int64_t max_movable,
+                         std::span<const std::uint32_t> cluster_of,
+                         const GuideOptions& guide, McmfStrategy strategy,
+                         AuditLevel audit_level) {
+  CCDN_REQUIRE(delta_km > 0.0, "non-positive theta step");
+  SweepOutcome out;
+  // Steps already committed their flows (φ decremented, slack invariant
+  // checked inside the step); just accumulate.
+  const auto absorb = [&out](const SweepStep& step) {
+    out.moved += step.moved;
+    out.guide_nodes += step.guide_nodes;
+    out.graph_s += step.graph_s;
+    out.mcmf_s += step.mcmf_s;
+    out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
+  };
+  constexpr double kThetaEps = 1e-9;
+  for (double theta = theta1_km;
+       theta <= theta2_km + kThetaEps && out.moved < max_movable;
+       theta += delta_km) {
+    ++out.theta_iterations;
+    absorb(cluster_of.empty()
+               ? cold_step_gd(partition, candidates, theta, strategy,
+                              audit_level)
+               : cold_step_gc(partition, candidates, theta, cluster_of, guide,
+                              strategy, audit_level));
+  }
+  if (out.moved < max_movable) {
+    // Residual pass on the plain distance graph at θ2 (Algorithm 1,
+    // line 12); anything beyond that stays with its home hotspot and
+    // overflows to the CDN at admission (line 14).
+    absorb(cold_step_gd(partition, candidates, theta2_km, strategy,
+                        audit_level));
+  }
+  return out;
+}
+
 }  // namespace ccdn

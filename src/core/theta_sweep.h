@@ -1,11 +1,14 @@
-// One θ step of Algorithm 1 (the cold step), shared by every θ loop.
+// Algorithm 1's flow phase: the θ sweep, the only θ loop in src/.
 //
-// cold_step_gd / cold_step_gc are one step of the paper's sweep exactly as
-// the paper states it: build Gd or Gc over the candidate edges with d < θ
-// and φ > 0 on both endpoints, solve MCMF from zero flow, and commit the
-// flows into the partition's φ. RbcaerScheme's sweep (unsharded and in
-// every shard) and VirtualRbcaerScheme's region-level sweep call them once
-// per θ. DESIGN.md §3.7 says why no θ loop warm-starts across steps.
+// theta_sweep runs the paper's sweep over precomputed candidate edges: one
+// cold step per θ = θ1, θ1+δ, … up to θ2 on Gc (on Gd when no cluster
+// labels are given) until max_movable units have moved, then one residual
+// Gd step at θ2. A cold step (cold_step_gd / cold_step_gc) builds Gd or Gc
+// over the candidate edges with d < θ and φ > 0 on both endpoints, solves
+// MCMF from zero flow, and commits the flows into the partition's φ.
+// Callers: RbcaerScheme's slot and shard solves, VirtualRbcaerScheme's
+// region-level solves, and solve_sharded's exchange round over the shard
+// boundary band. DESIGN.md §3.7 says why no θ loop warm-starts across steps.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +53,28 @@ SweepStep cold_step_gc(HotspotPartition& partition,
                        const GuideOptions& options,
                        McmfStrategy strategy = McmfStrategy::kSpfa,
                        AuditLevel audit_level = AuditLevel::kOff);
+
+/// Result of a whole θ sweep.
+struct SweepOutcome {
+  std::vector<FlowEntry> flows;  // per-step flows, not merged across steps
+  std::int64_t moved = 0;
+  std::size_t guide_nodes = 0;
+  std::size_t theta_iterations = 0;  // θ-grid steps, residual excluded
+  double graph_s = 0.0;
+  double mcmf_s = 0.0;
+};
+
+/// Algorithm 1 lines 5–12 on `partition`: a cold step per θ on the grid
+/// θ1, θ1+δ, … ≤ θ2 — on Gc with `cluster_of` and `guide`, or on Gd when
+/// `cluster_of` is empty — while fewer than `max_movable` units have moved,
+/// then, if units are still left, one residual Gd step at θ2. Every step
+/// uses `strategy` and `audit_level`. Requires δ > 0 (PreconditionError).
+[[nodiscard]] SweepOutcome theta_sweep(
+    HotspotPartition& partition, std::span<const CandidateEdge> candidates,
+    double theta1_km, double theta2_km, double delta_km,
+    std::int64_t max_movable, std::span<const std::uint32_t> cluster_of,
+    const GuideOptions& guide, McmfStrategy strategy,
+    AuditLevel audit_level = AuditLevel::kOff);
 
 /// Kept only because perfbench/trace_mode.cc drives it; RbcaerScheme does
 /// not use it. begin_slot keeps the partition and a copy of the candidates,

@@ -43,42 +43,21 @@ std::pair<std::vector<std::uint32_t>, std::size_t> partition_regions(
   return {std::move(label), cell_label.size()};
 }
 
-/// The region-level θ loop on the cold step: candidate edges
-/// over a centroid index, one Gc/Gd step per θ, flows committed against
-/// the given partition. Shared by the unsharded path and every shard's
-/// local solve (shard=1 stays bit-identical).
-struct RegionalSweepResult {
-  std::vector<FlowEntry> flows;
-  std::int64_t moved = 0;
-};
-
-RegionalSweepResult regional_flow_sweep(
-    const RbcaerConfig& rc, std::span<const Hotspot> hotspots,
-    HotspotPartition& partition, std::int64_t max_movable,
-    std::span<const std::uint32_t> cluster_of) {
-  RegionalSweepResult out;
-  // Radius queries against a centroid index, like the flat scheme (the
-  // pair-scan candidate_edges_pairscan overload is test-only).
+/// The region-level flow phase: run_theta_sweep over a centroid index.
+/// Shared by the unsharded path and every shard's local solve (shard=1
+/// stays bit-identical).
+SweepOutcome regional_flow_sweep(const RbcaerConfig& rc,
+                                 std::span<const Hotspot> hotspots,
+                                 HotspotPartition& partition,
+                                 std::int64_t max_movable,
+                                 std::span<const std::uint32_t> cluster_of) {
   std::vector<GeoPoint> centroids;
   centroids.reserve(hotspots.size());
   for (const auto& vh : hotspots) centroids.push_back(vh.location);
   const GridIndex region_index(std::move(centroids),
                                std::max(rc.theta2_km / 2.0, 1e-3));
-  const auto candidates =
-      candidate_edges(hotspots, partition, rc.theta2_km, region_index);
-  double theta = rc.theta1_km;
-  while (theta <= rc.theta2_km + 1e-9 && out.moved < max_movable) {
-    const SweepStep step =
-        rc.content_aggregation
-            ? cold_step_gc(partition, candidates, theta, cluster_of, rc.guide,
-                           rc.mcmf_strategy, rc.audit_level)
-            : cold_step_gd(partition, candidates, theta, rc.mcmf_strategy,
-                           rc.audit_level);
-    out.moved += step.moved;
-    out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
-    theta += rc.delta_km;
-  }
-  return out;
+  return run_theta_sweep(rc, hotspots, region_index, partition, max_movable,
+                         cluster_of);
 }
 
 }  // namespace
@@ -206,7 +185,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
             HotspotPartition sub_partition =
                 HotspotPartition::from_loads(sub, sub_loads);
             ShardFlowResult out;
-            RegionalSweepResult swept =
+            SweepOutcome swept =
                 regional_flow_sweep(rc, sub, sub_partition,
                                     sub_partition.max_movable(), sub_clusters);
             out.moved = swept.moved;
@@ -223,7 +202,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       diagnostics_.exchange_moved = outcome.exchange_moved;
       region_flows = std::move(outcome.flows);
     } else {
-      RegionalSweepResult swept =
+      SweepOutcome swept =
           regional_flow_sweep(rc, virtual_hotspots, partition,
                               diagnostics_.region_max_movable, cluster_of);
       diagnostics_.region_moved = swept.moved;

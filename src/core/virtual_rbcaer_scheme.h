@@ -13,9 +13,9 @@
 //      clustering, Gc, θ-sweep MCMF, Procedure 1 — on the K virtual
 //      hotspots instead of the N physical ones. Clustering drops from
 //      O(N²) to O(K²) pairs, the flow graphs shrink accordingly. The
-//      region-level sweep runs the flat scheme's θ step (cold_step_gc /
-//      cold_step_gd, core/theta_sweep.h) once per θ and has no residual
-//      Gd pass.
+//      region-level sweep is the flat scheme's (run_theta_sweep, so
+//      theta_sweep in core/theta_sweep.h), residual Gd pass at θ2
+//      included.
 //   3. Localize the region-level decisions: inbound redirected demand is
 //      spread over member hotspots with slack (placing the videos there);
 //      outbound quotas are drawn from the most-overloaded members; local

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "core/rbcaer_scheme.h"
@@ -81,6 +82,84 @@ TEST(ShardedRbcaer, DiagnosticsReflectSharding) {
   // A 4-way cut of a 60-hotspot cloud with θ2-radius candidates always
   // leaves someone near a cut.
   EXPECT_GT(diagnostics.boundary_hotspots, 0u);
+}
+
+// The zone plan is cached across slots, so it must follow the hotspot
+// locations: a scheme that planned one hotspot set and then plans another
+// with the same size and the same first and last locations must plan it
+// exactly as a fresh scheme does.
+TEST(ShardedRbcaer, ZonePlanFollowsHotspotLocations) {
+  const Fixture fixture;
+  std::vector<GeoPoint> locations = fixture.world.hotspot_locations();
+  std::reverse(locations.begin() + 1, locations.end() - 1);
+  std::vector<Hotspot> hotspots = fixture.world.hotspots();
+  for (std::size_t h = 0; h < hotspots.size(); ++h) {
+    hotspots[h].location = locations[h];
+  }
+  const GridIndex index(locations, 0.5);
+  const SchemeContext context{hotspots, index, VideoCatalog{500},
+                              kCdnDistanceKm};
+  const SlotDemand demand(fixture.trace, index);
+
+  RbcaerConfig config;
+  config.num_shards = 4;
+  RbcaerScheme reused(config);
+  (void)reused.plan_slot(fixture.context(), fixture.trace,
+                         SlotDemand(fixture.trace, fixture.index));
+  const SlotPlan replanned = reused.plan_slot(context, fixture.trace, demand);
+  RbcaerScheme fresh(config);
+  const SlotPlan expected = fresh.plan_slot(context, fixture.trace, demand);
+  EXPECT_EQ(replanned.assignment, expected.assignment);
+  EXPECT_EQ(replanned.placements, expected.placements);
+  EXPECT_EQ(reused.last_diagnostics().moved, fresh.last_diagnostics().moved);
+}
+
+// The exchange round on a hand-built two-zone line. h0 (zone 0) has 5
+// units of overload and its only receiver is h1, across the cut 1.02 km
+// away, with 3 units of slack. h2 (zone 1) has 5 units of overload 0.77 km
+// from h1, but 1.79 km from h0, so it is not a boundary hotspot. The stub
+// shard solves move nothing, so all movement is the exchange's, and only
+// boundary hotspots may send: h0 takes all of h1's slack although h2 is
+// closer to it.
+TEST(ShardedSolve, ExchangeSendsOnlyFromBoundaryHotspots) {
+  std::vector<Hotspot> hotspots(3);
+  hotspots[0].location = {40.050, 116.500};
+  hotspots[1].location = {40.050, 116.512};
+  hotspots[2].location = {40.050, 116.521};
+  hotspots[0].service_capacity = 5;
+  hotspots[1].service_capacity = 10;
+  hotspots[2].service_capacity = 5;
+  const std::vector<std::uint32_t> loads{10, 7, 10};
+  HotspotPartition partition = HotspotPartition::from_loads(hotspots, loads);
+  ASSERT_EQ(partition.phi, (std::vector<std::int64_t>{5, 3, 5}));
+
+  std::vector<GeoPoint> locations;
+  for (const Hotspot& h : hotspots) locations.push_back(h.location);
+  const GridIndex index(locations, 0.5);
+  ShardAssignment assignment;
+  assignment.num_shards = 2;
+  assignment.shard_of = {0, 1, 1};
+  assignment.members = {{0}, {1, 2}};
+  ShardedSolveOptions options;
+  options.audit_level = AuditLevel::kFull;
+  const std::vector<std::uint8_t> boundary = boundary_hotspots(
+      locations, assignment, options.exchange_radius_km, index);
+  ASSERT_EQ(boundary, (std::vector<std::uint8_t>{1, 1, 0}));
+
+  const ShardedSolveOutcome outcome =
+      solve_sharded(hotspots, index, partition, assignment, boundary, options,
+                    [](std::uint32_t) { return ShardFlowResult{}; });
+  EXPECT_EQ(outcome.boundary_hotspots, 2u);
+  EXPECT_EQ(outcome.exchange_moved, 3);
+  EXPECT_EQ(outcome.moved, 3);
+  ASSERT_EQ(outcome.exchange_flows.size(), 1u);
+  EXPECT_EQ(outcome.exchange_flows[0].from, 0u);
+  EXPECT_EQ(outcome.exchange_flows[0].to, 1u);
+  EXPECT_EQ(outcome.exchange_flows[0].amount, 3);
+  for (const FlowEntry& f : outcome.exchange_flows) {
+    EXPECT_EQ(boundary[f.from], 1u) << "sender " << f.from;
+  }
+  EXPECT_EQ(partition.phi, (std::vector<std::int64_t>{2, 0, 5}));
 }
 
 // The shards run one after another in the calling process, in shard order,

@@ -14,6 +14,7 @@
 #include "model/topsets.h"
 #include "trace/generator.h"
 #include "trace/world.h"
+#include "util/error.h"
 #include "util/rng.h"
 
 namespace ccdn {
@@ -132,6 +133,16 @@ TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
 
 INSTANTIATE_TEST_SUITE_P(RandomPartitions, ThetaSweepDifferential,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+TEST(ThetaSweep, RequiresPositiveStep) {
+  HotspotPartition partition;
+  for (const double delta : {0.0, -0.5}) {
+    EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, 1.5, delta, 0, {}, {},
+                                   McmfStrategy::kSpfa),
+                 PreconditionError)
+        << "delta " << delta;
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Scheme-level differential: RbcaerScheme against a replay of its pipeline

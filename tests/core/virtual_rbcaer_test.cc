@@ -22,14 +22,15 @@ TEST(VirtualRbcaer, ValidatesConfig) {
   EXPECT_THROW(VirtualRbcaerScheme{config}, PreconditionError);
 }
 
-/// Two dense clusters of hotspots ~4 km apart: one overloaded, one idle.
+/// Two dense clusters of hotspots, by default ~4 km apart: one overloaded,
+/// one idle.
 struct TwoClusterFixture {
   std::vector<Hotspot> hotspots;
   GridIndex index;
   VideoCatalog catalog{100};
 
-  TwoClusterFixture()
-      : hotspots([] {
+  explicit TwoClusterFixture(double east_lon = 116.548)  // ~4.1 km east
+      : hotspots([east_lon] {
           std::vector<Hotspot> h;
           for (int i = 0; i < 3; ++i) {  // west (hot) cluster
             Hotspot hs;
@@ -40,7 +41,7 @@ struct TwoClusterFixture {
           }
           for (int i = 0; i < 3; ++i) {  // east (idle) cluster
             Hotspot hs;
-            hs.location = {40.050 + 0.002 * i, 116.548};  // ~4.1 km east
+            hs.location = {40.050 + 0.002 * i, east_lon};
             hs.service_capacity = 10;
             hs.cache_capacity = 10;
             h.push_back(hs);
@@ -110,6 +111,29 @@ TEST(VirtualRbcaer, FlatRbcaerCannotReachOtherClusterButVirtualCan) {
   EXPECT_GT(virtual_scheme.last_diagnostics().region_moved, 0);
   EXPECT_TRUE(std::any_of(virtual_plan.assignment.begin(),
                           virtual_plan.assignment.end(),
+                          [](HotspotIndex t) {
+                            return t != kCdnServer && t >= 3;
+                          }));
+}
+
+TEST(VirtualRbcaer, ResidualStepMovesLoadBeyondTheLastGridRadius) {
+  // The region centroids sit ~5.5 km apart, and the regional grid
+  // θ = 2, 3.5, 5 stops short of θ2 = 6: only the residual Gd step at θ2
+  // can reach the idle region.
+  TwoClusterFixture fixture(116.5645);
+  const auto requests = west_demand(30);  // west capacity is only 12
+  const SlotDemand demand(requests, fixture.index);
+  VirtualRbcaerConfig config;
+  config.regional.theta1_km = 2.0;
+  config.regional.delta_km = 1.5;
+  config.regional.theta2_km = 6.0;
+  VirtualRbcaerScheme scheme(config);
+  const SlotPlan plan = scheme.plan_slot(fixture.context(), requests, demand);
+  const auto& diag = scheme.last_diagnostics();
+  EXPECT_EQ(diag.num_regions, 2u);
+  EXPECT_EQ(diag.region_max_movable, 18);
+  EXPECT_EQ(diag.region_moved, 18);
+  EXPECT_TRUE(std::any_of(plan.assignment.begin(), plan.assignment.end(),
                           [](HotspotIndex t) {
                             return t != kCdnServer && t >= 3;
                           }));

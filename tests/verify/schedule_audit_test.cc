@@ -252,8 +252,10 @@ TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
   // residual cycle on the solved graph, before it is discarded) under both
   // engines, with aggregation on (Gc steps plus the residual Gd pass) and
   // off (Gd steps only), on a fine θ grid so each slot runs many steps —
-  // for the flat scheme and for VirtualRbcaerScheme's region-level steps.
-  // The audits run in checked builds only; release builds still plan.
+  // for the flat scheme and for VirtualRbcaerScheme's region-level steps,
+  // unsharded and at 2 and 4 shards, where the exchange round's steps are
+  // certified too. The audits run in checked builds only; release builds
+  // still plan.
   WorldConfig world_config = WorldConfig::evaluation_region();
   world_config.num_hotspots = 60;
   world_config.num_videos = 800;
@@ -275,25 +277,29 @@ TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
     EXPECT_EQ(report.slot_digests().size(), report.slots().size());
     EXPECT_GT(report.served_by_hotspots(), 0u) << scheme.name();
   };
-  for (const bool aggregation : {true, false}) {
-    for (const McmfStrategy strategy :
-         {McmfStrategy::kSpfa, McmfStrategy::kDijkstraPotentials}) {
-      RbcaerConfig scheme_config;
-      scheme_config.audit_level = AuditLevel::kFull;
-      scheme_config.content_aggregation = aggregation;
-      scheme_config.mcmf_strategy = strategy;
-      scheme_config.theta1_km = 0.3;
-      scheme_config.delta_km = 0.1;
-      RbcaerScheme scheme(scheme_config);
-      expect_clean_run(scheme);
+  for (const std::size_t shards : {0, 2, 4}) {
+    for (const bool aggregation : {true, false}) {
+      for (const McmfStrategy strategy :
+           {McmfStrategy::kSpfa, McmfStrategy::kDijkstraPotentials}) {
+        RbcaerConfig scheme_config;
+        scheme_config.audit_level = AuditLevel::kFull;
+        scheme_config.content_aggregation = aggregation;
+        scheme_config.mcmf_strategy = strategy;
+        scheme_config.theta1_km = 0.3;
+        scheme_config.delta_km = 0.1;
+        scheme_config.num_shards = shards;
+        RbcaerScheme scheme(scheme_config);
+        expect_clean_run(scheme);
 
-      VirtualRbcaerConfig virtual_config;
-      virtual_config.regional.audit_level = AuditLevel::kFull;
-      virtual_config.regional.content_aggregation = aggregation;
-      virtual_config.regional.mcmf_strategy = strategy;
-      virtual_config.regional.delta_km = 1.0;
-      VirtualRbcaerScheme virtual_scheme(virtual_config);
-      expect_clean_run(virtual_scheme);
+        VirtualRbcaerConfig virtual_config;
+        virtual_config.regional.audit_level = AuditLevel::kFull;
+        virtual_config.regional.content_aggregation = aggregation;
+        virtual_config.regional.mcmf_strategy = strategy;
+        virtual_config.regional.delta_km = 1.0;
+        virtual_config.regional.num_shards = shards;
+        VirtualRbcaerScheme virtual_scheme(virtual_config);
+        expect_clean_run(virtual_scheme);
+      }
     }
   }
 }
