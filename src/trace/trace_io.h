@@ -5,8 +5,9 @@
 //
 // Besides the whole-trace helpers, this header provides the chunked pair
 // the streaming pipeline is built on (DESIGN.md §3.9):
-//   * TraceReader — pulls one request at a time without ever holding the
-//     file in memory, and names the offending physical line on errors.
+//   * TraceReader — pulls one request at a time through a block buffer,
+//     never holding the file in memory, and names the offending physical
+//     line on errors.
 //   * TraceWriter — appends request batches and flushes after each one, so
 //     a trace larger than memory can be written slot batch by slot batch.
 #pragma once
@@ -16,6 +17,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/types.h"
@@ -34,10 +36,13 @@ void write_trace_csv(const std::string& path,
 [[nodiscard]] std::vector<Request> read_trace_csv(const std::string& path);
 
 /// Incremental trace reader: validates the header on construction, then
-/// yields one request per next() call in O(1) memory. ParseError messages
-/// carry the 1-based physical line number of the malformed row (the header
-/// is line 1). The stream variant borrows `in`, which must outlive the
-/// reader; the path variant owns its file handle.
+/// yields one request per next() call in O(block + longest row) memory.
+/// It reads 64 KiB blocks and parses each row in place; only a row holding
+/// a '"' takes the RFC-4180 unquoting path. A row ends at LF or CRLF; any
+/// other CR stays in its field. ParseError messages carry the 1-based
+/// physical line the malformed row starts on (the header is line 1;
+/// newlines inside quoted fields count). The stream variant borrows `in`,
+/// which must outlive the reader; the path variant owns its file handle.
 class TraceReader {
  public:
   explicit TraceReader(std::istream& in);
@@ -46,19 +51,30 @@ class TraceReader {
   /// Next request, or nullopt at end of file.
   [[nodiscard]] std::optional<Request> next();
 
-  /// Physical line of the most recently consumed row (1 = header).
+  /// Physical line the most recently consumed row starts on (1 = header).
   [[nodiscard]] std::size_t line() const noexcept { return line_; }
   /// Data rows successfully parsed so far.
   [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
 
  private:
   void read_header();
+  /// Splits the next row into fields_; false at end of input.
+  bool next_row();
+  /// next_row() for a row holding a '"': unquotes it in place.
+  void split_quoted_row();
+  /// Moves the unread bytes to the front, grows a full buffer, and reads
+  /// more; false at end of input.
+  bool fill();
 
   std::ifstream owned_;
   std::istream* in_;
-  CsvReader reader_;
-  std::vector<std::string> fields_;
+  std::vector<char> buffer_;  // unread input is [begin_, end_)
+  std::size_t begin_ = 0;
+  std::size_t end_ = 0;
+  std::vector<std::string_view> fields_;  // into buffer_, until fill()
+  std::vector<std::size_t> field_ends_;   // split_quoted_row() scratch
   std::size_t line_ = 0;
+  std::size_t next_line_ = 1;
   std::size_t rows_ = 0;
 };
 

@@ -1,10 +1,7 @@
 #include "util/csv.h"
 
-#include <istream>
+#include <cstdio>
 #include <ostream>
-
-#include "util/error.h"
-#include "util/strings.h"
 
 namespace ccdn {
 
@@ -40,50 +37,6 @@ void CsvWriter::write_row(const std::vector<std::string>& fields) {
   }
   out_ << '\n';
   ++rows_;
-}
-
-CsvReader::CsvReader(std::istream& in, char delimiter)
-    : in_(in), delimiter_(delimiter) {}
-
-bool CsvReader::read_row(std::vector<std::string>& fields) {
-  fields.clear();
-  std::string field;
-  bool in_quotes = false;
-  bool saw_any = false;
-  char c = 0;
-  while (in_.get(c)) {
-    saw_any = true;
-    if (in_quotes) {
-      if (c == '"') {
-        if (in_.peek() == '"') {
-          in_.get(c);
-          field += '"';
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    if (c == '"' && field.empty()) {
-      in_quotes = true;
-    } else if (c == delimiter_) {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (c == '\n') {
-      break;
-    } else if (c == '\r') {
-      // swallow; handles CRLF
-    } else {
-      field += c;
-    }
-  }
-  if (in_quotes) throw ParseError("unterminated quoted CSV field");
-  if (!saw_any) return false;
-  fields.push_back(std::move(field));
-  ++rows_;
-  return true;
 }
 
 }  // namespace ccdn

@@ -1,8 +1,8 @@
-// Minimal CSV reader/writer with RFC-4180 style quoting.
+// Minimal CSV writer with RFC-4180 style quoting.
 //
 // Used for trace serialization and for emitting benchmark series that can be
-// plotted directly. Fields containing the delimiter, quotes or newlines are
-// quoted on write; quoted fields are unescaped on read.
+// plotted directly. Fields containing the delimiter, quotes, CR or LF are
+// quoted. TraceReader (trace/trace_io.h) reads traces back.
 #pragma once
 
 #include <iosfwd>
@@ -42,24 +42,6 @@ class CsvWriter {
   }
 
   std::ostream& out_;
-  char delimiter_;
-  std::size_t rows_ = 0;
-};
-
-class CsvReader {
- public:
-  /// Reads from an externally owned stream; the stream must outlive the
-  /// reader.
-  explicit CsvReader(std::istream& in, char delimiter = ',');
-
-  /// Read the next row into `fields`; returns false at end of input.
-  /// Throws ParseError on an unterminated quoted field.
-  bool read_row(std::vector<std::string>& fields);
-
-  [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
-
- private:
-  std::istream& in_;
   char delimiter_;
   std::size_t rows_ = 0;
 };

@@ -129,6 +129,68 @@ TEST(TraceReaderTest, WrongFieldCountNamesExactLine) {
   }
 }
 
+TEST(TraceReaderTest, QuotedNewlineCountsAsAPhysicalLine) {
+  // Line 1 header, lines 2-3 one row whose quoted user id holds a newline,
+  // line 4 a bad video field.
+  std::istringstream in(
+      "user,timestamp,video,lat,lon\n"
+      "\"1\n\",100,10,40.0,116.5\n"
+      "2,200,bogus,40.1,116.6\n");
+  TraceReader reader(in);
+  const auto first = reader.next();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->user, 1u);
+  EXPECT_EQ(reader.line(), 2u);
+  try {
+    (void)reader.next();
+    FAIL() << "expected ParseError on the malformed row";
+  } catch (const ParseError& error) {
+    EXPECT_STREQ(error.what(), "trace CSV line 4: not an integer: 'bogus'");
+  }
+}
+
+TEST(TraceReaderTest, StrayCarriageReturnStaysInItsField) {
+  // A CR inside a field is data: "1\r0" is not the video 10.
+  std::istringstream stray(
+      "user,timestamp,video,lat,lon\n"
+      "1,100,1\r0,40.0,116.5\n");
+  TraceReader reader(stray);
+  try {
+    (void)reader.next();
+    FAIL() << "expected ParseError on the stray CR";
+  } catch (const ParseError& error) {
+    EXPECT_STREQ(error.what(), "trace CSV line 2: not an integer: '1\r0'");
+  }
+  // CRLF line ends and blanks around a field still load.
+  std::istringstream crlf(
+      "user,timestamp,video,lat,lon\r\n"
+      " 1 ,100,\t10 ,40.0, 116.5\r\n"
+      "2,200,11,40.1,116.6 \r\n");
+  const auto loaded = read_trace_csv(crlf);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded[0].user, 1u);
+  EXPECT_EQ(loaded[0].video, 10u);
+  EXPECT_DOUBLE_EQ(loaded[0].location.lon, 116.5);
+  EXPECT_DOUBLE_EQ(loaded[1].location.lon, 116.6);
+}
+
+TEST(TraceReaderTest, UnterminatedQuoteNamesItsLine) {
+  std::istringstream in(
+      "user,timestamp,video,lat,lon\n"
+      "1,100,10,40.0,116.5\n"
+      "2,\"200,11,40.1,116.6\n"
+      "3,300,12,40.2,116.7\n");
+  TraceReader reader(in);
+  EXPECT_TRUE(reader.next().has_value());
+  try {
+    (void)reader.next();
+    FAIL() << "expected ParseError on the open quote";
+  } catch (const ParseError& error) {
+    EXPECT_STREQ(error.what(), "trace CSV line 3: unterminated quoted field");
+  }
+  EXPECT_FALSE(reader.next().has_value());  // the open quote ran to EOF
+}
+
 /// Parse a one-row trace whose row is `row`; returns the ParseError text,
 /// or "" when the row was accepted.
 std::string row_error(const std::string& row) {

@@ -4,11 +4,14 @@
 
 #include <sstream>
 
+#include "trace/reference_trace_reader.h"
 #include "util/error.h"
 
 namespace ccdn {
 namespace {
 
+// CsvWriter is production code; CsvReader is the tests' reference reader
+// (trace/reference_trace_reader.h), which TraceReader is checked against.
 std::vector<std::vector<std::string>> read_all(const std::string& text) {
   std::istringstream in(text);
   CsvReader reader(in);
@@ -69,12 +72,24 @@ TEST(CsvReader, QuotedNewline) {
   const auto rows = read_all("\"line\nbreak\",z\n");
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"line\nbreak", "z"}));
+  // line() counts the newline inside quotes: the next row starts on line 3.
+  std::istringstream in("\"line\nbreak\",z\nnext\n");
+  CsvReader reader(in);
+  std::vector<std::string> fields;
+  ASSERT_TRUE(reader.read_row(fields));
+  EXPECT_EQ(reader.line(), 1u);
+  ASSERT_TRUE(reader.read_row(fields));
+  EXPECT_EQ(reader.line(), 3u);
 }
 
 TEST(CsvReader, CrLfHandled) {
   const auto rows = read_all("a,b\r\nc,d\r\n");
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0], (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(rows[1], (std::vector<std::string>{"c", "d"}));
+  // Only a CR before LF ends a row; any other CR is field data.
+  EXPECT_EQ(read_all("a\rb,\"c\r\"\r\nd\r"),
+            (std::vector<std::vector<std::string>>{{"a\rb", "c\r"}, {"d\r"}}));
 }
 
 TEST(CsvReader, UnterminatedQuoteThrows) {
@@ -86,6 +101,7 @@ TEST(Csv, RoundTripArbitraryContent) {
       {"plain", "with,comma", "with\"quote"},
       {"", "multi\nline", "trailing space "},
       {"1.5", "-42", "0"},
+      {"cr\rinside", "crlf\r\n", "\r"},
   };
   std::ostringstream out;
   CsvWriter writer(out);
