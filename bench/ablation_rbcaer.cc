@@ -5,7 +5,8 @@
 //      balancing (Gd only).
 //   2. The θ1→θ2 sweep vs a single-shot solve at θ2.
 //   3. Clustering linkage (complete vs average vs single).
-//   4. MCMF path-search strategy (SPFA vs Dijkstra+potentials) runtime.
+//   4. Miss redirection at a small cache.
+//   5. Guide-edge cost scale.
 #include <cstdio>
 
 #include "core/rbcaer_scheme.h"
@@ -91,19 +92,9 @@ int main(int argc, char** argv) {
   }
 
   {
-    std::printf("\n-- 4. MCMF strategy --\n");
-    Row rows[2];
-    rows[0].label = "SPFA (paper-style)";
-    rows[0].config.mcmf_strategy = McmfStrategy::kSpfa;
-    rows[1].label = "Dijkstra + potentials";
-    rows[1].config.mcmf_strategy = McmfStrategy::kDijkstraPotentials;
-    run_rows(world, trace, rows);
-  }
-
-  {
     // The effect lives at small caches, where local placement cannot cover
     // local demand; run this section at 0.7% cache.
-    std::printf("\n-- 5. miss redirection (SSIII system model), cache 0.7%% "
+    std::printf("\n-- 4. miss redirection (SSIII system model), cache 0.7%% "
                 "--\n");
     World small_cache = world;
     assign_uniform_capacities(small_cache, 0.05, 0.007);
@@ -115,7 +106,7 @@ int main(int argc, char** argv) {
   }
 
   {
-    std::printf("\n-- 6. guide-edge cost scale --\n");
+    std::printf("\n-- 5. guide-edge cost scale --\n");
     Row rows[3];
     rows[0].label = "scale 0.5 (favor guides)";
     rows[0].config.guide.cost_scale = 0.5;

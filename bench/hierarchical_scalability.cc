@@ -26,7 +26,6 @@
 #include "trace/world.h"
 #include "util/flags.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace {
 
@@ -37,12 +36,10 @@ struct GcBuildRow {
   std::size_t hotspots = 0;
   std::size_t pairs = 0;
   std::size_t universe = 0;
-  std::size_t threads = 0;
   double scalar_s = 0.0;           // seed path: serial sorted-merge
   double pairwise_s = 0.0;         // PR 2 kernel: per-pair bitmap jaccard()
   double bitmap_s = 0.0;           // batched jaccard_row, scalar kernel
   double avx2_s = -1.0;            // batched jaccard_row, AVX2 (-1: no AVX2)
-  double bitmap_parallel_s = 0.0;  // batched + row-striped on the pool
   bool identical = false;          // every matrix bitwise equal
 };
 
@@ -83,16 +80,15 @@ std::pair<double, DistanceMatrix> time_best(std::size_t repeats,
 
 /// Part 0 — the Jd-build ladder, min-of-`repeats` per cell: the seed
 /// sorted-merge kernel, the PR 2 per-pair bitmap kernel, and the batched
-/// jaccard_row engine (scalar, AVX2 when the host has it, and row-striped
-/// parallel). Every matrix must be bitwise identical.
+/// jaccard_row engine (scalar, and AVX2 when the host has it). Every
+/// matrix must be bitwise identical.
 std::vector<GcBuildRow> gc_build_table(std::size_t repeats) {
   const bool avx2 = avx2_kernel_available();
   std::printf("-- Jd matrix build: kernel ladder (min of %zu) --\n", repeats);
-  std::printf("%-10s %10s %12s %12s %12s %12s %14s %10s\n", "hotspots",
+  std::printf("%-10s %10s %12s %12s %12s %12s %10s\n", "hotspots",
               "universe", "scalar (s)", "pairwise (s)", "batch (s)",
-              "avx2 (s)", "parallel (s)", "avx2_x");
+              "avx2 (s)", "avx2_x");
   std::vector<GcBuildRow> rows;
-  ThreadPool pool(ThreadPool::default_threads());
   for (const std::size_t hotspots : {310u, 1000u, 2000u}) {
     WorldConfig config = WorldConfig::city_scale();
     config.num_hotspots = hotspots;
@@ -107,7 +103,6 @@ std::vector<GcBuildRow> gc_build_table(std::size_t repeats) {
     GcBuildRow row;
     row.hotspots = hotspots;
     row.pairs = hotspots * (hotspots - 1) / 2;
-    row.threads = pool.size();
     auto [scalar_s, scalar] = time_best(repeats, [&] {
       return content_distance_matrix(top_sets, {.use_bitmap = false});
     });
@@ -129,18 +124,13 @@ std::vector<GcBuildRow> gc_build_table(std::size_t repeats) {
       row.avx2_s = avx2_s;
       vectored = std::move(matrix);
     }
-    auto [parallel_s, parallel] = time_best(repeats, [&] {
-      return content_distance_matrix(top_sets,
-                                     {.use_bitmap = true, .pool = &pool});
-    });
-    row.bitmap_parallel_s = parallel_s;
     {
       const TopsetBitmap probe(top_sets);
       row.universe = probe.universe_size();
     }
     row.identical = true;
     const auto a = scalar.condensed();
-    for (const DistanceMatrix* m : {&pairwise, &bitmap, &parallel}) {
+    for (const DistanceMatrix* m : {&pairwise, &bitmap}) {
       const auto b = m->condensed();
       for (std::size_t s = 0; s < a.size(); ++s) {
         if (a[s] != b[s]) row.identical = false;
@@ -159,9 +149,9 @@ std::vector<GcBuildRow> gc_build_table(std::size_t repeats) {
       std::snprintf(speedup_text, sizeof speedup_text, "%.1fx",
                     row.pairwise_s / row.avx2_s);
     }
-    std::printf("%-10zu %10zu %12.3f %12.3f %12.3f %12s %14.3f %10s%s\n",
+    std::printf("%-10zu %10zu %12.3f %12.3f %12.3f %12s %10s%s\n",
                 row.hotspots, row.universe, row.scalar_s, row.pairwise_s,
-                row.bitmap_s, avx2_text, row.bitmap_parallel_s, speedup_text,
+                row.bitmap_s, avx2_text, speedup_text,
                 row.identical ? "" : "  (MISMATCH!)");
     rows.push_back(row);
   }
@@ -192,13 +182,11 @@ void write_gc_json(const std::string& path,
     std::fprintf(
         out,
         "    {\"name\": \"jd_matrix/H=%zu\", \"hotspots\": %zu, "
-        "\"pairs\": %zu, \"universe\": %zu, \"threads\": %zu, "
+        "\"pairs\": %zu, \"universe\": %zu, "
         "\"scalar_s\": %.6f, \"pairwise_s\": %.6f, \"bitmap_s\": %.6f, "
-        "%s\"bitmap_parallel_s\": %.6f, \"kernel_speedup\": %.2f, "
-        "\"total_speedup\": %.2f, \"identical\": %s}%s\n",
-        r.hotspots, r.hotspots, r.pairs, r.universe, r.threads, r.scalar_s,
-        r.pairwise_s, r.bitmap_s, avx2_fields, r.bitmap_parallel_s,
-        r.scalar_s / r.bitmap_s, r.scalar_s / r.bitmap_parallel_s,
+        "%s\"kernel_speedup\": %.2f, \"identical\": %s}%s\n",
+        r.hotspots, r.hotspots, r.pairs, r.universe, r.scalar_s,
+        r.pairwise_s, r.bitmap_s, avx2_fields, r.scalar_s / r.bitmap_s,
         r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

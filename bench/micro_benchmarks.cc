@@ -63,23 +63,10 @@ void BM_McmfSpfa(benchmark::State& state) {
       make_bipartite(rng, static_cast<std::size_t>(state.range(0)), 0.2);
   for (auto _ : state) {
     FlowNetwork net = base;
-    benchmark::DoNotOptimize(
-        MinCostMaxFlow::solve(net, 0, 1, McmfStrategy::kSpfa));
+    benchmark::DoNotOptimize(MinCostMaxFlow::solve(net, 0, 1));
   }
 }
 BENCHMARK(BM_McmfSpfa)->Arg(50)->Arg(150)->Arg(400)->ComputeStatistics("min", min_stat);
-
-void BM_McmfDijkstra(benchmark::State& state) {
-  Rng rng(1);
-  const FlowNetwork base =
-      make_bipartite(rng, static_cast<std::size_t>(state.range(0)), 0.2);
-  for (auto _ : state) {
-    FlowNetwork net = base;
-    benchmark::DoNotOptimize(MinCostMaxFlow::solve(
-        net, 0, 1, McmfStrategy::kDijkstraPotentials));
-  }
-}
-BENCHMARK(BM_McmfDijkstra)->Arg(50)->Arg(150)->Arg(400)->ComputeStatistics("min", min_stat);
 
 void BM_DinicMaxflow(benchmark::State& state) {
   Rng rng(2);
@@ -201,7 +188,7 @@ void BM_JaccardRowScalar(benchmark::State& state) {
   const std::size_t anchor = bitmap.num_sets() / 2;
   std::vector<double> out(bitmap.num_sets());
   for (auto _ : state) {
-    bitmap.jaccard_row(anchor, 0, bitmap.num_sets(), out, SimdMode::kScalar);
+    bitmap.jaccard_row(anchor, 0, bitmap.num_sets(), out);
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
@@ -209,32 +196,12 @@ void BM_JaccardRowScalar(benchmark::State& state) {
 BENCHMARK(BM_JaccardRowScalar)->Arg(310)->Arg(2000)
     ->Unit(benchmark::kMicrosecond)->ComputeStatistics("min", min_stat);
 
-/// Batched jaccard_row, AVX2 gather/popcount kernel; skips (with an error
-/// mark in the JSON, which bench_gate reports as a missing metric, not a
-/// regression) on hosts without AVX2.
-void BM_JaccardRowAvx2(benchmark::State& state) {
-  if (!avx2_kernel_available()) {
-    state.SkipWithError("AVX2 unavailable on this host");
-    return;
-  }
-  const auto& sets =
-      synthetic_top_sets(static_cast<std::size_t>(state.range(0)));
-  const TopsetBitmap bitmap(sets);
-  const std::size_t anchor = bitmap.num_sets() / 2;
-  std::vector<double> out(bitmap.num_sets());
-  for (auto _ : state) {
-    bitmap.jaccard_row(anchor, 0, bitmap.num_sets(), out, SimdMode::kAvx2);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-}
-BENCHMARK(BM_JaccardRowAvx2)->Arg(310)->Arg(2000)
-    ->Unit(benchmark::kMicrosecond)->ComputeStatistics("min", min_stat);
-
-/// Batched jaccard_row against a pre-transposed RowTile — the gather-free
-/// kernel the tile-major Jd sweep actually runs. The pack_tile transpose
-/// happens once outside the timed loop, mirroring its amortization across
-/// every anchor of a tile in content_distance_matrix.
+/// Batched jaccard_row against a pre-transposed RowTile — the AVX2 kernel
+/// the tile-major Jd sweep runs; skips (with an error mark in the JSON,
+/// which bench_gate reports as a missing metric, not a regression) on hosts
+/// without AVX2. The pack_tile transpose happens once outside the timed
+/// loop, mirroring its amortization across every anchor of a tile in
+/// content_distance_matrix.
 void BM_JaccardRowTileAvx2(benchmark::State& state) {
   if (!avx2_kernel_available()) {
     state.SkipWithError("AVX2 unavailable on this host");

@@ -1,32 +1,28 @@
 #include "cluster/content_distance.h"
 
 #include <algorithm>
-#include <future>
-#include <utility>
 
 #include "cluster/simd_kernels.h"
 #include "cluster/topset_bitmap.h"
 #include "stats/correlation.h"
-#include "util/thread_pool.h"
 
 namespace ccdn {
 
 namespace {
 
-/// Default jaccard_row tile: 384 rows x ~128 words x 8 B ≈ 384 KB at
-/// city-scale universes — small enough to stay L2-resident across the
-/// whole anchor loop of the tile-major sweep below, wide enough that the
-/// 16-lane transposed kernel rarely runs its scalar tail.
-constexpr std::size_t kDefaultTileRows = 384;
+/// jaccard_row tile: 384 rows x ~128 words x 8 B ≈ 384 KB at city-scale
+/// universes — small enough to stay L2-resident across the whole anchor
+/// loop of the tile-major sweep below, wide enough that the 16-lane
+/// transposed kernel rarely runs its scalar tail.
+constexpr std::size_t kTileRows = 384;
 
-/// Fill condensed rows [row_begin, row_end) pair by pair: row i is the
-/// contiguous slice of out starting at i*n - i*(i+1)/2 — disjoint per
-/// stripe. Kept for the sorted-merge oracle path.
+/// Fill the condensed matrix pair by pair (the sorted-merge oracle path):
+/// row i is the contiguous slice starting at i*n - i*(i+1)/2.
 template <typename Kernel>
-void fill_rows(std::span<double> out, std::size_t n, std::size_t row_begin,
-               std::size_t row_end, const Kernel& jaccard) {
-  std::size_t cursor = row_begin * n - row_begin * (row_begin + 1) / 2;
-  for (std::size_t i = row_begin; i < row_end; ++i) {
+void fill_pairwise(std::span<double> out, std::size_t n,
+                   const Kernel& jaccard) {
+  std::size_t cursor = 0;
+  for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       out[cursor++] = 1.0 - jaccard(i, j);
     }
@@ -34,67 +30,38 @@ void fill_rows(std::span<double> out, std::size_t n, std::size_t row_begin,
 }
 
 /// Batch fill for the bitmap kernel, tile-major: the outer loop walks
-/// tiles of consecutive j rows and the inner loop runs every stripe
-/// anchor against the same tile, so the tile's packed rows stay
-/// L2-resident across ~stripe_rows jaccard_row calls instead of being
-/// re-streamed from L3 once per anchor (each pair (i, j) is still
-/// evaluated exactly once — the tiles partition every anchor's column
-/// range). Identical doubles to the pair-by-pair path for any tile size,
-/// loop order, and SimdMode: the kernels produce exact integer counts per
-/// pair, independent of when the pair's tile is visited.
-void fill_rows_batch(std::span<double> out, std::size_t n,
-                     std::size_t row_begin, std::size_t row_end,
-                     const TopsetBitmap& bitmap, SimdMode simd,
-                     std::size_t tile_rows) {
+/// tiles of consecutive j rows and the inner loop runs every anchor
+/// against the same tile, so the tile's packed rows stay L2-resident
+/// across the anchors' jaccard_row calls instead of being re-streamed from
+/// L3 once per anchor (each pair (i, j) is still evaluated exactly once —
+/// the tiles partition every anchor's column range). Identical doubles to
+/// the pair-by-pair path for either kernel: both produce exact integer
+/// counts per pair, independent of when the pair's tile is visited.
+void fill_batch(std::span<double> out, std::size_t n,
+                const TopsetBitmap& bitmap, bool use_avx2) {
   const auto row_base = [n](std::size_t i) {
     return i * n - i * (i + 1) / 2;
   };
-  const bool use_avx2 = resolve_simd(simd);
   TopsetBitmap::RowTile packed;  // buffer capacity persists across tiles
-  for (std::size_t j0 = row_begin + 1; j0 < n; j0 += tile_rows) {
-    const std::size_t j1 = std::min(n, j0 + tile_rows);
+  for (std::size_t j0 = 1; j0 < n; j0 += kTileRows) {
+    const std::size_t j1 = std::min(n, j0 + kTileRows);
     // The transposed copy costs O(tile x words) once and turns every
-    // anchor's gathers into contiguous loads — worth it only on AVX2.
+    // anchor's strided row reads into contiguous loads — worth it only on
+    // AVX2.
     if (use_avx2) bitmap.pack_tile(j0, j1, packed);
     // Anchors with at least one pair inside [j0, j1) need i + 1 < j1.
-    const std::size_t i_end = std::min(row_end, j1 - 1);
-    for (std::size_t i = row_begin; i < i_end; ++i) {
+    for (std::size_t i = 0; i + 1 < j1; ++i) {
       const std::size_t j_begin = std::max(j0, i + 1);
       const auto tile =
           out.subspan(row_base(i) + (j_begin - i - 1), j1 - j_begin);
       if (use_avx2) {
-        bitmap.jaccard_row(i, packed, j_begin, tile, simd);
+        bitmap.jaccard_row(i, packed, j_begin, tile, SimdMode::kAvx2);
       } else {
-        bitmap.jaccard_row(i, j_begin, j1, tile, simd);
+        bitmap.jaccard_row(i, j_begin, j1, tile);
       }
       for (double& d : tile) d = 1.0 - d;
     }
   }
-}
-
-/// Cut contiguous row stripes at roughly equal pair counts (row i holds
-/// n-1-i pairs, so equal row counts would skew the stripes) and run
-/// `fill_stripe(row_begin, row_end)` for each — serial without a pool.
-template <typename Fill>
-void striped(std::size_t n, ThreadPool* pool, const Fill& fill_stripe) {
-  if (pool == nullptr || pool->size() < 2 || n < 2) {
-    fill_stripe(std::size_t{0}, n);
-    return;
-  }
-  const std::size_t total_pairs = n * (n - 1) / 2;
-  const std::size_t target = (total_pairs + pool->size() - 1) / pool->size();
-  std::vector<std::future<void>> stripes;
-  std::size_t row_begin = 0;
-  while (row_begin < n) {
-    std::size_t row_end = row_begin;
-    std::size_t pairs = 0;
-    while (row_end < n && pairs < target) pairs += n - 1 - row_end++;
-    stripes.push_back(pool->submit([row_begin, row_end, &fill_stripe] {
-      fill_stripe(row_begin, row_end);
-    }));
-    row_begin = row_end;
-  }
-  for (auto& stripe : stripes) stripe.get();
 }
 
 }  // namespace
@@ -105,30 +72,13 @@ DistanceMatrix content_distance_matrix(
   const std::size_t n = top_sets.size();
   DistanceMatrix matrix(n);
   if (options.use_bitmap) {
-    // Resolve the SIMD mode once, on the caller's thread, so a forced-but-
-    // unavailable kAvx2 throws here rather than inside a pool task.
-    const SimdMode simd =
-        resolve_simd(options.simd) ? SimdMode::kAvx2 : SimdMode::kScalar;
-    const std::size_t tile_rows =
-        options.tile_rows == 0 ? kDefaultTileRows : options.tile_rows;
-    const TopsetBitmap bitmap(top_sets);
-    const auto out = matrix.condensed();
-    striped(n, options.pool,
-            [out, n, &bitmap, simd, tile_rows](std::size_t row_begin,
-                                               std::size_t row_end) {
-              fill_rows_batch(out, n, row_begin, row_end, bitmap, simd,
-                              tile_rows);
-            });
+    const bool use_avx2 = resolve_simd(options.simd);
+    fill_batch(matrix.condensed(), n, TopsetBitmap(top_sets), use_avx2);
   } else {
-    const auto out = matrix.condensed();
-    striped(n, options.pool,
-            [out, n, top_sets](std::size_t row_begin, std::size_t row_end) {
-              fill_rows(out, n, row_begin, row_end,
-                        [top_sets](std::size_t i, std::size_t j) {
-                          return jaccard_similarity(top_sets[i],
-                                                    top_sets[j]);
-                        });
-            });
+    fill_pairwise(matrix.condensed(), n,
+                  [top_sets](std::size_t i, std::size_t j) {
+                    return jaccard_similarity(top_sets[i], top_sets[j]);
+                  });
   }
   return matrix;
 }

@@ -12,31 +12,18 @@
 
 namespace ccdn {
 
-class ThreadPool;
-
 struct ContentDistanceOptions {
   /// Compute Jaccard with the word-parallel TopsetBitmap kernel (default)
   /// or the scalar sorted-merge path. Both produce bit-identical matrices;
   /// the scalar path is kept as the differential-test oracle that the
   /// cluster tests and bench/hierarchical_scalability compare against.
   bool use_bitmap = true;
-  /// When non-null, the condensed matrix is filled row-striped on this
-  /// pool: stripes are contiguous row ranges balanced by pair count, each
-  /// writing a disjoint slice of the condensed buffer, so the result is
-  /// bit-identical for any thread count.
-  ThreadPool* pool = nullptr;
   /// SIMD path for the bitmap kernel's batch rows (TopsetBitmap::
-  /// jaccard_row): auto picks AVX2 when compiled in and the CPU has it,
-  /// scalar pins the popcount loop, avx2 throws when unavailable. Every
-  /// mode is bit-identical (DESIGN.md §3.14). Ignored on the sorted-merge
-  /// path.
+  /// jaccard_row): auto picks the AVX2 transposed-tile kernel when it is
+  /// compiled in and the CPU has AVX2, scalar pins the popcount loop, avx2
+  /// throws when unavailable. Every mode is bit-identical (DESIGN.md
+  /// §3.14). Ignored on the sorted-merge path.
   SimdMode simd = SimdMode::kAuto;
-  /// Rows per tile of the tile-major bitmap sweep; 0 picks the default
-  /// (128 rows — tile_rows x words_per_set x 8 B stays inside L2 at
-  /// city-scale universes, and the tile is reused across every anchor of
-  /// a stripe). Any value produces the identical matrix; the knob exists
-  /// for the tile-boundary differential tests.
-  std::size_t tile_rows = 0;
 };
 
 /// Build the pairwise Jd matrix from per-hotspot content sets (each sorted

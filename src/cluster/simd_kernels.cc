@@ -31,10 +31,10 @@ bool resolve_simd(SimdMode mode) {
       return false;
     case SimdMode::kAvx2:
       CCDN_REQUIRE(avx2_kernel_compiled(),
-                   "--simd avx2: this binary was built without the AVX2 "
+                   "SimdMode::kAvx2: this binary was built without the AVX2 "
                    "kernels (CCDN_DISABLE_AVX2 or non-x86 toolchain)");
       CCDN_REQUIRE(cpu_has_avx2(),
-                   "--simd avx2: this CPU does not report AVX2");
+                   "SimdMode::kAvx2: this CPU does not report AVX2");
       return true;
   }
   return false;

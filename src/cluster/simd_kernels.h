@@ -3,13 +3,14 @@
 //  * `jaccard_tile_counts_*` — one anchor row of a TopsetBitmap against a
 //    tile of consecutive rows: the anchor's nonzero-word index list and the
 //    matching word values stay resident (registers/L1) while the tile rows
-//    stream through linearly. The AVX2 variant gathers four 64-bit words
-//    per step with `_mm256_i32gather_epi64`, ANDs against the anchor lanes,
-//    and popcounts in-register with a vpshufb nibble LUT accumulated via
+//    stream through. The scalar kernel reads row-major rows; the AVX2
+//    kernel reads a word-major (transposed) tile, ANDs four contiguous
+//    rows' words against a broadcast anchor word per load, and popcounts
+//    in-register with a vpshufb nibble LUT accumulated via
 //    `_mm256_sad_epu8` (Muła's method; the Harley–Seal family). Both
-//    variants produce the IDENTICAL exact integer intersection counts —
-//    64-bit integer additions of popcounts are associative, so lane order
-//    cannot change a single bit of the derived Jaccard double.
+//    produce the IDENTICAL exact integer intersection counts — 64-bit
+//    integer additions of popcounts are associative, so lane order cannot
+//    change a single bit of the derived Jaccard double.
 //  * `masked_min_*` — minimum over a contiguous double slice restricted to
 //    an active mask: the hierarchical clustering nearest-neighbour scan.
 //    min over doubles is exact and order-free (no NaNs by DistanceMatrix's
@@ -57,24 +58,16 @@ void jaccard_tile_counts_scalar(const std::uint64_t* anchor_words,
                                 std::size_t words_per_row,
                                 std::size_t num_rows, std::uint64_t* counts);
 
-/// AVX2 gather/popcount variant; bit-identical counts. Only callable when
-/// avx2_kernel_available() (enforced by resolve_simd; calling it on a CPU
-/// without AVX2 is undefined).
-void jaccard_tile_counts_avx2(const std::uint64_t* anchor_words,
-                              const std::uint32_t* word_idx,
-                              std::size_t num_words,
-                              const std::uint64_t* rows,
-                              std::size_t words_per_row, std::size_t num_rows,
-                              std::uint64_t* counts);
-
-/// Word-major variant of jaccard_tile_counts_avx2 for a pre-transposed
-/// tile: tile_words[w * stride + t] is word w of tile row t, so the same
-/// word of 4 consecutive rows is one contiguous 256-bit load ANDed against
-/// a broadcast anchor word — each 64-bit lane accumulates its own row's
-/// popcount and no gather instructions are needed. counts[t] is the exact
-/// intersection cardinality for t in [0, num_rows) (num_rows <= stride;
-/// callers may offset tile_words by a lane to start mid-tile). Bit-
-/// identical counts to the scalar and gather kernels.
+/// AVX2 variant for a pre-transposed tile: tile_words[w * stride + t] is
+/// word w of tile row t, so the same word of 4 consecutive rows is one
+/// contiguous 256-bit load ANDed against a broadcast anchor word — each
+/// 64-bit lane accumulates its own row's popcount and no gather
+/// instructions are needed. counts[t] is the exact intersection
+/// cardinality for t in [0, num_rows) (num_rows <= stride; callers may
+/// offset tile_words by a lane to start mid-tile). Bit-identical counts to
+/// the scalar kernel. Only callable when avx2_kernel_available()
+/// (enforced by resolve_simd; calling it on a CPU without AVX2 is
+/// undefined).
 void jaccard_tile_counts_transposed_avx2(
     const std::uint64_t* anchor_words, const std::uint32_t* word_idx,
     std::size_t num_words, const std::uint64_t* tile_words, std::size_t stride,

@@ -37,122 +37,11 @@ inline __m256i popcount_bytes(__m256i v) {
                          _mm256_shuffle_epi8(nibble_lut, hi));
 }
 
-inline std::uint64_t horizontal_sum_epi64(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  const __m128i sum = _mm_add_epi64(lo, hi);
-  return static_cast<std::uint64_t>(_mm_extract_epi64(sum, 0)) +
-         static_cast<std::uint64_t>(_mm_extract_epi64(sum, 1));
-}
-
-/// Gather steps a byte accumulator can take before a result byte could
+/// Load steps a byte accumulator can take before a result byte could
 /// overflow (31 * 8 = 248 <= 255).
 constexpr std::size_t kFlushSteps = 31;
 
 }  // namespace
-
-void jaccard_tile_counts_avx2(const std::uint64_t* anchor_words,
-                              const std::uint32_t* word_idx,
-                              std::size_t num_words,
-                              const std::uint64_t* rows,
-                              std::size_t words_per_row, std::size_t num_rows,
-                              std::uint64_t* counts) {
-  // Four tile rows in flight per pass: the gathers are independent across
-  // rows, so their latency overlaps, and each row keeps its own byte-wise
-  // popcount accumulator (flushed through SAD every kFlushSteps gather
-  // steps — sum order per row is unchanged, 64-bit adds are associative,
-  // so the counts stay exact). Word indices fit i32 gather lanes by
-  // construction: words_per_row is universe/64 and the universe is
-  // bounded by the catalog size.
-  const __m256i zero = _mm256_setzero_si256();
-  std::size_t t = 0;
-  for (; t + 4 <= num_rows; t += 4) {
-    const auto* r0 = reinterpret_cast<const long long*>(
-        rows + t * words_per_row);
-    const auto* r1 = r0 + static_cast<std::ptrdiff_t>(words_per_row);
-    const auto* r2 = r1 + static_cast<std::ptrdiff_t>(words_per_row);
-    const auto* r3 = r2 + static_cast<std::ptrdiff_t>(words_per_row);
-    __m256i acc0 = zero, acc1 = zero, acc2 = zero, acc3 = zero;
-    __m256i b0 = zero, b1 = zero, b2 = zero, b3 = zero;
-    std::size_t steps = 0;
-    std::size_t k = 0;
-    for (; k + 4 <= num_words; k += 4) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(word_idx + k));
-      const __m256i anchor = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(anchor_words + k));
-      b0 = _mm256_add_epi8(b0, popcount_bytes(_mm256_and_si256(
-          anchor, _mm256_i32gather_epi64(r0, idx, 8))));
-      b1 = _mm256_add_epi8(b1, popcount_bytes(_mm256_and_si256(
-          anchor, _mm256_i32gather_epi64(r1, idx, 8))));
-      b2 = _mm256_add_epi8(b2, popcount_bytes(_mm256_and_si256(
-          anchor, _mm256_i32gather_epi64(r2, idx, 8))));
-      b3 = _mm256_add_epi8(b3, popcount_bytes(_mm256_and_si256(
-          anchor, _mm256_i32gather_epi64(r3, idx, 8))));
-      if (++steps == kFlushSteps) {
-        acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(b0, zero));
-        acc1 = _mm256_add_epi64(acc1, _mm256_sad_epu8(b1, zero));
-        acc2 = _mm256_add_epi64(acc2, _mm256_sad_epu8(b2, zero));
-        acc3 = _mm256_add_epi64(acc3, _mm256_sad_epu8(b3, zero));
-        b0 = b1 = b2 = b3 = zero;
-        steps = 0;
-      }
-    }
-    acc0 = _mm256_add_epi64(acc0, _mm256_sad_epu8(b0, zero));
-    acc1 = _mm256_add_epi64(acc1, _mm256_sad_epu8(b1, zero));
-    acc2 = _mm256_add_epi64(acc2, _mm256_sad_epu8(b2, zero));
-    acc3 = _mm256_add_epi64(acc3, _mm256_sad_epu8(b3, zero));
-    std::uint64_t c0 = horizontal_sum_epi64(acc0);
-    std::uint64_t c1 = horizontal_sum_epi64(acc1);
-    std::uint64_t c2 = horizontal_sum_epi64(acc2);
-    std::uint64_t c3 = horizontal_sum_epi64(acc3);
-    for (; k < num_words; ++k) {  // tail: num_words % 4 scalar words
-      const std::uint64_t a = anchor_words[k];
-      const std::uint32_t w = word_idx[k];
-      c0 += static_cast<std::uint64_t>(std::popcount(
-          a & static_cast<std::uint64_t>(r0[w])));
-      c1 += static_cast<std::uint64_t>(std::popcount(
-          a & static_cast<std::uint64_t>(r1[w])));
-      c2 += static_cast<std::uint64_t>(std::popcount(
-          a & static_cast<std::uint64_t>(r2[w])));
-      c3 += static_cast<std::uint64_t>(std::popcount(
-          a & static_cast<std::uint64_t>(r3[w])));
-    }
-    counts[t] = c0;
-    counts[t + 1] = c1;
-    counts[t + 2] = c2;
-    counts[t + 3] = c3;
-  }
-  // Remaining 0-3 rows: single-row gather loop, same accumulation order.
-  for (; t < num_rows; ++t) {
-    const std::uint64_t* row = rows + t * words_per_row;
-    const auto* base = reinterpret_cast<const long long*>(row);
-    __m256i acc = zero;
-    __m256i bytes = zero;
-    std::size_t steps = 0;
-    std::size_t k = 0;
-    for (; k + 4 <= num_words; k += 4) {
-      const __m128i idx =
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(word_idx + k));
-      const __m256i anchor = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(anchor_words + k));
-      bytes = _mm256_add_epi8(bytes, popcount_bytes(_mm256_and_si256(
-          anchor, _mm256_i32gather_epi64(base, idx, 8))));
-      if (++steps == kFlushSteps) {
-        acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
-        bytes = zero;
-        steps = 0;
-      }
-    }
-    acc = _mm256_add_epi64(acc, _mm256_sad_epu8(bytes, zero));
-    std::uint64_t intersection = horizontal_sum_epi64(acc);
-    for (; k < num_words; ++k) {
-      intersection += static_cast<std::uint64_t>(
-          std::popcount(anchor_words[k] & row[word_idx[k]]));
-    }
-    counts[t] = intersection;
-  }
-}
 
 void jaccard_tile_counts_transposed_avx2(
     const std::uint64_t* anchor_words, const std::uint32_t* word_idx,
@@ -160,11 +49,11 @@ void jaccard_tile_counts_transposed_avx2(
     std::size_t num_rows, std::uint64_t* counts) {
   // Sixteen tile rows (four vectors) in flight per pass: one anchor-word
   // broadcast feeds four contiguous 256-bit loads from the transposed
-  // tile, so the loop is pure load/AND/popcount throughput — the gathers
-  // of the row-major kernel are gone entirely. Each 64-bit lane owns one
-  // tile row; _mm256_sad_epu8 flushes the byte accumulators straight into
-  // per-row 64-bit counts (no cross-lane mixing), so the stored counts are
-  // the same exact integers as the scalar kernel's.
+  // tile, so the loop is pure load/AND/popcount throughput with no
+  // gathers. Each 64-bit lane owns one tile row; _mm256_sad_epu8 flushes
+  // the byte accumulators straight into per-row 64-bit counts (no
+  // cross-lane mixing), so the stored counts are the same exact integers
+  // as the scalar kernel's.
   const __m256i zero = _mm256_setzero_si256();
   std::size_t t = 0;
   for (; t + 16 <= num_rows; t += 16) {
@@ -291,12 +180,6 @@ double masked_min_avx2(const double* values, const std::uint8_t* mask,
 #else  // !CCDN_SIMD_AVX2_COMPILED
 
 namespace ccdn::simd {
-
-void jaccard_tile_counts_avx2(const std::uint64_t*, const std::uint32_t*,
-                              std::size_t, const std::uint64_t*, std::size_t,
-                              std::size_t, std::uint64_t*) {
-  CCDN_REQUIRE(false, "AVX2 kernel not compiled into this binary");
-}
 
 void jaccard_tile_counts_transposed_avx2(const std::uint64_t*,
                                          const std::uint32_t*, std::size_t,

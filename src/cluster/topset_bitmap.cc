@@ -117,18 +117,17 @@ double TopsetBitmap::jaccard(std::size_t i, std::size_t j) const {
 }
 
 void TopsetBitmap::jaccard_row(std::size_t i, std::size_t j_begin,
-                               std::size_t j_end, std::span<double> out,
-                               SimdMode simd) const {
+                               std::size_t j_end,
+                               std::span<double> out) const {
   CCDN_REQUIRE(i < n_ && j_begin <= j_end && j_end <= n_,
                "row range out of bounds");
   CCDN_REQUIRE(out.size() == j_end - j_begin,
                "out span must cover exactly the tile");
   if (j_begin == j_end) return;
-  const bool use_avx2 = resolve_simd(simd);
 
   // Compact the anchor's nonzero words once for the whole tile: the word
-  // indices drive the per-row (scalar or AVX2-gathered) loads and the
-  // values are the AND mask, resident in L1 while tile rows stream by.
+  // indices drive the per-row loads and the values are the AND mask,
+  // resident in L1 while tile rows stream by.
   const std::uint32_t* word_idx = nonzero_.data() + nonzero_begin_[i];
   const std::size_t num_words = nonzero_begin_[i + 1] - nonzero_begin_[i];
   const std::uint64_t* anchor_row = bits_.data() + i * words_;
@@ -142,21 +141,10 @@ void TopsetBitmap::jaccard_row(std::size_t i, std::size_t j_begin,
   KernelScratch counts_scratch;
   std::uint64_t* counts = counts_scratch.get(tile);
   const std::uint64_t* rows = bits_.data() + j_begin * words_;
-  if (use_avx2) {
-    simd::jaccard_tile_counts_avx2(anchor_words, word_idx, num_words, rows,
+  simd::jaccard_tile_counts_scalar(anchor_words, word_idx, num_words, rows,
                                    words_, tile, counts);
-  } else {
-    simd::jaccard_tile_counts_scalar(anchor_words, word_idx, num_words, rows,
-                                     words_, tile, counts);
-  }
-
-  if (use_avx2) {
-    simd::counts_to_similarity_avx2(counts, cardinality_.data() + j_begin,
+  simd::counts_to_similarity_scalar(counts, cardinality_.data() + j_begin,
                                     cardinality_[i], tile, out.data());
-  } else {
-    simd::counts_to_similarity_scalar(counts, cardinality_.data() + j_begin,
-                                      cardinality_[i], tile, out.data());
-  }
 }
 
 void TopsetBitmap::pack_tile(std::size_t j_begin, std::size_t j_end,
@@ -184,7 +172,7 @@ void TopsetBitmap::jaccard_row(std::size_t i, const RowTile& tile,
   if (!resolve_simd(simd)) {
     // The transposed layout only pays off with 256-bit lanes; a scalar
     // walk would stride the cache for no gain, so delegate to row-major.
-    jaccard_row(i, j_begin, tile.j_end_, out, SimdMode::kScalar);
+    jaccard_row(i, j_begin, tile.j_end_, out);
     return;
   }
   if (j_begin == tile.j_end_) return;

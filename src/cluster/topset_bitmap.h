@@ -26,9 +26,10 @@
 //  4. *Batch rows.* jaccard_row() evaluates one anchor row against a tile
 //     of consecutive rows in a single pass: the anchor's nonzero-word
 //     indices and values are compacted once and stay hot while the tile
-//     rows stream through linearly. The inner kernel is SimdMode-
-//     dispatched (scalar popcount or the AVX2 gather/vpshufb engine,
-//     DESIGN.md §3.14); both accumulate the same exact integer
+//     rows stream through. Two kernels exist (DESIGN.md §3.14): the
+//     row-major overload is the scalar popcount kernel, and the RowTile
+//     overload runs the AVX2 kernel over a transposed tile when SimdMode
+//     resolves to AVX2. Both accumulate the same exact integer
 //     intersection counts.
 //
 // The computed similarity is bit-identical to jaccard_similarity under
@@ -84,16 +85,14 @@ class TopsetBitmap {
   /// original sorted sets (0.0 when both sets are empty).
   [[nodiscard]] double jaccard(std::size_t i, std::size_t j) const;
 
-  /// Batch evaluation: out[t] = Jaccard(V_i, V_{j_begin+t}) for the tile
-  /// [j_begin, j_end); out.size() must equal j_end - j_begin. Every value
-  /// is bit-identical to jaccard(i, j) — and therefore to
-  /// jaccard_similarity — for any SimdMode (the kernels compute identical
-  /// exact integer counts; see DESIGN.md §3.14). kAvx2 throws when the
-  /// AVX2 path is unavailable. Thread-safe: concurrent calls on a shared
-  /// const bitmap only read the packed state.
+  /// Batch evaluation with the scalar kernel: out[t] = Jaccard(V_i,
+  /// V_{j_begin+t}) for the tile [j_begin, j_end); out.size() must equal
+  /// j_end - j_begin. Every value is bit-identical to jaccard(i, j) — and
+  /// therefore to jaccard_similarity (the kernel computes exact integer
+  /// counts; see DESIGN.md §3.14). Thread-safe: concurrent calls on a
+  /// shared const bitmap only read the packed state.
   void jaccard_row(std::size_t i, std::size_t j_begin, std::size_t j_end,
-                   std::span<double> out,
-                   SimdMode simd = SimdMode::kAuto) const;
+                   std::span<double> out) const;
 
   /// Transpose rows [j_begin, j_end) into `tile` for the overload below.
   void pack_tile(std::size_t j_begin, std::size_t j_end, RowTile& tile) const;
@@ -101,10 +100,11 @@ class TopsetBitmap {
   /// Batch evaluation against a pre-transposed tile: out[t] =
   /// Jaccard(V_i, V_{j_begin+t}) for t in [0, tile.j_end() - j_begin);
   /// j_begin may sit inside the tile (the sweep's diagonal anchors start at
-  /// i + 1). Bit-identical to the row-major overload for every SimdMode —
-  /// the transposed kernel accumulates the same exact integer counts, and
-  /// the scalar mode simply delegates to the row-major path (a transposed
-  /// scalar walk would stride the cache for no gain).
+  /// i + 1). Runs the AVX2 transposed kernel when `simd` resolves to AVX2
+  /// (kAvx2 throws when that path is unavailable) and otherwise delegates
+  /// to the row-major scalar overload (a transposed scalar walk would
+  /// stride the cache for no gain). Bit-identical either way — the two
+  /// kernels accumulate the same exact integer counts.
   void jaccard_row(std::size_t i, const RowTile& tile, std::size_t j_begin,
                    std::span<double> out,
                    SimdMode simd = SimdMode::kAuto) const;

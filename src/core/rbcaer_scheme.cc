@@ -53,10 +53,9 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
     // Serial Jd build: slots already run in parallel on the simulator's
     // lanes, so a pool here would oversubscribe them.
     const auto top_sets = top_sets_per_hotspot(local, config.top_fraction);
-    const DistanceMatrix jd =
-        content_distance_matrix(top_sets, {.simd = config.simd});
+    const DistanceMatrix jd = content_distance_matrix(top_sets);
     const ClusteringResult clustering = hierarchical_cluster(
-        jd, config.linkage, config.content_cluster_threshold, config.simd);
+        jd, config.linkage, config.content_cluster_threshold);
     cluster_of = clustering.labels;
     out.num_clusters = clustering.num_clusters;
     out.gc_build_s = stage_clock.elapsed_seconds();
@@ -103,7 +102,7 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
       config.delta_km, max_movable,
       config.content_aggregation ? cluster_of
                                  : std::span<const std::uint32_t>{},
-      config.guide, config.mcmf_strategy, config.audit_level);
+      config.guide, config.audit_level);
   out.graph_s += candidates_s;
   return out;
 }
@@ -165,10 +164,9 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   if (!sharded && config_.content_aggregation && has_work) {
     stage_clock.reset();
     const auto top_sets = top_sets_per_hotspot(demand, config_.top_fraction);
-    const DistanceMatrix jd =
-        content_distance_matrix(top_sets, {.simd = config_.simd});
+    const DistanceMatrix jd = content_distance_matrix(top_sets);
     const ClusteringResult clustering = hierarchical_cluster(
-        jd, config_.linkage, config_.content_cluster_threshold, config_.simd);
+        jd, config_.linkage, config_.content_cluster_threshold);
     cluster_of = clustering.labels;
     diagnostics_.num_clusters = clustering.num_clusters;
     stage_timings_.gc_build_s = stage_clock.elapsed_seconds();
@@ -251,7 +249,6 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
   options.exchange_radius_km = config_.theta2_km;
   options.exchange_theta1_km = config_.theta1_km;
   options.exchange_theta_step_km = config_.delta_km;
-  options.exchange_strategy = config_.mcmf_strategy;
   options.audit_level = config_.audit_level;
 
   const auto& members = shard_plan_.assignment.members;

@@ -45,12 +45,8 @@ struct RbcaerConfig {
   bool content_aggregation = true;
   /// Ignored; kept only because perfbench/trace_mode.cc reads it.
   bool bitmap_jaccard = true;
-  /// SIMD dispatch for the Jd batch kernels (the bitmap matrix build's
-  /// jaccard_row tiles and the clustering argmin scans): auto probes the
-  /// CPU at runtime, scalar pins the baseline kernels, avx2 demands the
-  /// vector path and throws where it is unavailable. All modes produce
-  /// bit-identical plans (DESIGN.md §3.14); surfaced as --simd on the
-  /// CLIs.
+  /// Ignored; kept only because perfbench/trace_mode.cc reads it. The Jd
+  /// kernels are chosen from cpuid (DESIGN.md §3.14).
   SimdMode simd = SimdMode::kAuto;
   /// Ignored; kept only because perfbench/trace_mode.cc assigns it.
   std::size_t jd_threads = 1;
@@ -62,6 +58,7 @@ struct RbcaerConfig {
   /// falling straight through to the CDN. Disable for the strict
   /// Procedure-1-only behaviour.
   bool miss_redirection = true;
+  /// Ignored; kept only because perfbench/trace_mode.cc reads it.
   McmfStrategy mcmf_strategy = McmfStrategy::kSpfa;
   /// Ignored; kept only because perfbench/trace_mode.cc reads it.
   bool integer_costs = false;
@@ -89,7 +86,7 @@ struct RbcaerConfig {
 /// Algorithm 1's flow phase under `config` on one hotspot set: the
 /// candidate edges within θ2 (radius queries against `index`, a GridIndex
 /// over `hotspots` in the same order), then theta_sweep on the config's θ
-/// grid, guide options, engine and audit level — over Gd only when
+/// grid, guide options and audit level — over Gd only when
 /// content_aggregation is off. `graph_s` includes the candidate query.
 /// RbcaerScheme runs it on the slot and on every shard, VirtualRbcaerScheme
 /// on its regions, so shard=1 plans stay bit-identical to unsharded ones.

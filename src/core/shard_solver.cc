@@ -73,8 +73,7 @@ ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
     SweepOutcome sweep = theta_sweep(
         band, candidates, options.exchange_theta1_km,
         options.exchange_radius_km, options.exchange_theta_step_km,
-        band.max_movable(), {}, {}, options.exchange_strategy,
-        options.audit_level);
+        band.max_movable(), {}, {}, options.audit_level);
     partition.phi = std::move(band.phi);
     outcome.moved += sweep.moved;
     outcome.exchange_moved = sweep.moved;

@@ -69,8 +69,9 @@ struct ShardedSolveOptions {
   /// throw PreconditionError.
   double exchange_theta1_km = 0.5;
   double exchange_theta_step_km = 0.5;
-  /// MCMF engine and audit level of every exchange step.
+  /// Ignored; kept only because perfbench/trace_mode.cc sets it.
   McmfStrategy exchange_strategy = McmfStrategy::kSpfa;
+  /// Audit level of every exchange step.
   AuditLevel audit_level = AuditLevel::kOff;
 };
 

@@ -23,14 +23,13 @@ void charge_slack(HotspotPartition& partition,
 
 /// Solve a freshly built graph from zero flow and commit its flows.
 SweepStep solve_cold(BalanceGraph graph, HotspotPartition& partition,
-                     McmfStrategy strategy, AuditLevel audit_level,
-                     double graph_s) {
+                     AuditLevel audit_level, double graph_s) {
   SweepStep out;
   out.graph_s = graph_s;
   out.guide_nodes = graph.num_guide_nodes;
   Stopwatch clock;
   const McmfResult res =
-      MinCostMaxFlow::solve(graph.net, graph.source, graph.sink, strategy);
+      MinCostMaxFlow::solve(graph.net, graph.source, graph.sink);
   out.mcmf_s = clock.elapsed_seconds();
   if constexpr (kCheckedBuild) {
     if (audit_level >= AuditLevel::kFull) {
@@ -51,27 +50,23 @@ SweepStep solve_cold(BalanceGraph graph, HotspotPartition& partition,
 
 SweepStep cold_step_gd(HotspotPartition& partition,
                        std::span<const CandidateEdge> candidates,
-                       double theta_km, McmfStrategy strategy,
-                       AuditLevel audit_level) {
+                       double theta_km, AuditLevel audit_level) {
   Stopwatch clock;
   BalanceGraph graph = build_gd(partition, candidates, theta_km);
   const double graph_s = clock.elapsed_seconds();
-  return solve_cold(std::move(graph), partition, strategy, audit_level,
-                    graph_s);
+  return solve_cold(std::move(graph), partition, audit_level, graph_s);
 }
 
 SweepStep cold_step_gc(HotspotPartition& partition,
                        std::span<const CandidateEdge> candidates,
                        double theta_km,
                        std::span<const std::uint32_t> cluster_of,
-                       const GuideOptions& options, McmfStrategy strategy,
-                       AuditLevel audit_level) {
+                       const GuideOptions& options, AuditLevel audit_level) {
   Stopwatch clock;
   BalanceGraph graph =
       build_gc(partition, candidates, theta_km, cluster_of, options);
   const double graph_s = clock.elapsed_seconds();
-  return solve_cold(std::move(graph), partition, strategy, audit_level,
-                    graph_s);
+  return solve_cold(std::move(graph), partition, audit_level, graph_s);
 }
 
 SweepOutcome theta_sweep(HotspotPartition& partition,
@@ -79,8 +74,7 @@ SweepOutcome theta_sweep(HotspotPartition& partition,
                          double theta1_km, double theta2_km, double delta_km,
                          std::int64_t max_movable,
                          std::span<const std::uint32_t> cluster_of,
-                         const GuideOptions& guide, McmfStrategy strategy,
-                         AuditLevel audit_level) {
+                         const GuideOptions& guide, AuditLevel audit_level) {
   CCDN_REQUIRE(delta_km > 0.0, "non-positive theta step");
   SweepOutcome out;
   // Steps already committed their flows (φ decremented, slack invariant
@@ -98,17 +92,15 @@ SweepOutcome theta_sweep(HotspotPartition& partition,
        theta += delta_km) {
     ++out.theta_iterations;
     absorb(cluster_of.empty()
-               ? cold_step_gd(partition, candidates, theta, strategy,
-                              audit_level)
+               ? cold_step_gd(partition, candidates, theta, audit_level)
                : cold_step_gc(partition, candidates, theta, cluster_of, guide,
-                              strategy, audit_level));
+                              audit_level));
   }
   if (out.moved < max_movable) {
     // Residual pass on the plain distance graph at θ2 (Algorithm 1,
     // line 12); anything beyond that stays with its home hotspot and
     // overflows to the CDN at admission (line 14).
-    absorb(cold_step_gd(partition, candidates, theta2_km, strategy,
-                        audit_level));
+    absorb(cold_step_gd(partition, candidates, theta2_km, audit_level));
   }
   return out;
 }

@@ -33,16 +33,15 @@ struct SweepStep {
 };
 
 /// One θ step on Gd: builds Gd over the `candidates` with d < θ and φ > 0
-/// on both endpoints (build_gd), solves MCMF from zero flow with
-/// `strategy`, and commits the merged flows into `partition`'s φ. At
-/// AuditLevel::kFull, checked builds certify the solved graph before it is
-/// discarded: flow conservation and capacity bounds, and no negative
-/// residual cycle (audit_epoch_residual, the min-cost certificate). A
-/// violation throws InvariantError naming the invariant.
+/// on both endpoints (build_gd), solves MCMF from zero flow, and commits
+/// the merged flows into `partition`'s φ. At AuditLevel::kFull, checked
+/// builds certify the solved graph before it is discarded: flow
+/// conservation and capacity bounds, and no negative residual cycle
+/// (audit_epoch_residual, the min-cost certificate). A violation throws
+/// InvariantError naming the invariant.
 SweepStep cold_step_gd(HotspotPartition& partition,
                        std::span<const CandidateEdge> candidates,
                        double theta_km,
-                       McmfStrategy strategy = McmfStrategy::kSpfa,
                        AuditLevel audit_level = AuditLevel::kOff);
 
 /// Same on Gc (build_gc).
@@ -51,7 +50,6 @@ SweepStep cold_step_gc(HotspotPartition& partition,
                        double theta_km,
                        std::span<const std::uint32_t> cluster_of,
                        const GuideOptions& options,
-                       McmfStrategy strategy = McmfStrategy::kSpfa,
                        AuditLevel audit_level = AuditLevel::kOff);
 
 /// Result of a whole θ sweep.
@@ -68,41 +66,38 @@ struct SweepOutcome {
 /// θ1, θ1+δ, … ≤ θ2 — on Gc with `cluster_of` and `guide`, or on Gd when
 /// `cluster_of` is empty — while fewer than `max_movable` units have moved,
 /// then, if units are still left, one residual Gd step at θ2. Every step
-/// uses `strategy` and `audit_level`. Requires δ > 0 (PreconditionError).
+/// uses `audit_level`. Requires δ > 0 (PreconditionError).
 [[nodiscard]] SweepOutcome theta_sweep(
     HotspotPartition& partition, std::span<const CandidateEdge> candidates,
     double theta1_km, double theta2_km, double delta_km,
     std::int64_t max_movable, std::span<const std::uint32_t> cluster_of,
-    const GuideOptions& guide, McmfStrategy strategy,
-    AuditLevel audit_level = AuditLevel::kOff);
+    const GuideOptions& guide, AuditLevel audit_level = AuditLevel::kOff);
 
 /// Kept only because perfbench/trace_mode.cc drives it; RbcaerScheme does
 /// not use it. begin_slot keeps the partition and a copy of the candidates,
-/// and every step is the cold step. The constructor's second and third
-/// parameters are ignored, and potential_reprices() is always 0.
+/// and every step is the cold step. The constructor's parameters are
+/// ignored, and potential_reprices() is always 0.
 class ThetaSweeper {
  public:
-  explicit ThetaSweeper(McmfStrategy strategy = McmfStrategy::kSpfa,
-                        bool = false, double = 0.0)
-      : strategy_(strategy) {}
+  explicit ThetaSweeper(McmfStrategy = McmfStrategy::kSpfa, bool = false,
+                        double = 0.0) {}
   void begin_slot(HotspotPartition& partition,
                   std::span<const CandidateEdge> candidates) {
     partition_ = &partition;
     candidates_.assign(candidates.begin(), candidates.end());
   }
   SweepStep step_gd(double theta_km) {
-    return cold_step_gd(*partition_, candidates_, theta_km, strategy_);
+    return cold_step_gd(*partition_, candidates_, theta_km);
   }
   SweepStep step_gc(double theta_km, std::span<const std::uint32_t> cluster_of,
                     const GuideOptions& options) {
     return cold_step_gc(*partition_, candidates_, theta_km, cluster_of,
-                        options, strategy_);
+                        options);
   }
   void end_slot() { partition_ = nullptr; }
   [[nodiscard]] std::size_t potential_reprices() const noexcept { return 0; }
 
  private:
-  McmfStrategy strategy_;
   HotspotPartition* partition_ = nullptr;
   std::vector<CandidateEdge> candidates_;
 };

@@ -126,11 +126,10 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
   std::vector<std::uint32_t> cluster_of(num_regions, 0);
   if (rc.content_aggregation && diagnostics_.region_max_movable > 0) {
     const auto top_sets = top_sets_per_hotspot(regional, rc.top_fraction);
-    const DistanceMatrix jd =
-        content_distance_matrix(top_sets, {.simd = rc.simd});
-    cluster_of = hierarchical_cluster(jd, rc.linkage,
-                                      rc.content_cluster_threshold, rc.simd)
-                     .labels;
+    const DistanceMatrix jd = content_distance_matrix(top_sets);
+    cluster_of =
+        hierarchical_cluster(jd, rc.linkage, rc.content_cluster_threshold)
+            .labels;
   }
 
   std::vector<FlowEntry> region_flows;
@@ -157,7 +156,6 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       options.exchange_radius_km = rc.theta2_km;
       options.exchange_theta1_km = rc.theta1_km;
       options.exchange_theta_step_km = rc.delta_km;
-      options.exchange_strategy = rc.mcmf_strategy;
       options.audit_level = rc.audit_level;
       const auto& cluster_labels = cluster_of;
       ShardedSolveOutcome outcome = solve_sharded(

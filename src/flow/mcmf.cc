@@ -1,7 +1,6 @@
 #include "flow/mcmf.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -44,15 +43,12 @@ double apply_path(FlowNetwork& net, NodeId source, NodeId sink,
   return path_cost;
 }
 
-/// Successive-shortest-path engine behind MinCostMaxFlow: owns the search
-/// buffers (distance/parent/visited arrays, the SPFA queue flags and the
-/// Dijkstra heap) and the node potentials for the augmentations of one
-/// solve. Starting from zero potentials is valid because every forward
-/// cost is non-negative.
+/// Successive-shortest-path engine behind MinCostMaxFlow: owns the SPFA
+/// search buffers (distance/parent labels, queue flags and the queue) for
+/// the augmentations of one solve.
 class McmfSolver {
  public:
-  McmfSolver(McmfStrategy strategy, std::size_t num_nodes)
-      : strategy_(strategy), state_(num_nodes), potential_(num_nodes, 0.0) {}
+  explicit McmfSolver(std::size_t num_nodes) : state_(num_nodes) {}
 
   /// Min-cost augmentation from the current residual state until no
   /// source→sink path remains or `flow_limit` units have been routed.
@@ -60,44 +56,33 @@ class McmfSolver {
                      std::int64_t flow_limit);
 
  private:
-  /// Scratch buffers shared by the SPFA and Dijkstra searches, reused
-  /// across augmentations.
+  /// Scratch buffers reused across augmentations.
   /// Per-node labels are validity-stamped instead of cleared: a label is
   /// live only when its stamp equals the current search's, so starting a
-  /// search is O(1) instead of five O(n) fills.
+  /// search is O(1) instead of O(n) fills.
   struct SearchState {
     explicit SearchState(std::size_t n)
-        : dist(n), parent_edge(n), seen(n, 0), settled(n, 0),
-          in_queue(n, 0), queue(n + 1) {}
+        : dist(n), parent_edge(n), seen(n, 0), in_queue(n, 0), queue(n + 1) {}
 
     std::vector<double> dist;
     std::vector<EdgeId> parent_edge;
-    std::vector<std::uint32_t> seen;     // stamp: dist/parent valid
-    std::vector<std::uint32_t> settled;  // stamp: Dijkstra label final
-    std::vector<NodeId> touched;  // nodes seen this search, in seen order
-    std::vector<char> in_queue;   // SPFA membership; all-zero between runs
-    std::vector<NodeId> queue;    // SPFA deque storage
-    std::vector<std::pair<double, NodeId>> heap;  // Dijkstra binary heap
+    std::vector<std::uint32_t> seen;  // stamp: dist/parent valid
+    std::vector<char> in_queue;       // all-zero between searches
+    std::vector<NodeId> queue;        // deque storage
     std::uint32_t stamp = 0;
 
     /// Open a new search: bump the stamp, invalidating all labels.
     void begin_search() {
       if (++stamp == 0) {  // wrapped: old stamps would alias as live
         std::fill(seen.begin(), seen.end(), 0);
-        std::fill(settled.begin(), settled.end(), 0);
         stamp = 1;
       }
-      touched.clear();
     }
   };
 
   bool spfa(const FlowNetwork& net, NodeId source, NodeId sink);
-  bool dijkstra(const FlowNetwork& net, NodeId source, NodeId sink);
-  void update_potentials(NodeId sink);
 
-  McmfStrategy strategy_;
   SearchState state_;
-  std::vector<double> potential_;
 };
 
 }  // namespace
@@ -124,7 +109,6 @@ bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
 
   state_.dist[source] = 0.0;
   state_.seen[source] = stamp;
-  state_.touched.push_back(source);
   push_back(source);
   state_.in_queue[source] = 1;
   while (!queue_empty()) {
@@ -136,9 +120,6 @@ bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
       const NodeId to = net.arc_to(e);
       const double candidate = state_.dist[node] + net.cost(e);
       if (state_.seen[to] != stamp || candidate + kEps < state_.dist[to]) {
-        if (state_.seen[to] != stamp) {
-          state_.touched.push_back(to);
-        }
         state_.dist[to] = candidate;
         state_.parent_edge[to] = e;
         state_.seen[to] = stamp;
@@ -157,112 +138,6 @@ bool McmfSolver::spfa(const FlowNetwork& net, NodeId source, NodeId sink) {
   return state_.seen[sink] == stamp;
 }
 
-bool McmfSolver::dijkstra(const FlowNetwork& net, NodeId source, NodeId sink) {
-  state_.begin_search();
-  const std::uint32_t stamp = state_.stamp;
-  auto& heap = state_.heap;
-  heap.clear();
-  const auto min_first = std::greater<>{};
-  state_.dist[source] = 0.0;
-  state_.seen[source] = stamp;
-  state_.touched.push_back(source);
-  heap.emplace_back(0.0, source);
-  while (!heap.empty()) {
-    // Early settle: once the sink is seen and nothing left in the heap can
-    // beat its tentative label, that label is final — skip the remaining
-    // pops (typically a plateau of equal-cost senders).
-    if (state_.seen[sink] == stamp &&
-        heap.front().first >= state_.dist[sink]) {
-      state_.settled[sink] = stamp;
-      return true;
-    }
-    const auto [d, node] = heap.front();
-    std::pop_heap(heap.begin(), heap.end(), min_first);
-    heap.pop_back();
-    if (state_.settled[node] == stamp) continue;
-    state_.settled[node] = stamp;
-    // Early exit: once the sink settles its shortest path is final, and
-    // every node still in the heap has a tentative distance >= dist[sink],
-    // which is exactly what update_potentials' capping rule needs. This is
-    // the payoff of carrying valid potentials: the search stops at the
-    // sink instead of settling the whole graph.
-    if (node == sink) return true;
-    for (const EdgeId e : net.out_edges(node)) {
-      const NodeId to = net.arc_to(e);
-      if (net.residual(e) <= 0 || state_.settled[to] == stamp) continue;
-      double reduced = net.cost(e) + potential_[node] - potential_[to];
-      // Valid potentials keep every residual reduced cost non-negative; a
-      // real violation means the potential update went wrong and Dijkstra's
-      // greedy settling would silently return suboptimal (non-min-cost)
-      // paths, so fail loudly instead of clamping it away.
-      CCDN_ENSURE(reduced >= -kEps, "negative reduced cost: stale potentials");
-      reduced = std::max(0.0, reduced);  // absorb float noise within kEps
-      const double candidate = d + reduced;
-      // Prune labels that cannot beat the sink's tentative distance: any
-      // path extending them costs at least as much as the path already
-      // recorded to the sink, and update_potentials caps unreached nodes at
-      // dist[sink], so skipping the record keeps the potentials valid.
-      if (to != sink && state_.seen[sink] == stamp &&
-          candidate >= state_.dist[sink]) {
-        continue;
-      }
-      if (state_.seen[to] != stamp || candidate + kEps < state_.dist[to]) {
-        if (state_.seen[to] != stamp) {
-          state_.touched.push_back(to);
-        }
-        state_.dist[to] = candidate;
-        state_.parent_edge[to] = e;
-        state_.seen[to] = stamp;
-        // Dead-end prune: a node with no outgoing arcs cannot extend any
-        // path, so record its label (update_potentials needs it) but skip
-        // the heap.
-        if (to == sink || !net.out_edges(to).empty()) {
-          heap.emplace_back(candidate, to);
-          std::push_heap(heap.begin(), heap.end(), min_first);
-        }
-      }
-    }
-  }
-  return state_.settled[sink] == stamp;
-}
-
-void McmfSolver::update_potentials(NodeId sink) {
-  const std::uint32_t stamp = state_.stamp;
-  if (state_.settled[sink] == stamp) {
-    // Johnson's update adds min(dist, dist[sink]) to every seen node and
-    // dist[sink] to every other node: the cap is valid because heap
-    // residents sit at >= dist[sink], the seen nodes below that are
-    // dead-end-pruned (no outgoing arcs, so their low label constrains
-    // nothing), and every unseen node's skipped relaxation was
-    // sink-bound-pruned. But a *uniform* shift cancels out of every
-    // reduced cost, so subtract the dist[sink] baseline and only the seen
-    // nodes need touching: O(|seen|) instead of O(n). Absolute potentials
-    // drift (the source's sinks by dist[sink] per search); only
-    // differences are ever read.
-    const double d_sink = state_.dist[sink];
-    for (const NodeId v : state_.touched) {
-      potential_[v] += std::min(state_.dist[v], d_sink) - d_sink;
-    }
-    return;
-  }
-  // Exhausted search (no path to the sink): settled nodes take their final
-  // distance, everything else the largest settled distance — again shifted
-  // by that baseline so untouched nodes stay untouched. Edges among
-  // unreached nodes shift uniformly, edges from unreached to reached only
-  // gain slack, and reached→unreached residual edges cannot exist here.
-  double max_reached = 0.0;
-  for (const NodeId v : state_.touched) {
-    if (state_.settled[v] == stamp) {
-      max_reached = std::max(max_reached, state_.dist[v]);
-    }
-  }
-  for (const NodeId v : state_.touched) {
-    if (state_.settled[v] == stamp) {
-      potential_[v] += state_.dist[v] - max_reached;
-    }
-  }
-}
-
 McmfResult McmfSolver::augment(FlowNetwork& net, NodeId source, NodeId sink,
                                std::int64_t flow_limit) {
   CCDN_REQUIRE(source < net.num_nodes() && sink < net.num_nodes(),
@@ -272,12 +147,7 @@ McmfResult McmfSolver::augment(FlowNetwork& net, NodeId source, NodeId sink,
 
   McmfResult result;
   while (result.flow < flow_limit) {
-    if (strategy_ == McmfStrategy::kSpfa) {
-      if (!spfa(net, source, sink)) break;
-    } else {
-      if (!dijkstra(net, source, sink)) break;
-      update_potentials(sink);
-    }
+    if (!spfa(net, source, sink)) break;
     const std::int64_t room = flow_limit - result.flow;
     const std::int64_t amount = std::min(
         room, bottleneck_along_path(net, source, sink, state_.parent_edge));
@@ -290,16 +160,15 @@ McmfResult McmfSolver::augment(FlowNetwork& net, NodeId source, NodeId sink,
   return result;
 }
 
-McmfResult MinCostMaxFlow::solve(FlowNetwork& net, NodeId source, NodeId sink,
-                                 McmfStrategy strategy) {
+McmfResult MinCostMaxFlow::solve(FlowNetwork& net, NodeId source,
+                                 NodeId sink) {
   return solve_up_to(net, source, sink,
-                     std::numeric_limits<std::int64_t>::max(), strategy);
+                     std::numeric_limits<std::int64_t>::max());
 }
 
 McmfResult MinCostMaxFlow::solve_up_to(FlowNetwork& net, NodeId source,
-                                       NodeId sink, std::int64_t flow_limit,
-                                       McmfStrategy strategy) {
-  McmfSolver solver(strategy, net.num_nodes());
+                                       NodeId sink, std::int64_t flow_limit) {
+  McmfSolver solver(net.num_nodes());
   return solver.augment(net, source, sink, flow_limit);
 }
 

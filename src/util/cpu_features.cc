@@ -1,7 +1,5 @@
 #include "util/cpu_features.h"
 
-#include "util/error.h"
-
 namespace ccdn {
 
 bool cpu_has_avx2() noexcept {
@@ -15,26 +13,6 @@ bool cpu_has_avx2() noexcept {
 #else
   return false;
 #endif
-}
-
-const char* simd_mode_name(SimdMode mode) noexcept {
-  switch (mode) {
-    case SimdMode::kAuto:
-      return "auto";
-    case SimdMode::kScalar:
-      return "scalar";
-    case SimdMode::kAvx2:
-      return "avx2";
-  }
-  return "auto";
-}
-
-SimdMode parse_simd_mode(const std::string& text) {
-  if (text == "auto") return SimdMode::kAuto;
-  if (text == "scalar") return SimdMode::kScalar;
-  if (text == "avx2") return SimdMode::kAvx2;
-  CCDN_REQUIRE(false, "--simd must be auto|scalar|avx2, got '" + text + "'");
-  return SimdMode::kAuto;  // unreachable
 }
 
 }  // namespace ccdn

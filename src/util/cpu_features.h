@@ -4,13 +4,10 @@
 // The AVX2 kernels live in their own translation unit compiled with
 // -mavx2, so one binary carries both code paths and picks at runtime:
 // `cpu_has_avx2()` is a one-time cpuid probe (memoized in a function-local
-// static — deterministic for the life of the process), and SimdMode is the
-// user-facing override threaded from `--simd` / config structs down to the
-// kernels. kAuto selects the widest available path; the forced modes exist
-// so CI can pin either leg and so differential tests can compare them.
+// static — deterministic for the life of the process). SimdMode is the
+// seam of the Jd library calls: the schemes and CLIs always run kAuto, and
+// tests and benches pin the forced modes to compare the two kernels.
 #pragma once
-
-#include <string>
 
 namespace ccdn {
 
@@ -20,18 +17,11 @@ namespace ccdn {
 ///   kScalar — force the scalar-popcount path (oracle / portability pin).
 ///   kAvx2   — force AVX2; a PreconditionError if the binary has no AVX2
 ///             kernel or the CPU lacks the feature (never silently degrades,
-///             so a CI leg that requests AVX2 really exercised AVX2).
+///             so a test that requests AVX2 really exercised AVX2).
 enum class SimdMode { kAuto, kScalar, kAvx2 };
 
 /// True when the executing CPU supports AVX2 (cpuid, probed once).
 /// Always false on non-x86 targets.
 [[nodiscard]] bool cpu_has_avx2() noexcept;
-
-/// Human-readable mode name: "auto", "scalar", "avx2".
-[[nodiscard]] const char* simd_mode_name(SimdMode mode) noexcept;
-
-/// Parse a `--simd` flag value ("auto" | "scalar" | "avx2"); throws
-/// PreconditionError naming the bad value otherwise.
-[[nodiscard]] SimdMode parse_simd_mode(const std::string& text);
 
 }  // namespace ccdn

@@ -1,9 +1,10 @@
 // Differential and property tests for the batched Jd engine (DESIGN.md
-// §3.14): TopsetBitmap::jaccard_row must be bit-identical to the per-pair
-// jaccard() kernel and to the scalar sorted-merge jaccard_similarity for
-// every SimdMode, tile geometry, and adversarial universe size — and the
-// hierarchical clustering's SIMD argmin must reproduce the scalar scan's
-// output exactly.
+// §3.14): both TopsetBitmap::jaccard_row kernels — the row-major scalar
+// one and the AVX2 one over a transposed tile — must be bit-identical to
+// the per-pair jaccard() kernel and to the scalar sorted-merge
+// jaccard_similarity for every SimdMode, tile geometry, and adversarial
+// universe size — and the hierarchical clustering's SIMD argmin must
+// reproduce the scalar scan's output exactly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 #include "stats/correlation.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace ccdn {
 namespace {
@@ -42,24 +42,27 @@ std::vector<VideoId> random_set(Rng& rng, std::size_t size,
   return ids;
 }
 
-/// Check jaccard_row against both oracles for every anchor, every tile
-/// split of the row, and every runnable SimdMode.
+/// Check the tiled jaccard_row (pack_tile, then the RowTile overload)
+/// against both oracles for every anchor, every tile split of the rows,
+/// and every runnable SimdMode.
 void expect_row_matches_oracles(const std::vector<std::vector<VideoId>>& sets,
                                 std::size_t tile_rows) {
   const TopsetBitmap bitmap(sets);
   const std::size_t n = sets.size();
+  TopsetBitmap::RowTile tile;
   for (const SimdMode mode : runnable_modes()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < n; j += tile_rows) {
-        const std::size_t j_end = std::min(n, j + tile_rows);
+    for (std::size_t j = 0; j < n; j += tile_rows) {
+      const std::size_t j_end = std::min(n, j + tile_rows);
+      bitmap.pack_tile(j, j_end, tile);
+      for (std::size_t i = 0; i < n; ++i) {
         std::vector<double> out(j_end - j);
-        bitmap.jaccard_row(i, j, j_end, out, mode);
+        bitmap.jaccard_row(i, tile, j, out, mode);
         for (std::size_t t = 0; t < out.size(); ++t) {
           EXPECT_EQ(out[t], bitmap.jaccard(i, j + t))
-              << "mode " << simd_mode_name(mode) << " anchor " << i
+              << "mode " << static_cast<int>(mode) << " anchor " << i
               << " row " << j + t << " tile " << tile_rows;
           EXPECT_EQ(out[t], jaccard_similarity(sets[i], sets[j + t]))
-              << "mode " << simd_mode_name(mode) << " anchor " << i
+              << "mode " << static_cast<int>(mode) << " anchor " << i
               << " row " << j + t << " tile " << tile_rows;
         }
       }
@@ -68,15 +71,22 @@ void expect_row_matches_oracles(const std::vector<std::vector<VideoId>>& sets,
 }
 
 TEST(JaccardRow, AdversarialSetsMatchBothOracles) {
-  // Both-empty, disjoint, identical, singleton, subset, interleaved.
-  const std::vector<std::vector<VideoId>> sets{
+  // Both-empty, disjoint, identical, singleton, subset, interleaved —
+  // three copies, so tiles are wide enough for the 16-row AVX2 blocks.
+  const std::vector<std::vector<VideoId>> cases{
       {},        {},       {1, 2, 3}, {1, 2, 3},  {10, 20},
       {30, 40},  {7},      {7},       {5},        {1, 2, 3, 4, 5, 6},
       {2, 4, 6}, {1, 3, 5, 7}};
-  // Tile sizes 1 (single-element tiles), 3 and 5 (ends not a multiple of
-  // the 4-row AVX2 gather width), and one tile spanning everything.
-  for (const std::size_t tile : {std::size_t{1}, std::size_t{3},
-                                 std::size_t{5}, sets.size()}) {
+  std::vector<std::vector<VideoId>> sets;
+  for (int copy = 0; copy < 3; ++copy) {
+    sets.insert(sets.end(), cases.begin(), cases.end());
+  }
+  // Tile sizes 1 (single-element tiles), 5 (lane tail only), 16 (one full
+  // 16-row block), 17 (a block plus a one-row tail), and one tile spanning
+  // everything (two blocks plus a tail).
+  for (const std::size_t tile : {std::size_t{1}, std::size_t{5},
+                                 std::size_t{16}, std::size_t{17},
+                                 sets.size()}) {
     expect_row_matches_oracles(sets, tile);
   }
 }
@@ -84,11 +94,13 @@ TEST(JaccardRow, AdversarialSetsMatchBothOracles) {
 TEST(JaccardRow, UniverseSizesCrossingWordAndLaneBoundaries) {
   // The packed universe is the number of distinct ids, so a set covering
   // [0, U) pins universe_size() == U. Straddle the 64-bit word boundaries
-  // (63/64/65, 127/128/129) and the 256-bit AVX2 lane boundary (255/256/
-  // 257 = 4 words per gather step).
+  // (63/64/65, 127/128/129, 255/256/257) and the AVX2 kernel's byte-
+  // accumulator flush every 31 words (1984 = 31 full words, 2048 = 32):
+  // the full set against itself puts 8 in every byte at every step.
   Rng rng(20260809);
-  for (const std::uint32_t universe :
-       {1u, 63u, 64u, 65u, 127u, 128u, 129u, 255u, 256u, 257u, 320u}) {
+  for (const std::uint32_t universe : {1u, 63u, 64u, 65u, 127u, 128u, 129u,
+                                       255u, 256u, 257u, 320u, 1984u,
+                                       2048u}) {
     std::vector<std::vector<VideoId>> sets;
     std::vector<VideoId> full(universe);
     for (std::uint32_t v = 0; v < universe; ++v) full[v] = v;
@@ -96,12 +108,13 @@ TEST(JaccardRow, UniverseSizesCrossingWordAndLaneBoundaries) {
     sets.push_back({});                   // empty vs everything
     sets.push_back({0});                  // lowest-rank singleton
     sets.push_back({universe - 1});       // highest-rank singleton
-    for (int k = 0; k < 6; ++k) {
+    sets.push_back(full);                 // full vs full in a vector lane
+    for (int k = 0; k < 15; ++k) {
       sets.push_back(random_set(rng, rng.index(universe), universe));
     }
     const TopsetBitmap bitmap(sets);
     ASSERT_EQ(bitmap.universe_size(), universe);
-    expect_row_matches_oracles(sets, 3);
+    expect_row_matches_oracles(sets, 17);
   }
 }
 
@@ -127,8 +140,10 @@ TEST(JaccardRow, ForcedAvx2NeverSilentlyDegrades) {
     EXPECT_FALSE(resolve_simd(SimdMode::kAuto));
     const std::vector<std::vector<VideoId>> sets{{1}, {2}};
     const TopsetBitmap bitmap(sets);
+    TopsetBitmap::RowTile tile;
+    bitmap.pack_tile(1, 2, tile);
     std::vector<double> out(1);
-    EXPECT_THROW(bitmap.jaccard_row(0, 1, 2, out, SimdMode::kAvx2),
+    EXPECT_THROW(bitmap.jaccard_row(0, tile, 1, out, SimdMode::kAvx2),
                  PreconditionError);
   }
   EXPECT_FALSE(resolve_simd(SimdMode::kScalar));
@@ -138,10 +153,10 @@ TEST(JaccardRow, ForcedAvx2NeverSilentlyDegrades) {
 }
 
 TEST(JaccardRow, TransposedTileMatchesRowMajorAtEveryOffset) {
-  // The RowTile overload (the gather-free kernel the tile-major sweep
-  // runs) must agree bitwise with the row-major path for every anchor,
-  // every in-tile entry offset (the sweep's diagonal anchors start
-  // mid-tile), and tile widths straddling the 16-lane kernel width.
+  // The RowTile overload (the kernel the tile-major sweep runs) must agree
+  // bitwise with the row-major scalar kernel for every anchor, every
+  // in-tile entry offset (the sweep's diagonal anchors start mid-tile),
+  // and tile widths straddling the 16-lane kernel width.
   Rng rng(777);
   std::vector<std::vector<VideoId>> sets;
   for (std::size_t i = 0; i < 41; ++i) {
@@ -165,10 +180,10 @@ TEST(JaccardRow, TransposedTileMatchesRowMajorAtEveryOffset) {
             std::vector<double> got(j1 - j_begin);
             std::vector<double> want(j1 - j_begin);
             bitmap.jaccard_row(i, tile, j_begin, got, mode);
-            bitmap.jaccard_row(i, j_begin, j1, want, mode);
+            bitmap.jaccard_row(i, j_begin, j1, want);
             for (std::size_t t = 0; t < got.size(); ++t) {
               ASSERT_EQ(got[t], want[t])
-                  << "mode " << simd_mode_name(mode) << " anchor " << i
+                  << "mode " << static_cast<int>(mode) << " anchor " << i
                   << " tile [" << j0 << ", " << j1 << ") enter " << j_begin;
             }
           }
@@ -193,32 +208,27 @@ TEST(JaccardRow, TransposedTileBoundsContracts) {
 }
 
 TEST(ContentDistance, SimdThreadsTileMatrixAllBitIdentical) {
+  // content_distance_matrix sweeps columns 1..n-1 in 384-row tiles; these
+  // set counts give 383, 384 and 385 columns (a tile one row short, one
+  // exact tile, one row over) and 769 (two tiles and a one-row third).
   Rng rng(4711);
-  std::vector<std::vector<VideoId>> sets;
-  for (std::size_t i = 0; i < 70; ++i) {
-    sets.push_back(random_set(rng, rng.index(30), 300));
-  }
-  // The sorted-merge path is the cross-kernel oracle.
-  const DistanceMatrix oracle =
-      content_distance_matrix(sets, {.use_bitmap = false});
-  const auto a = oracle.condensed();
-  for (const SimdMode mode : runnable_modes()) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      for (const std::size_t tile :
-           {std::size_t{0}, std::size_t{1}, std::size_t{5}, std::size_t{64}}) {
-        ThreadPool pool(threads);
-        const DistanceMatrix matrix = content_distance_matrix(
-            sets, {.use_bitmap = true,
-                   .pool = threads > 1 ? &pool : nullptr,
-                   .simd = mode,
-                   .tile_rows = tile});
-        const auto b = matrix.condensed();
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t s = 0; s < a.size(); ++s) {
-          ASSERT_EQ(a[s], b[s])
-              << "mode " << simd_mode_name(mode) << " threads " << threads
-              << " tile " << tile << " slot " << s;
-        }
+  for (const std::size_t n : {384u, 385u, 386u, 770u}) {
+    std::vector<std::vector<VideoId>> sets;
+    for (std::size_t i = 0; i < n; ++i) {
+      sets.push_back(random_set(rng, rng.index(30), 300));
+    }
+    // The sorted-merge path is the cross-kernel oracle.
+    const DistanceMatrix oracle =
+        content_distance_matrix(sets, {.use_bitmap = false});
+    const auto a = oracle.condensed();
+    for (const SimdMode mode : runnable_modes()) {
+      const DistanceMatrix matrix =
+          content_distance_matrix(sets, {.use_bitmap = true, .simd = mode});
+      const auto b = matrix.condensed();
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t s = 0; s < a.size(); ++s) {
+        ASSERT_EQ(a[s], b[s]) << "mode " << static_cast<int>(mode) << " sets "
+                              << n << " slot " << s;
       }
     }
   }
@@ -273,7 +283,7 @@ TEST(Hierarchical, SimdModesProduceIdenticalDendrograms) {
       for (const SimdMode mode : modes) {
         const auto other = hierarchical_cluster(m, linkage, 0.6, mode);
         EXPECT_EQ(other.labels, base.labels)
-            << "mode " << simd_mode_name(mode) << " trial " << trial;
+            << "mode " << static_cast<int>(mode) << " trial " << trial;
         EXPECT_EQ(other.num_clusters, base.num_clusters);
         ASSERT_EQ(other.merges.size(), base.merges.size());
         for (std::size_t s = 0; s < base.merges.size(); ++s) {

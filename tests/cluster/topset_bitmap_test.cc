@@ -1,5 +1,5 @@
 // Differential tests for the word-parallel Gc pipeline: the TopsetBitmap
-// Jaccard kernel and the parallel Jd matrix build must be *bit-identical*
+// Jaccard kernel and the bitmap Jd matrix build must be *bit-identical*
 // to the scalar sorted-merge oracle, and the flattened hierarchical
 // clustering must reproduce the seed algorithm's output exactly.
 #include "cluster/topset_bitmap.h"
@@ -14,7 +14,6 @@
 #include "cluster/hierarchical.h"
 #include "stats/correlation.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace ccdn {
 namespace {
@@ -88,30 +87,6 @@ TEST(ContentDistance, BitmapMatrixBitIdenticalToScalar) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t s = 0; s < a.size(); ++s) {
     EXPECT_EQ(a[s], b[s]) << "condensed slot " << s;
-  }
-}
-
-TEST(ContentDistance, ParallelBuildDeterministicAcrossThreadCounts) {
-  Rng rng(91);
-  std::vector<std::vector<VideoId>> sets;
-  for (std::size_t i = 0; i < 70; ++i) {
-    sets.push_back(random_set(rng, rng.index(25), 300));
-  }
-  for (const bool use_bitmap : {true, false}) {
-    const DistanceMatrix serial =
-        content_distance_matrix(sets, {.use_bitmap = use_bitmap});
-    for (const std::size_t threads : {1u, 2u, 3u, 7u}) {
-      ThreadPool pool(threads);
-      const DistanceMatrix parallel = content_distance_matrix(
-          sets, {.use_bitmap = use_bitmap, .pool = &pool});
-      const auto a = serial.condensed();
-      const auto b = parallel.condensed();
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t s = 0; s < a.size(); ++s) {
-        EXPECT_EQ(a[s], b[s]) << "kernel " << use_bitmap << " threads "
-                              << threads << " slot " << s;
-      }
-    }
   }
 }
 

@@ -71,7 +71,7 @@ SweepRecord sweep(bool adapter, HotspotPartition partition,
                   const std::vector<double>& thetas, double residual_theta,
                   std::span<const std::uint32_t> cluster_of,
                   const GuideOptions& guide) {
-  ThetaSweeper sweeper(McmfStrategy::kSpfa);
+  ThetaSweeper sweeper;
   if (adapter) sweeper.begin_slot(partition, candidates);
   SweepRecord rec;
   const auto absorb = [&](const SweepStep& step) {
@@ -82,12 +82,11 @@ SweepRecord sweep(bool adapter, HotspotPartition partition,
   for (const double theta : thetas) {
     absorb(adapter ? sweeper.step_gc(theta, cluster_of, guide)
                    : cold_step_gc(partition, candidates, theta, cluster_of,
-                                  guide, McmfStrategy::kSpfa,
-                                  AuditLevel::kFull));
+                                  guide, AuditLevel::kFull));
   }
   absorb(adapter ? sweeper.step_gd(residual_theta)
                  : cold_step_gd(partition, candidates, residual_theta,
-                                McmfStrategy::kSpfa, AuditLevel::kFull));
+                                AuditLevel::kFull));
   sweeper.end_slot();
   merge_flow_entries(rec.flows);
   rec.phi = partition.phi;
@@ -137,8 +136,7 @@ INSTANTIATE_TEST_SUITE_P(RandomPartitions, ThetaSweepDifferential,
 TEST(ThetaSweep, RequiresPositiveStep) {
   HotspotPartition partition;
   for (const double delta : {0.0, -0.5}) {
-    EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, 1.5, delta, 0, {}, {},
-                                   McmfStrategy::kSpfa),
+    EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, 1.5, delta, 0, {}, {}),
                  PreconditionError)
         << "delta " << delta;
   }
@@ -239,13 +237,11 @@ ColdReplay cold_replay(const RbcaerConfig& config,
       ++out.theta_iterations;
       absorb(config.content_aggregation
                  ? cold_step_gc(partition, candidates, theta, cluster_of,
-                                config.guide, config.mcmf_strategy)
-                 : cold_step_gd(partition, candidates, theta,
-                                config.mcmf_strategy));
+                                config.guide)
+                 : cold_step_gd(partition, candidates, theta));
     }
     if (out.moved < max_movable) {
-      absorb(cold_step_gd(partition, candidates, config.theta2_km,
-                          config.mcmf_strategy));
+      absorb(cold_step_gd(partition, candidates, config.theta2_km));
     }
   }
   merge_flow_entries(flows);
@@ -317,19 +313,6 @@ TEST(ThetaSweepScheme, IncrementalMatchesColdWithoutAggregation) {
   config.delta_km = 0.1;
   Fixture fixture;
   const auto requests = hot_demand(25, {1, 2, 3});
-  const SlotDemand demand(requests, fixture.index);
-  expect_same_plan_and_diagnostics(config, fixture.context(), requests,
-                                   demand);
-}
-
-TEST(ThetaSweepScheme, IncrementalMatchesColdUnderDijkstra) {
-  RbcaerConfig config;
-  config.mcmf_strategy = McmfStrategy::kDijkstraPotentials;
-  config.theta1_km = 0.3;
-  config.theta2_km = 1.5;
-  config.delta_km = 0.1;
-  Fixture fixture;
-  const auto requests = hot_demand(40, {1, 2, 3, 4});
   const SlotDemand demand(requests, fixture.index);
   expect_same_plan_and_diagnostics(config, fixture.context(), requests,
                                    demand);

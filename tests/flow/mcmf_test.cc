@@ -4,7 +4,6 @@
 
 #include <vector>
 
-#include "flow/dinic.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -87,56 +86,6 @@ TEST(Mcmf, RejectsBadArguments) {
   EXPECT_THROW((void)MinCostMaxFlow::solve_up_to(net, 0, 1, -1),
                PreconditionError);
 }
-
-/// Random balanced bipartite instances, mirroring the Gd graphs RBCAer
-/// builds: source -> senders -> receivers -> sink with km-scale costs.
-FlowNetwork random_balance_graph(Rng& rng, std::size_t senders,
-                                 std::size_t receivers, double edge_prob) {
-  FlowNetwork net(2 + senders + receivers);
-  for (std::size_t i = 0; i < senders; ++i) {
-    (void)net.add_edge(0, static_cast<NodeId>(2 + i), rng.uniform_int(1, 50),
-                       0.0);
-  }
-  for (std::size_t j = 0; j < receivers; ++j) {
-    (void)net.add_edge(static_cast<NodeId>(2 + senders + j), 1,
-                       rng.uniform_int(1, 50), 0.0);
-  }
-  for (std::size_t i = 0; i < senders; ++i) {
-    for (std::size_t j = 0; j < receivers; ++j) {
-      if (rng.chance(edge_prob)) {
-        (void)net.add_edge(static_cast<NodeId>(2 + i),
-                           static_cast<NodeId>(2 + senders + j),
-                           rng.uniform_int(1, 30), rng.uniform(0.1, 5.0));
-      }
-    }
-  }
-  return net;
-}
-
-class McmfStrategyAgreement : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(McmfStrategyAgreement, SpfaAndDijkstraAgree) {
-  Rng rng(GetParam());
-  FlowNetwork spfa_net =
-      random_balance_graph(rng, 6, 6, 0.5);
-  FlowNetwork dijkstra_net = spfa_net;  // copy before solving
-  FlowNetwork dinic_net = spfa_net;
-
-  const auto spfa =
-      MinCostMaxFlow::solve(spfa_net, 0, 1, McmfStrategy::kSpfa);
-  const auto dijkstra = MinCostMaxFlow::solve(
-      dijkstra_net, 0, 1, McmfStrategy::kDijkstraPotentials);
-  const auto max_flow = Dinic::solve(dinic_net, 0, 1);
-
-  // Both strategies find a *maximum* flow of *minimum* cost.
-  EXPECT_EQ(spfa.flow, max_flow);
-  EXPECT_EQ(dijkstra.flow, max_flow);
-  EXPECT_NEAR(spfa.cost, dijkstra.cost, 1e-6);
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomGraphs, McmfStrategyAgreement,
-                         ::testing::Range<std::uint64_t>(1, 21));
 
 TEST(Mcmf, MatchesBruteForceOnTinyInstances) {
   // 2 senders x 2 receivers with unit slack: enumerate all integral flows.

@@ -2,32 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
-
-#include "util/error.h"
-
 namespace ccdn {
 namespace {
-
-TEST(CpuFeatures, ParseSimdModeAcceptsTheThreeNames) {
-  EXPECT_EQ(parse_simd_mode("auto"), SimdMode::kAuto);
-  EXPECT_EQ(parse_simd_mode("scalar"), SimdMode::kScalar);
-  EXPECT_EQ(parse_simd_mode("avx2"), SimdMode::kAvx2);
-}
-
-TEST(CpuFeatures, ParseSimdModeRejectsEverythingElse) {
-  for (const char* bad : {"", "AVX2", "sse", "auto ", "avx512", "Scalar"}) {
-    EXPECT_THROW((void)parse_simd_mode(bad), PreconditionError)
-        << "accepted '" << bad << "'";
-  }
-}
-
-TEST(CpuFeatures, ModeNamesRoundTripThroughParse) {
-  for (const SimdMode mode :
-       {SimdMode::kAuto, SimdMode::kScalar, SimdMode::kAvx2}) {
-    EXPECT_EQ(parse_simd_mode(simd_mode_name(mode)), mode);
-  }
-}
 
 TEST(CpuFeatures, ProbeIsMemoizedAndStable) {
   // The cpuid probe must return the same answer for the process lifetime

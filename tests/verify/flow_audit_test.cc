@@ -35,8 +35,7 @@ struct Diamond {
 
 TEST(FlowAuditTest, SolvedNetworkIsClean) {
   Diamond d;
-  const McmfResult result =
-      MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
+  const McmfResult result = MinCostMaxFlow::solve(d.net, d.source, d.sink);
   EXPECT_EQ(result.flow, 9);
 
   AuditReport report;
@@ -88,7 +87,7 @@ TEST(FlowAuditTest, LiveNegativeArcIsNamed) {
   // A live backward arc carries cost -1 after augmentation; with zero
   // potentials it must be reported.
   Diamond d;
-  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
+  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink);
   // The residual of a→t (cost -1) is live.
   AuditReport report;
   audit_reduced_costs(d.net, {}, report);
@@ -97,7 +96,7 @@ TEST(FlowAuditTest, LiveNegativeArcIsNamed) {
 
 TEST(FlowAuditTest, ValidPotentialsAbsorbResidualCosts) {
   Diamond d;
-  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
+  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink);
   // Every forward arc is saturated, so only the four residual arcs are
   // live; these potentials price each of them at exactly zero or better.
   const std::vector<double> potentials{0.0, 1.0, 0.0, 2.0};
@@ -119,7 +118,7 @@ TEST(FlowAuditTest, EpochResidualCleanOnOptimalFlow) {
   // must certify that without any caller-supplied potentials — this is the
   // check the θ step runs on its solved graph at kFull.
   Diamond d;
-  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink, McmfStrategy::kSpfa);
+  (void)MinCostMaxFlow::solve(d.net, d.source, d.sink);
   AuditReport report;
   audit_epoch_residual(d.net, report);
   EXPECT_TRUE(report.ok()) << report.summary();

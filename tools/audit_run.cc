@@ -5,7 +5,7 @@
 //             [--hotspots=310] [--videos=15190] [--requests=20000]
 //             [--hours=24] [--seed=42] [--slot-seconds=3600]
 //             [--capacity=0.05] [--cache=0.03] [--stream] [--shards=0]
-//             [--simd=auto] [--quiet]
+//             [--quiet]
 //
 // Without --in a synthetic trace is generated from the world flags (the
 // same parameterization as `ccdn-trace generate`), so the tool is
@@ -44,7 +44,6 @@
 #include "trace/generator.h"
 #include "trace/slot_source.h"
 #include "trace/world.h"
-#include "util/cpu_features.h"
 #include "util/error.h"
 #include "util/flags.h"
 #include "util/peak_rss.h"
@@ -60,21 +59,18 @@ struct SchemeChoice {
   bool audit_capacity = false;
 };
 
-SchemeChoice make_scheme(const std::string& name, std::size_t shards,
-                         SimdMode simd) {
+SchemeChoice make_scheme(const std::string& name, std::size_t shards) {
   SchemeChoice choice;
   if (name == "rbcaer") {
     RbcaerConfig config;
     config.audit_level = AuditLevel::kFull;
     config.num_shards = shards;
-    config.simd = simd;
     choice.scheme = std::make_unique<RbcaerScheme>(config);
     choice.audit_capacity = true;
   } else if (name == "virtual") {
     VirtualRbcaerConfig config;
     config.regional.audit_level = AuditLevel::kFull;
     config.regional.num_shards = shards;
-    config.regional.simd = simd;
     choice.scheme = std::make_unique<VirtualRbcaerScheme>(config);
     choice.audit_capacity = true;
   } else if (name == "nearest") {
@@ -92,11 +88,7 @@ int run_audit(const Flags& flags) {
   // exchange-boundary audits inside the orchestrator).
   const auto shards =
       static_cast<std::size_t>(flags.get_int("shards", 0));
-  // Jd SIMD kernels (auto | scalar | avx2); plans are bit-identical in
-  // every mode, so the audits see the same numbers regardless.
-  const SimdMode simd =
-      parse_simd_mode(flags.get_string("simd", "auto"));
-  SchemeChoice choice = make_scheme(scheme_name, shards, simd);
+  SchemeChoice choice = make_scheme(scheme_name, shards);
   if (!choice.scheme) {
     std::fprintf(stderr,
                  "unknown --scheme=%s (rbcaer|virtual|nearest|random)\n",

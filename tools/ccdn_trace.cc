@@ -14,7 +14,7 @@
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
 //                       [--threads=1] [--window=0]
-//                       [--slot_seconds=86400] [--shards=0] [--simd=auto]
+//                       [--slot_seconds=86400] [--shards=0]
 //       Run one scheme over the trace and print the four paper metrics.
 //       Slot batches stream straight off the CSV (bounded memory); rows
 //       must be sorted by timestamp, and the first row out of order is
@@ -42,7 +42,6 @@
 #include "trace/slot_source.h"
 #include "trace/trace_io.h"
 #include "trace/world.h"
-#include "util/cpu_features.h"
 #include "util/flags.h"
 #include "util/log.h"
 
@@ -160,24 +159,15 @@ int cmd_simulate(const Flags& flags) {
   assign_uniform_capacities(world, flags.get_double("capacity", 0.05),
                             flags.get_double("cache", 0.03));
   const std::string scheme_name = flags.get_string("scheme", "rbcaer");
-  // Jd SIMD kernel selection (auto | scalar | avx2). Any mode yields the
-  // identical plan; the flag exists for pinning and for forcing the vector
-  // path in benchmarks.
-  const SimdMode simd =
-      parse_simd_mode(flags.get_string("simd", "auto"));
   SchemePtr scheme;
   if (scheme_name == "rbcaer") {
-    RbcaerConfig config;
-    config.simd = simd;
-    scheme = std::make_unique<RbcaerScheme>(config);
+    scheme = std::make_unique<RbcaerScheme>();
   } else if (scheme_name == "nearest") {
     scheme = std::make_unique<NearestScheme>();
   } else if (scheme_name == "random") {
     scheme = std::make_unique<RandomScheme>(1.5);
   } else if (scheme_name == "virtual") {
-    VirtualRbcaerConfig config;
-    config.regional.simd = simd;
-    scheme = std::make_unique<VirtualRbcaerScheme>(config);
+    scheme = std::make_unique<VirtualRbcaerScheme>();
   } else {
     std::fprintf(stderr,
                  "simulate: unknown --scheme '%s' (rbcaer|nearest|random|"

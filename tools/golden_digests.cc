@@ -12,8 +12,10 @@
 //
 //   golden_digests --check=... --perturb=<scheme>
 //       Flip one bit of one freshly computed digest before comparing, to
-//       prove the harness actually detects drift (wired into ctest with
-//       WILL_FAIL so a silently-green comparator fails the suite).
+//       prove the harness actually detects drift (wired into ctest twice:
+//       with WILL_FAIL, so a silently-green comparator fails the suite,
+//       and matching the drift report, so a usage error does not pass as
+//       detected drift).
 //
 // The workload is fixed in code (not read from the file) so the golden
 // file cannot drift away from what the tool recomputes: a 40-hotspot /
@@ -24,7 +26,8 @@
 // variant — any change to the solver pipeline that alters a single slot's
 // plan shows up as a named scheme/slot mismatch.
 //
-// Exit status: 0 clean, 1 drift detected, 2 usage/IO errors.
+// Exit status: 0 clean, 1 drift detected, 2 usage/IO errors (an unknown
+// flag included).
 #include <cctype>
 #include <cstdio>
 #include <fstream>
@@ -40,7 +43,6 @@
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
-#include "util/cpu_features.h"
 #include "util/flags.h"
 
 namespace {
@@ -88,12 +90,6 @@ const VariantCheck kVariantChecks[] = {
     {"virtual", "nearest", "planner workload guard", true},
 };
 
-/// Jd SIMD mode for every scheme built by make_scheme, set once from
-/// --simd in main. The digests are pinned against CHANGES in the plans, so
-/// running the whole tool under scalar or avx2 and getting the same
-/// goldens IS the bit-identity check the CI legs rely on.
-SimdMode g_simd = SimdMode::kAuto;
-
 SchemePtr make_scheme(const std::string& name) {
   std::string base = name;
   // "-shard<N>" selects the zone-sharded solve with N shards.
@@ -116,13 +112,11 @@ SchemePtr make_scheme(const std::string& name) {
   if (base == "rbcaer") {
     RbcaerConfig config;
     config.num_shards = shards;
-    config.simd = g_simd;
     return std::make_unique<RbcaerScheme>(config);
   }
   if (base == "virtual") {
     VirtualRbcaerConfig config;
     config.regional.num_shards = shards;
-    config.regional.simd = g_simd;
     return std::make_unique<VirtualRbcaerScheme>(config);
   }
   return nullptr;
@@ -221,7 +215,11 @@ int main(int argc, char** argv) {
   // needs are computed on demand). Lets CI matrix jobs run e.g.
   // --only=shard without paying for the full scheme set.
   const std::string only = flags.get_string("only", "");
-  g_simd = parse_simd_mode(flags.get_string("simd", "auto"));
+  const auto unused = flags.unused();
+  for (const auto& name : unused) {
+    std::fprintf(stderr, "golden_digests: unknown flag --%s\n", name.c_str());
+  }
+  if (!unused.empty()) return 2;
   if (check_path.empty() == regen_path.empty()) {
     std::fprintf(stderr,
                  "usage: golden_digests --check=<golden.json> "
