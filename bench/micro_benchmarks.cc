@@ -140,6 +140,24 @@ const std::vector<std::vector<VideoId>>& synthetic_top_sets(std::size_t n) {
   return cache.back().second;
 }
 
+/// The schemes' clustering stage at the paper's 0.5 cut: the cut graph
+/// straight from the Jd sweep, then complete linkage on it. That is the
+/// graph loop, the side of hierarchical_cluster's density check that
+/// sparse inputs take; BM_HierarchicalClustering's uniform input keeps
+/// half of its pairs and times the dense loop. These synthetic sets put
+/// almost no pair under 0.5, so the Jd sweep with its cut sink dominates
+/// the time.
+void BM_HierarchicalClusteringJd(benchmark::State& state) {
+  const auto& sets =
+      synthetic_top_sets(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hierarchical_cluster(
+        content_cut_graph(sets, 0.5), Linkage::kComplete, 0.5));
+  }
+}
+BENCHMARK(BM_HierarchicalClusteringJd)->Arg(310)->Arg(1000)
+    ->Unit(benchmark::kMillisecond)->ComputeStatistics("min", min_stat);
+
 void BM_ContentDistanceScalar(benchmark::State& state) {
   const auto& sets = synthetic_top_sets(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {

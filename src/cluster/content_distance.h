@@ -14,7 +14,7 @@ namespace ccdn {
 
 struct ContentDistanceOptions {
   /// Compute Jaccard with the word-parallel TopsetBitmap kernel (default)
-  /// or the scalar sorted-merge path. Both produce bit-identical matrices;
+  /// or the scalar sorted-merge path. Both produce bit-identical distances;
   /// the scalar path is kept as the differential-test oracle that the
   /// cluster tests and bench/hierarchical_scalability compare against.
   bool use_bitmap = true;
@@ -31,6 +31,13 @@ struct ContentDistanceOptions {
 /// everything (no overlap evidence).
 [[nodiscard]] DistanceMatrix content_distance_matrix(
     std::span<const std::vector<VideoId>> top_sets,
+    const ContentDistanceOptions& options = {});
+
+/// The pairs with Jd <= cut, from the same sweep and kernels as
+/// content_distance_matrix, so every distance is bit-identical to the
+/// matrix entry; no n×n buffer is held. What the schemes cluster on.
+[[nodiscard]] CutGraph content_cut_graph(
+    std::span<const std::vector<VideoId>> top_sets, double cut,
     const ContentDistanceOptions& options = {});
 
 }  // namespace ccdn

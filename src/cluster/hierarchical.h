@@ -13,7 +13,7 @@
 
 namespace ccdn {
 
-enum class Linkage { kSingle, kComplete, kAverage };
+enum class Linkage { kSingle, kComplete };
 
 /// Symmetric pairwise distances with condensed upper-triangle storage.
 /// Diagonal is implicitly zero.
@@ -43,6 +43,56 @@ class DistanceMatrix {
   std::vector<double> data_;
 };
 
+/// The pairs whose distance is at or under a cut, as a symmetric CSR graph
+/// over items [0, n): row i lists i's neighbours in ascending id order with
+/// the pairs' exact distances. Under complete and single linkage every
+/// merge at or under the cut happens on this graph (DESIGN.md §3.15), so
+/// the dendrogram below the cut needs no n×n buffer.
+class CutGraph {
+ public:
+  /// One pair i < j with its distance.
+  struct Pair {
+    std::uint32_t i = 0;
+    std::uint32_t j = 0;
+    double distance = 0.0;
+  };
+
+  /// Graph on `n` items from `pairs` (each at most `cut`, i < j < n, no
+  /// duplicates), listed so that every item meets its neighbours in
+  /// ascending id order — row-major (i, j) order does, and so does the Jd
+  /// sweep's tile-major order. PreconditionError otherwise, or on a NaN
+  /// cut.
+  CutGraph(std::size_t n, double cut, std::span<const Pair> pairs);
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets_.size() - 1;
+  }
+  /// Every pair at or under this distance is in the graph.
+  [[nodiscard]] double cut() const noexcept { return cut_; }
+  [[nodiscard]] std::size_t num_pairs() const noexcept {
+    return neighbours_.size() / 2;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> neighbours(
+      std::size_t i) const {
+    return std::span(neighbours_).subspan(offsets_[i],
+                                          offsets_[i + 1] - offsets_[i]);
+  }
+  /// distances(i)[t] is the distance from i to neighbours(i)[t].
+  [[nodiscard]] std::span<const double> distances(std::size_t i) const {
+    return std::span(distances_).subspan(offsets_[i],
+                                         offsets_[i + 1] - offsets_[i]);
+  }
+
+ private:
+  double cut_;
+  std::vector<std::size_t> offsets_;  // n + 1 row starts
+  std::vector<std::uint32_t> neighbours_;
+  std::vector<double> distances_;
+};
+
+/// The pairs of `distances` at or under `cut`.
+[[nodiscard]] CutGraph cut_graph(const DistanceMatrix& distances, double cut);
+
 /// One merge step of the dendrogram (children may be leaves [0,n) or prior
 /// merges [n, n+step)).
 struct MergeStep {
@@ -64,14 +114,29 @@ struct ClusteringResult {
 /// With complete linkage this guarantees every intra-cluster pairwise
 /// distance is <= threshold (the paper's Jd <= 0.5 rule).
 ///
-/// `simd` selects the kernel for the two nearest-neighbour argmin scans
-/// (the per-slot recompute over a condensed row and the global
-/// closest-pair sweep): both batch a masked SIMD min-reduce and recover
-/// the scalar first-index tie-break with an equality rescan, so the
-/// result — merges, labels, and every recorded distance — is identical
-/// for every mode (DESIGN.md §3.14).
+/// Every path runs the same nearest-neighbour-cache loop with the same tie
+/// rules, so merges, merge distances and labels are identical: a row's
+/// nearest neighbour is the lowest id at its least distance, the pair
+/// merged is the lowest active index at the least cached distance, and it
+/// merges into that lower index. When at most kSparseLinkageShare of the
+/// pairs are at or under `threshold`, the loop runs on their cut graph;
+/// otherwise on the dense matrix, where `simd` selects the kernel for the
+/// two argmin scans (DESIGN.md §3.14). A forced-but-unavailable kAvx2
+/// throws on either side, and so does a NaN threshold.
 [[nodiscard]] ClusteringResult hierarchical_cluster(
     const DistanceMatrix& distances, Linkage linkage, double threshold,
     SimdMode simd = SimdMode::kAuto);
+
+/// The same loop on a cut graph: its cost follows the graph's pairs, not
+/// n². Requires threshold <= graph.cut() (PreconditionError), since a pair
+/// above the cut could merge under a larger threshold.
+[[nodiscard]] ClusteringResult hierarchical_cluster(const CutGraph& graph,
+                                                    Linkage linkage,
+                                                    double threshold);
+
+/// Share of all pairs at or under the threshold up to which the matrix
+/// overload runs the cut-graph loop (DESIGN.md §3.15 has the crossover
+/// measurement).
+inline constexpr double kSparseLinkageShare = 0.2;
 
 }  // namespace ccdn

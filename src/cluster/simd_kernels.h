@@ -12,7 +12,8 @@
 //    integer additions of popcounts are associative, so lane order cannot
 //    change a single bit of the derived Jaccard double.
 //  * `masked_min_*` — minimum over a contiguous double slice restricted to
-//    an active mask: the hierarchical clustering nearest-neighbour scan.
+//    an active mask: the dense hierarchical clustering loop's
+//    nearest-neighbour scan (the cut-graph loop needs none).
 //    min over doubles is exact and order-free (no NaNs by DistanceMatrix's
 //    set() contract), so callers recover the scalar first-index semantics
 //    with a cheap `== min` rescan.

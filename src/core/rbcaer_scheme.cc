@@ -53,9 +53,9 @@ ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
     // Serial Jd build: slots already run in parallel on the simulator's
     // lanes, so a pool here would oversubscribe them.
     const auto top_sets = top_sets_per_hotspot(local, config.top_fraction);
-    const DistanceMatrix jd = content_distance_matrix(top_sets);
     const ClusteringResult clustering = hierarchical_cluster(
-        jd, config.linkage, config.content_cluster_threshold);
+        content_cut_graph(top_sets, config.content_cluster_threshold),
+        config.linkage, config.content_cluster_threshold);
     cluster_of = clustering.labels;
     out.num_clusters = clustering.num_clusters;
     out.gc_build_s = stage_clock.elapsed_seconds();
@@ -164,9 +164,9 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   if (!sharded && config_.content_aggregation && has_work) {
     stage_clock.reset();
     const auto top_sets = top_sets_per_hotspot(demand, config_.top_fraction);
-    const DistanceMatrix jd = content_distance_matrix(top_sets);
     const ClusteringResult clustering = hierarchical_cluster(
-        jd, config_.linkage, config_.content_cluster_threshold);
+        content_cut_graph(top_sets, config_.content_cluster_threshold),
+        config_.linkage, config_.content_cluster_threshold);
     cluster_of = clustering.labels;
     diagnostics_.num_clusters = clustering.num_clusters;
     stage_timings_.gc_build_s = stage_clock.elapsed_seconds();

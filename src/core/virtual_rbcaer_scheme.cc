@@ -126,9 +126,10 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
   std::vector<std::uint32_t> cluster_of(num_regions, 0);
   if (rc.content_aggregation && diagnostics_.region_max_movable > 0) {
     const auto top_sets = top_sets_per_hotspot(regional, rc.top_fraction);
-    const DistanceMatrix jd = content_distance_matrix(top_sets);
     cluster_of =
-        hierarchical_cluster(jd, rc.linkage, rc.content_cluster_threshold)
+        hierarchical_cluster(
+            content_cut_graph(top_sets, rc.content_cluster_threshold),
+            rc.linkage, rc.content_cluster_threshold)
             .labels;
   }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "cluster/reference_cluster.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -135,7 +140,7 @@ TEST(Hierarchical, CompleteLinkageDiameterGuarantee) {
   }
 }
 
-TEST(Hierarchical, AverageLinkageBetweenSingleAndComplete) {
+TEST(Hierarchical, SingleLinkageNoMoreClustersThanComplete) {
   Rng rng(37);
   const std::size_t n = 15;
   DistanceMatrix m(n);
@@ -145,10 +150,8 @@ TEST(Hierarchical, AverageLinkageBetweenSingleAndComplete) {
     }
   }
   const auto single = hierarchical_cluster(m, Linkage::kSingle, 0.4);
-  const auto average = hierarchical_cluster(m, Linkage::kAverage, 0.4);
   const auto complete = hierarchical_cluster(m, Linkage::kComplete, 0.4);
-  EXPECT_LE(single.num_clusters, average.num_clusters);
-  EXPECT_LE(average.num_clusters, complete.num_clusters);
+  EXPECT_LE(single.num_clusters, complete.num_clusters);
 }
 
 TEST(Hierarchical, LabelsAreDense) {
@@ -181,6 +184,153 @@ TEST(Hierarchical, MergeDistancesNonDecreasingForCompleteLinkage) {
     EXPECT_GE(result.merges[s].distance + 1e-12,
               result.merges[s - 1].distance);
   }
+}
+
+/// n items with distances quantized to `levels` values in [0, 1], so most
+/// pairs tie with many others.
+DistanceMatrix tied_matrix(Rng& rng, std::size_t n, std::size_t levels) {
+  DistanceMatrix m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) {
+      m.set(i, j,
+            static_cast<double>(rng.index(levels)) /
+                static_cast<double>(levels - 1));
+    }
+  }
+  return m;
+}
+
+DistanceMatrix uniform_matrix(Rng& rng, std::size_t n) {
+  DistanceMatrix m(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i + 1; j < n; ++j) m.set(i, j, rng.uniform(0.0, 1.0));
+  }
+  return m;
+}
+
+TEST(HierarchicalCutGraph, MatchesReferenceTieForTie) {
+  // The tie rules decide almost every merge on these matrices: 2 to 11
+  // distance levels over up to 60 items. The graph is cut at the threshold,
+  // and also at 1 (every pair), where rows hold entries the loop must never
+  // merge on.
+  Rng rng(2026);
+  std::size_t cases = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    const std::size_t n = 2 + rng.index(59);
+    const std::size_t levels = 2 + rng.index(10);
+    const DistanceMatrix m = tied_matrix(rng, n, levels);
+    const CutGraph full = cut_graph(m, 1.0);
+    for (const Linkage linkage : {Linkage::kSingle, Linkage::kComplete}) {
+      for (const double threshold : {0.0, 0.25, 0.5, 0.6, 1.0}) {
+        const ClusteringResult want = reference_cluster(m, linkage, threshold);
+        const CutGraph graph = cut_graph(m, threshold);
+        for (const CutGraph* g : {&graph, &full}) {
+          const std::string diff = dendrogram_difference(
+              hierarchical_cluster(*g, linkage, threshold), want);
+          ASSERT_TRUE(diff.empty())
+              << diff << " (trial " << trial << ", n " << n << ", levels "
+              << levels << ", linkage " << static_cast<int>(linkage)
+              << ", threshold " << threshold << ", cut " << g->cut() << ")";
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 20000u);
+}
+
+TEST(HierarchicalCutGraph, MatrixOverloadMatchesReferenceOnBothSides) {
+  // Uniform distances put a share `threshold` of the pairs under the cut:
+  // the low thresholds take the cut-graph loop, the high ones the dense
+  // loop, and tied matrices exercise both sides' tie rules.
+  Rng rng(7);
+  std::size_t sparse_side = 0;
+  std::size_t dense_side = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 2 + rng.index(80);
+    const DistanceMatrix m = trial % 2 == 0
+                                 ? tied_matrix(rng, n, 2 + rng.index(10))
+                                 : uniform_matrix(rng, n);
+    const auto pairs = static_cast<double>(m.condensed().size());
+    for (const Linkage linkage : {Linkage::kSingle, Linkage::kComplete}) {
+      for (const double threshold : {0.05, 0.15, 0.5, 0.8}) {
+        const auto in_cut =
+            static_cast<double>(cut_graph(m, threshold).num_pairs());
+        (in_cut <= kSparseLinkageShare * pairs ? sparse_side : dense_side)++;
+        for (const SimdMode simd : {SimdMode::kAuto, SimdMode::kScalar}) {
+          const std::string diff = dendrogram_difference(
+              hierarchical_cluster(m, linkage, threshold, simd),
+              reference_cluster(m, linkage, threshold));
+          ASSERT_TRUE(diff.empty()) << diff << " (trial " << trial << ", n "
+                                    << n << ", threshold " << threshold << ")";
+        }
+      }
+    }
+  }
+  EXPECT_GT(sparse_side, 40u);
+  EXPECT_GT(dense_side, 40u);
+}
+
+TEST(HierarchicalCutGraph, RowsAscendingSymmetricAndExact) {
+  Rng rng(11);
+  const DistanceMatrix m = tied_matrix(rng, 30, 5);
+  const CutGraph graph = cut_graph(m, 0.5);
+  EXPECT_EQ(graph.size(), 30u);
+  EXPECT_EQ(graph.cut(), 0.5);
+  std::size_t entries = 0;
+  for (std::size_t i = 0; i < graph.size(); ++i) {
+    const auto ids = graph.neighbours(i);
+    const auto ds = graph.distances(i);
+    ASSERT_EQ(ids.size(), ds.size());
+    std::vector<std::uint32_t> want;
+    for (std::uint32_t j = 0; j < m.size(); ++j) {
+      if (j != i && m.at(i, j) <= 0.5) want.push_back(j);
+    }
+    EXPECT_EQ(std::vector<std::uint32_t>(ids.begin(), ids.end()), want);
+    for (std::size_t t = 0; t < ids.size(); ++t) {
+      EXPECT_EQ(ds[t], m.at(i, ids[t]));
+    }
+    entries += ids.size();
+  }
+  EXPECT_EQ(entries, 2 * graph.num_pairs());
+}
+
+TEST(HierarchicalCutGraph, Contracts) {
+  const CutGraph::Pair ok[] = {{0, 1, 0.25}, {0, 2, 0.5}, {1, 2, 0.0}};
+  const CutGraph graph(3, 0.5, ok);
+  EXPECT_EQ(graph.num_pairs(), 3u);
+  // A threshold above the cut could merge a pair the graph does not hold.
+  EXPECT_THROW((void)hierarchical_cluster(graph, Linkage::kComplete, 0.75),
+               PreconditionError);
+  EXPECT_EQ(hierarchical_cluster(graph, Linkage::kComplete, 0.5).num_clusters,
+            1u);
+  const CutGraph::Pair above[] = {{0, 1, 0.75}};
+  EXPECT_THROW(CutGraph(2, 0.5, above), PreconditionError);
+  const CutGraph::Pair reversed[] = {{1, 0, 0.25}};
+  EXPECT_THROW(CutGraph(2, 0.5, reversed), PreconditionError);
+  const CutGraph::Pair out_of_range[] = {{0, 2, 0.25}};
+  EXPECT_THROW(CutGraph(2, 0.5, out_of_range), PreconditionError);
+  // Item 2 would meet neighbour 1 before neighbour 0.
+  const CutGraph::Pair descending[] = {{1, 2, 0.25}, {0, 2, 0.25}};
+  EXPECT_THROW(CutGraph(3, 0.5, descending), PreconditionError);
+  EXPECT_THROW(CutGraph(2, std::nan(""), {}), PreconditionError);
+  EXPECT_THROW((void)hierarchical_cluster(two_blobs(), Linkage::kComplete,
+                                          std::nan("")),
+               PreconditionError);
+  // Infinite distances never merge, on either loop.
+  const double inf = std::numeric_limits<double>::infinity();
+  DistanceMatrix far(3);
+  far.set(0, 1, inf);
+  far.set(0, 2, inf);
+  far.set(1, 2, inf);
+  EXPECT_EQ(hierarchical_cluster(cut_graph(far, inf), Linkage::kComplete, inf)
+                .num_clusters,
+            3u);
+  EXPECT_EQ(hierarchical_cluster(far, Linkage::kComplete, inf).num_clusters,
+            3u);
+  const CutGraph empty(0, 0.5, {});
+  EXPECT_EQ(hierarchical_cluster(empty, Linkage::kSingle, 0.5).num_clusters,
+            0u);
 }
 
 }  // namespace
