@@ -17,7 +17,8 @@
 // partition+clustering, graph build, MCMF, replication, admission),
 // (b) the thread-scaling curve of the parallel slot-scheduling pipeline on
 // an hourly multi-slot trace, and (c) the zone-sharded solve vs the global
-// solve, written to BENCH_flow.json (--flow_only runs only this section).
+// solve, written as JSON to --flow_json_out=PATH when given (--flow_only
+// runs only this section).
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
@@ -297,8 +298,10 @@ void run_flow_bench(const Flags& flags) {
     }
   }
 
-  write_flow_json(flags.get_string("flow_json_out", "BENCH_flow.json"),
-                  shard_rows);
+  // JSON only to a path on the command line: a run from the repo root
+  // must not replace the committed BENCH_flow.json baseline.
+  const std::string json_out = flags.get_string("flow_json_out", "");
+  if (!json_out.empty()) write_flow_json(json_out, shard_rows);
 }
 
 }  // namespace

@@ -271,9 +271,12 @@ void scaling_table(std::size_t max_flat_hotspots) {
 int main(int argc, char** argv) {
   const Flags flags(argc, argv);
   std::printf("=== hierarchical RBCAer: virtual region-hotspots ===\n\n");
-  write_gc_json(flags.get_string("json_out", "BENCH_gc.json"),
-                gc_build_table(static_cast<std::size_t>(
-                    flags.get_int("repeats", 3))));
+  // JSON only to a path on the command line: a run from the repo root
+  // must not replace the committed BENCH_gc.json baseline.
+  const std::string json_out = flags.get_string("json_out", "");
+  const std::vector<GcBuildRow> gc_rows =
+      gc_build_table(static_cast<std::size_t>(flags.get_int("repeats", 3)));
+  if (!json_out.empty()) write_gc_json(json_out, gc_rows);
   // --gc_only: just the gated Jd-build ladder (the CI bench job uses it).
   if (flags.get_bool("gc_only", false)) return 0;
   quality_table();

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "model/sorted_contains.h"
 #include "model/topsets.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -56,8 +57,7 @@ SlotPlan RandomScheme::plan_slot(const SchemeContext& context,
   // paper's rule is capacity-blind — overload surfaces as admission
   // rejects, exactly like Nearest).
   const auto caches = [&](std::size_t h, VideoId v) {
-    return std::binary_search(plan.placements[h].begin(),
-                              plan.placements[h].end(), v);
+    return sorted_contains(plan.placements[h], v);
   };
 
   const auto homes = demand.request_home();

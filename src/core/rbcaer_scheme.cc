@@ -8,6 +8,7 @@
 #include "core/theta_sweep.h"
 #include "geo/geo_point.h"
 #include "geo/grid_index.h"
+#include "model/sorted_contains.h"
 #include "model/topsets.h"
 #include "util/error.h"
 #include "util/stopwatch.h"
@@ -287,8 +288,7 @@ void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
                                          SlotPlan& plan) const {
   const std::size_t m = context.hotspots.size();
   const auto cached = [&](std::size_t h, VideoId v) {
-    return std::binary_search(plan.placements[h].begin(),
-                              plan.placements[h].end(), v);
+    return sorted_contains(plan.placements[h], v);
   };
   // Capacity already spoken for by servable assignments.
   std::vector<std::int64_t> capacity_left(m);

@@ -4,6 +4,7 @@
 #include <queue>
 #include <unordered_set>
 
+#include "model/sorted_contains.h"
 #include "util/error.h"
 #include "verify/schedule_audit.h"
 
@@ -105,12 +106,12 @@ ReplicationResult content_aggregation_replication(
 
   RemainingDemand remaining(demand, m);
 
-  // Cache state. `placed` stays sorted per hotspot (binary-search lookups,
-  // positional inserts); cache capacity bounds its size, so the inserts
-  // stay cheap and the final flatten is a plain move.
+  // Cache state. `placed` stays sorted per hotspot (sorted_contains
+  // lookups, positional inserts); cache capacity bounds its size, so the
+  // inserts stay cheap and the final flatten is a plain move.
   std::vector<std::vector<VideoId>> placed(m);
   const auto is_placed = [&](std::uint32_t h, VideoId v) {
-    return std::binary_search(placed[h].begin(), placed[h].end(), v);
+    return sorted_contains(placed[h], v);
   };
   std::vector<std::uint32_t> cache_left(m);
   for (std::size_t h = 0; h < m; ++h) {

@@ -28,13 +28,16 @@ std::size_t count_new_replicas(
     const std::vector<std::vector<VideoId>>& current) {
   std::size_t pushes = 0;
   for (std::size_t h = 0; h < current.size(); ++h) {
-    if (h >= previous.size() || previous[h].empty()) {
+    if (h >= previous.size()) {
       pushes += current[h].size();
       continue;
     }
+    // Both lists ascend, so one merge walk finds every new placement.
     const auto& old_set = previous[h];
+    auto it = old_set.begin();
     for (const VideoId v : current[h]) {
-      if (!std::binary_search(old_set.begin(), old_set.end(), v)) ++pushes;
+      while (it != old_set.end() && *it < v) ++it;
+      if (it == old_set.end() || *it != v) ++pushes;
     }
   }
   return pushes;

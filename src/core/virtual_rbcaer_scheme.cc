@@ -14,6 +14,7 @@
 #include "geo/geo_point.h"
 #include "geo/grid_index.h"
 #include "geo/zone_partition.h"
+#include "model/sorted_contains.h"
 #include "model/topsets.h"
 #include "util/error.h"
 #include "verify/flow_audit.h"
@@ -242,9 +243,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
     }
   }
   const auto try_place = [&](std::uint32_t h, VideoId v) {
-    if (std::binary_search(placements[h].begin(), placements[h].end(), v)) {
-      return true;
-    }
+    if (sorted_contains(placements[h], v)) return true;
     if (cache_left[h] == 0) return false;
     placements[h].insert(
         std::lower_bound(placements[h].begin(), placements[h].end(), v), v);

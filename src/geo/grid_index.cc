@@ -40,6 +40,8 @@ GridIndex::GridIndex(std::vector<GeoPoint> points, double cell_km)
   }
   min_x_ = min_x;
   min_y_ = min_y;
+  max_x_ = max_x;
+  max_y_ = max_y;
   cols_ = std::max<std::int32_t>(
       1, static_cast<std::int32_t>(std::floor((max_x - min_x) / cell_km_)) + 1);
   rows_ = std::max<std::int32_t>(
@@ -81,7 +83,135 @@ std::size_t GridIndex::cell_slot(Cell c) const noexcept {
 }
 
 std::size_t GridIndex::nearest(const GeoPoint& query) const {
+  std::call_once(nearest_once_, [this] { build_nearest_table(); });
   const auto q = projection_.to_xy(query);
+  // Off the points' bounding box cell_of() clamps, so the query can lie
+  // outside the cell whose list would be scanned.
+  if (!(q.x_km >= min_x_ && q.x_km <= max_x_ && q.y_km >= min_y_ &&
+        q.y_km <= max_y_)) {
+    return ring_nearest(q);
+  }
+  const std::size_t slot = cell_slot(cell_of(q));
+  std::size_t best = 0;
+  double best_dist2 = std::numeric_limits<double>::infinity();
+  // Ascending ids with a strict `<`: the lowest id wins a tie.
+  for (std::uint32_t k = nearest_offsets_[slot];
+       k < nearest_offsets_[slot + 1]; ++k) {
+    const std::uint32_t id = nearest_ids_[k];
+    const double dx = projected_[id].x_km - q.x_km;
+    const double dy = projected_[id].y_km - q.y_km;
+    const double d2 = dx * dx + dy * dy;
+    if (d2 < best_dist2) {
+      best_dist2 = d2;
+      best = id;
+    }
+  }
+  return best;
+}
+
+void GridIndex::build_nearest_table() const {
+  // A query inside a cell is at most U from its nearest point, where U is
+  // the least over all points of a point's greatest distance to the cell.
+  // So a point whose least distance to the cell exceeds U is never the
+  // nearest for a query in that cell, and every other point is kept. The
+  // cell is widened by `eps`, so rounding in cell_of() cannot place a query
+  // outside it, and distances are compared with a relative slack far above
+  // the rounding of a squared distance: both only add candidates.
+  const double eps = 1e-9 * (cell_km_ + std::abs(min_x_) + std::abs(max_x_) +
+                             std::abs(min_y_) + std::abs(max_y_));
+  constexpr double kSlack = 1e-9;
+  const std::int32_t max_ring = std::max(cols_, rows_);
+
+  struct Reach {
+    std::uint32_t id;
+    double min2;
+  };
+  std::vector<Reach> reach;
+  std::vector<std::uint32_t> ids;
+  nearest_offsets_.assign(
+      static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_) + 1,
+      0);
+  nearest_ids_.clear();
+  for (std::int32_t row = 0; row < rows_; ++row) {
+    for (std::int32_t col = 0; col < cols_; ++col) {
+      const double x0 = min_x_ + static_cast<double>(col) * cell_km_ - eps;
+      const double x1 =
+          min_x_ + static_cast<double>(col + 1) * cell_km_ + eps;
+      const double y0 = min_y_ + static_cast<double>(row) * cell_km_ - eps;
+      const double y1 =
+          min_y_ + static_cast<double>(row + 1) * cell_km_ + eps;
+      const auto min2 = [&](std::uint32_t id) {
+        const Projection::Xy& p = projected_[id];
+        const double dx = std::max({x0 - p.x_km, p.x_km - x1, 0.0});
+        const double dy = std::max({y0 - p.y_km, p.y_km - y1, 0.0});
+        return dx * dx + dy * dy;
+      };
+      const auto max2 = [&](std::uint32_t id) {
+        const Projection::Xy& p = projected_[id];
+        const double dx = std::max(p.x_km - x0, x1 - p.x_km);
+        const double dy = std::max(p.y_km - y0, y1 - p.y_km);
+        return dx * dx + dy * dy;
+      };
+      // Visits the points of the cells at Chebyshev distance `ring`.
+      const auto visit_ring = [&](std::int32_t ring, auto&& visit) {
+        for (std::int32_t r = row - ring; r <= row + ring; ++r) {
+          if (r < 0 || r >= rows_) continue;
+          const bool edge_row = r == row - ring || r == row + ring;
+          for (std::int32_t c = col - ring; c <= col + ring;
+               c += edge_row ? 1 : 2 * std::max(ring, 1)) {
+            if (c < 0 || c >= cols_) continue;
+            const std::size_t slot = cell_slot({c, r});
+            for (std::uint32_t k = bucket_offsets_[slot];
+                 k < bucket_offsets_[slot + 1]; ++k) {
+              visit(bucket_ids_[k]);
+            }
+          }
+        }
+      };
+
+      // Seed U from the 3x3 neighbourhood, or from the first non-empty
+      // ring beyond it when the neighbourhood is empty.
+      double bound2 = std::numeric_limits<double>::infinity();
+      const auto seed = [&](std::uint32_t id) {
+        bound2 = std::min(bound2, max2(id));
+      };
+      for (std::int32_t ring = 0; ring <= max_ring; ++ring) {
+        visit_ring(ring, seed);
+        if (ring >= 1 && bound2 < std::numeric_limits<double>::infinity()) {
+          break;
+        }
+      }
+      // Collect every point within U of the cell, tightening U to its
+      // least value on the way (a point that could tighten it is within
+      // the seed bound, so it is visited here).
+      const double seed_limit2 = bound2 * (1.0 + kSlack);
+      const auto rings = static_cast<std::int32_t>(std::min<double>(
+          std::ceil((std::sqrt(seed_limit2) + 2.0 * eps) / cell_km_) + 1.0,
+          static_cast<double>(max_ring)));
+      reach.clear();
+      for (std::int32_t ring = 0; ring <= rings; ++ring) {
+        visit_ring(ring, [&](std::uint32_t id) {
+          const double d2 = min2(id);
+          if (d2 <= seed_limit2) {
+            reach.push_back({id, d2});
+            bound2 = std::min(bound2, max2(id));
+          }
+        });
+      }
+      const double limit2 = bound2 * (1.0 + kSlack);
+      ids.clear();
+      for (const Reach& r : reach) {
+        if (r.min2 <= limit2) ids.push_back(r.id);
+      }
+      std::sort(ids.begin(), ids.end());
+      nearest_ids_.insert(nearest_ids_.end(), ids.begin(), ids.end());
+      nearest_offsets_[cell_slot({col, row}) + 1] =
+          static_cast<std::uint32_t>(nearest_ids_.size());
+    }
+  }
+}
+
+std::size_t GridIndex::ring_nearest(const Projection::Xy& q) const {
   const Cell center = cell_of(q);
   std::size_t best = 0;
   double best_dist2 = std::numeric_limits<double>::infinity();

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -20,12 +21,20 @@ class GridIndex {
   /// point set and cell_km > 0.
   GridIndex(std::vector<GeoPoint> points, double cell_km);
 
+  // nearest() builds its per-cell table under a once_flag, which can be
+  // neither copied nor moved.
+  GridIndex(const GridIndex&) = delete;
+  GridIndex& operator=(const GridIndex&) = delete;
+
   [[nodiscard]] std::size_t size() const noexcept { return points_.size(); }
   [[nodiscard]] const GeoPoint& point(std::size_t i) const {
     return points_.at(i);
   }
 
-  /// Index of the nearest point to the query (ties broken by lowest index).
+  /// Index of the nearest point to the query: the argmin of the squared
+  /// distance in the projected plane, ties broken by lowest index. The
+  /// first call builds the per-cell candidate table (DESIGN.md §3.16);
+  /// concurrent first calls are safe.
   [[nodiscard]] std::size_t nearest(const GeoPoint& query) const;
 
   /// Indices of all points with distance <= radius_km, ascending by index.
@@ -81,6 +90,9 @@ class GridIndex {
 
   [[nodiscard]] Cell cell_of(const Projection::Xy& xy) const noexcept;
   [[nodiscard]] std::size_t cell_slot(Cell c) const noexcept;
+  /// Nearest point by expanding rings of cells around the query's cell.
+  [[nodiscard]] std::size_t ring_nearest(const Projection::Xy& q) const;
+  void build_nearest_table() const;
 
   std::vector<GeoPoint> points_;
   std::vector<Projection::Xy> projected_;
@@ -90,9 +102,18 @@ class GridIndex {
   std::int32_t rows_ = 0;
   double min_x_ = 0.0;
   double min_y_ = 0.0;
+  double max_x_ = 0.0;
+  double max_y_ = 0.0;
   // CSR-style buckets: ids of points per cell.
   std::vector<std::uint32_t> bucket_offsets_;
   std::vector<std::uint32_t> bucket_ids_;
+  // Per-cell nearest candidates, CSR like the buckets, each list ascending:
+  // every point that is the nearest one for some query inside the cell.
+  // Built by the first nearest() call, so indexes that only answer radius
+  // queries never pay for it.
+  mutable std::once_flag nearest_once_;
+  mutable std::vector<std::uint32_t> nearest_offsets_;
+  mutable std::vector<std::uint32_t> nearest_ids_;
 };
 
 }  // namespace ccdn

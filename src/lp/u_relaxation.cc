@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "model/sorted_contains.h"
 #include "util/error.h"
 
 namespace ccdn {
@@ -134,10 +135,10 @@ USchedule round_u_solution(const UInstance& instance, const UVariableMap& vars,
     service_left[j] = instance.hotspots[j].service_capacity;
     cache_left[j] = instance.hotspots[j].cache_capacity;
   }
-  // Track committed placements as sorted vectors for binary search.
+  // Track committed placements as sorted vectors for sorted_contains.
   std::vector<std::vector<VideoId>>& placed = schedule.placements;
   const auto is_placed = [&](std::size_t j, VideoId v) {
-    return std::binary_search(placed[j].begin(), placed[j].end(), v);
+    return sorted_contains(placed[j], v);
   };
   const auto place = [&](std::size_t j, VideoId v) {
     const auto it = std::lower_bound(placed[j].begin(), placed[j].end(), v);

@@ -39,7 +39,7 @@ class SlotDemand {
              std::vector<HotspotIndex> request_home);
 
   [[nodiscard]] std::size_t num_hotspots() const noexcept {
-    return per_hotspot_.size();
+    return loads_.size();
   }
   [[nodiscard]] std::size_t num_requests() const noexcept {
     return total_requests_;
@@ -67,9 +67,12 @@ class SlotDemand {
   }
 
  private:
-  void finalize();
+  void assign_per_hotspot(std::vector<std::vector<VideoDemand>> per_hotspot);
 
-  std::vector<std::vector<VideoDemand>> per_hotspot_;
+  // λ_hv as CSR: hotspot h's entries are demands_[offsets_[h],
+  // offsets_[h + 1]), ascending by video.
+  std::vector<std::size_t> offsets_;
+  std::vector<VideoDemand> demands_;
   std::vector<std::uint32_t> loads_;
   std::vector<HotspotIndex> request_home_;
   std::vector<VideoId> requested_videos_;

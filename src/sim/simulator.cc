@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "geo/geo_point.h"
+#include "model/sorted_contains.h"
 #include "util/rng.h"
 #include "util/error.h"
 #include "util/mutex.h"
@@ -111,8 +112,7 @@ SlotMetrics admit_slot(const std::vector<Hotspot>& hotspots,
       const auto& cached = plan.placements[target];
       if (!available.empty() && available[target] == 0) {
         ++metrics.rejected_offline;
-      } else if (!std::binary_search(cached.begin(), cached.end(),
-                              requests[r].video)) {
+      } else if (!sorted_contains(cached, requests[r].video)) {
         ++metrics.rejected_placement;
       } else if (capacity_left[target] == 0) {
         ++metrics.rejected_capacity;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <string>
 
+#include "model/sorted_contains.h"
+
 namespace ccdn {
 
 namespace {
@@ -19,7 +21,7 @@ void fnv_u32(std::uint64_t& h, std::uint32_t value) {
 
 bool placed_at(const std::vector<std::vector<VideoId>>& placements,
                std::size_t h, VideoId v) {
-  return std::binary_search(placements[h].begin(), placements[h].end(), v);
+  return sorted_contains(placements[h], v);
 }
 
 }  // namespace

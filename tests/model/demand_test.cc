@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
+#include "model/reference_demand.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace ccdn {
 namespace {
@@ -92,6 +97,126 @@ TEST(SlotDemand, EmptyRequestSpan) {
   EXPECT_EQ(demand.num_requests(), 0u);
   EXPECT_EQ(demand.load(0), 0u);
   EXPECT_TRUE(demand.requested_videos().empty());
+}
+
+void expect_matches_reference(const SlotDemand& got,
+                              const ReferenceDemand& want) {
+  ASSERT_EQ(got.num_hotspots(), want.per_hotspot.size());
+  EXPECT_EQ(got.num_requests(), want.total_requests);
+  EXPECT_EQ(std::vector<HotspotIndex>(got.request_home().begin(),
+                                      got.request_home().end()),
+            want.request_home);
+  EXPECT_EQ(std::vector<VideoId>(got.requested_videos().begin(),
+                                 got.requested_videos().end()),
+            want.requested_videos);
+  for (HotspotIndex h = 0; h < want.per_hotspot.size(); ++h) {
+    EXPECT_EQ(got.load(h), want.loads[h]) << "hotspot " << h;
+    const auto demands = got.video_demand(h);
+    ASSERT_EQ(demands.size(), want.per_hotspot[h].size()) << "hotspot " << h;
+    for (std::size_t k = 0; k < demands.size(); ++k) {
+      EXPECT_EQ(demands[k].video, want.per_hotspot[h][k].video);
+      EXPECT_EQ(demands[k].count, want.per_hotspot[h][k].count);
+    }
+  }
+}
+
+/// Video ids drawn from a few hundred values: a small catalog (many
+/// repeats), a wide one, or the top of the 32-bit range.
+VideoId draw_video(Rng& rng, int mode) {
+  constexpr VideoId kMax = std::numeric_limits<VideoId>::max();
+  switch (mode) {
+    case 0:
+      return static_cast<VideoId>(rng.index(40));
+    case 1:
+      return static_cast<VideoId>(rng.index(100000));
+    default:
+      return kMax - static_cast<VideoId>(rng.index(300));
+  }
+}
+
+std::vector<GeoPoint> random_locations(Rng& rng, std::size_t n) {
+  std::vector<GeoPoint> points;
+  for (std::size_t i = 0; i < n; ++i) {
+    points.push_back({rng.uniform(40.0, 40.1), rng.uniform(116.4, 116.6)});
+  }
+  return points;
+}
+
+TEST(SlotDemand, MatchesReferenceOnRandomSlots) {
+  Rng rng(4242);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t hotspots = 1 + rng.index(trial % 3 == 0 ? 3 : 320);
+    const GridIndex index(random_locations(rng, hotspots), 0.5);
+    const int mode = trial % 3;
+    std::vector<Request> requests(rng.index(4000));
+    for (Request& r : requests) {
+      r.video = draw_video(rng, mode);
+      r.location = {rng.uniform(39.98, 40.12), rng.uniform(116.38, 116.62)};
+    }
+    expect_matches_reference(SlotDemand(requests, index),
+                             reference_demand(requests, index));
+  }
+}
+
+TEST(SlotDemand, MatchesReferenceOnEdgeSlots) {
+  Rng rng(17);
+  const GridIndex one(random_locations(rng, 1), 0.5);
+  const GridIndex many(random_locations(rng, 25), 0.5);
+  constexpr VideoId kMax = std::numeric_limits<VideoId>::max();
+  // An empty span.
+  for (const GridIndex* index : {&one, &many}) {
+    expect_matches_reference(
+        SlotDemand(std::span<const Request>{}, *index),
+        reference_demand(std::span<const Request>{}, *index));
+  }
+  // One hotspot; then every request at one home of many.
+  std::vector<Request> requests(500);
+  for (Request& r : requests) {
+    r.video = draw_video(rng, 0);
+    r.location = {rng.uniform(40.0, 40.1), rng.uniform(116.4, 116.6)};
+  }
+  expect_matches_reference(SlotDemand(requests, one),
+                           reference_demand(requests, one));
+  for (Request& r : requests) r.location = many.point(7);
+  expect_matches_reference(SlotDemand(requests, many),
+                           reference_demand(requests, many));
+  // Video ids at the top of the range, 0 among them.
+  const std::vector<VideoId> extremes{kMax, 0, kMax - 1, kMax, 1, kMax - 2, 0};
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    requests[k].video = extremes[k % extremes.size()];
+    requests[k].location = many.point(k % 3);
+  }
+  const SlotDemand extreme(requests, many);
+  expect_matches_reference(extreme, reference_demand(requests, many));
+  EXPECT_EQ(std::vector<VideoId>(extreme.requested_videos().begin(),
+                                 extreme.requested_videos().end()),
+            (std::vector<VideoId>{0, 1, kMax - 2, kMax - 1, kMax}));
+}
+
+TEST(SlotDemand, PerHotspotConstructorsMatchReference) {
+  Rng rng(99);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t hotspots = rng.index(30);
+    std::vector<std::vector<VideoDemand>> per_hotspot(hotspots);
+    for (auto& entries : per_hotspot) {
+      entries.resize(rng.index(60));
+      for (VideoDemand& d : entries) {
+        // Repeated videos, and zero counts, which stay as entries.
+        d.video = draw_video(rng, trial % 3);
+        d.count = static_cast<std::uint32_t>(rng.index(5));
+      }
+    }
+    expect_matches_reference(SlotDemand(per_hotspot),
+                             reference_demand(per_hotspot));
+    if (hotspots == 0) continue;
+    std::vector<HotspotIndex> homes(rng.index(50));
+    for (HotspotIndex& home : homes) {
+      home = static_cast<HotspotIndex>(rng.index(hotspots));
+    }
+    ReferenceDemand want = reference_demand(per_hotspot);
+    want.request_home = homes;
+    expect_matches_reference(SlotDemand(per_hotspot, homes), want);
+  }
 }
 
 }  // namespace
