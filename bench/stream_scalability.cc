@@ -13,9 +13,10 @@
 // trace CSV through the windowed TraceGenerator cursor, so even the 16x
 // trace never materializes in any process.
 //
-// Prints a table and writes BENCH_stream.json (same shape as the other
-// BENCH_*.json files) with elapsed seconds, slots/s, and peak RSS per
-// case; the per-run digest XOR proves both modes computed identical plans.
+// Prints a table, and with --json_out=<path> writes the rows as JSON (the
+// shape of BENCH_stream.json and the other BENCH_*.json files) with
+// elapsed seconds, slots/s, and peak RSS per case; the per-run digest XOR
+// proves both modes computed identical plans.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -163,8 +164,7 @@ int main(int argc, char** argv) {
       flags.get_int("base_requests", 30000));
   const std::size_t threads =
       static_cast<std::size_t>(flags.get_int("threads", 4));
-  const std::string json_out =
-      flags.get_string("json_out", "BENCH_stream.json");
+  const std::string json_out = flags.get_string("json_out", "");
 
   std::printf("=== streaming slot pipeline: RSS and throughput vs scale "
               "===\n\n");
@@ -220,7 +220,7 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  write_json(json_out, rows, threads);
+  if (!json_out.empty()) write_json(json_out, rows, threads);
   std::printf("\nreading: in-memory peak RSS grows with the trace (the "
               "request vector is resident end to end) while streaming RSS "
               "stays near-flat — it holds at most the inflight window of "

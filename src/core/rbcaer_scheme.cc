@@ -17,75 +17,6 @@
 
 namespace ccdn {
 
-namespace {
-
-/// One shard's local solve: rebuild the full RBCAer clustering + flow phase
-/// on the sub-instance induced by the shard's member hotspots, then remap
-/// the flows back to global ids. A pure function of (config, hotspots,
-/// demand, members).
-ShardFlowResult solve_shard_instance(const RbcaerConfig& config,
-                                     std::span<const Hotspot> hotspots,
-                                     const SlotDemand& demand,
-                                     std::span<const std::uint32_t> members) {
-  ShardFlowResult out;
-  const std::size_t n = members.size();
-  std::vector<Hotspot> sub_hotspots;
-  sub_hotspots.reserve(n);
-  std::vector<std::vector<VideoDemand>> sub_videos;
-  sub_videos.reserve(n);
-  for (const std::uint32_t h : members) {
-    sub_hotspots.push_back(hotspots[h]);
-    const auto videos = demand.video_demand(static_cast<HotspotIndex>(h));
-    sub_videos.emplace_back(videos.begin(), videos.end());
-  }
-  const SlotDemand local(std::move(sub_videos));
-  std::vector<std::uint32_t> loads(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    loads[i] = local.load(static_cast<HotspotIndex>(i));
-  }
-  HotspotPartition partition =
-      HotspotPartition::from_loads(sub_hotspots, loads);
-  const std::int64_t max_movable = partition.max_movable();
-  if (max_movable == 0) return out;
-
-  Stopwatch stage_clock;
-  std::vector<std::uint32_t> cluster_of(n, 0);
-  if (config.content_aggregation) {
-    // Serial Jd build: slots already run in parallel on the simulator's
-    // lanes, so a pool here would oversubscribe them.
-    const auto top_sets = top_sets_per_hotspot(local, config.top_fraction);
-    const ClusteringResult clustering = hierarchical_cluster(
-        content_cut_graph(top_sets, config.content_cluster_threshold),
-        config.linkage, config.content_cluster_threshold);
-    cluster_of = clustering.labels;
-    out.num_clusters = clustering.num_clusters;
-    out.gc_build_s = stage_clock.elapsed_seconds();
-  }
-
-  std::vector<GeoPoint> locations;
-  locations.reserve(n);
-  for (const Hotspot& h : sub_hotspots) locations.push_back(h.location);
-  // Cell size only affects query speed, not candidate content or order
-  // (candidate_edges applies the exact distance cut and sorts receivers by
-  // index), so any grid works; mirror the simulator's cell.
-  const GridIndex index(std::move(locations), 0.5);
-  SweepOutcome sweep = run_theta_sweep(config, sub_hotspots, index, partition,
-                                       max_movable, cluster_of);
-  out.moved = sweep.moved;
-  out.guide_nodes = sweep.guide_nodes;
-  out.theta_iterations = sweep.theta_iterations;
-  out.graph_s = sweep.graph_s;
-  out.mcmf_s = sweep.mcmf_s;
-  out.flows = std::move(sweep.flows);
-  for (FlowEntry& f : out.flows) {
-    f.from = members[f.from];
-    f.to = members[f.to];
-  }
-  return out;
-}
-
-}  // namespace
-
 SweepOutcome run_theta_sweep(const RbcaerConfig& config,
                              std::span<const Hotspot> hotspots,
                              const GridIndex& index,
@@ -106,6 +37,89 @@ SweepOutcome run_theta_sweep(const RbcaerConfig& config,
       config.guide, config.audit_level);
   out.graph_s += candidates_s;
   return out;
+}
+
+ClusteringResult content_clusters(const RbcaerConfig& config,
+                                  const SlotDemand& demand) {
+  const auto top_sets = top_sets_per_hotspot(demand, config.top_fraction);
+  return hierarchical_cluster(
+      content_cut_graph(top_sets, config.content_cluster_threshold),
+      config.linkage, config.content_cluster_threshold);
+}
+
+ShardInstance shard_instance(std::span<const Hotspot> hotspots,
+                             const SlotDemand& demand,
+                             std::span<const std::uint32_t> members) {
+  std::vector<Hotspot> sub_hotspots;
+  sub_hotspots.reserve(members.size());
+  std::vector<std::vector<VideoDemand>> rows;
+  rows.reserve(members.size());
+  for (const std::uint32_t h : members) {
+    sub_hotspots.push_back(hotspots[h]);
+    const auto row = demand.video_demand(static_cast<HotspotIndex>(h));
+    rows.emplace_back(row.begin(), row.end());
+  }
+  SlotDemand sub_demand(std::move(rows));
+  std::vector<std::uint32_t> loads(members.size());
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    loads[i] = sub_demand.load(static_cast<HotspotIndex>(i));
+  }
+  HotspotPartition partition =
+      HotspotPartition::from_loads(sub_hotspots, loads);
+  return {members, std::move(sub_hotspots), std::move(sub_demand),
+          std::move(partition)};
+}
+
+ShardFlowResult sweep_shard(const RbcaerConfig& config, ShardInstance& shard,
+                            std::span<const std::uint32_t> cluster_of) {
+  ShardFlowResult out;
+  const std::int64_t max_movable = shard.partition.max_movable();
+  if (max_movable == 0) return out;
+  std::vector<GeoPoint> locations;
+  locations.reserve(shard.hotspots.size());
+  for (const Hotspot& h : shard.hotspots) locations.push_back(h.location);
+  const GridIndex index(std::move(locations), 0.5);
+  SweepOutcome sweep = run_theta_sweep(config, shard.hotspots, index,
+                                       shard.partition, max_movable,
+                                       cluster_of);
+  out.moved = sweep.moved;
+  out.guide_nodes = sweep.guide_nodes;
+  out.theta_iterations = sweep.theta_iterations;
+  out.graph_s = sweep.graph_s;
+  out.mcmf_s = sweep.mcmf_s;
+  out.flows = std::move(sweep.flows);
+  for (FlowEntry& f : out.flows) {
+    f.from = shard.members[f.from];
+    f.to = shard.members[f.to];
+  }
+  return out;
+}
+
+ShardedSolveOutcome ShardPlanCache::solve(
+    const RbcaerConfig& config, std::span<const Hotspot> hotspots,
+    const GridIndex& index, HotspotPartition& partition,
+    std::size_t num_shards,
+    const std::function<ShardFlowResult(std::span<const std::uint32_t>)>&
+        solve_zone) {
+  if (num_shards_ != num_shards ||
+      !std::ranges::equal(locations_, hotspots, {}, {},
+                          &Hotspot::location)) {
+    locations_.clear();
+    for (const Hotspot& h : hotspots) locations_.push_back(h.location);
+    assignment_ = partition_zones(locations_, num_shards);
+    boundary_ =
+        boundary_hotspots(locations_, assignment_, config.theta2_km, index);
+    num_shards_ = num_shards;
+  }
+  ShardedSolveOptions options;
+  options.exchange_radius_km = config.theta2_km;
+  options.exchange_theta1_km = config.theta1_km;
+  options.exchange_theta_step_km = config.delta_km;
+  options.audit_level = config.audit_level;
+  return solve_sharded(hotspots, index, partition, assignment_, boundary_,
+                       options, [&](std::uint32_t s) {
+                         return solve_zone(assignment_.members[s]);
+                       });
 }
 
 RbcaerScheme::RbcaerScheme(RbcaerConfig config) : config_(config) {
@@ -164,11 +178,8 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   const bool has_work = diagnostics_.max_movable > 0;
   if (!sharded && config_.content_aggregation && has_work) {
     stage_clock.reset();
-    const auto top_sets = top_sets_per_hotspot(demand, config_.top_fraction);
-    const ClusteringResult clustering = hierarchical_cluster(
-        content_cut_graph(top_sets, config_.content_cluster_threshold),
-        config_.linkage, config_.content_cluster_threshold);
-    cluster_of = clustering.labels;
+    ClusteringResult clustering = content_clusters(config_, demand);
+    cluster_of = std::move(clustering.labels);
     diagnostics_.num_clusters = clustering.num_clusters;
     stage_timings_.gc_build_s = stage_clock.elapsed_seconds();
   }
@@ -229,36 +240,24 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
 std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
     const SchemeContext& context, const SlotDemand& demand,
     HotspotPartition& partition, std::size_t num_shards) {
-  // Hotspot geometry is fixed across a run's slots, so the zone plan is
-  // computed once per (shard count, hotspot locations) and reused.
-  if (shard_plan_.num_shards != num_shards ||
-      !std::ranges::equal(shard_plan_.locations, context.hotspots, {}, {},
-                          &Hotspot::location)) {
-    shard_plan_.locations.clear();
-    for (const Hotspot& h : context.hotspots) {
-      shard_plan_.locations.push_back(h.location);
-    }
-    shard_plan_.assignment =
-        partition_zones(shard_plan_.locations, num_shards);
-    shard_plan_.boundary =
-        boundary_hotspots(shard_plan_.locations, shard_plan_.assignment,
-                          config_.theta2_km, context.hotspot_index);
-    shard_plan_.num_shards = num_shards;
-  }
-
-  ShardedSolveOptions options;
-  options.exchange_radius_km = config_.theta2_km;
-  options.exchange_theta1_km = config_.theta1_km;
-  options.exchange_theta_step_km = config_.delta_km;
-  options.audit_level = config_.audit_level;
-
-  const auto& members = shard_plan_.assignment.members;
-  ShardedSolveOutcome outcome = solve_sharded(
-      context.hotspots, context.hotspot_index, partition,
-      shard_plan_.assignment, shard_plan_.boundary, options,
-      [&](std::uint32_t s) {
-        return solve_shard_instance(config_, context.hotspots, demand,
-                                    members[s]);
+  // Each zone's solve is a pure function of (config, hotspots, demand,
+  // members): the clustering and the flow phase on the zone's sub-instance.
+  ShardedSolveOutcome outcome = shard_plan_.solve(
+      config_, context.hotspots, context.hotspot_index, partition, num_shards,
+      [&](std::span<const std::uint32_t> members) {
+        ShardInstance shard = shard_instance(context.hotspots, demand, members);
+        if (shard.partition.max_movable() == 0) return ShardFlowResult{};
+        Stopwatch clock;
+        ClusteringResult clustering;
+        double gc_build_s = 0.0;
+        if (config_.content_aggregation) {
+          clustering = content_clusters(config_, shard.demand);
+          gc_build_s = clock.elapsed_seconds();
+        }
+        ShardFlowResult out = sweep_shard(config_, shard, clustering.labels);
+        out.num_clusters = clustering.num_clusters;
+        out.gc_build_s = gc_build_s;
+        return out;
       });
 
   diagnostics_.moved = outcome.moved;

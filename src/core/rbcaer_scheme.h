@@ -15,8 +15,11 @@
 //      placements under the cache sizes and the replication budget B_peak.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
+#include <vector>
 
 #include "cluster/hierarchical.h"
 #include "core/balance_graph.h"
@@ -95,6 +98,60 @@ struct RbcaerConfig {
     const GridIndex& index, HotspotPartition& partition,
     std::int64_t max_movable, std::span<const std::uint32_t> cluster_of);
 
+/// Algorithm 1's content clustering under `config`: each hotspot's top
+/// set, the Jd cut graph at the threshold, and the linkage cut there.
+[[nodiscard]] ClusteringResult content_clusters(const RbcaerConfig& config,
+                                                const SlotDemand& demand);
+
+/// The sub-instance of one shard: its member hotspots (global ids,
+/// ascending) in member order, their λ_hv rows and its own partition. The
+/// member loads are the global ones, so its slack is the global slack
+/// restricted to the shard.
+struct ShardInstance {
+  std::span<const std::uint32_t> members;
+  std::vector<Hotspot> hotspots;
+  SlotDemand demand;
+  HotspotPartition partition;
+};
+
+[[nodiscard]] ShardInstance shard_instance(
+    std::span<const Hotspot> hotspots, const SlotDemand& demand,
+    std::span<const std::uint32_t> members);
+
+/// A shard's flow phase: run_theta_sweep over a grid of the members, with
+/// `cluster_of` labelling them, and the flows mapped back to global ids.
+/// The grid's cell size changes only query speed, not the candidates or
+/// their order (candidate_edges applies the exact distance cut and sorts
+/// receivers by index), so it is the simulator's 0.5 km for every caller.
+[[nodiscard]] ShardFlowResult sweep_shard(
+    const RbcaerConfig& config, ShardInstance& shard,
+    std::span<const std::uint32_t> cluster_of);
+
+/// The geo zone plan of one hotspot set, and the sharded solve over it
+/// (DESIGN.md §3.12). RbcaerScheme keeps one over its hotspots,
+/// VirtualRbcaerScheme one over its region centroids.
+class ShardPlanCache {
+ public:
+  /// solve_sharded over `hotspots` cut into `num_shards` zones, with the
+  /// exchange round on config's θ1, δ, θ2 and audit level. `index` is a
+  /// GridIndex over `hotspots`; `solve_zone` solves one zone, given its
+  /// member ids. The zones and the boundary mask at θ2 are recomputed only
+  /// when the shard count or the hotspot locations change: a run's
+  /// geometry is fixed across its slots.
+  [[nodiscard]] ShardedSolveOutcome solve(
+      const RbcaerConfig& config, std::span<const Hotspot> hotspots,
+      const GridIndex& index, HotspotPartition& partition,
+      std::size_t num_shards,
+      const std::function<ShardFlowResult(std::span<const std::uint32_t>)>&
+          solve_zone);
+
+ private:
+  std::size_t num_shards_ = 0;
+  std::vector<GeoPoint> locations_;  // the hotspot set the zones cover
+  ShardAssignment assignment_;
+  std::vector<std::uint8_t> boundary_;
+};
+
 class RbcaerScheme final : public RedirectionScheme {
  public:
   explicit RbcaerScheme(RbcaerConfig config = {});
@@ -147,8 +204,8 @@ class RbcaerScheme final : public RedirectionScheme {
                              SlotPlan& plan) const;
 
   /// Sharded replacement for the clustering + flow phases: partition the
-  /// hotspots into `num_shards` geo zones (cached across slots), solve each
-  /// zone via solve_sharded, and return the committed flows in global ids.
+  /// hotspots into `num_shards` geo zones, cluster and sweep each zone's
+  /// sub-instance, and return the committed flows in global ids.
   [[nodiscard]] std::vector<FlowEntry> plan_shard_flows(
       const SchemeContext& context, const SlotDemand& demand,
       HotspotPartition& partition, std::size_t num_shards);
@@ -156,14 +213,6 @@ class RbcaerScheme final : public RedirectionScheme {
   RbcaerConfig config_;
   mutable Diagnostics diagnostics_;
   StageTimings stage_timings_;
-  /// Geo shard plan, recomputed only when the shard count or the hotspot
-  /// locations change (hotspot geometry is fixed across a run's slots).
-  struct ShardPlanCache {
-    std::size_t num_shards = 0;
-    std::vector<GeoPoint> locations;  // the hotspot set the zones cover
-    ShardAssignment assignment;
-    std::vector<std::uint8_t> boundary;
-  };
   ShardPlanCache shard_plan_;
 };
 

@@ -1,71 +1,85 @@
 #include "core/replication.h"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
-#include <unordered_set>
 
-#include "model/sorted_contains.h"
 #include "util/error.h"
 #include "verify/schedule_audit.h"
 
 namespace ccdn {
 
-namespace {
-
-std::uint64_t pair_key(std::uint32_t i, std::uint32_t j) {
-  return (static_cast<std::uint64_t>(i) << 32) | j;
-}
-
-/// Mutable per-hotspot copy of λ_hv supporting O(log) lookup by video.
-class RemainingDemand {
- public:
-  RemainingDemand(const SlotDemand& demand, std::size_t num_hotspots) {
-    videos_.resize(num_hotspots);
-    counts_.resize(num_hotspots);
-    for (std::size_t h = 0; h < num_hotspots; ++h) {
-      const auto span = demand.video_demand(static_cast<HotspotIndex>(h));
-      videos_[h].reserve(span.size());
-      counts_[h].reserve(span.size());
-      for (const auto& d : span) {
-        videos_[h].push_back(d.video);
-        counts_[h].push_back(d.count);
-      }
+RemainingDemand::RemainingDemand(const SlotDemand& demand) : demand_(demand) {
+  // The rows lie end to end in hotspot order, so appending them row by row
+  // lays the counts out in the demand's CSR order.
+  const auto m = static_cast<HotspotIndex>(demand.num_hotspots());
+  counts_.reserve(demand.first_pair(m));
+  for (HotspotIndex h = 0; h < m; ++h) {
+    for (const VideoDemand& d : demand.video_demand(h)) {
+      counts_.push_back(d.count);
     }
   }
+}
 
-  [[nodiscard]] std::uint32_t get(std::uint32_t h, VideoId v) const {
-    const auto idx = index_of(h, v);
-    return idx < 0 ? 0 : counts_[h][static_cast<std::size_t>(idx)];
+std::size_t RemainingDemand::find(std::uint32_t h, VideoId v) const {
+  const auto row = pairs(h);
+  const auto it = std::lower_bound(
+      row.begin(), row.end(), v,
+      [](const VideoDemand& d, VideoId video) { return d.video < video; });
+  if (it == row.end() || it->video != v) return counts_.size();
+  return demand_.first_pair(h) + static_cast<std::size_t>(it - row.begin());
+}
+
+std::uint32_t RemainingDemand::get(std::uint32_t h, VideoId v) const {
+  const std::size_t pair = find(h, v);
+  return pair == counts_.size() ? 0 : counts_[pair];
+}
+
+void RemainingDemand::subtract(std::uint32_t h, VideoId v,
+                               std::uint32_t amount) {
+  const std::size_t pair = find(h, v);
+  CCDN_ENSURE(pair < counts_.size() && counts_[pair] >= amount,
+              "over-subtracting local demand");
+  counts_[pair] -= amount;
+}
+
+std::vector<FillEntry> fill_order(const RemainingDemand& remaining) {
+  std::vector<FillEntry> fill;
+  for (std::uint32_t h = 0; h < remaining.num_hotspots(); ++h) {
+    const auto row = remaining.pairs(h);
+    const auto left = remaining.left(h);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (left[k] > 0) fill.push_back({left[k], h, row[k].video});
+    }
   }
+  std::sort(fill.begin(), fill.end(),
+            [](const FillEntry& a, const FillEntry& b) {
+              if (a.count != b.count) return a.count > b.count;
+              if (a.hotspot != b.hotspot) return a.hotspot < b.hotspot;
+              return a.video < b.video;
+            });
+  return fill;
+}
 
-  void subtract(std::uint32_t h, VideoId v, std::uint32_t amount) {
-    const auto idx = index_of(h, v);
-    CCDN_ENSURE(idx >= 0 &&
-                    counts_[h][static_cast<std::size_t>(idx)] >= amount,
-                "over-subtracting local demand");
-    counts_[h][static_cast<std::size_t>(idx)] -= amount;
+std::vector<std::vector<VideoRedirect>> RedirectLog::grouped() {
+  std::vector<std::vector<VideoRedirect>> redirects(log_.size());
+  for (std::size_t h = 0; h < log_.size(); ++h) {
+    auto& log = log_[h];
+    std::stable_sort(log.begin(), log.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.video < b.video;
+                     });
+    for (std::size_t e = 0; e < log.size();) {
+      VideoRedirect& vr = redirects[h].emplace_back();
+      vr.video = log[e].video;
+      for (; e < log.size() && log[e].video == vr.video; ++e) {
+        vr.targets.push_back({log[e].target, log[e].amount});
+      }
+    }
+    log.clear();
   }
-
-  [[nodiscard]] std::span<const VideoId> videos(std::uint32_t h) const {
-    return videos_[h];
-  }
-  [[nodiscard]] std::span<const std::uint32_t> counts(std::uint32_t h) const {
-    return counts_[h];
-  }
-
- private:
-  [[nodiscard]] std::ptrdiff_t index_of(std::uint32_t h, VideoId v) const {
-    const auto& vs = videos_[h];
-    const auto it = std::lower_bound(vs.begin(), vs.end(), v);
-    if (it == vs.end() || *it != v) return -1;
-    return it - vs.begin();
-  }
-
-  std::vector<std::vector<VideoId>> videos_;
-  std::vector<std::vector<std::uint32_t>> counts_;
-};
-
-}  // namespace
+  return redirects;
+}
 
 ReplicationResult content_aggregation_replication(
     const SlotDemand& demand, std::span<const Hotspot> hotspots,
@@ -76,7 +90,6 @@ ReplicationResult content_aggregation_replication(
 
   ReplicationResult result;
   result.placements.resize(m);
-  result.redirects.resize(m);
 
   // Residual flows and the sender lists SinktoSource(j): per receiver a
   // sorted sender array with a parallel flow-left array, so the inner e_u
@@ -104,20 +117,15 @@ ReplicationResult content_aggregation_replication(
     flow_from[f.to][sender_slot(f.from, f.to)] += f.amount;
   }
 
-  RemainingDemand remaining(demand, m);
+  RemainingDemand remaining(demand);
 
-  // Cache state. `placed` stays sorted per hotspot (sorted_contains
-  // lookups, positional inserts); cache capacity bounds its size, so the
-  // inserts stay cheap and the final flatten is a plain move.
-  std::vector<std::vector<VideoId>> placed(m);
-  const auto is_placed = [&](std::uint32_t h, VideoId v) {
-    return sorted_contains(placed[h], v);
-  };
+  // Cache state. The placement lists stay sorted per hotspot (positional
+  // inserts); cache capacity bounds their size, so the inserts stay cheap.
+  auto& placed = result.placements;
   std::vector<std::uint32_t> cache_left(m);
   for (std::size_t h = 0; h < m; ++h) {
     cache_left[h] = hotspots[h].cache_capacity;
   }
-  std::size_t budget_used = 0;
   // B_peak applies to every replica pushed this slot, whether it is placed
   // to absorb redirected flow or during the final local fill; a denial in
   // either phase marks the budget as exhausted.
@@ -126,14 +134,13 @@ ReplicationResult content_aggregation_replication(
     const auto it = std::lower_bound(list.begin(), list.end(), v);
     if (it != list.end() && *it == v) return true;
     if (cache_left[h] == 0) return false;
-    if (budget_used >= replica_budget) {
+    if (result.replicas >= replica_budget) {
       result.budget_exhausted = true;
       return false;
     }
     list.insert(it, v);
     --cache_left[h];
     ++result.replicas;
-    ++budget_used;
     return true;
   };
 
@@ -176,12 +183,12 @@ ReplicationResult content_aggregation_replication(
       const auto& left = flow_from[j];
       for (std::size_t s = 0; s < senders.size(); ++s) {
         const std::int64_t f = left[s];
-        const auto videos = remaining.videos(senders[s]);
-        const auto counts = remaining.counts(senders[s]);
-        for (std::size_t idx = 0; idx < videos.size(); ++idx) {
+        const auto row = remaining.pairs(senders[s]);
+        const auto counts = remaining.left(senders[s]);
+        for (std::size_t idx = 0; idx < row.size(); ++idx) {
           if (counts[idx] == 0) continue;
           contributions.push_back(
-              {videos[idx], std::min<std::int64_t>(f, counts[idx])});
+              {row[idx].video, std::min<std::int64_t>(f, counts[idx])});
         }
       }
       std::sort(contributions.begin(), contributions.end(),
@@ -200,22 +207,12 @@ ReplicationResult content_aggregation_replication(
     }
   }
 
-  // Redirections recorded as a flat per-origin (video, target, amount) log
-  // in commit order; grouped by a stable sort at the end.
-  struct RedirectLogEntry {
-    VideoId video = 0;
-    std::uint32_t target = 0;
-    std::uint32_t amount = 0;
-  };
-  std::vector<std::vector<RedirectLogEntry>> redirect_log(m);
-  std::unordered_set<std::uint64_t> dead_pairs;  // (j,v) that can never place
-
+  RedirectLog log(m);
   while (!heap.empty()) {
     const HeapEntry top = heap.top();
     heap.pop();
     const std::uint32_t j = top.j;
     const VideoId v = top.video;
-    if (dead_pairs.count(pair_key(j, v))) continue;
     const std::int64_t eu = current_eu(j, v);
     if (eu <= 0) continue;
     // Lazy key refresh: if stale and something better is on top, requeue.
@@ -224,12 +221,11 @@ ReplicationResult content_aggregation_replication(
       heap.push({static_cast<double>(eu), j, v});
       continue;
     }
-    if (!try_place(j, v)) {
-      // Cache at j full or budget exhausted, v absent; neither recovers
-      // within this slot, so the pair can never place.
-      dead_pairs.insert(pair_key(j, v));
-      continue;
-    }
+    // Cache at j full or budget exhausted, v absent: neither recovers
+    // within this slot. The pair is dropped for good: seeding pushed it
+    // once and only its own lazy re-key pushes it again, so the heap holds
+    // it at most once (DESIGN.md §3.17).
+    if (!try_place(j, v)) continue;
     // Commit: move every sender's redirectable share of v to j.
     const auto& senders = senders_of[j];
     auto& left = flow_from[j];
@@ -241,7 +237,7 @@ ReplicationResult content_aggregation_replication(
       if (amount == 0) continue;
       left[s] -= amount;
       remaining.subtract(i, v, amount);
-      redirect_log[i].push_back({v, j, amount});
+      log.add(i, v, j, amount);
       result.total_redirected += amount;
     }
   }
@@ -260,36 +256,17 @@ ReplicationResult content_aggregation_replication(
     serviceable_left[f.to] -= f.amount;
   }
   // Demand already covered by replicas placed during the redirect phase
-  // consumes serving capacity too.
+  // consumes serving capacity too, and leaves the fill nothing to place.
   for (std::uint32_t h = 0; h < m; ++h) {
     for (const VideoId v : placed[h]) {
-      serviceable_left[h] -= remaining.get(h, v);
+      const std::uint32_t covered = remaining.get(h, v);
+      if (covered == 0) continue;
+      serviceable_left[h] -= covered;
+      remaining.subtract(h, v, covered);
     }
   }
-
-  struct FillEntry {
-    std::uint32_t count = 0;
-    std::uint32_t hotspot = 0;
-    VideoId video = 0;
-  };
-  std::vector<FillEntry> fill;
-  for (std::uint32_t h = 0; h < m; ++h) {
-    const auto videos = remaining.videos(h);
-    const auto counts = remaining.counts(h);
-    for (std::size_t idx = 0; idx < videos.size(); ++idx) {
-      if (counts[idx] > 0 && !is_placed(h, videos[idx])) {
-        fill.push_back({counts[idx], h, videos[idx]});
-      }
-    }
-  }
-  std::sort(fill.begin(), fill.end(), [](const FillEntry& a,
-                                         const FillEntry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    if (a.hotspot != b.hotspot) return a.hotspot < b.hotspot;
-    return a.video < b.video;
-  });
-  for (const auto& entry : fill) {
-    if (budget_used >= replica_budget) {
+  for (const FillEntry& entry : fill_order(remaining)) {
+    if (result.replicas >= replica_budget) {
       result.budget_exhausted = true;
       break;
     }
@@ -300,25 +277,7 @@ ReplicationResult content_aggregation_replication(
     }
   }
 
-  // Flatten: placements are already sorted; group each origin's redirect
-  // log by video (stable, so per-video targets keep commit order).
-  for (std::uint32_t h = 0; h < m; ++h) {
-    result.placements[h] = std::move(placed[h]);
-    auto& log = redirect_log[h];
-    std::stable_sort(log.begin(), log.end(),
-                     [](const RedirectLogEntry& a, const RedirectLogEntry& b) {
-                       return a.video < b.video;
-                     });
-    auto& list = result.redirects[h];
-    for (std::size_t e = 0; e < log.size();) {
-      VideoRedirect vr;
-      vr.video = log[e].video;
-      for (; e < log.size() && log[e].video == vr.video; ++e) {
-        vr.targets.push_back({log[e].target, log[e].amount});
-      }
-      list.push_back(std::move(vr));
-    }
-  }
+  result.redirects = log.grouped();
   if constexpr (kCheckedBuild) {
     if (audit_level >= AuditLevel::kPlan) {
       AuditReport report;
@@ -334,47 +293,31 @@ std::vector<HotspotIndex> materialize_assignment(
     std::vector<std::vector<VideoRedirect>> redirects) {
   CCDN_REQUIRE(homes.size() == requests.size(),
                "homes/requests length mismatch");
-  struct Cursor {
-    std::vector<RedirectTarget> targets;
-    std::size_t index = 0;
-  };
-  // Per-hotspot cursor table, sorted by video for lower_bound lookup — the
-  // redirect lists arrive sorted (content_aggregation_replication flattens
-  // them that way), so this is a straight move.
-  std::vector<std::vector<VideoId>> cursor_videos(redirects.size());
-  std::vector<std::vector<Cursor>> cursors(redirects.size());
-  for (std::size_t h = 0; h < redirects.size(); ++h) {
-    cursor_videos[h].reserve(redirects[h].size());
-    cursors[h].reserve(redirects[h].size());
-    for (auto& vr : redirects[h]) {
-      CCDN_ASSERT(cursor_videos[h].empty() || cursor_videos[h].back() < vr.video,
-                  "redirect lists must be sorted by video");
-      cursor_videos[h].push_back(vr.video);
-      cursors[h].push_back(Cursor{std::move(vr.targets), 0});
+  if constexpr (kCheckedBuild) {
+    for (const auto& list : redirects) {
+      CCDN_REQUIRE(std::ranges::adjacent_find(list, std::greater_equal<>{},
+                                              &VideoRedirect::video) ==
+                       list.end(),
+                   "redirect lists must be sorted by video");
     }
   }
-  std::vector<HotspotIndex> assignment(requests.size(), kCdnServer);
+  std::vector<HotspotIndex> assignment(requests.size());
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const HotspotIndex home = homes[r];
-    CCDN_REQUIRE(home < cursors.size(), "home out of range");
-    const auto& videos = cursor_videos[home];
-    const auto it =
-        std::lower_bound(videos.begin(), videos.end(), requests[r].video);
-    if (it != videos.end() && *it == requests[r].video) {
-      Cursor& cursor = cursors[home][static_cast<std::size_t>(
-          it - videos.begin())];
-      while (cursor.index < cursor.targets.size() &&
-             cursor.targets[cursor.index].count == 0) {
-        ++cursor.index;
-      }
-      if (cursor.index < cursor.targets.size()) {
-        --cursor.targets[cursor.index].count;
-        assignment[r] =
-            static_cast<HotspotIndex>(cursor.targets[cursor.index].hotspot);
-        continue;
-      }
-    }
+    CCDN_REQUIRE(home < redirects.size(), "home out of range");
     assignment[r] = home;
+    auto& list = redirects[home];
+    const auto it = std::ranges::lower_bound(list, requests[r].video, {},
+                                             &VideoRedirect::video);
+    if (it == list.end() || it->video != requests[r].video) continue;
+    // A target's count only falls, so the first one with a count left is
+    // where this video's previous request stopped.
+    for (RedirectTarget& target : it->targets) {
+      if (target.count == 0) continue;
+      --target.count;
+      assignment[r] = static_cast<HotspotIndex>(target.hotspot);
+      break;
+    }
   }
   return assignment;
 }

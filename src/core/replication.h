@@ -67,4 +67,76 @@ struct ReplicationResult {
     std::span<const Request> requests, std::span<const HotspotIndex> homes,
     std::vector<std::vector<VideoRedirect>> redirects);
 
+// Procedure 1's bookkeeping, shared with VirtualRbcaerScheme's localization
+// pass (DESIGN.md §3.17).
+
+/// λ_hv left to serve where it was requested: one count per pair of a
+/// SlotDemand, in its CSR order (SlotDemand::first_pair), drained as
+/// redirects commit. The demand must outlive the table.
+class RemainingDemand {
+ public:
+  explicit RemainingDemand(const SlotDemand& demand);
+  explicit RemainingDemand(SlotDemand&&) = delete;  // would dangle
+
+  /// What is left of λ_hv; 0 when h did not request v.
+  [[nodiscard]] std::uint32_t get(std::uint32_t h, VideoId v) const;
+  /// Drain `amount` of λ_hv, which must have that much left.
+  void subtract(std::uint32_t h, VideoId v, std::uint32_t amount);
+
+  /// Hotspot h's row: its λ_hv pairs, ascending by video, and what is left
+  /// of each, parallel.
+  [[nodiscard]] std::span<const VideoDemand> pairs(std::uint32_t h) const {
+    return demand_.video_demand(h);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> left(std::uint32_t h) const {
+    return std::span<const std::uint32_t>(counts_).subspan(
+        demand_.first_pair(h), pairs(h).size());
+  }
+  [[nodiscard]] std::size_t num_hotspots() const noexcept {
+    return demand_.num_hotspots();
+  }
+
+ private:
+  /// The pair's position in counts_, or counts_.size() when absent.
+  [[nodiscard]] std::size_t find(std::uint32_t h, VideoId v) const;
+
+  const SlotDemand& demand_;
+  std::vector<std::uint32_t> counts_;
+};
+
+/// One (hotspot, video) pair's local demand, ranked for a cache fill.
+struct FillEntry {
+  std::uint32_t count = 0;
+  std::uint32_t hotspot = 0;
+  VideoId video = 0;
+};
+
+/// Every pair with demand left, in fill order: count descending, then
+/// hotspot and video ascending.
+[[nodiscard]] std::vector<FillEntry> fill_order(
+    const RemainingDemand& remaining);
+
+/// Redirects per origin hotspot, logged in commit order.
+class RedirectLog {
+ public:
+  explicit RedirectLog(std::size_t num_origins) : log_(num_origins) {}
+
+  void add(std::uint32_t origin, VideoId video, std::uint32_t target,
+           std::uint32_t amount) {
+    log_[origin].push_back({video, target, amount});
+  }
+
+  /// Each origin's log grouped by video, ascending; a video's targets keep
+  /// commit order. Empties the log.
+  [[nodiscard]] std::vector<std::vector<VideoRedirect>> grouped();
+
+ private:
+  struct Entry {
+    VideoId video = 0;
+    std::uint32_t target = 0;
+    std::uint32_t amount = 0;
+  };
+  std::vector<std::vector<Entry>> log_;
+};
+
 }  // namespace ccdn

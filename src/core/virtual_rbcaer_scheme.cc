@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <unordered_map>
 
-#include "cluster/content_distance.h"
-#include "cluster/hierarchical.h"
 #include "core/balance_graph.h"
 #include "core/replication.h"
 #include "core/shard_solver.h"
 #include "core/theta_sweep.h"
 #include "geo/geo_point.h"
 #include "geo/grid_index.h"
-#include "geo/zone_partition.h"
 #include "model/sorted_contains.h"
-#include "model/topsets.h"
 #include "util/error.h"
 #include "verify/flow_audit.h"
 #include "verify/schedule_audit.h"
@@ -42,23 +37,6 @@ std::pair<std::vector<std::uint32_t>, std::size_t> partition_regions(
     label[h] = it->second;
   }
   return {std::move(label), cell_label.size()};
-}
-
-/// The region-level flow phase: run_theta_sweep over a centroid index.
-/// Shared by the unsharded path and every shard's local solve (shard=1
-/// stays bit-identical).
-SweepOutcome regional_flow_sweep(const RbcaerConfig& rc,
-                                 std::span<const Hotspot> hotspots,
-                                 HotspotPartition& partition,
-                                 std::int64_t max_movable,
-                                 std::span<const std::uint32_t> cluster_of) {
-  std::vector<GeoPoint> centroids;
-  centroids.reserve(hotspots.size());
-  for (const auto& vh : hotspots) centroids.push_back(vh.location);
-  const GridIndex region_index(std::move(centroids),
-                               std::max(rc.theta2_km / 2.0, 1e-3));
-  return run_theta_sweep(rc, hotspots, region_index, partition, max_movable,
-                         cluster_of);
 }
 
 }  // namespace
@@ -126,16 +104,16 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
 
   std::vector<std::uint32_t> cluster_of(num_regions, 0);
   if (rc.content_aggregation && diagnostics_.region_max_movable > 0) {
-    const auto top_sets = top_sets_per_hotspot(regional, rc.top_fraction);
-    cluster_of =
-        hierarchical_cluster(
-            content_cut_graph(top_sets, rc.content_cluster_threshold),
-            rc.linkage, rc.content_cluster_threshold)
-            .labels;
+    cluster_of = content_clusters(rc, regional).labels;
   }
 
   std::vector<FlowEntry> region_flows;
   if (diagnostics_.region_max_movable > 0) {
+    std::vector<GeoPoint> centroids;
+    centroids.reserve(num_regions);
+    for (const auto& vh : virtual_hotspots) centroids.push_back(vh.location);
+    const GridIndex region_index(std::move(centroids),
+                                 std::max(rc.theta2_km / 2.0, 1e-3));
     // Zone-sharded regional solve (DESIGN.md §3.12): the region centroids
     // shard exactly like flat hotspots do, with the global cluster labels
     // restricted per shard (labels are only grouping keys, so restriction
@@ -143,58 +121,15 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
     const std::size_t num_shards = std::min(
         rc.num_shards != 0 ? rc.num_shards : context.num_shards, num_regions);
     if (num_shards >= 1) {
-      std::vector<GeoPoint> centroids;
-      centroids.reserve(num_regions);
-      for (const auto& vh : virtual_hotspots) {
-        centroids.push_back(vh.location);
-      }
-      const ShardAssignment assignment =
-          partition_zones(centroids, num_shards);
-      const GridIndex region_index(centroids,
-                                   std::max(rc.theta2_km / 2.0, 1e-3));
-      const std::vector<std::uint8_t> boundary = boundary_hotspots(
-          centroids, assignment, rc.theta2_km, region_index);
-      ShardedSolveOptions options;
-      options.exchange_radius_km = rc.theta2_km;
-      options.exchange_theta1_km = rc.theta1_km;
-      options.exchange_theta_step_km = rc.delta_km;
-      options.audit_level = rc.audit_level;
-      const auto& cluster_labels = cluster_of;
-      ShardedSolveOutcome outcome = solve_sharded(
-          virtual_hotspots, region_index, partition, assignment, boundary,
-          options, [&](std::uint32_t s) {
-            const auto& mem = assignment.members[s];
-            std::vector<Hotspot> sub;
-            sub.reserve(mem.size());
-            std::vector<std::vector<VideoDemand>> sub_videos;
-            sub_videos.reserve(mem.size());
-            std::vector<std::uint32_t> sub_clusters;
-            sub_clusters.reserve(mem.size());
-            for (const std::uint32_t r : mem) {
-              sub.push_back(virtual_hotspots[r]);
-              const auto videos =
-                  regional.video_demand(static_cast<HotspotIndex>(r));
-              sub_videos.emplace_back(videos.begin(), videos.end());
-              sub_clusters.push_back(cluster_labels[r]);
-            }
-            const SlotDemand local(std::move(sub_videos));
-            std::vector<std::uint32_t> sub_loads(mem.size());
-            for (std::size_t i = 0; i < mem.size(); ++i) {
-              sub_loads[i] = local.load(static_cast<HotspotIndex>(i));
-            }
-            HotspotPartition sub_partition =
-                HotspotPartition::from_loads(sub, sub_loads);
-            ShardFlowResult out;
-            SweepOutcome swept =
-                regional_flow_sweep(rc, sub, sub_partition,
-                                    sub_partition.max_movable(), sub_clusters);
-            out.moved = swept.moved;
-            out.flows = std::move(swept.flows);
-            for (FlowEntry& f : out.flows) {
-              f.from = mem[f.from];
-              f.to = mem[f.to];
-            }
-            return out;
+      ShardedSolveOutcome outcome = shard_plan_.solve(
+          rc, virtual_hotspots, region_index, partition, num_shards,
+          [&](std::span<const std::uint32_t> zone) {
+            ShardInstance shard =
+                shard_instance(virtual_hotspots, regional, zone);
+            std::vector<std::uint32_t> labels;
+            labels.reserve(zone.size());
+            for (const std::uint32_t r : zone) labels.push_back(cluster_of[r]);
+            return sweep_shard(rc, shard, labels);
           });
       diagnostics_.region_moved = outcome.moved;
       diagnostics_.shards = num_shards;
@@ -203,8 +138,8 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       region_flows = std::move(outcome.flows);
     } else {
       SweepOutcome swept =
-          regional_flow_sweep(rc, virtual_hotspots, partition,
-                              diagnostics_.region_max_movable, cluster_of);
+          run_theta_sweep(rc, virtual_hotspots, region_index, partition,
+                          diagnostics_.region_max_movable, cluster_of);
       diagnostics_.region_moved = swept.moved;
       region_flows = std::move(swept.flows);
     }
@@ -222,9 +157,11 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
       regional, virtual_hotspots, region_flows, budget, rc.audit_level);
 
   // --- 4. Localize region decisions onto member hotspots. ---
-  // Remaining per-hotspot slack/overflow and cache room.
+  // Remaining per-hotspot slack/overflow, cache room and serviceable
+  // capacity (inbound redirects consume the receiver's).
   std::vector<std::int64_t> slack(m);      // s_h - λ_h when positive
   std::vector<std::int64_t> overflow(m);   // λ_h - s_h when positive
+  std::vector<std::int64_t> serviceable_left(m);
   std::vector<std::uint32_t> cache_left(m);
   std::vector<std::vector<VideoId>> placements(m);
   for (std::uint32_t h = 0; h < m; ++h) {
@@ -233,15 +170,10 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
         static_cast<std::int64_t>(context.hotspots[h].service_capacity);
     slack[h] = std::max<std::int64_t>(0, cap - load);
     overflow[h] = std::max<std::int64_t>(0, load - cap);
+    serviceable_left[h] = cap;
     cache_left[h] = context.hotspots[h].cache_capacity;
   }
-  // Mutable per-hotspot remaining local demand (drained by redirects).
-  std::vector<std::unordered_map<VideoId, std::uint32_t>> local_left(m);
-  for (std::uint32_t h = 0; h < m; ++h) {
-    for (const auto& d : demand.video_demand(h)) {
-      local_left[h].emplace(d.video, d.count);
-    }
-  }
+  RemainingDemand local_left(demand);  // drained by the redirects
   const auto try_place = [&](std::uint32_t h, VideoId v) {
     if (sorted_contains(placements[h], v)) return true;
     if (cache_left[h] == 0) return false;
@@ -252,9 +184,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
   };
 
   // Per-origin-hotspot redirect quotas, to be materialized per request.
-  std::vector<std::unordered_map<VideoId, std::vector<RedirectTarget>>>
-      redirect_map(m);
-
+  RedirectLog redirects(m);
   for (std::uint32_t origin_region = 0;
        origin_region < regional_plan.redirects.size(); ++origin_region) {
     for (const auto& vr : regional_plan.redirects[origin_region]) {
@@ -269,18 +199,16 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
           for (const auto sender : members[origin_region]) {
             if (remaining == 0 || slack[receiver] == 0) break;
             if (overflow[sender] == 0) continue;
-            const auto it = local_left[sender].find(vr.video);
-            if (it == local_left[sender].end() || it->second == 0) continue;
+            const std::uint32_t left = local_left.get(sender, vr.video);
+            if (left == 0) continue;
             const auto amount = static_cast<std::uint32_t>(
                 std::min<std::int64_t>({remaining, slack[receiver],
-                                        overflow[sender],
-                                        static_cast<std::int64_t>(
-                                            it->second)}));
-            if (amount == 0) continue;
-            redirect_map[sender][vr.video].push_back({receiver, amount});
-            it->second -= amount;
+                                        overflow[sender], left}));
+            redirects.add(sender, vr.video, receiver, amount);
+            local_left.subtract(sender, vr.video, amount);
             overflow[sender] -= amount;
             slack[receiver] -= amount;
+            serviceable_left[receiver] -= amount;
             remaining -= amount;
             diagnostics_.localized_redirects += amount;
           }
@@ -290,39 +218,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
   }
 
   // --- 5. Local fill under the serviceability cap (as in flat RBCAer). ---
-  struct FillEntry {
-    std::uint32_t count = 0;
-    std::uint32_t hotspot = 0;
-    VideoId video = 0;
-  };
-  std::vector<std::int64_t> serviceable_left(m);
-  for (std::uint32_t h = 0; h < m; ++h) {
-    serviceable_left[h] =
-        static_cast<std::int64_t>(context.hotspots[h].service_capacity);
-  }
-  // Inbound redirects consume receiver capacity.
-  for (std::uint32_t h = 0; h < m; ++h) {
-    // ccdn-lint: allow(unordered-iteration) -- commutative integer sums into
-    // serviceable_left; the result is order-independent
-    for (const auto& [video, targets] : redirect_map[h]) {
-      for (const auto& t : targets) serviceable_left[t.hotspot] -= t.count;
-    }
-  }
-  std::vector<FillEntry> fill;
-  for (std::uint32_t h = 0; h < m; ++h) {
-    // ccdn-lint: allow(unordered-iteration) -- extract-then-sort: fill is
-    // fully ordered below with (count, hotspot, video) tie-breaks
-    for (const auto& [video, count] : local_left[h]) {
-      if (count > 0) fill.push_back({count, h, video});
-    }
-  }
-  std::sort(fill.begin(), fill.end(),
-            [](const FillEntry& a, const FillEntry& b) {
-              if (a.count != b.count) return a.count > b.count;
-              if (a.hotspot != b.hotspot) return a.hotspot < b.hotspot;
-              return a.video < b.video;
-            });
-  for (const auto& entry : fill) {
+  for (const FillEntry& entry : fill_order(local_left)) {
     if (serviceable_left[entry.hotspot] <= 0) continue;
     if (try_place(entry.hotspot, entry.video)) {
       serviceable_left[entry.hotspot] -= entry.count;
@@ -330,23 +226,10 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
   }
 
   // --- 6. Materialize. ---
-  std::vector<std::vector<VideoRedirect>> redirects(m);
-  for (std::uint32_t h = 0; h < m; ++h) {
-    redirects[h].reserve(redirect_map[h].size());
-    // ccdn-lint: allow(unordered-iteration) -- extract-then-sort: redirects[h]
-    // is fully ordered by video id immediately below
-    for (auto& [video, targets] : redirect_map[h]) {
-      redirects[h].push_back({video, std::move(targets)});
-    }
-    std::sort(redirects[h].begin(), redirects[h].end(),
-              [](const VideoRedirect& a, const VideoRedirect& b) {
-                return a.video < b.video;
-              });
-  }
   SlotPlan plan;
   plan.placements = std::move(placements);
   plan.assignment = materialize_assignment(requests, demand.request_home(),
-                                           std::move(redirects));
+                                           redirects.grouped());
   if (auditing) {
     AuditReport report;
     audit_slot_plan(plan, context.hotspots, requests, demand.request_home(),

@@ -12,15 +12,18 @@
 //      summed demand, centroid location) and run the RBCAer core —
 //      clustering, Gc, θ-sweep MCMF, Procedure 1 — on the K virtual
 //      hotspots instead of the N physical ones. Clustering drops from
-//      O(N²) to O(K²) pairs, the flow graphs shrink accordingly. The
-//      region-level sweep is the flat scheme's (run_theta_sweep, so
-//      theta_sweep in core/theta_sweep.h), residual Gd pass at θ2
-//      included.
+//      O(N²) to O(K²) pairs, the flow graphs shrink accordingly. Every
+//      piece is the flat scheme's: run_theta_sweep (residual Gd pass at θ2
+//      included), and when sharded its zone plan cache, shard sub-instance
+//      and shard sweep, with the global region clusters as the shard's
+//      labels.
 //   3. Localize the region-level decisions: inbound redirected demand is
 //      spread over member hotspots with slack (placing the videos there);
-//      outbound quotas are drawn from the most-overloaded members; local
-//      demand fills caches under the same serviceability cap as flat
-//      RBCAer.
+//      outbound quotas are drawn from the overloaded members; local demand
+//      fills caches in Procedure 1's fill order under the same
+//      serviceability cap as flat RBCAer. The pass drains Procedure 1's
+//      remaining-demand table and logs into its redirect log, both built
+//      on the physical slot demand.
 //
 // The price is granularity: balancing *within* a region only happens
 // implicitly through the localization pass, so flat RBCAer stays slightly
@@ -81,6 +84,7 @@ class VirtualRbcaerScheme final : public RedirectionScheme {
  private:
   VirtualRbcaerConfig config_;
   Diagnostics diagnostics_;
+  ShardPlanCache shard_plan_;  // over the region centroids
 };
 
 }  // namespace ccdn

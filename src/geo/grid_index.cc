@@ -349,37 +349,4 @@ void GridIndex::Subset::within_radius(const GeoPoint& query, double radius_km,
   std::sort(out.begin(), out.end());
 }
 
-std::vector<std::size_t> GridIndex::k_nearest(const GeoPoint& query,
-                                              std::size_t k) const {
-  k = std::min(k, points_.size());
-  if (k == 0) return {};
-  // Expand the radius until at least k candidates are inside, then sort.
-  double radius = cell_km_;
-  std::vector<std::size_t> candidates;
-  while (true) {
-    candidates = within_radius(query, radius);
-    if (candidates.size() >= k) break;
-    const double diag =
-        cell_km_ * (static_cast<double>(cols_) + static_cast<double>(rows_));
-    if (radius > diag) {  // whole grid covered
-      break;
-    }
-    radius *= 2.0;
-  }
-  const auto q = projection_.to_xy(query);
-  std::sort(candidates.begin(), candidates.end(),
-            [&](std::size_t a, std::size_t b) {
-              const double dax = projected_[a].x_km - q.x_km;
-              const double day = projected_[a].y_km - q.y_km;
-              const double dbx = projected_[b].x_km - q.x_km;
-              const double dby = projected_[b].y_km - q.y_km;
-              const double da = dax * dax + day * day;
-              const double db = dbx * dbx + dby * dby;
-              if (da != db) return da < db;
-              return a < b;
-            });
-  if (candidates.size() > k) candidates.resize(k);
-  return candidates;
-}
-
 }  // namespace ccdn

@@ -77,11 +77,6 @@ class GridIndex {
     std::vector<std::uint32_t> slots_;  // assign() scratch
   };
 
-  /// Indices of the k nearest points, ascending by distance (k clamped to
-  /// size()).
-  [[nodiscard]] std::vector<std::size_t> k_nearest(const GeoPoint& query,
-                                                   std::size_t k) const;
-
  private:
   struct Cell {
     std::int32_t col = 0;

@@ -29,8 +29,7 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
     keys[r] = (std::uint64_t{home} << 32) | requests[r].video;
   }
   // A stable LSD radix sort by video, 8 bits a pass and only as many
-  // passes as the largest id needs, puts the keys in video order, which
-  // lists the distinct videos...
+  // passes as the largest id needs, puts the keys in video order...
   const auto video_bits = static_cast<int>(std::bit_width(max_video));
   for (int shift = 0; shift < video_bits; shift += 8) {
     std::array<std::size_t, 257> start{};
@@ -40,12 +39,6 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
       scratch[start[(key >> shift) & 0xff]++] = key;
     }
     keys.swap(scratch);
-  }
-  for (const std::uint64_t key : keys) {
-    const auto video = static_cast<VideoId>(key);
-    if (requested_videos_.empty() || requested_videos_.back() != video) {
-      requested_videos_.push_back(video);
-    }
   }
   // ...and a stable counting sort by home then gives each home its
   // segment, ascending by video, to run-length encode into λ_hv.
@@ -105,13 +98,6 @@ void SlotDemand::assign_per_hotspot(
     total_requests_ += loads_[h];
     offsets_[h + 1] = demands_.size();
   }
-  requested_videos_.resize(demands_.size());
-  std::transform(demands_.begin(), demands_.end(), requested_videos_.begin(),
-                 [](const VideoDemand& d) { return d.video; });
-  std::sort(requested_videos_.begin(), requested_videos_.end());
-  requested_videos_.erase(
-      std::unique(requested_videos_.begin(), requested_videos_.end()),
-      requested_videos_.end());
 }
 
 std::uint32_t SlotDemand::load(HotspotIndex h) const {
@@ -125,13 +111,9 @@ std::span<const VideoDemand> SlotDemand::video_demand(HotspotIndex h) const {
       offsets_[h], offsets_[h + 1] - offsets_[h]);
 }
 
-std::uint32_t SlotDemand::demand_for(HotspotIndex h, VideoId video) const {
-  const auto demands = video_demand(h);
-  const auto it = std::lower_bound(
-      demands.begin(), demands.end(), video,
-      [](const VideoDemand& d, VideoId v) { return d.video < v; });
-  if (it == demands.end() || it->video != video) return 0;
-  return it->count;
+std::size_t SlotDemand::first_pair(HotspotIndex h) const {
+  CCDN_REQUIRE(h < offsets_.size(), "hotspot index out of range");
+  return offsets_[h];
 }
 
 }  // namespace ccdn

@@ -52,18 +52,16 @@ class SlotDemand {
   [[nodiscard]] std::span<const VideoDemand> video_demand(
       HotspotIndex h) const;
 
-  /// λ_hv for a single video (0 when absent).
-  [[nodiscard]] std::uint32_t demand_for(HotspotIndex h, VideoId video) const;
+  /// Position of hotspot h's first λ_hv pair when the video_demand() rows
+  /// are laid end to end in hotspot order; first_pair(num_hotspots()) is
+  /// the number of pairs. A per-pair table finds λ_hv at first_pair(h)
+  /// plus the pair's position in h's row.
+  [[nodiscard]] std::size_t first_pair(HotspotIndex h) const;
 
   /// Home hotspot of each request (same order as the input span); empty when
   /// constructed from per-hotspot vectors.
   [[nodiscard]] std::span<const HotspotIndex> request_home() const noexcept {
     return request_home_;
-  }
-
-  /// All distinct videos requested anywhere this slot, ascending.
-  [[nodiscard]] std::span<const VideoId> requested_videos() const noexcept {
-    return requested_videos_;
   }
 
  private:
@@ -75,7 +73,6 @@ class SlotDemand {
   std::vector<VideoDemand> demands_;
   std::vector<std::uint32_t> loads_;
   std::vector<HotspotIndex> request_home_;
-  std::vector<VideoId> requested_videos_;
   std::size_t total_requests_ = 0;
 };
 

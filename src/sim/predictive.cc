@@ -1,9 +1,50 @@
 #include "sim/predictive.h"
 
-#include "model/timeslots.h"
-#include "util/error.h"
+#include <string>
+#include <utility>
 
 namespace ccdn {
+
+namespace {
+
+/// Plans each slot on the predictor's forecast of its demand, with the
+/// slot's actual request homes, once `warmup_slots` slots have been
+/// observed; then observes the slot's actual demand. That history makes
+/// planning order part of its semantics, so clone() stays nullptr and the
+/// simulator plans it slot by slot.
+class PredictiveScheme final : public RedirectionScheme {
+ public:
+  PredictiveScheme(RedirectionScheme& inner, DemandPredictor predictor,
+                   std::size_t warmup_slots)
+      : inner_(inner),
+        predictor_(std::move(predictor)),
+        warmup_slots_(warmup_slots) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+  [[nodiscard]] SlotPlan plan_slot(const SchemeContext& context,
+                                   std::span<const Request> requests,
+                                   const SlotDemand& demand) override {
+    const bool warm = predictor_.slots_observed() >= warmup_slots_;
+    SlotPlan plan =
+        warm ? inner_.plan_slot(context, requests,
+                                predictor_.predict_for(demand))
+             : inner_.plan_slot(context, requests, demand);
+    predictor_.observe(demand);
+    return plan;
+  }
+
+  [[nodiscard]] const StageTimings* last_stage_timings() const override {
+    return inner_.last_stage_timings();
+  }
+
+ private:
+  RedirectionScheme& inner_;
+  DemandPredictor predictor_;
+  std::size_t warmup_slots_;
+};
+
+}  // namespace
 
 SimulationReport run_predictive(const std::vector<Hotspot>& hotspots,
                                 VideoCatalog catalog,
@@ -11,44 +52,12 @@ SimulationReport run_predictive(const std::vector<Hotspot>& hotspots,
                                 const Forecaster& forecaster,
                                 std::span<const Request> requests,
                                 const PredictiveConfig& config) {
-  CCDN_REQUIRE(!hotspots.empty(), "no hotspots");
-  CCDN_REQUIRE(catalog.num_videos > 0, "empty catalog");
-
-  std::vector<GeoPoint> locations;
-  locations.reserve(hotspots.size());
-  for (const auto& h : hotspots) locations.push_back(h.location);
-  const GridIndex index(std::move(locations), 0.5);
-  const SchemeContext context{hotspots, index, catalog,
-                              config.simulation.cdn_distance_km};
-
-  DemandPredictor predictor(hotspots.size(), forecaster,
-                            config.history_window);
-  SimulationReport report(catalog.num_videos,
-                          config.simulation.cdn_distance_km);
-  const auto slots =
-      partition_into_slots(requests, config.simulation.slot_seconds);
-  std::vector<std::vector<VideoId>> previous_placements;
-  for (const SlotRange& range : slots) {
-    const auto slot_requests = requests.subspan(range.begin, range.size());
-    const SlotDemand actual(slot_requests, index);
-    const bool warm = predictor.slots_observed() >= config.warmup_slots;
-    const SlotDemand planning =
-        warm ? predictor.predict_for(actual) : actual;
-    SlotPlan plan =
-        scheme.plan_slot(context, slot_requests, warm ? planning : actual);
-    std::vector<std::uint32_t> served_at;
-    SlotMetrics metrics = admit_slot(
-        hotspots, plan, slot_requests, config.simulation.cdn_distance_km,
-        config.simulation.record_hotspot_loads ? &served_at : nullptr);
-    if (config.simulation.charge_placement_deltas) {
-      metrics.replicas =
-          count_new_replicas(previous_placements, plan.placements);
-      previous_placements = std::move(plan.placements);
-    }
-    report.add_slot(metrics, std::move(served_at));
-    predictor.observe(actual);
-  }
-  return report;
+  const Simulator simulator(hotspots, catalog, config.simulation);
+  PredictiveScheme predictive(
+      scheme,
+      DemandPredictor(hotspots.size(), forecaster, config.history_window),
+      config.warmup_slots);
+  return simulator.run(predictive, requests);
 }
 
 }  // namespace ccdn

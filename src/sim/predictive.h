@@ -3,10 +3,10 @@
 // The plain Simulator plans each slot against its *observed* demand — an
 // oracle. In deployment the scheduling server must prefetch before the slot
 // starts, planning against *forecast* demand (paper §III assumption 4).
-// run_predictive() drives that loop: plan slot t with the predictor's
-// output, admit against the actual requests, then feed the observation back
-// into the predictor. The gap to the oracle quantifies the price of
-// prediction error.
+// run_predictive() runs the Simulator with the scheme wrapped so that it
+// plans slot t on the predictor's output; admission is against the actual
+// requests, and the observation is fed back into the predictor. The gap to
+// the oracle quantifies the price of prediction error.
 #pragma once
 
 #include <span>
@@ -18,6 +18,8 @@
 namespace ccdn {
 
 struct PredictiveConfig {
+  /// Every field applies as in Simulator::run, except that the wrapped
+  /// scheme always plans slot by slot (num_threads cannot fan it out).
   SimulationConfig simulation;
   /// Initial slots planned against observed demand while history builds up
   /// (an operator would bootstrap from yesterday's trace).
@@ -26,8 +28,9 @@ struct PredictiveConfig {
   std::size_t history_window = 24;
 };
 
-/// Run `scheme` over the trace, planning each post-warmup slot against the
-/// forecaster's demand prediction instead of the observed demand.
+/// Run `scheme` over the trace through Simulator::run, planning each
+/// post-warmup slot against the forecaster's demand prediction instead of
+/// the observed demand.
 [[nodiscard]] SimulationReport run_predictive(
     const std::vector<Hotspot>& hotspots, VideoCatalog catalog,
     RedirectionScheme& scheme, const Forecaster& forecaster,

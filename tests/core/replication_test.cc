@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "core/reference_replication.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -252,6 +253,114 @@ TEST(Replication, RedirectsSortedByVideo) {
         return a.video < b.video;
       }));
   EXPECT_EQ(result.total_redirected, 9);
+}
+
+TEST(Replication, MatchesReferenceOnRandomInstances) {
+  // Random demand, flows (duplicate (from, to) entries included), caches
+  // of 0-3 videos and budgets from 0 to the request count; the plan and
+  // the per-request assignment must equal the reference's exactly.
+  std::size_t exhausted = 0;
+  std::size_t full_receivers = 0;
+  std::size_t redirected = 0;
+  for (std::uint64_t seed = 1; seed <= 500; ++seed) {
+    Rng rng(seed * 0x9e3779b97f4a7c15ULL + 17);
+    const std::size_t m = 2 + rng.index(9);
+    std::vector<std::vector<VideoDemand>> per_hotspot(m);
+    std::vector<std::pair<VideoId, HotspotIndex>> slot;
+    for (std::size_t h = 0; h < m; ++h) {
+      const std::size_t entries = rng.index(7);
+      for (std::size_t k = 0; k < entries; ++k) {
+        const auto video = static_cast<VideoId>(rng.index(12));
+        const auto count = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+        per_hotspot[h].push_back({video, count});
+        for (std::uint32_t c = 0; c < count; ++c) {
+          slot.push_back({video, static_cast<HotspotIndex>(h)});
+        }
+      }
+    }
+    rng.shuffle(slot);
+    std::vector<Request> requests(slot.size());
+    std::vector<HotspotIndex> homes(slot.size());
+    for (std::size_t r = 0; r < slot.size(); ++r) {
+      requests[r].video = slot[r].first;
+      homes[r] = slot[r].second;
+    }
+    std::vector<std::uint32_t> service(m), cache(m);
+    for (std::size_t h = 0; h < m; ++h) {
+      service[h] = static_cast<std::uint32_t>(rng.uniform_int(0, 20));
+      cache[h] = static_cast<std::uint32_t>(rng.uniform_int(0, 3));
+    }
+    std::vector<FlowEntry> flows;
+    const std::size_t num_flows = rng.index(3 * m);
+    for (std::size_t k = 0; k < num_flows; ++k) {
+      if (!flows.empty() && rng.chance(0.2)) {
+        flows.push_back(flows[rng.index(flows.size())]);
+        continue;
+      }
+      const auto from = static_cast<std::uint32_t>(rng.index(m));
+      auto to = static_cast<std::uint32_t>(rng.index(m));
+      if (to == from) to = (to + 1) % static_cast<std::uint32_t>(m);
+      flows.push_back({from, to, rng.uniform_int(1, 10)});
+    }
+    // Half the budgets stay under the total cache room, so that the
+    // budget, not the caches, runs out first.
+    std::size_t budget_cap = requests.size();
+    if (rng.chance(0.5)) {
+      std::size_t room = 0;
+      for (const std::uint32_t c : cache) room += c;
+      budget_cap = std::min(budget_cap, room);
+    }
+    const auto budget = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(budget_cap)));
+    const SlotDemand demand(per_hotspot);
+    const auto hotspots = hotspots_with(service, cache);
+    const ReplicationResult got =
+        content_aggregation_replication(demand, hotspots, flows, budget);
+    const ReplicationResult want =
+        reference_replication(demand, hotspots, flows, budget);
+
+    EXPECT_EQ(got.placements, want.placements) << "seed " << seed;
+    EXPECT_EQ(got.replicas, want.replicas) << "seed " << seed;
+    EXPECT_EQ(got.total_redirected, want.total_redirected) << "seed " << seed;
+    EXPECT_EQ(got.budget_exhausted, want.budget_exhausted) << "seed " << seed;
+    ASSERT_EQ(got.redirects.size(), want.redirects.size()) << "seed " << seed;
+    for (std::size_t h = 0; h < m; ++h) {
+      ASSERT_EQ(got.redirects[h].size(), want.redirects[h].size())
+          << "seed " << seed << ", origin " << h;
+      for (std::size_t k = 0; k < got.redirects[h].size(); ++k) {
+        const VideoRedirect& g = got.redirects[h][k];
+        const VideoRedirect& w = want.redirects[h][k];
+        EXPECT_EQ(g.video, w.video) << "seed " << seed << ", origin " << h;
+        ASSERT_EQ(g.targets.size(), w.targets.size())
+            << "seed " << seed << ", origin " << h;
+        for (std::size_t t = 0; t < g.targets.size(); ++t) {
+          EXPECT_EQ(g.targets[t].hotspot, w.targets[t].hotspot)
+              << "seed " << seed << ", origin " << h << ", target " << t;
+          EXPECT_EQ(g.targets[t].count, w.targets[t].count)
+              << "seed " << seed << ", origin " << h << ", target " << t;
+        }
+      }
+    }
+    EXPECT_EQ(materialize_assignment(requests, homes, got.redirects),
+              reference_materialize_assignment(requests, homes,
+                                               want.redirects))
+        << "seed " << seed;
+
+    exhausted += want.budget_exhausted ? 1 : 0;
+    redirected += want.total_redirected > 0 ? 1 : 0;
+    for (const FlowEntry& f : flows) {
+      if (!want.budget_exhausted &&
+          want.placements[f.to].size() == cache[f.to]) {
+        ++full_receivers;
+        break;
+      }
+    }
+  }
+  // The instances reach every branch the reference has: an exhausted
+  // budget, a receiver whose cache is full, and committed redirects.
+  EXPECT_GT(exhausted, 100u);
+  EXPECT_GT(full_receivers, 100u);
+  EXPECT_GT(redirected, 100u);
 }
 
 }  // namespace

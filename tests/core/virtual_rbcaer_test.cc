@@ -9,6 +9,7 @@
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/error.h"
+#include "verify/audit.h"
 
 namespace ccdn {
 namespace {
@@ -212,6 +213,73 @@ TEST(VirtualRbcaer, EndToEndComparableToFlatOnEvaluationWorld) {
             nearest_report.cdn_server_load());
   EXPECT_GT(virtual_report.serving_ratio(),
             flat_report.serving_ratio() - 0.15);
+}
+
+/// FNV-1a over a run's per-slot plan digests.
+std::uint64_t fold_digests(const std::vector<std::uint64_t>& digests) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::uint64_t digest : digests) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (digest >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(VirtualRbcaer, PlansMatchPinnedDigests) {
+  // Per-slot plan digests on a small, tightly loaded world (20 requests a
+  // hotspot a slot), folded per configuration, as the scheme planned them
+  // when it still kept its own remaining-demand and redirect maps, fill
+  // order and shard sub-instance solve. The golden file pins only the 3%
+  // cache with aggregation on; these add a scarce cache, aggregation off
+  // and a sharded regional solve.
+  WorldConfig world_config = WorldConfig::evaluation_region();
+  world_config.num_hotspots = 60;
+  world_config.num_videos = 2000;
+  world_config.seed = 11;
+  const World base = generate_world(world_config);
+  TraceConfig trace_config;
+  trace_config.num_requests = 20000;
+  trace_config.duration_hours = 12;
+  trace_config.seed = 11;
+  const auto trace = generate_trace(base, trace_config);
+
+  struct Case {
+    double cache_share;
+    bool aggregation;
+    std::size_t shards;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {0.005, true, 0, 0xb256a1bc4a7115cfULL},
+      {0.005, true, 2, 0xfaa5b1351daf3657ULL},
+      {0.005, false, 0, 0x46c7da550d566852ULL},
+      {0.005, false, 2, 0x266c213259737c0eULL},
+      {0.03, true, 0, 0xfc86e1a40aba8542ULL},
+      {0.03, true, 2, 0x7514ca32bad21163ULL},
+      {0.03, false, 0, 0x0b8fc7d5f9163bb2ULL},
+      {0.03, false, 2, 0xca235260e1c7e0abULL},
+  };
+  for (const Case& c : cases) {
+    World world = base;
+    assign_uniform_capacities(world, 0.01, c.cache_share);
+    SimulationConfig sim_config;
+    sim_config.slot_seconds = 3600;
+    sim_config.audit_level = AuditLevel::kPlan;
+    const Simulator simulator(world.hotspots(),
+                              VideoCatalog{world_config.num_videos},
+                              sim_config);
+    VirtualRbcaerConfig config;
+    config.regional.content_aggregation = c.aggregation;
+    config.regional.num_shards = c.shards;
+    VirtualRbcaerScheme scheme(config);
+    const SimulationReport report = simulator.run(scheme, trace);
+    ASSERT_EQ(report.slot_digests().size(), 12u);
+    EXPECT_EQ(fold_digests(report.slot_digests()), c.digest)
+        << "cache " << c.cache_share << ", aggregation " << c.aggregation
+        << ", shards " << c.shards;
+  }
 }
 
 }  // namespace

@@ -354,29 +354,6 @@ TEST(GridIndex, SubsetReassignRetargets) {
   EXPECT_EQ(got, (std::vector<std::size_t>{0, 2}));
 }
 
-TEST(GridIndex, KNearestOrderedByDistance) {
-  Rng rng(19);
-  const auto points = random_points(rng, 100);
-  const GridIndex index(points, 0.5);
-  const GeoPoint query{40.05, 116.5};
-  const auto got = index.k_nearest(query, 10);
-  ASSERT_EQ(got.size(), 10u);
-  for (std::size_t i = 1; i < got.size(); ++i) {
-    EXPECT_LE(distance_km(points[got[i - 1]], query),
-              distance_km(points[got[i]], query) + 1e-12);
-  }
-  // First element agrees with nearest().
-  EXPECT_EQ(got.front(), index.nearest(query));
-}
-
-TEST(GridIndex, KNearestClampsToSize) {
-  Rng rng(23);
-  const auto points = random_points(rng, 5);
-  const GridIndex index(points, 0.5);
-  EXPECT_EQ(index.k_nearest({40.05, 116.5}, 50).size(), 5u);
-  EXPECT_TRUE(index.k_nearest({40.05, 116.5}, 0).empty());
-}
-
 TEST(GridIndex, WithinRadiusZeroRadius) {
   const std::vector<GeoPoint> points{{40.0, 116.5}, {40.05, 116.55}};
   const GridIndex index(points, 1.0);

@@ -55,26 +55,29 @@ TEST(SlotDemand, MergesDuplicateVideos) {
   EXPECT_EQ(demands[1].count, 3u);
 }
 
-TEST(SlotDemand, DemandForLookups) {
+TEST(SlotDemand, FirstPairLocatesEachRow) {
+  // The rows lie end to end in hotspot order: hotspot h's pairs start at
+  // first_pair(h), and first_pair(num_hotspots()) counts them all.
+  std::vector<std::vector<VideoDemand>> per_hotspot(4);
+  per_hotspot[0] = {{5, 2}, {3, 1}};
+  per_hotspot[2] = {{9, 4}};
+  per_hotspot[3] = {{1, 1}, {2, 1}, {1, 2}};  // video 1 merges
+  const SlotDemand demand(std::move(per_hotspot));
+  EXPECT_EQ(demand.first_pair(0), 0u);
+  EXPECT_EQ(demand.first_pair(1), 2u);
+  EXPECT_EQ(demand.first_pair(2), 2u);
+  EXPECT_EQ(demand.first_pair(3), 3u);
+  EXPECT_EQ(demand.first_pair(4), 5u);
+  EXPECT_THROW((void)demand.first_pair(5), PreconditionError);
+
   const GridIndex index = two_hotspots();
   const std::vector<Request> requests{make_request(5, 40.05, 116.42),
-                                      make_request(5, 40.05, 116.42)};
-  const SlotDemand demand(requests, index);
-  EXPECT_EQ(demand.demand_for(0, 5), 2u);
-  EXPECT_EQ(demand.demand_for(0, 6), 0u);
-  EXPECT_EQ(demand.demand_for(1, 5), 0u);
-  EXPECT_THROW((void)demand.demand_for(2, 5), PreconditionError);
-}
-
-TEST(SlotDemand, RequestedVideosIsSortedUnique) {
-  const GridIndex index = two_hotspots();
-  const std::vector<Request> requests{
-      make_request(9, 40.05, 116.42), make_request(1, 40.05, 116.58),
-      make_request(9, 40.05, 116.58), make_request(4, 40.05, 116.42)};
-  const SlotDemand demand(requests, index);
-  const auto videos = demand.requested_videos();
-  EXPECT_EQ(std::vector<VideoId>(videos.begin(), videos.end()),
-            (std::vector<VideoId>{1, 4, 9}));
+                                      make_request(5, 40.05, 116.42),
+                                      make_request(4, 40.05, 116.58)};
+  const SlotDemand aggregated(requests, index);
+  EXPECT_EQ(aggregated.first_pair(0), 0u);
+  EXPECT_EQ(aggregated.first_pair(1), 1u);
+  EXPECT_EQ(aggregated.first_pair(2), 2u);
 }
 
 TEST(SlotDemand, FromExplicitVectorsMergesAndSorts) {
@@ -96,7 +99,7 @@ TEST(SlotDemand, EmptyRequestSpan) {
   const SlotDemand demand(std::span<const Request>{}, index);
   EXPECT_EQ(demand.num_requests(), 0u);
   EXPECT_EQ(demand.load(0), 0u);
-  EXPECT_TRUE(demand.requested_videos().empty());
+  EXPECT_EQ(demand.first_pair(2), 0u);
 }
 
 void expect_matches_reference(const SlotDemand& got,
@@ -106,13 +109,13 @@ void expect_matches_reference(const SlotDemand& got,
   EXPECT_EQ(std::vector<HotspotIndex>(got.request_home().begin(),
                                       got.request_home().end()),
             want.request_home);
-  EXPECT_EQ(std::vector<VideoId>(got.requested_videos().begin(),
-                                 got.requested_videos().end()),
-            want.requested_videos);
+  std::size_t pairs = 0;
   for (HotspotIndex h = 0; h < want.per_hotspot.size(); ++h) {
     EXPECT_EQ(got.load(h), want.loads[h]) << "hotspot " << h;
+    EXPECT_EQ(got.first_pair(h), pairs) << "hotspot " << h;
     const auto demands = got.video_demand(h);
     ASSERT_EQ(demands.size(), want.per_hotspot[h].size()) << "hotspot " << h;
+    pairs += demands.size();
     for (std::size_t k = 0; k < demands.size(); ++k) {
       EXPECT_EQ(demands[k].video, want.per_hotspot[h][k].video);
       EXPECT_EQ(demands[k].count, want.per_hotspot[h][k].count);
@@ -188,9 +191,6 @@ TEST(SlotDemand, MatchesReferenceOnEdgeSlots) {
   }
   const SlotDemand extreme(requests, many);
   expect_matches_reference(extreme, reference_demand(requests, many));
-  EXPECT_EQ(std::vector<VideoId>(extreme.requested_videos().begin(),
-                                 extreme.requested_videos().end()),
-            (std::vector<VideoId>{0, 1, kMax - 2, kMax - 1, kMax}));
 }
 
 TEST(SlotDemand, PerHotspotConstructorsMatchReference) {

@@ -21,12 +21,11 @@ struct ReferenceDemand {
   std::vector<std::vector<VideoDemand>> per_hotspot;
   std::vector<std::uint32_t> loads;
   std::vector<HotspotIndex> request_home;
-  std::vector<VideoId> requested_videos;
   std::size_t total_requests = 0;
 };
 
 /// Sorts each hotspot's entries, merges duplicate videos and derives the
-/// loads, the total and the requested videos.
+/// loads and the total.
 inline void reference_finalize(ReferenceDemand& out) {
   out.loads.assign(out.per_hotspot.size(), 0);
   for (std::size_t h = 0; h < out.per_hotspot.size(); ++h) {
@@ -44,16 +43,9 @@ inline void reference_finalize(ReferenceDemand& out) {
       }
     }
     demands.resize(write);
-    for (const auto& d : demands) {
-      out.loads[h] += d.count;
-      out.requested_videos.push_back(d.video);
-    }
+    for (const auto& d : demands) out.loads[h] += d.count;
     out.total_requests += out.loads[h];
   }
-  std::sort(out.requested_videos.begin(), out.requested_videos.end());
-  out.requested_videos.erase(
-      std::unique(out.requested_videos.begin(), out.requested_videos.end()),
-      out.requested_videos.end());
 }
 
 inline ReferenceDemand reference_demand(std::span<const Request> requests,

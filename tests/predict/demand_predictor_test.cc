@@ -83,8 +83,10 @@ TEST(DemandPredictor, PredictForKeepsActualHomes) {
       std::vector<HotspotIndex>{0, 1});
   const SlotDemand hybrid = predictor.predict_for(actual);
   // Demand comes from the prediction...
-  EXPECT_EQ(hybrid.demand_for(0, 7), 3u);
-  EXPECT_EQ(hybrid.demand_for(0, 8), 0u);
+  const auto predicted = hybrid.video_demand(0);
+  ASSERT_EQ(predicted.size(), 1u);
+  EXPECT_EQ(predicted[0].video, 7u);
+  EXPECT_EQ(predicted[0].count, 3u);
   // ...homes from the actual slot.
   ASSERT_EQ(hybrid.request_home().size(), 2u);
   EXPECT_EQ(hybrid.request_home()[0], 0u);

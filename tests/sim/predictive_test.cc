@@ -6,6 +6,8 @@
 #include "core/rbcaer_scheme.h"
 #include "trace/generator.h"
 #include "trace/world.h"
+#include "util/error.h"
+#include "verify/audit.h"
 
 namespace ccdn {
 namespace {
@@ -100,6 +102,38 @@ TEST(Predictive, WorksWithRbcaer) {
   EXPECT_EQ(report.total_requests(), scenario.trace.size());
   EXPECT_GT(report.serving_ratio(), 0.2);
   EXPECT_GT(report.total_replicas(), 0u);
+}
+
+TEST(Predictive, RunsThroughTheSimulator) {
+  // The whole SimulationConfig applies: kPlan records one digest per slot,
+  // and while the predictor warms up the plans are the simulator's own.
+  Scenario scenario;
+  PredictiveConfig config;
+  config.simulation.slot_seconds = 3600;
+  config.simulation.audit_level = AuditLevel::kPlan;
+  config.simulation.num_shards = 2;
+  config.warmup_slots = 1000;
+  const VideoCatalog catalog{scenario.world.config().num_videos};
+  LastValueForecaster naive;
+  RbcaerScheme predictive_scheme;
+  const auto predicted =
+      run_predictive(scenario.world.hotspots(), catalog, predictive_scheme,
+                     naive, scenario.trace, config);
+  ASSERT_EQ(predicted.slot_digests().size(), predicted.slots().size());
+  EXPECT_EQ(predicted.slots().size(), 48u);
+  RbcaerScheme oracle_scheme;
+  const Simulator simulator(scenario.world.hotspots(), catalog,
+                            config.simulation);
+  EXPECT_EQ(predicted.slot_digests(),
+            simulator.run(oracle_scheme, scenario.trace).slot_digests());
+
+  // Out-of-catalog videos are rejected as in Simulator::run.
+  std::vector<Request> bad(scenario.trace.begin(),
+                           scenario.trace.begin() + 10);
+  bad.back().video = catalog.num_videos;
+  EXPECT_THROW((void)run_predictive(scenario.world.hotspots(), catalog,
+                                    predictive_scheme, naive, bad, config),
+               ParseError);
 }
 
 TEST(Predictive, RejectsBadInputs) {

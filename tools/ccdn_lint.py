@@ -339,12 +339,6 @@ WHITELIST = {
     ("src/predict/demand_predictor.h", "unordered-container"):
         "per-video series state queried by key; iteration feeds an "
         "order-insensitive aggregate",
-    ("src/core/virtual_rbcaer_scheme.cc", "unordered-container"):
-        "region scratch maps; every iteration site is ccdn-lint-pragma'd "
-        "(extract-then-sort with full tie-breaks, or commutative int sums)",
-    ("src/core/replication.cc", "unordered-container"):
-        "dead-pair membership set used for contains() pruning only; never "
-        "iterated",
     ("src/core/random_scheme.cc", "unordered-container"):
         "neighbourhood demand merge; the iteration site is "
         "ccdn-lint-pragma'd (top_k_videos sorts with full tie-breaks)",
