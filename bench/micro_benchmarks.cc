@@ -100,6 +100,10 @@ void BM_ArcWalkCsr(benchmark::State& state) {
 BENCHMARK(BM_ArcWalkCsr)->Arg(400)->Arg(1200)
     ->ComputeStatistics("min", min_stat);
 
+/// The matrix overload on uniform distances, which keep half of the pairs
+/// under the 0.5 cut: cut-graph extraction, then the graph loop at a
+/// density no slot reaches (the schemes' Jd graphs hold under 3% of the
+/// pairs), so it guards the loop's worst case.
 void BM_HierarchicalClustering(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Rng rng(3);
@@ -141,12 +145,9 @@ const std::vector<std::vector<VideoId>>& synthetic_top_sets(std::size_t n) {
 }
 
 /// The schemes' clustering stage at the paper's 0.5 cut: the cut graph
-/// straight from the Jd sweep, then complete linkage on it. That is the
-/// graph loop, the side of hierarchical_cluster's density check that
-/// sparse inputs take; BM_HierarchicalClustering's uniform input keeps
-/// half of its pairs and times the dense loop. These synthetic sets put
-/// almost no pair under 0.5, so the Jd sweep with its cut sink dominates
-/// the time.
+/// straight from the Jd sweep, then complete linkage on it. These
+/// synthetic sets put almost no pair under 0.5, so the Jd sweep with its
+/// cut sink dominates the time.
 void BM_HierarchicalClusteringJd(benchmark::State& state) {
   const auto& sets =
       synthetic_top_sets(static_cast<std::size_t>(state.range(0)));

@@ -8,7 +8,6 @@
 #include <queue>
 #include <utility>
 
-#include "cluster/simd_kernels.h"
 #include "util/error.h"
 
 namespace ccdn {
@@ -125,121 +124,6 @@ void flatten(std::size_t n, ClusteringResult& result) {
   result.num_clusters = next_label;
 }
 
-/// The nearest-neighbour-cache loop on the dense condensed matrix.
-ClusteringResult dense_cluster(const DistanceMatrix& distances,
-                               Linkage linkage, double threshold,
-                               bool use_avx2) {
-  const std::size_t n = distances.size();
-  ClusteringResult result;
-
-  // Both argmin scans below batch through a masked min-reduce kernel and
-  // recover the scalar first-index semantics with an equality rescan: the
-  // reduce is an exact IEEE min (order-free, no NaNs by the set()
-  // contract), and the first index attaining that value under == is
-  // exactly the index the strict-< scalar scan keeps.
-  const auto masked_min =
-      use_avx2 ? simd::masked_min_avx2 : simd::masked_min_scalar;
-
-  // Working distances over active clusters: one contiguous condensed
-  // buffer (seeded by copying the input triangle wholesale) addressed with
-  // index arithmetic, instead of an n² vector-of-vectors — half the
-  // memory, and row sweeps stay in cache at hotspot-count scale.
-  const auto input = distances.condensed();
-  std::vector<double> dist(input.begin(), input.end());
-  const auto cond = [n](std::size_t i, std::size_t j) {
-    if (i > j) std::swap(i, j);
-    return i * n - i * (i + 1) / 2 + (j - i - 1);
-  };
-
-  // Byte mask (not vector<bool>) so the kernels can read it directly.
-  std::vector<std::uint8_t> active(n, 1);
-  // Dendrogram node id currently represented by each active slot.
-  std::vector<std::uint32_t> node_id(n);
-  std::iota(node_id.begin(), node_id.end(), 0u);
-
-  // Nearest-neighbour cache per active slot; amortizes the min search.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> nn(n, 0);
-  std::vector<double> nn_dist(n, kInf);
-  const auto recompute_nn = [&](std::size_t i) {
-    // Column part (j < i): condensed entries (j, i) sit at row-varying
-    // strides, so this stays a scalar walk — ascending j, strict <, the
-    // seed semantics.
-    double best = kInf;
-    std::size_t best_j = 0;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (active[j] == 0) continue;
-      const double d = dist[cond(j, i)];
-      if (d < best) {
-        best = d;
-        best_j = j;
-      }
-    }
-    // Row part (j > i): entries (i, i+1..n-1) are one contiguous condensed
-    // slice — the batch kernel reduces it, the rescan finds the first
-    // active index attaining the min. A row tie against the column best
-    // loses, like it would under the ascending strict-< scan.
-    const std::size_t row_len = n - 1 - i;
-    if (row_len > 0) {
-      const double* row = dist.data() + cond(i, i + 1);
-      const std::uint8_t* mask = active.data() + i + 1;
-      const double row_min = masked_min(row, mask, row_len);
-      if (row_min < best) {
-        for (std::size_t t = 0; t < row_len; ++t) {
-          if (mask[t] != 0 && row[t] == row_min) {
-            best = row[t];
-            best_j = i + 1 + t;
-            break;
-          }
-        }
-      }
-    }
-    nn_dist[i] = best;
-    nn[i] = best_j;
-  };
-  for (std::size_t i = 0; i < n; ++i) recompute_nn(i);
-
-  std::size_t active_count = n;
-  std::uint32_t next_node = static_cast<std::uint32_t>(n);
-  while (active_count > 1) {
-    // Global closest pair from the caches: same batch reduce + first-index
-    // rescan over the contiguous nn_dist array.
-    std::size_t best_i = n;
-    double best = masked_min(nn_dist.data(), active.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (active[i] != 0 && nn_dist[i] == best) {
-        best_i = i;
-        best = nn_dist[i];  // the array element, for exact bit parity
-        break;
-      }
-    }
-    if (best_i == n || best == kInf || best > threshold) break;
-    const std::size_t a = best_i;
-    const std::size_t b = nn[a];
-    CCDN_ENSURE(active[a] && active[b] && a != b, "stale nearest neighbour");
-
-    result.merges.push_back({node_id[a], node_id[b], best});
-    // Merge b into a.
-    for (std::size_t k = 0; k < n; ++k) {
-      if (!active[k] || k == a || k == b) continue;
-      dist[cond(a, k)] =
-          merged_distance(linkage, dist[cond(a, k)], dist[cond(b, k)]);
-    }
-    active[b] = 0;
-    node_id[a] = next_node++;
-    --active_count;
-
-    // Refresh the caches the merge invalidated. A row whose cached
-    // neighbour is neither a nor b keeps it: its new distance to a ∪ b is
-    // one of its old distances to a or b, never below its cached minimum.
-    recompute_nn(a);
-    for (std::size_t k = 0; k < n; ++k) {
-      if (active[k] && k != a && (nn[k] == a || nn[k] == b)) recompute_nn(k);
-    }
-  }
-  return result;
-}
-
 /// One entry of a working row in the cut-graph loop. A merge does not
 /// erase the survivor's or the absorbed cluster's entries from the other
 /// rows: it bumps the survivor's version, so entries naming an inactive id
@@ -250,8 +134,8 @@ struct RowEntry {
   double distance;
 };
 
-/// The nearest-neighbour-cache loop on the cut graph. Same rules as
-/// dense_cluster; only live in-cut entries exist, so each merge costs the
+/// The nearest-neighbour-cache loop on the cut graph (rules in
+/// hierarchical.h); only live in-cut entries exist, so each merge costs the
 /// two parents' rows plus the rows it rescans.
 ClusteringResult sparse_cluster(const CutGraph& graph, Linkage linkage,
                                 double threshold) {
@@ -278,10 +162,10 @@ ClusteringResult sparse_cluster(const CutGraph& graph, Linkage linkage,
   };
 
   // Min-heap of (cached distance, row): its least live entry is the
-  // lowest active index at the least cached distance, the pair the dense
-  // scan picks. Entries are pushed on every cache change and checked
-  // against the cache when popped. Only rows with a neighbour at or under
-  // the threshold enter, and only they can ever merge.
+  // lowest active index at the least cached distance, the pair a scan of
+  // every cache would pick. Entries are pushed on every cache change and
+  // checked against the cache when popped. Only rows with a neighbour at
+  // or under the threshold enter, and only they can ever merge.
   using HeapEntry = std::pair<double, std::uint32_t>;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>>
       heap;
@@ -303,8 +187,7 @@ ClusteringResult sparse_cluster(const CutGraph& graph, Linkage linkage,
     row.resize(kept);
     nn_dist[i] = best;
     nn[i] = best_j;
-    // Like the dense loop, never merge at +inf, even under an infinite
-    // threshold.
+    // Never merge at +inf, even under an infinite threshold.
     if (best <= threshold && best != kInf) heap.emplace(best, i);
   };
   for (std::uint32_t i = 0; i < n; ++i) recompute_nn(i);
@@ -373,8 +256,8 @@ ClusteringResult sparse_cluster(const CutGraph& graph, Linkage linkage,
       rows[e.id].push_back({a, version[a], e.distance});
     }
 
-    // As in the dense loop, only the merged row and the rows that cached
-    // a or b are rescanned.
+    // Only the merged row and the rows that cached a or b are rescanned:
+    // no other row's least distance can change (merged_distance).
     recompute_nn(a);
     for (const std::uint32_t k : rescan) recompute_nn(k);
   }
@@ -385,21 +268,9 @@ ClusteringResult sparse_cluster(const CutGraph& graph, Linkage linkage,
 
 ClusteringResult hierarchical_cluster(const DistanceMatrix& distances,
                                       Linkage linkage, double threshold,
-                                      SimdMode simd) {
-  // Resolved up front so a forced-unavailable kAvx2 throws on both sides.
-  const bool use_avx2 = resolve_simd(simd);
-  const auto condensed = distances.condensed();
-  const auto in_cut = static_cast<double>(
-      std::count_if(condensed.begin(), condensed.end(),
-                    [threshold](double d) { return d <= threshold; }));
-  if (in_cut <= kSparseLinkageShare * static_cast<double>(condensed.size())) {
-    return hierarchical_cluster(cut_graph(distances, threshold), linkage,
-                                threshold);
-  }
-  ClusteringResult result =
-      dense_cluster(distances, linkage, threshold, use_avx2);
-  flatten(distances.size(), result);
-  return result;
+                                      SimdMode /*simd*/) {
+  return hierarchical_cluster(cut_graph(distances, threshold), linkage,
+                              threshold);
 }
 
 ClusteringResult hierarchical_cluster(const CutGraph& graph, Linkage linkage,

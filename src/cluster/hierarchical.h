@@ -2,7 +2,10 @@
 //
 // RBCAer clusters hotspots by content-aware distance Jd = 1 − Jaccard and
 // cuts the dendrogram so that no two members of a cluster are farther apart
-// than 0.5 (complete linkage realizes that guarantee exactly).
+// than 0.5 (complete linkage realizes that guarantee exactly). The merges
+// under the cut happen on the pairs under it, so the loop runs on their
+// cut graph (DESIGN.md §3.15); the matrix overload extracts that graph
+// first.
 #pragma once
 
 #include <cstdint>
@@ -114,29 +117,22 @@ struct ClusteringResult {
 /// With complete linkage this guarantees every intra-cluster pairwise
 /// distance is <= threshold (the paper's Jd <= 0.5 rule).
 ///
-/// Every path runs the same nearest-neighbour-cache loop with the same tie
-/// rules, so merges, merge distances and labels are identical: a row's
-/// nearest neighbour is the lowest id at its least distance, the pair
-/// merged is the lowest active index at the least cached distance, and it
-/// merges into that lower index. When at most kSparseLinkageShare of the
-/// pairs are at or under `threshold`, the loop runs on their cut graph;
-/// otherwise on the dense matrix, where `simd` selects the kernel for the
-/// two argmin scans (DESIGN.md §3.14). A forced-but-unavailable kAvx2
-/// throws on either side, and so does a NaN threshold.
-[[nodiscard]] ClusteringResult hierarchical_cluster(
-    const DistanceMatrix& distances, Linkage linkage, double threshold,
-    SimdMode simd = SimdMode::kAuto);
-
-/// The same loop on a cut graph: its cost follows the graph's pairs, not
-/// n². Requires threshold <= graph.cut() (PreconditionError), since a pair
-/// above the cut could merge under a larger threshold.
+/// One nearest-neighbour-cache loop runs on the cut graph, so its cost
+/// follows the pairs at or under the threshold, not n². Its tie rules fix
+/// merges, merge distances and labels: a row's nearest neighbour is the
+/// lowest id at its least distance, the pair merged is the lowest active
+/// index at the least cached distance, and it merges into that lower
+/// index. Requires threshold <= graph.cut() (PreconditionError), since a
+/// pair above the cut could merge under a larger threshold.
 [[nodiscard]] ClusteringResult hierarchical_cluster(const CutGraph& graph,
                                                     Linkage linkage,
                                                     double threshold);
 
-/// Share of all pairs at or under the threshold up to which the matrix
-/// overload runs the cut-graph loop (DESIGN.md §3.15 has the crossover
-/// measurement).
-inline constexpr double kSparseLinkageShare = 0.2;
+/// The same loop on cut_graph(distances, threshold); a NaN threshold throws
+/// PreconditionError. `simd` is ignored; kept only because
+/// perfbench/trace_mode.cc passes it.
+[[nodiscard]] ClusteringResult hierarchical_cluster(
+    const DistanceMatrix& distances, Linkage linkage, double threshold,
+    SimdMode simd = SimdMode::kAuto);
 
 }  // namespace ccdn

@@ -4,7 +4,6 @@
 #include "cluster/simd_kernels.h"
 
 #include <bit>
-#include <limits>
 #include <string>
 
 #include "util/error.h"
@@ -70,15 +69,6 @@ void counts_to_similarity_scalar(const std::uint64_t* counts,
                  : static_cast<double>(counts[t]) /
                        static_cast<double>(union_size);
   }
-}
-
-double masked_min_scalar(const double* values, const std::uint8_t* mask,
-                         std::size_t count) noexcept {
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t k = 0; k < count; ++k) {
-    if (mask[k] != 0 && values[k] < best) best = values[k];
-  }
-  return best;
 }
 
 }  // namespace simd

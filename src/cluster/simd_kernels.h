@@ -1,4 +1,4 @@
-// Batch SIMD kernels for the Gc pipeline's two hot loops (DESIGN.md §3.14):
+// Batch SIMD kernels for the Jd build (DESIGN.md §3.14):
 //
 //  * `jaccard_tile_counts_*` — one anchor row of a TopsetBitmap against a
 //    tile of consecutive rows: the anchor's nonzero-word index list and the
@@ -11,12 +11,8 @@
 //    produce the IDENTICAL exact integer intersection counts — 64-bit
 //    integer additions of popcounts are associative, so lane order cannot
 //    change a single bit of the derived Jaccard double.
-//  * `masked_min_*` — minimum over a contiguous double slice restricted to
-//    an active mask: the dense hierarchical clustering loop's
-//    nearest-neighbour scan (the cut-graph loop needs none).
-//    min over doubles is exact and order-free (no NaNs by DistanceMatrix's
-//    set() contract), so callers recover the scalar first-index semantics
-//    with a cheap `== min` rescan.
+//  * `counts_to_similarity_*` — the exact counts to Jaccard doubles, with
+//    correctly rounded IEEE division in both variants.
 //
 // The AVX2 variants live in simd_kernels_avx2.cc, the only TU compiled
 // with -mavx2 (CMake sets CCDN_SIMD_AVX2_COMPILED on the cluster library
@@ -89,21 +85,6 @@ void counts_to_similarity_avx2(const std::uint64_t* counts,
                                const std::uint32_t* cards,
                                std::uint32_t anchor_card, std::size_t num_rows,
                                double* out);
-
-/// min over values[k] with mask[k] != 0; +infinity when the mask is empty.
-/// Exact (IEEE min, no reassociation hazard), so scalar and AVX2 agree
-/// bitwise on any input without NaNs.
-[[nodiscard]] double masked_min_scalar(const double* values,
-                                       const std::uint8_t* mask,
-                                       std::size_t count) noexcept;
-
-/// AVX2 variant of masked_min_scalar. The returned value is equal under
-/// operator== (when −0.0 and +0.0 are both present the winning zero's sign
-/// may differ from the scalar scan — callers locate indices by rescanning
-/// with ==, so the selected element is identical either way).
-[[nodiscard]] double masked_min_avx2(const double* values,
-                                     const std::uint8_t* mask,
-                                     std::size_t count) noexcept;
 
 }  // namespace simd
 }  // namespace ccdn

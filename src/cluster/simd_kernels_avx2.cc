@@ -6,8 +6,6 @@
 // link structure and dispatch code are identical in every build.
 #include "cluster/simd_kernels.h"
 
-#include <exception>
-
 #include "util/error.h"
 
 #ifdef CCDN_SIMD_AVX2_COMPILED
@@ -15,7 +13,6 @@
 #include <immintrin.h>
 
 #include <bit>
-#include <limits>
 
 namespace ccdn::simd {
 
@@ -146,35 +143,6 @@ void counts_to_similarity_avx2(const std::uint64_t* counts,
   }
 }
 
-double masked_min_avx2(const double* values, const std::uint8_t* mask,
-                       std::size_t count) noexcept {
-  const __m256d inf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
-  __m256d best = inf;
-  std::size_t k = 0;
-  for (; k + 4 <= count; k += 4) {
-    const __m256d v = _mm256_loadu_pd(values + k);
-    // Widen 4 mask bytes to 64-bit lanes; lanes with mask==0 read +inf so
-    // they can never win the min.
-    const __m128i mask_bytes = _mm_cvtsi32_si128(static_cast<int>(
-        std::uint32_t{mask[k]} | (std::uint32_t{mask[k + 1]} << 8) |
-        (std::uint32_t{mask[k + 2]} << 16) |
-        (std::uint32_t{mask[k + 3]} << 24)));
-    const __m256i lanes = _mm256_cvtepu8_epi64(mask_bytes);
-    const __m256d inactive = _mm256_castsi256_pd(
-        _mm256_cmpeq_epi64(lanes, _mm256_setzero_si256()));
-    best = _mm256_min_pd(best, _mm256_blendv_pd(v, inf, inactive));
-  }
-  const __m128d folded = _mm_min_pd(_mm256_castpd256_pd128(best),
-                                    _mm256_extractf128_pd(best, 1));
-  double result =
-      _mm_cvtsd_f64(_mm_min_sd(folded, _mm_unpackhi_pd(folded, folded)));
-  for (; k < count; ++k) {
-    if (mask[k] != 0 && values[k] < result) result = values[k];
-  }
-  return result;
-}
-
 }  // namespace ccdn::simd
 
 #else  // !CCDN_SIMD_AVX2_COMPILED
@@ -191,13 +159,6 @@ void jaccard_tile_counts_transposed_avx2(const std::uint64_t*,
 void counts_to_similarity_avx2(const std::uint64_t*, const std::uint32_t*,
                                std::uint32_t, std::size_t, double*) {
   CCDN_REQUIRE(false, "AVX2 kernel not compiled into this binary");
-}
-
-double masked_min_avx2(const double*, const std::uint8_t*,
-                       std::size_t) noexcept {
-  // noexcept contract: unreachable through resolve_simd(), which refuses
-  // kAvx2 when the kernel is absent; terminate loudly if called anyway.
-  std::terminate();
 }
 
 }  // namespace ccdn::simd

@@ -103,11 +103,12 @@ struct ScaffoldMap {
   }
 };
 
-/// The shared Gd/Gc scaffold for `partition`: source, sink, one node per
-/// hotspot with remaining slack, and the source/sink arcs (cap φ).
+/// The shared Gd/Gc scaffold for `partition`, in a fresh network: source,
+/// sink, one node per hotspot with remaining slack, and the source/sink
+/// arcs (cap φ).
 void build_scaffold(FlowNetwork& net, const HotspotPartition& partition,
                     ScaffoldMap& map) {
-  net.clear(2);
+  net = FlowNetwork(2);
   map.source = 0;
   map.sink = 1;
   map.node_of.assign(partition.phi.size(), ScaffoldMap::kNoNode);

@@ -127,6 +127,9 @@ RbcaerScheme::RbcaerScheme(RbcaerConfig config) : config_(config) {
   CCDN_REQUIRE(config_.theta2_km >= config_.theta1_km,
                "theta2 below theta1");
   CCDN_REQUIRE(config_.delta_km > 0.0, "non-positive delta");
+  CCDN_REQUIRE(std::isfinite(config_.theta2_km), "non-finite theta2");
+  CCDN_REQUIRE(config_.theta2_km + config_.delta_km > config_.theta2_km,
+               "delta too small to step theta up to theta2");
   CCDN_REQUIRE(config_.top_fraction > 0.0 && config_.top_fraction <= 1.0,
                "top_fraction outside (0,1]");
   CCDN_REQUIRE(config_.bpeak_multiplier > 0.0, "non-positive B_peak");

@@ -1,5 +1,7 @@
 #include "core/theta_sweep.h"
 
+#include <cmath>
+
 #include "util/error.h"
 #include "util/stopwatch.h"
 #include "verify/flow_audit.h"
@@ -76,6 +78,9 @@ SweepOutcome theta_sweep(HotspotPartition& partition,
                          std::span<const std::uint32_t> cluster_of,
                          const GuideOptions& guide, AuditLevel audit_level) {
   CCDN_REQUIRE(delta_km > 0.0, "non-positive theta step");
+  CCDN_REQUIRE(std::isfinite(theta2_km), "non-finite theta2");
+  CCDN_REQUIRE(theta2_km + delta_km > theta2_km,
+               "theta step too small to reach theta2");
   SweepOutcome out;
   // Steps already committed their flows (φ decremented, slack invariant
   // checked inside the step); just accumulate.

@@ -66,7 +66,8 @@ struct SweepOutcome {
 /// θ1, θ1+δ, … ≤ θ2 — on Gc with `cluster_of` and `guide`, or on Gd when
 /// `cluster_of` is empty — while fewer than `max_movable` units have moved,
 /// then, if units are still left, one residual Gd step at θ2. Every step
-/// uses `audit_level`. Requires δ > 0 (PreconditionError).
+/// uses `audit_level`. Requires δ > 0, a finite θ2 and θ2 + δ > θ2, so
+/// the grid ends (PreconditionError).
 [[nodiscard]] SweepOutcome theta_sweep(
     HotspotPartition& partition, std::span<const CandidateEdge> candidates,
     double theta1_km, double theta2_km, double delta_km,

@@ -74,32 +74,6 @@ std::int64_t FlowNetwork::original_capacity(EdgeId e) const {
   return original_caps_[e];
 }
 
-void FlowNetwork::reset_flows() noexcept {
-  for (std::size_t e = 0; e < residual_.size(); ++e) {
-    residual_[e] = original_caps_[e];
-  }
-}
-
-void FlowNetwork::clear(std::size_t num_nodes) {
-  // Keep surviving nodes' slice reservations but re-pack them tightly in
-  // node order: every slice is empty after a clear, so the re-pack is a
-  // pure cursor walk, and it reclaims both relocation slack and the slices
-  // of dropped nodes — repeated clear/build cycles of the same shape touch
-  // the same pool bytes every time instead of growing the pool.
-  nodes_.resize(num_nodes);
-  std::uint32_t cursor = 0;
-  for (ArcRange& r : nodes_) {
-    r.begin = r.end = cursor;
-    cursor += r.cap;
-  }
-  arc_pool_.resize(cursor);
-  from_.clear();
-  to_.clear();
-  residual_.clear();
-  cost_.clear();
-  original_caps_.clear();
-}
-
 void FlowNetwork::push(EdgeId e, std::int64_t amount) {
   CCDN_REQUIRE(e < to_.size(), "edge id out of range");
   CCDN_REQUIRE(amount >= 0 && amount <= residual_[e],

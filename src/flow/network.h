@@ -14,12 +14,11 @@
 //    [begin, end) slice of one shared arc-id pool (arc_pool_), with a
 //    reserved capacity so per-node appends are a bump, not a per-node
 //    heap allocation. Slices relocate with amortized doubling when they
-//    outgrow their reservation, and clear() re-packs the pool tightly so
-//    a rebuild loop reuses the same bytes every build.
+//    outgrow their reservation.
 //
-// The network is append-only; clear() resets it for reuse.
-// tests/flow/network_test.cc cross-checks every adjacency mutator against a
-// vector-of-vectors reference model.
+// The network is append-only: each θ step builds a fresh one
+// (core/balance_graph.h). tests/flow/network_test.cc cross-checks every
+// adjacency mutator against a vector-of-vectors reference model.
 #pragma once
 
 #include <cstdint>
@@ -92,24 +91,13 @@ class FlowNetwork {
   [[nodiscard]] std::int64_t original_capacity(EdgeId e) const;
 
   /// Edge ids (forward and residual) leaving a node, as a view into the
-  /// shared CSR arc pool. Invalidated by any adjacency mutation (add_edge,
-  /// clear) — including add_edge on a *different* node, since slices share
-  /// one pool.
+  /// shared CSR arc pool. Invalidated by any add_edge, including one on a
+  /// *different* node, since slices share one pool.
   [[nodiscard]] std::span<const EdgeId> out_edges(NodeId node) const {
     CCDN_REQUIRE(node < nodes_.size(), "node id out of range");
     const ArcRange& r = nodes_[node];
     return {arc_pool_.data() + r.begin, r.end - r.begin};
   }
-
-  /// Reset all flows to zero (restores capacities).
-  void reset_flows() noexcept;
-
-  /// Reset to `num_nodes` isolated nodes, dropping every edge but keeping
-  /// the allocated buffers for reuse. Surviving nodes keep their arc-slice
-  /// reservations (re-packed tightly, so repeated clear/build cycles reuse
-  /// the same pool bytes instead of fragmenting it); nodes gained start
-  /// with no reservation.
-  void clear(std::size_t num_nodes);
 
   // --- solver interface (residual manipulation) ---
   [[nodiscard]] EdgeId paired(EdgeId e) const noexcept { return e ^ 1u; }
@@ -119,7 +107,7 @@ class FlowNetwork {
   /// One node's slice of arc_pool_: arcs live in [begin, end), with
   /// [begin, begin + cap) reserved. Appends past the reservation relocate
   /// the slice to the pool's end with doubled capacity (amortized O(1));
-  /// the abandoned region becomes slack until the next clear().
+  /// the abandoned region stays as slack.
   struct ArcRange {
     std::uint32_t begin = 0;
     std::uint32_t end = 0;

@@ -85,19 +85,10 @@ std::size_t GridIndex::cell_slot(Cell c) const noexcept {
 std::size_t GridIndex::nearest(const GeoPoint& query) const {
   std::call_once(nearest_once_, [this] { build_nearest_table(); });
   const auto q = projection_.to_xy(query);
-  // Off the points' bounding box cell_of() clamps, so the query can lie
-  // outside the cell whose list would be scanned.
-  if (!(q.x_km >= min_x_ && q.x_km <= max_x_ && q.y_km >= min_y_ &&
-        q.y_km <= max_y_)) {
-    return ring_nearest(q);
-  }
-  const std::size_t slot = cell_slot(cell_of(q));
   std::size_t best = 0;
   double best_dist2 = std::numeric_limits<double>::infinity();
   // Ascending ids with a strict `<`: the lowest id wins a tie.
-  for (std::uint32_t k = nearest_offsets_[slot];
-       k < nearest_offsets_[slot + 1]; ++k) {
-    const std::uint32_t id = nearest_ids_[k];
+  const auto consider = [&](std::uint32_t id) {
     const double dx = projected_[id].x_km - q.x_km;
     const double dy = projected_[id].y_km - q.y_km;
     const double d2 = dx * dx + dy * dy;
@@ -105,6 +96,18 @@ std::size_t GridIndex::nearest(const GeoPoint& query) const {
       best_dist2 = d2;
       best = id;
     }
+  };
+  // Off the points' bounding box cell_of() clamps, so the query can lie
+  // outside the cell whose list would be scanned: scan every point.
+  if (!(q.x_km >= min_x_ && q.x_km <= max_x_ && q.y_km >= min_y_ &&
+        q.y_km <= max_y_)) {
+    for (std::uint32_t id = 0; id < projected_.size(); ++id) consider(id);
+    return best;
+  }
+  const std::size_t slot = cell_slot(cell_of(q));
+  for (std::uint32_t k = nearest_offsets_[slot];
+       k < nearest_offsets_[slot + 1]; ++k) {
+    consider(nearest_ids_[k]);
   }
   return best;
 }
@@ -211,56 +214,6 @@ void GridIndex::build_nearest_table() const {
   }
 }
 
-std::size_t GridIndex::ring_nearest(const Projection::Xy& q) const {
-  const Cell center = cell_of(q);
-  std::size_t best = 0;
-  double best_dist2 = std::numeric_limits<double>::infinity();
-
-  const auto scan_ring = [&](std::int32_t ring) {
-    for (std::int32_t row = center.row - ring; row <= center.row + ring;
-         ++row) {
-      if (row < 0 || row >= rows_) continue;
-      for (std::int32_t col = center.col - ring; col <= center.col + ring;
-           ++col) {
-        if (col < 0 || col >= cols_) continue;
-        // Only the ring boundary; interior was scanned at smaller rings.
-        if (ring > 0 && row != center.row - ring && row != center.row + ring &&
-            col != center.col - ring && col != center.col + ring) {
-          continue;
-        }
-        const std::size_t slot = cell_slot({col, row});
-        for (std::uint32_t k = bucket_offsets_[slot];
-             k < bucket_offsets_[slot + 1]; ++k) {
-          const std::uint32_t id = bucket_ids_[k];
-          const double dx = projected_[id].x_km - q.x_km;
-          const double dy = projected_[id].y_km - q.y_km;
-          const double d2 = dx * dx + dy * dy;
-          if (d2 < best_dist2 ||
-              (d2 == best_dist2 && id < best)) {
-            best_dist2 = d2;
-            best = id;
-          }
-        }
-      }
-    }
-  };
-
-  const std::int32_t max_ring = std::max(cols_, rows_);
-  for (std::int32_t ring = 0; ring <= max_ring; ++ring) {
-    scan_ring(ring);
-    if (best_dist2 < std::numeric_limits<double>::infinity()) {
-      // A candidate found at ring r is only guaranteed optimal once we have
-      // scanned every cell that could contain a closer point: cells within
-      // ceil(sqrt(best)/cell) rings.
-      const double best_dist = std::sqrt(best_dist2);
-      const auto safe_ring =
-          static_cast<std::int32_t>(std::ceil(best_dist / cell_km_));
-      if (ring >= safe_ring) break;
-    }
-  }
-  return best;
-}
-
 std::vector<std::size_t> GridIndex::within_radius(const GeoPoint& query,
                                                   double radius_km) const {
   std::vector<std::size_t> out;
@@ -270,22 +223,32 @@ std::vector<std::size_t> GridIndex::within_radius(const GeoPoint& query,
 
 void GridIndex::within_radius(const GeoPoint& query, double radius_km,
                               std::vector<std::size_t>& out) const {
+  scan_radius(query, radius_km, bucket_offsets_, bucket_ids_, out);
+}
+
+void GridIndex::scan_radius(const GeoPoint& query, double radius_km,
+                            std::span<const std::uint32_t> offsets,
+                            std::span<const std::uint32_t> ids,
+                            std::vector<std::size_t>& out) const {
   CCDN_REQUIRE(radius_km >= 0.0, "negative radius");
   out.clear();
   const auto q = projection_.to_xy(query);
   const Cell center = cell_of(q);
-  const auto reach = static_cast<std::int32_t>(std::ceil(radius_km / cell_km_));
+  // The reach is clamped to the grid before it becomes an integer, so a
+  // radius wider than the grid, +inf included, visits every cell once.
+  const auto reach = static_cast<std::int32_t>(
+      std::min(std::ceil(radius_km / cell_km_),
+               static_cast<double>(std::max(cols_, rows_))));
+  const std::int32_t row_begin = std::max(center.row - reach, 0);
+  const std::int32_t row_end = std::min(center.row + reach, rows_ - 1);
+  const std::int32_t col_begin = std::max(center.col - reach, 0);
+  const std::int32_t col_end = std::min(center.col + reach, cols_ - 1);
   const double radius2 = radius_km * radius_km;
-  for (std::int32_t row = center.row - reach; row <= center.row + reach;
-       ++row) {
-    if (row < 0 || row >= rows_) continue;
-    for (std::int32_t col = center.col - reach; col <= center.col + reach;
-         ++col) {
-      if (col < 0 || col >= cols_) continue;
+  for (std::int32_t row = row_begin; row <= row_end; ++row) {
+    for (std::int32_t col = col_begin; col <= col_end; ++col) {
       const std::size_t slot = cell_slot({col, row});
-      for (std::uint32_t k = bucket_offsets_[slot];
-           k < bucket_offsets_[slot + 1]; ++k) {
-        const std::uint32_t id = bucket_ids_[k];
+      for (std::uint32_t k = offsets[slot]; k < offsets[slot + 1]; ++k) {
+        const std::uint32_t id = ids[k];
         const double dx = projected_[id].x_km - q.x_km;
         const double dy = projected_[id].y_km - q.y_km;
         if (dx * dx + dy * dy <= radius2) out.push_back(id);
@@ -323,30 +286,7 @@ void GridIndex::Subset::assign(std::span<const std::uint32_t> ids) {
 
 void GridIndex::Subset::within_radius(const GeoPoint& query, double radius_km,
                                       std::vector<std::size_t>& out) const {
-  CCDN_REQUIRE(radius_km >= 0.0, "negative radius");
-  out.clear();
-  const GridIndex& g = *parent_;
-  const auto q = g.projection_.to_xy(query);
-  const Cell center = g.cell_of(q);
-  const auto reach =
-      static_cast<std::int32_t>(std::ceil(radius_km / g.cell_km_));
-  const double radius2 = radius_km * radius_km;
-  for (std::int32_t row = center.row - reach; row <= center.row + reach;
-       ++row) {
-    if (row < 0 || row >= g.rows_) continue;
-    for (std::int32_t col = center.col - reach; col <= center.col + reach;
-         ++col) {
-      if (col < 0 || col >= g.cols_) continue;
-      const std::size_t slot = g.cell_slot({col, row});
-      for (std::uint32_t k = offsets_[slot]; k < offsets_[slot + 1]; ++k) {
-        const std::uint32_t id = ids_[k];
-        const double dx = g.projected_[id].x_km - q.x_km;
-        const double dy = g.projected_[id].y_km - q.y_km;
-        if (dx * dx + dy * dy <= radius2) out.push_back(id);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
+  parent_->scan_radius(query, radius_km, offsets_, ids_, out);
 }
 
 }  // namespace ccdn

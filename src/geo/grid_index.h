@@ -2,7 +2,11 @@
 //
 // Supports nearest-neighbour and radius queries; used to (a) aggregate every
 // user request at its nearest hotspot and (b) enumerate candidate hotspots
-// within the Random-routing / θ radius, without O(N·M) scans.
+// within the Random-routing / θ radius, without O(N·M) scans. A radius
+// query, on the whole index or on a Subset, scans the cells its radius
+// reaches, clipped to the grid. A nearest query scans its cell's candidate
+// list, or every point when it lies off the points' bounding box
+// (DESIGN.md §3.16).
 #pragma once
 
 #include <cstdint>
@@ -85,8 +89,12 @@ class GridIndex {
 
   [[nodiscard]] Cell cell_of(const Projection::Xy& xy) const noexcept;
   [[nodiscard]] std::size_t cell_slot(Cell c) const noexcept;
-  /// Nearest point by expanding rings of cells around the query's cell.
-  [[nodiscard]] std::size_t ring_nearest(const Projection::Xy& q) const;
+  /// The radius query of both within_radius() calls, over CSR buckets on
+  /// this grid's cells: `ids[offsets[c] .. offsets[c + 1])` lie in cell c.
+  void scan_radius(const GeoPoint& query, double radius_km,
+                   std::span<const std::uint32_t> offsets,
+                   std::span<const std::uint32_t> ids,
+                   std::vector<std::size_t>& out) const;
   void build_nearest_table() const;
 
   std::vector<GeoPoint> points_;

@@ -240,23 +240,17 @@ TEST(HierarchicalCutGraph, MatchesReferenceTieForTie) {
 }
 
 TEST(HierarchicalCutGraph, MatrixOverloadMatchesReferenceOnBothSides) {
-  // Uniform distances put a share `threshold` of the pairs under the cut:
-  // the low thresholds take the cut-graph loop, the high ones the dense
-  // loop, and tied matrices exercise both sides' tie rules.
+  // Uniform distances put a share `threshold` of the pairs under the cut,
+  // from sparse graphs to ones holding most pairs, and tied matrices
+  // exercise the tie rules; the ignored SimdMode changes nothing.
   Rng rng(7);
-  std::size_t sparse_side = 0;
-  std::size_t dense_side = 0;
   for (int trial = 0; trial < 40; ++trial) {
     const std::size_t n = 2 + rng.index(80);
     const DistanceMatrix m = trial % 2 == 0
                                  ? tied_matrix(rng, n, 2 + rng.index(10))
                                  : uniform_matrix(rng, n);
-    const auto pairs = static_cast<double>(m.condensed().size());
     for (const Linkage linkage : {Linkage::kSingle, Linkage::kComplete}) {
       for (const double threshold : {0.05, 0.15, 0.5, 0.8}) {
-        const auto in_cut =
-            static_cast<double>(cut_graph(m, threshold).num_pairs());
-        (in_cut <= kSparseLinkageShare * pairs ? sparse_side : dense_side)++;
         for (const SimdMode simd : {SimdMode::kAuto, SimdMode::kScalar}) {
           const std::string diff = dendrogram_difference(
               hierarchical_cluster(m, linkage, threshold, simd),
@@ -267,8 +261,6 @@ TEST(HierarchicalCutGraph, MatrixOverloadMatchesReferenceOnBothSides) {
       }
     }
   }
-  EXPECT_GT(sparse_side, 40u);
-  EXPECT_GT(dense_side, 40u);
 }
 
 TEST(HierarchicalCutGraph, RowsAscendingSymmetricAndExact) {
@@ -317,7 +309,7 @@ TEST(HierarchicalCutGraph, Contracts) {
   EXPECT_THROW((void)hierarchical_cluster(two_blobs(), Linkage::kComplete,
                                           std::nan("")),
                PreconditionError);
-  // Infinite distances never merge, on either loop.
+  // Infinite distances never merge, on either overload.
   const double inf = std::numeric_limits<double>::infinity();
   DistanceMatrix far(3);
   far.set(0, 1, inf);

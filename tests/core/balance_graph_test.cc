@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "flow/mcmf.h"
+#include "geo/grid_index.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace ccdn {
 namespace {
@@ -58,6 +62,45 @@ TEST(CandidateEdges, RespectsRadiusStrictly) {
   EXPECT_EQ(edges30.size(), 3u);  // 0->2, 1->2, 1->3
   const auto edges_all = candidate_edges_pairscan(hotspots, partition, 100.0);
   EXPECT_EQ(edges_all.size(), 4u);
+}
+
+TEST(CandidateEdges, IndexedMatchesPairScan) {
+  // The pair scan is the oracle of the indexed query: the same edges in the
+  // same order (overloaded order, then ascending receiver) with the same
+  // distances, on every grid and radius, +inf included.
+  Rng rng(25);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::size_t edges_seen = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = 1 + rng.index(120);
+    std::vector<Hotspot> hotspots(n);
+    std::vector<GeoPoint> locations;
+    std::vector<std::uint32_t> loads;
+    for (Hotspot& h : hotspots) {
+      h.location = {rng.uniform(40.0, 40.1), rng.uniform(116.4, 116.6)};
+      h.service_capacity = 10;
+      locations.push_back(h.location);
+      loads.push_back(static_cast<std::uint32_t>(rng.index(21)));
+    }
+    auto partition = HotspotPartition::from_loads(hotspots, loads);
+    rng.shuffle(partition.overloaded);
+    for (const double cell : {0.25, 0.5, 2.0}) {
+      const GridIndex index(locations, cell);
+      for (const double radius : {0.0, 0.5, 1.5, 30.0, inf}) {
+        const auto want = candidate_edges_pairscan(hotspots, partition, radius);
+        const auto got = candidate_edges(hotspots, partition, radius, index);
+        ASSERT_EQ(got.size(), want.size())
+            << "trial " << trial << ", cell " << cell << ", radius " << radius;
+        for (std::size_t e = 0; e < want.size(); ++e) {
+          ASSERT_EQ(got[e].from, want[e].from) << "edge " << e;
+          ASSERT_EQ(got[e].to, want[e].to) << "edge " << e;
+          ASSERT_EQ(got[e].distance_km, want[e].distance_km) << "edge " << e;
+        }
+        edges_seen += want.size();
+      }
+    }
+  }
+  EXPECT_GT(edges_seen, 0u);
 }
 
 TEST(BuildGd, StructureAndMaxflow) {

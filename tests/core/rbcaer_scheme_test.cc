@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/nearest_scheme.h"
 #include "sim/simulator.h"
@@ -64,6 +65,14 @@ TEST(Rbcaer, ValidatesConfig) {
   EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
   config = RbcaerConfig{};
   config.delta_km = 0.0;
+  EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
+  // θ grids that never end: θ += 1e-300 leaves θ unchanged, and θ never
+  // passes an infinite θ2.
+  config = RbcaerConfig{};
+  config.delta_km = 1e-300;
+  EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
+  config = RbcaerConfig{};
+  config.theta2_km = std::numeric_limits<double>::infinity();
   EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
   config = RbcaerConfig{};
   config.top_fraction = 0.0;

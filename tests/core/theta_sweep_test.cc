@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cluster/content_distance.h"
@@ -140,6 +141,16 @@ TEST(ThetaSweep, RequiresPositiveStep) {
                  PreconditionError)
         << "delta " << delta;
   }
+}
+
+TEST(ThetaSweep, RequiresThetaGridThatEnds) {
+  // θ += 1e-300 leaves θ unchanged, and θ never passes an infinite θ2.
+  HotspotPartition partition;
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, 1.5, 1e-300, 0, {}, {}),
+               PreconditionError);
+  EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, inf, 0.5, 0, {}, {}),
+               PreconditionError);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/nearest_scheme.h"
 #include "sim/simulator.h"
@@ -20,6 +21,12 @@ TEST(VirtualRbcaer, ValidatesConfig) {
   EXPECT_THROW(VirtualRbcaerScheme{config}, PreconditionError);
   config = VirtualRbcaerConfig{};
   config.regional.delta_km = 0.0;
+  EXPECT_THROW(VirtualRbcaerScheme{config}, PreconditionError);
+  config = VirtualRbcaerConfig{};
+  config.regional.delta_km = 1e-300;
+  EXPECT_THROW(VirtualRbcaerScheme{config}, PreconditionError);
+  config = VirtualRbcaerConfig{};
+  config.regional.theta2_km = std::numeric_limits<double>::infinity();
   EXPECT_THROW(VirtualRbcaerScheme{config}, PreconditionError);
 }
 

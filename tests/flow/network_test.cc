@@ -50,16 +50,6 @@ TEST(FlowNetwork, PushRejectsOverflow) {
   EXPECT_THROW(net.push(e, -1), PreconditionError);
 }
 
-TEST(FlowNetwork, ResetFlows) {
-  FlowNetwork net(2);
-  const EdgeId e = net.add_edge(0, 1, 5, 1.0);
-  net.push(e, 5);
-  EXPECT_EQ(net.flow(e), 5);
-  net.reset_flows();
-  EXPECT_EQ(net.flow(e), 0);
-  EXPECT_EQ(net.edge(e).capacity, 5);
-}
-
 TEST(FlowNetwork, OutEdgesIncludeResiduals) {
   FlowNetwork net(3);
   (void)net.add_edge(0, 1, 1, 0.0);
@@ -79,20 +69,6 @@ TEST(FlowNetwork, FlowAccessorRequiresForwardEdge) {
   FlowNetwork net(2);
   const EdgeId e = net.add_edge(0, 1, 1, 0.0);
   EXPECT_THROW((void)net.flow(net.paired(e)), PreconditionError);
-}
-
-TEST(FlowNetwork, ClearResetsNodesAndEdges) {
-  FlowNetwork net(3);
-  (void)net.add_edge(0, 1, 5, 1.0);
-  (void)net.add_edge(1, 2, 5, 1.0);
-  net.clear(2);
-  EXPECT_EQ(net.num_nodes(), 2u);
-  EXPECT_EQ(net.num_edges(), 0u);
-  EXPECT_TRUE(net.out_edges(0).empty());
-  EXPECT_TRUE(net.out_edges(1).empty());
-  // The cleared network is fully usable again.
-  const EdgeId e = net.add_edge(0, 1, 3, 2.0);
-  EXPECT_EQ(net.edge(e).capacity, 3);
 }
 
 // ---------------------------------------------------------------------------
@@ -117,10 +93,6 @@ struct AdjacencyModel {
   void add_edge(NodeId from, NodeId to, EdgeId forward) {
     heads[from].push_back(forward);
     heads[to].push_back(forward + 1);
-  }
-
-  void clear(std::size_t num_nodes) {
-    heads.assign(num_nodes, {});
   }
 };
 
@@ -147,11 +119,10 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
   Rng rng(GetParam());
   const std::size_t initial_nodes = 2 + rng.index(6);
   FlowNetwork net(initial_nodes);
-  AdjacencyModel model;
-  model.clear(initial_nodes);
+  AdjacencyModel model{std::vector<std::vector<EdgeId>>(initial_nodes)};
 
   for (std::size_t step = 0; step < 160; ++step) {
-    switch (rng.index(5)) {
+    switch (rng.index(4)) {
       case 0: {  // add_node
         net.add_node();
         model.add_node();
@@ -176,14 +147,6 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
         }
         break;
       }
-      case 4: {  // clear, rarely: graphs should get room to relocate
-        if (rng.chance(0.3)) {
-          const std::size_t n = 2 + rng.index(6);
-          net.clear(n);
-          model.clear(n);
-        }
-        break;
-      }
       default:
         break;
     }
@@ -193,35 +156,6 @@ TEST_P(CsrAdjacencyProperty, MatchesVectorOfVectorsModel) {
 
 INSTANTIATE_TEST_SUITE_P(RandomMutatorSequences, CsrAdjacencyProperty,
                          testing::Range<std::uint64_t>(1, 33));
-
-TEST(FlowNetwork, ClearReusesPoolBytesAcrossIdenticalBuilds) {
-  FlowNetwork net(4);
-  const auto build = [&net] {
-    for (NodeId u = 0; u < 4; ++u) {
-      for (NodeId v = 0; v < 4; ++v) {
-        if (u != v) (void)net.add_edge(u, v, 2, 1.0);
-      }
-    }
-  };
-  const auto slice_starts = [&net] {
-    std::vector<const EdgeId*> starts;
-    for (NodeId n = 0; n < net.num_nodes(); ++n) {
-      starts.push_back(net.out_edges(n).data());
-    }
-    return starts;
-  };
-  build();
-  net.clear(4);
-  build();
-  // Once the slices hold their reservations, an identical rebuild neither
-  // relocates a slice nor reallocates the pool.
-  const std::vector<const EdgeId*> settled = slice_starts();
-  for (int round = 0; round < 5; ++round) {
-    net.clear(4);
-    build();
-    EXPECT_EQ(slice_starts(), settled) << "round " << round;
-  }
-}
 
 }  // namespace
 }  // namespace ccdn

@@ -291,12 +291,15 @@ TEST_P(GridIndexProperty, NearestMatchesBruteForce) {
   }
 }
 
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 TEST_P(GridIndexProperty, RadiusMatchesBruteForce) {
   const auto [n, cell] = GetParam();
   Rng rng(n * 131 + 3);
   const auto points = random_points(rng, n);
   const GridIndex index(points, cell);
-  for (const double radius : {0.2, 1.0, 3.0, 30.0}) {
+  // Radii past the grid, +inf included, return every point.
+  for (const double radius : {0.2, 1.0, 3.0, 30.0, 1e9, 1e12, kInf}) {
     for (int q = 0; q < 10; ++q) {
       const GeoPoint query{rng.uniform(40.0, 40.1),
                            rng.uniform(116.4, 116.6)};
@@ -324,7 +327,8 @@ TEST_P(GridIndexProperty, SubsetMatchesFilteredParent) {
   GridIndex::Subset subset(index);
   subset.assign(members);
   std::vector<std::size_t> got;
-  for (const double radius : {0.2, 1.0, 3.0, 30.0}) {
+  // Radii past the grid, +inf included, return every point.
+  for (const double radius : {0.2, 1.0, 3.0, 30.0, 1e9, 1e12, kInf}) {
     for (int q = 0; q < 10; ++q) {
       const GeoPoint query{rng.uniform(40.0, 40.1),
                            rng.uniform(116.4, 116.6)};
@@ -334,6 +338,7 @@ TEST_P(GridIndexProperty, SubsetMatchesFilteredParent) {
         if (id % 3 == 0) want.push_back(id);
       }
       EXPECT_EQ(got, want);
+      if (radius >= 1e9) EXPECT_EQ(got.size(), members.size());
     }
   }
 }
