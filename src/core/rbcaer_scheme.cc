@@ -228,7 +228,7 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
                                            std::move(replication.redirects));
 
   if (config_.miss_redirection) {
-    redirect_local_misses(context, requests, plan);
+    redirect_local_misses(context, requests, demand, plan);
   }
   if (auditing) {
     AuditReport report;
@@ -287,30 +287,62 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
 
 void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
                                          std::span<const Request> requests,
+                                         const SlotDemand& demand,
                                          SlotPlan& plan) const {
   const std::size_t m = context.hotspots.size();
-  const auto cached = [&](std::size_t h, VideoId v) {
-    return sorted_contains(plan.placements[h], v);
+  // A request still at its home reads its verdict from its λ_hv pair:
+  // placed_at_home holds, per pair, whether the home caches the pair's
+  // video, from one merge of each row with the home's placement list.
+  // Redirected requests, and demand views without per-request pairs (the
+  // predictive hybrid), search the target's list instead.
+  const auto homes = demand.request_home();
+  const auto pairs = demand.request_pair();
+  CCDN_REQUIRE(pairs.empty() || pairs.size() == requests.size(),
+               "demand/requests length mismatch");
+  std::vector<std::uint8_t> placed_at_home;
+  if (!pairs.empty()) {
+    placed_at_home.resize(demand.first_pair(static_cast<HotspotIndex>(m)));
+    for (HotspotIndex h = 0; h < m; ++h) {
+      const auto row = demand.video_demand(h);
+      const std::vector<VideoId>& placed = plan.placements[h];
+      const std::size_t first = demand.first_pair(h);
+      std::size_t p = 0;
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        while (p < placed.size() && placed[p] < row[k].video) ++p;
+        placed_at_home[first + k] =
+            p < placed.size() && placed[p] == row[k].video ? 1 : 0;
+      }
+    }
+  }
+  const auto cached_at = [&](std::size_t r, HotspotIndex target) {
+    if (!pairs.empty() && target == homes[r]) {
+      return placed_at_home[pairs[r]] != 0;
+    }
+    return sorted_contains(plan.placements[target], requests[r].video);
   };
-  // Capacity already spoken for by servable assignments.
+  // One scan charges the capacity already spoken for by servable
+  // assignments and lists the misses; the misses are rerouted after it,
+  // against the fully charged capacities.
   std::vector<std::int64_t> capacity_left(m);
   for (std::size_t h = 0; h < m; ++h) {
     capacity_left[h] =
         static_cast<std::int64_t>(context.hotspots[h].service_capacity);
   }
+  std::vector<std::size_t> misses;
   for (std::size_t r = 0; r < requests.size(); ++r) {
     const HotspotIndex target = plan.assignment[r];
-    if (target != kCdnServer && cached(target, requests[r].video)) {
+    if (target == kCdnServer || target >= m) continue;
+    if (cached_at(r, target)) {
       --capacity_left[target];  // may go negative at overloaded homes
+    } else {
+      misses.push_back(r);
     }
   }
   // Neighbour lists are shared per home hotspot (as in RandomScheme).
   std::vector<std::vector<std::size_t>> neighbours(m);
   std::size_t rerouted = 0;
-  for (std::size_t r = 0; r < requests.size(); ++r) {
+  for (const std::size_t r : misses) {
     const HotspotIndex home = plan.assignment[r];
-    if (home == kCdnServer || home >= m) continue;
-    if (cached(home, requests[r].video)) continue;  // served locally
     auto& pool = neighbours[home];
     if (pool.empty()) {
       pool = context.hotspot_index.within_radius(
@@ -322,7 +354,9 @@ void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
     double best_distance = 0.0;
     for (const std::size_t candidate : pool) {
       if (candidate == home || capacity_left[candidate] <= 0) continue;
-      if (!cached(candidate, requests[r].video)) continue;
+      if (!sorted_contains(plan.placements[candidate], requests[r].video)) {
+        continue;
+      }
       const double d = distance_km(requests[r].location,
                                    context.hotspots[candidate].location);
       if (best == m || d < best_distance) {

@@ -201,7 +201,7 @@ class RbcaerScheme final : public RedirectionScheme {
  private:
   void redirect_local_misses(const SchemeContext& context,
                              std::span<const Request> requests,
-                             SlotPlan& plan) const;
+                             const SlotDemand& demand, SlotPlan& plan) const;
 
   /// Sharded replacement for the clustering + flow phases: partition the
   /// hotspots into `num_shards` geo zones, cluster and sweep each zone's

@@ -1,9 +1,14 @@
 #include "core/replication.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <functional>
+#include <limits>
+#include <numeric>
 #include <queue>
 
+#include "model/sorted_contains.h"
 #include "util/error.h"
 #include "verify/schedule_audit.h"
 
@@ -43,21 +48,58 @@ void RemainingDemand::subtract(std::uint32_t h, VideoId v,
   counts_[pair] -= amount;
 }
 
+namespace {
+
+/// One pass of a stable LSD radix sort on ~count: the entries `for_each`
+/// lists, by the byte of ~count at `shift`, into `out`.
+template <typename ForEach>
+void radix_pass(int shift, const ForEach& for_each,
+                std::vector<FillEntry>& out) {
+  const auto digit = [shift](const FillEntry& e) {
+    return (~e.count >> shift) & 0xffU;
+  };
+  std::array<std::size_t, 257> start{};
+  for_each([&](const FillEntry& e) { ++start[digit(e) + 1]; });
+  std::partial_sum(start.begin(), start.end(), start.begin());
+  out.resize(start[256]);
+  for_each([&](const FillEntry& e) { out[start[digit(e)]++] = e; });
+}
+
+}  // namespace
+
 std::vector<FillEntry> fill_order(const RemainingDemand& remaining) {
-  std::vector<FillEntry> fill;
-  for (std::uint32_t h = 0; h < remaining.num_hotspots(); ++h) {
-    const auto row = remaining.pairs(h);
-    const auto left = remaining.left(h);
-    for (std::size_t k = 0; k < row.size(); ++k) {
-      if (left[k] > 0) fill.push_back({left[k], h, row[k].video});
+  CCDN_REQUIRE(
+      remaining.num_pairs() <= std::numeric_limits<std::uint32_t>::max(),
+      "more than 2^32 - 1 pairs");
+  // The walk over the CSR lists the pairs with demand left by hotspot,
+  // then video, ascending: the fill order's tie-break. Stable passes on
+  // ~count, 8 bits each and only as many as the largest count needs, put
+  // the counts in descending order and keep that tie-break among equal
+  // counts (DESIGN.md §3.17). The first pass reads the CSR directly.
+  std::uint32_t max_count = 0;
+  const auto walk = [&](const auto& visit) {
+    std::uint32_t pair = 0;
+    for (std::uint32_t h = 0; h < remaining.num_hotspots(); ++h) {
+      const auto row = remaining.pairs(h);
+      const auto left = remaining.left(h);
+      for (std::size_t k = 0; k < row.size(); ++k, ++pair) {
+        if (left[k] == 0) continue;
+        max_count = std::max(max_count, left[k]);
+        visit(FillEntry{left[k], h, row[k].video, pair});
+      }
     }
+  };
+  std::vector<FillEntry> fill;
+  radix_pass(0, walk, fill);
+  std::vector<FillEntry> scratch;
+  const auto listed = [&fill](const auto& visit) {
+    for (const FillEntry& e : fill) visit(e);
+  };
+  const auto count_bits = static_cast<int>(std::bit_width(max_count));
+  for (int shift = 8; shift < count_bits; shift += 8) {
+    radix_pass(shift, listed, scratch);
+    fill.swap(scratch);
   }
-  std::sort(fill.begin(), fill.end(),
-            [](const FillEntry& a, const FillEntry& b) {
-              if (a.count != b.count) return a.count > b.count;
-              if (a.hotspot != b.hotspot) return a.hotspot < b.hotspot;
-              return a.video < b.video;
-            });
   return fill;
 }
 
@@ -119,8 +161,8 @@ ReplicationResult content_aggregation_replication(
 
   RemainingDemand remaining(demand);
 
-  // Cache state. The placement lists stay sorted per hotspot (positional
-  // inserts); cache capacity bounds their size, so the inserts stay cheap.
+  // Cache state. The placement lists stay sorted per hotspot: the redirect
+  // phase inserts in place, the final fill merges once per hotspot.
   auto& placed = result.placements;
   std::vector<std::uint32_t> cache_left(m);
   for (std::size_t h = 0; h < m; ++h) {
@@ -128,7 +170,8 @@ ReplicationResult content_aggregation_replication(
   }
   // B_peak applies to every replica pushed this slot, whether it is placed
   // to absorb redirected flow or during the final local fill; a denial in
-  // either phase marks the budget as exhausted.
+  // either phase marks the budget as exhausted. This is the redirect
+  // phase's placement; the final fill applies the same checks.
   const auto try_place = [&](std::uint32_t h, VideoId v) {
     auto& list = placed[h];
     const auto it = std::lower_bound(list.begin(), list.end(), v);
@@ -265,16 +308,39 @@ ReplicationResult content_aggregation_replication(
       remaining.subtract(h, v, covered);
     }
   }
+  // Every ranked pair has demand left, and the loop above drained each
+  // pair the redirect phase placed, so no ranked video is placed at its
+  // hotspot yet: the fill only marks the pairs it places, then merges each
+  // touched hotspot's marked videos, ascending by its row, into its list.
+  std::vector<std::uint8_t> fill_placed(remaining.num_pairs(), 0);
+  std::vector<std::uint8_t> filled(m, 0);
   for (const FillEntry& entry : fill_order(remaining)) {
     if (result.replicas >= replica_budget) {
       result.budget_exhausted = true;
       break;
     }
-    if (cache_left[entry.hotspot] == 0) continue;
-    if (serviceable_left[entry.hotspot] <= 0) continue;
-    if (try_place(entry.hotspot, entry.video)) {
-      serviceable_left[entry.hotspot] -= entry.count;
+    const std::uint32_t h = entry.hotspot;
+    if (cache_left[h] == 0) continue;
+    if (serviceable_left[h] <= 0) continue;
+    CCDN_ASSERT(!sorted_contains(placed[h], entry.video),
+                "fill pair already placed");
+    fill_placed[entry.pair] = 1;
+    filled[h] = 1;
+    --cache_left[h];
+    ++result.replicas;
+    serviceable_left[h] -= entry.count;
+  }
+  for (std::uint32_t h = 0; h < m; ++h) {
+    if (filled[h] == 0) continue;
+    auto& list = placed[h];
+    const auto redirect_placed = static_cast<std::ptrdiff_t>(list.size());
+    const auto row = remaining.pairs(h);
+    const std::size_t first = demand.first_pair(h);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      if (fill_placed[first + k] != 0) list.push_back(row[k].video);
     }
+    std::inplace_merge(list.begin(), list.begin() + redirect_placed,
+                       list.end());
   }
 
   result.redirects = log.grouped();

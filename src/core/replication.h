@@ -95,6 +95,11 @@ class RemainingDemand {
   [[nodiscard]] std::size_t num_hotspots() const noexcept {
     return demand_.num_hotspots();
   }
+  /// Number of λ_hv pairs; a pair's position is SlotDemand::first_pair(h)
+  /// plus its position in h's row.
+  [[nodiscard]] std::size_t num_pairs() const noexcept {
+    return counts_.size();
+  }
 
  private:
   /// The pair's position in counts_, or counts_.size() when absent.
@@ -109,10 +114,12 @@ struct FillEntry {
   std::uint32_t count = 0;
   std::uint32_t hotspot = 0;
   VideoId video = 0;
+  std::uint32_t pair = 0;  // position in RemainingDemand's CSR order
 };
 
 /// Every pair with demand left, in fill order: count descending, then
-/// hotspot and video ascending.
+/// hotspot and video ascending. A stable radix sort on the count: O(pairs)
+/// per 8 bits of the largest count. Requires fewer than 2^32 pairs.
 [[nodiscard]] std::vector<FillEntry> fill_order(
     const RemainingDemand& remaining);
 

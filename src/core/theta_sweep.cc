@@ -71,16 +71,28 @@ SweepStep cold_step_gc(HotspotPartition& partition,
   return solve_cold(std::move(graph), partition, audit_level, graph_s);
 }
 
+std::size_t theta_grid_size(double theta1_km, double theta2_km,
+                            double delta_km) {
+  CCDN_REQUIRE(theta1_km >= 0.0, "negative theta1");
+  CCDN_REQUIRE(delta_km > 0.0, "non-positive theta step");
+  CCDN_REQUIRE(std::isfinite(theta2_km), "non-finite theta2");
+  CCDN_REQUIRE(theta2_km + delta_km > theta2_km,
+               "theta step too small to reach theta2");
+  // The slack is relative to δ: an absolute one (θ ≤ θ2 + 1e-9) would give
+  // a grid whose δ is half an ulp of θ2 some 10^7 points. The
+  // preconditions keep the quotient below about 2^54.
+  const double last = std::floor((theta2_km - theta1_km) / delta_km + 1e-9);
+  return last < 0.0 ? 0 : static_cast<std::size_t>(last) + 1;
+}
+
 SweepOutcome theta_sweep(HotspotPartition& partition,
                          std::span<const CandidateEdge> candidates,
                          double theta1_km, double theta2_km, double delta_km,
                          std::int64_t max_movable,
                          std::span<const std::uint32_t> cluster_of,
                          const GuideOptions& guide, AuditLevel audit_level) {
-  CCDN_REQUIRE(delta_km > 0.0, "non-positive theta step");
-  CCDN_REQUIRE(std::isfinite(theta2_km), "non-finite theta2");
-  CCDN_REQUIRE(theta2_km + delta_km > theta2_km,
-               "theta step too small to reach theta2");
+  const std::size_t grid_size =
+      theta_grid_size(theta1_km, theta2_km, delta_km);
   SweepOutcome out;
   // Steps already committed their flows (φ decremented, slack invariant
   // checked inside the step); just accumulate.
@@ -91,10 +103,8 @@ SweepOutcome theta_sweep(HotspotPartition& partition,
     out.mcmf_s += step.mcmf_s;
     out.flows.insert(out.flows.end(), step.flows.begin(), step.flows.end());
   };
-  constexpr double kThetaEps = 1e-9;
-  for (double theta = theta1_km;
-       theta <= theta2_km + kThetaEps && out.moved < max_movable;
-       theta += delta_km) {
+  for (std::size_t k = 0; k < grid_size && out.moved < max_movable; ++k) {
+    const double theta = theta1_km + static_cast<double>(k) * delta_km;
     ++out.theta_iterations;
     absorb(cluster_of.empty()
                ? cold_step_gd(partition, candidates, theta, audit_level)

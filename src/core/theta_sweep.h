@@ -1,7 +1,7 @@
 // Algorithm 1's flow phase: the θ sweep, the only θ loop in src/.
 //
 // theta_sweep runs the paper's sweep over precomputed candidate edges: one
-// cold step per θ = θ1, θ1+δ, … up to θ2 on Gc (on Gd when no cluster
+// cold step per θ = θ1 + k·δ up to θ2 on Gc (on Gd when no cluster
 // labels are given) until max_movable units have moved, then one residual
 // Gd step at θ2. A cold step (cold_step_gd / cold_step_gc) builds Gd or Gc
 // over the candidate edges with d < θ and φ > 0 on both endpoints, solves
@@ -62,12 +62,19 @@ struct SweepOutcome {
   double mcmf_s = 0.0;
 };
 
+/// Number of points on the θ grid θ1, θ1+δ, … ≤ θ2, fixed before a sweep
+/// runs; point k is θ1 + k·δ. A grid's last point may round a hair past θ2
+/// (0.3 + 12·0.1), so the count allows 1e-9 of a step of slack. Requires
+/// θ1 ≥ 0, δ > 0, a finite θ2 and θ2 + δ > θ2, which bound the count
+/// (PreconditionError); θ1 > θ2 gives an empty grid.
+[[nodiscard]] std::size_t theta_grid_size(double theta1_km, double theta2_km,
+                                          double delta_km);
+
 /// Algorithm 1 lines 5–12 on `partition`: a cold step per θ on the grid
-/// θ1, θ1+δ, … ≤ θ2 — on Gc with `cluster_of` and `guide`, or on Gd when
+/// of theta_grid_size — on Gc with `cluster_of` and `guide`, or on Gd when
 /// `cluster_of` is empty — while fewer than `max_movable` units have moved,
 /// then, if units are still left, one residual Gd step at θ2. Every step
-/// uses `audit_level`. Requires δ > 0, a finite θ2 and θ2 + δ > θ2, so
-/// the grid ends (PreconditionError).
+/// uses `audit_level`. The grid's preconditions apply.
 [[nodiscard]] SweepOutcome theta_sweep(
     HotspotPartition& partition, std::span<const CandidateEdge> candidates,
     double theta1_km, double theta2_km, double delta_km,

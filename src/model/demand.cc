@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <limits>
 #include <numeric>
 
 #include "util/error.h"
@@ -15,8 +16,10 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
       loads_(hotspot_index.size(), 0),
       request_home_(requests.size()),
       total_requests_(requests.size()) {
+  CCDN_REQUIRE(requests.size() <= std::numeric_limits<std::uint32_t>::max(),
+               "a slot holds at most 2^32 - 1 requests");
   // One pass computes each request's home and counts requests per home;
-  // a request becomes the key (home << 32) | video.
+  // request r becomes the key (video << 32) | r.
   std::vector<std::uint64_t> keys(requests.size());
   std::vector<std::uint64_t> scratch(requests.size());
   VideoId max_video = 0;
@@ -26,12 +29,12 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
     request_home_[r] = home;
     ++loads_[home];
     max_video = std::max(max_video, requests[r].video);
-    keys[r] = (std::uint64_t{home} << 32) | requests[r].video;
+    keys[r] = (std::uint64_t{requests[r].video} << 32) | r;
   }
   // A stable LSD radix sort by video, 8 bits a pass and only as many
   // passes as the largest id needs, puts the keys in video order...
-  const auto video_bits = static_cast<int>(std::bit_width(max_video));
-  for (int shift = 0; shift < video_bits; shift += 8) {
+  const int video_end = 32 + static_cast<int>(std::bit_width(max_video));
+  for (int shift = 32; shift < video_end; shift += 8) {
     std::array<std::size_t, 257> start{};
     for (const std::uint64_t key : keys) ++start[((key >> shift) & 0xff) + 1];
     std::partial_sum(start.begin(), start.end(), start.begin());
@@ -41,20 +44,33 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
     keys.swap(scratch);
   }
   // ...and a stable counting sort by home then gives each home its
-  // segment, ascending by video, to run-length encode into λ_hv.
+  // segment, ascending by video, to run-length encode into λ_hv, noting
+  // each request's pair on the way.
+  const auto request_of = [](std::uint64_t key) {
+    return static_cast<std::uint32_t>(key);
+  };
   std::vector<std::size_t> cursor(loads_.size(), 0);
   for (std::size_t h = 1; h < loads_.size(); ++h) {
     cursor[h] = cursor[h - 1] + loads_[h - 1];
   }
-  for (const std::uint64_t key : keys) scratch[cursor[key >> 32]++] = key;
+  for (const std::uint64_t key : keys) {
+    scratch[cursor[request_home_[request_of(key)]]++] = key;
+  }
+  // The pairs are allocated only once the unsorted keys are freed, so the
+  // slot's peak stays that of the two key arrays.
+  std::vector<std::uint64_t>().swap(keys);
+  request_pair_.resize(requests.size());
   std::size_t first = 0;
   for (std::size_t h = 0; h < loads_.size(); ++h) {
     const std::size_t last = first + loads_[h];
     for (std::size_t k = first; k < last; ++k) {
-      if (k == first || scratch[k] != scratch[k - 1]) {
-        demands_.push_back({static_cast<VideoId>(scratch[k]), 0});
+      const auto video = static_cast<VideoId>(scratch[k] >> 32);
+      if (k == first || video != demands_.back().video) {
+        demands_.push_back({video, 0});
       }
       ++demands_.back().count;
+      request_pair_[request_of(scratch[k])] =
+          static_cast<std::uint32_t>(demands_.size() - 1);
     }
     offsets_[h + 1] = demands_.size();
     first = last;

@@ -64,6 +64,14 @@ class SlotDemand {
     return request_home_;
   }
 
+  /// Each request's λ_hv pair (same order as the input span): the position,
+  /// in first_pair()'s order, of its video in its home's row. Only the
+  /// request constructor fills it; empty for the per-hotspot and hybrid
+  /// views, whose rows are not built from the requests.
+  [[nodiscard]] std::span<const std::uint32_t> request_pair() const noexcept {
+    return request_pair_;
+  }
+
  private:
   void assign_per_hotspot(std::vector<std::vector<VideoDemand>> per_hotspot);
 
@@ -73,6 +81,7 @@ class SlotDemand {
   std::vector<VideoDemand> demands_;
   std::vector<std::uint32_t> loads_;
   std::vector<HotspotIndex> request_home_;
+  std::vector<std::uint32_t> request_pair_;
   std::size_t total_requests_ = 0;
 };
 

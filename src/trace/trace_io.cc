@@ -40,13 +40,21 @@ Id parse_id(std::string_view field, const char* what) {
   return static_cast<Id>(value);
 }
 
-/// A latitude or longitude: from_chars accepts "nan" and "inf", and one
-/// such row would turn every distance average it touches into nan.
-double parse_coordinate(std::string_view field, const char* what) {
+/// A latitude (|value| ≤ 90) or longitude (|value| ≤ 180): from_chars
+/// accepts "nan" and "inf", and one such row would turn every distance
+/// average it touches into nan; a point off the globe would be served
+/// from thousands of kilometres away.
+double parse_coordinate(std::string_view field, const char* what,
+                        int limit_degrees) {
   const double value = parse_double(field);
   if (!std::isfinite(value)) {
     throw ParseError(std::string(what) + " is not finite: '" +
                      std::string(field) + "'");
+  }
+  if (std::abs(value) > limit_degrees) {
+    const std::string limit = std::to_string(limit_degrees);
+    throw ParseError(std::string(what) + " is outside [-" + limit + ", " +
+                     limit + "]: '" + std::string(field) + "'");
   }
   return value;
 }
@@ -227,8 +235,8 @@ std::optional<Request> TraceReader::next() {
     r.user = parse_id<UserId>(fields_[0], "user");
     r.timestamp = parse_int(fields_[1]);
     r.video = parse_id<VideoId>(fields_[2], "video");
-    r.location.lat = parse_coordinate(fields_[3], "latitude");
-    r.location.lon = parse_coordinate(fields_[4], "longitude");
+    r.location.lat = parse_coordinate(fields_[3], "latitude", 90);
+    r.location.lon = parse_coordinate(fields_[4], "longitude", 180);
   } catch (const ParseError& error) {
     fail_row(line_, error.what());
   }

@@ -31,7 +31,9 @@ void write_trace_csv(const std::string& path,
                      const std::vector<Request>& requests);
 
 /// Read a trace written by write_trace_csv. Throws ParseError on schema or
-/// field errors (naming the offending line).
+/// field errors (naming the offending line): ids that do not fit their
+/// type, and coordinates that are not finite or lie off the globe
+/// (latitude outside [-90, 90], longitude outside [-180, 180]).
 [[nodiscard]] std::vector<Request> read_trace_csv(std::istream& in);
 [[nodiscard]] std::vector<Request> read_trace_csv(const std::string& path);
 

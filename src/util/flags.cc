@@ -1,6 +1,7 @@
 #include "util/flags.h"
 
-#include "util/error.h"
+#include <cstdio>
+
 #include "util/strings.h"
 
 namespace ccdn {
@@ -54,15 +55,40 @@ std::string Flags::get_string(const std::string& name,
   return raw(name).value_or(fallback);
 }
 
+namespace {
+
+[[noreturn]] void throw_malformed(const std::string& name,
+                                 const ParseError& error) {
+  throw FlagError("flag --" + name + ": " + error.what());
+}
+
+std::string format_number(double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%g", value);
+  return text;
+}
+
+}  // namespace
+
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto value = raw(name);
-  return value ? parse_int(*value) : fallback;
+  if (!value) return fallback;
+  try {
+    return parse_int(*value);
+  } catch (const ParseError& error) {
+    throw_malformed(name, error);
+  }
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto value = raw(name);
-  return value ? parse_double(*value) : fallback;
+  if (!value) return fallback;
+  try {
+    return parse_double(*value);
+  } catch (const ParseError& error) {
+    throw_malformed(name, error);
+  }
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
@@ -70,7 +96,30 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
   if (!value) return fallback;
   if (*value == "true" || *value == "1" || *value == "yes") return true;
   if (*value == "false" || *value == "0" || *value == "no") return false;
-  throw ParseError("flag --" + name + " is not a boolean: '" + *value + "'");
+  throw FlagError("flag --" + name + " is not a boolean: '" + *value + "'");
+}
+
+std::int64_t Flags::get_int_in(const std::string& name, std::int64_t fallback,
+                               std::int64_t min, std::int64_t max) const {
+  if (!has(name)) return fallback;
+  const std::int64_t value = get_int(name, fallback);
+  if (value < min || value > max) {
+    throw FlagError("flag --" + name + "=" + *raw(name) + " is outside [" +
+                    std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  return value;
+}
+
+double Flags::get_double_in(const std::string& name, double fallback,
+                            double above, double at_most) const {
+  if (!has(name)) return fallback;
+  const double value = get_double(name, fallback);
+  if (!(value > above && value <= at_most)) {
+    throw FlagError("flag --" + name + "=" + *raw(name) + " is outside (" +
+                    format_number(above) + ", " + format_number(at_most) +
+                    "]");
+  }
+  return value;
 }
 
 std::vector<std::string> Flags::unused() const {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "core/nearest_scheme.h"
+#include "core/theta_sweep.h"
+#include "predict/forecaster.h"
+#include "sim/predictive.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -77,6 +81,37 @@ TEST(Rbcaer, ValidatesConfig) {
   config = RbcaerConfig{};
   config.top_fraction = 0.0;
   EXPECT_THROW(RbcaerScheme{config}, PreconditionError);
+}
+
+TEST(Rbcaer, HalfUlpThetaGridEnds) {
+  // A valid config whose θ1 + δ rounds back to θ1, so stepping θ by
+  // repeated addition never ends. The grid is checked first, so a grid
+  // that does not end fails here rather than hanging in plan_slot.
+  RbcaerConfig config;
+  config.theta1_km = 1.5;
+  config.theta2_km = std::nextafter(1.5, 2.0);
+  config.delta_km = (config.theta2_km - config.theta1_km) / 2;
+  ASSERT_EQ(theta_grid_size(config.theta1_km, config.theta2_km,
+                            config.delta_km),
+            3u);
+  RbcaerScheme scheme(config);
+  // Two hotspots 10 km apart: the overloaded one has nowhere within θ2 to
+  // send its excess, so the sweep runs every point of the grid.
+  std::vector<Hotspot> hotspots(2);
+  hotspots[0].location = {40.050, 116.500};
+  hotspots[1].location = {40.140, 116.500};
+  for (Hotspot& h : hotspots) {
+    h.service_capacity = 5;
+    h.cache_capacity = 10;
+  }
+  const GridIndex index({hotspots[0].location, hotspots[1].location}, 0.5);
+  const SchemeContext context{hotspots, index, VideoCatalog{100}, 20.0};
+  const auto requests = hot_demand(20, {1, 2});
+  const SlotDemand demand(requests, index);
+  (void)scheme.plan_slot(context, requests, demand);
+  EXPECT_EQ(scheme.last_diagnostics().max_movable, 5);
+  EXPECT_EQ(scheme.last_diagnostics().theta_iterations, 3u);
+  EXPECT_EQ(scheme.last_diagnostics().moved, 0);
 }
 
 TEST(Rbcaer, NameReflectsAblation) {
@@ -370,6 +405,108 @@ TEST(Rbcaer, EndToEndBeatsNearestOnSkewedWorld) {
             nearest_report.cdn_server_load());
   EXPECT_LT(rbcaer_report.average_distance_km(),
             nearest_report.average_distance_km());
+}
+
+/// Sums miss redirection's reroutes over the slots an RbcaerScheme plans.
+class CountReroutes final : public RedirectionScheme {
+ public:
+  explicit CountReroutes(RbcaerScheme& inner) : inner_(inner) {}
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  [[nodiscard]] SlotPlan plan_slot(const SchemeContext& context,
+                                   std::span<const Request> requests,
+                                   const SlotDemand& demand) override {
+    SlotPlan plan = inner_.plan_slot(context, requests, demand);
+    rerouted += inner_.last_diagnostics().miss_rerouted;
+    return plan;
+  }
+  std::size_t rerouted = 0;
+
+ private:
+  RbcaerScheme& inner_;
+};
+
+/// FNV-1a over a run's per-slot plan digests.
+std::uint64_t fold_digests(const std::vector<std::uint64_t>& digests) {
+  std::uint64_t hash = 14695981039346656037ULL;
+  for (const std::uint64_t digest : digests) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (digest >> (8 * byte)) & 0xffU;
+      hash *= 1099511628211ULL;
+    }
+  }
+  return hash;
+}
+
+TEST(Rbcaer, PlansMatchPinnedDigests) {
+  // Per-slot plan digests, folded per configuration, as RBCAer planned them
+  // when Procedure 1's fill still sorted by comparison and inserted each
+  // replica in place, and miss redirection searched the placements twice
+  // per request. The caches are scarce (0.5% and 0.7% of the catalog), so
+  // misses do reroute, which neither the golden file nor perfbench's
+  // workloads exercise. Both caches run with aggregation on and off on the
+  // slot's own demand, and with aggregation on through the predictive
+  // wrapper, whose forecast demand has no per-request pairs.
+  WorldConfig world_config = WorldConfig::evaluation_region();
+  world_config.num_hotspots = 120;
+  world_config.num_videos = 3000;
+  world_config.seed = 17;
+  const World base = generate_world(world_config);
+  TraceConfig trace_config;
+  trace_config.num_requests = 30000;
+  trace_config.duration_hours = 12;
+  trace_config.seed = 17;
+  const auto trace = generate_trace(base, trace_config);
+
+  struct Case {
+    double cache_share;
+    bool aggregation;
+    bool predictive;
+    std::uint64_t digest;
+    std::size_t rerouted;
+  };
+  const Case cases[] = {
+      {0.005, true, false, 0x95c684a389b372eaULL, 1121},
+      {0.005, false, false, 0x89a7284a76cd22a1ULL, 1139},
+      {0.007, true, false, 0xfab3971f05d132a4ULL, 415},
+      {0.007, false, false, 0x40444f35cc3ed7cbULL, 428},
+      {0.005, true, true, 0xb5bbeabc436adfa2ULL, 4690},
+      {0.007, true, true, 0x3d66bdcc3eb27bc2ULL, 4609},
+  };
+  for (const Case& c : cases) {
+    World world = base;
+    assign_uniform_capacities(world, 0.01, c.cache_share);
+    SimulationConfig sim_config;
+    sim_config.slot_seconds = 3600;
+    sim_config.audit_level = AuditLevel::kPlan;
+    RbcaerConfig config;
+    config.content_aggregation = c.aggregation;
+    // Checked builds audit the direct plans' capacity feasibility too. A
+    // predictive plan's redirects are sized for the forecast, not for the
+    // slot's requests, so that audit does not apply to it.
+    config.audit_level = c.predictive ? AuditLevel::kOff : AuditLevel::kPlan;
+    RbcaerScheme scheme(config);
+    CountReroutes counted(scheme);
+    const VideoCatalog catalog{world_config.num_videos};
+    const SimulationReport report = [&] {
+      if (!c.predictive) {
+        return Simulator(world.hotspots(), catalog, sim_config)
+            .run(counted, trace);
+      }
+      PredictiveConfig predictive_config;
+      predictive_config.simulation = sim_config;
+      MovingAverageForecaster forecaster(3);
+      return run_predictive(world.hotspots(), catalog, counted, forecaster,
+                            trace, predictive_config);
+    }();
+    ASSERT_EQ(report.slot_digests().size(), 12u);
+    EXPECT_GT(counted.rerouted, 0u);
+    EXPECT_EQ(counted.rerouted, c.rerouted)
+        << "cache " << c.cache_share << ", aggregation " << c.aggregation
+        << ", predictive " << c.predictive;
+    EXPECT_EQ(fold_digests(report.slot_digests()), c.digest)
+        << "cache " << c.cache_share << ", aggregation " << c.aggregation
+        << ", predictive " << c.predictive;
+  }
 }
 
 }  // namespace

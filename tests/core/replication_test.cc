@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "core/reference_replication.h"
 #include "util/error.h"
@@ -361,6 +362,67 @@ TEST(Replication, MatchesReferenceOnRandomInstances) {
   EXPECT_GT(exhausted, 100u);
   EXPECT_GT(full_receivers, 100u);
   EXPECT_GT(redirected, 100u);
+}
+
+TEST(FillOrder, MatchesComparisonSortOnRandomDemand) {
+  // fill_order's radix sort against std::sort with the fill order's
+  // comparator. Rows may be empty, counts run from 1 to 10^4 and beyond
+  // (merged duplicates, one 2^17), so a sort takes one to three passes;
+  // some counts repeat across hotspots, and some pairs are drained, in
+  // part or to 0.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed * 7919 + 3);
+    const std::size_t m = 1 + rng.index(30);
+    const std::int64_t max_count = rng.chance(0.5) ? 200 : 10000;
+    const std::uint32_t shared[] = {1, 2, 3, 255, 256, 10000, 1U << 17};
+    std::vector<std::vector<VideoDemand>> per_hotspot(m);
+    for (auto& row : per_hotspot) {
+      const std::size_t entries = rng.chance(0.2) ? 0 : rng.index(40);
+      for (std::size_t k = 0; k < entries; ++k) {
+        const auto video = static_cast<VideoId>(rng.index(500));
+        const auto count =
+            rng.chance(0.3)
+                ? shared[rng.index(std::size(shared))]
+                : static_cast<std::uint32_t>(rng.uniform_int(1, max_count));
+        row.push_back({video, count});
+      }
+    }
+    const SlotDemand demand(per_hotspot);
+    RemainingDemand remaining(demand);
+    for (std::uint32_t h = 0; h < m; ++h) {
+      for (const VideoDemand& d : remaining.pairs(h)) {
+        if (!rng.chance(0.2)) continue;
+        remaining.subtract(
+            h, d.video,
+            static_cast<std::uint32_t>(rng.uniform_int(0, d.count)));
+      }
+    }
+
+    std::vector<FillEntry> want;
+    std::uint32_t pair = 0;
+    for (std::uint32_t h = 0; h < m; ++h) {
+      const auto row = remaining.pairs(h);
+      const auto left = remaining.left(h);
+      for (std::size_t k = 0; k < row.size(); ++k, ++pair) {
+        if (left[k] > 0) want.push_back({left[k], h, row[k].video, pair});
+      }
+    }
+    std::sort(want.begin(), want.end(),
+              [](const FillEntry& a, const FillEntry& b) {
+                if (a.count != b.count) return a.count > b.count;
+                if (a.hotspot != b.hotspot) return a.hotspot < b.hotspot;
+                return a.video < b.video;
+              });
+    const std::vector<FillEntry> got = fill_order(remaining);
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].count, want[i].count) << "seed " << seed << ", " << i;
+      EXPECT_EQ(got[i].hotspot, want[i].hotspot)
+          << "seed " << seed << ", " << i;
+      EXPECT_EQ(got[i].video, want[i].video) << "seed " << seed << ", " << i;
+      EXPECT_EQ(got[i].pair, want[i].pair) << "seed " << seed << ", " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -52,9 +52,12 @@ Instance random_instance(Rng& rng, std::size_t m, std::size_t clusters) {
   return inst;
 }
 
+/// The θ values theta_sweep steps through.
 std::vector<double> theta_grid(double theta1, double theta2, double delta) {
-  std::vector<double> thetas;
-  for (double t = theta1; t <= theta2 + 1e-9; t += delta) thetas.push_back(t);
+  std::vector<double> thetas(theta_grid_size(theta1, theta2, delta));
+  for (std::size_t k = 0; k < thetas.size(); ++k) {
+    thetas[k] = theta1 + static_cast<double>(k) * delta;
+  }
   return thetas;
 }
 
@@ -118,6 +121,7 @@ TEST_P(ThetaSweepDifferential, GcSweepThenGdResidualMatchesCold) {
   const auto candidates =
       candidate_edges_pairscan(inst.hotspots, partition, 1.5);
   const auto thetas = theta_grid(0.3, 1.5, 0.1);
+  ASSERT_EQ(thetas.size(), 13u);
   const GuideOptions guide;
 
   const SweepRecord cold =
@@ -150,6 +154,62 @@ TEST(ThetaSweep, RequiresThetaGridThatEnds) {
   EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, 1.5, 1e-300, 0, {}, {}),
                PreconditionError);
   EXPECT_THROW((void)theta_sweep(partition, {}, 0.5, inf, 0.5, 0, {}, {}),
+               PreconditionError);
+}
+
+TEST(ThetaSweep, GridKeepsTheStepCountOfRepeatedAddition) {
+  // Every grid the configs and tests use has the points that stepping θ by
+  // repeated addition, up to θ2 + 1e-9, used to give it, to within
+  // rounding; θ1 + k·δ does not accumulate that rounding.
+  struct Grid {
+    double theta1, theta2, delta;
+    std::size_t size;
+  };
+  for (const Grid& g : {Grid{0.5, 1.5, 0.5, 3}, Grid{0.3, 1.5, 0.1, 13},
+                        Grid{2.0, 6.0, 2.0, 3}, Grid{2.0, 6.0, 1.5, 3},
+                        Grid{2.0, 6.0, 1.0, 5}, Grid{0.5, 1.5, 1.5, 1},
+                        Grid{1.5, 1.5, 0.5, 1}, Grid{0.0, 0.0, 0.1, 1},
+                        Grid{0.0, 1.0, 0.1, 11}, Grid{5.0, 1.5, 0.5, 0}}) {
+    std::vector<double> added;
+    for (double t = g.theta1; t <= g.theta2 + 1e-9; t += g.delta) {
+      added.push_back(t);
+    }
+    const std::vector<double> grid = theta_grid(g.theta1, g.theta2, g.delta);
+    EXPECT_EQ(grid.size(), g.size) << g.theta1 << ".." << g.theta2;
+    ASSERT_EQ(grid.size(), added.size()) << g.theta1 << ".." << g.theta2;
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      EXPECT_NEAR(grid[k], added[k], 1e-12) << "point " << k;
+    }
+  }
+  // The default grid's points are exact either way.
+  EXPECT_EQ(theta_grid(0.5, 1.5, 0.5), (std::vector<double>{0.5, 1.0, 1.5}));
+}
+
+TEST(ThetaSweep, HalfUlpGridEnds) {
+  // θ2 + δ > θ2 holds, but θ1 + δ rounds back to θ1, so stepping θ by
+  // repeated addition never gets past θ1 = 1.5. The grid is checked before
+  // any sweep runs, so a grid that does not end fails here, not in a hang.
+  const double theta1 = 1.5;
+  const double theta2 = std::nextafter(1.5, 2.0);
+  const double delta = (theta2 - theta1) / 2;
+  ASSERT_GT(theta2 + delta, theta2);
+  ASSERT_EQ(theta1 + delta, theta1);
+  ASSERT_EQ(theta_grid_size(theta1, theta2, delta), 3u);
+  EXPECT_EQ(theta_grid(theta1, theta2, delta),
+            (std::vector<double>{theta1, theta1, theta2}));
+  // A sweep that never moves its one movable unit runs the three points
+  // and the residual step, then returns.
+  HotspotPartition partition;
+  const SweepOutcome out =
+      theta_sweep(partition, {}, theta1, theta2, delta, 1, {}, {});
+  EXPECT_EQ(out.theta_iterations, 3u);
+  EXPECT_EQ(out.moved, 0);
+}
+
+TEST(ThetaSweep, GridRejectsNegativeTheta1) {
+  // θ1 ≥ 0 bounds the number of points, with the other preconditions.
+  EXPECT_THROW((void)theta_grid_size(-1.0, 1.5, 0.5), PreconditionError);
+  EXPECT_THROW((void)theta_grid_size(std::nan(""), 1.5, 0.5),
                PreconditionError);
 }
 
@@ -242,9 +302,9 @@ ColdReplay cold_replay(const RbcaerConfig& config,
     }
     const auto candidates = candidate_edges(
         context.hotspots, partition, config.theta2_km, context.hotspot_index);
-    for (double theta = config.theta1_km;
-         theta <= config.theta2_km + 1e-9 && out.moved < max_movable;
-         theta += config.delta_km) {
+    for (const double theta :
+         theta_grid(config.theta1_km, config.theta2_km, config.delta_km)) {
+      if (out.moved >= max_movable) break;
       ++out.theta_iterations;
       absorb(config.content_aggregation
                  ? cold_step_gc(partition, candidates, theta, cluster_of,

@@ -123,6 +123,35 @@ void expect_matches_reference(const SlotDemand& got,
   }
 }
 
+/// request_pair()'s contract: each request's pair lies in its home's row
+/// and holds its video, and each pair is named by as many requests as its
+/// count.
+void expect_request_pairs(const SlotDemand& demand,
+                          std::span<const Request> requests) {
+  const auto pairs = demand.request_pair();
+  const auto homes = demand.request_home();
+  ASSERT_EQ(pairs.size(), requests.size());
+  const auto m = static_cast<HotspotIndex>(demand.num_hotspots());
+  std::vector<std::uint32_t> named(demand.first_pair(m), 0);
+  for (std::size_t r = 0; r < requests.size(); ++r) {
+    const HotspotIndex home = homes[r];
+    const std::size_t first = demand.first_pair(home);
+    ASSERT_GE(pairs[r], first) << "request " << r;
+    ASSERT_LT(pairs[r], demand.first_pair(home + 1)) << "request " << r;
+    EXPECT_EQ(demand.video_demand(home)[pairs[r] - first].video,
+              requests[r].video)
+        << "request " << r;
+    ++named[pairs[r]];
+  }
+  for (HotspotIndex h = 0; h < m; ++h) {
+    const auto row = demand.video_demand(h);
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      EXPECT_EQ(named[demand.first_pair(h) + k], row[k].count)
+          << "hotspot " << h << ", pair " << k;
+    }
+  }
+}
+
 /// Video ids drawn from a few hundred values: a small catalog (many
 /// repeats), a wide one, or the top of the 32-bit range.
 VideoId draw_video(Rng& rng, int mode) {
@@ -156,8 +185,9 @@ TEST(SlotDemand, MatchesReferenceOnRandomSlots) {
       r.video = draw_video(rng, mode);
       r.location = {rng.uniform(39.98, 40.12), rng.uniform(116.38, 116.62)};
     }
-    expect_matches_reference(SlotDemand(requests, index),
-                             reference_demand(requests, index));
+    const SlotDemand demand(requests, index);
+    expect_matches_reference(demand, reference_demand(requests, index));
+    expect_request_pairs(demand, requests);
   }
 }
 
@@ -178,11 +208,13 @@ TEST(SlotDemand, MatchesReferenceOnEdgeSlots) {
     r.video = draw_video(rng, 0);
     r.location = {rng.uniform(40.0, 40.1), rng.uniform(116.4, 116.6)};
   }
-  expect_matches_reference(SlotDemand(requests, one),
-                           reference_demand(requests, one));
+  const SlotDemand at_one(requests, one);
+  expect_matches_reference(at_one, reference_demand(requests, one));
+  expect_request_pairs(at_one, requests);
   for (Request& r : requests) r.location = many.point(7);
-  expect_matches_reference(SlotDemand(requests, many),
-                           reference_demand(requests, many));
+  const SlotDemand at_seven(requests, many);
+  expect_matches_reference(at_seven, reference_demand(requests, many));
+  expect_request_pairs(at_seven, requests);
   // Video ids at the top of the range, 0 among them.
   const std::vector<VideoId> extremes{kMax, 0, kMax - 1, kMax, 1, kMax - 2, 0};
   for (std::size_t k = 0; k < requests.size(); ++k) {
@@ -191,6 +223,7 @@ TEST(SlotDemand, MatchesReferenceOnEdgeSlots) {
   }
   const SlotDemand extreme(requests, many);
   expect_matches_reference(extreme, reference_demand(requests, many));
+  expect_request_pairs(extreme, requests);
 }
 
 TEST(SlotDemand, PerHotspotConstructorsMatchReference) {
@@ -206,8 +239,9 @@ TEST(SlotDemand, PerHotspotConstructorsMatchReference) {
         d.count = static_cast<std::uint32_t>(rng.index(5));
       }
     }
-    expect_matches_reference(SlotDemand(per_hotspot),
-                             reference_demand(per_hotspot));
+    const SlotDemand from_rows(per_hotspot);
+    expect_matches_reference(from_rows, reference_demand(per_hotspot));
+    EXPECT_TRUE(from_rows.request_pair().empty());
     if (hotspots == 0) continue;
     std::vector<HotspotIndex> homes(rng.index(50));
     for (HotspotIndex& home : homes) {
@@ -215,7 +249,11 @@ TEST(SlotDemand, PerHotspotConstructorsMatchReference) {
     }
     ReferenceDemand want = reference_demand(per_hotspot);
     want.request_home = homes;
-    expect_matches_reference(SlotDemand(per_hotspot, homes), want);
+    // The hybrid view's rows are a forecast, not built from its requests,
+    // so it names no per-request pairs.
+    const SlotDemand hybrid(per_hotspot, homes);
+    expect_matches_reference(hybrid, want);
+    EXPECT_TRUE(hybrid.request_pair().empty());
   }
 }
 

@@ -76,7 +76,8 @@ class CsvReader {
 };
 
 /// TraceReader's contract spelled out over CsvReader: the header, five
-/// fields, ids that fit their type, finite coordinates, and every
+/// fields, ids that fit their type, finite coordinates on the globe
+/// (latitude within ±90, longitude within ±180), and every
 /// ParseError prefixed with the line the row starts on.
 class ReferenceTraceReader {
  public:
@@ -96,8 +97,8 @@ class ReferenceTraceReader {
       r.user = id<UserId>(fields_[0], "user");
       r.timestamp = parse_int(fields_[1]);
       r.video = id<VideoId>(fields_[2], "video");
-      r.location.lat = coordinate(fields_[3], "latitude");
-      r.location.lon = coordinate(fields_[4], "longitude");
+      r.location.lat = coordinate(fields_[3], "latitude", 90);
+      r.location.lon = coordinate(fields_[4], "longitude", 180);
       return r;
     } catch (const ParseError& error) {
       fail(error.what());
@@ -130,10 +131,16 @@ class ReferenceTraceReader {
     return static_cast<Id>(value);
   }
 
-  static double coordinate(const std::string& field, const char* what) {
+  static double coordinate(const std::string& field, const char* what,
+                           int limit_degrees) {
     const double value = parse_double(field);
     if (!std::isfinite(value)) {
       throw ParseError(std::string(what) + " is not finite: '" + field + "'");
+    }
+    if (value < -limit_degrees || value > limit_degrees) {
+      const std::string limit = std::to_string(limit_degrees);
+      throw ParseError(std::string(what) + " is outside [-" + limit + ", " +
+                       limit + "]: '" + field + "'");
     }
     return value;
   }

@@ -216,6 +216,36 @@ TEST(TraceReaderTest, RejectsNonFiniteCoordinates) {
   }
 }
 
+TEST(TraceReaderTest, RejectsCoordinatesOffTheGlobe) {
+  // A point off the globe would be served from thousands of kilometres
+  // away.
+  for (const char* row : {"2,200,11,91,116.6", "2,200,11,91.0,116.6",
+                          "2,200,11,-90.0000001,116.6", "2,200,11,40.1,180.5",
+                          "2,200,11,40.1,-180.5", "2,200,11,1e3,116.6"}) {
+    const std::string error = row_error(row);
+    EXPECT_NE(error.find("line 3"), std::string::npos) << row << ": " << error;
+    EXPECT_NE(error.find("is outside [-"), std::string::npos)
+        << row << ": " << error;
+  }
+  EXPECT_NE(row_error("2,200,11,91,116.6")
+                .find("latitude is outside [-90, 90]: '91'"),
+            std::string::npos);
+  EXPECT_NE(row_error("2,200,11,40.1,180.5")
+                .find("longitude is outside [-180, 180]: '180.5'"),
+            std::string::npos);
+  // The poles and the antimeridian themselves still load.
+  std::istringstream in("user,timestamp,video,lat,lon\n"
+                        "1,100,10,90,180\n"
+                        "2,101,10,-90.0,-180.0\n"
+                        "3,102,10,-0.0,0\n");
+  const auto loaded = read_trace_csv(in);
+  ASSERT_EQ(loaded.size(), 3u);
+  EXPECT_EQ(loaded[0].location.lat, 90.0);
+  EXPECT_EQ(loaded[0].location.lon, 180.0);
+  EXPECT_EQ(loaded[1].location.lat, -90.0);
+  EXPECT_EQ(loaded[1].location.lon, -180.0);
+}
+
 TEST(TraceReaderTest, RejectsIdsThatWouldWrap) {
   for (const char* row :
        {"2,200,-1,40.1,116.6", "2,200,4294967296,40.1,116.6",

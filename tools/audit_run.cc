@@ -28,12 +28,15 @@
 // bounded-memory smoke job asserts on it.
 //
 // Exit status: 0 when every slot is clean, 1 when any invariant failed,
-// 2 on usage errors and unreadable trace files (rows out of timestamp
-// order, video ids outside the catalog).
+// 2 on usage errors (unknown flags, values outside tools/flag_ranges.h) and
+// unreadable trace files (rows out of timestamp order, video ids outside
+// the catalog).
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include "flag_ranges.h"
 
 #include "core/nearest_scheme.h"
 #include "core/random_scheme.h"
@@ -96,27 +99,29 @@ int run_audit(const Flags& flags) {
     return 2;
   }
 
+  using namespace flag_ranges;
   WorldConfig world_config = WorldConfig::evaluation_region();
-  world_config.num_hotspots = static_cast<std::size_t>(
-      flags.get_int("hotspots",
-                    static_cast<std::int64_t>(world_config.num_hotspots)));
-  world_config.num_videos =
-      static_cast<std::uint32_t>(flags.get_int("videos",
-                                               world_config.num_videos));
+  world_config.num_hotspots = static_cast<std::size_t>(flags.get_int_in(
+      "hotspots", static_cast<std::int64_t>(world_config.num_hotspots), 1,
+      kMaxHotspots));
+  world_config.num_videos = static_cast<std::uint32_t>(flags.get_int_in(
+      "videos", world_config.num_videos, kMinVideos, kMaxVideos));
   world_config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   World world = generate_world(world_config);
-  assign_uniform_capacities(world, flags.get_double("capacity", 0.05),
-                            flags.get_double("cache", 0.03));
+  assign_uniform_capacities(
+      world, flags.get_double_in("capacity", 0.05, 0.0, kMaxCapacityShare),
+      flags.get_double_in("cache", 0.03, 0.0, kMaxCacheShare));
 
   const std::string in = flags.get_string("in", "");
-  const std::int64_t slot_seconds = flags.get_int("slot-seconds", 3600);
+  const std::int64_t slot_seconds =
+      flags.get_int_in("slot-seconds", 3600, 1, kMaxSlotSeconds);
   const bool stream = flags.get_bool("stream", false);
   const bool quiet = flags.get_bool("quiet", false);
   TraceConfig trace_config;
-  trace_config.num_requests =
-      static_cast<std::size_t>(flags.get_int("requests", 20000));
+  trace_config.num_requests = static_cast<std::size_t>(
+      flags.get_int_in("requests", 20000, 1, kMaxRequests));
   trace_config.duration_hours =
-      static_cast<std::size_t>(flags.get_int("hours", 24));
+      static_cast<std::size_t>(flags.get_int_in("hours", 24, 1, kMaxHours));
   trace_config.seed = world_config.seed;
   for (const auto& unknown : flags.unused()) {
     std::fprintf(stderr, "unknown flag --%s\n", unknown.c_str());
@@ -200,9 +205,10 @@ int main(int argc, char** argv) {
   try {
     return run_audit(Flags(argc, argv));
   } catch (const ParseError& error) {
-    // An unreadable trace file, e.g. rows out of timestamp order or a video
-    // outside the catalog: a usage error, reported with the offending line
-    // number or video id.
+    // A flag value outside its range (FlagError), or an unreadable trace
+    // file, e.g. rows out of timestamp order or a video outside the
+    // catalog: a usage error, reported with the flag, or with the
+    // offending line number or video id.
     std::fprintf(stderr, "audit_run: %s\n", error.what());
     return 2;
   }

@@ -23,11 +23,14 @@
 //
 // The world is regenerated from the same --seed/--hotspots/--videos flags,
 // so a trace file plus its generation flags fully reproduces a run. Every
-// subcommand rejects a flag it does not read (exit 2) before touching any
+// subcommand rejects a flag it does not read, a malformed value and a value
+// outside its range (tools/flag_ranges.h) with exit 2, before touching any
 // file.
 #include <cstdio>
 #include <memory>
 #include <string>
+
+#include "flag_ranges.h"
 
 #include "core/nearest_scheme.h"
 #include "core/random_scheme.h"
@@ -48,14 +51,15 @@
 namespace {
 
 using namespace ccdn;
+using namespace ccdn::flag_ranges;
 
 World world_from_flags(const Flags& flags) {
   WorldConfig config = WorldConfig::evaluation_region();
-  config.num_hotspots = static_cast<std::size_t>(
-      flags.get_int("hotspots", static_cast<std::int64_t>(
-                                    config.num_hotspots)));
-  config.num_videos = static_cast<std::uint32_t>(
-      flags.get_int("videos", config.num_videos));
+  config.num_hotspots = static_cast<std::size_t>(flags.get_int_in(
+      "hotspots", static_cast<std::int64_t>(config.num_hotspots), 1,
+      kMaxHotspots));
+  config.num_videos = static_cast<std::uint32_t>(flags.get_int_in(
+      "videos", config.num_videos, kMinVideos, kMaxVideos));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   return generate_world(config);
 }
@@ -79,11 +83,11 @@ int cmd_generate(const Flags& flags) {
   }
   const World world = world_from_flags(flags);
   TraceConfig trace_config;
-  trace_config.num_requests = static_cast<std::size_t>(
-      flags.get_int("requests", static_cast<std::int64_t>(
-                                    trace_config.num_requests)));
+  trace_config.num_requests = static_cast<std::size_t>(flags.get_int_in(
+      "requests", static_cast<std::int64_t>(trace_config.num_requests), 1,
+      kMaxRequests));
   trace_config.duration_hours =
-      static_cast<std::size_t>(flags.get_int("hours", 24));
+      static_cast<std::size_t>(flags.get_int_in("hours", 24, 1, kMaxHours));
   trace_config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const bool stream = flags.get_bool("stream", false);
   if (reject_unused("generate", flags)) return 2;
@@ -156,8 +160,9 @@ int cmd_simulate(const Flags& flags) {
     return 2;
   }
   World world = world_from_flags(flags);
-  assign_uniform_capacities(world, flags.get_double("capacity", 0.05),
-                            flags.get_double("cache", 0.03));
+  assign_uniform_capacities(
+      world, flags.get_double_in("capacity", 0.05, 0.0, kMaxCapacityShare),
+      flags.get_double_in("cache", 0.03, 0.0, kMaxCacheShare));
   const std::string scheme_name = flags.get_string("scheme", "rbcaer");
   SchemePtr scheme;
   if (scheme_name == "rbcaer") {
@@ -176,7 +181,8 @@ int cmd_simulate(const Flags& flags) {
     return 2;
   }
   SimulationConfig sim_config;
-  sim_config.slot_seconds = flags.get_int("slot_seconds", 24 * 3600);
+  sim_config.slot_seconds =
+      flags.get_int_in("slot_seconds", 24 * 3600, 1, kMaxSlotSeconds);
   sim_config.num_threads =
       static_cast<std::size_t>(flags.get_int("threads", 1));
   sim_config.max_inflight_slots =
@@ -210,6 +216,9 @@ int main(int argc, char** argv) {
     if (command == "generate") return cmd_generate(flags);
     if (command == "stats") return cmd_stats(flags);
     if (command == "simulate") return cmd_simulate(flags);
+  } catch (const FlagError& error) {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(), error.what());
+    return 2;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return 1;
