@@ -232,8 +232,7 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   }
   if (auditing) {
     AuditReport report;
-    audit_slot_plan(plan, context.hotspots, requests, demand.request_home(),
-                    report);
+    audit_slot_plan(plan, context.hotspots, requests, demand, report);
     report.require_clean("rbcaer slot plan");
   }
   stage_timings_.replication_s = stage_clock.elapsed_seconds();

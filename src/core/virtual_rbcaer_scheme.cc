@@ -232,8 +232,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
                                            redirects.grouped());
   if (auditing) {
     AuditReport report;
-    audit_slot_plan(plan, context.hotspots, requests, demand.request_home(),
-                    report);
+    audit_slot_plan(plan, context.hotspots, requests, demand, report);
     report.require_clean("virtual-rbcaer slot plan");
   }
   return plan;

@@ -94,9 +94,6 @@ class TraceGenerator {
   /// Total slot windows the cursor will emit (computes trace bounds on
   /// first use, like next_slot_batch).
   [[nodiscard]] std::size_t num_slots();
-  [[nodiscard]] std::int64_t slot_seconds() const noexcept {
-    return slot_seconds_;
-  }
 
   /// Rewind the cursor to slot 0.
   void reset() noexcept { cursor_slot_ = 0; }

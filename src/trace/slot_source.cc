@@ -25,19 +25,6 @@ std::optional<SlotBatch> VectorSlotSource::next() {
   return batch;
 }
 
-// --- GeneratorSlotSource ---------------------------------------------------
-
-std::optional<SlotBatch> GeneratorSlotSource::next() {
-  const MutexLock lock(mu_);
-  const std::size_t index = generator_->next_slot_index();
-  auto requests = generator_->next_slot_batch();
-  if (!requests.has_value()) return std::nullopt;
-  SlotBatch batch;
-  batch.slot_index = index;
-  batch.requests = std::move(*requests);
-  return batch;
-}
-
 // --- CsvSlotSource ---------------------------------------------------------
 
 CsvSlotSource::CsvSlotSource(const std::string& path,

@@ -10,13 +10,11 @@
 // streaming run's report and per-slot digests bit-identical to the
 // in-memory run.
 //
-// Three implementations:
-//   * VectorSlotSource    — adapter over an in-memory trace (the reference
-//                           both equivalence tests compare against).
-//   * GeneratorSlotSource — synthetic traces via TraceGenerator's windowed
-//                           cursor; O(batch) memory.
-//   * CsvSlotSource       — chunked CSV ingestion via TraceReader; O(batch)
-//                           memory, never loads the file.
+// Two implementations:
+//   * VectorSlotSource — adapter over an in-memory trace (the reference the
+//                        equivalence tests compare against).
+//   * CsvSlotSource    — chunked CSV ingestion via TraceReader; O(batch)
+//                        memory, never loads the file.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +25,6 @@
 
 #include "model/timeslots.h"
 #include "model/types.h"
-#include "trace/generator.h"
 #include "trace/trace_io.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -77,25 +74,6 @@ class VectorSlotSource final : public SlotSource {
   std::vector<SlotRange> ranges_;
   Mutex mu_;
   std::size_t cursor_ CCDN_GUARDED_BY(mu_) = 0;
-};
-
-/// Synthetic-trace source: wraps a TraceGenerator cursor. The generator
-/// must outlive the source; its slot_seconds fixes the window.
-class GeneratorSlotSource final : public SlotSource {
- public:
-  explicit GeneratorSlotSource(TraceGenerator& generator)
-      : generator_(&generator) {}
-
-  [[nodiscard]] std::optional<SlotBatch> next() override;
-  [[nodiscard]] std::int64_t slot_seconds() const noexcept override {
-    return generator_->slot_seconds();
-  }
-
- private:
-  Mutex mu_;
-  /// The generator's windowed cursor is the guarded state: next() advances
-  /// it, so the pointee may only be touched under mu_.
-  TraceGenerator* generator_ CCDN_PT_GUARDED_BY(mu_);
 };
 
 /// Chunked CSV source: groups a TraceReader's rows into slot windows

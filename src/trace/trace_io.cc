@@ -68,7 +68,7 @@ TraceWriter::TraceWriter(std::ostream& out) : out_(&out), writer_(*out_) {
 
 TraceWriter::TraceWriter(const std::string& path)
     : owned_(path), out_(&owned_), writer_(*out_) {
-  if (!owned_) throw Error("cannot open for writing: " + path);
+  if (!owned_) throw ParseError("cannot open for writing: " + path);
   writer_.row(kHeader[0], kHeader[1], kHeader[2], kHeader[3], kHeader[4]);
 }
 
@@ -103,7 +103,7 @@ TraceReader::TraceReader(std::istream& in)
 
 TraceReader::TraceReader(const std::string& path)
     : owned_(path), in_(&owned_), buffer_(kBlockBytes) {
-  if (!owned_) throw Error("cannot open for reading: " + path);
+  if (!owned_) throw ParseError("cannot open for reading: " + path);
   read_header();
 }
 

@@ -25,15 +25,17 @@
 
 namespace ccdn {
 
-/// Write `requests` as CSV with a header row.
+/// Write `requests` as CSV with a header row. A path that cannot be
+/// opened for writing throws ParseError.
 void write_trace_csv(std::ostream& out, const std::vector<Request>& requests);
 void write_trace_csv(const std::string& path,
                      const std::vector<Request>& requests);
 
-/// Read a trace written by write_trace_csv. Throws ParseError on schema or
-/// field errors (naming the offending line): ids that do not fit their
-/// type, and coordinates that are not finite or lie off the globe
-/// (latitude outside [-90, 90], longitude outside [-180, 180]).
+/// Read a trace written by write_trace_csv. Throws ParseError on a path
+/// that cannot be opened, and on schema or field errors (naming the
+/// offending line): ids that do not fit their type, and coordinates that
+/// are not finite or lie off the globe (latitude outside [-90, 90],
+/// longitude outside [-180, 180]).
 [[nodiscard]] std::vector<Request> read_trace_csv(std::istream& in);
 [[nodiscard]] std::vector<Request> read_trace_csv(const std::string& path);
 

@@ -6,8 +6,9 @@
 // tests can assert exactly which invariant broke and production call sites
 // can escalate the whole report at once via require_clean().
 //
-// The audit *functions* are ordinary code, available in every build (the
-// audit_run tool replays traces through them even in release binaries).
+// The audit *functions* are ordinary code, available in every build
+// (run_audited, behind `ccdn-trace audit`, replays traces through them
+// even in release binaries).
 // The in-pipeline *call sites* (schemes, θ step, simulator) are gated on
 // AuditLevel and compiled out under NDEBUG through kCheckedBuild, so a
 // release build pays nothing — see DESIGN.md §3.8.
@@ -31,7 +32,7 @@ enum class AuditLevel : std::uint8_t {
   kPlan = 1,
   /// kPlan plus flow-level audits on every committed network: conservation,
   /// capacity bounds, and residual reduced-cost validity at each θ-sweep
-  /// commit. Expensive; meant for tests, audit_run, and bug hunts.
+  /// commit. Expensive; meant for tests, `ccdn-trace audit`, and bug hunts.
   kFull = 2,
 };
 

@@ -4,6 +4,7 @@
 
 #include "core/nearest_scheme.h"
 #include "core/rbcaer_scheme.h"
+#include "core/virtual_rbcaer_scheme.h"
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/error.h"
@@ -102,6 +103,42 @@ TEST(Predictive, WorksWithRbcaer) {
   EXPECT_EQ(report.total_requests(), scenario.trace.size());
   EXPECT_GT(report.serving_ratio(), 0.2);
   EXPECT_GT(report.total_replicas(), 0u);
+}
+
+TEST(Predictive, ForecastPlansPassTheSchemesOwnAudit) {
+  // Scarce caches on a 120-hotspot world, where forecast and actual demand
+  // part: a forecast plan's redirects are sized for the forecast, so the
+  // schemes' kPlan audit (checked builds) must not hold them to the
+  // service capacity the slot's actual requests leave.
+  WorldConfig world_config = WorldConfig::evaluation_region();
+  world_config.num_hotspots = 120;
+  world_config.num_videos = 3000;
+  world_config.seed = 17;
+  World world = generate_world(world_config);
+  assign_uniform_capacities(world, 0.01, 0.005);
+  TraceConfig trace_config;
+  trace_config.num_requests = 30000;
+  trace_config.duration_hours = 12;
+  trace_config.seed = 17;
+  const auto trace = generate_trace(world, trace_config);
+  PredictiveConfig config;
+  config.simulation.slot_seconds = 3600;
+  const VideoCatalog catalog{world_config.num_videos};
+  MovingAverageForecaster forecaster(3);
+
+  RbcaerConfig rbcaer_config;
+  rbcaer_config.audit_level = AuditLevel::kPlan;
+  RbcaerScheme rbcaer(rbcaer_config);
+  VirtualRbcaerConfig virtual_config;
+  virtual_config.regional.audit_level = AuditLevel::kPlan;
+  VirtualRbcaerScheme virtual_rbcaer(virtual_config);
+  for (RedirectionScheme* scheme :
+       {static_cast<RedirectionScheme*>(&rbcaer),
+        static_cast<RedirectionScheme*>(&virtual_rbcaer)}) {
+    const auto report = run_predictive(world.hotspots(), catalog, *scheme,
+                                       forecaster, trace, config);
+    EXPECT_EQ(report.total_requests(), trace.size()) << scheme->name();
+  }
 }
 
 TEST(Predictive, RunsThroughTheSimulator) {

@@ -182,25 +182,6 @@ TEST(StreamingSimulator, IdenticalUnderChurnAndDeltaCharging) {
   expect_identical(reference, workload.run_streaming(scheme, 4, 3, 0.25));
 }
 
-TEST(StreamingSimulator, GeneratorSourceMatchesInMemory) {
-  // Synthetic end-to-end: the windowed TraceGenerator feeding the streaming
-  // executor equals materializing the same trace and running in memory.
-  const StreamWorkload workload;
-  TraceConfig trace_config;
-  trace_config.num_requests = 6000;
-  TraceGenerator generator(workload.world, trace_config, 3600);
-  GeneratorSlotSource source(generator);
-
-  NearestScheme streaming_scheme;
-  Simulator simulator(workload.world.hotspots(),
-                      VideoCatalog{workload.world.config().num_videos},
-                      workload.make_config(4, 3, 0.0));
-  const auto streamed = simulator.run(streaming_scheme, source);
-
-  NearestScheme reference_scheme;
-  expect_identical(workload.run_in_memory(reference_scheme), streamed);
-}
-
 TEST(StreamingSimulator, RejectsSlotLengthMismatch) {
   const StreamWorkload workload;
   NearestScheme scheme;

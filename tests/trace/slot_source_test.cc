@@ -239,32 +239,5 @@ TEST(CsvSlotSource, RejectsUnsortedTimestampsNamingTheLine) {
   }
 }
 
-TEST(GeneratorSlotSource, MatchesGenerateThroughTheInterface) {
-  const World world = small_world();
-  TraceConfig config;
-  config.num_requests = 2000;
-  TraceGenerator generator(world, config);
-  const auto monolithic = generator.generate();
-  const auto ranges = partition_into_slots(monolithic, 3600);
-
-  GeneratorSlotSource source(generator);
-  EXPECT_EQ(source.slot_seconds(), 3600);
-  std::size_t slot = 0;
-  std::size_t offset = 0;
-  while (auto batch = source.next()) {
-    ASSERT_LT(slot, ranges.size());
-    EXPECT_EQ(batch->slot_index, slot);
-    ASSERT_EQ(batch->requests.size(), ranges[slot].size());
-    for (std::size_t i = 0; i < batch->requests.size(); ++i) {
-      expect_same_request(batch->requests[i], monolithic[offset + i],
-                          offset + i);
-    }
-    offset += batch->requests.size();
-    ++slot;
-  }
-  EXPECT_EQ(slot, ranges.size());
-  EXPECT_EQ(offset, monolithic.size());
-}
-
 }  // namespace
 }  // namespace ccdn

@@ -117,6 +117,36 @@ TEST(ScheduleAuditTest, OversubscribedReceiverIsNamed) {
   EXPECT_TRUE(report.has("service-capacity")) << report.summary();
 }
 
+TEST(ScheduleAuditTest, ForecastPlansSkipOnlyTheServiceCapacityCheck) {
+  // The schemes audit a plan against the demand they built it from. The
+  // slot's own demand holds it to service capacity; a forecast, which has
+  // the slot's homes but no request pairs, sized its redirects for other
+  // requests, yet a redirect to a cache miss is still named.
+  CapacitySlot s;
+  s.hotspots[1].service_capacity = 1;
+  const GridIndex index({s.hotspots[0].location, s.hotspots[1].location},
+                        0.5);
+  const SlotDemand own(s.requests, index);
+  ASSERT_EQ(std::vector<HotspotIndex>(own.request_home().begin(),
+                                      own.request_home().end()),
+            s.homes);
+  const SlotDemand forecast({{{1, 1}}, {}}, s.homes);
+  SlotPlan plan{s.placements, {1, 1, kCdnServer}};
+
+  AuditReport own_report;
+  audit_slot_plan(plan, s.hotspots, s.requests, own, own_report);
+  EXPECT_TRUE(own_report.has("service-capacity")) << own_report.summary();
+  AuditReport forecast_report;
+  audit_slot_plan(plan, s.hotspots, s.requests, forecast, forecast_report);
+  EXPECT_TRUE(forecast_report.ok()) << forecast_report.summary();
+
+  plan.assignment = {1, 1, 1};  // hotspot 1 does not cache video 2
+  AuditReport miss_report;
+  audit_slot_plan(plan, s.hotspots, s.requests, forecast, miss_report);
+  EXPECT_TRUE(miss_report.has("redirect-miss")) << miss_report.summary();
+  EXPECT_FALSE(miss_report.has("service-capacity")) << miss_report.summary();
+}
+
 TEST(ScheduleAuditTest, ShapeMismatchShortCircuits) {
   CapacitySlot s;
   const std::vector<HotspotIndex> assignment{0};  // wrong length

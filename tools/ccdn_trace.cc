@@ -13,30 +13,38 @@
 //
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
-//                       [--threads=1] [--window=0]
-//                       [--slot_seconds=86400] [--shards=0]
+//                       [--videos=15190] [--seed=42] [--slot_seconds=86400]
+//                       [--shards=0] [--threads=1] [--window=0]
 //       Run one scheme over the trace and print the four paper metrics.
-//       Slot batches stream straight off the CSV (bounded memory); rows
-//       must be sorted by timestamp, and the first row out of order is
-//       reported by line number. --threads/--window size the pipelined
-//       executor (window 0 = 2x threads).
+//       --threads/--window size the pipelined executor (window 0 = 2x
+//       threads); --shards=N plans in N geo zones (0 = unsharded).
 //
-// The world is regenerated from the same --seed/--hotspots/--videos flags,
-// so a trace file plus its generation flags fully reproduces a run. Every
-// subcommand rejects a flag it does not read, a malformed value and a value
-// outside its range (tools/flag_ranges.h) with exit 2, before touching any
-// file.
+//   ccdn_trace audit --in=trace.csv [simulate's flags but --threads and
+//                    --window] [--quiet]
+//       Replay the trace with every slot plan audited (run_audited,
+//       DESIGN.md §3.8); print one verdict line per slot (--quiet: only
+//       the failing ones), the totals and the peak RSS; exit 1 on any
+//       violation.
+//
+// simulate and audit stream the CSV slot by slot; rows must be sorted by
+// timestamp. The world is regenerated from the same --seed/--hotspots/
+// --videos flags, so a trace file plus its generation flags fully
+// reproduces a run.
+//
+// Exit status: 0 on success; 2 on an unusable command line or input (a
+// flag no subcommand reads or a malformed or out-of-range value, see
+// tools/cli.h, both reported before any file is opened; an unreadable
+// --in or unwritable --out; a malformed or out-of-order row; a video id
+// outside the catalog); 1 on a broken invariant or any other runtime
+// error.
 #include <cstdio>
 #include <memory>
 #include <string>
 
-#include "flag_ranges.h"
+#include "cli.h"
 
-#include "core/nearest_scheme.h"
-#include "core/random_scheme.h"
-#include "core/rbcaer_scheme.h"
-#include "core/virtual_rbcaer_scheme.h"
 #include "model/trace_stats.h"
+#include "sim/audited.h"
 #include "sim/measurement.h"
 #include "sim/simulator.h"
 #include "stats/empirical_cdf.h"
@@ -45,13 +53,14 @@
 #include "trace/slot_source.h"
 #include "trace/trace_io.h"
 #include "trace/world.h"
+#include "util/error.h"
 #include "util/flags.h"
-#include "util/log.h"
+#include "util/peak_rss.h"
 
 namespace {
 
 using namespace ccdn;
-using namespace ccdn::flag_ranges;
+using namespace ccdn::cli;
 
 World world_from_flags(const Flags& flags) {
   WorldConfig config = WorldConfig::evaluation_region();
@@ -62,6 +71,41 @@ World world_from_flags(const Flags& flags) {
       "videos", config.num_videos, kMinVideos, kMaxVideos));
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   return generate_world(config);
+}
+
+/// What simulate and audit both read: the trace, the world with its
+/// capacities, the scheme, and the slot length and shard count.
+struct RunFlags {
+  std::string in;
+  World world;
+  std::string scheme_name;
+  SchemePtr scheme;
+  SimulationConfig config;
+};
+
+/// Reads --in, the world flags, --capacity, --cache, --scheme,
+/// --slot_seconds and --shards. A missing --in, an unknown scheme and a
+/// value outside its range throw FlagError.
+RunFlags read_run_flags(const Flags& flags, AuditLevel audit_level) {
+  std::string in = flags.get_string("in", "");
+  if (in.empty()) throw FlagError("--in=<path> is required");
+  World world = world_from_flags(flags);
+  assign_uniform_capacities(
+      world, flags.get_double_in("capacity", 0.05, 0.0, kMaxCapacityShare),
+      flags.get_double_in("cache", 0.03, 0.0, kMaxCacheShare));
+  std::string scheme_name = flags.get_string("scheme", "rbcaer");
+  SchemePtr scheme = scheme_by_name(scheme_name, audit_level);
+  if (!scheme) {
+    throw FlagError("unknown --scheme '" + scheme_name +
+                    "' (rbcaer|nearest|random|virtual)");
+  }
+  SimulationConfig config;
+  config.slot_seconds =
+      flags.get_int_in("slot_seconds", 24 * 3600, 1, kMaxSlotSeconds);
+  config.num_shards = static_cast<std::size_t>(
+      flags.get_int_in("shards", 0, 0, kMaxShards));
+  return {std::move(in), std::move(world), std::move(scheme_name),
+          std::move(scheme), config};
 }
 
 /// Call once every flag the subcommand uses has been read: a flag nobody
@@ -77,10 +121,7 @@ bool reject_unused(const char* command, const Flags& flags) {
 
 int cmd_generate(const Flags& flags) {
   const std::string out = flags.get_string("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "generate: --out=<path> is required\n");
-    return 2;
-  }
+  if (out.empty()) throw FlagError("--out=<path> is required");
   const World world = world_from_flags(flags);
   TraceConfig trace_config;
   trace_config.num_requests = static_cast<std::size_t>(flags.get_int_in(
@@ -114,17 +155,11 @@ int cmd_generate(const Flags& flags) {
 
 int cmd_stats(const Flags& flags) {
   const std::string in = flags.get_string("in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "stats: --in=<path> is required\n");
-    return 2;
-  }
+  if (in.empty()) throw FlagError("--in=<path> is required");
   const World world = world_from_flags(flags);
   if (reject_unused("stats", flags)) return 2;
   const auto trace = read_trace_csv(in);
-  if (trace.empty()) {
-    std::fprintf(stderr, "stats: trace is empty\n");
-    return 1;
-  }
+  if (trace.empty()) throw ParseError("trace is empty");
   const TraceStats stats = compute_trace_stats(trace);
   std::printf("trace summary: %zu requests, %zu users, %zu videos, span "
               "%.1f h, top-20%% share %.2f\n",
@@ -154,50 +189,18 @@ int cmd_stats(const Flags& flags) {
 }
 
 int cmd_simulate(const Flags& flags) {
-  const std::string in = flags.get_string("in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "simulate: --in=<path> is required\n");
-    return 2;
-  }
-  World world = world_from_flags(flags);
-  assign_uniform_capacities(
-      world, flags.get_double_in("capacity", 0.05, 0.0, kMaxCapacityShare),
-      flags.get_double_in("cache", 0.03, 0.0, kMaxCacheShare));
-  const std::string scheme_name = flags.get_string("scheme", "rbcaer");
-  SchemePtr scheme;
-  if (scheme_name == "rbcaer") {
-    scheme = std::make_unique<RbcaerScheme>();
-  } else if (scheme_name == "nearest") {
-    scheme = std::make_unique<NearestScheme>();
-  } else if (scheme_name == "random") {
-    scheme = std::make_unique<RandomScheme>(1.5);
-  } else if (scheme_name == "virtual") {
-    scheme = std::make_unique<VirtualRbcaerScheme>();
-  } else {
-    std::fprintf(stderr,
-                 "simulate: unknown --scheme '%s' (rbcaer|nearest|random|"
-                 "virtual)\n",
-                 scheme_name.c_str());
-    return 2;
-  }
-  SimulationConfig sim_config;
-  sim_config.slot_seconds =
-      flags.get_int_in("slot_seconds", 24 * 3600, 1, kMaxSlotSeconds);
-  sim_config.num_threads =
-      static_cast<std::size_t>(flags.get_int("threads", 1));
-  sim_config.max_inflight_slots =
-      static_cast<std::size_t>(flags.get_int("window", 0));
-  // Zone-sharded planning (0 = unsharded); the RBCAer family inherits it
-  // via SchemeContext, the stateless baselines ignore it.
-  sim_config.num_shards =
-      static_cast<std::size_t>(flags.get_int("shards", 0));
+  RunFlags run = read_run_flags(flags, AuditLevel::kOff);
+  run.config.num_threads = static_cast<std::size_t>(
+      flags.get_int_in("threads", 1, 0, kMaxThreads));
+  run.config.max_inflight_slots = static_cast<std::size_t>(
+      flags.get_int_in("window", 0, 0, kMaxWindow));
   if (reject_unused("simulate", flags)) return 2;
-  const Simulator simulator(world.hotspots(),
-                            VideoCatalog{world.config().num_videos},
-                            sim_config);
-  CsvSlotSource source(in, sim_config.slot_seconds);
-  const SimulationReport report = simulator.run(*scheme, source);
-  std::printf("%s over %zu requests:\n", scheme->name().c_str(),
+  const Simulator simulator(run.world.hotspots(),
+                            VideoCatalog{run.world.config().num_videos},
+                            run.config);
+  CsvSlotSource source(run.in, run.config.slot_seconds);
+  const SimulationReport report = simulator.run(*run.scheme, source);
+  std::printf("%s over %zu requests:\n", run.scheme->name().c_str(),
               report.total_requests());
   std::printf("  serving_ratio        %.3f\n", report.serving_ratio());
   std::printf("  avg_distance_km      %.3f\n", report.average_distance_km());
@@ -206,25 +209,67 @@ int cmd_simulate(const Flags& flags) {
   return 0;
 }
 
+int cmd_audit(const Flags& flags) {
+  RunFlags run = read_run_flags(flags, AuditLevel::kFull);
+  const bool quiet = flags.get_bool("quiet", false);
+  if (reject_unused("audit", flags)) return 2;
+  // The RBCAer family plans within the service capacities; the baselines
+  // over-assign by design and leave the excess to admission.
+  const bool capacity_tier =
+      run.scheme_name == "rbcaer" || run.scheme_name == "virtual";
+  const Simulator simulator(run.world.hotspots(),
+                            VideoCatalog{run.world.config().num_videos},
+                            run.config);
+  CsvSlotSource source(run.in, run.config.slot_seconds);
+  std::printf("audit: scheme=%s build=%s hotspots=%zu\n",
+              run.scheme->name().c_str(),
+              kCheckedBuild ? "checked" : "release",
+              run.world.hotspots().size());
+  const AuditedRun audited =
+      run_audited(simulator, *run.scheme, source, capacity_tier);
+  std::size_t violations = 0;
+  for (std::size_t slot = 0; slot < audited.verdicts.size(); ++slot) {
+    const SlotVerdict& verdict = audited.verdicts[slot];
+    violations += verdict.audit.violations().size();
+    if (!verdict.audit.ok()) {
+      std::printf("audit: slot %zu: FAIL %s\n", slot,
+                  verdict.audit.summary().c_str());
+    } else if (!quiet) {
+      std::printf("audit: slot %zu: ok (%zu requests, digest %016llx)\n",
+                  slot, verdict.requests,
+                  static_cast<unsigned long long>(verdict.digest));
+    }
+  }
+  std::printf("audit: %zu violation(s) across %zu slot(s); %zu/%zu requests "
+              "served by hotspots\n",
+              violations, audited.verdicts.size(),
+              audited.report.served_by_hotspots(),
+              audited.report.total_requests());
+  std::printf("audit: peak_rss_mb=%.1f\n", peak_rss_mb());
+  return violations == 0 ? 0 : 1;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const auto& positional = flags.positional();
-  const std::string command = positional.empty() ? "" : positional.front();
+  std::string command = "ccdn_trace";
   try {
+    const Flags flags(argc, argv);
+    const auto& positional = flags.positional();
+    if (!positional.empty()) command = positional.front();
     if (command == "generate") return cmd_generate(flags);
     if (command == "stats") return cmd_stats(flags);
     if (command == "simulate") return cmd_simulate(flags);
-  } catch (const FlagError& error) {
+    if (command == "audit") return cmd_audit(flags);
+  } catch (const ParseError& error) {
     std::fprintf(stderr, "%s: %s\n", command.c_str(), error.what());
     return 2;
   } catch (const std::exception& error) {
-    std::fprintf(stderr, "error: %s\n", error.what());
+    std::fprintf(stderr, "%s: error: %s\n", command.c_str(), error.what());
     return 1;
   }
   std::fprintf(stderr,
-               "usage: ccdn_trace <generate|stats|simulate> [flags]\n"
+               "usage: ccdn_trace <generate|stats|simulate|audit> [flags]\n"
                "see the header comment of tools/ccdn_trace.cc\n");
   return 2;
 }

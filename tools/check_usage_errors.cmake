@@ -1,11 +1,11 @@
-# Runs ccdn-trace and audit_run with one bad world or trace flag value at a
-# time and requires a usage error: exit status 2 and the flag's name on
-# stderr. The trace path given with --in does not exist and the one given
-# with --out must not be created, so each check also shows that the value
-# is rejected before any file is opened.
+# Runs ccdn-trace with one bad flag value at a time and requires a usage
+# error: exit status 2 and the flag's name on stderr. The trace path given
+# with --in does not exist and the one given with --out must not be
+# created, so each check also shows that the value is rejected before any
+# file is opened.
 #
-#   cmake -DCCDN_TRACE=<ccdn-trace> -DAUDIT_RUN=<audit_run>
-#         -DWORK_DIR=<scratch dir> -P check_usage_errors.cmake
+#   cmake -DCCDN_TRACE=<ccdn-trace> -DWORK_DIR=<scratch dir>
+#         -P check_usage_errors.cmake
 
 set(missing "${WORK_DIR}/usage_error_no_such_trace.csv")
 set(unwritten "${WORK_DIR}/usage_error_unwritten_trace.csv")
@@ -32,7 +32,8 @@ endfunction()
 
 foreach(bad IN ITEMS capacity=0 capacity=-0.5 capacity=nan cache=0 cache=2
                      slot_seconds=0 videos=0 videos=1 hotspots=0
-                     hotspots=-1 hotspots=abc)
+                     hotspots=-1 hotspots=abc threads=-1 threads=1025
+                     window=-1 window=65537 shards=-1 shards=1000001)
   string(REGEX REPLACE "=.*" "" flag "${bad}")
   expect_usage_error(${flag} ${CCDN_TRACE} simulate --in=${missing} --${bad})
 endforeach()
@@ -42,9 +43,9 @@ foreach(bad IN ITEMS requests=0 hours=0 videos=0 hotspots=0)
   expect_usage_error(${flag} ${CCDN_TRACE} generate --out=${unwritten}
                      --${bad})
 endforeach()
-foreach(bad IN ITEMS capacity=0 cache=2 slot-seconds=0 videos=0 hotspots=0
-                     requests=0 hours=0)
+foreach(bad IN ITEMS capacity=0 cache=2 slot_seconds=0 videos=0 hotspots=0
+                     shards=-1 shards=1000001)
   string(REGEX REPLACE "=.*" "" flag "${bad}")
-  expect_usage_error(${flag} ${AUDIT_RUN} --quiet --in=${missing} --${bad})
-  expect_usage_error(${flag} ${AUDIT_RUN} --quiet --${bad})
+  expect_usage_error(${flag} ${CCDN_TRACE} audit --quiet --in=${missing}
+                     --${bad})
 endforeach()

@@ -28,7 +28,6 @@
 //
 // Exit status: 0 clean, 1 drift detected, 2 usage/IO errors (an unknown
 // flag included).
-#include <cctype>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -36,10 +35,8 @@
 #include <string>
 #include <vector>
 
-#include "core/nearest_scheme.h"
-#include "core/random_scheme.h"
-#include "core/rbcaer_scheme.h"
-#include "core/virtual_rbcaer_scheme.h"
+#include "cli.h"
+
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -90,45 +87,20 @@ const VariantCheck kVariantChecks[] = {
     {"virtual", "nearest", "planner workload guard", true},
 };
 
-SchemePtr make_scheme(const std::string& name) {
-  std::string base = name;
-  // "-shard<N>" selects the zone-sharded solve with N shards.
-  std::size_t shards = 0;
-  const std::size_t shard_pos = base.rfind("-shard");
-  if (shard_pos != std::string::npos && shard_pos + 6 < base.size()) {
-    bool digits = true;
-    for (std::size_t i = shard_pos + 6; i < base.size(); ++i) {
-      if (std::isdigit(static_cast<unsigned char>(base[i])) == 0) {
-        digits = false;
-      }
-    }
-    if (digits) {
-      shards = std::strtoull(base.c_str() + shard_pos + 6, nullptr, 10);
-      base.resize(shard_pos);
-    }
-  }
-  if (base == "nearest") return std::make_unique<NearestScheme>();
-  if (base == "random") return std::make_unique<RandomScheme>();
-  if (base == "rbcaer") {
-    RbcaerConfig config;
-    config.num_shards = shards;
-    return std::make_unique<RbcaerScheme>(config);
-  }
-  if (base == "virtual") {
-    VirtualRbcaerConfig config;
-    config.regional.num_shards = shards;
-    return std::make_unique<VirtualRbcaerScheme>(config);
-  }
-  return nullptr;
-}
-
 std::vector<std::uint64_t> compute_digests(const std::string& scheme_name,
                                            const World& world,
                                            std::span<const Request> trace) {
-  SchemePtr scheme = make_scheme(scheme_name);
   SimulationConfig config;
   config.slot_seconds = kSlotSeconds;
   config.audit_level = AuditLevel::kPlan;  // record per-slot digests
+  // "<scheme>-shard<N>" plans in N geo zones.
+  std::string base = scheme_name;
+  const std::size_t shard_pos = base.rfind("-shard");
+  if (shard_pos != std::string::npos) {
+    config.num_shards = std::stoull(base.substr(shard_pos + 6));
+    base.resize(shard_pos);
+  }
+  SchemePtr scheme = cli::scheme_by_name(base, AuditLevel::kOff);
   const Simulator simulator(world.hotspots(), VideoCatalog{kVideos}, config);
   const SimulationReport report = simulator.run(*scheme, trace);
   return report.slot_digests();
