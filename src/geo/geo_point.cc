@@ -42,11 +42,6 @@ Projection::Projection(GeoPoint reference) noexcept
                       std::cos(reference.lat * kDegToRad)),
       km_per_deg_lat_(kEarthRadiusKm * kDegToRad) {}
 
-Projection::Xy Projection::to_xy(const GeoPoint& p) const noexcept {
-  return {(p.lon - reference_.lon) * km_per_deg_lon_,
-          (p.lat - reference_.lat) * km_per_deg_lat_};
-}
-
 GeoPoint Projection::to_geo(const Xy& xy) const noexcept {
   return {reference_.lat + xy.y_km / km_per_deg_lat_,
           reference_.lon + xy.x_km / km_per_deg_lon_};

@@ -66,7 +66,11 @@ class Projection {
     double y_km = 0.0;
   };
 
-  [[nodiscard]] Xy to_xy(const GeoPoint& p) const noexcept;
+  /// Inline: the nearest-hotspot lookup projects every request twice.
+  [[nodiscard]] Xy to_xy(const GeoPoint& p) const noexcept {
+    return {(p.lon - reference_.lon) * km_per_deg_lon_,
+            (p.lat - reference_.lat) * km_per_deg_lat_};
+  }
   [[nodiscard]] GeoPoint to_geo(const Xy& xy) const noexcept;
 
  private:

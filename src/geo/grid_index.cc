@@ -85,31 +85,47 @@ std::size_t GridIndex::cell_slot(Cell c) const noexcept {
 std::size_t GridIndex::nearest(const GeoPoint& query) const {
   std::call_once(nearest_once_, [this] { build_nearest_table(); });
   const auto q = projection_.to_xy(query);
-  std::size_t best = 0;
-  double best_dist2 = std::numeric_limits<double>::infinity();
-  // Ascending ids with a strict `<`: the lowest id wins a tie.
-  const auto consider = [&](std::uint32_t id) {
-    const double dx = projected_[id].x_km - q.x_km;
-    const double dy = projected_[id].y_km - q.y_km;
-    const double d2 = dx * dx + dy * dy;
-    if (d2 < best_dist2) {
-      best_dist2 = d2;
-      best = id;
-    }
-  };
+  return scan_nearest(candidate_list(q), q);
+}
+
+std::uint32_t GridIndex::candidate_list(
+    const Projection::Xy& q) const noexcept {
   // Off the points' bounding box cell_of() clamps, so the query can lie
   // outside the cell whose list would be scanned: scan every point.
   if (!(q.x_km >= min_x_ && q.x_km <= max_x_ && q.y_km >= min_y_ &&
         q.y_km <= max_y_)) {
-    for (std::uint32_t id = 0; id < projected_.size(); ++id) consider(id);
-    return best;
+    return static_cast<std::uint32_t>(cols_) *
+           static_cast<std::uint32_t>(rows_);
   }
-  const std::size_t slot = cell_slot(cell_of(q));
-  for (std::uint32_t k = nearest_offsets_[slot];
-       k < nearest_offsets_[slot + 1]; ++k) {
-    consider(nearest_ids_[k]);
+  return static_cast<std::uint32_t>(cell_slot(cell_of(q)));
+}
+
+std::uint32_t GridIndex::scan_nearest(std::uint32_t list,
+                                      const Projection::Xy& q) const {
+  std::uint32_t best = 0;
+  double best_dist2 = std::numeric_limits<double>::infinity();
+  for (std::uint32_t k = nearest_offsets_[list];
+       k < nearest_offsets_[list + 1]; ++k) {
+    const std::uint32_t id = nearest_ids_[k];
+    const double dx = projected_[id].x_km - q.x_km;
+    const double dy = projected_[id].y_km - q.y_km;
+    const double d2 = dx * dx + dy * dy;
+    // A select, not a branch: which candidate wins depends on the data,
+    // and the loop then does the same work for every candidate.
+    const bool closer = d2 < best_dist2;
+    best = closer ? id : best;
+    best_dist2 = closer ? d2 : best_dist2;
   }
   return best;
+}
+
+void GridIndex::sort_by_list(std::span<const std::uint64_t> keys,
+                             std::span<std::uint64_t> sorted,
+                             std::vector<std::uint32_t>& start) const {
+  start.assign(nearest_offsets_.size(), 0);  // one count per list, plus one
+  for (const std::uint64_t key : keys) ++start[(key >> 32) + 1];
+  for (std::size_t l = 1; l < start.size(); ++l) start[l] += start[l - 1];
+  for (const std::uint64_t key : keys) sorted[start[key >> 32]++] = key;
 }
 
 void GridIndex::build_nearest_table() const {
@@ -132,7 +148,7 @@ void GridIndex::build_nearest_table() const {
   std::vector<Reach> reach;
   std::vector<std::uint32_t> ids;
   nearest_offsets_.assign(
-      static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_) + 1,
+      static_cast<std::size_t>(cols_) * static_cast<std::size_t>(rows_) + 2,
       0);
   nearest_ids_.clear();
   for (std::int32_t row = 0; row < rows_; ++row) {
@@ -212,6 +228,10 @@ void GridIndex::build_nearest_table() const {
           static_cast<std::uint32_t>(nearest_ids_.size());
     }
   }
+  for (std::uint32_t id = 0; id < projected_.size(); ++id) {
+    nearest_ids_.push_back(id);
+  }
+  nearest_offsets_.back() = static_cast<std::uint32_t>(nearest_ids_.size());
 }
 
 std::vector<std::size_t> GridIndex::within_radius(const GeoPoint& query,

@@ -18,16 +18,17 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
       total_requests_(requests.size()) {
   CCDN_REQUIRE(requests.size() <= std::numeric_limits<std::uint32_t>::max(),
                "a slot holds at most 2^32 - 1 requests");
-  // One pass computes each request's home and counts requests per home;
+  // The homes come from one batch lookup, which uses the two key arrays
+  // as its sort space first. Then one pass counts requests per home, and
   // request r becomes the key (video << 32) | r.
   std::vector<std::uint64_t> keys(requests.size());
   std::vector<std::uint64_t> scratch(requests.size());
+  hotspot_index.nearest_batch(
+      [requests](std::size_t r) { return requests[r].location; }, keys,
+      scratch, request_home_);
   VideoId max_video = 0;
   for (std::size_t r = 0; r < requests.size(); ++r) {
-    const auto home = static_cast<HotspotIndex>(
-        hotspot_index.nearest(requests[r].location));
-    request_home_[r] = home;
-    ++loads_[home];
+    ++loads_[request_home_[r]];
     max_video = std::max(max_video, requests[r].video);
     keys[r] = (std::uint64_t{requests[r].video} << 32) | r;
   }

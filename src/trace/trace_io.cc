@@ -1,9 +1,11 @@
 #include "trace/trace_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <istream>
 #include <limits>
+#include <system_error>
 
 #include "util/error.h"
 #include "util/strings.h"
@@ -224,13 +226,47 @@ void TraceReader::split_quoted_row() {
   begin_ += read;
 }
 
+bool TraceReader::read_plain_row(Request& r) {
+  const char* at = buffer_.data() + begin_;
+  const char* const last = buffer_.data() + end_;
+  // One value ending exactly at `separator`. from_chars takes no blank,
+  // quote or '+', and the ids parse as their own unsigned type, so a '-'
+  // or an id that does not fit fails here too.
+  const auto value = [&](auto& out, char separator) {
+    const auto [end, ec] = std::from_chars(at, last, out);
+    if (ec != std::errc{} || end == last || *end != separator) return false;
+    at = end + 1;
+    return true;
+  };
+  if (!(value(r.user, ',') && value(r.timestamp, ',') &&
+        value(r.video, ',') && value(r.location.lat, ','))) {
+    return false;
+  }
+  const auto [end, ec] = std::from_chars(at, last, r.location.lon);
+  const char* newline = end;
+  if (newline != last && *newline == '\r') ++newline;
+  if (ec != std::errc{} || newline == last || *newline != '\n') return false;
+  // nan and inf fail these comparisons too.
+  if (!(std::abs(r.location.lat) <= 90.0 &&
+        std::abs(r.location.lon) <= 180.0)) {
+    return false;
+  }
+  line_ = next_line_++;
+  begin_ = static_cast<std::size_t>(newline + 1 - buffer_.data());
+  return true;
+}
+
 std::optional<Request> TraceReader::next() {
+  Request r;
+  if (read_plain_row(r)) {
+    ++rows_;
+    return r;
+  }
   if (!next_row()) return std::nullopt;
   if (fields_.size() != 5) {
     fail_row(line_, "expected 5 fields, got " +
                         std::to_string(fields_.size()));
   }
-  Request r;
   try {
     r.user = parse_id<UserId>(fields_[0], "user");
     r.timestamp = parse_int(fields_[1]);

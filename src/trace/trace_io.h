@@ -41,12 +41,14 @@ void write_trace_csv(const std::string& path,
 
 /// Incremental trace reader: validates the header on construction, then
 /// yields one request per next() call in O(block + longest row) memory.
-/// It reads 64 KiB blocks and parses each row in place; only a row holding
-/// a '"' takes the RFC-4180 unquoting path. A row ends at LF or CRLF; any
-/// other CR stays in its field. ParseError messages carry the 1-based
-/// physical line the malformed row starts on (the header is line 1;
-/// newlines inside quoted fields count). The stream variant borrows `in`,
-/// which must outlive the reader; the path variant owns its file handle.
+/// It reads 64 KiB blocks and parses each row in place. A plain row (five
+/// bare numbers, already whole in the block) is read in one pass; any
+/// other row takes the general path, where only a row holding a '"' is
+/// unquoted (RFC 4180). A row ends at LF or CRLF; any other CR stays in
+/// its field. ParseError messages carry the 1-based physical line the
+/// malformed row starts on (the header is line 1; newlines inside quoted
+/// fields count). The stream variant borrows `in`, which must outlive the
+/// reader; the path variant owns its file handle.
 class TraceReader {
  public:
   explicit TraceReader(std::istream& in);
@@ -62,6 +64,12 @@ class TraceReader {
 
  private:
   void read_header();
+  /// The one-pass row (DESIGN.md §3.9): five from_chars calls straight off
+  /// the buffer, each ending exactly at its ',' and the last at LF or CRLF,
+  /// with the values inside their ranges. Consumes the row into `r` only
+  /// when it accepts it; otherwise changes nothing, and next() takes the
+  /// general path, which alone reports errors.
+  bool read_plain_row(Request& r);
   /// Splits the next row into fields_; false at end of input.
   bool next_row();
   /// next_row() for a row holding a '"': unquotes it in place.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <thread>
 #include <vector>
@@ -314,6 +315,77 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values<std::size_t>(1, 5, 50, 300),
                        ::testing::Values(0.25, 0.5, 2.0)));
 
+/// nearest_batch() on a fresh index (so the batch builds the table) over
+/// `queries`, against nearest() one query at a time.
+void expect_batch_matches_nearest(const std::vector<GeoPoint>& points,
+                                  double cell_km,
+                                  const std::vector<GeoPoint>& queries) {
+  const GridIndex index(points, cell_km);
+  std::vector<std::uint64_t> keys(queries.size());
+  std::vector<std::uint64_t> sorted(queries.size());
+  std::vector<std::uint32_t> homes(queries.size(), 0xffffffffU);
+  index.nearest_batch([&](std::size_t i) { return queries[i]; }, keys, sorted,
+                      homes);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    ASSERT_EQ(homes[i], index.nearest(queries[i]))
+        << points.size() << " points, cell " << cell_km << " km, query " << i
+        << " (" << queries[i].lat << ", " << queries[i].lon << ")";
+  }
+}
+
+TEST_P(GridIndexProperty, BatchNearestMatchesNearest) {
+  const auto [n, cell] = GetParam();
+  Rng rng(n * 17 + 5);
+  // Uniform, and clustered around a few centres.
+  const auto uniform = random_points(rng, n);
+  std::vector<GeoPoint> clustered;
+  const auto centres = random_points(rng, 1 + n / 40);
+  for (std::size_t i = 0; i < n; ++i) {
+    const GeoPoint& c = centres[rng.index(centres.size())];
+    clustered.push_back({rng.normal(c.lat, 0.004), rng.normal(c.lon, 0.004)});
+  }
+  // Duplicate locations: every point repeated, some more than once.
+  std::vector<GeoPoint> duplicates = uniform;
+  for (std::size_t i = 0; i < n + 3; ++i) {
+    duplicates.push_back(uniform[i % std::max<std::size_t>(1, n / 3)]);
+  }
+  for (const auto& points : {uniform, clustered, duplicates}) {
+    // Points, cell edges and corners with their neighbouring doubles,
+    // random queries around the box and queries far off it; repeated
+    // queries share a list.
+    std::vector<GeoPoint> queries = stress_queries(points, cell, rng);
+    const std::size_t distinct = queries.size();
+    for (std::size_t k = 0; k < distinct; k += 3) {
+      queries.push_back(queries[k]);
+    }
+    expect_batch_matches_nearest(points, cell, queries);
+  }
+  // Equidistant pairs on a dyadic lattice: the lower id must win.
+  std::vector<GeoPoint> lattice;
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 5; ++j) {
+      lattice.push_back({40.0 + i / 256.0, 116.5 + j / 256.0});
+    }
+  }
+  std::vector<GeoPoint> midpoints;
+  for (int i = 0; i < 6; ++i) {
+    for (int j = 0; j < 5; ++j) {
+      midpoints.push_back({40.0 + (i + 0.5) / 256.0, 116.5 + j / 256.0});
+      midpoints.push_back({40.0 + i / 256.0, 116.5 + (j + 0.5) / 256.0});
+      midpoints.push_back(
+          {40.0 + (i + 0.5) / 256.0, 116.5 + (j + 0.5) / 256.0});
+    }
+  }
+  expect_batch_matches_nearest(lattice, cell, midpoints);
+  // A batch over three chunks (of 4,096 queries), and an empty one.
+  std::vector<GeoPoint> many;
+  for (int k = 0; k < 9000; ++k) {
+    many.push_back({rng.uniform(39.99, 40.11), rng.uniform(116.39, 116.61)});
+  }
+  expect_batch_matches_nearest(clustered, cell, many);
+  expect_batch_matches_nearest(uniform, cell, {});
+}
+
 TEST_P(GridIndexProperty, SubsetMatchesFilteredParent) {
   const auto [n, cell] = GetParam();
   Rng rng(n * 57 + 11);
@@ -338,7 +410,9 @@ TEST_P(GridIndexProperty, SubsetMatchesFilteredParent) {
         if (id % 3 == 0) want.push_back(id);
       }
       EXPECT_EQ(got, want);
-      if (radius >= 1e9) EXPECT_EQ(got.size(), members.size());
+      if (radius >= 1e9) {
+        EXPECT_EQ(got.size(), members.size());
+      }
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 
 #include "trace/generator.h"
@@ -92,6 +93,43 @@ TEST(TraceReaderTest, StreamsRowsWithLineTracking) {
   }
   EXPECT_EQ(count, 3u);
   EXPECT_FALSE(reader.next().has_value());  // EOF is sticky
+}
+
+TEST(TraceReaderTest, LineAndRowsAdvanceAlikeOnBothPaths) {
+  // Bare rows take the one-pass path; a blank, a quote, a CR-only end, a
+  // bad value and the missing final LF send a row down the general path.
+  std::istringstream in(
+      "user,timestamp,video,lat,lon\n"
+      "1,10,5,40.0,116.5\n"          // line 2, one pass
+      " 2,20,5,40.0,116.5\n"         // line 3, general: a blank
+      "3,30,5,40.0,116.5\r\n"        // line 4, one pass
+      "\"4\",40,5,40.0,116.5\n"      // line 5, general: a quote
+      "5,50,\"5\n\",40.0,116.5\n"    // lines 6-7, general: quoted LF
+      "x,60,5,40.0,116.5\n"          // line 8, general: a ParseError
+      "6,70,5,40.0,116.5\r\r\n"      // line 9, general: CR before CRLF
+      "7,80,5,40.0,116.5\n"          // line 10, one pass
+      "8,90,5,40.0,116.5");          // line 11, general: no final LF
+  TraceReader reader(in);
+  const struct {
+    std::size_t line;
+    std::optional<UserId> user;  // nullopt: the row fails
+  } want[] = {{2, 1}, {3, 2},  {4, 3},  {5, 4},  {6, 5},
+              {8, {}}, {9, 6}, {10, 7}, {11, 8}};
+  std::size_t rows = 0;
+  for (const auto& row : want) {
+    if (row.user.has_value()) {
+      const std::optional<Request> r = reader.next();
+      ASSERT_TRUE(r.has_value()) << "line " << row.line;
+      EXPECT_EQ(r->user, *row.user);
+      ++rows;
+    } else {
+      EXPECT_THROW((void)reader.next(), ParseError);
+    }
+    EXPECT_EQ(reader.line(), row.line);
+    EXPECT_EQ(reader.rows_read(), rows) << "line " << row.line;
+  }
+  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_EQ(reader.rows_read(), 8u);
 }
 
 TEST(TraceReaderTest, MalformedRowNamesExactLine) {

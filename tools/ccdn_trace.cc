@@ -7,7 +7,8 @@
 //       cursor and flushes each batch, so traces larger than memory can be
 //       written (costs one draw-stream replay per emitted slot).
 //
-//   ccdn_trace stats --in=trace.csv [--hotspots=310] [--seed=42]
+//   ccdn_trace stats --in=trace.csv [--hotspots=310] [--videos=15190]
+//                    [--seed=42]
 //       Load a trace and print workload/balance/popularity statistics
 //       against the matching world's hotspot deployment.
 //
@@ -160,6 +161,7 @@ int cmd_stats(const Flags& flags) {
   if (reject_unused("stats", flags)) return 2;
   const auto trace = read_trace_csv(in);
   if (trace.empty()) throw ParseError("trace is empty");
+  require_catalog_videos(trace, VideoCatalog{world.config().num_videos});
   const TraceStats stats = compute_trace_stats(trace);
   std::printf("trace summary: %zu requests, %zu users, %zu videos, span "
               "%.1f h, top-20%% share %.2f\n",

@@ -36,12 +36,12 @@ foreach(command IN ITEMS simulate audit stats)
   expect_exit(2 "${command}: trace CSV line 4: unterminated quoted field"
               ${command} --in=${DATA_DIR}/unterminated_quote_trace.csv)
   expect_exit(2 "bare '--' is not a flag" ${command} --in=${header_only} --)
+  expect_exit(2 "${command}: video id 99999999 is outside the catalog"
+              ${command} --in=${DATA_DIR}/out_of_catalog_trace.csv)
 endforeach()
 foreach(command IN ITEMS simulate audit)
   expect_exit(2 "${command}: trace CSV line 3: timestamps not sorted"
               ${command} --in=${DATA_DIR}/unsorted_trace.csv)
-  expect_exit(2 "${command}: video id 99999999 is outside the catalog"
-              ${command} --in=${DATA_DIR}/out_of_catalog_trace.csv)
 endforeach()
 expect_exit(2 "stats: trace is empty" stats --in=${header_only})
 expect_exit(2 "generate: cannot open for writing"
