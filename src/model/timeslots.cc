@@ -18,21 +18,14 @@ std::vector<SlotRange> partition_into_slots(std::span<const Request> requests,
   if (requests.empty()) return slots;
 
   const std::int64_t origin = requests.front().timestamp;
-  std::size_t cursor = 0;
-  while (cursor < requests.size()) {
-    const auto slot_index = static_cast<std::size_t>(
-        (requests[cursor].timestamp - origin) / slot_seconds);
-    while (slots.size() < slot_index) {
-      slots.push_back({cursor, cursor});  // empty interior slot
-    }
-    const std::int64_t slot_end_ts =
-        origin + static_cast<std::int64_t>(slot_index + 1) * slot_seconds;
-    std::size_t end = cursor;
-    while (end < requests.size() && requests[end].timestamp < slot_end_ts) {
-      ++end;
-    }
-    slots.push_back({cursor, end});
-    cursor = end;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::optional<std::size_t> slot =
+        slot_index_of(requests[i].timestamp, origin, slot_seconds);
+    CCDN_REQUIRE(slot.has_value(),
+                 "timestamps span more than 2^63 - 1 seconds");
+    // Empty interior slots hold no requests: [i, i).
+    while (slots.size() <= *slot) slots.push_back({i, i});
+    slots.back().end = i + 1;
   }
   return slots;
 }

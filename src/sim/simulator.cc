@@ -284,6 +284,10 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
         lanes[i].clone = scheme.clone();
       }
       ThreadPool pool(std::min(num_threads, window));
+      // The source may parse on the lanes (CsvSlotSource's pieces) while
+      // this thread pulls; it joins those tasks before next() returns, so
+      // no slot is ever queued behind one.
+      const ThreadPool::Lend lend(pool);
       std::deque<std::future<SlotResult>> inflight;
       std::size_t submitted = 0;
       bool exhausted = false;

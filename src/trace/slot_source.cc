@@ -1,8 +1,17 @@
 #include "trace/slot_source.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <future>
 #include <utility>
 
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace ccdn {
 
@@ -27,51 +36,263 @@ std::optional<SlotBatch> VectorSlotSource::next() {
 
 // --- CsvSlotSource ---------------------------------------------------------
 
+namespace {
+
+/// Piece ranges are cut at multiples of this many bytes.
+constexpr std::uint64_t kPieceBytes = std::uint64_t{128} << 10;
+/// How far past its range a piece reads to finish its last row.
+constexpr std::uint64_t kSlackBytes = std::uint64_t{4} << 10;
+/// Pieces per round, whatever the pool's size: bounds the bytes in flight.
+constexpr std::size_t kPiecesPerRound = 8;
+
+struct Piece {
+  std::uint64_t begin = 0;  // owns the rows that start in [begin, end)
+  std::uint64_t end = 0;
+  std::unique_ptr<char[]> bytes;  // [begin - 1, end + slack), kept
+  std::vector<Request> rows;
+  std::uint64_t rows_end = 0;  // past the last row's LF
+  bool clean = false;
+};
+
+/// pread until all `count` bytes at `offset` are in; false on an error or
+/// a file that ends first.
+bool read_fully(int fd, char* out, std::size_t count, std::uint64_t offset) {
+  while (count > 0) {
+    const ssize_t got = ::pread(fd, out, count, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return false;
+    out += got;
+    count -= static_cast<std::size_t>(got);
+    offset += static_cast<std::uint64_t>(got);
+  }
+  return true;
+}
+
+/// Reads [begin - 1, end + slack) of the file, cut at its size, and parses
+/// the rows that start in [begin, end). A row starts after an LF, so the
+/// first is the one after the first LF at or past begin - 1 (the header's
+/// LF, for the first piece). That holds whenever the piece before is
+/// clean: the row its range cuts is one line, ended by that LF.
+void parse_piece(int fd, std::uint64_t size, Piece& piece) {
+  piece.rows.clear();
+  piece.clean = false;
+  const std::uint64_t from = piece.begin - 1;
+  const auto count = static_cast<std::size_t>(
+      std::min(piece.end + kSlackBytes, size) - from);
+  if (!piece.bytes) {
+    piece.bytes =
+        std::make_unique_for_overwrite<char[]>(1 + kPieceBytes + kSlackBytes);
+  }
+  char* const bytes = piece.bytes.get();
+  if (!read_fully(fd, bytes, count, from)) return;
+  const char* const last = bytes + count;
+  const char* const owned_end = bytes + (piece.end - from);
+  const char* row = static_cast<const char*>(std::memchr(bytes, '\n', count));
+  if (row == nullptr) return;
+  for (++row; row < owned_end;) {
+    row = parse_plain_row(row, last, piece.rows.emplace_back());
+    if (row == nullptr) return;
+  }
+  piece.rows_end = from + static_cast<std::uint64_t>(row - bytes);
+  piece.clean = true;
+}
+
+}  // namespace
+
+/// The rows of a regular file past its header, a round of pieces at a time.
+class CsvSlotSource::Pieces {
+ public:
+  /// Reads `path` from `offset`, the first data row's start, when it is a
+  /// regular file (regular() tells). O_NONBLOCK keeps the open of a FIFO
+  /// from waiting for a writer; it does not change reads of a regular file.
+  Pieces(const std::string& path, std::uint64_t offset)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NONBLOCK)),
+        next_(offset),
+        resume_(offset) {
+    struct stat file {};
+    if (fd_ >= 0 && ::fstat(fd_, &file) == 0 && S_ISREG(file.st_mode)) {
+      size_ = static_cast<std::uint64_t>(file.st_size);
+    } else if (fd_ >= 0) {
+      ::close(fd_);
+      fd_ = -1;
+    }
+  }
+  ~Pieces() {
+    join();
+    if (fd_ >= 0) ::close(fd_);
+  }
+  Pieces(const Pieces&) = delete;
+  Pieces& operator=(const Pieces&) = delete;
+
+  [[nodiscard]] bool regular() const { return fd_ >= 0; }
+
+  /// The rows of the next clean piece that has any, once its task is done;
+  /// empty where the clean pieces end, at the end of the file or at a
+  /// piece that is not clean.
+  std::span<const Request> next() {
+    while (!stopped_) {
+      if (cursor_ == round_.size()) {
+        if (next_ == size_) return {};
+        start_round();
+      }
+      if (tasks_[cursor_].valid()) tasks_[cursor_].get();
+      const Piece& piece = round_[cursor_];
+      if (!piece.clean) {
+        stopped_ = true;
+        break;
+      }
+      ++cursor_;
+      resume_ = piece.rows_end;
+      if (!piece.rows.empty()) return piece.rows;
+    }
+    return {};
+  }
+  /// Waits for every piece task of the round.
+  void join() noexcept {
+    for (std::future<void>& task : tasks_) {
+      if (task.valid()) task.wait();
+    }
+  }
+  /// Whether next() stopped at a piece that is not clean.
+  [[nodiscard]] bool stopped() const { return stopped_; }
+  /// Where the first row next() has not handed out starts.
+  [[nodiscard]] std::uint64_t resume_offset() const { return resume_; }
+
+ private:
+  /// Cuts the next round's ranges and starts a task for each on the pool
+  /// lent to this thread, or parses them inline when none is.
+  void start_round() {
+    std::size_t count = 0;
+    while (count < kPiecesPerRound && next_ < size_) {
+      if (count == round_.size()) round_.emplace_back();
+      Piece& piece = round_[count++];
+      piece.begin = next_;
+      next_ = std::min(size_, (next_ / kPieceBytes + 1) * kPieceBytes);
+      piece.end = next_;
+    }
+    round_.resize(count);
+    tasks_.clear();
+    tasks_.resize(count);
+    cursor_ = 0;
+    ThreadPool* const pool = ThreadPool::lent();
+    for (std::size_t i = 0; i < count; ++i) {
+      Piece& piece = round_[i];
+      if (pool == nullptr) {
+        parse_piece(fd_, size_, piece);
+        continue;
+      }
+      try {
+        tasks_[i] =
+            pool->submit([this, &piece] { parse_piece(fd_, size_, piece); });
+      } catch (...) {
+        join();
+        throw;
+      }
+    }
+  }
+
+  int fd_;
+  std::uint64_t size_ = 0;
+  std::uint64_t next_;    // where the next round's first range starts
+  std::uint64_t resume_;  // past the rows handed out
+  std::vector<Piece> round_;
+  std::vector<std::future<void>> tasks_;  // round_'s, when a pool is lent
+  std::size_t cursor_ = 0;  // the next piece of the round to hand out
+  bool stopped_ = false;
+};
+
 CsvSlotSource::CsvSlotSource(const std::string& path,
                              std::int64_t slot_seconds)
-    : owned_(std::make_unique<TraceReader>(path)),
-      reader_(owned_.get()),
-      slot_seconds_(slot_seconds) {
+    : path_(path),
+      slot_seconds_(slot_seconds),
+      owned_(std::make_unique<TraceReader>(path)),
+      reader_(owned_.get()) {
   CCDN_REQUIRE(slot_seconds_ > 0, "non-positive slot length");
+  // Past the header, a regular file is read in pieces; anything else (a
+  // pipe, say) stays with the reader, which has read past the header.
+  line_ = owned_->next_line();
+  auto pieces = std::make_unique<Pieces>(path, owned_->offset());
+  if (pieces->regular()) {
+    pieces_ = std::move(pieces);
+    owned_.reset();
+    reader_ = nullptr;
+  }
 }
 
 CsvSlotSource::CsvSlotSource(TraceReader& reader, std::int64_t slot_seconds)
-    : reader_(&reader), slot_seconds_(slot_seconds) {
+    : slot_seconds_(slot_seconds), reader_(&reader) {
   CCDN_REQUIRE(slot_seconds_ > 0, "non-positive slot length");
+}
+
+CsvSlotSource::~CsvSlotSource() = default;
+
+bool CsvSlotSource::refill() {
+  if (pieces_ != nullptr) {
+    unread_ = pieces_->next();
+    if (!unread_.empty()) return true;
+    if (!pieces_->stopped()) return false;
+    // A TraceReader reads the rest, from the first row the clean pieces
+    // did not hand out: every row so far was one line, so it is on line_.
+    owned_ = std::make_unique<TraceReader>(path_, pieces_->resume_offset(),
+                                           line_);
+    reader_ = owned_.get();
+    pieces_.reset();
+  }
+  std::optional<Request> row = reader_->next();
+  if (!row.has_value()) return false;
+  held_ = *row;
+  unread_ = std::span<const Request>(&held_, 1);
+  line_ = reader_->line();
+  return true;
+}
+
+std::size_t CsvSlotSource::admit(const Request& r, std::size_t line) {
+  const auto fail = [line](const char* what) {
+    throw ParseError("trace CSV line " + std::to_string(line) + ": " + what);
+  };
+  if (!origin_.has_value()) origin_ = last_timestamp_ = r.timestamp;
+  if (r.timestamp < last_timestamp_) fail("timestamps not sorted ascending");
+  last_timestamp_ = r.timestamp;
+  const std::optional<std::size_t> slot =
+      slot_index_of(r.timestamp, *origin_, slot_seconds_);
+  if (!slot.has_value()) {
+    fail("timestamp is more than 2^63 - 1 s after the first row's");
+  }
+  return *slot;
 }
 
 std::optional<SlotBatch> CsvSlotSource::next() {
   const MutexLock lock(mu_);
-  if (!primed_) {
-    lookahead_ = reader_->next();
-    if (lookahead_.has_value()) {
-      origin_ = lookahead_->timestamp;
-      last_timestamp_ = origin_;
-    }
-    primed_ = true;
+  // The rest of the round's tasks end before the batch is returned, so a
+  // slot the caller hands to the pool next never queues behind one.
+  try {
+    std::optional<SlotBatch> batch = next_batch();
+    if (pieces_ != nullptr) pieces_->join();
+    return batch;
+  } catch (...) {
+    if (pieces_ != nullptr) pieces_->join();
+    throw;
   }
-  if (!lookahead_.has_value()) return std::nullopt;
+}
 
+std::optional<SlotBatch> CsvSlotSource::next_batch() {
+  if (unread_.empty() && !refill()) return std::nullopt;
   SlotBatch batch;
   batch.slot_index = next_slot_;
-  const std::int64_t slot_end =
-      origin_ + static_cast<std::int64_t>(next_slot_ + 1) * slot_seconds_;
-  // Drain rows belonging to this window; the lookahead row is the first one
-  // beyond it (or a later window entirely, which yields interior empties on
-  // subsequent calls).
-  while (lookahead_.has_value() && lookahead_->timestamp < slot_end) {
-    if (lookahead_->timestamp < last_timestamp_) {
-      throw ParseError("trace CSV line " + std::to_string(reader_->line()) +
-                       ": timestamps not sorted ascending");
+  // Rows join the batch while they fall in its slot. Each is checked as it
+  // is reached, so the first row past the slot is read and checked before
+  // the batch is returned; it stays unread, and a gap before it yields
+  // empty batches.
+  do {
+    std::size_t n = 0;
+    while (n < unread_.size() && admit(unread_[n], line_ + n) == next_slot_) {
+      ++n;
     }
-    last_timestamp_ = lookahead_->timestamp;
-    batch.requests.push_back(*lookahead_);
-    lookahead_ = reader_->next();
-  }
-  if (lookahead_.has_value() && lookahead_->timestamp < last_timestamp_) {
-    throw ParseError("trace CSV line " + std::to_string(reader_->line()) +
-                     ": timestamps not sorted ascending");
-  }
+    const std::span<const Request> rows = unread_.first(n);
+    batch.requests.insert(batch.requests.end(), rows.begin(), rows.end());
+    unread_ = unread_.subspan(n);
+    line_ += n;
+  } while (unread_.empty() && refill());
   ++next_slot_;
   return batch;
 }

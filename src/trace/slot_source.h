@@ -13,14 +13,19 @@
 // Two implementations:
 //   * VectorSlotSource — adapter over an in-memory trace (the reference the
 //                        equivalence tests compare against).
-//   * CsvSlotSource    — chunked CSV ingestion via TraceReader; O(batch)
-//                        memory, never loads the file.
+//   * CsvSlotSource    — chunked CSV ingestion; never loads the file. A
+//                        regular file is parsed in 128 KiB pieces on the
+//                        pool its caller lends (Simulator::run lends its
+//                        lanes), with TraceReader reading the rest of the
+//                        file from the first piece the parallel parser
+//                        does not accept.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "model/timeslots.h"
@@ -76,14 +81,31 @@ class VectorSlotSource final : public SlotSource {
   std::size_t cursor_ CCDN_GUARDED_BY(mu_) = 0;
 };
 
-/// Chunked CSV source: groups a TraceReader's rows into slot windows
-/// anchored at the first request's timestamp. Requires rows sorted by
-/// timestamp (a regression throws ParseError naming the offending line).
+/// Chunked CSV source: groups a trace's rows into slot windows anchored at
+/// the first request's timestamp. Requires rows sorted by timestamp, and
+/// every row's offset from the first row to fit in int64; either breach
+/// throws ParseError naming the offending line.
+///
+/// The path constructor reads a regular file in pieces (DESIGN.md §3.9).
+/// Past the header, the file is cut into 128 KiB byte ranges, and each
+/// piece owns the rows that start in its range. A round parses up to 8
+/// pieces, each by one task that also preads its bytes, on the pool lent
+/// to the calling thread (ThreadPool::Lend) or inline when none is lent.
+/// Each piece's rows are cut into slots as soon as its task is done, and
+/// next() joins every task it started before it returns or throws. A
+/// piece is kept only when it is clean: each of its rows is a one-pass row
+/// (parse_plain_row) and the last row's LF lies at most 4 KiB past the
+/// range. From the first piece that is not clean, a TraceReader resumed at
+/// that piece's first row reads the rest of the file. So every batch, ParseError text, line
+/// number and throwing next() call is the one CsvSlotSource(TraceReader&)
+/// gives, which reads every row through the reader, as the path
+/// constructor does on a file that is not regular (a pipe, say).
 class CsvSlotSource final : public SlotSource {
  public:
   CsvSlotSource(const std::string& path, std::int64_t slot_seconds);
   /// Borrow an externally owned reader (must outlive the source).
   CsvSlotSource(TraceReader& reader, std::int64_t slot_seconds);
+  ~CsvSlotSource() override;
 
   [[nodiscard]] std::optional<SlotBatch> next() override;
   [[nodiscard]] std::int64_t slot_seconds() const noexcept override {
@@ -91,13 +113,27 @@ class CsvSlotSource final : public SlotSource {
   }
 
  private:
-  std::unique_ptr<TraceReader> owned_;
-  TraceReader* reader_ CCDN_PT_GUARDED_BY(mu_);
+  class Pieces;
+
+  /// next() before the piece tasks are joined.
+  std::optional<SlotBatch> next_batch() CCDN_REQUIRES(mu_);
+  /// Makes unread_ non-empty; false at the end of the trace.
+  bool refill() CCDN_REQUIRES(mu_);
+  /// Checks `r`, on `line`, against the rows before it; returns its slot.
+  std::size_t admit(const Request& r, std::size_t line) CCDN_REQUIRES(mu_);
+
+  std::string path_;
   std::int64_t slot_seconds_;
   Mutex mu_;
-  std::optional<Request> lookahead_ CCDN_GUARDED_BY(mu_);
-  bool primed_ CCDN_GUARDED_BY(mu_) = false;
-  std::int64_t origin_ CCDN_GUARDED_BY(mu_) = 0;
+  std::unique_ptr<TraceReader> owned_ CCDN_GUARDED_BY(mu_);
+  TraceReader* reader_ CCDN_GUARDED_BY(mu_) CCDN_PT_GUARDED_BY(mu_);
+  /// Set while the rows come from pieces; then reader_ is null.
+  std::unique_ptr<Pieces> pieces_ CCDN_GUARDED_BY(mu_);
+  /// Rows read but not yet in a batch: a clean piece's rows, or held_.
+  std::span<const Request> unread_ CCDN_GUARDED_BY(mu_);
+  Request held_ CCDN_GUARDED_BY(mu_);  // the reader's latest row
+  std::size_t line_ CCDN_GUARDED_BY(mu_) = 0;  // line of unread_.front()
+  std::optional<std::int64_t> origin_ CCDN_GUARDED_BY(mu_);
   std::int64_t last_timestamp_ CCDN_GUARDED_BY(mu_) = 0;
   std::size_t next_slot_ CCDN_GUARDED_BY(mu_) = 0;
 };

@@ -109,6 +109,18 @@ TraceReader::TraceReader(const std::string& path)
   read_header();
 }
 
+TraceReader::TraceReader(const std::string& path, std::uint64_t offset,
+                         std::size_t line)
+    : owned_(path),
+      in_(&owned_),
+      buffer_(kBlockBytes),
+      base_(offset),
+      next_line_(line) {
+  if (!owned_.seekg(static_cast<std::streamoff>(offset))) {
+    throw ParseError("cannot open for reading: " + path);
+  }
+}
+
 void TraceReader::read_header() {
   if (!next_row() || fields_.size() != 5 || fields_[0] != kHeader[0]) {
     throw ParseError("trace CSV: missing or malformed header");
@@ -117,6 +129,7 @@ void TraceReader::read_header() {
 
 bool TraceReader::fill() {
   std::memmove(buffer_.data(), buffer_.data() + begin_, end_ - begin_);
+  base_ += begin_;
   end_ -= begin_;
   begin_ = 0;
   // A buffer still full holds one unfinished row longer than a block.
@@ -226,9 +239,9 @@ void TraceReader::split_quoted_row() {
   begin_ += read;
 }
 
-bool TraceReader::read_plain_row(Request& r) {
-  const char* at = buffer_.data() + begin_;
-  const char* const last = buffer_.data() + end_;
+const char* parse_plain_row(const char* first, const char* last,
+                            Request& r) {
+  const char* at = first;
   // One value ending exactly at `separator`. from_chars takes no blank,
   // quote or '+', and the ids parse as their own unsigned type, so a '-'
   // or an id that does not fit fails here too.
@@ -240,19 +253,26 @@ bool TraceReader::read_plain_row(Request& r) {
   };
   if (!(value(r.user, ',') && value(r.timestamp, ',') &&
         value(r.video, ',') && value(r.location.lat, ','))) {
-    return false;
+    return nullptr;
   }
   const auto [end, ec] = std::from_chars(at, last, r.location.lon);
   const char* newline = end;
   if (newline != last && *newline == '\r') ++newline;
-  if (ec != std::errc{} || newline == last || *newline != '\n') return false;
+  if (ec != std::errc{} || newline == last || *newline != '\n') return nullptr;
   // nan and inf fail these comparisons too.
   if (!(std::abs(r.location.lat) <= 90.0 &&
         std::abs(r.location.lon) <= 180.0)) {
-    return false;
+    return nullptr;
   }
+  return newline + 1;
+}
+
+bool TraceReader::read_plain_row(Request& r) {
+  const char* const row_end = parse_plain_row(buffer_.data() + begin_,
+                                              buffer_.data() + end_, r);
+  if (row_end == nullptr) return false;
   line_ = next_line_++;
-  begin_ = static_cast<std::size_t>(newline + 1 - buffer_.data());
+  begin_ = static_cast<std::size_t>(row_end - buffer_.data());
   return true;
 }
 

@@ -7,11 +7,16 @@
 // the streaming pipeline is built on (DESIGN.md §3.9):
 //   * TraceReader — pulls one request at a time through a block buffer,
 //     never holding the file in memory, and names the offending physical
-//     line on errors.
+//     line on errors. It can also resume a file at a row start, which is
+//     how CsvSlotSource hands the rest of a file to it from the first
+//     piece its parallel parser does not accept.
+//   * parse_plain_row — the one-pass row, shared by TraceReader and
+//     CsvSlotSource's pieces.
 //   * TraceWriter — appends request batches and flushes after each one, so
 //     a trace larger than memory can be written slot batch by slot batch.
 #pragma once
 
+#include <cstdint>
 #include <fstream>
 #include <iosfwd>
 #include <optional>
@@ -39,6 +44,18 @@ void write_trace_csv(const std::string& path,
 [[nodiscard]] std::vector<Request> read_trace_csv(std::istream& in);
 [[nodiscard]] std::vector<Request> read_trace_csv(const std::string& path);
 
+/// The one-pass row (DESIGN.md §3.9): five from_chars calls straight off
+/// [first, last), the ids into their own unsigned type, each value ending
+/// exactly at its ',' and the last at LF or CR LF before `last`, then the
+/// coordinates on the globe (nan and inf fail that too). Returns the byte
+/// after the row's LF, with the row in `r`; or nullptr, with `r` partly
+/// written, for any row it cannot accept whole. It accepts no blank, quote,
+/// '+', empty or sixth field, so what it accepts is one physical line that
+/// the general path reads to the same values; everything else, errors
+/// included, is the general path's.
+[[nodiscard]] const char* parse_plain_row(const char* first, const char* last,
+                                          Request& r);
+
 /// Incremental trace reader: validates the header on construction, then
 /// yields one request per next() call in O(block + longest row) memory.
 /// It reads 64 KiB blocks and parses each row in place. A plain row (five
@@ -53,21 +70,30 @@ class TraceReader {
  public:
   explicit TraceReader(std::istream& in);
   explicit TraceReader(const std::string& path);
+  /// Resumes `path` at byte `offset`, where a row on physical line `line`
+  /// starts, and reads no header (the resumed reader of CsvSlotSource).
+  TraceReader(const std::string& path, std::uint64_t offset,
+              std::size_t line);
 
   /// Next request, or nullopt at end of file.
   [[nodiscard]] std::optional<Request> next();
 
   /// Physical line the most recently consumed row starts on (1 = header).
   [[nodiscard]] std::size_t line() const noexcept { return line_; }
+  /// Physical line the next row starts on.
+  [[nodiscard]] std::size_t next_line() const noexcept { return next_line_; }
+  /// Input offset of the next row, header included; for a reader opened
+  /// on a path (resumed or not), its byte offset in the file.
+  [[nodiscard]] std::uint64_t offset() const noexcept {
+    return base_ + begin_;
+  }
   /// Data rows successfully parsed so far.
   [[nodiscard]] std::size_t rows_read() const noexcept { return rows_; }
 
  private:
   void read_header();
-  /// The one-pass row (DESIGN.md §3.9): five from_chars calls straight off
-  /// the buffer, each ending exactly at its ',' and the last at LF or CRLF,
-  /// with the values inside their ranges. Consumes the row into `r` only
-  /// when it accepts it; otherwise changes nothing, and next() takes the
+  /// parse_plain_row on the buffer. Consumes the row into `r` only when it
+  /// accepts it; otherwise changes no reader state, and next() takes the
   /// general path, which alone reports errors.
   bool read_plain_row(Request& r);
   /// Splits the next row into fields_; false at end of input.
@@ -81,6 +107,7 @@ class TraceReader {
   std::ifstream owned_;
   std::istream* in_;
   std::vector<char> buffer_;  // unread input is [begin_, end_)
+  std::uint64_t base_ = 0;    // input offset of buffer_[0]
   std::size_t begin_ = 0;
   std::size_t end_ = 0;
   std::vector<std::string_view> fields_;  // into buffer_, until fill()

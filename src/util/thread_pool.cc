@@ -4,6 +4,18 @@
 
 namespace ccdn {
 
+namespace {
+thread_local ThreadPool* lent_pool = nullptr;
+}  // namespace
+
+ThreadPool::Lend::Lend(ThreadPool& pool) noexcept : previous_(lent_pool) {
+  lent_pool = &pool;
+}
+
+ThreadPool::Lend::~Lend() { lent_pool = previous_; }
+
+ThreadPool* ThreadPool::lent() noexcept { return lent_pool; }
+
 ThreadPool::ThreadPool(std::size_t num_threads) {
   num_threads = std::max<std::size_t>(1, num_threads);
   workers_.reserve(num_threads);

@@ -5,6 +5,11 @@
 // is intentionally minimal (no work stealing, no priorities): the simulator
 // fans out whole timeslots, which are coarse enough that a single mutex-
 // guarded queue is nowhere near the bottleneck.
+//
+// A pool can also be *lent* to the thread that owns it for a scope
+// (ThreadPool::Lend), so code that is handed no pool, such as
+// CsvSlotSource's piece parser, runs its tasks on the lanes of the run that
+// calls it instead of starting threads of its own (DESIGN.md §3.9).
 #pragma once
 
 #include <cstddef>
@@ -36,6 +41,24 @@ class ThreadPool {
   /// Number of threads to use when the caller asks for "all of them":
   /// hardware concurrency, or 1 when the runtime cannot report it.
   [[nodiscard]] static std::size_t default_threads() noexcept;
+
+  /// Lends `pool` to the constructing thread until destruction, when the
+  /// pool lent before it (or none) is lent again. Scope it inside the
+  /// pool's lifetime.
+  class Lend {
+   public:
+    explicit Lend(ThreadPool& pool) noexcept;
+    ~Lend();
+    Lend(const Lend&) = delete;
+    Lend& operator=(const Lend&) = delete;
+
+   private:
+    ThreadPool* previous_;
+  };
+
+  /// The pool lent to the calling thread, or nullptr outside every Lend's
+  /// scope. A pool's workers start with none.
+  [[nodiscard]] static ThreadPool* lent() noexcept;
 
   /// Enqueue a callable; returns a future for its result. Exceptions thrown
   /// by the task are captured in the future.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/error.h"
 
 namespace ccdn {
@@ -67,6 +69,27 @@ TEST(TimeSlots, RangesAreContiguousAndCover) {
 
 TEST(TimeSlots, RejectsUnsortedInput) {
   const std::vector<Request> requests{at(100), at(50)};
+  EXPECT_THROW((void)partition_into_slots(requests, 3600),
+               PreconditionError);
+}
+
+TEST(TimeSlots, SlotsNearTheLastSecondDoNotOverflow) {
+  // The slot's end, origin + slot_seconds, would lie past INT64_MAX.
+  const std::vector<Request> one{at(9223372036854775800)};
+  const auto slots = partition_into_slots(one, 3600);
+  ASSERT_EQ(slots.size(), 1u);
+  EXPECT_EQ(slots[0].size(), 1u);
+  // Offsets 0, INT64_MAX - 1 and INT64_MAX, in slots of INT64_MAX.
+  const std::vector<Request> widest{at(INT64_MIN), at(-2), at(-1)};
+  const auto two = partition_into_slots(widest, INT64_MAX);
+  ASSERT_EQ(two.size(), 2u);
+  EXPECT_EQ(two[0].size(), 2u);
+  EXPECT_EQ(two[1].size(), 1u);
+}
+
+TEST(TimeSlots, RejectsOffsetsPastInt64) {
+  const std::vector<Request> requests{at(-9'000'000'000'000'000'000),
+                                      at(9'000'000'000'000'000'000)};
   EXPECT_THROW((void)partition_into_slots(requests, 3600),
                PreconditionError);
 }

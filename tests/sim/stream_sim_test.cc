@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 
 #include "core/nearest_scheme.h"
@@ -22,6 +24,7 @@
 #include "trace/trace_io.h"
 #include "trace/world.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace ccdn {
 namespace {
@@ -190,6 +193,113 @@ TEST(StreamingSimulator, RejectsSlotLengthMismatch) {
                       workload.make_config(1, 1, 0.0));
   VectorSlotSource source(workload.trace, /*slot_seconds=*/7200);
   EXPECT_THROW((void)simulator.run(scheme, source), PreconditionError);
+}
+
+TEST(StreamingSimulator, FileSourceIdenticalWithItsPiecesOnTheLanes) {
+  // CsvSlotSource(path) parses its pieces on the pool Simulator::run lends
+  // at 4 threads, and inline at 1.
+  const StreamWorkload workload;
+  const std::string path = ::testing::TempDir() + "/ccdn_stream_sim.csv";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << workload.csv;
+  }
+  RbcaerScheme reference_scheme;
+  const auto reference = workload.run_in_memory(reference_scheme);
+  for (const std::size_t threads : {1u, 4u}) {
+    Simulator simulator(workload.world.hotspots(),
+                        VideoCatalog{workload.world.config().num_videos},
+                        workload.make_config(threads, 0, 0.0));
+    CsvSlotSource source(path, 3600);
+    RbcaerScheme scheme;
+    expect_identical(reference, simulator.run(scheme, source));
+  }
+  std::remove(path.c_str());
+}
+
+/// A VectorSlotSource that notes ThreadPool::lent() at every pull, and
+/// throws a ParseError at pull `fail_at` when that is not 0.
+class LentProbeSource final : public SlotSource {
+ public:
+  LentProbeSource(std::span<const Request> trace, std::size_t fail_at)
+      : inner_(trace, 3600), fail_at_(fail_at) {}
+
+  [[nodiscard]] std::optional<SlotBatch> next() override {
+    lent.push_back(ThreadPool::lent());
+    if (lent.size() == fail_at_) throw ParseError("probe");
+    return inner_.next();
+  }
+  [[nodiscard]] std::int64_t slot_seconds() const noexcept override {
+    return 3600;
+  }
+
+  std::vector<ThreadPool*> lent;
+
+ private:
+  VectorSlotSource inner_;
+  std::size_t fail_at_;
+};
+
+TEST(StreamingSimulator, LendsItsPoolToThePullOnlyWhilePipelining) {
+  const StreamWorkload workload;
+  const auto run = [&](RedirectionScheme& scheme, std::size_t threads,
+                       LentProbeSource& source) {
+    Simulator simulator(workload.world.hotspots(),
+                        VideoCatalog{workload.world.config().num_videos},
+                        workload.make_config(threads, 0, 0.0));
+    return simulator.run(scheme, source);
+  };
+  {
+    // No pool is lent once a run returns or throws.
+    NearestScheme scheme;
+    LentProbeSource source(workload.trace, 0);
+    (void)run(scheme, 4, source);
+    EXPECT_NE(source.lent.front(), nullptr);
+    EXPECT_EQ(ThreadPool::lent(), nullptr);
+    LentProbeSource failing(workload.trace, 3);
+    EXPECT_THROW((void)run(scheme, 4, failing), ParseError);
+    EXPECT_NE(failing.lent.back(), nullptr);
+    EXPECT_EQ(ThreadPool::lent(), nullptr);
+  }
+  ThreadPool outer(1);
+  const ThreadPool::Lend outer_lend(outer);
+  {
+    // Pipelined: every pull sees the run's own pool, and the pool lent
+    // before the run is lent again after it.
+    NearestScheme scheme;
+    LentProbeSource source(workload.trace, 0);
+    (void)run(scheme, 4, source);
+    ASSERT_GT(source.lent.size(), 4u);
+    for (ThreadPool* pool : source.lent) {
+      EXPECT_NE(pool, nullptr);
+      EXPECT_NE(pool, &outer);
+      EXPECT_EQ(pool, source.lent.front());
+    }
+    EXPECT_EQ(ThreadPool::lent(), &outer);
+  }
+  {
+    // A run whose source throws lends nothing past it either.
+    NearestScheme scheme;
+    LentProbeSource source(workload.trace, 3);
+    EXPECT_THROW((void)run(scheme, 4, source), ParseError);
+    ASSERT_EQ(source.lent.size(), 3u);
+    EXPECT_NE(source.lent.back(), &outer);
+    EXPECT_EQ(ThreadPool::lent(), &outer);
+  }
+  {
+    // Sequential runs (one thread, or a scheme that cannot be cloned) lend
+    // no pool of their own.
+    NearestScheme nearest;
+    LentProbeSource one_thread(workload.trace, 0);
+    (void)run(nearest, 1, one_thread);
+    RandomScheme random(1.5, /*seed=*/99);
+    LentProbeSource stateful(workload.trace, 0);
+    (void)run(random, 4, stateful);
+    for (const LentProbeSource* source : {&one_thread, &stateful}) {
+      for (ThreadPool* pool : source->lent) EXPECT_EQ(pool, &outer);
+    }
+  }
+  EXPECT_EQ(ThreadPool::lent(), &outer);
 }
 
 }  // namespace

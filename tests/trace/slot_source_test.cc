@@ -9,14 +9,20 @@
 #include "trace/slot_source.h"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
+#include <string>
+#include <thread>
 
 #include "model/timeslots.h"
 #include "trace/generator.h"
 #include "trace/trace_io.h"
 #include "trace/world.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace ccdn {
 namespace {
@@ -237,6 +243,83 @@ TEST(CsvSlotSource, RejectsUnsortedTimestampsNamingTheLine) {
     EXPECT_NE(std::string(error.what()).find("line 4"), std::string::npos)
         << error.what();
   }
+}
+
+/// Sizes of every batch `source` yields, then the text of the ParseError
+/// that ends it, if one does.
+std::vector<std::string> batch_sizes(SlotSource& source) {
+  std::vector<std::string> out;
+  try {
+    while (auto batch = source.next()) {
+      out.push_back(std::to_string(batch->slot_index) + ":" +
+                    std::to_string(batch->requests.size()));
+    }
+  } catch (const ParseError& error) {
+    out.emplace_back(error.what());
+  }
+  return out;
+}
+
+/// batch_sizes of `csv` through a TraceReader, and through the file at
+/// `path` (its pieces inline, then on a lent pool), which must all agree.
+std::vector<std::string> csv_batch_sizes(const std::string& csv,
+                                         const std::string& path,
+                                         std::int64_t slot_seconds) {
+  std::istringstream in(csv);
+  TraceReader reader(in);
+  CsvSlotSource from_reader(reader, slot_seconds);
+  const std::vector<std::string> sizes = batch_sizes(from_reader);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << csv;
+  }
+  CsvSlotSource from_file(path, slot_seconds);
+  EXPECT_EQ(batch_sizes(from_file), sizes);
+  ThreadPool pool(2);
+  const ThreadPool::Lend lend(pool);
+  CsvSlotSource from_lent(path, slot_seconds);
+  EXPECT_EQ(batch_sizes(from_lent), sizes);
+  std::remove(path.c_str());
+  return sizes;
+}
+
+TEST(CsvSlotSource, RowAtTheLastSecondsYieldsOneSlot) {
+  // Its slot's end would lie past INT64_MAX; forming it used to wrap, and
+  // next() then emitted empty slots forever.
+  const std::string csv =
+      "user,timestamp,video,lat,lon\n1,9223372036854775800,3,40.0,116.5\n";
+  const std::string path = ::testing::TempDir() + "/ccdn_last_second.csv";
+  EXPECT_EQ(csv_batch_sizes(csv, path, 3600),
+            (std::vector<std::string>{"0:1"}));
+}
+
+TEST(CsvSlotSource, RejectsAnOffsetPastInt64NamingTheLine) {
+  const std::string csv =
+      "user,timestamp,video,lat,lon\n"
+      "1,-9000000000000000000,3,40.0,116.5\n"
+      "2,9000000000000000000,3,40.0,116.5\n";
+  const std::string path = ::testing::TempDir() + "/ccdn_offset_past.csv";
+  EXPECT_EQ(csv_batch_sizes(csv, path, 3600),
+            (std::vector<std::string>{
+                "trace CSV line 3: timestamp is more than 2^63 - 1 s after "
+                "the first row's"}));
+}
+
+TEST(CsvSlotSource, ReadsAPipeThroughTheReader) {
+  // A file that is not regular cannot be read in pieces with pread.
+  std::stringstream buffer;
+  write_trace_csv(buffer, trace_with_gap());
+  const std::string path = ::testing::TempDir() + "/ccdn_pipe_trace.csv";
+  std::remove(path.c_str());
+  ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+  std::thread writer([&] { std::ofstream(path) << buffer.str(); });
+  {
+    CsvSlotSource source(path, 100);
+    EXPECT_EQ(batch_sizes(source),
+              (std::vector<std::string>{"0:2", "1:1", "2:0", "3:2"}));
+  }
+  writer.join();
+  std::remove(path.c_str());
 }
 
 }  // namespace

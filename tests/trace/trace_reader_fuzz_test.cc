@@ -1,12 +1,17 @@
-// Seeded mutation differential: TraceReader's block parser against the
-// char-at-a-time reference (reference_trace_reader.h) on valid traces, and
-// on a trace of rows at the edges of its one-pass path, with bytes
-// flipped, inserted, deleted or cut off. Both readers must yield the same
-// requests and line() values, or ParseErrors with the same text.
+// Seeded mutation differentials on valid traces, on a trace of rows at
+// the edges of TraceReader's one-pass path, and on a trace laid out over
+// CsvSlotSource's pieces, with bytes flipped, inserted, deleted or cut off:
+//   * TraceReader's block parser against the char-at-a-time reference
+//     (reference_trace_reader.h): both must yield the same requests and
+//     line() values, or ParseErrors with the same text;
+//   * CsvSlotSource on a file, its pieces parsed inline and on a lent pool,
+//     against CsvSlotSource over a TraceReader on the same bytes: the same
+//     batches, then the same error text from the same next() call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -14,9 +19,11 @@
 #include <vector>
 
 #include "trace/reference_trace_reader.h"
+#include "trace/slot_source.h"
 #include "trace/trace_io.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ccdn {
 namespace {
@@ -200,16 +207,10 @@ std::string edge_trace() {
   return csv + "1,2,3,40.5,116.25";
 }
 
-/// Applies one seeded edit: a byte flip, an inserted, deleted or
-/// overwritten separator, quote, CR, LF or blank, a digit edit, or a
-/// truncation. Half the edits of an input longer than a block land within
-/// 64 bytes of the first block boundary.
-void mutate(std::string& csv, Rng& rng) {
-  if (csv.empty()) return;
-  std::size_t at = rng.index(csv.size());
-  if (csv.size() > kBlock + 64 && rng.chance(0.5)) {
-    at = kBlock - 64 + rng.index(128);
-  }
+/// Applies one seeded edit at byte `at`: a byte flip, an inserted, deleted
+/// or overwritten separator, quote, CR, LF or blank, a digit edit, or a
+/// truncation.
+void mutate_at(std::string& csv, std::size_t at, Rng& rng) {
   static const std::string kSpecial = ",\"\r\n ";
   switch (rng.index(6)) {
     case 0:
@@ -237,14 +238,31 @@ void mutate(std::string& csv, Rng& rng) {
   }
 }
 
-TEST(TraceReaderDifferential, MutatedTracesParseAlike) {
+/// mutate_at a seeded byte. Half the edits of an input longer than a block
+/// land within 64 bytes of the first block boundary.
+void mutate(std::string& csv, Rng& rng) {
+  if (csv.empty()) return;
+  std::size_t at = rng.index(csv.size());
+  if (csv.size() > kBlock + 64 && rng.chance(0.5)) {
+    at = kBlock - 64 + rng.index(128);
+  }
+  mutate_at(csv, at, rng);
+}
+
+struct Base {
+  const char* name;
+  std::string csv;
+  std::size_t rows;
+  std::size_t errors = 0;
+};
+
+/// Calls visit(base, csv, mutant) on each base, with mutant -1, and then
+/// on each of its seeded mutants, numbered from 0: the same inputs, in the
+/// same order, for every differential. Stops when visit returns false.
+template <typename Visit>
+void for_each_input(Visit visit) {
   Rng rng(20);
-  const struct {
-    const char* name;
-    std::string csv;
-    std::size_t rows;
-    std::size_t errors = 0;
-  } bases[] = {
+  const Base bases[] = {
       {"small", trace_of(rng, 30, "\n"), 30},
       {"crlf", trace_of(rng, 30, "\r\n"), 30},
       {"quoted", quoted_trace(rng), 41},
@@ -252,28 +270,275 @@ TEST(TraceReaderDifferential, MutatedTracesParseAlike) {
       {"long rows", long_row_trace(rng), 152},
       {"one-pass edges", edge_trace(), 3619, 46},
   };
-  std::size_t loaded = 0;
-  std::size_t rejected = 0;
-  for (const auto& base : bases) {
-    const Verdict valid = compare(base.csv);
-    ASSERT_EQ(valid.difference, "") << base.name;
-    EXPECT_EQ(valid.requests, base.rows) << base.name;
-    EXPECT_EQ(valid.errors, base.errors) << base.name;
+  for (const Base& base : bases) {
+    if (!visit(base, base.csv, -1)) return;
     const std::size_t cases = base.csv.size() > kBlock ? 32 : 500;
     for (std::size_t c = 0; c < cases; ++c) {
       std::string csv = base.csv;
       const std::size_t edits = 1 + rng.index(3);
       for (std::size_t e = 0; e < edits; ++e) mutate(csv, rng);
-      const Verdict verdict = compare(csv);
-      ASSERT_EQ(verdict.difference, "") << base.name << " case " << c;
-      ++(verdict.errors == 0 ? loaded : rejected);
+      if (!visit(base, csv, static_cast<int>(c))) return;
     }
   }
+}
+
+TEST(TraceReaderDifferential, MutatedTracesParseAlike) {
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for_each_input([&](const Base& base, const std::string& csv, int mutant) {
+    const Verdict verdict = compare(csv);
+    if (!verdict.difference.empty()) {
+      ADD_FAILURE() << base.name << " mutant " << mutant << ": "
+                    << verdict.difference;
+      return false;
+    }
+    if (mutant < 0) {
+      EXPECT_EQ(verdict.requests, base.rows) << base.name;
+      EXPECT_EQ(verdict.errors, base.errors) << base.name;
+    } else {
+      ++(verdict.errors == 0 ? loaded : rejected);
+    }
+    return true;
+  });
   // Both outcomes are common (307 and 1,257 of the valid bases' 1,564
   // cases; the edge base's 32 all keep a bad row), so neither reader passes
   // by always failing.
   EXPECT_GT(loaded, 200u);
   EXPECT_GT(rejected, 800u);
+}
+
+// --- CsvSlotSource: pieces against the reader ------------------------------
+
+constexpr std::size_t kPiece = std::size_t{128} << 10;  // CsvSlotSource's
+constexpr std::size_t kSlack = std::size_t{4} << 10;    // pieces
+constexpr std::int64_t kSlotSeconds = 3600;
+
+/// One entry per next() call: the batch's slot and requests (doubles exact
+/// via %a), "end" for the nullopt, or the ParseError text that call threw.
+std::vector<std::string> slot_events(CsvSlotSource& source) {
+  std::vector<std::string> events;
+  try {
+    while (const std::optional<SlotBatch> batch = source.next()) {
+      std::string event = "slot " + std::to_string(batch->slot_index) + ":";
+      for (const Request& r : batch->requests) {
+        char text[128];
+        std::snprintf(text, sizeof text, " %u %lld %u %a %a", r.user,
+                      static_cast<long long>(r.timestamp), r.video,
+                      r.location.lat, r.location.lon);
+        event += text;
+      }
+      events.push_back(std::move(event));
+    }
+    events.emplace_back("end");
+  } catch (const ParseError& error) {
+    events.push_back(std::string("error: ") + error.what());
+  }
+  return events;
+}
+
+/// slot_events of CsvSlotSource(path), or the error its constructor threw.
+std::vector<std::string> file_events(const std::string& path) {
+  std::optional<CsvSlotSource> source;
+  try {
+    source.emplace(path, kSlotSeconds);
+  } catch (const ParseError& error) {
+    return {std::string("header error: ") + error.what()};
+  }
+  return slot_events(*source);
+}
+
+/// Writes `csv` to `path` and reads it three ways: CsvSlotSource over a
+/// TraceReader on the bytes, and CsvSlotSource(path) with no pool and with
+/// `pool` lent. Returns the first difference, or "" when all agree; counts
+/// the reference's batches and errors into `batches` and `errors`.
+std::string compare_slots(const std::string& csv, const std::string& path,
+                          ThreadPool& pool, std::size_t& batches,
+                          std::size_t& errors) {
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << csv;
+  }
+  std::vector<std::string> reference;
+  std::istringstream in(csv);
+  try {
+    TraceReader reader(in);
+    CsvSlotSource source(reader, kSlotSeconds);
+    reference = slot_events(source);
+  } catch (const ParseError& error) {
+    reference = {std::string("header error: ") + error.what()};
+  }
+  std::vector<std::string> inline_events = file_events(path);
+  std::vector<std::string> lent_events;
+  {
+    const ThreadPool::Lend lend(pool);
+    lent_events = file_events(path);
+  }
+  for (const auto& [name, events] :
+       {std::pair{"inline", &inline_events}, std::pair{"lent", &lent_events}}) {
+    for (std::size_t i = 0; i < std::max(reference.size(), events->size());
+         ++i) {
+      const std::string want = i < reference.size() ? reference[i] : "<none>";
+      const std::string got = i < events->size() ? (*events)[i] : "<none>";
+      if (want != got) {
+        // The batches run long: show where they part.
+        std::size_t at = 0;
+        while (at < want.size() && at < got.size() && want[at] == got[at]) {
+          ++at;
+        }
+        at -= std::min<std::size_t>(at, 80);
+        return std::string(name) + " pieces, next() call " +
+               std::to_string(i) + ", from byte " + std::to_string(at) +
+               "\n  pieces: " + got.substr(at, 200) +
+               "\n  reader: " + want.substr(at, 200);
+      }
+    }
+  }
+  for (const std::string& event : reference) {
+    if (event.rfind("slot ", 0) == 0) ++batches;
+    if (event.find("error: ") != std::string::npos) ++errors;
+  }
+  return "";
+}
+
+std::string temp_path(const char* name) {
+  return ::testing::TempDir() + "/ccdn_" + name + ".csv";
+}
+
+TEST(CsvSlotSourceDifferential, MutatedTracesSlotAlike) {
+  ThreadPool pool(4);
+  const std::string path = temp_path("slot_source_mutants");
+  std::size_t inputs = 0;
+  std::size_t batches = 0;
+  std::size_t errors = 0;
+  for_each_input([&](const Base& base, const std::string& csv, int mutant) {
+    ++inputs;
+    const std::string difference =
+        compare_slots(csv, path, pool, batches, errors);
+    if (!difference.empty()) {
+      ADD_FAILURE() << base.name << " mutant " << mutant << ": "
+                    << difference;
+      return false;
+    }
+    return true;
+  });
+  std::remove(path.c_str());
+  // The bases' timestamps are not sorted, so nearly every input ends in an
+  // error (1,599 of 1,602), most at a line's sort check; the batches are
+  // mostly the empty slots of the gaps between rows (40,564).
+  EXPECT_EQ(inputs, 1602u);
+  EXPECT_GT(errors, inputs / 2);
+  EXPECT_GT(batches, 100u);
+}
+
+/// One plain row at `timestamp` whose LF is the byte before `end`, its user
+/// id stretched with leading zeros.
+void append_row_ending_at(std::string& csv, std::size_t end,
+                          std::int64_t timestamp) {
+  const std::string tail = "," + std::to_string(timestamp) + ",7,40.5,116.25\n";
+  ASSERT_GE(end, csv.size() + tail.size() + 1);
+  csv += std::string(end - csv.size() - tail.size() - 1, '0') + "1" + tail;
+}
+
+/// Sorted plain rows over two rounds of pieces (11 ranges of 128 KiB; a
+/// round is 8), two timestamps a second, so 7,200 rows to an hourly slot.
+/// A row starts exactly on the first range boundary and one on the second
+/// round's, and the second range's last row ends with its LF as the last
+/// byte that piece reads, 4 KiB past its range. Other rows straddle every
+/// boundary.
+std::string piece_trace(Rng& rng) {
+  std::string csv = "user,timestamp,video,lat,lon\n";
+  std::int64_t row = 0;
+  const auto plain_rows_until = [&](std::size_t end) {
+    while (csv.size() < end) {
+      std::vector<std::string> fields = random_fields(rng);
+      fields[1] = std::to_string(row++ / 2);
+      csv += join_row(fields) + "\n";
+    }
+  };
+  plain_rows_until(kPiece - 200);
+  append_row_ending_at(csv, kPiece, row++ / 2);
+  plain_rows_until(2 * kPiece - 200);
+  append_row_ending_at(csv, 2 * kPiece + kSlack, row++ / 2);
+  plain_rows_until(8 * kPiece - 200);
+  append_row_ending_at(csv, 8 * kPiece, row++ / 2);
+  plain_rows_until(11 * kPiece - 100);
+  return csv;
+}
+
+/// Start of the first row at or after byte `at`.
+std::size_t row_start_after(const std::string& csv, std::size_t at) {
+  return csv.find('\n', at - 1) + 1;
+}
+
+TEST(CsvSlotSourceDifferential, PieceEdgesSlotAlike) {
+  Rng rng(29);
+  const std::string base = piece_trace(rng);
+  ASSERT_EQ(base[kPiece - 1], '\n');
+  ASSERT_EQ(base[2 * kPiece + kSlack - 1], '\n');
+  ASSERT_EQ(base.find('\n', 2 * kPiece - 1), 2 * kPiece + kSlack - 1);
+  ASSERT_EQ(base[8 * kPiece - 1], '\n');
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  cases.emplace_back("base", base);
+  cases.emplace_back("no final LF", base.substr(0, base.size() - 1));
+  for (std::size_t round = 0; round < 2; ++round) {
+    // The round's second piece.
+    const std::size_t at =
+        row_start_after(base, (8 * round + 1) * kPiece + 1000);
+    const std::string which = round == 0 ? " in round 1" : " in round 2";
+    std::string quoted = base;
+    quoted.insert(quoted.find(',', at), "\"");
+    quoted.insert(at, "\"");
+    cases.emplace_back("quote" + which, quoted);
+    std::string blank = base;
+    blank.insert(at, "\n");
+    cases.emplace_back("blank line" + which, blank);
+  }
+  {
+    // The last row starting in the third range, longer than the slack.
+    std::string longer = base;
+    longer.insert(base.rfind('\n', 3 * kPiece - 2) + 1,
+                  std::string(kSlack + 100, '0'));
+    cases.emplace_back("row longer than the slack", longer);
+    // The second range's last row, its LF one byte past the slack.
+    std::string past = base;
+    past.insert(base.rfind('\n', 2 * kPiece - 2) + 1, "0");
+    cases.emplace_back("LF past the slack", past);
+  }
+  {
+    // A row in the second round back at timestamp 0.
+    std::string unsorted = base;
+    const std::size_t at = row_start_after(base, 9 * kPiece + 5000);
+    const std::size_t ts = unsorted.find(',', at) + 1;
+    unsorted.replace(ts, unsorted.find(',', ts) - ts, "0");
+    cases.emplace_back("unsorted in round 2", unsorted);
+  }
+  cases.emplace_back("cut at a range boundary", base.substr(0, 4 * kPiece));
+  cases.emplace_back("cut past a round", base.substr(0, 9 * kPiece + 77));
+  // Seeded edits within 64 bytes of each range boundary and slack end.
+  for (std::size_t k = 1; k <= 10; ++k) {
+    for (const std::size_t edge : {k * kPiece, k * kPiece + kSlack}) {
+      std::string csv = base;
+      mutate_at(csv, edge - 64 + rng.index(128), rng);
+      cases.emplace_back("edit near byte " + std::to_string(edge), csv);
+    }
+  }
+
+  ThreadPool pool(4);
+  const std::string path = temp_path("slot_source_pieces");
+  std::size_t batches = 0;
+  std::size_t errors = 0;
+  for (const auto& [name, csv] : cases) {
+    const std::size_t batches_before = batches;
+    ASSERT_EQ(compare_slots(csv, path, pool, batches, errors), "") << name;
+    if (name == "base") {
+      EXPECT_EQ(batches - batches_before, 4u);
+    }
+  }
+  std::remove(path.c_str());
+  // 68 batches and 23 errors over the 31 cases; the blank lines and the
+  // unsorted row always fail.
+  EXPECT_GE(errors, 3u);
 }
 
 }  // namespace

@@ -74,5 +74,31 @@ TEST(ThreadPoolTest, ConcurrentSubmittersShareOnePool) {
   EXPECT_EQ(executed.load(), 200);
 }
 
+TEST(ThreadPoolTest, LendsToTheLendingThreadOnly) {
+  ThreadPool pool(2);
+  EXPECT_EQ(ThreadPool::lent(), nullptr);
+  {
+    const ThreadPool::Lend lend(pool);
+    EXPECT_EQ(ThreadPool::lent(), &pool);
+    // Not to the pool's workers, nor to any other thread.
+    EXPECT_EQ(pool.submit([] { return ThreadPool::lent(); }).get(), nullptr);
+    ThreadPool* elsewhere = &pool;
+    std::thread([&elsewhere] { elsewhere = ThreadPool::lent(); }).join();
+    EXPECT_EQ(elsewhere, nullptr);
+  }
+  EXPECT_EQ(ThreadPool::lent(), nullptr);
+}
+
+TEST(ThreadPoolTest, NestedLendRestoresTheOuterPool) {
+  ThreadPool outer(1);
+  ThreadPool inner(1);
+  const ThreadPool::Lend outer_lend(outer);
+  {
+    const ThreadPool::Lend inner_lend(inner);
+    EXPECT_EQ(ThreadPool::lent(), &inner);
+  }
+  EXPECT_EQ(ThreadPool::lent(), &outer);
+}
+
 }  // namespace
 }  // namespace ccdn
