@@ -5,7 +5,7 @@
 // materialized-span run) and once with the streaming path (CsvSlotSource),
 // at 1x / 4x / 16x scale, where BOTH the request count and the trace
 // duration grow — so the in-memory request vector grows linearly while the
-// streaming window stays O(max_inflight_slots x slot size).
+// streaming window stays O(2 x threads x slot size).
 //
 // Peak RSS is a process-lifetime high watermark (getrusage never goes
 // down), so each (mode, scale) case runs in a forked child and the parent
@@ -72,7 +72,7 @@ CaseResult run_case(const CaseConfig& config) {
   SimulationConfig sim_config;
   sim_config.slot_seconds = config.slot_seconds;
   sim_config.num_threads = config.threads;
-  sim_config.audit_level = AuditLevel::kPlan;  // record digests
+  sim_config.audit_level = AuditLevel::kPlan;  // per-slot verdicts
   const Simulator simulator(world.hotspots(),
                             VideoCatalog{world.config().num_videos},
                             sim_config);
@@ -90,8 +90,8 @@ CaseResult run_case(const CaseConfig& config) {
   result.slots = report.slots().size();
   result.requests = report.total_requests();
   result.serving_ratio = report.serving_ratio();
-  for (const std::uint64_t digest : report.slot_digests()) {
-    result.digest_xor ^= digest;
+  for (const SlotVerdict& verdict : report.verdicts()) {
+    result.digest_xor ^= verdict.digest;
   }
   return result;
 }

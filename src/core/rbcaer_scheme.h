@@ -168,6 +168,8 @@ class RbcaerScheme final : public RedirectionScheme {
     return std::make_unique<RbcaerScheme>(config_);
   }
 
+  [[nodiscard]] bool plans_within_capacity() const override { return true; }
+
   [[nodiscard]] const StageTimings* last_stage_timings() const override {
     return &stage_timings_;
   }

@@ -108,6 +108,13 @@ class RedirectionScheme {
   /// to sequential planning so results never depend on thread interleaving.
   [[nodiscard]] virtual SchemePtr clone() const { return nullptr; }
 
+  /// True when every plan keeps its inbound redirects within the
+  /// receivers' service capacities s_h (audit_capacity), so an audited run
+  /// checks that tier too. Baselines over-assign by design and leave the
+  /// excess to admission, and decorators that plan on other inputs than
+  /// the slot's own demand (a forecast) make no such promise.
+  [[nodiscard]] virtual bool plans_within_capacity() const { return false; }
+
   /// Stage breakdown of the most recent plan_slot call, or nullptr for
   /// schemes that do not record one.
   [[nodiscard]] virtual const StageTimings* last_stage_timings() const {

@@ -66,6 +66,8 @@ class VirtualRbcaerScheme final : public RedirectionScheme {
     return std::make_unique<VirtualRbcaerScheme>(config_);
   }
 
+  [[nodiscard]] bool plans_within_capacity() const override { return true; }
+
   struct Diagnostics {
     std::size_t num_regions = 0;
     std::int64_t region_max_movable = 0;

@@ -1,6 +1,5 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
 #include <deque>
 #include <future>
 #include <string>
@@ -21,7 +20,7 @@ namespace ccdn {
 void SimulationReport::add_slot(SlotMetrics metrics,
                                 std::vector<std::uint32_t> hotspot_loads,
                                 StageTimings timings,
-                                std::optional<std::uint64_t> digest) {
+                                std::optional<SlotVerdict> verdict) {
   requests_ += metrics.requests;
   served_ += metrics.served;
   replicas_ += metrics.replicas;
@@ -31,7 +30,7 @@ void SimulationReport::add_slot(SlotMetrics metrics,
   if (!hotspot_loads.empty()) {
     hotspot_loads_.push_back(std::move(hotspot_loads));
   }
-  if (digest.has_value()) slot_digests_.push_back(*digest);
+  if (verdict.has_value()) verdicts_.push_back(std::move(*verdict));
 }
 
 StageTimings SimulationReport::total_stage_timings() const noexcept {
@@ -145,14 +144,34 @@ void require_catalog_videos(std::span<const Request> requests,
 
 namespace {
 
+/// Seed of the churn draws (SimulationConfig::offline_probability).
+constexpr std::uint64_t kChurnSeed = 4242;
+
 /// Everything one slot produces before the ordered reduction.
 struct SlotResult {
   SlotPlan plan;
   SlotMetrics metrics;
   std::vector<std::uint32_t> served_at;
   StageTimings timings;
-  std::optional<std::uint64_t> digest;
+  std::optional<SlotVerdict> verdict;
 };
+
+/// The audit of `plan` as SimulationConfig::audit_level describes it.
+SlotVerdict audit_slot(const SlotPlan& plan,
+                       const std::vector<Hotspot>& hotspots,
+                       std::span<const Request> requests,
+                       const SlotDemand& demand, bool capacity_tier) {
+  SlotVerdict verdict;
+  verdict.digest = plan_digest(plan);
+  audit_assignment(plan.assignment, requests.size(), hotspots.size(),
+                   verdict.audit);
+  audit_placements(plan.placements, hotspots, verdict.audit);
+  if (capacity_tier) {
+    audit_capacity(plan.assignment, plan.placements, hotspots, requests,
+                   demand.request_home(), verdict.audit);
+  }
+  return verdict;
+}
 
 /// Plan + admit one slot. Pure in (scheme state, slot inputs), so distinct
 /// slots may run concurrently as long as each invocation owns its scheme
@@ -171,18 +190,8 @@ SlotResult process_slot(const SimulationConfig& config,
   result.timings.demand_s = clock.elapsed_seconds();
   result.plan = slot_scheme.plan_slot(context, slot_requests, demand);
   if (config.audit_level != AuditLevel::kOff) {
-    // Scheme-agnostic plan audit: totality, range, placement shape.
-    // Capacity feasibility is a per-scheme guarantee (Nearest/Random
-    // over-assign by design and rely on admission), so it is audited
-    // inside the schemes that promise it, not here.
-    if constexpr (kCheckedBuild) {
-      AuditReport audit;
-      audit_assignment(result.plan.assignment, slot_requests.size(),
-                       hotspots.size(), audit);
-      audit_placements(result.plan.placements, hotspots, audit);
-      audit.require_clean("simulator slot plan");
-    }
-    result.digest = plan_digest(result.plan);
+    result.verdict = audit_slot(result.plan, hotspots, slot_requests, demand,
+                                slot_scheme.plans_within_capacity());
   }
   if (const StageTimings* plan_timings = slot_scheme.last_stage_timings()) {
     result.timings.partition_s = plan_timings->partition_s;
@@ -222,7 +231,7 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
   // same per-slot draw count no matter how slots are later scheduled
   // across threads, so availability matches the classic sequential loop
   // bit for bit.
-  Rng churn_rng(config_.churn_seed);
+  Rng churn_rng(kChurnSeed);
   const bool churn = config_.offline_probability > 0.0;
   const auto draw_mask = [&] {
     std::vector<std::uint8_t> mask;
@@ -238,32 +247,28 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
   // ordered reduction over already-computed plans, not in the fan-out.
   std::vector<std::vector<VideoId>> previous_placements;
   const auto reduce_slot = [&](SlotResult result) {
-    if (config_.charge_placement_deltas) {
-      result.metrics.replicas =
-          count_new_replicas(previous_placements, result.plan.placements);
-      previous_placements = std::move(result.plan.placements);
-    }
+    result.metrics.replicas =
+        count_new_replicas(previous_placements, result.plan.placements);
+    previous_placements = std::move(result.plan.placements);
     report.add_slot(result.metrics, std::move(result.served_at),
-                    result.timings, result.digest);
+                    result.timings, std::move(result.verdict));
   };
 
   const std::size_t num_threads = config_.num_threads == 0
                                       ? ThreadPool::default_threads()
                                       : config_.num_threads;
-  const std::size_t window = config_.max_inflight_slots == 0
-                                 ? 2 * num_threads
-                                 : config_.max_inflight_slots;
+  const std::size_t window = 2 * num_threads;
 
-  if (num_threads > 1 && window > 1) {
+  if (num_threads > 1) {
     if (SchemePtr probe = scheme.clone()) {
-      // Pipelined window executor: at most `window` slot batches are
-      // resident/in flight; slot k+W is not even pulled from the source
-      // until slot k's ordered reduction retired (backpressure). Each of
-      // the W lanes owns one scheme clone that is recycled across window
-      // generations (slots k, k+W, k+2W, ... reuse lane k%W), so a clone's
-      // cached state (RbcaerScheme's geo zone plan) is built W times per
-      // run instead of once per slot. Lane reuse
-      // is race-free because a lane's previous slot has always been
+      // Pipelined window executor: at most `window` (W = 2 x threads) slot
+      // batches are resident/in flight; slot k+W is not even pulled from
+      // the source until slot k's ordered reduction retired
+      // (backpressure). Each of the W lanes owns one scheme clone that is
+      // recycled across window generations (slots k, k+W, k+2W, ... reuse
+      // lane k%W), so a clone's cached state (RbcaerScheme's geo zone plan)
+      // is built W times per run instead of once per slot. Lane reuse is
+      // race-free because a lane's previous slot has always been
       // retired (its future consumed) before the lane is resubmitted; the
       // per-lane mutex makes that ownership handoff checkable (thread-
       // safety analysis and TSan both see the lock) and is uncontended by
@@ -283,7 +288,7 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
         const MutexLock lock(lanes[i].mu);
         lanes[i].clone = scheme.clone();
       }
-      ThreadPool pool(std::min(num_threads, window));
+      ThreadPool pool(num_threads);
       // The source may parse on the lanes (CsvSlotSource's pieces) while
       // this thread pulls; it joins those tasks before next() returns, so
       // no slot is ever queued behind one.

@@ -30,43 +30,31 @@ struct SimulationConfig {
   /// Record per-slot per-hotspot served load (needed by the correlation
   /// analysis; off by default to keep reports small).
   bool record_hotspot_loads = false;
-  /// Charge replication for placement *deltas* between consecutive slots
-  /// (hotspot caches persist; only newly pushed videos cost origin
-  /// traffic). Single-slot runs are unaffected. Disable to re-charge the
-  /// full placement every slot.
-  bool charge_placement_deltas = true;
   /// Device churn: each hotspot is independently offline for a whole slot
   /// with this probability. Crowdsourced devices are user hardware — they
   /// reboot, lose uplink, get unplugged. The scheduler plans *unaware*
   /// (liveness is only discovered when a redirected request fails), which
-  /// is the pessimistic deployment case. 0 disables churn.
+  /// is the pessimistic deployment case. 0 disables churn. Outages are
+  /// drawn from a fixed seed, in slot order.
   double offline_probability = 0.0;
-  std::uint64_t churn_seed = 4242;
   /// Worker threads for the slot-scheduling pipeline. 1 (default) runs the
   /// classic sequential loop; 0 means "use all hardware threads". With N > 1
-  /// independent slots are planned and admitted concurrently on a fixed
-  /// thread pool and reduced back in slot order, so the report is
-  /// bit-identical to the sequential run (churn masks are pre-drawn
-  /// sequentially; placement deltas are charged in the ordered reduction).
+  /// independent slots are planned and admitted concurrently on N lanes and
+  /// reduced back in slot order, so the report is bit-identical to the
+  /// sequential run (churn masks are drawn in slot order; placement deltas
+  /// are charged in the ordered reduction). At most 2N slot batches are
+  /// resident: slot k+2N is not pulled until slot k has been reduced.
   /// Schemes with cross-slot state (clone() == nullptr, e.g. Random) fall
   /// back to the sequential path regardless of this setting.
   std::size_t num_threads = 1;
-  /// Bounded planning window for the pipelined executor: at most this many
-  /// slot batches are resident/in flight at once, and slot k+W may not
-  /// start until slot k's ordered reduction has retired (backpressure, not
-  /// barriers). 0 means "2x the worker threads". Both run() overloads use
-  /// the same executor, so peak memory is O(window x slot size) even for
-  /// the streaming SlotSource path; the window size never changes results
-  /// (bit-identical reports and digests at any window and thread count).
-  std::size_t max_inflight_slots = 0;
-  /// Audit every slot plan before admission: assignment totality/range and
-  /// placement shape (count, order, cache capacity). These are the
-  /// invariants *every* scheme owes the simulator; scheme-specific
-  /// guarantees (capacity feasibility, B_peak) are audited inside the
-  /// schemes via their own audit knobs. Violations throw InvariantError.
-  /// The checks are compiled out under NDEBUG, but at any level != kOff the
-  /// report additionally records a per-slot FNV digest of (assignment,
-  /// placements) in every build — see SimulationReport::slot_digests().
+  /// Audit every slot plan before admission and keep one SlotVerdict per
+  /// slot in SimulationReport::verdicts(), in every build: assignment
+  /// totality and range and placement shape (count, order, cache
+  /// capacity), the invariants every scheme owes the simulator, plus
+  /// service capacity for schemes whose plans_within_capacity() says they
+  /// respect s_h. A violation is recorded in the verdict, not thrown, so
+  /// one run reports every broken slot. kPlan and kFull audit alike here;
+  /// the schemes' own audit knobs add their internal checks.
   AuditLevel audit_level = AuditLevel::kOff;
   /// Zone-sharded planning (DESIGN.md §3.12), forwarded to the schemes via
   /// SchemeContext::num_shards. 0 = unsharded; 1 = sharded orchestration
@@ -83,8 +71,19 @@ struct SlotMetrics {
   std::size_t rejected_placement = 0;  // assigned but video not cached
   std::size_t rejected_offline = 0;    // assigned but hotspot was down
   std::size_t sent_to_cdn = 0;         // scheme assigned the CDN directly
+  /// Placements not held by the previous slot's plan: hotspot caches
+  /// persist, so only newly pushed videos cost origin traffic.
   std::size_t replicas = 0;
   double distance_sum_km = 0.0;
+};
+
+/// The audit of one slot's plan (SimulationConfig::audit_level).
+struct SlotVerdict {
+  /// plan_digest() of the plan: equal plans give equal digests on every
+  /// platform and thread count.
+  std::uint64_t digest = 0;
+  /// Every contract the plan breaks; ok() when it is clean.
+  AuditReport audit;
 };
 
 class SimulationReport {
@@ -95,7 +94,7 @@ class SimulationReport {
   void add_slot(SlotMetrics metrics,
                 std::vector<std::uint32_t> hotspot_loads = {},
                 StageTimings timings = {},
-                std::optional<std::uint64_t> digest = std::nullopt);
+                std::optional<SlotVerdict> verdict = std::nullopt);
 
   [[nodiscard]] std::size_t total_requests() const noexcept { return requests_; }
   [[nodiscard]] std::size_t served_by_hotspots() const noexcept {
@@ -129,13 +128,12 @@ class SimulationReport {
   }
   /// Sum of the per-slot stage timings.
   [[nodiscard]] StageTimings total_stage_timings() const noexcept;
-  /// Per-slot FNV digest of (assignment, placements), parallel to slots().
-  /// Empty unless SimulationConfig::audit_level != kOff. Deterministic
-  /// across runs and thread counts, so two runs of the same scheme can be
-  /// cross-checked slot by slot without retaining the plans themselves.
-  [[nodiscard]] const std::vector<std::uint64_t>& slot_digests()
-      const noexcept {
-    return slot_digests_;
+  /// One verdict per slot, parallel to slots(); empty unless
+  /// SimulationConfig::audit_level != kOff. Deterministic across runs and
+  /// thread counts, so two runs of the same scheme can be cross-checked
+  /// slot by slot without retaining the plans themselves.
+  [[nodiscard]] const std::vector<SlotVerdict>& verdicts() const noexcept {
+    return verdicts_;
   }
 
  private:
@@ -148,7 +146,7 @@ class SimulationReport {
   std::vector<SlotMetrics> slots_;
   std::vector<std::vector<std::uint32_t>> hotspot_loads_;
   std::vector<StageTimings> stage_timings_;
-  std::vector<std::uint64_t> slot_digests_;
+  std::vector<SlotVerdict> verdicts_;
 };
 
 /// Admit one slot's plan against the physical constraints (placement must
@@ -182,15 +180,15 @@ class Simulator {
   [[nodiscard]] SimulationReport run(RedirectionScheme& scheme,
                                      std::span<const Request> requests) const;
 
-  /// Run a scheme over a slot stream in bounded memory: at most
-  /// config().max_inflight_slots batches are ever resident. Churn masks
-  /// are drawn in slot order as batches are pulled and placement deltas
-  /// are charged in the ordered reduction, so the report and per-slot
-  /// digests are bit-identical to the in-memory run on the equivalent
-  /// materialized trace, at any thread count and window size. Schemes
-  /// without clone() are planned sequentially on the pulling thread
-  /// (still bounded: one batch resident). A request whose video is outside
-  /// the catalog throws ParseError (see require_catalog_videos).
+  /// Run a scheme over a slot stream in bounded memory: at most twice
+  /// config().num_threads batches are ever resident. Churn masks are drawn
+  /// in slot order as batches are pulled and placement deltas are charged
+  /// in the ordered reduction, so the report and its verdicts are
+  /// bit-identical to the in-memory run on the equivalent materialized
+  /// trace, at any thread count. Schemes without clone() are planned
+  /// sequentially on the pulling thread (still bounded: one batch
+  /// resident). A request whose video is outside the catalog throws
+  /// ParseError (see require_catalog_videos).
   [[nodiscard]] SimulationReport run(RedirectionScheme& scheme,
                                      SlotSource& source) const;
 

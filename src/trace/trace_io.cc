@@ -64,14 +64,25 @@ double parse_coordinate(std::string_view field, const char* what,
 
 // --- TraceWriter -----------------------------------------------------------
 
-TraceWriter::TraceWriter(std::ostream& out) : out_(&out), writer_(*out_) {
-  writer_.row(kHeader[0], kHeader[1], kHeader[2], kHeader[3], kHeader[4]);
+TraceWriter::TraceWriter(std::ostream& out)
+    : out_(&out), writer_(*out_), name_("trace stream") {
+  write_header();
 }
 
 TraceWriter::TraceWriter(const std::string& path)
-    : owned_(path), out_(&owned_), writer_(*out_) {
+    : owned_(path), out_(&owned_), writer_(*out_), name_(path) {
   if (!owned_) throw ParseError("cannot open for writing: " + path);
+  write_header();
+}
+
+void TraceWriter::write_header() {
   writer_.row(kHeader[0], kHeader[1], kHeader[2], kHeader[3], kHeader[4]);
+  flush();
+}
+
+void TraceWriter::flush() {
+  out_->flush();
+  if (!*out_) throw ParseError("cannot write: " + name_);
 }
 
 void TraceWriter::append(std::span<const Request> batch) {
@@ -82,7 +93,7 @@ void TraceWriter::append(std::span<const Request> batch) {
   rows_ += batch.size();
   // One flush per batch: the caller controls durability granularity and
   // nothing accumulates in user-space buffers between batches.
-  out_->flush();
+  flush();
 }
 
 void write_trace_csv(std::ostream& out, const std::vector<Request>& requests) {

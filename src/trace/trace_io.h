@@ -31,7 +31,7 @@
 namespace ccdn {
 
 /// Write `requests` as CSV with a header row. A path that cannot be
-/// opened for writing throws ParseError.
+/// opened for writing, and a write that fails, throw ParseError.
 void write_trace_csv(std::ostream& out, const std::vector<Request>& requests);
 void write_trace_csv(const std::string& path,
                      const std::vector<Request>& requests);
@@ -117,9 +117,11 @@ class TraceReader {
   std::size_t rows_ = 0;
 };
 
-/// Incremental trace writer: emits the header on construction, then writes
-/// and flushes one batch per append() call, so peak memory is O(batch)
-/// regardless of trace length. The stream variant borrows `out`.
+/// Incremental trace writer: emits and flushes the header on construction,
+/// then writes and flushes one batch per append() call, so peak memory is
+/// O(batch) regardless of trace length. The stream variant borrows `out`.
+/// A stream that has failed after a flush (a full disk) throws ParseError
+/// naming the path, so a trace is never reported written when it is not.
 class TraceWriter {
  public:
   explicit TraceWriter(std::ostream& out);
@@ -131,9 +133,13 @@ class TraceWriter {
   [[nodiscard]] std::size_t rows_written() const noexcept { return rows_; }
 
  private:
+  void write_header();
+  void flush();
+
   std::ofstream owned_;
   std::ostream* out_;
   CsvWriter writer_;
+  std::string name_;  // the path, for errors
   std::size_t rows_ = 0;
 };
 

@@ -6,12 +6,13 @@
 // tests can assert exactly which invariant broke and production call sites
 // can escalate the whole report at once via require_clean().
 //
-// The audit *functions* are ordinary code, available in every build
-// (run_audited, behind `ccdn-trace audit`, replays traces through them
-// even in release binaries).
-// The in-pipeline *call sites* (schemes, θ step, simulator) are gated on
+// The audit *functions* are ordinary code, available in every build. The
+// simulator calls the plan audits in every build whenever its AuditLevel
+// is on, and records each slot's result as a SlotVerdict instead of
+// throwing (`ccdn-trace audit` prints them, even from release binaries).
+// The call sites inside the schemes and the θ step are gated on their
 // AuditLevel and compiled out under NDEBUG through kCheckedBuild, so a
-// release build pays nothing — see DESIGN.md §3.8.
+// release build pays nothing there — see DESIGN.md §3.8.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +29,8 @@ enum class AuditLevel : std::uint8_t {
   /// No auditing (production default; zero overhead).
   kOff = 0,
   /// Audit each slot's finished plan (assignment totality, cache and
-  /// capacity feasibility, replication budget) and record its digest.
+  /// capacity feasibility, replication budget); the simulator records a
+  /// digested verdict per slot.
   kPlan = 1,
   /// kPlan plus flow-level audits on every committed network: conservation,
   /// capacity bounds, and residual reduced-cost validity at each θ-sweep

@@ -426,11 +426,11 @@ class CountReroutes final : public RedirectionScheme {
 };
 
 /// FNV-1a over a run's per-slot plan digests.
-std::uint64_t fold_digests(const std::vector<std::uint64_t>& digests) {
+std::uint64_t fold_digests(const std::vector<SlotVerdict>& verdicts) {
   std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint64_t digest : digests) {
+  for (const SlotVerdict& verdict : verdicts) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (digest >> (8 * byte)) & 0xffU;
+      hash ^= (verdict.digest >> (8 * byte)) & 0xffU;
       hash *= 1099511628211ULL;
     }
   }
@@ -498,12 +498,12 @@ TEST(Rbcaer, PlansMatchPinnedDigests) {
       return run_predictive(world.hotspots(), catalog, counted, forecaster,
                             trace, predictive_config);
     }();
-    ASSERT_EQ(report.slot_digests().size(), 12u);
+    ASSERT_EQ(report.verdicts().size(), 12u);
     EXPECT_GT(counted.rerouted, 0u);
     EXPECT_EQ(counted.rerouted, c.rerouted)
         << "cache " << c.cache_share << ", aggregation " << c.aggregation
         << ", predictive " << c.predictive;
-    EXPECT_EQ(fold_digests(report.slot_digests()), c.digest)
+    EXPECT_EQ(fold_digests(report.verdicts()), c.digest)
         << "cache " << c.cache_share << ", aggregation " << c.aggregation
         << ", predictive " << c.predictive;
   }

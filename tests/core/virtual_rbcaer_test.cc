@@ -223,11 +223,11 @@ TEST(VirtualRbcaer, EndToEndComparableToFlatOnEvaluationWorld) {
 }
 
 /// FNV-1a over a run's per-slot plan digests.
-std::uint64_t fold_digests(const std::vector<std::uint64_t>& digests) {
+std::uint64_t fold_digests(const std::vector<SlotVerdict>& verdicts) {
   std::uint64_t hash = 14695981039346656037ULL;
-  for (const std::uint64_t digest : digests) {
+  for (const SlotVerdict& verdict : verdicts) {
     for (int byte = 0; byte < 8; ++byte) {
-      hash ^= (digest >> (8 * byte)) & 0xffU;
+      hash ^= (verdict.digest >> (8 * byte)) & 0xffU;
       hash *= 1099511628211ULL;
     }
   }
@@ -282,8 +282,8 @@ TEST(VirtualRbcaer, PlansMatchPinnedDigests) {
     config.regional.num_shards = c.shards;
     VirtualRbcaerScheme scheme(config);
     const SimulationReport report = simulator.run(scheme, trace);
-    ASSERT_EQ(report.slot_digests().size(), 12u);
-    EXPECT_EQ(fold_digests(report.slot_digests()), c.digest)
+    ASSERT_EQ(report.verdicts().size(), 12u);
+    EXPECT_EQ(fold_digests(report.verdicts()), c.digest)
         << "cache " << c.cache_share << ", aggregation " << c.aggregation
         << ", shards " << c.shards;
   }

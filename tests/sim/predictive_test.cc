@@ -142,7 +142,7 @@ TEST(Predictive, ForecastPlansPassTheSchemesOwnAudit) {
 }
 
 TEST(Predictive, RunsThroughTheSimulator) {
-  // The whole SimulationConfig applies: kPlan records one digest per slot,
+  // The whole SimulationConfig applies: kPlan records one verdict per slot,
   // and while the predictor warms up the plans are the simulator's own.
   Scenario scenario;
   PredictiveConfig config;
@@ -156,13 +156,17 @@ TEST(Predictive, RunsThroughTheSimulator) {
   const auto predicted =
       run_predictive(scenario.world.hotspots(), catalog, predictive_scheme,
                      naive, scenario.trace, config);
-  ASSERT_EQ(predicted.slot_digests().size(), predicted.slots().size());
+  ASSERT_EQ(predicted.verdicts().size(), predicted.slots().size());
   EXPECT_EQ(predicted.slots().size(), 48u);
   RbcaerScheme oracle_scheme;
   const Simulator simulator(scenario.world.hotspots(), catalog,
                             config.simulation);
-  EXPECT_EQ(predicted.slot_digests(),
-            simulator.run(oracle_scheme, scenario.trace).slot_digests());
+  const SimulationReport oracle = simulator.run(oracle_scheme, scenario.trace);
+  ASSERT_EQ(oracle.verdicts().size(), predicted.verdicts().size());
+  for (std::size_t s = 0; s < oracle.verdicts().size(); ++s) {
+    EXPECT_EQ(predicted.verdicts()[s].digest, oracle.verdicts()[s].digest)
+        << "slot " << s;
+  }
 
   // Out-of-catalog videos are rejected as in Simulator::run.
   std::vector<Request> bad(scenario.trace.begin(),

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+
 #include "core/nearest_scheme.h"
 #include "util/error.h"
 
@@ -172,19 +175,6 @@ TEST(Simulator, PlacementDeltasChargedOnChange) {
   EXPECT_EQ(report.slots()[2].replicas, 0u);  // unchanged cache
 }
 
-TEST(Simulator, DeltaChargingCanBeDisabled) {
-  const auto hotspots = two_hotspots(10);
-  SimulationConfig config;
-  config.slot_seconds = 3600;
-  config.charge_placement_deltas = false;
-  Simulator simulator(hotspots, VideoCatalog{10}, config);
-  std::vector<Request> requests{request_at({40.05, 116.46}, 1, 0),
-                                request_at({40.05, 116.46}, 1, 3700)};
-  ScriptedScheme scheme({{1}, {}}, {0, 0});
-  const auto report = simulator.run(scheme, requests);
-  EXPECT_EQ(report.total_replicas(), 2u);  // recharged per slot
-}
-
 TEST(Simulator, OfflineHotspotRejectsEverything) {
   const auto hotspots = two_hotspots(10);
   const std::vector<Request> requests{request_at({40.05, 116.46}, 1)};
@@ -329,6 +319,132 @@ TEST(SimulationReport, EmptyTraceSafeMetrics) {
   EXPECT_DOUBLE_EQ(report.serving_ratio(), 0.0);
   EXPECT_DOUBLE_EQ(report.average_distance_km(), 0.0);
   EXPECT_DOUBLE_EQ(report.cdn_server_load(), 0.0);
+}
+
+/// Places video 1 at hotspot 1 only and sends every request there. The
+/// requests sit next to hotspot 0, so each one is a redirect, and two a
+/// slot overrun hotspot 1's service capacity of 1. Whether the scheme
+/// claims capacity feasibility is a constructor argument; clones share the
+/// counters, so a test can tell whether the lanes' clones planned.
+class OverRedirectingScheme final : public RedirectionScheme {
+ public:
+  struct Counts {
+    std::atomic<std::size_t> by_original{0};
+    std::atomic<std::size_t> by_clones{0};
+  };
+
+  OverRedirectingScheme(bool claims_capacity, Counts& counts,
+                        bool is_clone = false)
+      : claims_capacity_(claims_capacity),
+        counts_(counts),
+        is_clone_(is_clone) {}
+
+  [[nodiscard]] std::string name() const override { return "OverRedirecting"; }
+
+  [[nodiscard]] SlotPlan plan_slot(const SchemeContext&,
+                                   std::span<const Request> requests,
+                                   const SlotDemand&) override {
+    ++(is_clone_ ? counts_.by_clones : counts_.by_original);
+    SlotPlan plan;
+    plan.placements = {{}, {1}};
+    plan.assignment.assign(requests.size(), 1);
+    return plan;
+  }
+
+  [[nodiscard]] SchemePtr clone() const override {
+    return std::make_unique<OverRedirectingScheme>(claims_capacity_, counts_,
+                                                   /*is_clone=*/true);
+  }
+
+  [[nodiscard]] bool plans_within_capacity() const override {
+    return claims_capacity_;
+  }
+
+ private:
+  bool claims_capacity_;
+  Counts& counts_;
+  bool is_clone_;
+};
+
+/// Two requests for video 1 next to hotspot 0 in each of eight hourly
+/// slots, planned by OverRedirectingScheme with the simulator's audit on.
+SimulationReport run_over_redirecting(bool claims_capacity,
+                                      std::size_t threads,
+                                      OverRedirectingScheme::Counts& counts) {
+  SimulationConfig config;
+  config.slot_seconds = 3600;
+  config.num_threads = threads;
+  config.audit_level = AuditLevel::kPlan;
+  const Simulator simulator(two_hotspots(1), VideoCatalog{10}, config);
+  std::vector<Request> requests;
+  for (std::int64_t slot = 0; slot < 8; ++slot) {
+    for (int i = 0; i < 2; ++i) {
+      requests.push_back(request_at({40.05, 116.46}, 1, slot * 3600 + i));
+    }
+  }
+  OverRedirectingScheme scheme(claims_capacity, counts);
+  return simulator.run(scheme, requests);
+}
+
+TEST(SimulatorVerdict, CapacityClaimFailsAnOverRedirectedReceiver) {
+  // The verdict records the broken s_h instead of throwing, and admission
+  // still runs: one request a slot is served, one rejected for capacity.
+  // At 4 threads the lanes' clones plan every slot, with the same verdicts.
+  OverRedirectingScheme::Counts sequential_counts;
+  const SimulationReport sequential =
+      run_over_redirecting(true, 1, sequential_counts);
+  EXPECT_EQ(sequential_counts.by_original.load(), 8u);
+  EXPECT_EQ(sequential_counts.by_clones.load(), 0u);
+  OverRedirectingScheme::Counts parallel_counts;
+  const SimulationReport parallel =
+      run_over_redirecting(true, 4, parallel_counts);
+  EXPECT_EQ(parallel_counts.by_original.load(), 0u);
+  EXPECT_EQ(parallel_counts.by_clones.load(), 8u);
+
+  for (const SimulationReport* report : {&sequential, &parallel}) {
+    ASSERT_EQ(report->verdicts().size(), 8u);
+    EXPECT_EQ(report->served_by_hotspots(), 8u);
+    for (std::size_t s = 0; s < 8; ++s) {
+      const AuditReport& audit = report->verdicts()[s].audit;
+      EXPECT_EQ(report->slots()[s].rejected_capacity, 1u) << "slot " << s;
+      ASSERT_EQ(audit.violations().size(), 1u) << audit.summary();
+      EXPECT_TRUE(audit.has("service-capacity")) << audit.summary();
+    }
+  }
+  for (std::size_t s = 0; s < 8; ++s) {
+    EXPECT_EQ(sequential.verdicts()[s].digest, parallel.verdicts()[s].digest)
+        << "slot " << s;
+    EXPECT_EQ(sequential.verdicts()[s].audit.summary(),
+              parallel.verdicts()[s].audit.summary())
+        << "slot " << s;
+  }
+}
+
+TEST(SimulatorVerdict, SchemeWithoutCapacityClaimGetsACleanVerdict) {
+  // The same plans from a scheme that makes no capacity claim (a baseline
+  // leaves the excess to admission) pass the tiers every scheme owes.
+  OverRedirectingScheme::Counts claimed_counts;
+  const SimulationReport claimed =
+      run_over_redirecting(true, 1, claimed_counts);
+  for (const std::size_t threads : {1u, 4u}) {
+    OverRedirectingScheme::Counts counts;
+    const SimulationReport report =
+        run_over_redirecting(false, threads, counts);
+    ASSERT_EQ(report.verdicts().size(), 8u);
+    for (std::size_t s = 0; s < 8; ++s) {
+      const SlotVerdict& verdict = report.verdicts()[s];
+      EXPECT_TRUE(verdict.audit.ok()) << verdict.audit.summary();
+      EXPECT_EQ(verdict.digest, claimed.verdicts()[s].digest) << "slot " << s;
+    }
+  }
+}
+
+TEST(SimulatorVerdict, NoVerdictsWithTheAuditOff) {
+  const auto hotspots = two_hotspots(10);
+  Simulator simulator(hotspots, VideoCatalog{10});
+  const std::vector<Request> requests{request_at({40.05, 116.46}, 1)};
+  ScriptedScheme scheme({{1}, {}}, {0});
+  EXPECT_TRUE(simulator.run(scheme, requests).verdicts().empty());
 }
 
 }  // namespace

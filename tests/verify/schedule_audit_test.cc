@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/nearest_scheme.h"
 #include "core/rbcaer_scheme.h"
 #include "core/replication.h"
 #include "core/virtual_rbcaer_scheme.h"
@@ -248,8 +249,9 @@ TEST(ReplicationAuditTest, RedirectContractViolationsAreNamed) {
 
 TEST(ScheduleAuditTest, AuditedRbcaerRunIsCleanAndDigested) {
   // End-to-end: RBCAer at kFull + the simulator's own audit produce a clean
-  // run and one digest per slot. In NDEBUG builds the audit hooks compile
-  // out but the digests must still be recorded.
+  // run and one digested verdict per slot. In NDEBUG builds the schemes'
+  // audit hooks compile out, but the simulator's verdicts, service
+  // capacity included, are recorded in every build.
   WorldConfig world_config = WorldConfig::evaluation_region();
   world_config.num_hotspots = 40;
   world_config.num_videos = 800;
@@ -271,9 +273,10 @@ TEST(ScheduleAuditTest, AuditedRbcaerRunIsCleanAndDigested) {
   RbcaerScheme scheme(scheme_config);
   const SimulationReport report = simulator.run(scheme, trace);
 
-  ASSERT_EQ(report.slot_digests().size(), report.slots().size());
-  for (const std::uint64_t digest : report.slot_digests()) {
-    EXPECT_NE(digest, 0u);
+  ASSERT_EQ(report.verdicts().size(), report.slots().size());
+  for (const SlotVerdict& verdict : report.verdicts()) {
+    EXPECT_NE(verdict.digest, 0u);
+    EXPECT_TRUE(verdict.audit.ok()) << verdict.audit.summary();
   }
 }
 
@@ -304,7 +307,11 @@ TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
                             VideoCatalog{world_config.num_videos}, sim_config);
   const auto expect_clean_run = [&](RedirectionScheme& scheme) {
     const SimulationReport report = simulator.run(scheme, trace);
-    EXPECT_EQ(report.slot_digests().size(), report.slots().size());
+    ASSERT_EQ(report.verdicts().size(), report.slots().size());
+    for (const SlotVerdict& verdict : report.verdicts()) {
+      EXPECT_TRUE(verdict.audit.ok()) << scheme.name() << ": "
+                                      << verdict.audit.summary();
+    }
     EXPECT_GT(report.served_by_hotspots(), 0u) << scheme.name();
   };
   for (const std::size_t shards : {0, 2, 4}) {
@@ -330,37 +337,60 @@ TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
 }
 
 TEST(ScheduleAuditTest, SlotDigestsIdenticalAcrossThreadCounts) {
-  // The digest turns thread-determinism into a one-line cross-check: the
-  // parallel pipeline must produce bit-identical plans slot by slot.
+  // The verdicts turn thread-determinism into a slot-by-slot cross-check:
+  // at 4 threads the lanes plan on scheme clones, and every slot's digest
+  // and audit (service capacity included, which RBCAer claims) must match
+  // the sequential run's, unsharded and at 4 shards. At 0.5% capacity the
+  // hotspots overload, so the plans redirect and the capacity audit has
+  // something to check.
   WorldConfig world_config = WorldConfig::evaluation_region();
   world_config.num_hotspots = 40;
   world_config.num_videos = 800;
   world_config.num_users = 3000;
   World world = generate_world(world_config);
-  assign_uniform_capacities(world, 0.05, 0.03);
+  assign_uniform_capacities(world, 0.005, 0.03);
   TraceConfig trace_config;
   trace_config.num_requests = 4000;
   trace_config.duration_hours = 8;
   const auto trace = generate_trace(world, trace_config);
 
-  const auto run_with = [&](std::size_t threads) {
+  const auto run_with = [&](RedirectionScheme& scheme, std::size_t threads,
+                            std::size_t shards) {
     SimulationConfig sim_config;
     sim_config.slot_seconds = 3600;
     sim_config.num_threads = threads;
+    sim_config.num_shards = shards;
     sim_config.audit_level = AuditLevel::kPlan;
     Simulator simulator(world.hotspots(),
                         VideoCatalog{world_config.num_videos}, sim_config);
-    RbcaerScheme scheme;
     return simulator.run(scheme, trace);
   };
 
-  const SimulationReport sequential = run_with(1);
-  const SimulationReport parallel = run_with(4);
-  ASSERT_FALSE(sequential.slot_digests().empty());
-  ASSERT_EQ(sequential.slot_digests().size(), parallel.slot_digests().size());
-  for (std::size_t s = 0; s < sequential.slot_digests().size(); ++s) {
-    EXPECT_EQ(sequential.slot_digests()[s], parallel.slot_digests()[s])
-        << "slot " << s;
+  NearestScheme nearest;
+  const SimulationReport nearest_run = run_with(nearest, 1, 0);
+  for (const std::size_t shards : {0u, 4u}) {
+    RbcaerScheme sequential_scheme;
+    RbcaerScheme parallel_scheme;
+    const SimulationReport sequential = run_with(sequential_scheme, 1, shards);
+    const SimulationReport parallel = run_with(parallel_scheme, 4, shards);
+    const auto& expected = sequential.verdicts();
+    const auto& got = parallel.verdicts();
+    ASSERT_FALSE(expected.empty());
+    ASSERT_EQ(expected.size(), got.size());
+    std::size_t like_nearest = 0;
+    for (std::size_t s = 0; s < expected.size(); ++s) {
+      if (expected[s].digest == nearest_run.verdicts()[s].digest) {
+        ++like_nearest;
+      }
+      EXPECT_EQ(expected[s].digest, got[s].digest)
+          << "shards " << shards << ", slot " << s;
+      EXPECT_EQ(expected[s].audit.summary(), got[s].audit.summary())
+          << "shards " << shards << ", slot " << s;
+      EXPECT_TRUE(expected[s].audit.ok())
+          << "shards " << shards << ", slot " << s << ": "
+          << expected[s].audit.summary();
+    }
+    EXPECT_EQ(like_nearest, 0u) << "shards " << shards;
   }
 }
 

@@ -15,17 +15,17 @@
 //   ccdn_trace simulate --in=trace.csv --scheme=rbcaer|nearest|random|virtual
 //                       [--capacity=0.05] [--cache=0.03] [--hotspots=310]
 //                       [--videos=15190] [--seed=42] [--slot_seconds=86400]
-//                       [--shards=0] [--threads=1] [--window=0]
+//                       [--shards=0] [--threads=1]
 //       Run one scheme over the trace and print the four paper metrics.
-//       --threads/--window size the pipelined executor (window 0 = 2x
-//       threads); --shards=N plans in N geo zones (0 = unsharded).
+//       --threads sizes the pipelined executor (0 = one per hardware
+//       thread); --shards=N plans in N geo zones (0 = unsharded).
 //
-//   ccdn_trace audit --in=trace.csv [simulate's flags but --threads and
-//                    --window] [--quiet]
-//       Replay the trace with every slot plan audited (run_audited,
-//       DESIGN.md §3.8); print one verdict line per slot (--quiet: only
-//       the failing ones), the totals and the peak RSS; exit 1 on any
-//       violation.
+//   ccdn_trace audit --in=trace.csv [simulate's flags but --threads]
+//                    [--quiet]
+//       Replay the trace with every slot plan audited (the simulator's
+//       per-slot verdicts, DESIGN.md §3.8); print one verdict line per
+//       slot (--quiet: only the failing ones), the totals and the peak
+//       RSS; exit 1 on any violation.
 //
 // simulate and audit stream the CSV slot by slot; rows must be sorted by
 // timestamp. The world is regenerated from the same --seed/--hotspots/
@@ -45,7 +45,6 @@
 #include "cli.h"
 
 #include "model/trace_stats.h"
-#include "sim/audited.h"
 #include "sim/measurement.h"
 #include "sim/simulator.h"
 #include "stats/empirical_cdf.h"
@@ -75,18 +74,19 @@ World world_from_flags(const Flags& flags) {
 }
 
 /// What simulate and audit both read: the trace, the world with its
-/// capacities, the scheme, and the slot length and shard count.
+/// capacities, the scheme, and the slot length, shard count and audit
+/// level.
 struct RunFlags {
   std::string in;
   World world;
-  std::string scheme_name;
   SchemePtr scheme;
   SimulationConfig config;
 };
 
 /// Reads --in, the world flags, --capacity, --cache, --scheme,
-/// --slot_seconds and --shards. A missing --in, an unknown scheme and a
-/// value outside its range throw FlagError.
+/// --slot_seconds and --shards; the scheme and the simulator audit at
+/// `audit_level`. A missing --in, an unknown scheme and a value outside its
+/// range throw FlagError.
 RunFlags read_run_flags(const Flags& flags, AuditLevel audit_level) {
   std::string in = flags.get_string("in", "");
   if (in.empty()) throw FlagError("--in=<path> is required");
@@ -94,7 +94,7 @@ RunFlags read_run_flags(const Flags& flags, AuditLevel audit_level) {
   assign_uniform_capacities(
       world, flags.get_double_in("capacity", 0.05, 0.0, kMaxCapacityShare),
       flags.get_double_in("cache", 0.03, 0.0, kMaxCacheShare));
-  std::string scheme_name = flags.get_string("scheme", "rbcaer");
+  const std::string scheme_name = flags.get_string("scheme", "rbcaer");
   SchemePtr scheme = scheme_by_name(scheme_name, audit_level);
   if (!scheme) {
     throw FlagError("unknown --scheme '" + scheme_name +
@@ -105,8 +105,8 @@ RunFlags read_run_flags(const Flags& flags, AuditLevel audit_level) {
       flags.get_int_in("slot_seconds", 24 * 3600, 1, kMaxSlotSeconds);
   config.num_shards = static_cast<std::size_t>(
       flags.get_int_in("shards", 0, 0, kMaxShards));
-  return {std::move(in), std::move(world), std::move(scheme_name),
-          std::move(scheme), config};
+  config.audit_level = audit_level;
+  return {std::move(in), std::move(world), std::move(scheme), config};
 }
 
 /// Call once every flag the subcommand uses has been read: a flag nobody
@@ -194,8 +194,6 @@ int cmd_simulate(const Flags& flags) {
   RunFlags run = read_run_flags(flags, AuditLevel::kOff);
   run.config.num_threads = static_cast<std::size_t>(
       flags.get_int_in("threads", 1, 0, kMaxThreads));
-  run.config.max_inflight_slots = static_cast<std::size_t>(
-      flags.get_int_in("window", 0, 0, kMaxWindow));
   if (reject_unused("simulate", flags)) return 2;
   const Simulator simulator(run.world.hotspots(),
                             VideoCatalog{run.world.config().num_videos},
@@ -215,10 +213,6 @@ int cmd_audit(const Flags& flags) {
   RunFlags run = read_run_flags(flags, AuditLevel::kFull);
   const bool quiet = flags.get_bool("quiet", false);
   if (reject_unused("audit", flags)) return 2;
-  // The RBCAer family plans within the service capacities; the baselines
-  // over-assign by design and leave the excess to admission.
-  const bool capacity_tier =
-      run.scheme_name == "rbcaer" || run.scheme_name == "virtual";
   const Simulator simulator(run.world.hotspots(),
                             VideoCatalog{run.world.config().num_videos},
                             run.config);
@@ -227,26 +221,24 @@ int cmd_audit(const Flags& flags) {
               run.scheme->name().c_str(),
               kCheckedBuild ? "checked" : "release",
               run.world.hotspots().size());
-  const AuditedRun audited =
-      run_audited(simulator, *run.scheme, source, capacity_tier);
+  const SimulationReport report = simulator.run(*run.scheme, source);
   std::size_t violations = 0;
-  for (std::size_t slot = 0; slot < audited.verdicts.size(); ++slot) {
-    const SlotVerdict& verdict = audited.verdicts[slot];
+  for (std::size_t slot = 0; slot < report.verdicts().size(); ++slot) {
+    const SlotVerdict& verdict = report.verdicts()[slot];
     violations += verdict.audit.violations().size();
     if (!verdict.audit.ok()) {
       std::printf("audit: slot %zu: FAIL %s\n", slot,
                   verdict.audit.summary().c_str());
     } else if (!quiet) {
       std::printf("audit: slot %zu: ok (%zu requests, digest %016llx)\n",
-                  slot, verdict.requests,
+                  slot, report.slots()[slot].requests,
                   static_cast<unsigned long long>(verdict.digest));
     }
   }
   std::printf("audit: %zu violation(s) across %zu slot(s); %zu/%zu requests "
               "served by hotspots\n",
-              violations, audited.verdicts.size(),
-              audited.report.served_by_hotspots(),
-              audited.report.total_requests());
+              violations, report.verdicts().size(),
+              report.served_by_hotspots(), report.total_requests());
   std::printf("audit: peak_rss_mb=%.1f\n", peak_rss_mb());
   return violations == 0 ? 0 : 1;
 }

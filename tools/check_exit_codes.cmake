@@ -52,6 +52,14 @@ expect_exit(2 "stats: trace is empty" stats --in=${header_only})
 expect_exit(2 "generate: cannot open for writing"
             generate --out=${WORK_DIR}/exit_code_no_such_dir/trace.csv
             --requests=10)
+# /dev/full opens but fails every write: both writers must report it
+# instead of "wrote".
+if(EXISTS /dev/full)
+  foreach(mode IN ITEMS --stream --stream=false)
+    expect_exit(2 "generate: cannot write: /dev/full"
+                generate --out=/dev/full --requests=2000 --hours=2 ${mode})
+  endforeach()
+endif()
 
 # Slot arithmetic near the int64 limits: a lone row at 9223372036854775800
 # is one slot (forming its slot's end used to overflow, and simulate spun),

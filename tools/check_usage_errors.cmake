@@ -33,7 +33,7 @@ endfunction()
 foreach(bad IN ITEMS capacity=0 capacity=-0.5 capacity=nan cache=0 cache=2
                      slot_seconds=0 videos=0 videos=1 hotspots=0
                      hotspots=-1 hotspots=abc threads=-1 threads=1025
-                     window=-1 window=65537 shards=-1 shards=1000001)
+                     shards=-1 shards=1000001)
   string(REGEX REPLACE "=.*" "" flag "${bad}")
   expect_usage_error(${flag} ${CCDN_TRACE} simulate --in=${missing} --${bad})
 endforeach()

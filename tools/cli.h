@@ -26,11 +26,10 @@ inline constexpr std::int64_t kMaxSlotSeconds = 2'147'483'647;
 inline constexpr double kMaxCapacityShare = 1000.0;
 inline constexpr double kMaxCacheShare = 1.0;
 /// Run sizes: --threads starts that many workers (0 = one per hardware
-/// thread), --window keeps that many slot batches and scheme clones
-/// resident (0 = twice the threads), and --shards cuts the hotspots into
-/// that many zones (0 = unsharded; more zones than hotspots clamp).
+/// thread) and keeps twice as many slot batches and scheme clones
+/// resident, and --shards cuts the hotspots into that many zones (0 =
+/// unsharded; more zones than hotspots clamp).
 inline constexpr std::int64_t kMaxThreads = 1024;
-inline constexpr std::int64_t kMaxWindow = 65'536;
 inline constexpr std::int64_t kMaxShards = 1'000'000;
 
 /// The scheme --scheme=`name` selects (rbcaer|nearest|random|virtual), or

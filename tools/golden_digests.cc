@@ -7,8 +7,9 @@
 //
 //   golden_digests --check=bench/golden/digests_small.json
 //       Recompute and compare against the golden file. Any per-slot digest
-//       drift, missing scheme, or slot-count mismatch is reported and the
-//       tool exits 1 — this is the ctest/CI gate.
+//       drift, missing scheme, slot-count mismatch, or slot whose plan
+//       fails its audit is reported and the tool exits 1 — this is the
+//       ctest/CI gate.
 //
 //   golden_digests --check=... --perturb=<scheme>
 //       Flip one bit of one freshly computed digest before comparing, to
@@ -21,13 +22,17 @@
 // file cannot drift away from what the tool recomputes: a 40-hotspot /
 // 1500-video world at seed 7, uniform 5%/3% capacities, a 30000-request
 // 24 h trace at seed 7, hourly slots. Digests are the FNV-1a plan digests
-// the simulator records whenever audit_level != kOff, so this harness
-// pins the exact (assignment, placements) decisions of every pinned scheme
-// variant — any change to the solver pipeline that alters a single slot's
-// plan shows up as a named scheme/slot mismatch.
+// of the simulator's per-slot verdicts (audit_level != kOff), so this
+// harness pins the exact (assignment, placements) decisions of every
+// pinned scheme variant — any change to the solver pipeline that alters a
+// single slot's plan shows up as a named scheme/slot mismatch. The same
+// verdicts audit every plan, in release builds too: the assignment and
+// placement shape for every scheme, and service capacity for the RBCAer
+// family; a violation counts as a mismatch, naming the scheme, slot and
+// invariant.
 //
-// Exit status: 0 clean, 1 drift detected, 2 usage/IO errors (an unknown
-// flag included).
+// Exit status: 0 clean, 1 drift or a violation detected, 2 usage/IO
+// errors (an unknown flag and an unwritable --regenerate path included).
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -87,12 +92,12 @@ const VariantCheck kVariantChecks[] = {
     {"virtual", "nearest", "planner workload guard", true},
 };
 
-std::vector<std::uint64_t> compute_digests(const std::string& scheme_name,
-                                           const World& world,
-                                           std::span<const Request> trace) {
+std::vector<SlotVerdict> compute_verdicts(const std::string& scheme_name,
+                                          const World& world,
+                                          std::span<const Request> trace) {
   SimulationConfig config;
   config.slot_seconds = kSlotSeconds;
-  config.audit_level = AuditLevel::kPlan;  // record per-slot digests
+  config.audit_level = AuditLevel::kPlan;  // one verdict per slot
   // "<scheme>-shard<N>" plans in N geo zones.
   std::string base = scheme_name;
   const std::size_t shard_pos = base.rfind("-shard");
@@ -102,8 +107,7 @@ std::vector<std::uint64_t> compute_digests(const std::string& scheme_name,
   }
   SchemePtr scheme = cli::scheme_by_name(base, AuditLevel::kOff);
   const Simulator simulator(world.hotspots(), VideoCatalog{kVideos}, config);
-  const SimulationReport report = simulator.run(*scheme, trace);
-  return report.slot_digests();
+  return simulator.run(*scheme, trace).verdicts();
 }
 
 std::string format_hex(std::uint64_t value) {
@@ -148,6 +152,10 @@ void write_golden(const std::string& path,
   }
   out << "  }\n";
   out << "}\n";
+  out.flush();
+  if (!out) {
+    throw std::runtime_error("cannot write: " + path);
+  }
 }
 
 /// Extract the digest array recorded for `scheme` in the golden file text:
@@ -214,14 +222,27 @@ int main(int argc, char** argv) {
 
   try {
     // Memoized digest computation, so variant contracts can pull in base
-    // schemes a filter excluded without recomputing anything twice.
+    // schemes a filter excluded without recomputing anything twice. Each
+    // computed scheme's failing verdicts are reported once, as it runs.
     std::vector<std::pair<std::string, std::vector<std::uint64_t>>> computed;
+    std::size_t violations = 0;
     const auto digests_of =
         [&](const std::string& name) -> std::vector<std::uint64_t> {
       for (const auto& entry : computed) {
         if (entry.first == name) return entry.second;
       }
-      computed.emplace_back(name, compute_digests(name, world, trace));
+      std::vector<std::uint64_t> digests;
+      const std::vector<SlotVerdict> verdicts =
+          compute_verdicts(name, world, trace);
+      for (std::size_t s = 0; s < verdicts.size(); ++s) {
+        digests.push_back(verdicts[s].digest);
+        if (!verdicts[s].audit.ok()) {
+          std::fprintf(stderr, "golden_digests: %s slot %zu: FAIL %s\n",
+                       name.c_str(), s, verdicts[s].audit.summary().c_str());
+          violations += verdicts[s].audit.violations().size();
+        }
+      }
+      computed.emplace_back(name, std::move(digests));
       return computed.back().second;
     };
     std::size_t variants_checked = 0;
@@ -260,10 +281,10 @@ int main(int argc, char** argv) {
       }
       // All variant contracts ride along (unfiltered); never write a golden
       // file from a tree whose promises are already broken.
-      if (check_variants("") != 0) {
+      if (check_variants("") != 0 || violations != 0) {
         std::fprintf(stderr,
                      "golden_digests: refusing to write a golden file with "
-                     "a broken variant contract\n");
+                     "a broken variant contract or plan audit\n");
         return 1;
       }
       write_golden(regen_path, all);
@@ -322,6 +343,7 @@ int main(int argc, char** argv) {
                   actual.size(), scheme_bad == 0 ? "ok" : "DRIFTED");
     }
     mismatches += check_variants(only);
+    mismatches += violations;
     // Some --only filters legitimately match only variant contracts (e.g.
     // shard1, whose promise is plan-equality, not a pinned digest) — error
     // only when the filter selected nothing at all.
