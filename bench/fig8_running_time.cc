@@ -172,14 +172,12 @@ ShardBenchRow shard_bench_mode(const std::string& name, bool aggregation,
 }
 
 /// Machine-readable perf trajectory for cross-PR tracking; same shape as
-/// hierarchical_scalability's BENCH_gc.json.
-void write_flow_json(const std::string& path,
-                     const std::vector<ShardBenchRow>& shard_rows) {
+/// hierarchical_scalability's BENCH_gc.json. False when the file could not
+/// be written in full.
+[[nodiscard]] bool write_flow_json(
+    const std::string& path, const std::vector<ShardBenchRow>& shard_rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
+  if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"bench\": \"sharding\",\n  \"unit\": \"s\",\n"
                     "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < shard_rows.size(); ++i) {
@@ -215,11 +213,16 @@ void write_flow_json(const std::string& path,
         i + 1 < shard_rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  // The rows may sit in the stream's buffer until fclose flushes them, so
+  // a full disk can surface there as well as in the error flag.
+  const bool written = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !written) return false;
   std::printf("(wrote %s)\n", path.c_str());
+  return true;
 }
 
-void run_flow_bench(const Flags& flags) {
+/// The sharding section; false when --flow_json_out could not be written.
+[[nodiscard]] bool run_flow_bench(const Flags& flags) {
   const auto hotspots =
       static_cast<std::size_t>(flags.get_int("flow_hotspots", 2000));
   const auto requests =
@@ -301,7 +304,12 @@ void run_flow_bench(const Flags& flags) {
   // JSON only to a path on the command line: a run from the repo root
   // must not replace the committed BENCH_flow.json baseline.
   const std::string json_out = flags.get_string("flow_json_out", "");
-  if (!json_out.empty()) write_flow_json(json_out, shard_rows);
+  if (!json_out.empty() && !write_flow_json(json_out, shard_rows)) {
+    std::fprintf(stderr, "fig8_running_time: error: cannot write: %s\n",
+                 json_out.c_str());
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -313,7 +321,7 @@ int main(int argc, char** argv) {
   const auto lp_hotspots =
       static_cast<std::size_t>(flags.get_int("lp_hotspots", 15));
 
-  run_flow_bench(flags);
+  if (!run_flow_bench(flags)) return 2;
   if (flags.get_bool("flow_only", false)) return 0;
 
   const World world = generate_world(WorldConfig::evaluation_region());

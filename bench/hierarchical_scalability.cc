@@ -159,14 +159,12 @@ std::vector<GcBuildRow> gc_build_table(std::size_t repeats) {
 }
 
 /// Machine-readable perf trajectory for cross-PR tracking; same shape as a
-/// google-benchmark --benchmark_out file's "benchmarks" array.
-void write_gc_json(const std::string& path,
-                   const std::vector<GcBuildRow>& rows) {
+/// google-benchmark --benchmark_out file's "benchmarks" array. False when
+/// the file could not be written in full.
+[[nodiscard]] bool write_gc_json(const std::string& path,
+                                 const std::vector<GcBuildRow>& rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
+  if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"bench\": \"gc_build\",\n  \"unit\": \"s\",\n"
                     "  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -190,8 +188,12 @@ void write_gc_json(const std::string& path,
         r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  // The rows may sit in the stream's buffer until fclose flushes them, so
+  // a full disk can surface there as well as in the error flag.
+  const bool written = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !written) return false;
   std::printf("(wrote %s)\n\n", path.c_str());
+  return true;
 }
 
 void quality_table() {
@@ -276,7 +278,12 @@ int main(int argc, char** argv) {
   const std::string json_out = flags.get_string("json_out", "");
   const std::vector<GcBuildRow> gc_rows =
       gc_build_table(static_cast<std::size_t>(flags.get_int("repeats", 3)));
-  if (!json_out.empty()) write_gc_json(json_out, gc_rows);
+  if (!json_out.empty() && !write_gc_json(json_out, gc_rows)) {
+    std::fprintf(stderr,
+                 "hierarchical_scalability: error: cannot write: %s\n",
+                 json_out.c_str());
+    return 2;
+  }
   // --gc_only: just the gated Jd-build ladder (the CI bench job uses it).
   if (flags.get_bool("gc_only", false)) return 0;
   quality_table();

@@ -124,13 +124,12 @@ struct Row {
   CaseResult stream;
 };
 
-void write_json(const std::string& path, const std::vector<Row>& rows,
-                std::size_t threads) {
+/// False when the file could not be written in full.
+[[nodiscard]] bool write_json(const std::string& path,
+                              const std::vector<Row>& rows,
+                              std::size_t threads) {
   std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
+  if (out == nullptr) return false;
   std::fprintf(out, "{\n  \"bench\": \"stream_scalability\",\n"
                     "  \"unit\": \"s\",\n  \"threads\": %zu,\n"
                     "  \"benchmarks\": [\n", threads);
@@ -152,8 +151,12 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     }
   }
   std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
+  // The rows may sit in the stream's buffer until fclose flushes them, so
+  // a full disk can surface there as well as in the error flag.
+  const bool written = std::ferror(out) == 0;
+  if (std::fclose(out) != 0 || !written) return false;
   std::printf("(wrote %s)\n", path.c_str());
+  return true;
 }
 
 }  // namespace
@@ -220,7 +223,11 @@ int main(int argc, char** argv) {
     rows.push_back(row);
   }
 
-  if (!json_out.empty()) write_json(json_out, rows, threads);
+  if (!json_out.empty() && !write_json(json_out, rows, threads)) {
+    std::fprintf(stderr, "stream_scalability: error: cannot write: %s\n",
+                 json_out.c_str());
+    return 2;
+  }
   std::printf("\nreading: in-memory peak RSS grows with the trace (the "
               "request vector is resident end to end) while streaming RSS "
               "stays near-flat — it holds at most the inflight window of "

@@ -112,9 +112,12 @@ int main(int argc, char** argv) {
                 report.average_distance_km(), report.replication_cost(),
                 report.cdn_server_load());
   }
-  std::printf("\nLeastLoaded balances load but ignores content locality, so "
-              "its replication cost (every hotspot caches its own top set) "
-              "stays at Nearest's level while RBCAer aggregates shared "
-              "content at receivers.\n");
+  std::printf("\nAt the defaults LeastLoaded beats RBCAer on serving, "
+              "distance and CDN load, the paper's combined metric, and loses "
+              "only on replication: every hotspot caches its own top set, as "
+              "under Nearest, while RBCAer aggregates shared content at "
+              "receivers. RBCAer's redirection leaves requests at the CDN "
+              "that its own placements could serve (EXPERIMENTS.md, known "
+              "deviation 5).\n");
   return 0;
 }

@@ -232,7 +232,8 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
   }
   if (auditing) {
     AuditReport report;
-    audit_slot_plan(plan, context.hotspots, requests, demand, report);
+    audit_slot_plan(plan, context.hotspots, requests, demand.request_home(),
+                    report);
     report.require_clean("rbcaer slot plan");
   }
   stage_timings_.replication_s = stage_clock.elapsed_seconds();
@@ -292,31 +293,26 @@ void RbcaerScheme::redirect_local_misses(const SchemeContext& context,
   // A request still at its home reads its verdict from its λ_hv pair:
   // placed_at_home holds, per pair, whether the home caches the pair's
   // video, from one merge of each row with the home's placement list.
-  // Redirected requests, and demand views without per-request pairs (the
-  // predictive hybrid), search the target's list instead.
+  // Redirected requests search the target's list instead.
   const auto homes = demand.request_home();
   const auto pairs = demand.request_pair();
-  CCDN_REQUIRE(pairs.empty() || pairs.size() == requests.size(),
+  CCDN_REQUIRE(pairs.size() == requests.size(),
                "demand/requests length mismatch");
-  std::vector<std::uint8_t> placed_at_home;
-  if (!pairs.empty()) {
-    placed_at_home.resize(demand.first_pair(static_cast<HotspotIndex>(m)));
-    for (HotspotIndex h = 0; h < m; ++h) {
-      const auto row = demand.video_demand(h);
-      const std::vector<VideoId>& placed = plan.placements[h];
-      const std::size_t first = demand.first_pair(h);
-      std::size_t p = 0;
-      for (std::size_t k = 0; k < row.size(); ++k) {
-        while (p < placed.size() && placed[p] < row[k].video) ++p;
-        placed_at_home[first + k] =
-            p < placed.size() && placed[p] == row[k].video ? 1 : 0;
-      }
+  std::vector<std::uint8_t> placed_at_home(
+      demand.first_pair(static_cast<HotspotIndex>(m)));
+  for (HotspotIndex h = 0; h < m; ++h) {
+    const auto row = demand.video_demand(h);
+    const std::vector<VideoId>& placed = plan.placements[h];
+    const std::size_t first = demand.first_pair(h);
+    std::size_t p = 0;
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      while (p < placed.size() && placed[p] < row[k].video) ++p;
+      placed_at_home[first + k] =
+          p < placed.size() && placed[p] == row[k].video ? 1 : 0;
     }
   }
   const auto cached_at = [&](std::size_t r, HotspotIndex target) {
-    if (!pairs.empty() && target == homes[r]) {
-      return placed_at_home[pairs[r]] != 0;
-    }
+    if (target == homes[r]) return placed_at_home[pairs[r]] != 0;
     return sorted_contains(plan.placements[target], requests[r].video);
   };
   // One scan charges the capacity already spoken for by servable

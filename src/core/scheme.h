@@ -111,8 +111,7 @@ class RedirectionScheme {
   /// True when every plan keeps its inbound redirects within the
   /// receivers' service capacities s_h (audit_capacity), so an audited run
   /// checks that tier too. Baselines over-assign by design and leave the
-  /// excess to admission, and decorators that plan on other inputs than
-  /// the slot's own demand (a forecast) make no such promise.
+  /// excess to admission.
   [[nodiscard]] virtual bool plans_within_capacity() const { return false; }
 
   /// Stage breakdown of the most recent plan_slot call, or nullptr for

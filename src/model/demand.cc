@@ -78,25 +78,8 @@ SlotDemand::SlotDemand(std::span<const Request> requests,
   }
 }
 
-SlotDemand::SlotDemand(std::vector<std::vector<VideoDemand>> per_hotspot) {
-  assign_per_hotspot(std::move(per_hotspot));
-}
-
-SlotDemand::SlotDemand(
-    std::vector<std::vector<VideoDemand>> predicted_per_hotspot,
-    std::vector<HotspotIndex> request_home)
-    : request_home_(std::move(request_home)) {
-  for (const HotspotIndex home : request_home_) {
-    CCDN_REQUIRE(home < predicted_per_hotspot.size(),
-                 "request home out of range");
-  }
-  assign_per_hotspot(std::move(predicted_per_hotspot));
-}
-
-void SlotDemand::assign_per_hotspot(
-    std::vector<std::vector<VideoDemand>> per_hotspot) {
-  offsets_.assign(per_hotspot.size() + 1, 0);
-  loads_.assign(per_hotspot.size(), 0);
+SlotDemand::SlotDemand(std::vector<std::vector<VideoDemand>> per_hotspot)
+    : offsets_(per_hotspot.size() + 1, 0), loads_(per_hotspot.size(), 0) {
   for (std::size_t h = 0; h < per_hotspot.size(); ++h) {
     auto& entries = per_hotspot[h];
     std::sort(entries.begin(), entries.end(),

@@ -31,13 +31,6 @@ class SlotDemand {
   /// workloads). Each inner vector may be unsorted; duplicates are merged.
   explicit SlotDemand(std::vector<std::vector<VideoDemand>> per_hotspot);
 
-  /// Hybrid view for *predictive* scheduling: per-hotspot demand comes from
-  /// a forecast while request homes come from the actual slot (so plans can
-  /// still be materialized per request). `request_home` values must be
-  /// valid hotspot indices.
-  SlotDemand(std::vector<std::vector<VideoDemand>> predicted_per_hotspot,
-             std::vector<HotspotIndex> request_home);
-
   [[nodiscard]] std::size_t num_hotspots() const noexcept {
     return loads_.size();
   }
@@ -66,15 +59,13 @@ class SlotDemand {
 
   /// Each request's λ_hv pair (same order as the input span): the position,
   /// in first_pair()'s order, of its video in its home's row. Only the
-  /// request constructor fills it; empty for the per-hotspot and hybrid
-  /// views, whose rows are not built from the requests.
+  /// request constructor fills it; empty for the per-hotspot view, which
+  /// has no requests.
   [[nodiscard]] std::span<const std::uint32_t> request_pair() const noexcept {
     return request_pair_;
   }
 
  private:
-  void assign_per_hotspot(std::vector<std::vector<VideoDemand>> per_hotspot);
-
   // λ_hv as CSR: hotspot h's entries are demands_[offsets_[h],
   // offsets_[h + 1]), ascending by video.
   std::vector<std::size_t> offsets_;

@@ -7,7 +7,6 @@
 
 #include "geo/geo_point.h"
 #include "model/sorted_contains.h"
-#include "util/rng.h"
 #include "util/error.h"
 #include "util/mutex.h"
 #include "util/stopwatch.h"
@@ -85,14 +84,11 @@ SlotMetrics admit_slot(const std::vector<Hotspot>& hotspots,
                        const SlotPlan& plan,
                        std::span<const Request> requests,
                        double cdn_distance_km,
-                       std::vector<std::uint32_t>* served_loads,
-                       std::span<const std::uint8_t> available) {
+                       std::vector<std::uint32_t>* served_loads) {
   CCDN_ENSURE(plan.assignment.size() == requests.size(),
               "plan assignment length mismatch");
   CCDN_ENSURE(plan.respects_caches(hotspots),
               "scheme exceeded cache capacities");
-  CCDN_REQUIRE(available.empty() || available.size() == hotspots.size(),
-               "availability mask length mismatch");
 
   SlotMetrics metrics;
   metrics.requests = requests.size();
@@ -109,9 +105,7 @@ SlotMetrics admit_slot(const std::vector<Hotspot>& hotspots,
     if (target != kCdnServer) {
       CCDN_ENSURE(target < hotspots.size(), "assignment out of range");
       const auto& cached = plan.placements[target];
-      if (!available.empty() && available[target] == 0) {
-        ++metrics.rejected_offline;
-      } else if (!sorted_contains(cached, requests[r].video)) {
+      if (!sorted_contains(cached, requests[r].video)) {
         ++metrics.rejected_placement;
       } else if (capacity_left[target] == 0) {
         ++metrics.rejected_capacity;
@@ -143,9 +137,6 @@ void require_catalog_videos(std::span<const Request> requests,
 }
 
 namespace {
-
-/// Seed of the churn draws (SimulationConfig::offline_probability).
-constexpr std::uint64_t kChurnSeed = 4242;
 
 /// Everything one slot produces before the ordered reduction.
 struct SlotResult {
@@ -181,8 +172,7 @@ SlotResult process_slot(const SimulationConfig& config,
                         const SchemeContext& context,
                         const std::vector<Hotspot>& hotspots,
                         const GridIndex& index, RedirectionScheme& slot_scheme,
-                        std::span<const Request> slot_requests,
-                        std::span<const std::uint8_t> availability) {
+                        std::span<const Request> slot_requests) {
   require_catalog_videos(slot_requests, context.catalog);
   SlotResult result;
   Stopwatch clock;
@@ -203,7 +193,7 @@ SlotResult process_slot(const SimulationConfig& config,
   clock.reset();
   result.metrics = admit_slot(
       hotspots, result.plan, slot_requests, config.cdn_distance_km,
-      config.record_hotspot_loads ? &result.served_at : nullptr, availability);
+      config.record_hotspot_loads ? &result.served_at : nullptr);
   result.timings.admit_s = clock.elapsed_seconds();
   return result;
 }
@@ -220,28 +210,9 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
                                 SlotSource& source) const {
   CCDN_REQUIRE(source.slot_seconds() == config_.slot_seconds,
                "slot source window differs from simulator slot length");
-  CCDN_REQUIRE(config_.offline_probability >= 0.0 &&
-                   config_.offline_probability < 1.0,
-               "offline probability outside [0,1)");
   SimulationReport report(catalog_.num_videos, config_.cdn_distance_km);
   const SchemeContext context{hotspots_, index_, catalog_,
                               config_.cdn_distance_km, config_.num_shards};
-
-  // Churn masks are drawn on the pulling thread in slot order, with the
-  // same per-slot draw count no matter how slots are later scheduled
-  // across threads, so availability matches the classic sequential loop
-  // bit for bit.
-  Rng churn_rng(kChurnSeed);
-  const bool churn = config_.offline_probability > 0.0;
-  const auto draw_mask = [&] {
-    std::vector<std::uint8_t> mask;
-    if (!churn) return mask;
-    mask.assign(hotspots_.size(), 1);
-    for (std::size_t h = 0; h < hotspots_.size(); ++h) {
-      if (churn_rng.chance(config_.offline_probability)) mask[h] = 0;
-    }
-    return mask;
-  };
 
   // Placement-delta charging chains slot i to slot i-1, so it lives in this
   // ordered reduction over already-computed plans, not in the fan-out.
@@ -277,7 +248,6 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
         Mutex mu;
         SchemePtr clone CCDN_GUARDED_BY(mu);
         SlotBatch batch CCDN_GUARDED_BY(mu);
-        std::vector<std::uint8_t> mask CCDN_GUARDED_BY(mu);
       };
       std::vector<Lane> lanes(window);
       {
@@ -309,12 +279,11 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
           {
             const MutexLock lock(lane.mu);
             lane.batch = std::move(*batch);
-            lane.mask = draw_mask();
           }
           inflight.push_back(pool.submit([this, &context, &lane] {
             const MutexLock lock(lane.mu);
             return process_slot(config_, context, hotspots_, index_,
-                                *lane.clone, lane.batch.requests, lane.mask);
+                                *lane.clone, lane.batch.requests);
           }));
           ++submitted;
         }
@@ -332,9 +301,8 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
   }
   // Sequential path: one batch resident at a time.
   while (std::optional<SlotBatch> batch = source.next()) {
-    const std::vector<std::uint8_t> mask = draw_mask();
     reduce_slot(process_slot(config_, context, hotspots_, index_, scheme,
-                             batch->requests, mask));
+                             batch->requests));
   }
   return report;
 }

@@ -30,20 +30,13 @@ struct SimulationConfig {
   /// Record per-slot per-hotspot served load (needed by the correlation
   /// analysis; off by default to keep reports small).
   bool record_hotspot_loads = false;
-  /// Device churn: each hotspot is independently offline for a whole slot
-  /// with this probability. Crowdsourced devices are user hardware — they
-  /// reboot, lose uplink, get unplugged. The scheduler plans *unaware*
-  /// (liveness is only discovered when a redirected request fails), which
-  /// is the pessimistic deployment case. 0 disables churn. Outages are
-  /// drawn from a fixed seed, in slot order.
-  double offline_probability = 0.0;
   /// Worker threads for the slot-scheduling pipeline. 1 (default) runs the
   /// classic sequential loop; 0 means "use all hardware threads". With N > 1
   /// independent slots are planned and admitted concurrently on N lanes and
   /// reduced back in slot order, so the report is bit-identical to the
-  /// sequential run (churn masks are drawn in slot order; placement deltas
-  /// are charged in the ordered reduction). At most 2N slot batches are
-  /// resident: slot k+2N is not pulled until slot k has been reduced.
+  /// sequential run (placement deltas are charged in the ordered
+  /// reduction). At most 2N slot batches are resident: slot k+2N is not
+  /// pulled until slot k has been reduced.
   /// Schemes with cross-slot state (clone() == nullptr, e.g. Random) fall
   /// back to the sequential path regardless of this setting.
   std::size_t num_threads = 1;
@@ -69,7 +62,6 @@ struct SlotMetrics {
   std::size_t served = 0;
   std::size_t rejected_capacity = 0;   // assigned but hotspot was full
   std::size_t rejected_placement = 0;  // assigned but video not cached
-  std::size_t rejected_offline = 0;    // assigned but hotspot was down
   std::size_t sent_to_cdn = 0;         // scheme assigned the CDN directly
   /// Placements not held by the previous slot's plan: hotspot caches
   /// persist, so only newly pushed videos cost origin traffic.
@@ -153,13 +145,10 @@ class SimulationReport {
 /// cover the video; per-slot service capacity). Requests the plan cannot
 /// serve are charged the CDN distance. When `served_loads` is non-null it
 /// receives the per-hotspot served request counts.
-/// `available`, when non-empty, marks which hotspots are online this slot
-/// (nonzero = up); assignments to offline hotspots are rejected to the CDN.
 [[nodiscard]] SlotMetrics admit_slot(
     const std::vector<Hotspot>& hotspots, const SlotPlan& plan,
     std::span<const Request> requests, double cdn_distance_km,
-    std::vector<std::uint32_t>* served_loads = nullptr,
-    std::span<const std::uint8_t> available = {});
+    std::vector<std::uint32_t>* served_loads = nullptr);
 
 /// Throw ParseError naming the first request whose video id is outside
 /// `catalog` (id >= num_videos). Trace rows are external data; without this
@@ -181,9 +170,8 @@ class Simulator {
                                      std::span<const Request> requests) const;
 
   /// Run a scheme over a slot stream in bounded memory: at most twice
-  /// config().num_threads batches are ever resident. Churn masks are drawn
-  /// in slot order as batches are pulled and placement deltas are charged
-  /// in the ordered reduction, so the report and its verdicts are
+  /// config().num_threads batches are ever resident. Placement deltas are
+  /// charged in the ordered reduction, so the report and its verdicts are
   /// bit-identical to the in-memory run on the equivalent materialized
   /// trace, at any thread count. Schemes without clone() are planned
   /// sequentially on the pulling thread (still bounded: one batch

@@ -207,25 +207,4 @@ void assign_uniform_capacities(World& world, double service_fraction,
   }
 }
 
-void assign_lognormal_capacities(World& world, double service_fraction,
-                                 double cache_fraction, double sigma,
-                                 std::uint64_t seed) {
-  CCDN_REQUIRE(service_fraction > 0.0, "service fraction must be positive");
-  CCDN_REQUIRE(cache_fraction > 0.0, "cache fraction must be positive");
-  CCDN_REQUIRE(sigma >= 0.0, "negative sigma");
-  const double videos = static_cast<double>(world.config().num_videos);
-  // exp(N(mu, sigma)) has mean exp(mu + sigma^2/2); shift mu so the fleet
-  // mean stays at the requested fraction regardless of sigma.
-  const double correction = -sigma * sigma / 2.0;
-  Rng rng(seed);
-  for (auto& hotspot : world.mutable_hotspots()) {
-    const double scale = std::exp(rng.normal(correction, sigma));
-    hotspot.service_capacity = static_cast<std::uint32_t>(
-        std::max(1.0, std::round(service_fraction * videos * scale)));
-    const double cache_scale = std::exp(rng.normal(correction, sigma));
-    hotspot.cache_capacity = static_cast<std::uint32_t>(
-        std::max(1.0, std::round(cache_fraction * videos * cache_scale)));
-  }
-}
-
 }  // namespace ccdn

@@ -120,13 +120,4 @@ class World {
 void assign_uniform_capacities(World& world, double service_fraction,
                                double cache_fraction);
 
-/// Heterogeneous deployment: per-hotspot capacities drawn log-normally
-/// around the same fractional means (sigma of the underlying normal;
-/// 0 reduces to the uniform assignment). Real AP fleets mix hardware
-/// generations and uplinks, so capacity varies by several x. Deterministic
-/// in `seed`.
-void assign_lognormal_capacities(World& world, double service_fraction,
-                                 double cache_fraction, double sigma,
-                                 std::uint64_t seed = 7777);
-
 }  // namespace ccdn

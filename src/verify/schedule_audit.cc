@@ -86,16 +86,12 @@ void audit_placements(const std::vector<std::vector<VideoId>>& placements,
   }
 }
 
-namespace {
-
-/// audit_capacity's checks; without `service_capacity` only redirect-miss
-/// (and the shape check) runs.
-void audit_redirects(std::span<const HotspotIndex> assignment,
-                     const std::vector<std::vector<VideoId>>& placements,
-                     std::span<const Hotspot> hotspots,
-                     std::span<const Request> requests,
-                     std::span<const HotspotIndex> homes,
-                     bool service_capacity, AuditReport& report) {
+void audit_capacity(std::span<const HotspotIndex> assignment,
+                    const std::vector<std::vector<VideoId>>& placements,
+                    std::span<const Hotspot> hotspots,
+                    std::span<const Request> requests,
+                    std::span<const HotspotIndex> homes,
+                    AuditReport& report) {
   const std::size_t m = hotspots.size();
   if (assignment.size() != requests.size() || homes.size() != requests.size() ||
       placements.size() != m) {
@@ -125,7 +121,6 @@ void audit_redirects(std::span<const HotspotIndex> assignment,
     }
     ++inbound[target];
   }
-  if (!service_capacity) return;
   for (std::size_t j = 0; j < m; ++j) {
     const auto s_j = static_cast<std::int64_t>(hotspots[j].service_capacity);
     const std::int64_t room = std::max<std::int64_t>(0, s_j - home_servable[j]);
@@ -138,18 +133,6 @@ void audit_redirects(std::span<const HotspotIndex> assignment,
                      " remain after local demand");
     }
   }
-}
-
-}  // namespace
-
-void audit_capacity(std::span<const HotspotIndex> assignment,
-                    const std::vector<std::vector<VideoId>>& placements,
-                    std::span<const Hotspot> hotspots,
-                    std::span<const Request> requests,
-                    std::span<const HotspotIndex> homes,
-                    AuditReport& report) {
-  audit_redirects(assignment, placements, hotspots, requests, homes,
-                  /*service_capacity=*/true, report);
 }
 
 void audit_total_capacity(std::span<const HotspotIndex> assignment,
@@ -252,20 +235,6 @@ void audit_slot_plan(const SlotPlan& plan, std::span<const Hotspot> hotspots,
   audit_placements(plan.placements, hotspots, report);
   audit_capacity(plan.assignment, plan.placements, hotspots, requests, homes,
                  report);
-}
-
-void audit_slot_plan(const SlotPlan& plan, std::span<const Hotspot> hotspots,
-                     std::span<const Request> requests,
-                     const SlotDemand& demand, AuditReport& report) {
-  audit_assignment(plan.assignment, requests.size(), hotspots.size(), report);
-  audit_placements(plan.placements, hotspots, report);
-  // Only the request constructor records request pairs, so a demand
-  // without them (the predictive hybrid, with forecast rows and actual
-  // homes) sized its redirects on the forecast: the slot's requests may
-  // outgrow the room it planned for, and admission answers for that.
-  const bool own_demand = demand.request_pair().size() == requests.size();
-  audit_redirects(plan.assignment, plan.placements, hotspots, requests,
-                  demand.request_home(), own_demand, report);
 }
 
 }  // namespace ccdn

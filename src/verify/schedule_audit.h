@@ -97,14 +97,4 @@ void audit_slot_plan(const SlotPlan& plan, std::span<const Hotspot> hotspots,
                      std::span<const Request> requests,
                      std::span<const HotspotIndex> homes, AuditReport& report);
 
-/// The kPlan audit of a plan the scheme built from `demand`. A plan built
-/// from the slot's own demand (the request constructor, which records
-/// request_pair()) gets the full audit above. A plan built from a forecast
-/// (predictive runs: forecast rows, actual homes, no request pairs) gets
-/// every check but "service-capacity", since its redirects were sized for
-/// the forecast, not for the slot's requests.
-void audit_slot_plan(const SlotPlan& plan, std::span<const Hotspot> hotspots,
-                     std::span<const Request> requests,
-                     const SlotDemand& demand, AuditReport& report);
-
 }  // namespace ccdn

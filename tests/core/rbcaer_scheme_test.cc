@@ -8,8 +8,6 @@
 
 #include "core/nearest_scheme.h"
 #include "core/theta_sweep.h"
-#include "predict/forecaster.h"
-#include "sim/predictive.h"
 #include "sim/simulator.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -443,9 +441,7 @@ TEST(Rbcaer, PlansMatchPinnedDigests) {
   // replica in place, and miss redirection searched the placements twice
   // per request. The caches are scarce (0.5% and 0.7% of the catalog), so
   // misses do reroute, which neither the golden file nor perfbench's
-  // workloads exercise. Both caches run with aggregation on and off on the
-  // slot's own demand, and with aggregation on through the predictive
-  // wrapper, whose forecast demand has no per-request pairs.
+  // workloads exercise. Both caches run with aggregation on and off.
   WorldConfig world_config = WorldConfig::evaluation_region();
   world_config.num_hotspots = 120;
   world_config.num_videos = 3000;
@@ -460,17 +456,14 @@ TEST(Rbcaer, PlansMatchPinnedDigests) {
   struct Case {
     double cache_share;
     bool aggregation;
-    bool predictive;
     std::uint64_t digest;
     std::size_t rerouted;
   };
   const Case cases[] = {
-      {0.005, true, false, 0x95c684a389b372eaULL, 1121},
-      {0.005, false, false, 0x89a7284a76cd22a1ULL, 1139},
-      {0.007, true, false, 0xfab3971f05d132a4ULL, 415},
-      {0.007, false, false, 0x40444f35cc3ed7cbULL, 428},
-      {0.005, true, true, 0xb5bbeabc436adfa2ULL, 4690},
-      {0.007, true, true, 0x3d66bdcc3eb27bc2ULL, 4609},
+      {0.005, true, 0x95c684a389b372eaULL, 1121},
+      {0.005, false, 0x89a7284a76cd22a1ULL, 1139},
+      {0.007, true, 0xfab3971f05d132a4ULL, 415},
+      {0.007, false, 0x40444f35cc3ed7cbULL, 428},
   };
   for (const Case& c : cases) {
     World world = base;
@@ -480,32 +473,20 @@ TEST(Rbcaer, PlansMatchPinnedDigests) {
     sim_config.audit_level = AuditLevel::kPlan;
     RbcaerConfig config;
     config.content_aggregation = c.aggregation;
-    // Checked builds audit the direct plans' capacity feasibility too. A
-    // predictive plan's redirects are sized for the forecast, not for the
-    // slot's requests, so that audit does not apply to it.
-    config.audit_level = c.predictive ? AuditLevel::kOff : AuditLevel::kPlan;
+    // Checked builds audit the plans' capacity feasibility too.
+    config.audit_level = AuditLevel::kPlan;
     RbcaerScheme scheme(config);
     CountReroutes counted(scheme);
-    const VideoCatalog catalog{world_config.num_videos};
-    const SimulationReport report = [&] {
-      if (!c.predictive) {
-        return Simulator(world.hotspots(), catalog, sim_config)
+    const SimulationReport report =
+        Simulator(world.hotspots(), VideoCatalog{world_config.num_videos},
+                  sim_config)
             .run(counted, trace);
-      }
-      PredictiveConfig predictive_config;
-      predictive_config.simulation = sim_config;
-      MovingAverageForecaster forecaster(3);
-      return run_predictive(world.hotspots(), catalog, counted, forecaster,
-                            trace, predictive_config);
-    }();
     ASSERT_EQ(report.verdicts().size(), 12u);
     EXPECT_GT(counted.rerouted, 0u);
     EXPECT_EQ(counted.rerouted, c.rerouted)
-        << "cache " << c.cache_share << ", aggregation " << c.aggregation
-        << ", predictive " << c.predictive;
+        << "cache " << c.cache_share << ", aggregation " << c.aggregation;
     EXPECT_EQ(fold_digests(report.verdicts()), c.digest)
-        << "cache " << c.cache_share << ", aggregation " << c.aggregation
-        << ", predictive " << c.predictive;
+        << "cache " << c.cache_share << ", aggregation " << c.aggregation;
   }
 }
 

@@ -242,18 +242,6 @@ TEST(SlotDemand, PerHotspotConstructorsMatchReference) {
     const SlotDemand from_rows(per_hotspot);
     expect_matches_reference(from_rows, reference_demand(per_hotspot));
     EXPECT_TRUE(from_rows.request_pair().empty());
-    if (hotspots == 0) continue;
-    std::vector<HotspotIndex> homes(rng.index(50));
-    for (HotspotIndex& home : homes) {
-      home = static_cast<HotspotIndex>(rng.index(hotspots));
-    }
-    ReferenceDemand want = reference_demand(per_hotspot);
-    want.request_home = homes;
-    // The hybrid view's rows are a forecast, not built from its requests,
-    // so it names no per-request pairs.
-    const SlotDemand hybrid(per_hotspot, homes);
-    expect_matches_reference(hybrid, want);
-    EXPECT_TRUE(hybrid.request_pair().empty());
   }
 }
 

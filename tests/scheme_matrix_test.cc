@@ -115,7 +115,7 @@ TEST_P(SchemeMatrix, ContractHolds) {
   // Accounting identity per slot.
   for (const auto& slot : report.slots()) {
     EXPECT_EQ(slot.served + slot.rejected_capacity + slot.rejected_placement +
-                  slot.rejected_offline + slot.sent_to_cdn,
+                  slot.sent_to_cdn,
               slot.requests);
   }
 }

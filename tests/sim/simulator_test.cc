@@ -175,68 +175,6 @@ TEST(Simulator, PlacementDeltasChargedOnChange) {
   EXPECT_EQ(report.slots()[2].replicas, 0u);  // unchanged cache
 }
 
-TEST(Simulator, OfflineHotspotRejectsEverything) {
-  const auto hotspots = two_hotspots(10);
-  const std::vector<Request> requests{request_at({40.05, 116.46}, 1)};
-  ScriptedScheme scheme({{1}, {}}, {0});
-  const SlotPlan plan = [&] {
-    SlotPlan p;
-    p.placements = {{1}, {}};
-    p.assignment = {0};
-    return p;
-  }();
-  const std::vector<std::uint8_t> down{0, 1};  // hotspot 0 offline
-  const auto metrics =
-      admit_slot(hotspots, plan, requests, kCdnDistanceKm, nullptr, down);
-  EXPECT_EQ(metrics.served, 0u);
-  EXPECT_EQ(metrics.rejected_offline, 1u);
-  EXPECT_DOUBLE_EQ(metrics.distance_sum_km, kCdnDistanceKm);
-}
-
-TEST(Simulator, ChurnZeroMatchesNoChurn) {
-  const auto hotspots = two_hotspots(10);
-  SimulationConfig with_churn_field;
-  with_churn_field.offline_probability = 0.0;
-  Simulator a(hotspots, VideoCatalog{10}, with_churn_field);
-  Simulator b(hotspots, VideoCatalog{10});
-  const std::vector<Request> requests{request_at({40.05, 116.46}, 1)};
-  NearestScheme nearest_a;
-  NearestScheme nearest_b;
-  EXPECT_DOUBLE_EQ(a.run(nearest_a, requests).serving_ratio(),
-                   b.run(nearest_b, requests).serving_ratio());
-}
-
-TEST(Simulator, ChurnDegradesServingProportionally) {
-  std::vector<Hotspot> hotspots(20);
-  for (int i = 0; i < 20; ++i) {
-    hotspots[i].location = {40.0 + 0.004 * i, 116.5};
-    hotspots[i].service_capacity = 100;
-    hotspots[i].cache_capacity = 10;
-  }
-  std::vector<Request> requests;
-  for (int i = 0; i < 2000; ++i) {
-    requests.push_back(
-        request_at({40.0 + 0.004 * (i % 20), 116.5}, 1, i));
-  }
-  SimulationConfig config;
-  config.slot_seconds = 100;  // many slots -> many liveness rolls
-  config.offline_probability = 0.3;
-  Simulator simulator(hotspots, VideoCatalog{10}, config);
-  NearestScheme scheme;
-  const auto report = simulator.run(scheme, requests);
-  // Serving drops to roughly (1 - p); allow generous slack for variance.
-  EXPECT_NEAR(report.serving_ratio(), 0.7, 0.12);
-  EXPECT_THROW(
-      [&] {
-        SimulationConfig bad;
-        bad.offline_probability = 1.0;
-        Simulator s(hotspots, VideoCatalog{10}, bad);
-        NearestScheme n;
-        (void)s.run(n, requests);
-      }(),
-      PreconditionError);
-}
-
 TEST(Simulator, RecordsHotspotLoadsWhenAsked) {
   const auto hotspots = two_hotspots(10);
   SimulationConfig config;

@@ -3,10 +3,10 @@
 // Simulator::run(scheme, SlotSource&) must produce bit-identical reports
 // AND per-slot verdicts to the in-memory span overload, for every scheme,
 // at any thread count (and so at any inflight window, which is twice the
-// thread count) — including under device churn (masks drawn in pull
-// order) and placement-delta charging (ordered reduction). These tests drive the streaming path through a real
-// chunked CSV source (TraceReader over the round-tripped trace), so the
-// whole ingest-to-report chain is covered, not just the executor.
+// thread count), placement-delta charging (ordered reduction) included.
+// These tests drive the streaming path through a real chunked CSV source
+// (TraceReader over the round-tripped trace), so the whole
+// ingest-to-report chain is covered, not just the executor.
 #include "sim/simulator.h"
 
 #include <gtest/gtest.h>
@@ -53,32 +53,28 @@ struct StreamWorkload {
     csv = buffer.str();
   }
 
-  [[nodiscard]] SimulationConfig make_config(
-      std::size_t num_threads, double offline_probability) const {
+  [[nodiscard]] SimulationConfig make_config(std::size_t num_threads) const {
     SimulationConfig config;
     config.slot_seconds = 3600;
     config.record_hotspot_loads = true;
-    config.offline_probability = offline_probability;
     config.num_threads = num_threads;
     config.audit_level = AuditLevel::kPlan;  // one verdict per slot
     return config;
   }
 
   [[nodiscard]] SimulationReport run_in_memory(
-      RedirectionScheme& scheme, std::size_t num_threads = 1,
-      double offline_probability = 0.0) const {
+      RedirectionScheme& scheme, std::size_t num_threads = 1) const {
     Simulator simulator(world.hotspots(),
                         VideoCatalog{world.config().num_videos},
-                        make_config(num_threads, offline_probability));
+                        make_config(num_threads));
     return simulator.run(scheme, trace);
   }
 
   [[nodiscard]] SimulationReport run_streaming(
-      RedirectionScheme& scheme, std::size_t num_threads,
-      double offline_probability = 0.0) const {
+      RedirectionScheme& scheme, std::size_t num_threads) const {
     Simulator simulator(world.hotspots(),
                         VideoCatalog{world.config().num_videos},
-                        make_config(num_threads, offline_probability));
+                        make_config(num_threads));
     std::istringstream in(csv);
     TraceReader reader(in);
     CsvSlotSource source(reader, 3600);
@@ -102,7 +98,6 @@ void expect_identical(const SimulationReport& a, const SimulationReport& b) {
     EXPECT_EQ(sa.served, sb.served) << "slot " << s;
     EXPECT_EQ(sa.rejected_capacity, sb.rejected_capacity) << "slot " << s;
     EXPECT_EQ(sa.rejected_placement, sb.rejected_placement) << "slot " << s;
-    EXPECT_EQ(sa.rejected_offline, sb.rejected_offline) << "slot " << s;
     EXPECT_EQ(sa.sent_to_cdn, sb.sent_to_cdn) << "slot " << s;
     EXPECT_EQ(sa.replicas, sb.replicas) << "slot " << s;
     EXPECT_EQ(sa.distance_sum_km, sb.distance_sum_km) << "slot " << s;
@@ -167,26 +162,12 @@ TEST(StreamingSimulator, StatefulRandomFallsBackAndStaysIdentical) {
   expect_identical(reference, workload.run_streaming(scheme, 4));
 }
 
-TEST(StreamingSimulator, IdenticalUnderChurnAndDeltaCharging) {
-  const StreamWorkload workload;
-  RbcaerScheme reference_scheme;
-  const auto reference = workload.run_in_memory(reference_scheme, 1, 0.25);
-  const std::size_t offline = [&] {
-    std::size_t n = 0;
-    for (const auto& slot : reference.slots()) n += slot.rejected_offline;
-    return n;
-  }();
-  EXPECT_GT(offline, 0u);  // churn actually exercised
-  RbcaerScheme scheme;
-  expect_identical(reference, workload.run_streaming(scheme, 3, 0.25));
-}
-
 TEST(StreamingSimulator, RejectsSlotLengthMismatch) {
   const StreamWorkload workload;
   NearestScheme scheme;
   Simulator simulator(workload.world.hotspots(),
                       VideoCatalog{workload.world.config().num_videos},
-                      workload.make_config(1, 0.0));
+                      workload.make_config(1));
   VectorSlotSource source(workload.trace, /*slot_seconds=*/7200);
   EXPECT_THROW((void)simulator.run(scheme, source), PreconditionError);
 }
@@ -205,7 +186,7 @@ TEST(StreamingSimulator, FileSourceIdenticalWithItsPiecesOnTheLanes) {
   for (const std::size_t threads : {1u, 4u}) {
     Simulator simulator(workload.world.hotspots(),
                         VideoCatalog{workload.world.config().num_videos},
-                        workload.make_config(threads, 0.0));
+                        workload.make_config(threads));
     CsvSlotSource source(path, 3600);
     RbcaerScheme scheme;
     expect_identical(reference, simulator.run(scheme, source));
@@ -242,7 +223,7 @@ TEST(StreamingSimulator, LendsItsPoolToThePullOnlyWhilePipelining) {
                        LentProbeSource& source) {
     Simulator simulator(workload.world.hotspots(),
                         VideoCatalog{workload.world.config().num_videos},
-                        workload.make_config(threads, 0.0));
+                        workload.make_config(threads));
     return simulator.run(scheme, source);
   };
   {

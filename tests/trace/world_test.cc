@@ -115,50 +115,6 @@ TEST(World, RejectsDegenerateConfigs) {
   EXPECT_THROW((void)generate_world(config), PreconditionError);
 }
 
-TEST(World, LognormalCapacitiesVaryAroundMean) {
-  World world = generate_world(WorldConfig::evaluation_region());
-  assign_lognormal_capacities(world, 0.05, 0.03, /*sigma=*/0.6);
-  double service_sum = 0.0;
-  std::uint32_t min_service = UINT32_MAX;
-  std::uint32_t max_service = 0;
-  for (const auto& hotspot : world.hotspots()) {
-    EXPECT_GE(hotspot.service_capacity, 1u);
-    EXPECT_GE(hotspot.cache_capacity, 1u);
-    service_sum += hotspot.service_capacity;
-    min_service = std::min(min_service, hotspot.service_capacity);
-    max_service = std::max(max_service, hotspot.service_capacity);
-  }
-  const double mean = service_sum / static_cast<double>(
-                                        world.hotspots().size());
-  // Mean-preserving around the uniform value (760), clearly heterogeneous.
-  EXPECT_NEAR(mean, 760.0, 80.0);
-  EXPECT_GT(max_service, 2 * min_service);
-}
-
-TEST(World, LognormalSigmaZeroMatchesUniform) {
-  World lognormal = generate_world(WorldConfig::evaluation_region());
-  assign_lognormal_capacities(lognormal, 0.05, 0.03, 0.0);
-  World uniform = generate_world(WorldConfig::evaluation_region());
-  assign_uniform_capacities(uniform, 0.05, 0.03);
-  for (std::size_t h = 0; h < uniform.hotspots().size(); ++h) {
-    EXPECT_EQ(lognormal.hotspots()[h].service_capacity,
-              uniform.hotspots()[h].service_capacity);
-    EXPECT_EQ(lognormal.hotspots()[h].cache_capacity,
-              uniform.hotspots()[h].cache_capacity);
-  }
-}
-
-TEST(World, LognormalCapacitiesDeterministicInSeed) {
-  World a = generate_world(WorldConfig::evaluation_region());
-  World b = generate_world(WorldConfig::evaluation_region());
-  assign_lognormal_capacities(a, 0.05, 0.03, 0.5, 99);
-  assign_lognormal_capacities(b, 0.05, 0.03, 0.5, 99);
-  for (std::size_t h = 0; h < a.hotspots().size(); ++h) {
-    EXPECT_EQ(a.hotspots()[h].service_capacity,
-              b.hotspots()[h].service_capacity);
-  }
-}
-
 TEST(DiurnalProfiles, ShapeSanity) {
   const auto& residential = diurnal_profile(ZoneType::kResidential);
   const auto& business = diurnal_profile(ZoneType::kBusiness);

@@ -330,15 +330,9 @@ WHITELIST = {
     ("src/model/trace_stats.cc", "unordered-container"):
         "dedup/count scratch; the iteration site is ccdn-lint-pragma'd "
         "(extract-then-sort)",
-    ("src/cache/policies.h", "unordered-container"):
-        "O(1) lookup index into an ordered std::list; eviction order comes "
-        "from the list, never from map iteration",
     ("src/sim/measurement.cc", "unordered-container"):
         "per-hotspot first-seen dedup; the iteration site is "
         "ccdn-lint-pragma'd (extracted ids sorted before use)",
-    ("src/predict/demand_predictor.h", "unordered-container"):
-        "per-video series state queried by key; iteration feeds an "
-        "order-insensitive aggregate",
     ("src/core/random_scheme.cc", "unordered-container"):
         "neighbourhood demand merge; the iteration site is "
         "ccdn-lint-pragma'd (top_k_videos sorts with full tie-breaks)",
