@@ -259,9 +259,10 @@ SimulationReport Simulator::run(RedirectionScheme& scheme,
         lanes[i].clone = scheme.clone();
       }
       ThreadPool pool(num_threads);
-      // The source may parse on the lanes (CsvSlotSource's pieces) while
-      // this thread pulls; it joins those tasks before next() returns, so
-      // no slot is ever queued behind one.
+      // The source may parse ahead on the lanes (CsvSlotSource's pieces)
+      // while this thread pulls. Those are parse tasks, which a worker
+      // takes only when no slot task is queued, so no slot waits behind
+      // one, and no slot task waits on one.
       const ThreadPool::Lend lend(pool);
       std::deque<std::future<SlotResult>> inflight;
       std::size_t submitted = 0;

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <future>
@@ -42,16 +43,18 @@ namespace {
 constexpr std::uint64_t kPieceBytes = std::uint64_t{128} << 10;
 /// How far past its range a piece reads to finish its last row.
 constexpr std::uint64_t kSlackBytes = std::uint64_t{4} << 10;
-/// Pieces per round, whatever the pool's size: bounds the bytes in flight.
-constexpr std::size_t kPiecesPerRound = 8;
+/// Pieces in the ring, whatever the pool's size: bounds the bytes in flight.
+constexpr std::size_t kRingPieces = 8;
 
 struct Piece {
   std::uint64_t begin = 0;  // owns the rows that start in [begin, end)
   std::uint64_t end = 0;
   std::unique_ptr<char[]> bytes;  // [begin - 1, end + slack), kept
   std::vector<Request> rows;
+  std::size_t sorted = 0;  // leading rows in ascending timestamp order
   std::uint64_t rows_end = 0;  // past the last row's LF
   bool clean = false;
+  std::future<void> task;  // the parse, when it ran on a pool
 };
 
 /// pread until all `count` bytes at `offset` are in; false on an error or
@@ -75,7 +78,6 @@ bool read_fully(int fd, char* out, std::size_t count, std::uint64_t offset) {
 /// clean: the row its range cuts is one line, ended by that LF.
 void parse_piece(int fd, std::uint64_t size, Piece& piece) {
   piece.rows.clear();
-  piece.clean = false;
   const std::uint64_t from = piece.begin - 1;
   const auto count = static_cast<std::size_t>(
       std::min(piece.end + kSlackBytes, size) - from);
@@ -93,13 +95,20 @@ void parse_piece(int fd, std::uint64_t size, Piece& piece) {
     row = parse_plain_row(row, last, piece.rows.emplace_back());
     if (row == nullptr) return;
   }
+  piece.sorted = static_cast<std::size_t>(
+      std::is_sorted_until(piece.rows.begin(), piece.rows.end(),
+                           [](const Request& a, const Request& b) {
+                             return a.timestamp < b.timestamp;
+                           }) -
+      piece.rows.begin());
   piece.rows_end = from + static_cast<std::uint64_t>(row - bytes);
   piece.clean = true;
 }
 
 }  // namespace
 
-/// The rows of a regular file past its header, a round of pieces at a time.
+/// The rows of a regular file past its header, from a ring of pieces that
+/// parse ahead of the puller.
 class CsvSlotSource::Pieces {
  public:
   /// Reads `path` from `offset`, the first data row's start, when it is a
@@ -126,31 +135,34 @@ class CsvSlotSource::Pieces {
 
   [[nodiscard]] bool regular() const { return fd_ >= 0; }
 
-  /// The rows of the next clean piece that has any, once its task is done;
-  /// empty where the clean pieces end, at the end of the file or at a
-  /// piece that is not clean.
-  std::span<const Request> next() {
+  /// The next clean piece that has rows, once its parse is done; null where
+  /// the clean pieces end, at the end of the file or at a piece that is not
+  /// clean. Every piece the ring does not hold for a hand-out is cut to the
+  /// next range first: all of them on the first call, and after that the
+  /// ones handed out since, whose rows the caller has used up.
+  const Piece* next() {
     while (!stopped_) {
-      if (cursor_ == round_.size()) {
-        if (next_ == size_) return {};
-        start_round();
+      while (pending_ < kRingPieces && next_ < size_) {
+        cut(ring_[(head_ + pending_) % kRingPieces]);
       }
-      if (tasks_[cursor_].valid()) tasks_[cursor_].get();
-      const Piece& piece = round_[cursor_];
+      if (pending_ == 0) return nullptr;
+      Piece& piece = ring_[head_];
+      if (piece.task.valid()) piece.task.get();
       if (!piece.clean) {
         stopped_ = true;
         break;
       }
-      ++cursor_;
+      head_ = (head_ + 1) % kRingPieces;
+      --pending_;
       resume_ = piece.rows_end;
-      if (!piece.rows.empty()) return piece.rows;
+      if (!piece.rows.empty()) return &piece;
     }
-    return {};
+    return nullptr;
   }
-  /// Waits for every piece task of the round.
+  /// Waits for every piece task still out.
   void join() noexcept {
-    for (std::future<void>& task : tasks_) {
-      if (task.valid()) task.wait();
+    for (Piece& piece : ring_) {
+      if (piece.task.valid()) piece.task.wait();
     }
   }
   /// Whether next() stopped at a piece that is not clean.
@@ -159,45 +171,31 @@ class CsvSlotSource::Pieces {
   [[nodiscard]] std::uint64_t resume_offset() const { return resume_; }
 
  private:
-  /// Cuts the next round's ranges and starts a task for each on the pool
-  /// lent to this thread, or parses them inline when none is.
-  void start_round() {
-    std::size_t count = 0;
-    while (count < kPiecesPerRound && next_ < size_) {
-      if (count == round_.size()) round_.emplace_back();
-      Piece& piece = round_[count++];
-      piece.begin = next_;
-      next_ = std::min(size_, (next_ / kPieceBytes + 1) * kPieceBytes);
-      piece.end = next_;
-    }
-    round_.resize(count);
-    tasks_.clear();
-    tasks_.resize(count);
-    cursor_ = 0;
+  /// Gives `piece` the next range and parses it: as a parse task on the
+  /// pool lent to this thread, or inline when none is.
+  void cut(Piece& piece) {
+    piece.begin = next_;
+    next_ = std::min(size_, (next_ / kPieceBytes + 1) * kPieceBytes);
+    piece.end = next_;
+    piece.clean = false;  // and so it stays if no parse runs
+    ++pending_;
     ThreadPool* const pool = ThreadPool::lent();
-    for (std::size_t i = 0; i < count; ++i) {
-      Piece& piece = round_[i];
-      if (pool == nullptr) {
-        parse_piece(fd_, size_, piece);
-        continue;
-      }
-      try {
-        tasks_[i] =
-            pool->submit([this, &piece] { parse_piece(fd_, size_, piece); });
-      } catch (...) {
-        join();
-        throw;
-      }
+    if (pool == nullptr) {
+      parse_piece(fd_, size_, piece);
+      return;
     }
+    piece.task = pool->submit(
+        [fd = fd_, size = size_, &piece] { parse_piece(fd, size, piece); },
+        ThreadPool::TaskClass::kParse);
   }
 
   int fd_;
   std::uint64_t size_ = 0;
-  std::uint64_t next_;    // where the next round's first range starts
+  std::uint64_t next_;    // where the next range starts
   std::uint64_t resume_;  // past the rows handed out
-  std::vector<Piece> round_;
-  std::vector<std::future<void>> tasks_;  // round_'s, when a pool is lent
-  std::size_t cursor_ = 0;  // the next piece of the round to hand out
+  std::array<Piece, kRingPieces> ring_;
+  std::size_t head_ = 0;     // the ring's next piece to hand out
+  std::size_t pending_ = 0;  // pieces cut and not yet handed out
   bool stopped_ = false;
 };
 
@@ -228,8 +226,11 @@ CsvSlotSource::~CsvSlotSource() = default;
 
 bool CsvSlotSource::refill() {
   if (pieces_ != nullptr) {
-    unread_ = pieces_->next();
-    if (!unread_.empty()) return true;
+    if (const Piece* piece = pieces_->next()) {
+      unread_ = piece->rows;
+      sorted_ = piece->sorted;
+      return true;
+    }
     if (!pieces_->stopped()) return false;
     // A TraceReader reads the rest, from the first row the clean pieces
     // did not hand out: every row so far was one line, so it is on line_.
@@ -242,6 +243,7 @@ bool CsvSlotSource::refill() {
   if (!row.has_value()) return false;
   held_ = *row;
   unread_ = std::span<const Request>(&held_, 1);
+  sorted_ = 1;
   line_ = reader_->line();
   return true;
 }
@@ -263,13 +265,10 @@ std::size_t CsvSlotSource::admit(const Request& r, std::size_t line) {
 
 std::optional<SlotBatch> CsvSlotSource::next() {
   const MutexLock lock(mu_);
-  // The rest of the round's tasks end before the batch is returned, so a
-  // slot the caller hands to the pool next never queues behind one.
   try {
-    std::optional<SlotBatch> batch = next_batch();
-    if (pieces_ != nullptr) pieces_->join();
-    return batch;
+    return next_batch();
   } catch (...) {
+    // No piece task outlives a call that throws.
     if (pieces_ != nullptr) pieces_->join();
     throw;
   }
@@ -279,18 +278,33 @@ std::optional<SlotBatch> CsvSlotSource::next_batch() {
   if (unread_.empty() && !refill()) return std::nullopt;
   SlotBatch batch;
   batch.slot_index = next_slot_;
-  // Rows join the batch while they fall in its slot. Each is checked as it
-  // is reached, so the first row past the slot is read and checked before
-  // the batch is returned; it stays unread, and a gap before it yields
-  // empty batches.
+  // Rows join the batch while they fall in its slot. The first row past
+  // the slot is read and checked before the batch is returned; it stays
+  // unread, and a gap before it yields empty batches. A row that admit()
+  // took starts a sorted run whose rows all pass the sort check, so a
+  // binary search finds where the slot ends in the run. The row there, and
+  // a row past the run (which fails the sort check), go through admit().
   do {
     std::size_t n = 0;
-    while (n < unread_.size() && admit(unread_[n], line_ + n) == next_slot_) {
-      ++n;
+    if (admit(unread_.front(), line_) == next_slot_) {
+      const std::int64_t origin = *origin_;
+      const std::size_t slot = next_slot_;
+      const auto run_end =
+          unread_.begin() + static_cast<std::ptrdiff_t>(sorted_);
+      n = static_cast<std::size_t>(
+          std::partition_point(unread_.begin() + 1, run_end,
+                               [&](const Request& r) {
+                                 return slot_index_of(r.timestamp, origin,
+                                                      slot_seconds_) == slot;
+                               }) -
+          unread_.begin());
+      last_timestamp_ = unread_[n - 1].timestamp;
+      while (n < unread_.size() && admit(unread_[n], line_ + n) == slot) ++n;
     }
     const std::span<const Request> rows = unread_.first(n);
     batch.requests.insert(batch.requests.end(), rows.begin(), rows.end());
     unread_ = unread_.subspan(n);
+    sorted_ -= n;
     line_ += n;
   } while (unread_.empty() && refill());
   ++next_slot_;

@@ -14,7 +14,8 @@
 //   * VectorSlotSource — adapter over an in-memory trace (the reference the
 //                        equivalence tests compare against).
 //   * CsvSlotSource    — chunked CSV ingestion; never loads the file. A
-//                        regular file is parsed in 128 KiB pieces on the
+//                        regular file is parsed in 128 KiB pieces, a ring
+//                        of 8 ahead of the puller, as parse tasks on the
 //                        pool its caller lends (Simulator::run lends its
 //                        lanes), with TraceReader reading the rest of the
 //                        file from the first piece the parallel parser
@@ -88,18 +89,24 @@ class VectorSlotSource final : public SlotSource {
 ///
 /// The path constructor reads a regular file in pieces (DESIGN.md §3.9).
 /// Past the header, the file is cut into 128 KiB byte ranges, and each
-/// piece owns the rows that start in its range. A round parses up to 8
-/// pieces, each by one task that also preads its bytes, on the pool lent
-/// to the calling thread (ThreadPool::Lend) or inline when none is lent.
-/// Each piece's rows are cut into slots as soon as its task is done, and
-/// next() joins every task it started before it returns or throws. A
-/// piece is kept only when it is clean: each of its rows is a one-pass row
-/// (parse_plain_row) and the last row's LF lies at most 4 KiB past the
-/// range. From the first piece that is not clean, a TraceReader resumed at
-/// that piece's first row reads the rest of the file. So every batch, ParseError text, line
-/// number and throwing next() call is the one CsvSlotSource(TraceReader&)
-/// gives, which reads every row through the reader, as the path
-/// constructor does on a file that is not regular (a pipe, say).
+/// piece owns the rows that start in its range. A ring of 8 pieces parses
+/// ahead of the puller: each piece is one task that also preads its bytes,
+/// run as a parse task on the pool lent to the calling thread
+/// (ThreadPool::Lend), so a queued slot task always goes first, or inline
+/// when none is lent. When the puller asks for a piece, the one it handed
+/// out last is cut to the next range and its task submitted at once, so
+/// later pieces parse while the puller cuts slots; ~CsvSlotSource and a
+/// throwing next() wait for every piece task still out. The parse also counts the
+/// piece's leading rows in ascending timestamp order, and within that run
+/// the puller finds a slot's end by a binary search and appends its rows
+/// with one insert. A piece is kept only when it is clean: each of its rows
+/// is a one-pass row (parse_plain_row) and the last row's LF lies at most
+/// 4 KiB past the range. From the first piece that is not clean, a
+/// TraceReader resumed at that piece's first row reads the rest of the
+/// file. So every batch, ParseError text, line number and throwing next()
+/// call is the one CsvSlotSource(TraceReader&) gives, which reads every
+/// row through the reader, as the path constructor does on a file that is
+/// not regular (a pipe, say).
 class CsvSlotSource final : public SlotSource {
  public:
   CsvSlotSource(const std::string& path, std::int64_t slot_seconds);
@@ -115,7 +122,7 @@ class CsvSlotSource final : public SlotSource {
  private:
   class Pieces;
 
-  /// next() before the piece tasks are joined.
+  /// next() without the wait for the piece tasks on its throw path.
   std::optional<SlotBatch> next_batch() CCDN_REQUIRES(mu_);
   /// Makes unread_ non-empty; false at the end of the trace.
   bool refill() CCDN_REQUIRES(mu_);
@@ -131,6 +138,9 @@ class CsvSlotSource final : public SlotSource {
   std::unique_ptr<Pieces> pieces_ CCDN_GUARDED_BY(mu_);
   /// Rows read but not yet in a batch: a clean piece's rows, or held_.
   std::span<const Request> unread_ CCDN_GUARDED_BY(mu_);
+  /// Leading rows of unread_ in ascending timestamp order (at least one
+  /// while unread_ is not empty).
+  std::size_t sorted_ CCDN_GUARDED_BY(mu_) = 0;
   Request held_ CCDN_GUARDED_BY(mu_);  // the reader's latest row
   std::size_t line_ CCDN_GUARDED_BY(mu_) = 0;  // line of unread_.front()
   std::optional<std::int64_t> origin_ CCDN_GUARDED_BY(mu_);

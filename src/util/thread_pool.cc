@@ -38,10 +38,10 @@ std::size_t ThreadPool::default_threads() noexcept {
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 
-void ThreadPool::enqueue(std::function<void()> task) {
+void ThreadPool::enqueue(std::function<void()> task, TaskClass task_class) {
   {
     const MutexLock lock(mutex_);
-    queue_.push_back(std::move(task));
+    queues_[static_cast<std::size_t>(task_class)].push_back(std::move(task));
   }
   ready_.notify_one();
 }
@@ -52,11 +52,16 @@ void ThreadPool::worker_loop() {
     {
       MutexLock lock(mutex_);
       // Explicit wait loop (not the predicate overload) so the guarded
-      // reads of stop_/queue_ stay visible to the thread-safety analysis.
-      while (!stop_ && queue_.empty()) ready_.wait(mutex_);
-      if (queue_.empty()) return;  // stop_ set and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      // reads of stop_/queues_ stay visible to the thread-safety analysis.
+      while (!stop_ && queues_[0].empty() && queues_[1].empty()) {
+        ready_.wait(mutex_);
+      }
+      // Slot tasks first; with stop_ set, both queues drain before return.
+      std::deque<std::function<void()>>& queue =
+          queues_[0].empty() ? queues_[1] : queues_[0];
+      if (queue.empty()) return;
+      task = std::move(queue.front());
+      queue.pop_front();
     }
     task();
   }

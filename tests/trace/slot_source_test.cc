@@ -11,8 +11,12 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -319,6 +323,50 @@ TEST(CsvSlotSource, ReadsAPipeThroughTheReader) {
               (std::vector<std::string>{"0:2", "1:1", "2:0", "3:2"}));
   }
   writer.join();
+  std::remove(path.c_str());
+}
+
+TEST(CsvSlotSource, DestructionWaitsForQueuedReadAhead) {
+  // Sorted rows over 16 piece ranges of 128 KiB, 8,000 (176 KB) to a slot.
+  std::string csv = "user,timestamp,video,lat,lon\n";
+  for (std::int64_t row = 0; csv.size() < std::size_t{16} << 17; ++row) {
+    csv += "1," + std::to_string(row / 2) + ",3,40.0,116.5\n";
+  }
+  const std::string path = ::testing::TempDir() + "/ccdn_read_ahead.csv";
+  std::ofstream(path, std::ios::binary) << csv;
+
+  ThreadPool pool(1);
+  const ThreadPool::Lend lend(pool);
+  auto source = std::make_unique<CsvSlotSource>(path, 4000);
+  ASSERT_EQ(source->next()->requests.size(), 8000u);
+  // A parse task runs after every parse task queued before it, so once
+  // this one is done, every piece cut so far is parsed.
+  pool.submit([] {}, ThreadPool::TaskClass::kParse).get();
+  std::promise<void> open;
+  std::promise<void> started;
+  std::future<void> running = started.get_future();
+  std::future<void> held =
+      pool.submit([gate = open.get_future(), &started]() mutable {
+        started.set_value();
+        gate.wait();
+      });
+  running.wait();
+  // Two more slots use parsed pieces only, and the pieces they use up are
+  // cut again, their parses queued behind the held worker.
+  ASSERT_EQ(source->next()->requests.size(), 8000u);
+  ASSERT_EQ(source->next()->requests.size(), 8000u);
+
+  std::atomic<bool> destroyed{false};
+  std::thread destroy([&] {
+    source.reset();
+    destroyed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load()) << "destroyed with read-ahead still queued";
+  open.set_value();
+  destroy.join();
+  EXPECT_TRUE(destroyed.load());
+  held.get();
   std::remove(path.c_str());
 }
 

@@ -4,17 +4,22 @@
 //   * TraceReader's block parser against the char-at-a-time reference
 //     (reference_trace_reader.h): both must yield the same requests and
 //     line() values, or ParseErrors with the same text;
-//   * CsvSlotSource on a file, its pieces parsed inline and on a lent pool,
+//   * CsvSlotSource on a file, its pieces parsed inline and on a lent pool
+//     (on the piece trace, also one whose workers slot tasks keep busy),
 //     against CsvSlotSource over a TraceReader on the same bytes: the same
 //     batches, then the same error text from the same next() call.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -313,90 +318,134 @@ constexpr std::size_t kPiece = std::size_t{128} << 10;  // CsvSlotSource's
 constexpr std::size_t kSlack = std::size_t{4} << 10;    // pieces
 constexpr std::int64_t kSlotSeconds = 3600;
 
-/// One entry per next() call: the batch's slot and requests (doubles exact
-/// via %a), "end" for the nullopt, or the ParseError text that call threw.
-std::vector<std::string> slot_events(CsvSlotSource& source) {
-  std::vector<std::string> events;
+/// What a source yields: its batches, then how it ended: "end" for the
+/// nullopt, or the ParseError text the last next() call threw.
+struct Pulled {
+  std::vector<SlotBatch> batches;
+  std::string end;
+};
+
+/// Pulls `source` dry. With `hold`, every worker of that pool is first
+/// given a slot-class task that sleeps 300 µs before each next() call, so
+/// the read-ahead that call submits waits behind them, as behind planned
+/// slots in a run.
+Pulled pull(CsvSlotSource& source, ThreadPool* hold = nullptr) {
+  Pulled pulled;
   try {
-    while (const std::optional<SlotBatch> batch = source.next()) {
-      std::string event = "slot " + std::to_string(batch->slot_index) + ":";
-      for (const Request& r : batch->requests) {
-        char text[128];
-        std::snprintf(text, sizeof text, " %u %lld %u %a %a", r.user,
-                      static_cast<long long>(r.timestamp), r.video,
-                      r.location.lat, r.location.lon);
-        event += text;
+    for (;;) {
+      for (std::size_t i = 0; hold != nullptr && i < hold->size(); ++i) {
+        (void)hold->submit([] {
+          std::this_thread::sleep_for(std::chrono::microseconds(300));
+        });
       }
-      events.push_back(std::move(event));
+      std::optional<SlotBatch> batch = source.next();
+      if (!batch.has_value()) break;
+      pulled.batches.push_back(std::move(*batch));
     }
-    events.emplace_back("end");
+    pulled.end = "end";
   } catch (const ParseError& error) {
-    events.push_back(std::string("error: ") + error.what());
+    pulled.end = std::string("error: ") + error.what();
   }
-  return events;
+  return pulled;
 }
 
-/// slot_events of CsvSlotSource(path), or the error its constructor threw.
-std::vector<std::string> file_events(const std::string& path) {
+/// pull() of CsvSlotSource(path), or the error its constructor threw.
+Pulled pull_file(const std::string& path, ThreadPool* hold = nullptr) {
   std::optional<CsvSlotSource> source;
   try {
     source.emplace(path, kSlotSeconds);
   } catch (const ParseError& error) {
-    return {std::string("header error: ") + error.what()};
+    return {{}, std::string("header error: ") + error.what()};
   }
-  return slot_events(*source);
+  return pull(*source, hold);
 }
 
-/// Writes `csv` to `path` and reads it three ways: CsvSlotSource over a
-/// TraceReader on the bytes, and CsvSlotSource(path) with no pool and with
-/// `pool` lent. Returns the first difference, or "" when all agree; counts
-/// the reference's batches and errors into `batches` and `errors`.
+/// A request as text, its doubles exact via %a.
+std::string describe(const Request& r) {
+  char text[128];
+  std::snprintf(text, sizeof text, "%u %lld %u %a %a", r.user,
+                static_cast<long long>(r.timestamp), r.video, r.location.lat,
+                r.location.lon);
+  return text;
+}
+
+bool same_request(const Request& a, const Request& b) {
+  return a.user == b.user && a.timestamp == b.timestamp &&
+         a.video == b.video &&
+         std::bit_cast<std::uint64_t>(a.location.lat) ==
+             std::bit_cast<std::uint64_t>(b.location.lat) &&
+         std::bit_cast<std::uint64_t>(a.location.lon) ==
+             std::bit_cast<std::uint64_t>(b.location.lon);
+}
+
+/// Where `got` first parts from `want`, or "" when they agree.
+std::string difference(const Pulled& want, const Pulled& got) {
+  const std::size_t batches = std::min(want.batches.size(), got.batches.size());
+  for (std::size_t i = 0; i < batches; ++i) {
+    const SlotBatch& w = want.batches[i];
+    const SlotBatch& g = got.batches[i];
+    const std::string at = "next() call " + std::to_string(i) + ": ";
+    if (w.slot_index != g.slot_index) {
+      return at + "slot " + std::to_string(g.slot_index) + " against " +
+             std::to_string(w.slot_index);
+    }
+    const std::size_t rows = std::min(w.requests.size(), g.requests.size());
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (!same_request(w.requests[r], g.requests[r])) {
+        return at + "request " + std::to_string(r) + "\n  pieces: " +
+               describe(g.requests[r]) +
+               "\n  reader: " + describe(w.requests[r]);
+      }
+    }
+    if (w.requests.size() != g.requests.size()) {
+      return at + std::to_string(g.requests.size()) + " requests against " +
+             std::to_string(w.requests.size());
+    }
+  }
+  if (want.batches.size() != got.batches.size() || want.end != got.end) {
+    return "after " + std::to_string(batches) + " batches\n  pieces: " +
+           (got.batches.size() > batches ? "a batch" : got.end) +
+           "\n  reader: " +
+           (want.batches.size() > batches ? "a batch" : want.end);
+  }
+  return "";
+}
+
+/// Writes `csv` to `path` and reads it as CsvSlotSource over a TraceReader
+/// on the bytes, and as CsvSlotSource(path) with no pool, with `pool` lent
+/// and idle, and, when `held`, with `pool` lent and its workers held by
+/// slot tasks before each pull. Returns the first difference, or "" when
+/// all agree; counts the reference's batches and errors into `batches` and
+/// `errors`.
 std::string compare_slots(const std::string& csv, const std::string& path,
-                          ThreadPool& pool, std::size_t& batches,
+                          ThreadPool& pool, bool held, std::size_t& batches,
                           std::size_t& errors) {
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << csv;
   }
-  std::vector<std::string> reference;
+  Pulled reference;
   std::istringstream in(csv);
   try {
     TraceReader reader(in);
     CsvSlotSource source(reader, kSlotSeconds);
-    reference = slot_events(source);
+    reference = pull(source);
   } catch (const ParseError& error) {
-    reference = {std::string("header error: ") + error.what()};
+    reference = {{}, std::string("header error: ") + error.what()};
   }
-  std::vector<std::string> inline_events = file_events(path);
-  std::vector<std::string> lent_events;
+  std::vector<std::pair<const char*, Pulled>> pieces;
+  pieces.emplace_back("inline", pull_file(path));
   {
     const ThreadPool::Lend lend(pool);
-    lent_events = file_events(path);
+    pieces.emplace_back("lent", pull_file(path));
+    if (held) pieces.emplace_back("held", pull_file(path, &pool));
   }
-  for (const auto& [name, events] :
-       {std::pair{"inline", &inline_events}, std::pair{"lent", &lent_events}}) {
-    for (std::size_t i = 0; i < std::max(reference.size(), events->size());
-         ++i) {
-      const std::string want = i < reference.size() ? reference[i] : "<none>";
-      const std::string got = i < events->size() ? (*events)[i] : "<none>";
-      if (want != got) {
-        // The batches run long: show where they part.
-        std::size_t at = 0;
-        while (at < want.size() && at < got.size() && want[at] == got[at]) {
-          ++at;
-        }
-        at -= std::min<std::size_t>(at, 80);
-        return std::string(name) + " pieces, next() call " +
-               std::to_string(i) + ", from byte " + std::to_string(at) +
-               "\n  pieces: " + got.substr(at, 200) +
-               "\n  reader: " + want.substr(at, 200);
-      }
-    }
+  for (const auto& [name, pulled] : pieces) {
+    const std::string parted = difference(reference, pulled);
+    if (!parted.empty()) return std::string(name) + " pieces, " + parted;
   }
-  for (const std::string& event : reference) {
-    if (event.rfind("slot ", 0) == 0) ++batches;
-    if (event.find("error: ") != std::string::npos) ++errors;
-  }
+  batches += reference.batches.size();
+  if (reference.end.find("error: ") != std::string::npos) ++errors;
   return "";
 }
 
@@ -413,7 +462,7 @@ TEST(CsvSlotSourceDifferential, MutatedTracesSlotAlike) {
   for_each_input([&](const Base& base, const std::string& csv, int mutant) {
     ++inputs;
     const std::string difference =
-        compare_slots(csv, path, pool, batches, errors);
+        compare_slots(csv, path, pool, false, batches, errors);
     if (!difference.empty()) {
       ADD_FAILURE() << base.name << " mutant " << mutant << ": "
                     << difference;
@@ -439,12 +488,12 @@ void append_row_ending_at(std::string& csv, std::size_t end,
   csv += std::string(end - csv.size() - tail.size() - 1, '0') + "1" + tail;
 }
 
-/// Sorted plain rows over two rounds of pieces (11 ranges of 128 KiB; a
-/// round is 8), two timestamps a second, so 7,200 rows to an hourly slot.
-/// A row starts exactly on the first range boundary and one on the second
-/// round's, and the second range's last row ends with its LF as the last
-/// byte that piece reads, 4 KiB past its range. Other rows straddle every
-/// boundary.
+/// Sorted plain rows over three turns of CsvSlotSource's ring of 8 pieces
+/// and one range more (25 ranges of 128 KiB), two timestamps a second, so
+/// 7,200 rows to an hourly slot. A row starts exactly on the first range
+/// boundary and on the first range of each later turn, and the second
+/// range's last row ends with its LF as the last byte that piece reads,
+/// 4 KiB past its range. Other rows straddle every boundary.
 std::string piece_trace(Rng& rng) {
   std::string csv = "user,timestamp,video,lat,lon\n";
   std::int64_t row = 0;
@@ -459,9 +508,11 @@ std::string piece_trace(Rng& rng) {
   append_row_ending_at(csv, kPiece, row++ / 2);
   plain_rows_until(2 * kPiece - 200);
   append_row_ending_at(csv, 2 * kPiece + kSlack, row++ / 2);
-  plain_rows_until(8 * kPiece - 200);
-  append_row_ending_at(csv, 8 * kPiece, row++ / 2);
-  plain_rows_until(11 * kPiece - 100);
+  for (const std::size_t turn : {8, 16, 24}) {
+    plain_rows_until(turn * kPiece - 200);
+    append_row_ending_at(csv, turn * kPiece, row++ / 2);
+  }
+  plain_rows_until(25 * kPiece - 100);
   return csv;
 }
 
@@ -476,16 +527,19 @@ TEST(CsvSlotSourceDifferential, PieceEdgesSlotAlike) {
   ASSERT_EQ(base[kPiece - 1], '\n');
   ASSERT_EQ(base[2 * kPiece + kSlack - 1], '\n');
   ASSERT_EQ(base.find('\n', 2 * kPiece - 1), 2 * kPiece + kSlack - 1);
-  ASSERT_EQ(base[8 * kPiece - 1], '\n');
+  for (const std::size_t turn : {8, 16, 24}) {
+    ASSERT_EQ(base[turn * kPiece - 1], '\n');
+  }
 
+  // Ranges 8 and up are parsed by ring pieces cut again after a hand-out.
   std::vector<std::pair<std::string, std::string>> cases;
   cases.emplace_back("base", base);
   cases.emplace_back("no final LF", base.substr(0, base.size() - 1));
-  for (std::size_t round = 0; round < 2; ++round) {
-    // The round's second piece.
+  for (std::size_t turn = 0; turn < 3; ++turn) {
+    // The turn's second piece.
     const std::size_t at =
-        row_start_after(base, (8 * round + 1) * kPiece + 1000);
-    const std::string which = round == 0 ? " in round 1" : " in round 2";
+        row_start_after(base, (8 * turn + 1) * kPiece + 1000);
+    const std::string which = " in turn " + std::to_string(turn + 1);
     std::string quoted = base;
     quoted.insert(quoted.find(',', at), "\"");
     quoted.insert(at, "\"");
@@ -494,29 +548,39 @@ TEST(CsvSlotSourceDifferential, PieceEdgesSlotAlike) {
     blank.insert(at, "\n");
     cases.emplace_back("blank line" + which, blank);
   }
-  {
-    // The last row starting in the third range, longer than the slack.
+  for (const std::size_t range : {2, 18}) {
+    // The last row starting in the range, longer than the slack.
     std::string longer = base;
-    longer.insert(base.rfind('\n', 3 * kPiece - 2) + 1,
+    longer.insert(base.rfind('\n', (range + 1) * kPiece - 2) + 1,
                   std::string(kSlack + 100, '0'));
-    cases.emplace_back("row longer than the slack", longer);
+    cases.emplace_back("row longer than the slack in range " +
+                           std::to_string(range),
+                       longer);
+  }
+  {
     // The second range's last row, its LF one byte past the slack.
     std::string past = base;
     past.insert(base.rfind('\n', 2 * kPiece - 2) + 1, "0");
     cases.emplace_back("LF past the slack", past);
   }
-  {
-    // A row in the second round back at timestamp 0.
+  for (const std::size_t range : {9, 20}) {
+    // A row back at timestamp 0.
     std::string unsorted = base;
-    const std::size_t at = row_start_after(base, 9 * kPiece + 5000);
+    const std::size_t at = row_start_after(base, range * kPiece + 5000);
     const std::size_t ts = unsorted.find(',', at) + 1;
     unsorted.replace(ts, unsorted.find(',', ts) - ts, "0");
-    cases.emplace_back("unsorted in round 2", unsorted);
+    cases.emplace_back("unsorted in range " + std::to_string(range),
+                       unsorted);
   }
-  cases.emplace_back("cut at a range boundary", base.substr(0, 4 * kPiece));
-  cases.emplace_back("cut past a round", base.substr(0, 9 * kPiece + 77));
-  // Seeded edits within 64 bytes of each range boundary and slack end.
-  for (std::size_t k = 1; k <= 10; ++k) {
+  for (const std::size_t cut : {4 * kPiece, 9 * kPiece + 77, 17 * kPiece + 77,
+                                20 * kPiece}) {
+    cases.emplace_back("cut at byte " + std::to_string(cut),
+                       base.substr(0, cut));
+  }
+  // Seeded edits within 64 bytes of the k-th range boundary and the slack
+  // end past it: every boundary up to the third range of the second turn,
+  // then the first two of the third turn and the one after the last turn.
+  for (const std::size_t k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 16, 17, 24}) {
     for (const std::size_t edge : {k * kPiece, k * kPiece + kSlack}) {
       std::string csv = base;
       mutate_at(csv, edge - 64 + rng.index(128), rng);
@@ -530,15 +594,16 @@ TEST(CsvSlotSourceDifferential, PieceEdgesSlotAlike) {
   std::size_t errors = 0;
   for (const auto& [name, csv] : cases) {
     const std::size_t batches_before = batches;
-    ASSERT_EQ(compare_slots(csv, path, pool, batches, errors), "") << name;
+    ASSERT_EQ(compare_slots(csv, path, pool, true, batches, errors), "")
+        << name;
     if (name == "base") {
-      EXPECT_EQ(batches - batches_before, 4u);
+      EXPECT_EQ(batches - batches_before, 9u);
     }
   }
   std::remove(path.c_str());
-  // 68 batches and 23 errors over the 31 cases; the blank lines and the
-  // unsorted row always fail.
-  EXPECT_GE(errors, 3u);
+  // 218 batches and 28 errors over the 43 cases; the blank lines and the
+  // unsorted rows always fail.
+  EXPECT_GE(errors, 5u);
 }
 
 }  // namespace

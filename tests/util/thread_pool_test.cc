@@ -1,12 +1,17 @@
-// ThreadPool contract: FIFO execution with futures, exception capture, and
-// clean shutdown. The concurrency tests double as TSan targets — the CI
-// thread-sanitizer job runs this suite to back the "thread-safe" claims.
+// ThreadPool contract: two FIFO task classes, slot tasks taken first, with
+// futures, exception capture, and clean shutdown. The concurrency tests
+// double as TSan targets — the CI thread-sanitizer job runs this suite to
+// back the "thread-safe" claims.
 #include "util/thread_pool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <future>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -72,6 +77,107 @@ TEST(ThreadPoolTest, ConcurrentSubmittersShareOnePool) {
     for (auto& future : batch) future.get();
   }
   EXPECT_EQ(executed.load(), 200);
+}
+
+using TaskClass = ThreadPool::TaskClass;
+
+/// Occupies every worker of `pool` with a slot task until destroyed, so
+/// the tasks submitted meanwhile wait in their queues.
+class HeldWorkers {
+ public:
+  explicit HeldWorkers(ThreadPool& pool)
+      : gate_(open_.get_future().share()), started_(pool.size()) {
+    std::vector<std::future<void>> running;
+    for (std::promise<void>& started : started_) {
+      running.push_back(started.get_future());
+      held_.push_back(pool.submit([gate = gate_, &started] {
+        started.set_value();
+        gate.wait();
+      }));
+    }
+    for (std::future<void>& worker : running) worker.wait();
+  }
+  ~HeldWorkers() {
+    open_.set_value();
+    for (std::future<void>& task : held_) task.wait();
+  }
+  HeldWorkers(const HeldWorkers&) = delete;
+  HeldWorkers& operator=(const HeldWorkers&) = delete;
+
+ private:
+  std::promise<void> open_;
+  std::shared_future<void> gate_;
+  std::vector<std::promise<void>> started_;
+  std::vector<std::future<void>> held_;
+};
+
+TEST(ThreadPoolTest, SlotTaskRunsBeforeAnEarlierParseTask) {
+  ThreadPool pool(1);
+  std::vector<std::string> order;  // written by the one worker only
+  std::future<void> parse;
+  std::future<void> slot;
+  {
+    const HeldWorkers held(pool);
+    parse = pool.submit([&order] { order.emplace_back("parse"); },
+                        TaskClass::kParse);
+    slot = pool.submit([&order] { order.emplace_back("slot"); });
+  }
+  parse.get();
+  slot.get();
+  EXPECT_EQ(order, (std::vector<std::string>{"slot", "parse"}));
+}
+
+TEST(ThreadPoolTest, EachClassRunsFifo) {
+  ThreadPool pool(1);
+  std::vector<std::string> order;
+  std::vector<std::future<void>> tasks;
+  {
+    const HeldWorkers held(pool);
+    for (int i = 0; i < 4; ++i) {
+      for (const TaskClass task_class : {TaskClass::kParse, TaskClass::kSlot}) {
+        const std::string name =
+            (task_class == TaskClass::kSlot ? "slot " : "parse ") +
+            std::to_string(i);
+        tasks.push_back(
+            pool.submit([&order, name] { order.push_back(name); }, task_class));
+      }
+    }
+  }
+  for (std::future<void>& task : tasks) task.get();
+  EXPECT_EQ(order, (std::vector<std::string>{"slot 0", "slot 1", "slot 2",
+                                             "slot 3", "parse 0", "parse 1",
+                                             "parse 2", "parse 3"}));
+}
+
+TEST(ThreadPoolTest, DestructorDrainsBothQueues) {
+  std::atomic<int> slots{0};
+  std::atomic<int> parses{0};
+  {
+    std::optional<ThreadPool> pool(std::in_place, 2);
+    std::optional<HeldWorkers> held(std::in_place, *pool);
+    for (int i = 0; i < 32; ++i) {
+      (void)pool->submit([&slots] { ++slots; });
+      (void)pool->submit([&parses] { ++parses; }, TaskClass::kParse);
+    }
+    // The destructor starts while both queues are full; the workers are
+    // let go only once it has had time to set its stop flag.
+    std::thread destroy([&pool] { pool.reset(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    held.reset();
+    destroy.join();
+  }
+  EXPECT_EQ(slots.load(), 32);
+  EXPECT_EQ(parses.load(), 32);
+}
+
+TEST(ThreadPoolTest, ExceptionsSurfaceFromEitherClass) {
+  ThreadPool pool(2);
+  for (const TaskClass task_class : {TaskClass::kSlot, TaskClass::kParse}) {
+    auto future = pool.submit(
+        []() -> int { throw std::runtime_error("task failed"); }, task_class);
+    EXPECT_THROW((void)future.get(), std::runtime_error);
+    EXPECT_EQ(pool.submit([] { return 1; }, task_class).get(), 1);
+  }
 }
 
 TEST(ThreadPoolTest, LendsToTheLendingThreadOnly) {

@@ -2,8 +2,9 @@
 # status 2 with the reason on stderr, for simulate, audit and stats alike;
 # generate likewise on an --out it cannot write. Exit 1 is left to broken
 # invariants and other runtime errors, and nothing may end in an abort or
-# run past a timeout. A bad row beyond the first round of CsvSlotSource's
-# pieces (DESIGN.md §3.9) must fail alike at 1 and 4 threads, and a row at
+# run past a timeout. A bad row inside the first fill of CsvSlotSource's
+# ring of pieces, and one past its third turn with slots planning on the
+# lanes (DESIGN.md §3.9), must fail alike at 1 and 4 threads, and a row at
 # the last representable seconds must still make one slot.
 #
 #   cmake -DCCDN_TRACE=<ccdn-trace> -DDATA_DIR=<tests/data>
@@ -98,8 +99,9 @@ foreach(command IN ITEMS simulate audit)
               ${command} --in=${offset_past} --slot_seconds=3600)
 endforeach()
 
-# 30,000 rows of 20 bytes (586 KiB, more than 4 x 128 KiB) and then, on
-# line 30,002, a malformed row or one out of order.
+# 30,000 rows of 20 bytes (586 KiB, more than 4 x 128 KiB, inside the
+# ring's first fill of 8 pieces) and then, on line 30,002, a malformed row
+# or one out of order.
 string(REPEAT "1,1000,3,40.0,116.5\n" 30000 rows)
 set(late_bad "${WORK_DIR}/exit_code_late_bad_row_trace.csv")
 file(WRITE "${late_bad}" "user,timestamp,video,lat,lon\n${rows}"
@@ -122,6 +124,23 @@ function(expect_same_failure message)
   endif()
 endfunction()
 
+# Nine hourly slots of 20,000 rows (3.55 MiB, past three turns of the
+# ring), so at 4 threads slot tasks hold the lanes while the ring cuts its
+# pieces again, and then, on line 180,002, a malformed row or one out of
+# order.
+set(hourly_rows "")
+foreach(hour RANGE 8)
+  math(EXPR timestamp "1000 + ${hour} * 3600")
+  string(REPEAT "1,${timestamp},3,40.0,116.5\n" 20000 slot_rows)
+  string(APPEND hourly_rows "${slot_rows}")
+endforeach()
+set(turns_bad "${WORK_DIR}/exit_code_past_turns_bad_row_trace.csv")
+file(WRITE "${turns_bad}" "user,timestamp,video,lat,lon\n${hourly_rows}"
+     "1,29800,x,40.0,116.5\n1,29800,3,40.0,116.5\n")
+set(turns_unsorted "${WORK_DIR}/exit_code_past_turns_unsorted_trace.csv")
+file(WRITE "${turns_unsorted}" "user,timestamp,video,lat,lon\n${hourly_rows}"
+     "1,29799,3,40.0,116.5\n1,29800,3,40.0,116.5\n")
+
 expect_same_failure("simulate: trace CSV line 30002: not an integer: 'x'"
                     simulate --in=${late_bad} --slot_seconds=3600)
 expect_same_failure(
@@ -131,3 +150,12 @@ expect_exit(2 "audit: trace CSV line 30002: not an integer: 'x'"
             audit --in=${late_bad} --slot_seconds=3600)
 expect_exit(2 "audit: trace CSV line 30002: timestamps not sorted ascending"
             audit --in=${late_unsorted} --slot_seconds=3600)
+expect_same_failure("simulate: trace CSV line 180002: not an integer: 'x'"
+                    simulate --in=${turns_bad} --slot_seconds=3600)
+expect_same_failure(
+    "simulate: trace CSV line 180002: timestamps not sorted ascending"
+    simulate --in=${turns_unsorted} --slot_seconds=3600)
+expect_exit(2 "audit: trace CSV line 180002: not an integer: 'x'"
+            audit --in=${turns_bad} --slot_seconds=3600)
+expect_exit(2 "audit: trace CSV line 180002: timestamps not sorted ascending"
+            audit --in=${turns_unsorted} --slot_seconds=3600)
