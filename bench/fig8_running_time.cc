@@ -171,9 +171,8 @@ ShardBenchRow shard_bench_mode(const std::string& name, bool aggregation,
   return row;
 }
 
-/// Machine-readable perf trajectory for cross-PR tracking; same shape as
-/// hierarchical_scalability's BENCH_gc.json. False when the file could not
-/// be written in full.
+/// Machine-readable perf trajectory for cross-PR tracking (the committed
+/// BENCH_flow.json). False when the file could not be written in full.
 [[nodiscard]] bool write_flow_json(
     const std::string& path, const std::vector<ShardBenchRow>& shard_rows) {
   std::FILE* out = std::fopen(path.c_str(), "w");
@@ -324,8 +323,8 @@ int main(int argc, char** argv) {
   if (!run_flow_bench(flags)) return 2;
   if (flags.get_bool("flow_only", false)) return 0;
 
-  const World world = generate_world(WorldConfig::evaluation_region());
-  assign_uniform_capacities(const_cast<World&>(world), 0.05, 0.03);
+  World world = generate_world(WorldConfig::evaluation_region());
+  assign_uniform_capacities(world, 0.05, 0.03);
   TraceConfig trace_config;
   const auto trace = generate_trace(world, trace_config);
 

@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
       static_cast<double>(world.hotspots().size()) *
       static_cast<double>(world.hotspots().size());
   const auto candidates =
-      candidate_edges_pairscan(world.hotspots(), partition, 1e9);
+      candidate_edges(world.hotspots(), partition, 1e9, index);
 
   std::printf("=== Fig. 9: influence of the collaboration radius theta ===\n");
   std::printf("|V| = %zu hotspots; overloaded %zu, under-utilized %zu; "

@@ -364,6 +364,19 @@ void BM_TopSets(benchmark::State& state) {
 }
 BENCHMARK(BM_TopSets)->Unit(benchmark::kMillisecond);
 
+/// The batched Jd sweep pinned to the scalar popcount kernel. On an AVX2
+/// host BM_ContentDistanceBitmap runs the AVX2 tile kernel, so this is the
+/// only row that times the scalar sweep the forced-scalar build runs.
+void BM_ContentDistanceBitmapScalar(benchmark::State& state) {
+  const auto& sets = synthetic_top_sets(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(content_distance_matrix(
+        sets, {.use_bitmap = true, .simd = SimdMode::kScalar}));
+  }
+}
+BENCHMARK(BM_ContentDistanceBitmapScalar)->Arg(310)->Arg(1000)->Arg(2000)
+    ->Unit(benchmark::kMillisecond)->ComputeStatistics("min", min_stat);
+
 }  // namespace
 
 // BENCHMARK_MAIN with default min-of-repeats reporting (3 repetitions,

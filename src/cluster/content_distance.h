@@ -16,7 +16,7 @@ struct ContentDistanceOptions {
   /// Compute Jaccard with the word-parallel TopsetBitmap kernel (default)
   /// or the scalar sorted-merge path. Both produce bit-identical distances;
   /// the scalar path is kept as the differential-test oracle that the
-  /// cluster tests and bench/hierarchical_scalability compare against.
+  /// cluster tests compare against.
   bool use_bitmap = true;
   /// SIMD path for the bitmap kernel's batch rows (TopsetBitmap::
   /// jaccard_row): auto picks the AVX2 transposed-tile kernel when it is

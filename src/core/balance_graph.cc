@@ -37,21 +37,6 @@ std::int64_t HotspotPartition::max_movable() const {
   return std::min(out, in);
 }
 
-std::vector<CandidateEdge> candidate_edges_pairscan(
-    std::span<const Hotspot> hotspots, const HotspotPartition& partition,
-    double radius_km) {
-  CCDN_REQUIRE(radius_km >= 0.0, "negative radius");
-  std::vector<CandidateEdge> edges;
-  for (const auto i : partition.overloaded) {
-    for (const auto j : partition.underutilized) {
-      const double d =
-          distance_km(hotspots[i].location, hotspots[j].location);
-      if (d < radius_km) edges.push_back({i, j, d});
-    }
-  }
-  return edges;
-}
-
 std::vector<CandidateEdge> candidate_edges(std::span<const Hotspot> hotspots,
                                            const HotspotPartition& partition,
                                            double radius_km,
@@ -69,7 +54,7 @@ std::vector<CandidateEdge> candidate_edges(std::span<const Hotspot> hotspots,
   // The grid filters on its planar projection, which can disagree with
   // distance_km by a fraction of a percent at city scale; query slightly
   // wide and keep the exact d < radius_km cut so the result matches the
-  // pair scan bit for bit.
+  // pair scan (tests/core/reference_pair_scans.h) bit for bit.
   const double query_radius = radius_km * 1.001 + 1e-6;
   std::vector<std::size_t> near;
   for (const auto i : partition.overloaded) {

@@ -48,18 +48,11 @@ struct CandidateEdge {
   double distance_km = 0.0;
 };
 
-/// All pairs with distance < radius_km (the widest θ the caller will use),
-/// via the O(|Hs|·|Ht|) pair scan. Kept as the differential oracle for the
-/// GridIndex overload below (and for tiny fixtures); production slot
-/// planning must use the indexed version.
-[[nodiscard]] std::vector<CandidateEdge> candidate_edges_pairscan(
-    std::span<const Hotspot> hotspots, const HotspotPartition& partition,
-    double radius_km);
-
-/// Same result, computed with a radius query per overloaded hotspot against
-/// `index` (a GridIndex over the hotspot locations, same order) instead of
-/// the O(|Hs|·|Ht|) pair scan. Edges come back in the same order as the
-/// scan: by partition.overloaded order, then ascending receiver index.
+/// All (overloaded, under-utilized) pairs with distance < radius_km (the
+/// widest θ the caller will use), found with a radius query per overloaded
+/// hotspot against `index` (a GridIndex over the hotspot locations, same
+/// order) instead of an O(|Hs|·|Ht|) pair scan. Edges come back by
+/// partition.overloaded order, then ascending receiver index.
 [[nodiscard]] std::vector<CandidateEdge> candidate_edges(
     std::span<const Hotspot> hotspots, const HotspotPartition& partition,
     double radius_km, const GridIndex& index);

@@ -28,7 +28,7 @@
 // The price is granularity: balancing *within* a region only happens
 // implicitly through the localization pass, so flat RBCAer stays slightly
 // ahead on quality while the virtual variant scales to city-sized
-// deployments (see bench/hierarchical_scalability).
+// deployments (see bench/hierarchical_scalability's per-slot latency table).
 #pragma once
 
 #include "core/rbcaer_scheme.h"

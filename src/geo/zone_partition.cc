@@ -108,23 +108,4 @@ std::vector<std::uint8_t> boundary_hotspots(std::span<const GeoPoint> points,
   return boundary;
 }
 
-std::vector<std::uint8_t> boundary_hotspots_pairscan(
-    std::span<const GeoPoint> points, const ShardAssignment& assignment,
-    double radius_km) {
-  CCDN_REQUIRE(assignment.shard_of.size() == points.size(),
-               "boundary_hotspots: assignment/point count mismatch");
-  std::vector<std::uint8_t> boundary(points.size(), 0);
-  if (assignment.num_shards <= 1) return boundary;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    for (std::size_t j = 0; j < points.size(); ++j) {
-      if (assignment.shard_of[j] == assignment.shard_of[i]) continue;
-      if (distance_km(points[i], points[j]) < radius_km) {
-        boundary[i] = 1;
-        break;
-      }
-    }
-  }
-  return boundary;
-}
-
 }  // namespace ccdn

@@ -53,9 +53,4 @@ struct ShardAssignment {
     std::span<const GeoPoint> points, const ShardAssignment& assignment,
     double radius_km, const GridIndex& index);
 
-/// O(n²) pair-scan oracle for boundary_hotspots (differential tests only).
-[[nodiscard]] std::vector<std::uint8_t> boundary_hotspots_pairscan(
-    std::span<const GeoPoint> points, const ShardAssignment& assignment,
-    double radius_km);
-
 }  // namespace ccdn

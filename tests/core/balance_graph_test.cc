@@ -4,6 +4,7 @@
 
 #include <limits>
 
+#include "core/reference_pair_scans.h"
 #include "flow/mcmf.h"
 #include "geo/grid_index.h"
 #include "util/error.h"

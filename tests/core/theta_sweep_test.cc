@@ -10,6 +10,7 @@
 #include "cluster/content_distance.h"
 #include "core/balance_graph.h"
 #include "core/rbcaer_scheme.h"
+#include "core/reference_pair_scans.h"
 #include "core/replication.h"
 #include "flow/mcmf.h"
 #include "model/topsets.h"

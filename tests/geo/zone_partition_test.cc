@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/reference_pair_scans.h"
 #include "util/error.h"
 #include "util/rng.h"
 
