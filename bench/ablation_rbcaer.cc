@@ -63,13 +63,16 @@ void run_rows(const World& world, std::span<const Request> trace,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  TraceConfig trace_config;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        trace_config.num_requests = static_cast<std::size_t>(flags.get_int(
+            "requests",
+            static_cast<std::int64_t>(trace_config.num_requests)));
+      })) {
+    return 2;
+  }
   World world = generate_world(WorldConfig::evaluation_region());
   assign_uniform_capacities(world, 0.05, 0.03);
-  TraceConfig trace_config;
-  trace_config.num_requests = static_cast<std::size_t>(
-      flags.get_int("requests", static_cast<std::int64_t>(
-                                    trace_config.num_requests)));
   const auto trace = generate_trace(world, trace_config);
 
   std::printf("=== RBCAer ablations (capacity 5%%, cache 3%%) ===\n\n");

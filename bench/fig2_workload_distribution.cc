@@ -13,7 +13,6 @@
 #include "trace/generator.h"
 #include "trace/world.h"
 #include "util/flags.h"
-#include "util/log.h"
 
 namespace {
 
@@ -26,14 +25,19 @@ ccdn::EmpiricalCdf workload_cdf(const std::vector<std::uint32_t>& loads) {
 
 int main(int argc, char** argv) {
   using namespace ccdn;
-  const Flags flags(argc, argv);
   WorldConfig world_config = WorldConfig::city_scale();
-  world_config.num_hotspots = static_cast<std::size_t>(
-      flags.get_int("hotspots", static_cast<std::int64_t>(
-                                    world_config.num_hotspots)));
   TraceConfig trace_config;
-  trace_config.num_requests =
-      static_cast<std::size_t>(flags.get_int("requests", 2000000));
+  trace_config.num_requests = 2000000;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        world_config.num_hotspots = static_cast<std::size_t>(flags.get_int(
+            "hotspots",
+            static_cast<std::int64_t>(world_config.num_hotspots)));
+        trace_config.num_requests = static_cast<std::size_t>(flags.get_int(
+            "requests",
+            static_cast<std::int64_t>(trace_config.num_requests)));
+      })) {
+    return 2;
+  }
 
   std::printf("=== Fig. 2: workload distribution of content hotspots ===\n");
   std::printf("world: %zu hotspots, %u videos; trace: %zu requests / 1 day\n",

@@ -15,16 +15,22 @@
 
 int main(int argc, char** argv) {
   using namespace ccdn;
-  const Flags flags(argc, argv);
   WorldConfig world_config = WorldConfig::city_scale();
-  world_config.num_hotspots = static_cast<std::size_t>(
-      flags.get_int("hotspots", static_cast<std::int64_t>(
-                                    world_config.num_hotspots)));
   TraceConfig trace_config;
-  trace_config.num_requests =
-      static_cast<std::size_t>(flags.get_int("requests", 2000000));
-  const auto max_pairs =
-      static_cast<std::size_t>(flags.get_int("max_pairs", 30000));
+  trace_config.num_requests = 2000000;
+  std::size_t max_pairs = 30000;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        world_config.num_hotspots = static_cast<std::size_t>(flags.get_int(
+            "hotspots",
+            static_cast<std::int64_t>(world_config.num_hotspots)));
+        trace_config.num_requests = static_cast<std::size_t>(flags.get_int(
+            "requests",
+            static_cast<std::int64_t>(trace_config.num_requests)));
+        max_pairs = static_cast<std::size_t>(flags.get_int(
+            "max_pairs", static_cast<std::int64_t>(max_pairs)));
+      })) {
+    return 2;
+  }
 
   std::printf("=== Fig. 3: cooperation potential among hotspots ===\n");
   std::printf("world: %zu hotspots; trace: %zu requests / 1 day\n",

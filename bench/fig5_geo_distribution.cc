@@ -17,7 +17,12 @@
 
 int main(int argc, char** argv) {
   using namespace ccdn;
-  const Flags flags(argc, argv);
+  std::string csv_path;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        csv_path = flags.get_string("csv", "");
+      })) {
+    return 2;
+  }
   const WorldConfig world_config = WorldConfig::evaluation_region();
   const World world = generate_world(world_config);
   TraceConfig trace_config;  // defaults to the paper's 212,472 requests
@@ -86,7 +91,6 @@ int main(int argc, char** argv) {
               100.0 * static_cast<double>(close) /
                   static_cast<double>(trace.size()));
 
-  const std::string csv_path = flags.get_string("csv", "");
   if (!csv_path.empty()) {
     std::ofstream out(csv_path);
     CsvWriter writer(out);

@@ -18,12 +18,17 @@
 
 int main(int argc, char** argv) {
   using namespace ccdn;
-  const Flags flags(argc, argv);
-  const World world = generate_world(WorldConfig::evaluation_region());
   TraceConfig trace_config;
-  trace_config.num_requests = static_cast<std::size_t>(
-      flags.get_int("requests", static_cast<std::int64_t>(
-                                    trace_config.num_requests)));
+  std::string csv_path;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        trace_config.num_requests = static_cast<std::size_t>(flags.get_int(
+            "requests",
+            static_cast<std::int64_t>(trace_config.num_requests)));
+        csv_path = flags.get_string("csv", "");
+      })) {
+    return 2;
+  }
+  const World world = generate_world(WorldConfig::evaluation_region());
   const auto trace = generate_trace(world, trace_config);
 
   std::printf("=== Fig. 7: impact of cache size (capacity fixed at 5%%) "
@@ -38,7 +43,6 @@ int main(int argc, char** argv) {
   config.simulation.slot_seconds = 24 * 3600;
   const auto points = run_cache_sweep(world, trace, schemes, config);
 
-  const std::string csv_path = flags.get_string("csv", "");
   if (!csv_path.empty()) {
     std::ofstream csv(csv_path);
     write_sweep_csv(csv, points);

@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace ccdn;
-  const Flags flags(argc, argv);
+  if (!read_flags(argc, argv, [](const Flags&) {})) return 2;
   World world = generate_world(WorldConfig::evaluation_region());
   assign_uniform_capacities(world, 0.05, 0.03);
   TraceConfig trace_config;

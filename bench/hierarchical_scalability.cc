@@ -97,11 +97,17 @@ void scaling_table(std::size_t max_flat_hotspots) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
+  std::size_t max_flat_hotspots = 5000;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        max_flat_hotspots = static_cast<std::size_t>(flags.get_int(
+            "max_flat_hotspots",
+            static_cast<std::int64_t>(max_flat_hotspots)));
+      })) {
+    return 2;
+  }
   std::printf("=== hierarchical RBCAer: virtual region-hotspots ===\n\n");
   quality_table();
-  scaling_table(static_cast<std::size_t>(
-      flags.get_int("max_flat_hotspots", 5000)));
+  scaling_table(max_flat_hotspots);
   std::printf("\nreading: clustering drops from O(N^2) hotspot pairs to "
               "O(K^2) region pairs, so city-scale scheduling stays cheap; "
               "and because regions balance over a wider radius (6 km "

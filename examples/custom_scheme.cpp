@@ -79,15 +79,19 @@ class LeastLoadedScheme final : public RedirectionScheme {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const double radius = flags.get_double("radius", 1.5);
+  double radius = 1.5;
+  TraceConfig trace_config;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        radius = flags.get_double("radius", radius);
+        trace_config.num_requests = static_cast<std::size_t>(flags.get_int(
+            "requests",
+            static_cast<std::int64_t>(trace_config.num_requests)));
+      })) {
+    return 2;
+  }
 
   World world = generate_world(WorldConfig::evaluation_region());
   assign_uniform_capacities(world, 0.05, 0.03);
-  TraceConfig trace_config;
-  trace_config.num_requests = static_cast<std::size_t>(
-      flags.get_int("requests", static_cast<std::int64_t>(
-                                    trace_config.num_requests)));
   const auto trace = generate_trace(world, trace_config);
 
   SimulationConfig sim_config;

@@ -15,15 +15,27 @@
 
 int main(int argc, char** argv) {
   using namespace ccdn;
-  const Flags flags(argc, argv);
-
   // 1. Build a world: hotspot deployment + demand geography.
   WorldConfig world_config = WorldConfig::evaluation_region();
-  world_config.num_hotspots =
-      static_cast<std::size_t>(flags.get_int("hotspots", 60));
+  world_config.num_hotspots = 60;
   world_config.num_videos = 3000;
   world_config.num_zones = 10;
-  world_config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
+  world_config.seed = 42;
+  TraceConfig trace_config;
+  trace_config.num_requests = 8000;
+  // Every flag is read before any work: an unknown flag or a malformed
+  // value exits 2 naming it.
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        world_config.num_hotspots = static_cast<std::size_t>(flags.get_int(
+            "hotspots", static_cast<std::int64_t>(world_config.num_hotspots)));
+        world_config.seed = static_cast<std::uint64_t>(flags.get_int(
+            "seed", static_cast<std::int64_t>(world_config.seed)));
+        trace_config.num_requests = static_cast<std::size_t>(flags.get_int(
+            "requests",
+            static_cast<std::int64_t>(trace_config.num_requests)));
+      })) {
+    return 2;
+  }
   World world = generate_world(world_config);
 
   // Capacities as fractions of the catalog (the paper's defaults:
@@ -32,9 +44,6 @@ int main(int argc, char** argv) {
                             /*cache_fraction=*/0.03);
 
   // 2. Draw a day of session requests.
-  TraceConfig trace_config;
-  trace_config.num_requests =
-      static_cast<std::size_t>(flags.get_int("requests", 8000));
   const std::vector<Request> trace = generate_trace(world, trace_config);
 
   // 3. One scheduling epoch over the whole day.

@@ -168,11 +168,9 @@ SlotPlan RbcaerScheme::plan_slot(const SchemeContext& context,
 
   stage_timings_.partition_s = stage_clock.elapsed_seconds();
 
-  // Sharded planning (DESIGN.md §3.12): explicit config wins, else inherit
-  // the simulation-wide shard count from the context. 0 = classic
-  // unsharded path.
-  const std::size_t num_shards = std::min(
-      config_.num_shards != 0 ? config_.num_shards : context.num_shards, m);
+  // Sharded planning (DESIGN.md §3.12) at the simulation-wide shard count.
+  // 0 = classic unsharded path.
+  const std::size_t num_shards = std::min(context.num_shards, m);
   const bool sharded = num_shards >= 1;
 
   // --- Content clustering (only needed when aggregation is on and there
@@ -267,14 +265,11 @@ std::vector<FlowEntry> RbcaerScheme::plan_shard_flows(
   diagnostics_.shards = num_shards;
   diagnostics_.boundary_hotspots = outcome.boundary_hotspots;
   diagnostics_.exchange_moved = outcome.exchange_moved;
-  diagnostics_.shard_wall_s = outcome.shard_wall_s;
-  diagnostics_.exchange_s = outcome.exchange_s;
   for (const ShardFlowResult& shard : outcome.shards) {
     diagnostics_.num_clusters += shard.num_clusters;
     diagnostics_.guide_nodes += shard.guide_nodes;
     diagnostics_.theta_iterations =
         std::max(diagnostics_.theta_iterations, shard.theta_iterations);
-    diagnostics_.shard_flow_s.push_back(shard.graph_s + shard.mcmf_s);
     // The shards run back to back, so each stage is the sum over shards;
     // the exchange round is added to the MCMF stage below.
     stage_timings_.gc_build_s += shard.gc_build_s;

@@ -76,13 +76,8 @@ struct RbcaerConfig {
   /// solved graph (flow conservation, min cost: no negative residual cycle).
   /// Violations throw InvariantError naming the invariant (DESIGN.md §3.8).
   AuditLevel audit_level = AuditLevel::kOff;
-  /// Zone-sharded parallel flow solve (DESIGN.md §3.12). 0 inherits
-  /// SchemeContext::num_shards (itself 0 by default = classic unsharded
-  /// planning); 1 runs the sharded orchestration with a single shard, which
-  /// is bit-identical to the unsharded path; >= 2 partitions the hotspots
-  /// into that many geo zones, solves each zone independently, and
-  /// reconciles boundary residuals with one cross-shard exchange round.
-  /// Values above the hotspot count are clamped.
+  /// Ignored; kept only because perfbench/trace_mode.cc assigns it. The
+  /// shard count comes from SchemeContext::num_shards (DESIGN.md §3.12).
   std::size_t num_shards = 0;
 };
 
@@ -188,11 +183,8 @@ class RbcaerScheme final : public RedirectionScheme {
     std::size_t shards = 0;
     std::size_t boundary_hotspots = 0;
     std::int64_t exchange_moved = 0;  // units committed by the exchange round
-    double shard_wall_s = 0.0;        // shard loop (every shard in turn)
-    double exchange_s = 0.0;          // exchange arc build + solve + commit
     /// Always 0; kept only because perfbench/trace_mode.cc reads it.
     std::size_t fork_demotions = 0;
-    std::vector<double> shard_flow_s;  // per shard: graph_s + mcmf_s
   };
   [[nodiscard]] const Diagnostics& last_diagnostics() const noexcept {
     return diagnostics_;

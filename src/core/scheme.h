@@ -58,8 +58,8 @@ struct SchemeContext {
   VideoCatalog catalog;
   double cdn_distance_km = kCdnDistanceKm;
   /// Simulation-wide shard count for schemes that support zone-sharded
-  /// planning (DESIGN.md §3.12). 0 = unsharded. Schemes may override via
-  /// their own config; schemes without a sharded path ignore it.
+  /// planning (DESIGN.md §3.12). 0 = unsharded. Schemes without a sharded
+  /// path ignore it.
   std::size_t num_shards = 0;
 };
 

@@ -24,11 +24,9 @@ ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
   for (const std::uint8_t b : boundary) outcome.boundary_hotspots += b;
 
   // --- Per-shard solves, one after another in shard order. ---
-  Stopwatch wall;
   for (std::uint32_t s = 0; s < num_shards; ++s) {
     outcome.shards[s] = solve_shard(s);
   }
-  outcome.shard_wall_s = wall.elapsed_seconds();
 
   // --- Commit shard flows against the global slack (the absorb
   // contract: per-shard loads equal the global loads restricted to the
@@ -56,7 +54,7 @@ ShardedSolveOutcome solve_sharded(std::span<const Hotspot> hotspots,
 
   // --- Exchange round: the θ sweep, Gd-only, over the boundary band —
   // boundary senders with residual overload against all residual slack. ---
-  wall.reset();
+  const Stopwatch wall;
   if (num_shards > 1 && outcome.boundary_hotspots > 0) {
     HotspotPartition band;
     for (const std::uint32_t i : partition.overloaded) {

@@ -86,8 +86,6 @@ struct ShardedSolveOutcome {
   std::int64_t moved = 0;           // total committed, exchange included
   std::int64_t exchange_moved = 0;  // exchange round's share
   std::size_t boundary_hotspots = 0;
-  /// Wall time of the shard loop (every shard solved in turn).
-  double shard_wall_s = 0.0;
   /// Wall time of the exchange round (band build + candidates + sweep).
   double exchange_s = 0.0;
 };

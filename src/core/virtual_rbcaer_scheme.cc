@@ -118,8 +118,7 @@ SlotPlan VirtualRbcaerScheme::plan_slot(const SchemeContext& context,
     // shard exactly like flat hotspots do, with the global cluster labels
     // restricted per shard (labels are only grouping keys, so restriction
     // preserves the Gc structure within a shard).
-    const std::size_t num_shards = std::min(
-        rc.num_shards != 0 ? rc.num_shards : context.num_shards, num_regions);
+    const std::size_t num_shards = std::min(context.num_shards, num_regions);
     if (num_shards >= 1) {
       ShardedSolveOutcome outcome = shard_plan_.solve(
           rc, virtual_hotspots, region_index, partition, num_shards,

@@ -3,9 +3,7 @@
 #include <ostream>
 
 #include "util/csv.h"
-
 #include "util/error.h"
-#include "util/log.h"
 
 namespace ccdn {
 
@@ -50,9 +48,6 @@ std::vector<SweepPoint> run_sweep(const World& world,
       SweepPoint point = run_single(world, requests, scheme, service, cache,
                                     config.simulation);
       point.parameter = fraction;
-      CCDN_LOG_DEBUG << "sweep " << (sweep_is_capacity ? "capacity" : "cache")
-                     << "=" << fraction << " scheme=" << point.scheme
-                     << " serving=" << point.serving_ratio;
       points.push_back(std::move(point));
     }
   }

@@ -52,8 +52,7 @@ struct SimulationConfig {
   /// Zone-sharded planning (DESIGN.md §3.12), forwarded to the schemes via
   /// SchemeContext::num_shards. 0 = unsharded; 1 = sharded orchestration
   /// with one shard (bit-identical to unsharded); >= 2 = real sharding.
-  /// Schemes without a sharded path ignore it, and a scheme's own
-  /// num_shards config overrides it.
+  /// Schemes without a sharded path ignore it.
   std::size_t num_shards = 0;
 };
 

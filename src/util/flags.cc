@@ -39,10 +39,6 @@ void Flags::parse(const std::vector<std::string>& tokens) {
   }
 }
 
-bool Flags::has(const std::string& name) const {
-  return values_.count(name) > 0;
-}
-
 std::optional<std::string> Flags::raw(const std::string& name) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
@@ -101,7 +97,7 @@ bool Flags::get_bool(const std::string& name, bool fallback) const {
 
 std::int64_t Flags::get_int_in(const std::string& name, std::int64_t fallback,
                                std::int64_t min, std::int64_t max) const {
-  if (!has(name)) return fallback;
+  if (!values_.contains(name)) return fallback;
   const std::int64_t value = get_int(name, fallback);
   if (value < min || value > max) {
     throw FlagError("flag --" + name + "=" + *raw(name) + " is outside [" +
@@ -112,7 +108,7 @@ std::int64_t Flags::get_int_in(const std::string& name, std::int64_t fallback,
 
 double Flags::get_double_in(const std::string& name, double fallback,
                             double above, double at_most) const {
-  if (!has(name)) return fallback;
+  if (!values_.contains(name)) return fallback;
   const double value = get_double(name, fallback);
   if (!(value > above && value <= at_most)) {
     throw FlagError("flag --" + name + "=" + *raw(name) + " is outside (" +
@@ -128,6 +124,31 @@ std::vector<std::string> Flags::unused() const {
     if (!accessed_.count(name)) names.push_back(name);
   }
   return names;
+}
+
+bool reject_unused(const Flags& flags, std::string_view program) {
+  const std::vector<std::string> unused = flags.unused();
+  for (const std::string& name : unused) {
+    std::fprintf(stderr, "%.*s: unknown flag --%s\n",
+                 static_cast<int>(program.size()), program.data(),
+                 name.c_str());
+  }
+  return !unused.empty();
+}
+
+bool read_flags(int argc, const char* const* argv,
+                const std::function<void(const Flags&)>& read) {
+  std::string_view program = argc > 0 ? argv[0] : "";
+  program = program.substr(program.find_last_of('/') + 1);
+  try {
+    const Flags flags(argc, argv);
+    read(flags);
+    return !reject_unused(flags, program);
+  } catch (const ParseError& error) {
+    std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(program.size()),
+                 program.data(), error.what());
+    return false;
+  }
 }
 
 }  // namespace ccdn

@@ -1,14 +1,16 @@
-// Tiny command-line flag parser for examples and benchmark binaries.
+// Tiny command-line flag parser for the tools, benches and examples.
 //
 // Accepts `--name=value` and `--name value`; bare `--name` is treated as the
-// boolean true. Positional arguments are collected in order. Unknown flags
-// are an error only when the caller asks for strict validation.
+// boolean true. Positional arguments are collected in order. A flag nobody
+// reads is an error once the program calls reject_unused (read_flags does).
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/error.h"
@@ -29,8 +31,6 @@ class Flags {
 
   /// Construct from pre-split tokens (useful in tests).
   explicit Flags(const std::vector<std::string>& tokens);
-
-  [[nodiscard]] bool has(const std::string& name) const;
 
   /// Typed getters with defaults. Throw FlagError, naming the flag, when
   /// the stored value cannot be converted.
@@ -69,5 +69,22 @@ class Flags {
   mutable std::map<std::string, bool> accessed_;
   std::vector<std::string> positional_;
 };
+
+/// Prints "<program>: unknown flag --<name>" on stderr for every flag that
+/// was set but never read, and returns true when there was one. Call it
+/// once every flag the program uses has been read: a flag nobody read is a
+/// typo or a retired option, and running anyway would silently run
+/// something other than what was asked for.
+[[nodiscard]] bool reject_unused(const Flags& flags, std::string_view program);
+
+/// The command line of a program that reads all its flags up front (the
+/// benches, the examples, golden_digests): parses argv and lets `read` take
+/// every flag the program uses, before the program does any work.
+/// Returns false, after printing "<program>: <reason>" on stderr (program
+/// is argv[0]'s file name), when the command line is unusable: a malformed
+/// token or value (ParseError, which names the flag) or a flag `read` did
+/// not take (reject_unused). The caller then exits 2.
+[[nodiscard]] bool read_flags(int argc, const char* const* argv,
+                              const std::function<void(const Flags&)>& read);
 
 }  // namespace ccdn

@@ -1,11 +1,11 @@
 // Clang thread-safety-analysis attribute macros (DESIGN.md §3.13).
 //
 // These wrap the [[clang::...]] capability attributes so the concurrency
-// contracts of shared-state owners (util/mutex.h, util/thread_pool.h,
-// util/log.cc, the simulator's clone-ring lanes, the slot-source cursors)
-// are CHECKED AT COMPILE TIME under clang: a guarded member touched without
-// its mutex, a lock released on the wrong path, or a REQUIRES contract
-// broken by a caller becomes a -Wthread-safety error in the
+// contracts of shared-state owners (util/mutex.h, util/thread_pool.h, the
+// simulator's clone-ring lanes, the slot-source cursors) are CHECKED AT
+// COMPILE TIME under clang: a guarded member touched without its mutex, a
+// lock released on the wrong path, or a REQUIRES contract broken by a
+// caller becomes a -Wthread-safety error in the
 // CCDN_THREAD_SAFETY build (cmake -DCCDN_THREAD_SAFETY=ON, clang only; the
 // static-analysis CI job runs it with -Werror=thread-safety). On GCC and
 // non-capability clang builds every macro expands to nothing, so the

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/rbcaer_scheme.h"
+#include "geo/geo_point.h"
 #include "geo/zone_partition.h"
 #include "trace/generator.h"
 #include "trace/world.h"
@@ -14,71 +15,120 @@
 namespace ccdn {
 namespace {
 
-/// A small but non-trivial world: enough hotspots that a 4-way spatial
-/// partition has interior and boundary members, enough load imbalance that
-/// the θ sweep actually moves flow.
+/// A world whose service capacity equals the mean load per hotspot, with
+/// 3% caches: the skewed demand leaves roughly half the fleet overloaded,
+/// so the θ sweep moves flow, and a spatial partition has interior and
+/// boundary members.
 struct Fixture {
   World world;
   GridIndex index;
   std::vector<Request> trace;
 
-  Fixture() : world(make_world()), index(world.hotspot_locations(), 0.5) {
+  Fixture(std::size_t hotspots, std::uint32_t videos, std::size_t requests)
+      : world(make_world(hotspots, videos, requests)),
+        index(world.hotspot_locations(), 0.5) {
     TraceConfig trace_config;
-    trace_config.num_requests = 3000;
+    trace_config.num_requests = requests;
     trace = generate_trace(world, trace_config);
   }
 
-  static World make_world() {
+  /// The small default: 60 hotspots, 500 videos, mean load 50 requests.
+  Fixture() : Fixture(60, 500, 3000) {}
+
+  static World make_world(std::size_t hotspots, std::uint32_t videos,
+                          std::size_t requests) {
     WorldConfig config = WorldConfig::evaluation_region();
-    config.num_hotspots = 60;
-    config.num_videos = 500;
+    config.num_hotspots = hotspots;
+    config.num_videos = videos;
     World world = generate_world(config);
-    // mean load 50 requests/hotspot; capacity below it forces movement.
-    assign_uniform_capacities(world, 50.0 / 500.0, 0.03);
+    const double mean_load =
+        static_cast<double>(requests) / static_cast<double>(hotspots);
+    assign_uniform_capacities(world, mean_load / videos, 0.03);
     return world;
   }
 
-  [[nodiscard]] SchemeContext context() const {
-    return {world.hotspots(), index, VideoCatalog{500}, kCdnDistanceKm};
+  [[nodiscard]] SchemeContext context(std::size_t shards = 0) const {
+    return {world.hotspots(), index,
+            VideoCatalog{world.config().num_videos}, kCdnDistanceKm, shards};
   }
 };
+
+/// The sharded-solve oracle's instance: 600 hotspots, 8,000 videos and
+/// 30,000 requests in one slot, where a zone cut's boundary band holds a
+/// large share of the fleet.
+Fixture h600() { return Fixture(600, 8000, 30000); }
 
 SlotPlan plan_with(const Fixture& fixture, std::size_t shards,
                    bool aggregation) {
   RbcaerConfig config;
   config.content_aggregation = aggregation;
-  config.num_shards = shards;
   RbcaerScheme scheme(config);
-  const SchemeContext context = fixture.context();
+  const SchemeContext context = fixture.context(shards);
   const SlotDemand demand(fixture.trace, fixture.index);
   return scheme.plan_slot(context, fixture.trace, demand);
+}
+
+/// Planned distance: each request pays the distance to the hotspot the plan
+/// assigns it, or the CDN penalty.
+double planned_distance_km(const Fixture& fixture, const SlotPlan& plan) {
+  const std::vector<Hotspot>& hotspots = fixture.world.hotspots();
+  double sum = 0.0;
+  for (std::size_t r = 0; r < fixture.trace.size(); ++r) {
+    const HotspotIndex h = plan.assignment[r];
+    sum += h == kCdnServer ? kCdnDistanceKm
+                           : distance_km(fixture.trace[r].location,
+                                         hotspots[h].location);
+  }
+  return sum;
 }
 
 // shard=1 runs the sharded orchestration (partition, child solve, merge)
 // but must reproduce the unsharded plan bit for bit — the golden harness
 // pins this same contract on the full scheme matrix.
 TEST(ShardedRbcaer, ShardOneBitIdenticalToUnsharded) {
-  const Fixture fixture;
+  for (const Fixture& fixture : {Fixture(), h600()}) {
+    for (const bool aggregation : {true, false}) {
+      const SlotPlan unsharded = plan_with(fixture, 0, aggregation);
+      const SlotPlan sharded = plan_with(fixture, 1, aggregation);
+      EXPECT_EQ(unsharded.assignment, sharded.assignment)
+          << fixture.trace.size() << " requests, aggregation " << aggregation;
+      EXPECT_EQ(unsharded.placements, sharded.placements)
+          << fixture.trace.size() << " requests, aggregation " << aggregation;
+    }
+  }
+}
+
+// Sharding pays a bounded optimality gap: on Gc and on Gd, at 2, 4 and 8
+// zones, the sharded plan's planned distance stays within 3% of the
+// unsharded plan's. The bound is one-sided: a sharded plan may beat the
+// unsharded one (both are greedy), and a missing exchange round leaves
+// residual overload at the CDN, which reads as a gain here; the golden
+// -shard digests and ExchangeSendsOnlyFromBoundaryHotspots catch that.
+TEST(ShardedRbcaer, PlannedDistanceGapWithinThreePercentAtH600) {
+  const Fixture fixture = h600();
   for (const bool aggregation : {true, false}) {
-    const SlotPlan unsharded = plan_with(fixture, 0, aggregation);
-    const SlotPlan sharded = plan_with(fixture, 1, aggregation);
-    EXPECT_EQ(unsharded.assignment, sharded.assignment);
-    EXPECT_EQ(unsharded.placements, sharded.placements);
+    const double unsharded =
+        planned_distance_km(fixture, plan_with(fixture, 0, aggregation));
+    ASSERT_GT(unsharded, 0.0);
+    for (const std::size_t shards : {2, 4, 8}) {
+      const double sharded = planned_distance_km(
+          fixture, plan_with(fixture, shards, aggregation));
+      EXPECT_LE((sharded - unsharded) / unsharded, 0.03)
+          << (aggregation ? "Gc" : "Gd") << " at " << shards << " shards: "
+          << sharded << " km vs " << unsharded << " km unsharded";
+    }
   }
 }
 
 TEST(ShardedRbcaer, DiagnosticsReflectSharding) {
   const Fixture fixture;
-  RbcaerConfig config;
-  config.num_shards = 4;
-  RbcaerScheme scheme(config);
-  const SchemeContext context = fixture.context();
+  RbcaerScheme scheme;
+  const SchemeContext context = fixture.context(4);
   const SlotDemand demand(fixture.trace, fixture.index);
   const SlotPlan plan = scheme.plan_slot(context, fixture.trace, demand);
   EXPECT_EQ(plan.assignment.size(), fixture.trace.size());
   const auto& diagnostics = scheme.last_diagnostics();
   EXPECT_EQ(diagnostics.shards, 4u);
-  EXPECT_EQ(diagnostics.shard_flow_s.size(), 4u);
   // A 4-way cut of a 60-hotspot cloud with θ2-radius candidates always
   // leaves someone near a cut.
   EXPECT_GT(diagnostics.boundary_hotspots, 0u);
@@ -98,16 +148,14 @@ TEST(ShardedRbcaer, ZonePlanFollowsHotspotLocations) {
   }
   const GridIndex index(locations, 0.5);
   const SchemeContext context{hotspots, index, VideoCatalog{500},
-                              kCdnDistanceKm};
+                              kCdnDistanceKm, 4};
   const SlotDemand demand(fixture.trace, index);
 
-  RbcaerConfig config;
-  config.num_shards = 4;
-  RbcaerScheme reused(config);
-  (void)reused.plan_slot(fixture.context(), fixture.trace,
+  RbcaerScheme reused;
+  (void)reused.plan_slot(fixture.context(4), fixture.trace,
                          SlotDemand(fixture.trace, fixture.index));
   const SlotPlan replanned = reused.plan_slot(context, fixture.trace, demand);
-  RbcaerScheme fresh(config);
+  RbcaerScheme fresh;
   const SlotPlan expected = fresh.plan_slot(context, fixture.trace, demand);
   EXPECT_EQ(replanned.assignment, expected.assignment);
   EXPECT_EQ(replanned.placements, expected.placements);

@@ -274,12 +274,12 @@ TEST(VirtualRbcaer, PlansMatchPinnedDigests) {
     SimulationConfig sim_config;
     sim_config.slot_seconds = 3600;
     sim_config.audit_level = AuditLevel::kPlan;
+    sim_config.num_shards = c.shards;
     const Simulator simulator(world.hotspots(),
                               VideoCatalog{world_config.num_videos},
                               sim_config);
     VirtualRbcaerConfig config;
     config.regional.content_aggregation = c.aggregation;
-    config.regional.num_shards = c.shards;
     VirtualRbcaerScheme scheme(config);
     const SimulationReport report = simulator.run(scheme, trace);
     ASSERT_EQ(report.verdicts().size(), 12u);

@@ -43,11 +43,13 @@ struct Workload {
   }
 
   [[nodiscard]] SimulationReport run(RedirectionScheme& scheme,
-                                     std::size_t num_threads) const {
+                                     std::size_t num_threads,
+                                     std::size_t num_shards = 0) const {
     SimulationConfig config;
     config.slot_seconds = 3600;
     config.record_hotspot_loads = true;
     config.num_threads = num_threads;
+    config.num_shards = num_shards;
     Simulator simulator(world.hotspots(),
                         VideoCatalog{world.config().num_videos}, config);
     return simulator.run(scheme, trace);
@@ -98,12 +100,10 @@ TEST(ParallelSimulator, ShardedSchemeIdenticalAcrossThreadCounts) {
   // The sharded solve runs its shards in-process inside each clone lane;
   // the report must match the sequential run bit for bit.
   const Workload workload;
-  RbcaerConfig config;
-  config.num_shards = 2;
-  RbcaerScheme sequential_scheme(config);
-  RbcaerScheme parallel_scheme(config);
-  expect_identical(workload.run(sequential_scheme, 1),
-                   workload.run(parallel_scheme, 4));
+  RbcaerScheme sequential_scheme;
+  RbcaerScheme parallel_scheme;
+  expect_identical(workload.run(sequential_scheme, 1, 2),
+                   workload.run(parallel_scheme, 4, 2));
 }
 
 /// Replays every slot on a fresh clone of the wrapped scheme and counts

@@ -4,8 +4,6 @@
 
 #include <thread>
 
-#include "util/log.h"
-
 namespace ccdn {
 namespace {
 
@@ -34,25 +32,6 @@ TEST(Stopwatch, MonotoneNonDecreasing) {
     EXPECT_GE(now, previous);
     previous = now;
   }
-}
-
-TEST(Log, LevelFiltering) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_EQ(log_level(), LogLevel::kError);
-  // Below-threshold lines are dropped without crashing.
-  CCDN_LOG_DEBUG << "suppressed " << 42;
-  CCDN_LOG_INFO << "suppressed too";
-  CCDN_LOG_ERROR << "emitted to stderr";
-  set_log_level(original);
-  EXPECT_EQ(log_level(), original);
-}
-
-TEST(Log, StreamAcceptsMixedTypes) {
-  const LogLevel original = log_level();
-  set_log_level(LogLevel::kError);  // keep test output clean
-  CCDN_LOG_INFO << "text " << 1 << ' ' << 2.5 << ' ' << true;
-  set_log_level(original);
 }
 
 }  // namespace

@@ -270,12 +270,15 @@ TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
   trace_config.duration_hours = 4;
   const auto trace = generate_trace(world, trace_config);
 
-  SimulationConfig sim_config;
-  sim_config.slot_seconds = 3600;
-  sim_config.audit_level = AuditLevel::kFull;
-  const Simulator simulator(world.hotspots(),
-                            VideoCatalog{world_config.num_videos}, sim_config);
-  const auto expect_clean_run = [&](RedirectionScheme& scheme) {
+  const auto expect_clean_run = [&](RedirectionScheme& scheme,
+                                     std::size_t shards) {
+    SimulationConfig sim_config;
+    sim_config.slot_seconds = 3600;
+    sim_config.audit_level = AuditLevel::kFull;
+    sim_config.num_shards = shards;
+    const Simulator simulator(world.hotspots(),
+                              VideoCatalog{world_config.num_videos},
+                              sim_config);
     const SimulationReport report = simulator.run(scheme, trace);
     ASSERT_EQ(report.verdicts().size(), report.slots().size());
     for (const SlotVerdict& verdict : report.verdicts()) {
@@ -291,17 +294,15 @@ TEST(ScheduleAuditTest, AuditedThetaStepsAreClean) {
       scheme_config.content_aggregation = aggregation;
       scheme_config.theta1_km = 0.3;
       scheme_config.delta_km = 0.1;
-      scheme_config.num_shards = shards;
       RbcaerScheme scheme(scheme_config);
-      expect_clean_run(scheme);
+      expect_clean_run(scheme, shards);
 
       VirtualRbcaerConfig virtual_config;
       virtual_config.regional.audit_level = AuditLevel::kFull;
       virtual_config.regional.content_aggregation = aggregation;
       virtual_config.regional.delta_km = 1.0;
-      virtual_config.regional.num_shards = shards;
       VirtualRbcaerScheme virtual_scheme(virtual_config);
-      expect_clean_run(virtual_scheme);
+      expect_clean_run(virtual_scheme, shards);
     }
   }
 }

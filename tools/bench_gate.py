@@ -1,19 +1,13 @@
 #!/usr/bin/env python3
-"""Perf-regression trend gate for the committed benchmark baselines.
+"""Perf-regression trend gate for the committed micro-benchmark baseline.
 
-Compares a freshly-measured benchmark JSON against the baseline committed
-at the repo root and fails when any shared metric regresses by more than
-the tolerance (default 15%). Two file formats are understood, detected
-from the JSON shape:
-
-  * google-benchmark JSON (BENCH_micro.json): the harness emits
-    min-of-repetitions aggregates (see micro_benchmarks.cc main()), so the
-    gate reads rows with aggregate_name == "min" and falls back to plain
-    iteration rows only when a file carries no aggregates at all. The
-    metric is real_time normalised to nanoseconds.
-  * the flat flow bench format ({"bench": ..., "benchmarks":
-    [{"name": ..., ...}]}, BENCH_flow.json): every numeric field ending in
-    "_s" is a wall-time metric, keyed "<row name>:<field>".
+Compares a freshly-measured google-benchmark JSON against the baseline
+committed at the repo root (BENCH_micro.json) and fails when any shared
+metric regresses by more than the tolerance (default 15%). The harness
+emits min-of-repetitions aggregates (see micro_benchmarks.cc main()), so
+the gate reads rows with aggregate_name == "min" and falls back to plain
+iteration rows only when a file carries no aggregates at all. The metric
+is real_time normalised to nanoseconds.
 
 CI runners are not the machine the baselines were measured on, so wall
 metrics are CALIBRATED by default: the gate computes the median
@@ -33,8 +27,6 @@ Exit status: 0 green, 1 regression(s) past tolerance, 2 usage/IO error.
 
 Usage:
   python3 tools/bench_gate.py BENCH_micro.json fresh_micro.json
-  python3 tools/bench_gate.py BENCH_flow.json fresh_flow.json \
-      --no-calibrate --tolerance 0.15
 """
 
 from __future__ import annotations
@@ -63,30 +55,16 @@ def load_metrics(path: Path) -> dict[str, float]:
         print(f"error: {path}: no 'benchmarks' array", file=sys.stderr)
         sys.exit(2)
 
-    if "context" in data:  # google-benchmark format
-        mins = [r for r in rows if r.get("aggregate_name") == "min"]
-        if not mins:  # a run without repetitions has no aggregates
-            mins = [r for r in rows if r.get("run_type") != "aggregate"]
-        metrics = {}
-        for r in mins:
-            unit = TIME_UNIT_NS.get(r.get("time_unit", "ns"))
-            if unit is None or "real_time" not in r:
-                continue
-            name = r["name"].removesuffix("_min")
-            metrics[name] = float(r["real_time"]) * unit
-        return metrics
-
-    # Flat flow format: one metric per "_s" field per row.
+    mins = [r for r in rows if r.get("aggregate_name") == "min"]
+    if not mins:  # a run without repetitions has no aggregates
+        mins = [r for r in rows if r.get("run_type") != "aggregate"]
     metrics = {}
-    for r in rows:
-        name = r.get("name")
-        if not isinstance(name, str):
+    for r in mins:
+        unit = TIME_UNIT_NS.get(r.get("time_unit", "ns"))
+        if unit is None or "real_time" not in r:
             continue
-        for field, value in r.items():
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue
-            if field.endswith("_s"):
-                metrics[f"{name}:{field}"] = float(value) * 1e9
+        name = r["name"].removesuffix("_min")
+        metrics[name] = float(r["real_time"]) * unit
     return metrics
 
 

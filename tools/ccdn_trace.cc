@@ -109,17 +109,6 @@ RunFlags read_run_flags(const Flags& flags, AuditLevel audit_level) {
   return {std::move(in), std::move(world), std::move(scheme), config};
 }
 
-/// Call once every flag the subcommand uses has been read: a flag nobody
-/// read is a typo or a retired option, and running anyway would silently
-/// produce a different run than the caller asked for.
-bool reject_unused(const char* command, const Flags& flags) {
-  const auto unused = flags.unused();
-  for (const auto& name : unused) {
-    std::fprintf(stderr, "%s: unknown flag --%s\n", command, name.c_str());
-  }
-  return !unused.empty();
-}
-
 int cmd_generate(const Flags& flags) {
   const std::string out = flags.get_string("out", "");
   if (out.empty()) throw FlagError("--out=<path> is required");
@@ -132,7 +121,7 @@ int cmd_generate(const Flags& flags) {
       static_cast<std::size_t>(flags.get_int_in("hours", 24, 1, kMaxHours));
   trace_config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const bool stream = flags.get_bool("stream", false);
-  if (reject_unused("generate", flags)) return 2;
+  if (reject_unused(flags, "generate")) return 2;
   std::size_t written = 0;
   if (stream) {
     TraceGenerator generator(world, trace_config);
@@ -158,7 +147,7 @@ int cmd_stats(const Flags& flags) {
   const std::string in = flags.get_string("in", "");
   if (in.empty()) throw FlagError("--in=<path> is required");
   const World world = world_from_flags(flags);
-  if (reject_unused("stats", flags)) return 2;
+  if (reject_unused(flags, "stats")) return 2;
   const auto trace = read_trace_csv(in);
   if (trace.empty()) throw ParseError("trace is empty");
   require_catalog_videos(trace, VideoCatalog{world.config().num_videos});
@@ -194,7 +183,7 @@ int cmd_simulate(const Flags& flags) {
   RunFlags run = read_run_flags(flags, AuditLevel::kOff);
   run.config.num_threads = static_cast<std::size_t>(
       flags.get_int_in("threads", 1, 0, kMaxThreads));
-  if (reject_unused("simulate", flags)) return 2;
+  if (reject_unused(flags, "simulate")) return 2;
   const Simulator simulator(run.world.hotspots(),
                             VideoCatalog{run.world.config().num_videos},
                             run.config);
@@ -212,7 +201,7 @@ int cmd_simulate(const Flags& flags) {
 int cmd_audit(const Flags& flags) {
   RunFlags run = read_run_flags(flags, AuditLevel::kFull);
   const bool quiet = flags.get_bool("quiet", false);
-  if (reject_unused("audit", flags)) return 2;
+  if (reject_unused(flags, "audit")) return 2;
   const Simulator simulator(run.world.hotspots(),
                             VideoCatalog{run.world.config().num_videos},
                             run.config);

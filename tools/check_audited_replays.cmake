@@ -1,8 +1,8 @@
 # Audits overloaded replays: a generated 20,000-request, 24-hour trace at
 # hourly slots and a service capacity of 0.05% of the catalog, so hotspots
 # overload in every slot and the θ sweep, the shard exchange and
-# Procedure 1's redirects all run. rbcaer and virtual, unsharded and at 4
-# shards, must exit 0 with every slot clean, and must plan differently from
+# Procedure 1's redirects all run. rbcaer and virtual, unsharded and at 2
+# and 4 shards, must exit 0 with every slot clean, and must plan differently from
 # nearest in at least half the slots; plans equal to nearest's would leave
 # the planner itself unaudited.
 #
@@ -38,7 +38,7 @@ endfunction()
 
 audit(nearest --scheme=nearest)
 foreach(scheme IN ITEMS rbcaer virtual)
-  foreach(shards IN ITEMS 0 4)
+  foreach(shards IN ITEMS 0 2 4)
     audit(planned --scheme=${scheme} --shards=${shards})
     list(LENGTH planned slots)
     set(differing 0)

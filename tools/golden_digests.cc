@@ -186,25 +186,20 @@ bool scan_golden(const std::string& text, const std::string& scheme,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const std::string check_path = flags.get_string("check", "");
-  const std::string regen_path = flags.get_string("regenerate", "");
-  const std::string perturb = flags.get_string("perturb", "");
-  // Substring filter for check mode: only schemes / variant contracts whose
-  // name contains it are recomputed (base schemes a surviving contract
-  // needs are computed on demand). Lets CI matrix jobs run e.g.
-  // --only=shard without paying for the full scheme set.
-  const std::string only = flags.get_string("only", "");
-  const auto unused = flags.unused();
-  for (const auto& name : unused) {
-    std::fprintf(stderr, "golden_digests: unknown flag --%s\n", name.c_str());
+  std::string check_path;
+  std::string regen_path;
+  std::string perturb;
+  if (!read_flags(argc, argv, [&](const Flags& flags) {
+        check_path = flags.get_string("check", "");
+        regen_path = flags.get_string("regenerate", "");
+        perturb = flags.get_string("perturb", "");
+      })) {
+    return 2;
   }
-  if (!unused.empty()) return 2;
   if (check_path.empty() == regen_path.empty()) {
     std::fprintf(stderr,
                  "usage: golden_digests --check=<golden.json> "
-                 "[--perturb=<scheme>] [--only=<substring>] | "
-                 "--regenerate=<golden.json>\n");
+                 "[--perturb=<scheme>] | --regenerate=<golden.json>\n");
     return 2;
   }
 
@@ -221,9 +216,9 @@ int main(int argc, char** argv) {
   const auto trace = generate_trace(world, trace_config);
 
   try {
-    // Memoized digest computation, so variant contracts can pull in base
-    // schemes a filter excluded without recomputing anything twice. Each
-    // computed scheme's failing verdicts are reported once, as it runs.
+    // Memoized digest computation, so the variant contracts reuse the
+    // schemes already computed. Each computed scheme's failing verdicts are
+    // reported once, as it runs.
     std::vector<std::pair<std::string, std::vector<std::uint64_t>>> computed;
     std::size_t violations = 0;
     const auto digests_of =
@@ -245,16 +240,10 @@ int main(int argc, char** argv) {
       computed.emplace_back(name, std::move(digests));
       return computed.back().second;
     };
-    std::size_t variants_checked = 0;
-    const auto check_variants = [&](const std::string& filter) {
+    const auto check_variants = [&] {
       std::size_t bad = 0;
       for (const VariantCheck& check : kVariantChecks) {
-        const std::string variant(check.variant);
-        if (!filter.empty() && variant.find(filter) == std::string::npos) {
-          continue;
-        }
-        ++variants_checked;
-        const std::vector<std::uint64_t> got = digests_of(variant);
+        const std::vector<std::uint64_t> got = digests_of(check.variant);
         const std::vector<std::uint64_t> base = digests_of(check.base);
         std::size_t differing = 0;
         for (std::size_t s = 0; s < got.size() && s < base.size(); ++s) {
@@ -279,9 +268,9 @@ int main(int argc, char** argv) {
         std::printf("golden_digests: %s -> %zu slot digest(s)\n", name,
                     all.back().second.size());
       }
-      // All variant contracts ride along (unfiltered); never write a golden
-      // file from a tree whose promises are already broken.
-      if (check_variants("") != 0 || violations != 0) {
+      // All variant contracts ride along; never write a golden file from a
+      // tree whose promises are already broken.
+      if (check_variants() != 0 || violations != 0) {
         std::fprintf(stderr,
                      "golden_digests: refusing to write a golden file with "
                      "a broken variant contract or plan audit\n");
@@ -303,11 +292,8 @@ int main(int argc, char** argv) {
     const std::string text = buffer.str();
 
     std::size_t mismatches = 0;
-    std::size_t checked = 0;
     for (const char* name_cstr : kSchemes) {
       const std::string name(name_cstr);
-      if (!only.empty() && name.find(only) == std::string::npos) continue;
-      ++checked;
       std::vector<std::uint64_t> expected;
       if (!scan_golden(text, name, expected)) {
         std::fprintf(stderr, "golden_digests: scheme '%s' missing from %s\n",
@@ -342,18 +328,8 @@ int main(int argc, char** argv) {
       std::printf("golden_digests: %s %zu slot(s) %s\n", name.c_str(),
                   actual.size(), scheme_bad == 0 ? "ok" : "DRIFTED");
     }
-    mismatches += check_variants(only);
+    mismatches += check_variants();
     mismatches += violations;
-    // Some --only filters legitimately match only variant contracts (e.g.
-    // shard1, whose promise is plan-equality, not a pinned digest) — error
-    // only when the filter selected nothing at all.
-    if (checked == 0 && variants_checked == 0 && !only.empty()) {
-      std::fprintf(stderr,
-                   "golden_digests: --only=%s matched no pinned scheme or "
-                   "variant contract\n",
-                   only.c_str());
-      return 2;
-    }
     if (mismatches != 0) {
       std::fprintf(stderr, "golden_digests: %zu mismatch(es) vs %s\n",
                    mismatches, check_path.c_str());
